@@ -23,15 +23,16 @@ from .hopf import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    column_witness,
     dual_module,
     hom_module,
     kron,
     kron_vec,
+    product_labels,
     solve_linear,
     split_coefficient_map,
     submodule_membership,
     tensor_module,
-    twist_map,
     unit_module,
     vec_scale,
 )
@@ -302,23 +303,27 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
             break
     rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
     # measuring: h(ab) = Σ (h₁a)(h₂b)
-    idh, ida = LinearMap.identity(b.carrier), LinearMap.identity(A.carrier)
-    lhs = w.action @ kron(idh, A.mult)
-    rhs = (A.mult
-           @ kron(w.action, w.action)
-           @ kron(kron(idh, twist_map(b.carrier, A.carrier)), ida)
-           @ kron(kron(b.coalgebra.comult, ida), ida))
-    witness = None
-    if lhs != rhs:
-        for col in range(rH * rA * rA):
-            if lhs.column(col) != rhs.column(col):
-                i, rest = divmod(col, rA * rA)
-                j, k = divmod(rest, rA)
-                witness = (f"({b.carrier.labels[i]},{A.carrier.labels[j]},"
-                           f"{A.carrier.labels[k]})")
-                break
+    lhs = w.action @ kron(LinearMap.identity(b.carrier), A.mult)
+    rhs = A.mult @ kron(w.action, w.action) @ _spread_coproduct(b, A)
+    witness = column_witness(lhs, rhs, product_labels(
+        b.carrier.labels, A.carrier.labels, A.carrier.labels))
     rep.add("action.measuring", "h ⇀ (ab) = Σ(h₁⇀a)(h₂⇀b)", witness is None, witness)
     return rep
+
+
+def _spread_coproduct(b, A: AlgebraData) -> LinearMap:
+    """(id⊗τ⊗id)∘(Δ⊗id⊗id): H⊗A⊗A → H⊗A⊗H⊗A, h⊗a⊗a' ↦ Σ h₁⊗a⊗h₂⊗a'."""
+    rH, rA = b.rank, A.rank
+    cols = []
+    for col in b.coalgebra.comult.sparse_columns():
+        terms = [divmod(flat, rH) + (d,) for flat, d in col]
+        for a in range(rA):
+            for a2 in range(rA):
+                cols.append([(((h1 * rA + a) * rH + h2) * rA + a2, d)
+                             for h1, h2, d in terms])
+    ha = tensor_module(b.carrier, A.carrier)
+    return LinearMap.from_sparse_columns(tensor_module(ha, A.carrier),
+                                         tensor_module(ha, ha), cols)
 
 
 class ComoduleAlgebraData:
@@ -359,35 +364,21 @@ class ComoduleAlgebraData:
         lhs = kron(self.coaction, idh) @ self.coaction
         rhs = kron(idb, b.coalgebra.comult) @ self.coaction
         rep.add("comodule.coassoc", "(ϱ⊗id)∘ϱ = (id⊗Δ)∘ϱ", lhs == rhs,
-                _witness_col(lhs, rhs, B.carrier.labels))
+                column_witness(lhs, rhs, B.carrier.labels))
         counit_side = kron(idb, b.coalgebra.counit) @ self.coaction
         rep.add("comodule.counit", "(id⊗ε)∘ϱ = id", counit_side == idb,
-                _witness_col(counit_side, idb, B.carrier.labels))
+                column_witness(counit_side, idb, B.carrier.labels))
         bh = tensor_algebra(B, b.algebra)
         lhs2 = self.coaction @ B.mult
         rhs2 = bh.mult @ kron(self.coaction, self.coaction)
-        witness = None
-        if lhs2 != rhs2:
-            for col in range(B.rank * B.rank):
-                if lhs2.column(col) != rhs2.column(col):
-                    witness = (f"({B.carrier.labels[col // B.rank]},"
-                               f"{B.carrier.labels[col % B.rank]})")
-                    break
+        witness = column_witness(lhs2, rhs2, product_labels(B.carrier.labels,
+                                                            B.carrier.labels))
         rep.add("comodule.multiplicative", "ϱ is an algebra morphism",
                 witness is None, witness)
         ok = self.coaction.apply(B.unit) == kron_vec(self.ring, B.unit,
                                                      b.algebra.unit)
         rep.add("comodule.unit", "ϱ(1) = 1⊗1", ok, None if ok else "1")
         return rep
-
-
-def _witness_col(a: LinearMap, b: LinearMap, labels):
-    if a == b:
-        return None
-    for j in range(a.domain.rank):
-        if a.column(j) != b.column(j):
-            return labels[j] if j < len(labels) else f"column {j}"
-    return None
 
 
 def regular_comodule(h: HopfLike) -> ComoduleAlgebraData:

@@ -58,6 +58,7 @@ from .hopf import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    column_witness,
     determinant,
     dual_module,
     hom_module,
@@ -302,46 +303,6 @@ def end_rep_module(hopf: HopfLike, A: AlgebraData, side: DiagramSide) -> FreeMod
     target = (tensor_module(b.carrier, A.carrier) if side is DiagramSide.RIGHT
               else tensor_module(A.carrier, b.carrier))
     return hom_module(b.carrier, target)
-
-
-def end_rep_algebra(hopf: HopfLike, A: AlgebraData, side: DiagramSide) -> AlgebraData:
-    """End_{-A}(H⊗A) (right) or End_{A-}(A⊗H) (op) under composition, on the
-    values-at-(h⊗1) (resp. (1⊗h)) representation."""
-    b = bialgebra_of(hopf)
-    ring = b.ring
-    rH, rA = b.rank, A.rank
-    carrier = end_rep_module(hopf, A, side)
-    n = carrier.rank
-    cols = []
-    for p in range(rH * rA):
-        for q in range(rH):
-            for r in range(rH * rA):
-                for s in range(rH):
-                    out = [ring.zero] * n
-                    if side is DiagramSide.RIGHT:
-                        ph, pa = divmod(p, rA)
-                        rh, ra = divmod(r, rA)
-                        if q == rh:
-                            for t, c in A.basis_product(pa, ra):
-                                out[(ph * rA + t) * rH + s] = c
-                    else:
-                        pa, ph = divmod(p, rH)
-                        ra, rh = divmod(r, rH)
-                        if q == rh:
-                            for t, c in A.basis_product(ra, pa):
-                                out[(t * rH + ph) * rH + s] = c
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = [ring.zero] * n
-    for i in range(rH):
-        for a_idx, a_val in enumerate(A.unit):
-            if not (a_val):
-                continue
-            if side is DiagramSide.RIGHT:
-                unit[(i * rA + a_idx) * rH + i] = a_val
-            else:
-                unit[(a_idx * rH + i) * rH + i] = a_val
-    return AlgebraData(carrier, mult, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -783,24 +744,15 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
     lhs1 = pi @ alpha
     if lhs1 != gamma:
         raise CommutativityFailure("π∘α ≠ γ",
-                                   witness=_diff_witness(lhs1, gamma, p1.carrier))
+                                   witness=column_witness(lhs1, gamma, p1.carrier.labels))
     lhs2 = pi @ delta
     if lhs2 != chi:
         raise CommutativityFailure("π∘δ ≠ χ",
-                                   witness=_diff_witness(lhs2, chi, p4.carrier))
+                                   witness=column_witness(lhs2, chi, p4.carrier.labels))
     det = determinant(pi)
     if not cp.ring.is_unit(det):
         raise NotInvertible("π is not invertible", determinant=det)
     return DualityDiagram(side, p1, p4, alpha, gamma, delta, pi, nu, chi, pi_order)
-
-
-def _diff_witness(a: LinearMap, b: LinearMap, module: FreeModule):
-    for j in range(a.domain.rank):
-        if a.column(j) != b.column(j):
-            if j < module.rank:
-                return module.labels[j]
-            return f"column {j}"
-    return None
 
 
 def duality_iso(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,

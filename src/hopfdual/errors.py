@@ -66,10 +66,6 @@ class HypothesisFailed(HopfdualError):
         self.hypothesis = hypothesis
 
 
-class NonUniqueSolution(HopfdualError):
-    """An internally-unique solve produced a non-unique answer (internal error)."""
-
-
 class UnknownEntry(HopfdualError):
     """No catalog entry with the requested name."""
 

@@ -18,15 +18,17 @@ from .errors import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    column_witness,
     dual_module,
     hom_module,
     invert_map,
     kron,
+    kron_column,
     kron_vec,
     map_to_vec,
+    product_labels,
     solve_linear,
     tensor_module,
-    twist_map,
     unit_module,
     vec_to_map,
 )
@@ -94,8 +96,14 @@ class AlgebraData:
         )
 
     def opposite(self) -> "AlgebraData":
-        sw = twist_map(self.carrier, self.carrier)
-        return AlgebraData(self.carrier, self.mult @ sw, self.unit)
+        """The same carrier and unit with x·y := yx: column (i, j) of the
+        multiplication becomes column (j, i)."""
+        r = self.rank
+        cols = self.mult.sparse_columns()
+        mult = LinearMap.from_sparse_columns(
+            tensor_module(self.carrier, self.carrier), self.mult.codomain,
+            [cols[j * r + i] for i in range(r) for j in range(r)])
+        return AlgebraData(self.carrier, mult, self.unit)
 
     def product_items(self, items_u, items_v) -> dict:
         """Sparse product of sparse vectors (lists of (index, coeff))."""
@@ -233,37 +241,33 @@ class CoalgebraData:
         return tuple((c, idx) for idx, c in sorted(acc.items()) if not ring.is_zero(c))
 
     def is_cocommutative(self) -> bool:
-        sw = twist_map(self.carrier, self.carrier)
-        return (sw @ self.comult) == self.comult
+        return self.co_opposite().comult == self.comult
 
     def co_opposite(self) -> "CoalgebraData":
-        sw = twist_map(self.carrier, self.carrier)
-        return CoalgebraData(self.carrier, sw @ self.comult, self.counit)
+        """The same carrier and counit with Δ^cop = τ∘Δ: the term h_p⊗h_q of
+        each coproduct becomes h_q⊗h_p."""
+        r = self.rank
+        cols = [sorted(((flat % r) * r + flat // r, c) for flat, c in col)
+                for col in self.comult.sparse_columns()]
+        comult = LinearMap.from_sparse_columns(
+            self.comult.domain, tensor_module(self.carrier, self.carrier), cols)
+        return CoalgebraData(self.carrier, comult, self.counit)
 
     def validate(self, subject: str = "coalgebra") -> ValidationReport:
         rep = ValidationReport(subject)
         ident = LinearMap.identity(self.carrier)
         lhs = kron(self.comult, ident) @ self.comult
         rhs = kron(ident, self.comult) @ self.comult
-        witness = _first_column_difference(lhs, rhs, self.carrier.labels)
+        witness = column_witness(lhs, rhs, self.carrier.labels)
         rep.add("coalgebra.coassoc", "comultiplication is coassociative",
                 witness is None, witness)
         left = kron(self.counit, ident) @ self.comult
         right = kron(ident, self.counit) @ self.comult
-        w1 = _first_column_difference(left, ident, self.carrier.labels)
-        w2 = _first_column_difference(right, ident, self.carrier.labels)
+        w1 = column_witness(left, ident, self.carrier.labels)
+        w2 = column_witness(right, ident, self.carrier.labels)
         rep.add("coalgebra.counit", "counit laws hold", w1 is None and w2 is None,
                 w1 or w2)
         return rep
-
-
-def _first_column_difference(a: LinearMap, b: LinearMap, labels) -> Optional[str]:
-    if a == b:
-        return None
-    for j in range(a.domain.rank):
-        if a.column(j) != b.column(j):
-            return labels[j] if j < len(labels) else f"column {j}"
-    return "shape"
 
 
 class BialgebraData:
@@ -300,21 +304,19 @@ class BialgebraData:
         rep = ValidationReport(subject)
         rep.extend(self.algebra.validate(subject))
         rep.extend(self.coalgebra.validate(subject))
-        H = self.carrier
-        ident = LinearMap.identity(H)
+        pairs = product_labels(self.carrier.labels, self.carrier.labels)
         mult, comult = self.algebra.mult, self.coalgebra.comult
         counit = self.coalgebra.counit
         # Δ is an algebra morphism into H⊗H
-        mid = kron(kron(ident, twist_map(H, H)), ident)
-        mult_hh = kron(mult, mult) @ mid
+        mult_hh = tensor_algebra(self.algebra, self.algebra).mult
         lhs = comult @ mult
         rhs = mult_hh @ kron(comult, comult)
-        w = _first_pair_difference(lhs, rhs, H.labels)
+        w = column_witness(lhs, rhs, pairs)
         rep.add("bialgebra.comult_mult", "comultiplication is multiplicative", w is None, w)
         # ε is an algebra morphism
         lhs2 = counit @ mult
         rhs2 = kron(counit, counit)
-        w = _first_pair_difference(lhs2, rhs2, H.labels)
+        w = column_witness(lhs2, rhs2, pairs)
         rep.add("bialgebra.counit_mult", "counit is multiplicative", w is None, w)
         # the unit is grouplike
         one = self.algebra.unit
@@ -323,18 +325,6 @@ class BialgebraData:
         rep.add("bialgebra.unit_grouplike", "Δ(1)=1⊗1 and ε(1)=1", ok,
                 None if ok else "1")
         return rep
-
-
-def _first_pair_difference(a: LinearMap, b: LinearMap, labels) -> Optional[str]:
-    if a == b:
-        return None
-    n = len(labels)
-    for j in range(a.domain.rank):
-        if a.column(j) != b.column(j):
-            if n and a.domain.rank == n * n:
-                return f"({labels[j // n]},{labels[j % n]})"
-            return f"column {j}"
-    return "shape"
 
 
 class HopfData:
@@ -379,24 +369,26 @@ class HopfData:
         mult = self.algebra.mult
         comult = self.coalgebra.comult
         eta_eps = self.bialgebra.unit_counit_map()
+        mult_op = self.algebra.opposite().mult
+        comult_cop = self.coalgebra.co_opposite().comult
         S = self.antipode
         lhs = mult @ kron(S, ident) @ comult
         rhs = mult @ kron(ident, S) @ comult
-        w = (_first_column_difference(lhs, eta_eps, H.labels)
-             or _first_column_difference(rhs, eta_eps, H.labels))
+        w = (column_witness(lhs, eta_eps, H.labels)
+             or column_witness(rhs, eta_eps, H.labels))
         rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
-        rep.extend(_anti_morphism_checks(self, S, "hopf.antipode_anti", "antipode"))
+        rep.extend(_anti_morphism_checks(self, S, mult_op, comult_cop,
+                                         "hopf.antipode_anti", "antipode"))
         if self.twisted_antipode is not None:
             Sb = self.twisted_antipode
-            sw = twist_map(H, H)
-            lhs = mult @ kron(Sb, ident) @ sw @ comult
-            rhs = mult @ kron(ident, Sb) @ sw @ comult
-            w = (_first_column_difference(lhs, eta_eps, H.labels)
-                 or _first_column_difference(rhs, eta_eps, H.labels))
+            lhs = mult @ kron(Sb, ident) @ comult_cop
+            rhs = mult @ kron(ident, Sb) @ comult_cop
+            w = (column_witness(lhs, eta_eps, H.labels)
+                 or column_witness(rhs, eta_eps, H.labels))
             rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
                     w is None, w)
-            rep.extend(_anti_morphism_checks(self, Sb, "hopf.twisted_anti",
-                                             "twisted antipode"))
+            rep.extend(_anti_morphism_checks(self, Sb, mult_op, comult_cop,
+                                             "hopf.twisted_anti", "twisted antipode"))
         return rep
 
     def __eq__(self, other):
@@ -411,16 +403,17 @@ class HopfData:
         )
 
 
-def _anti_morphism_checks(h: HopfData, S: LinearMap, prefix: str, name: str) -> ValidationReport:
+def _anti_morphism_checks(h: HopfData, S: LinearMap, mult_op: LinearMap,
+                          comult_cop: LinearMap, prefix: str,
+                          name: str) -> ValidationReport:
+    """S(xy) = S(y)S(x) and Δ∘S = (S⊗S)∘Δ^cop, plus the unit and counit."""
     rep = ValidationReport()
-    H = h.carrier
     mult, comult = h.algebra.mult, h.coalgebra.comult
-    sw = twist_map(H, H)
-    alg_anti = (S @ mult) == (mult @ kron(S, S) @ sw)
+    alg_anti = (S @ mult) == (mult_op @ kron(S, S))
     unit_ok = S.apply(h.algebra.unit) == h.algebra.unit
     rep.add(f"{prefix}.algebra", f"{name} is an algebra anti-morphism",
             alg_anti and unit_ok)
-    coalg_anti = (comult @ S) == (kron(S, S) @ sw @ comult)
+    coalg_anti = (comult @ S) == (kron(S, S) @ comult_cop)
     counit_ok = (h.coalgebra.counit @ S) == h.coalgebra.counit
     rep.add(f"{prefix}.coalgebra", f"{name} is a coalgebra anti-morphism",
             coalg_anti and counit_ok)
@@ -470,9 +463,25 @@ class ConvolutionAlgebra:
         return vec_to_map(vec, self.source.carrier, self.target.carrier)
 
     def convolve(self, f_vec, g_vec):
-        F, G = self.as_map(f_vec), self.as_map(g_vec)
-        comp = self.target.mult @ kron(F, G) @ self.source.comult
-        return map_to_vec(comp)
+        """f⋆g on hom vectors: (f⋆g)(c_j) = Σ d·f(c_p)g(c_q) over the terms
+        d·c_p⊗c_q of Δ(c_j), multiplied out on the sparse structure constants."""
+        ring = self.ring
+        rC = self.source.rank
+        rA = self.target.rank
+        mul, add = ring.mul, ring.add
+        f_cols, g_cols = _hom_columns(f_vec, rC), _hom_columns(g_vec, rC)
+        mcols = self.target.mult.sparse_columns()
+        out = [ring.zero] * (rA * rC)
+        for j, col in enumerate(self.source.comult.sparse_columns()):
+            for flat, d in col:
+                p, q = divmod(flat, rC)
+                for i, x in f_cols[p]:
+                    dx = mul(d, x)
+                    for k, y in g_cols[q]:
+                        dxy = mul(dx, y)
+                        for t, c in mcols[i * rA + k]:
+                            out[t * rC + j] = add(out[t * rC + j], mul(c, dxy))
+        return tuple(out)
 
     def algebra(self) -> AlgebraData:
         """The convolution product as an AlgebraData on the hom module."""
@@ -499,6 +508,17 @@ class ConvolutionAlgebra:
                                           self.carrier, cols)
             self._algebra = AlgebraData(self.carrier, mult, self.unit_vec)
         return self._algebra
+
+
+def _hom_columns(vec, rank_source):
+    """Per source basis vector c_j, the nonzero (i, coefficient) of f(c_j),
+    read off the row-major flattening of f."""
+    cols = [[] for _ in range(rank_source)]
+    for idx, x in enumerate(vec):
+        if x:
+            i, j = divmod(idx, rank_source)
+            cols[j].append((i, x))
+    return cols
 
 
 def convolution_invert(conv: ConvolutionAlgebra, f_vec):
@@ -596,12 +616,15 @@ def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
     """A ⊗ B with componentwise product (a⊗b)(a'⊗b') = aa'⊗bb'."""
     if a.ring != b.ring:
         raise RingMismatch("tensor algebra over different rings")
-    A, B = a.carrier, b.carrier
-    ida, idb = LinearMap.identity(A), LinearMap.identity(B)
-    mid = kron(kron(ida, twist_map(B, A)), idb)
-    mult = kron(a.mult, b.mult) @ mid
-    carrier = tensor_module(A, B)
-    mult = LinearMap(tensor_module(carrier, carrier), carrier, mult.matrix)
+    rA, rB = a.rank, b.rank
+    mul = a.ring.mul
+    acols, bcols = a.mult.sparse_columns(), b.mult.sparse_columns()
+    # column (a1⊗b1)⊗(a2⊗b2) is column (a1⊗a2)⊗(b1⊗b2) of kron(a.mult, b.mult)
+    cols = [kron_column(acols[a1 * rA + a2], bcols[b1 * rB + b2], rB, mul)
+            for a1 in range(rA) for b1 in range(rB)
+            for a2 in range(rA) for b2 in range(rB)]
+    carrier = tensor_module(a.carrier, b.carrier)
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     return AlgebraData(carrier, mult, kron_vec(a.ring, a.unit, b.unit))
 
 
@@ -609,13 +632,17 @@ def tensor_coalgebra(c: CoalgebraData, d: CoalgebraData) -> CoalgebraData:
     """C ⊗ D with Δ = (id⊗τ⊗id)∘(Δ_C⊗Δ_D) and ε = ε_C⊗ε_D."""
     if c.ring != d.ring:
         raise RingMismatch("tensor coalgebra over different rings")
-    C, D = c.carrier, d.carrier
-    idc, idd = LinearMap.identity(C), LinearMap.identity(D)
-    mid = kron(kron(idc, twist_map(C, D)), idd)
-    comult = mid @ kron(c.comult, d.comult)
-    carrier = tensor_module(C, D)
-    comult = LinearMap(carrier, tensor_module(carrier, carrier), comult.matrix)
-    counit = LinearMap(carrier, unit_module(c.ring), kron(c.counit, d.counit).matrix)
+    rC, rD = c.rank, d.rank
+    # row (c1⊗c2)⊗(d1⊗d2) of kron(c.comult, d.comult) is row (c1⊗d1)⊗(c2⊗d2)
+    moved = [((c1 * rD + d1) * rC + c2) * rD + d2 for c1 in range(rC)
+             for c2 in range(rC) for d1 in range(rD) for d2 in range(rD)]
+    dcols = d.comult.sparse_columns()
+    cols = [sorted((moved[k], x) for k, x in kron_column(ccol, dcol, rD * rD, c.ring.mul))
+            for ccol in c.comult.sparse_columns() for dcol in dcols]
+    carrier = tensor_module(c.carrier, d.carrier)
+    comult = LinearMap.from_sparse_columns(carrier, tensor_module(carrier, carrier), cols)
+    counit = LinearMap(carrier, unit_module(c.ring),
+                       [kron_vec(c.ring, c.counit.matrix[0], d.counit.matrix[0])])
     return CoalgebraData(carrier, comult, counit)
 
 
@@ -689,8 +716,7 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
         return "1"
     r = source.rank
     ring = source.ring
-    images = [[(t, v) for t, v in enumerate(map_.column(j)) if v]
-              for j in range(r)]
+    images = map_.sparse_columns()
     for i in range(r):
         for j in range(r):
             lhs = map_.apply(expand_sparse(source.basis_product(i, j), r, ring))
@@ -710,9 +736,3 @@ def certify_algebra_iso(source: AlgebraData, target: AlgebraData,
     inverse = invert_map(map_)
     return AlgebraIso(source, target, map_, inverse)
 
-
-def certified_or_none(source, target, map_, what="iso"):
-    try:
-        return certify_algebra_iso(source, target, map_, what)
-    except (ValidationError, DimensionMismatch):
-        return None

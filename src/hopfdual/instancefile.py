@@ -70,8 +70,10 @@ def _parse_quads(ring: Ring, quads, ranks, ctx):
         if not (isinstance(q, list) and len(q) == 4):
             _fail(f"{ctx}: malformed quadruple {q!r}")
         i, j, k, c = q
-        for slot, (idx, bound) in enumerate(zip((i, j, k), ranks)):
-            if not isinstance(idx, int) or not 0 <= idx < bound:
+        for idx, bound in zip((i, j, k), ranks):
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                _fail(f"{ctx}: index is not an integer in quadruple {q!r}")
+            if not 0 <= idx < bound:
                 _fail(f"{ctx}: index out of range in quadruple {q!r}")
         try:
             val = ring.parse(c) if isinstance(c, str) else ring.of(c)

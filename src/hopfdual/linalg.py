@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Z, Q and Z/n.
+"""Exact linear algebra over Z, Q and Z/n.
 
 Conventions, fixed once for the whole library:
 
@@ -8,14 +8,22 @@ Conventions, fixed once for the whole library:
 * ``Hom(C, A)`` flattens the matrix of a map row-major, i.e. the basis map
   ``c_j -> a_i`` sits at index ``i * rank(C) + j``.
 
+A :class:`LinearMap` keeps its dense matrix, but the kernels (``apply``,
+``compose``, :func:`kron`, :func:`twist_map`) work on its cached sparse
+columns, so their cost follows the nonzero entries.  Tensor, opposite and
+convolution structure constants are likewise written by index arithmetic on
+sparse columns, never by composing Kronecker products with twist matrices.
+
 Solving is exact: Smith normal form over Z (with unimodular transforms), the
 same machinery on the ``[A | n*I]`` lift for Z/n (composite n included), and
 Gaussian elimination with ``Fraction`` arithmetic over Q.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch
@@ -102,21 +110,11 @@ def vec_add(ring: Ring, u: Vector, v: Vector) -> Vector:
     return tuple(ring.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(ring: Ring, u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(ring: Ring, c: Elem, u: Vector) -> Vector:
     if not c:
         return (ring.zero,) * len(u)
     mul = ring.mul
     return tuple(mul(c, a) if a else a for a in u)
-
-
-def vec_is_zero(ring: Ring, u: Vector) -> bool:
-    return all(ring.is_zero(a) for a in u)
 
 
 def kron_vec(ring: Ring, u: Vector, v: Vector) -> Vector:
@@ -173,6 +171,21 @@ class LinearMap:
         object.__setattr__(m, "_cols", None)
         return m
 
+    @staticmethod
+    def from_sparse_columns(domain: FreeModule, codomain: FreeModule,
+                            cols) -> "LinearMap":
+        """Build a map from canonical sparse columns: per domain basis vector,
+        the (row, coefficient) pairs with nonzero canonical coefficient, rows
+        increasing.  They become the cached :meth:`sparse_columns`."""
+        zero = domain.ring.zero
+        rows = [[zero] * domain.rank for _ in range(codomain.rank)]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                rows[i][j] = c
+        m = LinearMap._raw(domain, codomain, rows)
+        object.__setattr__(m, "_cols", tuple(map(tuple, cols)))
+        return m
+
     @property
     def ring(self) -> Ring:
         return self.domain.ring
@@ -213,15 +226,12 @@ class LinearMap:
     def sparse_columns(self):
         """Per column, the list of (row, coefficient) with nonzero coefficient."""
         if self._cols is None:
-            cols = []
-            for j in range(self.domain.rank):
-                col = [
-                    (i, self.matrix[i][j])
-                    for i in range(self.codomain.rank)
-                    if self.matrix[i][j]
-                ]
-                cols.append(col)
-            object.__setattr__(self, "_cols", tuple(map(tuple, cols)))
+            if self.codomain.rank:
+                cols = tuple(tuple((i, x) for i, x in enumerate(col) if x)
+                             for col in zip(*self.matrix))
+            else:
+                cols = ((),) * self.domain.rank
+            object.__setattr__(self, "_cols", cols)
         return self._cols
 
     def apply(self, vec: Vector) -> Vector:
@@ -244,10 +254,18 @@ class LinearMap:
             raise RingMismatch("composition over different rings")
         if other.codomain.rank != self.domain.rank:
             raise DimensionMismatch("composition rank mismatch")
-        cols = [self.apply(other.column(j)) for j in range(other.domain.rank)]
-        rows = tuple(tuple(col[i] for col in cols)
-                     for i in range(self.codomain.rank))
-        return LinearMap._raw(other.domain, self.codomain, rows)
+        ring = self.ring
+        zero, mul, add = ring.zero, ring.mul, ring.add
+        inner = self.sparse_columns()
+        n = self.codomain.rank
+        cols = []
+        for col in other.sparse_columns():
+            out = [zero] * n
+            for k, x in col:
+                for i, c in inner[k]:
+                    out[i] = add(out[i], mul(c, x))
+            cols.append([(i, v) for i, v in enumerate(out) if v])
+        return LinearMap.from_sparse_columns(other.domain, self.codomain, cols)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         return self.compose(other)
@@ -319,42 +337,49 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product f ⊗ g acting on the flattened tensor basis."""
     if f.ring != g.ring:
         raise RingMismatch("kron over different rings")
-    ring = f.ring
-    dom = tensor_module(f.domain, g.domain)
-    cod = tensor_module(f.codomain, g.codomain)
-    gm = g.matrix
-    rows = []
-    for i1 in range(f.codomain.rank):
-        frow = f.matrix[i1]
-        for i2 in range(g.codomain.rank):
-            grow = gm[i2]
-            row = []
-            for j1 in range(f.domain.rank):
-                a = frow[j1]
-                if ring.is_zero(a):
-                    row.extend([ring.zero] * g.domain.rank)
-                else:
-                    row.extend(ring.mul(a, b) for b in grow)
-            rows.append(row)
-    return LinearMap._raw(dom, cod, rows)
+    mul, rank = f.ring.mul, g.codomain.rank
+    gcols = g.sparse_columns()
+    cols = [kron_column(fcol, gcol, rank, mul)
+            for fcol in f.sparse_columns() for gcol in gcols]
+    return LinearMap.from_sparse_columns(tensor_module(f.domain, g.domain),
+                                  tensor_module(f.codomain, g.codomain), cols)
+
+
+def kron_column(fcol, gcol, rank: int, mul) -> list:
+    """The sparse column of f⊗g from sparse columns of f and g, where ``rank``
+    is the codomain rank of g: u_i1·v_i2 sits at row i1·rank + i2."""
+    return [(i1 * rank + i2, ab) for i1, a in fcol for i2, b in gcol
+            if (ab := mul(a, b))]
 
 
 def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:
     """The canonical twist M⊗N → N⊗M, e_i⊗f_j ↦ f_j⊗e_i."""
     if m.ring != n.ring:
         raise RingMismatch("twist over different rings")
-    ring = m.ring
-    dom = tensor_module(m, n)
-    cod = tensor_module(n, m)
-    rows = [[ring.zero] * dom.rank for _ in range(cod.rank)]
-    for i in range(m.rank):
-        for j in range(n.rank):
-            rows[j * m.rank + i][i * n.rank + j] = ring.one
-    return LinearMap(dom, cod, rows)
+    one = m.ring.one
+    cols = [((j * m.rank + i, one),) for i in range(m.rank) for j in range(n.rank)]
+    return LinearMap.from_sparse_columns(tensor_module(m, n), tensor_module(n, m), cols)
 
 
 # spec-facing name for the canonical twist constructor
 twist = twist_map
+
+
+def column_witness(a: LinearMap, b: LinearMap, labels) -> Optional[str]:
+    """Where two maps differ: the label of the first domain basis vector they
+    send to different images (``column j`` past the end of ``labels``),
+    ``shape`` when only their shapes or rings differ, None when equal."""
+    if a == b:
+        return None
+    for j, (x, y) in enumerate(zip(a.sparse_columns(), b.sparse_columns())):
+        if x != y:
+            return labels[j] if j < len(labels) else f"column {j}"
+    return "shape"
+
+
+def product_labels(*factors) -> list:
+    """Labels ``(x,y,…)`` of the flattened basis of a tensor product."""
+    return [f"({','.join(parts)})" for parts in itertools.product(*factors)]
 
 
 def map_to_vec(f: LinearMap) -> Vector:
@@ -544,7 +569,8 @@ def _rref_rows(vectors):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col] if isinstance(rows[r][col], int) else rows[r][col] ** -1
+        lead = rows[r][col]
+        inv = Fraction(1, lead) if isinstance(lead, int) else lead ** -1
         rows[r] = [a * inv for a in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:

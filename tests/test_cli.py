@@ -72,6 +72,19 @@ def test_verify_out_of_range_index_names_quadruple(tmp_path, capsys):
     assert "[0, 0, 7, '1']" in err
 
 
+def test_verify_bool_index_names_quadruple(tmp_path, capsys):
+    # JSON true is a Python bool, which is an int: it must not pass as index 1
+    path = tmp_path / "bool.json"
+    doc = json.loads(export_entry_json(get("Z_C2")))
+    doc["hopf"]["mult"].append([0, True, 1, "1"])
+    path.write_text(json.dumps(doc))
+    assert '[0, true, 1, "1"]' in path.read_text()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[0, True, 1, '1']" in err
+    assert "not an integer" in err
+
+
 def test_verify_crossed_without_action_is_input_error(tmp_path, capsys):
     path = tmp_path / "noaction.json"
     doc = json.loads(export_entry_json(get("gauss")))

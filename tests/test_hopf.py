@@ -4,7 +4,10 @@ Closed-form group inverses and the hand-derived rank-4 antipode serve as the
 independent oracles for the convolution-system solver.
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle as dense
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
@@ -15,6 +18,7 @@ from hopfdual.errors import NotConvInvertible
 from hopfdual.hopf import (
     AlgebraData,
     BialgebraData,
+    CoalgebraData,
     ConvolutionAlgebra,
     HopfData,
     certify_algebra_iso,
@@ -30,6 +34,8 @@ from hopfdual.hopf import (
 from hopfdual.linalg import (
     LinearMap,
     free_module,
+    tensor_module,
+    unit_module,
     invert_map,
     kron,
     kron_vec,
@@ -270,3 +276,68 @@ def test_antipode_squared_identity_on_commutative_catalog():
     for h in (group_algebra(ZZ, 2), group_algebra(ZZ, 3), group_algebra(QQ, 3)):
         s = h.antipode
         assert (s @ s) == LinearMap.identity(h.carrier)
+
+
+# --- structure builders against the dense Kronecker-and-twist definitions ----
+# Random structure constants (not associative in general: the builders are
+# defined on any table), with zero columns and rank-1 carriers.
+
+ranks = st.integers(min_value=1, max_value=3)
+
+
+def random_algebra(data, ring, rank, prefix):
+    carrier = dense.module(ring, rank, prefix)
+    mult = dense.draw_map(data, ring, tensor_module(carrier, carrier), carrier)
+    return AlgebraData(carrier, mult, dense.draw_vector(data, ring, rank))
+
+
+def random_coalgebra(data, ring, rank, prefix):
+    carrier = dense.module(ring, rank, prefix)
+    comult = dense.draw_map(data, ring, carrier, tensor_module(carrier, carrier))
+    counit = dense.draw_map(data, ring, carrier, unit_module(ring))
+    return CoalgebraData(carrier, comult, counit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
+def test_tensor_algebra_matches_kron_and_twist(ring, m, n, data):
+    a = random_algebra(data, ring, m, "a")
+    b = random_algebra(data, ring, n, "b")
+    t = tensor_algebra(a, b)
+    dense.assert_bit_identical(t.mult, dense.tensor_mult(a, b))
+    assert t.unit == kron_vec(ring, a.unit, b.unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
+def test_tensor_coalgebra_matches_twist_and_kron(ring, m, n, data):
+    c = random_coalgebra(data, ring, m, "c")
+    d = random_coalgebra(data, ring, n, "d")
+    t = tensor_coalgebra(c, d)
+    dense.assert_bit_identical(t.comult, dense.tensor_comult(c, d))
+    dense.assert_bit_identical(t.counit, dense.kron(c.counit, d.counit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(dense.RINGS), st.integers(min_value=1, max_value=4), st.data())
+def test_opposites_match_composites_with_the_twist(ring, r, data):
+    a = random_algebra(data, ring, r, "a")
+    dense.assert_bit_identical(a.opposite().mult, dense.opposite_mult(a))
+    c = random_coalgebra(data, ring, r, "c")
+    cop = dense.co_opposite_comult(c)
+    dense.assert_bit_identical(c.co_opposite().comult, cop)
+    assert c.is_cocommutative() == (cop.matrix == c.comult.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
+def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
+    c = random_coalgebra(data, ring, rc, "c")
+    a = random_algebra(data, ring, ra, "a")
+    conv = ConvolutionAlgebra(c, a)
+    f = dense.draw_vector(data, ring, rc * ra)
+    g = dense.draw_vector(data, ring, rc * ra)
+    got = conv.convolve(f, g)
+    want = dense.convolve(c, a, f, g)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]

@@ -5,17 +5,21 @@ enumeration over Z/n, entrywise expansion for tensor products) and then
 asserted against the library.
 """
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
     FreeModule,
     LinearMap,
     SolveStatus,
+    _rref_rows,
     canonical_span,
+    column_witness,
     determinant,
     free_module,
     hermite_rows,
@@ -31,6 +35,7 @@ from hopfdual.linalg import (
     unit_module,
     vec_to_map,
     map_to_vec,
+    product_labels,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 
@@ -278,6 +283,55 @@ def test_twist_is_involution_on_mixed_ranks():
     m = module(ZZ, 2)
     n = module(ZZ, 3, "f")
     assert (twist_map(n, m) @ twist_map(m, n)) == LinearMap.identity(tensor_module(m, n))
+
+
+# --- sparse kernels against the dense oracle ---------------------------------
+# Ranks include 1 and 0-free carriers; draw_map forces random zero columns.
+
+ranks = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, ranks, st.data())
+def test_compose_matches_triple_loop(ring, k, m, n, data):
+    a, b, c = (dense.module(ring, r, p) for r, p in ((k, "a"), (m, "b"), (n, "c")))
+    g = dense.draw_map(data, ring, a, b)
+    f = dense.draw_map(data, ring, b, c)
+    dense.assert_bit_identical(f @ g, dense.compose(f, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, ranks, ranks, st.data())
+def test_kron_matches_entrywise_product(ring, k, m, p, q, data):
+    f = dense.draw_map(data, ring, dense.module(ring, k, "a"), dense.module(ring, m, "b"))
+    g = dense.draw_map(data, ring, dense.module(ring, p, "c"), dense.module(ring, q, "d"))
+    dense.assert_bit_identical(kron(f, g), dense.kron(f, g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks)
+def test_twist_matches_permutation_matrix(ring, m, n):
+    a, b = dense.module(ring, m, "a"), dense.module(ring, n, "b")
+    dense.assert_bit_identical(twist_map(a, b), dense.twist(a, b))
+
+
+def test_column_witness_labels_first_differing_column():
+    f = lmap(ZZ, [[1, 0, 2], [0, 1, 0]])
+    g = lmap(ZZ, [[1, 0, 2], [0, 1, 3]])
+    h = lmap(ZZ, [[1, 5, 2], [0, 1, 3]])
+    assert column_witness(f, f, ("x", "y", "z")) is None
+    assert column_witness(f, g, ("x", "y", "z")) == "z"
+    assert column_witness(f, h, ("x", "y", "z")) == "y"
+    assert column_witness(f, h, ("x",)) == "column 1"
+    assert column_witness(f, lmap(QQ, [[1, 0, 2], [0, 1, 0]]), "xyz") == "shape"
+    assert product_labels(("a", "b"), ("x", "y")) == ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
+
+
+def test_rref_rows_of_integer_rows_is_exact():
+    rows = _rref_rows([(2, 4, 1), (3, 1, 0), (0, 0, 0)])
+    assert rows
+    assert not any(isinstance(x, float) for row in rows for x in row)
+    assert rows == [[1, 0, Fraction(-1, 10)], [0, 1, Fraction(3, 10)]]
 
 
 # --- inversion --------------------------------------------------------------
