@@ -149,7 +149,6 @@ def regular_actions(h: HopfLike):
     Returns (left: H⊗H* → H*, right: H*⊗H → H*).
     """
     b = bialgebra_of(h)
-    ring = b.ring
     r = b.rank
     mult = b.algebra.mult.matrix
     Hd = dual_module(b.carrier)

@@ -13,11 +13,18 @@ h⊗1 and is stored as a map H → H⊗A (rank(H)²·rank(A) coordinates); linea
 is built into the representation rather than checked.  The duality
 isomorphism is constructed as χ⁻¹∘γ, exactly the map the commuting diagram
 produces, so its multiplicativity is a theorem-test rather than a search.
+
+γ and δ are evaluated by their full Sweedler expansions (δ: 8 legs of k and
+5 of h), term for term as displayed, but without repeated work: each factor
+(σ⁻¹, σ, the action, the H-part) is tabulated per call by the leg indices it
+reads, and the functional f, which enters only through f(k_last), is applied
+in a final contraction.  The tables live for one call only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 from .actions import (
@@ -52,7 +59,6 @@ from .hopf import (
     endomorphism_algebra,
     ensure_hopf,
     matrix_algebra,
-    opposite_hopf,
     tensor_algebra,
 )
 from .linalg import (
@@ -145,9 +151,7 @@ def _lambda_of_side(hopf: HopfLike, U: SubalgebraU, side: DiagramSide) -> Linear
                     val = b.algebra.product(h_i, hit)
                 else:
                     val = b.algebra.product(hit, h_i)
-                for p, v in enumerate(val):
-                    if (v):
-                        out[p * rH + t] = ring.add(out[p * rH + t], v)
+                _scatter(out, ring, val, rH, t)
             cols.append(tuple(out))
     return LinearMap.from_columns(dom, end_mod, cols)
 
@@ -248,9 +252,7 @@ def phi_maps(hopf: HopfLike, side: DiagramSide = DiagramSide.RIGHT):
                         else b.algebra.product(b.carrier.basis_vector(t1),
                                                b.carrier.basis_vector(fi)))
                 val = vec_add(ring, val, vec_scale(ring, c, term))
-            for p, v in enumerate(val):
-                if (v):
-                    out[p * rH + t] = ring.add(out[p * rH + t], v)
+            _scatter(out, ring, val, rH, t)
         return tuple(out)
 
     def phi2_col(gi, gj):
@@ -266,9 +268,7 @@ def phi_maps(hopf: HopfLike, side: DiagramSide = DiagramSide.RIGHT):
                         else b.algebra.product(anti.column(t1),
                                                b.carrier.basis_vector(gi)))
                 val = vec_add(ring, val, vec_scale(ring, c, term))
-            for p, v in enumerate(val):
-                if (v):
-                    out[p * rH + t] = ring.add(out[p * rH + t], v)
+            _scatter(out, ring, val, rH, t)
         return tuple(out)
 
     cols1 = [phi1_col(i, j) for i in range(rH) for j in range(rH)]
@@ -352,9 +352,7 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
                         k_embed = kron_vec(ring, A.unit, b.carrier.basis_vector(t1))
                         acc = vec_add(ring, acc,
                                       vec_scale(ring, c, ah.product(k_embed, g_val)))
-                for p, v in enumerate(acc):
-                    if (v):
-                        out[p * rH + t] = ring.add(out[p * rH + t], v)
+                _scatter(out, ring, acc, rH, t)
             eps_cols.append(tuple(out))
     eps = LinearMap.from_columns(hom_src, end_mod, eps_cols)
 
@@ -379,9 +377,7 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
                         head = kron_vec(ring, A.unit, anti.column(t1))
                         acc = vec_add(ring, acc,
                                       vec_scale(ring, c, ah.product(head, f_val)))
-                for p, v in enumerate(acc):
-                    if (v):
-                        out[p * rH + t] = ring.add(out[p * rH + t], v)
+                _scatter(out, ring, acc, rH, t)
             inv_cols.append(tuple(out))
     eps_inv = LinearMap.from_columns(end_mod, hom_src, inv_cols)
 
@@ -400,7 +396,7 @@ def alpha_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU) -> LinearMap:
     """α: (A⊗H)⊗U → Hom(H, A⊗H), a⊗h⊗f ↦ [k ↦ (a⊗h)f(k)]."""
     b = bialgebra_of(hopf)
     ring = b.ring
-    rH, rA, rU = b.rank, A.rank, U.rank
+    rH, rU = b.rank, U.rank
     ah = tensor_module(A.carrier, b.carrier)
     dom = tensor_module(ah, U.module)
     cod = hom_module(b.carrier, ah)
@@ -427,23 +423,18 @@ def chi_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU,
     cod = end_rep_module(hopf, A, side)
     cols = []
     for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
         for j in range(rH):
             h_j = b.carrier.basis_vector(j)
             for l in range(rU):
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
                     hit = _hit(b, U.element(l), t)
-                    hpart = (b.algebra.product(h_j, hit)
-                             if side is DiagramSide.RIGHT
-                             else b.algebra.product(hit, h_j))
-                    for p, v in enumerate(hpart):
-                        if not (v):
-                            continue
-                        if side is DiagramSide.RIGHT:
-                            pos = (p * rA + i) * rH + t
-                        else:
-                            pos = (i * rH + p) * rH + t
-                        out[pos] = ring.add(out[pos], v)
+                    if side is DiagramSide.RIGHT:
+                        val = kron_vec(ring, b.algebra.product(h_j, hit), a_i)
+                    else:
+                        val = kron_vec(ring, a_i, b.algebra.product(hit, h_j))
+                    _scatter(out, ring, val, rH, t)
                 cols.append(tuple(out))
     return LinearMap.from_columns(dom, cod, cols)
 
@@ -501,76 +492,46 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
 
     Right: (k⊗1) ↦ Σ h₄(f⇀k₃) ⊗ [S̄(h₃k₂)a]σ(S̄(h₂k₁)⊗h₁)
     Op:    (1⊗k) ↦ Σ [k₁a]σ(k₂⊗h₁) ⊗ (f⇀k₃)h₂
+
+    The full 4-leg expansion of k and 4-leg (op: 2-leg) expansion of h is
+    summed as written.  Basis products and their S̄-images are tabulated once
+    per call, the action and σ factors once per leg-index key they read, and
+    the sum is formed once per (a, h, k, k₄) before it meets each f(k₄).
     """
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    rH, rA, rU = b.rank, A.rank, U.rank
     sigma = cp.cocycle.sigma
+    basis, a_basis = b.carrier.basis_vector, A.carrier.basis_vector
+    prod = _basis_products(b)
+    if side is DiagramSide.RIGHT:
+        h_legs = 4
+        sprod = [[h.twisted_antipode.apply(v) for v in row] for row in prod]
+
+        @cache
+        def apart(h1, h2, h3, k1, k2, i):
+            acted = cp.action.act(sprod[h3][k2], a_basis(i))
+            return A.product(acted, sigma.apply(kron_vec(ring, sprod[h2][k1], basis(h1))))
+
+        def term(i, hl, kl):
+            h1, h2, h3, h4 = hl
+            k1, k2, k3, _ = kl
+            return prod[h4][k3], apart(h1, h2, h3, k1, k2, i)
+    else:
+        h_legs = 2
+
+        @cache
+        def apart(k1, k2, h1, i):
+            acted = cp.action.act_basis(k1, a_basis(i))
+            return A.product(acted, sigma.apply(kron_vec(ring, basis(k2), basis(h1))))
+
+        def term(i, hl, kl):
+            k1, k2, k3, _ = kl
+            return apart(k1, k2, hl[0], i), prod[k3][hl[1]]
     dom = tensor_module(cp.carrier, U.module)
     cod = end_rep_module(h, A, side)
-    Sb = h.twisted_antipode
-    cols = []
-    for i in range(rA):
-        a_i = A.carrier.basis_vector(i)
-        for j in range(rH):
-            for l in range(rU):
-                f = U.element(l)
-                out = [ring.zero] * cod.rank
-                for t in range(rH):
-                    if side is DiagramSide.RIGHT:
-                        for ch, (h1, h2, h3, h4) in b.coalgebra.sweedler_basis(j, 4):
-                            for ck, (k1, k2, k3, k4) in b.coalgebra.sweedler_basis(t, 4):
-                                c = ring.mul(ring.mul(ch, ck), f[k4])
-                                if not (c):
-                                    continue
-                                hpart = b.algebra.product(
-                                    b.carrier.basis_vector(h4),
-                                    b.carrier.basis_vector(k3))
-                                h3k2 = b.algebra.product(
-                                    b.carrier.basis_vector(h3),
-                                    b.carrier.basis_vector(k2))
-                                h2k1 = b.algebra.product(
-                                    b.carrier.basis_vector(h2),
-                                    b.carrier.basis_vector(k1))
-                                acted = cp.action.act(Sb.apply(h3k2), a_i)
-                                sig = sigma.apply(kron_vec(
-                                    ring, Sb.apply(h2k1),
-                                    b.carrier.basis_vector(h1)))
-                                apart = A.product(acted, sig)
-                                _scatter(out, ring, c, hpart, apart, rA, rH, t,
-                                         h_first=True)
-                    else:
-                        for ch, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
-                            for ck, (k1, k2, k3, k4) in b.coalgebra.sweedler_basis(t, 4):
-                                c = ring.mul(ring.mul(ch, ck), f[k4])
-                                if not (c):
-                                    continue
-                                acted = cp.action.act_basis(k1, a_i)
-                                sig = sigma.apply(kron_vec(
-                                    ring, b.carrier.basis_vector(k2),
-                                    b.carrier.basis_vector(h1)))
-                                apart = A.product(acted, sig)
-                                hpart = b.algebra.product(
-                                    b.carrier.basis_vector(k3),
-                                    b.carrier.basis_vector(h2))
-                                _scatter(out, ring, c, hpart, apart, rA, rH, t,
-                                         h_first=False)
-                cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
-
-
-def _scatter(out, ring, c, hpart, apart, rA, rH, t, h_first):
-    for hp, hv in enumerate(hpart):
-        if not (hv):
-            continue
-        for ap, av in enumerate(apart):
-            if not (av):
-                continue
-            val = ring.mul(c, ring.mul(hv, av))
-            pos = ((hp * rA + ap) if h_first else (ap * rH + hp)) * rH + t
-            out[pos] = ring.add(out[pos], val)
+    return LinearMap.from_columns(dom, cod, _tabulated_columns(cp, U, cod, 4, h_legs, term))
 
 
 def delta_map(cp: CrossedProductData, U: SubalgebraU,
@@ -579,76 +540,133 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
 
     Right: k ↦ Σ σ⁻¹(h₂k₄⊗S̄(h₁k₃))[(h₃k₅)a]σ(h₄k₆⊗S̄(k₂)) # h₅(f⇀k₇)S̄(k₁)
     Op:    k ↦ Σ σ⁻¹(S(k₄)⊗k₅)[S(k₃)a]σ(S(k₂)⊗k₆h₁) # S(k₁)(f⇀k₇)h₂
+
+    The full 8-leg expansion of k and 5-leg (op: 2-leg) expansion of h is
+    summed as written; only repeated work is removed.  Basis products and
+    their S̄-images are tabulated once per call; σ⁻¹, the action, σ and the
+    H-part once per leg-index key they read (right: s1 by (h₁,h₂,k₃,k₄),
+    the action by (h₃,k₅,a), s2 by (h₄,k₆,k₂), the H-part by (h₅,k₇,k₁)).
+    Since f enters only as f(k₈), the sum is formed once per (a, h, k, k₈)
+    and then contracted with every functional of U.
     """
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    rH, rA, rU = b.rank, A.rank, U.rank
     sigma, sigma_inv = cp.cocycle.sigma, cp.cocycle.sigma_inv
     Sb, S = h.twisted_antipode, h.antipode
+    halg = b.algebra
+    basis, a_basis = b.carrier.basis_vector, A.carrier.basis_vector
+    prod = _basis_products(b)
+    aprod = cache(A.product)  # keyed by the factors' values
+    if side is DiagramSide.RIGHT:
+        h_legs = 5
+        sprod = [[Sb.apply(v) for v in row] for row in prod]
+
+        @cache
+        def s1(h1, h2, k3, k4):
+            return sigma_inv.apply(kron_vec(ring, prod[h2][k4], sprod[h1][k3]))
+
+        @cache
+        def acted(h3, k5, i):
+            return cp.action.act(prod[h3][k5], a_basis(i))
+
+        @cache
+        def s2(h4, k6, k2):
+            return sigma.apply(kron_vec(ring, prod[h4][k6], Sb.column(k2)))
+
+        @cache
+        def hpart(h5, k7, k1):
+            return halg.product(prod[h5][k7], Sb.column(k1))
+
+        def term(i, hl, kl):
+            h1, h2, h3, h4, h5 = hl
+            k1, k2, k3, k4, k5, k6, k7, _ = kl
+            apart = aprod(aprod(s1(h1, h2, k3, k4), acted(h3, k5, i)),
+                          s2(h4, k6, k2))
+            return apart, hpart(h5, k7, k1)
+    else:
+        h_legs = 2
+
+        @cache
+        def s1_acted(k3, k4, k5, i):
+            s1 = sigma_inv.apply(kron_vec(ring, S.column(k4), basis(k5)))
+            return A.product(s1, cp.action.act(S.column(k3), a_basis(i)))
+
+        @cache
+        def s2(k2, k6, h1):
+            return sigma.apply(kron_vec(ring, S.column(k2), prod[k6][h1]))
+
+        @cache
+        def hpart(k1, k7, h2):
+            return halg.product(halg.product(S.column(k1), basis(k7)), basis(h2))
+
+        def term(i, hl, kl):
+            k1, k2, k3, k4, k5, k6, k7, _ = kl
+            h1, h2 = hl
+            return aprod(s1_acted(k3, k4, k5, i), s2(k2, k6, h1)), hpart(k1, k7, h2)
     dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
     cod = hom_module(b.carrier, cp.carrier)
-    halg = b.algebra
+    return LinearMap.from_columns(dom, cod, _tabulated_columns(cp, U, cod, 8, h_legs, term))
+
+
+def _basis_products(b):
+    """prod[x][y] = h_x·h_y as a dense vector."""
     basis = b.carrier.basis_vector
+    return [[b.algebra.product(basis(x), basis(y)) for y in range(b.rank)]
+            for x in range(b.rank)]
+
+
+def _tabulated_columns(cp, U, cod, k_legs, h_legs, term):
+    """The columns (a_i, h_j, f_l) of Σ c_h·c_k·f_l(k_last)·(u⊗v), placed at
+    h_t of ``cod`` = Hom(H, B), where c_k runs over the ``k_legs``-fold
+    expansion of h_t, c_h over the ``h_legs``-fold expansion of h_j, and
+    (u, v) = term(i, h-legs, k-legs).  The sum is formed once per
+    (i, j, t, k_last) and then contracted with each f_l."""
+    b = bialgebra_of(cp.action.hopf)
+    ring = cp.ring
+    rH = b.rank
+    width = cod.rank // rH
+    live = {k for f in U.elements for k, x in enumerate(f) if x}
     cols = []
-    for i in range(rA):
-        a_i = A.carrier.basis_vector(i)
+    for i in range(cp.action.algebra.rank):
         for j in range(rH):
-            for l in range(rU):
-                f = U.element(l)
+            h_terms = b.coalgebra.sweedler_basis(j, h_legs)
+            acc = {}
+            for t in range(rH):
+                for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
+                    if kl[-1] not in live:
+                        continue
+                    vec = acc.setdefault((t, kl[-1]), [ring.zero] * width)
+                    for ch, hl in h_terms:
+                        _add_outer(vec, ring, ring.mul(ck, ch), *term(i, hl, kl))
+            for f in U.elements:
                 out = [ring.zero] * cod.rank
-                for t in range(rH):
-                    for ck, klegs in b.coalgebra.sweedler_basis(t, 8):
-                        k1, k2, k3, k4, k5, k6, k7, k8 = klegs
-                        cf = ring.mul(ck, f[k8])
-                        if not (cf):
-                            continue
-                        if side is DiagramSide.RIGHT:
-                            for ch, hlegs in b.coalgebra.sweedler_basis(j, 5):
-                                h1, h2, h3, h4, h5 = hlegs
-                                c = ring.mul(cf, ch)
-                                s1 = sigma_inv.apply(kron_vec(
-                                    ring, halg.product(basis(h2), basis(k4)),
-                                    Sb.apply(halg.product(basis(h1), basis(k3)))))
-                                acted = cp.action.act(
-                                    halg.product(basis(h3), basis(k5)), a_i)
-                                s2 = sigma.apply(kron_vec(
-                                    ring, halg.product(basis(h4), basis(k6)),
-                                    Sb.column(k2)))
-                                apart = A.product(A.product(s1, acted), s2)
-                                hpart = halg.product(
-                                    halg.product(basis(h5), basis(k7)),
-                                    Sb.column(k1))
-                                _scatter_hom(out, ring, c, apart, hpart, rH, t)
-                        else:
-                            for ch, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
-                                c = ring.mul(cf, ch)
-                                s1 = sigma_inv.apply(kron_vec(
-                                    ring, S.column(k4), basis(k5)))
-                                acted = cp.action.act(S.column(k3), a_i)
-                                s2 = sigma.apply(kron_vec(
-                                    ring, S.column(k2),
-                                    halg.product(basis(k6), basis(h1))))
-                                apart = A.product(A.product(s1, acted), s2)
-                                hpart = halg.product(
-                                    halg.product(S.column(k1), basis(k7)),
-                                    basis(h2))
-                                _scatter_hom(out, ring, c, apart, hpart, rH, t)
+                for (t, k), vec in acc.items():
+                    if f[k]:
+                        _scatter(out, ring, vec_scale(ring, f[k], vec), rH, t)
                 cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    return cols
 
 
-def _scatter_hom(out, ring, c, apart, hpart, rH, t):
-    # B = A⊗H flattening inside Hom(H, B): position ((a·rH + h)·rH + t)
-    for ap, av in enumerate(apart):
-        if not (av):
+def _add_outer(acc, ring, c, u, v):
+    """acc += c·(u⊗v), flattened u-major."""
+    mul, add = ring.mul, ring.add
+    n = len(v)
+    for p, x in enumerate(u):
+        if not x:
             continue
-        for hp, hv in enumerate(hpart):
-            if not (hv):
-                continue
-            pos = (ap * rH + hp) * rH + t
-            out[pos] = ring.add(out[pos], ring.mul(c, ring.mul(av, hv)))
+        cx = mul(c, x)
+        for q, y in enumerate(v, p * n):
+            if y:
+                acc[q] = add(acc[q], mul(cx, y))
+
+
+def _scatter(out, ring, val, rH, t):
+    """Add ``val`` ∈ B into the value at h_t of a Hom(H, B) coordinate vector."""
+    for p, v in enumerate(val):
+        if v:
+            out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
 def pi_map(cp: CrossedProductData, side: DiagramSide,
@@ -664,7 +682,7 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    rH, rA = b.rank, A.rank
+    rH = b.rank
     B = cp.product_algebra
     dom = hom_module(b.carrier, cp.carrier)
     cod = end_rep_module(h, A, side)
@@ -679,7 +697,6 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
                 out = [ring.zero] * cod.rank
                 g_val = cp.carrier.basis_vector(gi)
                 for t in range(rH):
-                    acc = cod.zero_vector()
                     total = tensor_module(b.carrier, A.carrier).zero_vector()
                     for c, (k1, k2, k3, k4, k5) in b.coalgebra.sweedler_basis(t, 5):
                         if k5 != gj:
@@ -693,9 +710,7 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
                                 else B.product(elem, g_val))
                         total = vec_add(ring, total,
                                         vec_scale(ring, c, nu.apply(prod)))
-                    for p, v in enumerate(total):
-                        if (v):
-                            out[p * rH + t] = ring.add(out[p * rH + t], v)
+                    _scatter(out, ring, total, rH, t)
                 cols.append(tuple(out))
     else:
         for gi in range(cp.carrier.rank):
@@ -711,9 +726,7 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
                         total = vec_add(ring, total,
                                         vec_scale(ring, c,
                                                   B.product(one_k, g_val)))
-                    for p, v in enumerate(total):
-                        if (v):
-                            out[p * rH + t] = ring.add(out[p * rH + t], v)
+                    _scatter(out, ring, total, rH, t)
                 cols.append(tuple(out))
     return LinearMap.from_columns(dom, cod, cols)
 
@@ -865,7 +878,7 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
                         sig = sigma.apply(kron_vec(ring, Sb.column(t1), basis(i)))
                         val = vec_add(ring, val,
                                       vec_scale(ring, c, A.product(acted, sig)))
-                    _hom_scatter(phi_out, ring, val, rH, t)
+                    _scatter(phi_out, ring, val, rH, t)
                     # ψ(h⊗a)(h̃) = Σ σ⁻¹(h̃₃⊗S̄(h̃₂))[h̃₄a]σ(h̃₅⊗S̄(h̃₁)h)
                     val = A.carrier.zero_vector()
                     for c, legs in b.coalgebra.sweedler_basis(t, 5):
@@ -878,7 +891,7 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
                             halg.product(Sb.column(t1), basis(i))))
                         val = vec_add(ring, val, vec_scale(
                             ring, c, A.product(A.product(s1, acted), s2)))
-                    _hom_scatter(psi_out, ring, val, rH, t)
+                    _scatter(psi_out, ring, val, rH, t)
                 else:
                     # φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
                     val = A.carrier.zero_vector()
@@ -887,7 +900,7 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
                         sig = sigma.apply(kron_vec(ring, basis(t2), basis(i)))
                         val = vec_add(ring, val,
                                       vec_scale(ring, c, A.product(acted, sig)))
-                    _hom_scatter(phi_out, ring, val, rH, t)
+                    _scatter(phi_out, ring, val, rH, t)
                     # ψ̄(h⊗a)(h̃) = Σ σ⁻¹(S(h̃₃)⊗h̃₄)[S(h̃₂)a]σ(S(h̃₁)⊗h̃₅h)
                     val = A.carrier.zero_vector()
                     for c, legs in b.coalgebra.sweedler_basis(t, 5):
@@ -900,18 +913,12 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
                             halg.product(basis(t5), basis(i))))
                         val = vec_add(ring, val, vec_scale(
                             ring, c, A.product(A.product(s1, acted), s2)))
-                    _hom_scatter(psi_out, ring, val, rH, t)
+                    _scatter(psi_out, ring, val, rH, t)
             phi_cols.append(tuple(phi_out))
             psi_cols.append(tuple(psi_out))
     phi = LinearMap.from_columns(dom, cod, phi_cols)
     psi = LinearMap.from_columns(dom, cod, psi_cols)
     return phi, psi
-
-
-def _hom_scatter(out, ring, val, rH, t):
-    for p, v in enumerate(val):
-        if (v):
-            out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
 def j_generators(A: AlgebraData, V, rH: int):
@@ -1003,9 +1010,7 @@ def coaction_table(hopf: HopfLike, side: CoactionSide) -> CoactionTable:
                         if side is CoactionSide.UPSILON
                         else b.algebra.product(S.column(h1), basis(h3)))
                 acc = vec_add(ring, acc, vec_scale(ring, c, term))
-            for p, v in enumerate(acc):
-                if (v):
-                    vec[p * rH + t] = ring.add(vec[p * rH + t], v)
+            _scatter(vec, ring, acc, rH, t)
         rows.append(tuple(vec))
     Hd = dual_module(b.carrier)
     cmap = LinearMap.from_columns(Hd, tensor_module(b.carrier, Hd), rows)
@@ -1138,7 +1143,6 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
                 ok, wit)
     else:
         # ω is an algebra morphism into H⊗H*
-        dual_mod = dual_module(b.carrier)
         hd_alg = dual_alg
         hhd = tensor_algebra(b.algebra, hd_alg)
         lhs = cmap @ hd_alg.mult
@@ -1245,8 +1249,6 @@ def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU) -> ValidationRep
     h = ensure_hopf(cp.action.hopf)
     ring = cp.ring
     cf = coefficient_space_of_action(cp.action)
-    sbar_t = [tuple(h.twisted_antipode.matrix[i][j] for i in range(h.rank))
-              for j in range(h.rank)]  # columns of S̄ transposed: v ↦ v∘S̄
 
     def compose_sbar(v):
         return tuple(ring.sum(ring.mul(v[i], h.twisted_antipode.matrix[i][j])
@@ -1282,7 +1284,6 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU,
     rep = ValidationReport("opposite-route chain")
     h = ensure_hopf(cp.action.hopf)
     A = cp.action.algebra
-    ring = cp.ring
     opp = opposite_crossed(cp)
     hop = ensure_hopf(opp.crossed.action.hopf)
     u_cop = SubalgebraU(hop, U.elements, ModuleSide.LEFT)
@@ -1353,7 +1354,6 @@ def theorem_suite(payload, U: Optional[SubalgebraU] = None,
     h = ensure_hopf(cp.action.hopf)
     if U is None:
         U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-    hop = ensure_hopf(opposite_hopf(h))
     u_left = SubalgebraU(h, U.elements, ModuleSide.LEFT)
 
     # right side: the upsilon coaction supplies V

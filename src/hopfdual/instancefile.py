@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .actions import ComoduleAlgebraData, WeakActionData
 from .catalog import (
@@ -374,8 +373,6 @@ def export_entry(entry: CatalogEntry, suite: str = "all") -> dict:
     """Serialize an entry to the instance document format."""
     ring = entry.ring
     payload = entry.payload
-    from .hopf import ensure_hopf
-
     hopf = entry.hopf_data()
     doc = {
         "name": entry.name,

@@ -1,9 +1,11 @@
 """Check records and deterministic reports.
 
 A ``CheckRecord`` ties a stable check id to the mathematical statement being
-verified, an exact pass/fail, and (on failure) a witness.  Reports render to
-text or JSON; canonical mode fixes ordering and zeroes timings so identical
-inputs produce byte-identical output.
+verified, an exact pass/fail, (on failure) a witness, and the check's wall
+time in milliseconds, or ``None`` for a record that was never timed (one
+merged in from a validator).  Reports render to text or JSON; an untimed
+record shows no timing in text and ``null`` in JSON.  Canonical mode fixes
+ordering and zeroes timings so identical inputs produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ class CheckRecord:
     statement: str
     passed: bool
     witness: Optional[str] = None
-    millis: float = 0.0
+    millis: Optional[float] = None
 
     def to_dict(self, canonical: bool = False) -> dict:
         out = {
@@ -26,14 +28,16 @@ class CheckRecord:
             "statement": self.statement,
             "passed": self.passed,
             "witness": self.witness,
-            "millis": 0.0 if canonical else round(self.millis, 3),
+            "millis": (0.0 if canonical else
+                       None if self.millis is None else round(self.millis, 3)),
         }
         return out
 
     def line(self, canonical: bool = False) -> str:
         mark = "PASS" if self.passed else "FAIL"
         extra = "" if self.witness is None else f"  [witness: {self.witness}]"
-        timing = "" if canonical else f"  ({self.millis:.1f} ms)"
+        timing = ("" if canonical or self.millis is None
+                  else f"  ({self.millis:.1f} ms)")
         return f"{mark}  {self.check_id}  --  {self.statement}{extra}{timing}"
 
 
@@ -45,7 +49,7 @@ class ValidationReport:
     records: list = field(default_factory=list)
 
     def add(self, check_id: str, statement: str, passed: bool, witness: Optional[str] = None,
-            millis: float = 0.0) -> CheckRecord:
+            millis: Optional[float] = None) -> CheckRecord:
         rec = CheckRecord(check_id, statement, bool(passed), witness, millis)
         self.records.append(rec)
         return rec

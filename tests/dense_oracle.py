@@ -6,10 +6,17 @@ a triple-loop product, an entrywise Kronecker product, a permutation-matrix
 twist, and the Kronecker-and-twist composites that define tensor, opposite
 and convolution structure constants.  ``test_linalg.py`` and ``test_hopf.py``
 require the library to agree with them bit for bit.
+
+``gamma_map`` and ``delta_map`` are the duality maps γ and δ written as the
+plain Sweedler sums, every factor recomputed for every term, column and
+functional; ``test_duality.py`` requires the tabulated library maps to agree
+with them entry for entry.
 """
 from hypothesis import strategies as st
 
-from hopfdual.linalg import LinearMap, free_module, tensor_module
+from hopfdual.duality import DiagramSide, end_rep_module
+from hopfdual.hopf import ensure_hopf
+from hopfdual.linalg import LinearMap, free_module, hom_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
@@ -116,6 +123,163 @@ def assert_bit_identical(got, want):
                           if got.matrix[i][j])
                     for j in range(got.domain.rank))
     assert got.sparse_columns() == derived
+
+
+# --- duality maps γ and δ, term by term ----------------------------------------
+
+
+def gamma_map(cp, U, side):
+    """γ((a#h)#f) on the one-sided representation.
+
+    Right: (k⊗1) ↦ Σ h₄(f⇀k₃) ⊗ [S̄(h₃k₂)a]σ(S̄(h₂k₁)⊗h₁)
+    Op:    (1⊗k) ↦ Σ [k₁a]σ(k₂⊗h₁) ⊗ (f⇀k₃)h₂
+    """
+    h = ensure_hopf(cp.action.hopf)
+    b = h.bialgebra
+    A = cp.action.algebra
+    ring = cp.ring
+    rH, rA, rU = b.rank, A.rank, U.rank
+    sigma = cp.cocycle.sigma
+    dom = tensor_module(cp.carrier, U.module)
+    cod = end_rep_module(h, A, side)
+    Sb = h.twisted_antipode
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            for l in range(rU):
+                f = U.element(l)
+                out = [ring.zero] * cod.rank
+                for t in range(rH):
+                    if side is DiagramSide.RIGHT:
+                        for ch, (h1, h2, h3, h4) in b.coalgebra.sweedler_basis(j, 4):
+                            for ck, (k1, k2, k3, k4) in b.coalgebra.sweedler_basis(t, 4):
+                                c = ring.mul(ring.mul(ch, ck), f[k4])
+                                if not (c):
+                                    continue
+                                hpart = b.algebra.product(
+                                    b.carrier.basis_vector(h4),
+                                    b.carrier.basis_vector(k3))
+                                h3k2 = b.algebra.product(
+                                    b.carrier.basis_vector(h3),
+                                    b.carrier.basis_vector(k2))
+                                h2k1 = b.algebra.product(
+                                    b.carrier.basis_vector(h2),
+                                    b.carrier.basis_vector(k1))
+                                acted = cp.action.act(Sb.apply(h3k2), a_i)
+                                sig = sigma.apply(kron_vec(
+                                    ring, Sb.apply(h2k1),
+                                    b.carrier.basis_vector(h1)))
+                                apart = A.product(acted, sig)
+                                _scatter(out, ring, c, hpart, apart, rA, rH, t,
+                                         h_first=True)
+                    else:
+                        for ch, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
+                            for ck, (k1, k2, k3, k4) in b.coalgebra.sweedler_basis(t, 4):
+                                c = ring.mul(ring.mul(ch, ck), f[k4])
+                                if not (c):
+                                    continue
+                                acted = cp.action.act_basis(k1, a_i)
+                                sig = sigma.apply(kron_vec(
+                                    ring, b.carrier.basis_vector(k2),
+                                    b.carrier.basis_vector(h1)))
+                                apart = A.product(acted, sig)
+                                hpart = b.algebra.product(
+                                    b.carrier.basis_vector(k3),
+                                    b.carrier.basis_vector(h2))
+                                _scatter(out, ring, c, hpart, apart, rA, rH, t,
+                                         h_first=False)
+                cols.append(tuple(out))
+    return LinearMap.from_columns(dom, cod, cols)
+
+
+def _scatter(out, ring, c, hpart, apart, rA, rH, t, h_first):
+    for hp, hv in enumerate(hpart):
+        if not (hv):
+            continue
+        for ap, av in enumerate(apart):
+            if not (av):
+                continue
+            val = ring.mul(c, ring.mul(hv, av))
+            pos = ((hp * rA + ap) if h_first else (ap * rH + hp)) * rH + t
+            out[pos] = ring.add(out[pos], val)
+
+
+def delta_map(cp, U, side):
+    """δ(a⊗(h#f)) ∈ Hom(H, A#_σH) by direct Sweedler expansion.
+
+    Right: k ↦ Σ σ⁻¹(h₂k₄⊗S̄(h₁k₃))[(h₃k₅)a]σ(h₄k₆⊗S̄(k₂)) # h₅(f⇀k₇)S̄(k₁)
+    Op:    k ↦ Σ σ⁻¹(S(k₄)⊗k₅)[S(k₃)a]σ(S(k₂)⊗k₆h₁) # S(k₁)(f⇀k₇)h₂
+    """
+    h = ensure_hopf(cp.action.hopf)
+    b = h.bialgebra
+    A = cp.action.algebra
+    ring = cp.ring
+    rH, rA, rU = b.rank, A.rank, U.rank
+    sigma, sigma_inv = cp.cocycle.sigma, cp.cocycle.sigma_inv
+    Sb, S = h.twisted_antipode, h.antipode
+    dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
+    cod = hom_module(b.carrier, cp.carrier)
+    halg = b.algebra
+    basis = b.carrier.basis_vector
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            for l in range(rU):
+                f = U.element(l)
+                out = [ring.zero] * cod.rank
+                for t in range(rH):
+                    for ck, klegs in b.coalgebra.sweedler_basis(t, 8):
+                        k1, k2, k3, k4, k5, k6, k7, k8 = klegs
+                        cf = ring.mul(ck, f[k8])
+                        if not (cf):
+                            continue
+                        if side is DiagramSide.RIGHT:
+                            for ch, hlegs in b.coalgebra.sweedler_basis(j, 5):
+                                h1, h2, h3, h4, h5 = hlegs
+                                c = ring.mul(cf, ch)
+                                s1 = sigma_inv.apply(kron_vec(
+                                    ring, halg.product(basis(h2), basis(k4)),
+                                    Sb.apply(halg.product(basis(h1), basis(k3)))))
+                                acted = cp.action.act(
+                                    halg.product(basis(h3), basis(k5)), a_i)
+                                s2 = sigma.apply(kron_vec(
+                                    ring, halg.product(basis(h4), basis(k6)),
+                                    Sb.column(k2)))
+                                apart = A.product(A.product(s1, acted), s2)
+                                hpart = halg.product(
+                                    halg.product(basis(h5), basis(k7)),
+                                    Sb.column(k1))
+                                _scatter_hom(out, ring, c, apart, hpart, rH, t)
+                        else:
+                            for ch, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
+                                c = ring.mul(cf, ch)
+                                s1 = sigma_inv.apply(kron_vec(
+                                    ring, S.column(k4), basis(k5)))
+                                acted = cp.action.act(S.column(k3), a_i)
+                                s2 = sigma.apply(kron_vec(
+                                    ring, S.column(k2),
+                                    halg.product(basis(k6), basis(h1))))
+                                apart = A.product(A.product(s1, acted), s2)
+                                hpart = halg.product(
+                                    halg.product(S.column(k1), basis(k7)),
+                                    basis(h2))
+                                _scatter_hom(out, ring, c, apart, hpart, rH, t)
+                cols.append(tuple(out))
+    return LinearMap.from_columns(dom, cod, cols)
+
+
+def _scatter_hom(out, ring, c, apart, hpart, rH, t):
+    # B = A⊗H flattening inside Hom(H, B): position ((a·rH + h)·rH + t)
+    for ap, av in enumerate(apart):
+        if not (av):
+            continue
+        for hp, hv in enumerate(hpart):
+            if not (hv):
+                continue
+            pos = (ap * rH + hp) * rH + t
+            out[pos] = ring.add(out[pos], ring.mul(c, ring.mul(av, hv)))
 
 
 # --- hypothesis strategies ---------------------------------------------------

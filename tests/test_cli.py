@@ -116,6 +116,23 @@ def test_canonical_reports_are_byte_identical(tmp_path):
                for s in data["sections"] for c in s["checks"])
 
 
+def test_untimed_records_show_no_timing(tmp_path, capsys):
+    # algebra.assoc is merged in from validate() and never timed on its own
+    assert main(["catalog", "run", "Z_C2", "--suite", "hopf"]) == 0
+    lines = {line.split()[1]: line
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS", "FAIL"))}
+    assert not lines["algebra.assoc"].endswith("ms)")
+    assert lines["hopf.dual"].endswith(" ms)")
+    out = tmp_path / "report.json"
+    assert main(["catalog", "run", "Z_C2", "--suite", "hopf", "--format",
+                 "json", "--out", str(out)]) == 0
+    checks = {c["id"]: c for s in json.loads(out.read_text())["sections"]
+              for c in s["checks"]}
+    assert checks["algebra.assoc"]["millis"] is None
+    assert isinstance(checks["hopf.dual"]["millis"], float)
+
+
 def test_restricted_U_instance_reports_proper_failure(tmp_path, capsys):
     # U = span{ε}: λ stays a morphism; the χ leg is reported NotInvertible.
     doc = json.loads(export_entry_json(get("triv_C2")))

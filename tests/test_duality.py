@@ -1,6 +1,8 @@
 """Duality maps, diagrams, certified isomorphisms, coactions, theorem routes."""
 import pytest
 
+import dense_oracle
+from hopfdual import catalog
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     ground_algebra,
@@ -10,9 +12,12 @@ from hopfdual.catalog import (
     sweedler_module_action,
 )
 from hopfdual.crossed import (
+    CocycleData,
+    CrossedProductData,
     build_crossed_product,
     integral_from_crossed,
     smash_product_data,
+    trivial_cocycle,
     validate_cocycle,
 )
 from hopfdual.duality import (
@@ -25,9 +30,11 @@ from hopfdual.duality import (
     coaction_table,
     compat_check,
     compat_maps,
+    delta_map,
     duality_iso,
     epsilon_maps,
     final_chain,
+    gamma_map,
     lambda_bar_map,
     lambda_map,
     matrix_iso,
@@ -37,8 +44,26 @@ from hopfdual.duality import (
     theorem_suite,
 )
 from hopfdual.errors import CommutativityFailure, NotInvertible
-from hopfdual.hopf import endomorphism_algebra, certify_algebra_iso, ensure_hopf
-from hopfdual.linalg import LinearMap, determinant, invert_map, kron_vec, map_to_vec, tensor_module
+from hopfdual.hopf import (
+    AlgebraData,
+    BialgebraData,
+    CoalgebraData,
+    ConvolutionAlgebra,
+    HopfData,
+    certify_algebra_iso,
+    convolution_invert,
+    endomorphism_algebra,
+    ensure_hopf,
+)
+from hopfdual.linalg import (
+    LinearMap,
+    determinant,
+    invert_map,
+    kron,
+    kron_vec,
+    map_to_vec,
+    tensor_module,
+)
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
     ModuleSide,
@@ -369,3 +394,119 @@ def test_final_chain_matches_direct_on_c2_smash():
         res = final_chain(cp, SubalgebraU.full_dual(h))
         assert res.report.ok
         assert res.equal_to_direct
+
+
+# --- γ and δ against the term-by-term oracles -----------------------------------
+
+
+def rebased_sweedler_Z3():
+    """Sweedler's algebra over Z/3 in the basis f_a = Σ_i P[i][a]·e_i, here
+    f_1 = 1 + x, every structure map conjugated by P, as A#H with A = Z/3.
+    Its 8-leg expansions have 766 terms (18 in the standard basis)."""
+    ring = Zmod(3)
+    h = sweedler_hopf(ring)
+    H = h.carrier
+    P = LinearMap(H, H, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    Pi = invert_map(P)
+    alg = AlgebraData(H, Pi @ h.algebra.mult @ kron(P, P), Pi.apply(h.algebra.unit))
+    coalg = CoalgebraData(H, kron(Pi, Pi) @ h.coalgebra.comult @ P,
+                          h.coalgebra.counit @ P)
+    rebased = HopfData(BialgebraData(alg, coalg), Pi @ h.antipode @ P,
+                       Pi @ h.twisted_antipode @ P)
+    rebased.validate().require()
+    return smash_product_data(trivial_action(rebased, ground_algebra(ring)))
+
+
+def sweedler_coboundary_Q():
+    """Sweedler's algebra over Q acting trivially on Q with the coboundary
+    cocycle σ(x⊗y) = Σ u(x₁)u(y₁)u⁻¹(x₂y₂), u = (1, 1, 1, 0) on (1, g, x, gx):
+    a nontrivial σ on a non-cocommutative H."""
+    h = sweedler_hopf(QQ)
+    A = ground_algebra(QQ)
+    co = h.coalgebra
+    u = tuple(QQ.of(x) for x in (1, 1, 1, 0))
+    u_inv = convolution_invert(ConvolutionAlgebra(co, A), u)
+
+    def sigma_col(p, q):
+        total = QQ.zero
+        for c1, (p1, p2) in co.sweedler_basis(p, 2):
+            for c2, (q1, q2) in co.sweedler_basis(q, 2):
+                pq = h.algebra.product(h.carrier.basis_vector(p2),
+                                       h.carrier.basis_vector(q2))
+                total += c1 * c2 * u[p1] * u[q1] * QQ.dot(pq, u_inv)
+        return (total,)
+
+    action = trivial_action(h, A)
+    sigma = LinearMap.from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
+                                   [sigma_col(p, q) for p in range(4) for q in range(4)])
+    assert sigma != trivial_cocycle(action).sigma
+    return build_crossed_product(action, validate_cocycle(action, sigma))
+
+
+def sweedler_terms(cp, legs):
+    co = ensure_hopf(cp.action.hopf).coalgebra
+    return sum(len(co.sweedler_basis(t, legs)) for t in range(co.rank))
+
+
+def sweedler_smash(name):
+    h = catalog.get(name).hopf_data()
+    return smash_product_data(trivial_action(h, ground_algebra(h.ring)))
+
+
+def test_rebasing_enlarges_the_delta_expansion():
+    assert sweedler_terms(rebased_sweedler_Z3(), 8) == 766
+    assert sweedler_terms(sweedler_smash("sweedler4_Z3"), 8) == 18
+
+
+ORACLE_CASES = {
+    "sweedler4_Q": lambda: sweedler_smash("sweedler4_Q"),
+    "sweedler4_smash_Z3": lambda: catalog.get("sweedler4_smash_Z3").payload,
+    "gauss": lambda: catalog.get("gauss").payload,
+    "sweedler_coboundary_Q": sweedler_coboundary_Q,
+    "sweedler_Z3_rebased": rebased_sweedler_Z3,
+}
+
+
+def full_dual(cp, side):
+    return SubalgebraU.full_dual(
+        ensure_hopf(cp.action.hopf),
+        ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_gamma_and_delta_match_the_term_by_term_oracles(name, side):
+    cp = ORACLE_CASES[name]()
+    U = full_dual(cp, side)
+    dense_oracle.assert_bit_identical(gamma_map(cp, U, side),
+                                      dense_oracle.gamma_map(cp, U, side))
+    dense_oracle.assert_bit_identical(delta_map(cp, U, side),
+                                      dense_oracle.delta_map(cp, U, side))
+
+
+def test_delta_matches_the_oracle_on_a_proper_functional_span():
+    cp = sweedler_smash("sweedler4_Q")
+    h = ensure_hopf(cp.action.hopf)
+    span = FunctionalSpan(h, [(1, 0, 0, 0), (0, 2, 0, -1)])
+    for side in (DiagramSide.RIGHT, DiagramSide.OP):
+        dense_oracle.assert_bit_identical(delta_map(cp, span, side),
+                                          dense_oracle.delta_map(cp, span, side))
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+def test_delta_reads_every_sigma_value(side):
+    cp = gauss_crossed()
+    sigma = cp.cocycle.sigma
+    rows = [list(r) for r in sigma.matrix]
+    rows[0][3] = 2  # σ(g⊗g): -1 → 2
+    mutant_sigma = LinearMap(sigma.domain, sigma.codomain, rows)
+    mutant = CrossedProductData(
+        cp.action, CocycleData(cp.action, mutant_sigma, cp.cocycle.sigma_inv,
+                               cp.cocycle.flags),
+        cp.product_algebra, cp.comodule)
+    U = full_dual(cp, side)
+    mutated = delta_map(mutant, U, side)
+    assert mutated != delta_map(cp, U, side)
+    dense_oracle.assert_bit_identical(mutated,
+                                      dense_oracle.delta_map(mutant, U, side))
+
