@@ -198,15 +198,19 @@ def validate_cocycle(action: WeakActionData, sigma: LinearMap,
     return CocycleData(action, sigma, sigma_inv, flags)
 
 
-def trivial_cocycle(action: WeakActionData) -> CocycleData:
-    """σ(h⊗k) = ε(h)ε(k)1_A, its own convolution inverse."""
+def trivial_sigma(action: WeakActionData) -> LinearMap:
+    """σ = η_A∘(ε⊗ε): H⊗H → A, not validated."""
     b = action.bialgebra
     A = action.algebra
     eps = b.coalgebra.counit
     unit_embed = LinearMap.from_columns(eps.codomain, A.carrier, [A.unit])
     sigma = unit_embed @ kron(eps, eps)
-    sigma = LinearMap(tensor_module(b.carrier, b.carrier), A.carrier, sigma.matrix)
-    return validate_cocycle(action, sigma)
+    return LinearMap(tensor_module(b.carrier, b.carrier), A.carrier, sigma.matrix)
+
+
+def trivial_cocycle(action: WeakActionData) -> CocycleData:
+    """σ(h⊗k) = ε(h)ε(k)1_A, its own convolution inverse."""
+    return validate_cocycle(action, trivial_sigma(action))
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +253,20 @@ def crossed_table(action: WeakActionData, sigma: LinearMap) -> LinearMap:
     return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
+def _checked_crossed_table(action: WeakActionData, sigma: LinearMap):
+    """The crossed table as an algebra on A⊗H with the candidate unit 1#1,
+    and (unit holds, associativity holds) by exhaustive basis checking."""
+    table = crossed_table(action, sigma)
+    unit = kron_vec(action.ring, action.algebra.unit, action.bialgebra.algebra.unit)
+    alg = AlgebraData(table.codomain, table, unit)
+    by_id = {r.check_id: r.passed for r in alg.validate("crossed table").records}
+    return alg, by_id["algebra.unit"], by_id["algebra.assoc"]
+
+
 def direct_product_checks(action: WeakActionData, sigma: LinearMap):
     """(unit holds, associativity holds) for the raw crossed table, by
     exhaustive basis checking — independent of the cocycle flags."""
-    b = action.bialgebra
-    A = action.algebra
-    table = crossed_table(action, sigma)
-    carrier = table.codomain
-    unit = kron_vec(action.ring, A.unit, b.algebra.unit)
-    alg = AlgebraData(carrier, table, unit)
-    rep = alg.validate("crossed table")
-    by_id = {r.check_id: r.passed for r in rep.records}
-    return by_id["algebra.unit"], by_id["algebra.assoc"]
+    return _checked_crossed_table(action, sigma)[1:]
 
 
 class CrossedProductData:
@@ -297,7 +303,7 @@ def build_crossed_product(action: WeakActionData, cocycle: CocycleData) -> Cross
     flags = cocycle.flags
     if not flags.normal:
         raise NotUnital("σ is not normal, so 1#1 is not a unit")
-    unit_ok, assoc_ok = direct_product_checks(action, cocycle.sigma)
+    alg, unit_ok, assoc_ok = _checked_crossed_table(action, cocycle.sigma)
     if unit_ok != flags.normal:
         raise AssociativityMismatch("unit check disagrees with normality flag")
     if assoc_ok != (flags.cocycle and flags.twisted_module):
@@ -308,10 +314,7 @@ def build_crossed_product(action: WeakActionData, cocycle: CocycleData) -> Cross
                               "(cocycle or twisted-module condition fails)")
     b = action.bialgebra
     A = action.algebra
-    table = crossed_table(action, cocycle.sigma)
-    carrier = table.codomain
-    unit = kron_vec(action.ring, A.unit, b.algebra.unit)
-    alg = AlgebraData(carrier, table, unit)
+    carrier = alg.carrier
     coaction = kron(LinearMap.identity(A.carrier), b.coalgebra.comult)
     coaction = LinearMap(carrier, tensor_module(carrier, b.carrier), coaction.matrix)
     comodule = ComoduleAlgebraData(action.hopf, alg, coaction)

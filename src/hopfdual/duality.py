@@ -1385,9 +1385,9 @@ def theorem_suite(payload, U: Optional[SubalgebraU] = None,
     rep.add("op.duality", "(A#σH)#^opU ≅ A⊗(H#^opU) certified", True)
 
     # the trivial-cocycle corollary route
-    from .crossed import trivial_cocycle
+    from .crossed import trivial_sigma
 
-    if cp.cocycle.sigma == trivial_cocycle(cp.action).sigma:
+    if cp.cocycle.sigma == trivial_sigma(cp.action):
         rep.extend(bm_route_hypotheses(cp, U))
 
     # cleft route: the two isomorphisms agree after transporting along ι(a)θ(h)

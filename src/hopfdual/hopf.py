@@ -128,15 +128,26 @@ class AlgebraData:
         rep = ValidationReport(subject)
         r = self.rank
         labels = self.carrier.labels
-        # associativity on all basis triples, entirely on the sparse table
+        # associativity on all basis triples (i, j, k), in that order, by index
+        # arithmetic on the sparse table: with e_ie_j = Σ_t c^{ij}_t e_t,
+        # Σ_t c^{ij}_t·col(t,k) must equal Σ_s c^{jk}_s·col(i,s)
         witness = None
+        ring = self.ring
+        zero, mul, add = ring.zero, ring.mul, ring.add
         cols = self.mult.sparse_columns()
         for i in range(r):
+            row_i = cols[i * r:(i + 1) * r]
             for j in range(r):
-                ij = cols[i * r + j]
+                ij, row_j = row_i[j], cols[j * r:(j + 1) * r]
                 for k in range(r):
-                    lhs = self.product_items(ij, ((k, self.ring.one),))
-                    rhs = self.product_items(((i, self.ring.one),), cols[j * r + k])
+                    lhs = [zero] * r
+                    for t, a in ij:
+                        for u, c in cols[t * r + k]:
+                            lhs[u] = add(lhs[u], mul(c, a))
+                    rhs = [zero] * r
+                    for s, a in row_j[k]:
+                        for u, c in row_i[s]:
+                            rhs[u] = add(rhs[u], mul(c, a))
                     if lhs != rhs:
                         witness = f"({labels[i]},{labels[j]},{labels[k]})"
                         break

@@ -9,11 +9,20 @@ U of the dual:
 
 U carries the regular H-action of its declared side and all closure data is
 witnessed by solved coefficient tables at construction time.
+
+#(H,B), #^op(H,B), B#U and B#^opU are built by index arithmetic on the sparse
+multiplication tables and the coaction: each factor that depends on only some
+of the column indices (the Sweedler-and-coaction coefficients of a basis map of
+Hom(H,B), the U-coordinates of (u_l·h)⋆u_m) is computed once per call, and
+every column is a sum of table entries.  Every builder then certifies its
+result with ``AlgebraData.validate``, whose associativity check is index
+arithmetic on the same sparse table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .actions import (
     ComoduleAlgebraData,
@@ -154,85 +163,62 @@ def _validated(kind: SmashKind, alg: AlgebraData, provenance) -> SmashAlgebra:
 
 def hat_smash(hopf: HopfLike, B: ComoduleAlgebraData) -> SmashAlgebra:
     """#(H,B) = (Hom_R(H,B), ⋆̂) with unit η_B∘ε_H."""
-    b = bialgebra_of(hopf)
-    ring = b.ring
-    rH, rB = b.rank, B.algebra.rank
-    carrier = hom_module(b.carrier, B.algebra.carrier)
-    coalg = b.coalgebra
-    cols = []
-    for fi in range(rB):          # f = [h_fj ↦ b_fi]
-        for fj in range(rH):
-            for gi in range(rB):  # g = [h_gj ↦ b_gi]
-                for gj in range(rH):
-                    out = [ring.zero] * carrier.rank
-                    for t in range(rH):
-                        val = B.algebra.carrier.zero_vector()
-                        for c, (t1, t2) in coalg.sweedler_basis(t, 2):
-                            if t2 != gj:
-                                continue
-                            for b0, b1, cc in B.coact_sparse(gi):
-                                # f(b₍₁₎·h₁) · b₍₀₎
-                                coeff_f = b.algebra.mult.matrix[fj][b1 * rH + t1]
-                                if not (coeff_f):
-                                    continue
-                                term = B.algebra.product(
-                                    B.algebra.carrier.basis_vector(fi),
-                                    B.algebra.carrier.basis_vector(b0))
-                                scale = ring.mul(ring.mul(c, cc), coeff_f)
-                                val = vec_add(ring, val,
-                                              vec_scale(ring, scale, term))
-                        for bidx, bv in enumerate(val):
-                            if (bv):
-                                out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = [ring.zero] * carrier.rank
-    for bidx, bv in enumerate(B.algebra.unit):
-        for t in range(rH):
-            e = coalg.counit_scalar(b.carrier.basis_vector(t))
-            unit[bidx * rH + t] = ring.mul(bv, e)
-    alg = AlgebraData(carrier, mult, unit)
-    return _validated(SmashKind.HAT_HB, alg, {"H": hopf, "B": B})
+    return _hom_smash(hopf, B, SmashKind.HAT_HB)
 
 
 def op_hat_smash(hopf: HopfLike, B: ComoduleAlgebraData) -> SmashAlgebra:
     """#^op(H,B) = (Hom_R(H,B), ⋆̃) with the same unit."""
+    return _hom_smash(hopf, B, SmashKind.OP_HAT_HB)
+
+
+def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
+               kind: SmashKind) -> SmashAlgebra:
+    """#(H,B) or #^op(H,B) by index arithmetic, column (f, g) for the basis
+    maps f = [h_fj ↦ b_fi] and g = [h_gj ↦ b_gi].
+
+    At h = h_t only the coacted map's value varies: ⋆̂ reads g(h₂) and then
+    f(b₍₁₎h₁); ⋆̃ reads f(h₂) and then g(h₁b₍₁₎).  So, once per coacted map,
+    the terms (t, b₀, Σ c·c'·[h_x in the H-product]) are tabulated per
+    H-index x of the other map; each column then scales B-products b_fi·b₀
+    (op: b₀·b_gi) read off the sparse multiplication table.
+    """
     b = bialgebra_of(hopf)
     ring = b.ring
-    rH = b.rank
+    mul, add = ring.mul, ring.add
+    rH, rB = b.rank, B.algebra.rank
     carrier = hom_module(b.carrier, B.algebra.carrier)
-    coalg = b.coalgebra
-    rB = B.algebra.rank
+    hcols = b.algebra.mult.sparse_columns()
+    bcols = B.algebra.mult.sparse_columns()
+    op = kind is SmashKind.OP_HAT_HB
+    by_h2 = [[] for _ in range(rH)]  # Δ(h_t) = Σ c·h_t1⊗h_t2, grouped by t2
+    for t in range(rH):
+        for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+            by_h2[t2].append((t, t1, c))
+
+    def terms(ci, cj):
+        out = [[] for _ in range(rH)]
+        for t, t1, c in by_h2[cj]:
+            for b0, b1, cc in B.coact_sparse(ci):
+                for x, coeff in hcols[t1 * rH + b1] if op else hcols[b1 * rH + t1]:
+                    out[x].append((t, b0, mul(mul(c, cc), coeff)))
+        return out
+
+    table = [[terms(ci, cj) for cj in range(rH)] for ci in range(rB)]
     cols = []
     for fi in range(rB):
         for fj in range(rH):
             for gi in range(rB):
                 for gj in range(rH):
                     out = [ring.zero] * carrier.rank
-                    for t in range(rH):
-                        val = B.algebra.carrier.zero_vector()
-                        for c, (t1, t2) in coalg.sweedler_basis(t, 2):
-                            if t2 != fj:
-                                continue
-                            for b0, b1, cc in B.coact_sparse(fi):
-                                # f(h₂)₍₀₎ · g(h₁·f(h₂)₍₁₎)
-                                coeff_g = b.algebra.mult.matrix[gj][t1 * rH + b1]
-                                if not (coeff_g):
-                                    continue
-                                term = B.algebra.product(
-                                    B.algebra.carrier.basis_vector(b0),
-                                    B.algebra.carrier.basis_vector(gi))
-                                scale = ring.mul(ring.mul(c, cc), coeff_g)
-                                val = vec_add(ring, val,
-                                              vec_scale(ring, scale, term))
-                        for bidx, bv in enumerate(val):
-                            if (bv):
-                                out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
-    hat = hat_smash(hopf, B)  # reuse its unit (η_B∘ε_H)
-    alg = AlgebraData(carrier, mult, hat.product.unit)
-    return _validated(SmashKind.OP_HAT_HB, alg, {"H": hopf, "B": B})
+                    for t, b0, s in (table[fi][fj][gj] if op else table[gi][gj][fj]):
+                        for bidx, bv in bcols[b0 * rB + gi] if op else bcols[fi * rB + b0]:
+                            pos = bidx * rH + t
+                            out[pos] = add(out[pos], mul(s, bv))
+                    cols.append([(pos, v) for pos, v in enumerate(out) if v])
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
+    unit = kron_vec(ring, B.algebra.unit, b.coalgebra.counit.matrix[0])
+    alg = AlgebraData(carrier, mult, unit)
+    return _validated(kind, alg, {"H": hopf, "B": B})
 
 
 def right_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> SmashAlgebra:
@@ -251,54 +237,46 @@ def op_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> SmashAlgebra:
 
 def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
                       kind: SmashKind) -> SmashAlgebra:
+    """B#U or B#^opU by index arithmetic.  Column (b_i#u_l)(b_k#u_m) sums,
+    over the coaction terms c·b₀⊗h_{b₁} of b_k (op: of b_i), c times the
+    B-product b_i·b₀ (op: b₀·b_k) read off the sparse multiplication table,
+    tensored with the U-coordinates of (u_l·h_{b₁})⋆u_m (op: (h_{b₁}·u_m)⋆u_l),
+    which are computed once per (l, b₁, m)."""
     b = bialgebra_of(B.hopf)
     ring = b.ring
+    mul, add = ring.mul, ring.add
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
-    dual = U.dual_algebra
+    bcols = B.algebra.mult.sparse_columns()
+    coact = [B.coact_sparse(x) for x in range(rB)]
+    op = kind is SmashKind.OP_SMASH
+
+    @cache
+    def upart(l, b1, m):
+        moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
+        coords = U.express(U.dual_algebra.product(moved, U.element(l if op else m)))
+        if coords is None:
+            raise ValidationError("smash product left the span of U")
+        return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
+
     cols = []
     for i in range(rB):
-        b_i = B.algebra.carrier.basis_vector(i)
         for l in range(rU):
             for k in range(rB):
                 for m in range(rU):
                     out = [ring.zero] * carrier.rank
-                    if kind is SmashKind.RIGHT_SMASH:
-                        # Σ over ϱ(b̃): b·b̃₍₀₎ ⊗ (f·b̃₍₁₎)⋆f̃
-                        for b0, b1, c in B.coact_sparse(k):
-                            bpart = B.algebra.product(
-                                b_i, B.algebra.carrier.basis_vector(b0))
-                            moved = U.act_regular(l, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.element(m))
-                            _accumulate_smash(out, ring, c, bpart, upart, U, rU)
-                    else:
-                        # Σ over ϱ(b): b₍₀₎·b̃ ⊗ (b₍₁₎·f̃)⋆f
-                        for b0, b1, c in B.coact_sparse(i):
-                            bpart = B.algebra.product(
-                                B.algebra.carrier.basis_vector(b0),
-                                B.algebra.carrier.basis_vector(k))
-                            moved = U.act_regular(m, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.element(l))
-                            _accumulate_smash(out, ring, c, bpart, upart, U, rU)
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+                    for b0, b1, c in coact[i] if op else coact[k]:
+                        ucoords = upart(l, b1, m)
+                        for bidx, bv in bcols[b0 * rB + k] if op else bcols[i * rB + b0]:
+                            cb = mul(c, bv)
+                            for uidx, uv in ucoords:
+                                pos = bidx * rU + uidx
+                                out[pos] = add(out[pos], mul(cb, uv))
+                    cols.append([(pos, v) for pos, v in enumerate(out) if v])
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
     alg = AlgebraData(carrier, mult, unit)
     return _validated(kind, alg, {"B": B, "U": U})
-
-
-def _accumulate_smash(out, ring, c, bpart, upart_ambient, U: SubalgebraU, rU):
-    coords = U.express(upart_ambient)
-    if coords is None:
-        raise ValidationError("smash product left the span of U")
-    for bidx, bv in enumerate(bpart):
-        if not (bv):
-            continue
-        for uidx, uv in enumerate(coords):
-            if not (uv):
-                continue
-            pos = bidx * rU + uidx
-            out[pos] = ring.add(out[pos], ring.mul(ring.mul(c, bv), uv))
 
 
 def left_smash(action: WeakActionData) -> SmashAlgebra:

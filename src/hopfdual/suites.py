@@ -20,7 +20,7 @@ from .crossed import (
     direct_product_checks,
     integral_from_crossed,
     opposite_crossed,
-    trivial_cocycle,
+    trivial_sigma,
 )
 from .duality import (
     DiagramSide,
@@ -205,7 +205,7 @@ def run_smash_suite(entry: CatalogEntry) -> ValidationReport:
                lambda: right_smash(cp.comodule, U) is not None)
         _timed(rep, "smash.op", "(A#σH)#opU constructs and validates",
                lambda: op_smash(cp.comodule, UL) is not None)
-        if cp.cocycle.sigma == trivial_cocycle(cp.action).sigma:
+        if cp.cocycle.sigma == trivial_sigma(cp.action):
             def left_matches():
                 ls = left_smash(cp.action)
                 return (ls.product.mult == cp.product_algebra.mult

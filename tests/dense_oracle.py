@@ -11,12 +11,30 @@ require the library to agree with them bit for bit.
 plain Sweedler sums, every factor recomputed for every term, column and
 functional; ``test_duality.py`` requires the tabulated library maps to agree
 with them entry for entry.
+
+``validate_algebra``, ``hat_smash``, ``op_hat_smash`` and ``coordinate_smash``
+are the associativity certificate and the smash-product builders as sums of
+whole products: two sparse-dict products per basis triple, and every
+B-product, regular action, ⋆-product and U-coordinate recomputed for every
+term.  ``test_hopf.py`` and ``test_smash.py`` require the index-arithmetic
+kernels to agree with them (records and witnesses; entries and entry types).
 """
 from hypothesis import strategies as st
 
 from hopfdual.duality import DiagramSide, end_rep_module
-from hopfdual.hopf import ensure_hopf
-from hopfdual.linalg import LinearMap, free_module, hom_module, kron_vec, tensor_module
+from hopfdual.errors import ValidationError
+from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf
+from hopfdual.linalg import (
+    LinearMap,
+    free_module,
+    hom_module,
+    kron_vec,
+    tensor_module,
+    vec_add,
+    vec_scale,
+)
+from hopfdual.reporting import ValidationReport
+from hopfdual.smash import SmashKind
 from hopfdual.rings import QQ, ZZ, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
@@ -280,6 +298,194 @@ def _scatter_hom(out, ring, c, apart, hpart, rH, t):
                 continue
             pos = (ap * rH + hp) * rH + t
             out[pos] = ring.add(out[pos], ring.mul(c, ring.mul(av, hv)))
+
+
+# --- the associativity certificate and the smash builders, term by term ------
+
+
+def product_items(alg, items_u, items_v) -> dict:
+    """Sparse product of sparse vectors (lists of (index, coeff))."""
+    ring = alg.ring
+    r = alg.rank
+    cols = alg.mult.sparse_columns()
+    mul, add = ring.mul, ring.add
+    acc = {}
+    for i, a in items_u:
+        base = i * r
+        for j, b in items_v:
+            col = cols[base + j]
+            if not col:
+                continue
+            ab = mul(a, b)
+            for t, c in col:
+                prev = acc.get(t)
+                acc[t] = mul(c, ab) if prev is None else add(prev, mul(c, ab))
+    return {t: v for t, v in acc.items() if v}
+
+
+def validate_algebra(alg, subject="algebra"):
+    """``AlgebraData.validate``: both products of every basis triple built
+    as sparse dicts, then the two-sided unit law."""
+    rep = ValidationReport(subject)
+    r = alg.rank
+    labels = alg.carrier.labels
+    witness = None
+    cols = alg.mult.sparse_columns()
+    for i in range(r):
+        for j in range(r):
+            ij = cols[i * r + j]
+            for k in range(r):
+                lhs = product_items(alg, ij, ((k, alg.ring.one),))
+                rhs = product_items(alg, ((i, alg.ring.one),), cols[j * r + k])
+                if lhs != rhs:
+                    witness = f"({labels[i]},{labels[j]},{labels[k]})"
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("algebra.assoc", "multiplication is associative", witness is None, witness)
+    witness = None
+    for i in range(r):
+        e = alg.carrier.basis_vector(i)
+        if alg.product(alg.unit, e) != e or alg.product(e, alg.unit) != e:
+            witness = labels[i]
+            break
+    rep.add("algebra.unit", "two-sided unit law", witness is None, witness)
+    return rep
+
+
+def hat_smash(hopf, B):
+    """The #(H,B) structure constants, one Sweedler and coaction term at a
+    time, every B-product recomputed (not validated)."""
+    b = bialgebra_of(hopf)
+    ring = b.ring
+    rH, rB = b.rank, B.algebra.rank
+    carrier = hom_module(b.carrier, B.algebra.carrier)
+    coalg = b.coalgebra
+    cols = []
+    for fi in range(rB):          # f = [h_fj ↦ b_fi]
+        for fj in range(rH):
+            for gi in range(rB):  # g = [h_gj ↦ b_gi]
+                for gj in range(rH):
+                    out = [ring.zero] * carrier.rank
+                    for t in range(rH):
+                        val = B.algebra.carrier.zero_vector()
+                        for c, (t1, t2) in coalg.sweedler_basis(t, 2):
+                            if t2 != gj:
+                                continue
+                            for b0, b1, cc in B.coact_sparse(gi):
+                                # f(b₍₁₎·h₁) · b₍₀₎
+                                coeff_f = b.algebra.mult.matrix[fj][b1 * rH + t1]
+                                if not (coeff_f):
+                                    continue
+                                term = B.algebra.product(
+                                    B.algebra.carrier.basis_vector(fi),
+                                    B.algebra.carrier.basis_vector(b0))
+                                scale = ring.mul(ring.mul(c, cc), coeff_f)
+                                val = vec_add(ring, val,
+                                              vec_scale(ring, scale, term))
+                        for bidx, bv in enumerate(val):
+                            if (bv):
+                                out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
+                    cols.append(tuple(out))
+    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    unit = [ring.zero] * carrier.rank
+    for bidx, bv in enumerate(B.algebra.unit):
+        for t in range(rH):
+            e = coalg.counit_scalar(b.carrier.basis_vector(t))
+            unit[bidx * rH + t] = ring.mul(bv, e)
+    return AlgebraData(carrier, mult, unit)
+
+
+def op_hat_smash(hopf, B):
+    """The #^op(H,B) structure constants, term by term (not validated)."""
+    b = bialgebra_of(hopf)
+    ring = b.ring
+    rH = b.rank
+    carrier = hom_module(b.carrier, B.algebra.carrier)
+    coalg = b.coalgebra
+    rB = B.algebra.rank
+    cols = []
+    for fi in range(rB):
+        for fj in range(rH):
+            for gi in range(rB):
+                for gj in range(rH):
+                    out = [ring.zero] * carrier.rank
+                    for t in range(rH):
+                        val = B.algebra.carrier.zero_vector()
+                        for c, (t1, t2) in coalg.sweedler_basis(t, 2):
+                            if t2 != fj:
+                                continue
+                            for b0, b1, cc in B.coact_sparse(fi):
+                                # f(h₂)₍₀₎ · g(h₁·f(h₂)₍₁₎)
+                                coeff_g = b.algebra.mult.matrix[gj][t1 * rH + b1]
+                                if not (coeff_g):
+                                    continue
+                                term = B.algebra.product(
+                                    B.algebra.carrier.basis_vector(b0),
+                                    B.algebra.carrier.basis_vector(gi))
+                                scale = ring.mul(ring.mul(c, cc), coeff_g)
+                                val = vec_add(ring, val,
+                                              vec_scale(ring, scale, term))
+                        for bidx, bv in enumerate(val):
+                            if (bv):
+                                out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
+                    cols.append(tuple(out))
+    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    return AlgebraData(carrier, mult, hat_smash(hopf, B).unit)
+
+
+def coordinate_smash(B, U, kind):
+    """B#U (kind RIGHT_SMASH) or B#^opU (OP_SMASH), every regular action,
+    ⋆-product and U-coordinate recomputed per term (not validated)."""
+    b = bialgebra_of(B.hopf)
+    ring = b.ring
+    rB, rU = B.algebra.rank, U.rank
+    carrier = tensor_module(B.algebra.carrier, U.module)
+    dual = U.dual_algebra
+    cols = []
+    for i in range(rB):
+        b_i = B.algebra.carrier.basis_vector(i)
+        for l in range(rU):
+            for k in range(rB):
+                for m in range(rU):
+                    out = [ring.zero] * carrier.rank
+                    if kind is SmashKind.RIGHT_SMASH:
+                        # Σ over ϱ(b̃): b·b̃₍₀₎ ⊗ (f·b̃₍₁₎)⋆f̃
+                        for b0, b1, c in B.coact_sparse(k):
+                            bpart = B.algebra.product(
+                                b_i, B.algebra.carrier.basis_vector(b0))
+                            moved = U.act_regular(l, b.carrier.basis_vector(b1))
+                            upart = dual.product(moved, U.element(m))
+                            _accumulate_smash(out, ring, c, bpart, upart, U, rU)
+                    else:
+                        # Σ over ϱ(b): b₍₀₎·b̃ ⊗ (b₍₁₎·f̃)⋆f
+                        for b0, b1, c in B.coact_sparse(i):
+                            bpart = B.algebra.product(
+                                B.algebra.carrier.basis_vector(b0),
+                                B.algebra.carrier.basis_vector(k))
+                            moved = U.act_regular(m, b.carrier.basis_vector(b1))
+                            upart = dual.product(moved, U.element(l))
+                            _accumulate_smash(out, ring, c, bpart, upart, U, rU)
+                    cols.append(tuple(out))
+    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
+    return AlgebraData(carrier, mult, unit)
+
+
+def _accumulate_smash(out, ring, c, bpart, upart_ambient, U, rU):
+    coords = U.express(upart_ambient)
+    if coords is None:
+        raise ValidationError("smash product left the span of U")
+    for bidx, bv in enumerate(bpart):
+        if not (bv):
+            continue
+        for uidx, uv in enumerate(coords):
+            if not (uv):
+                continue
+            pos = bidx * rU + uidx
+            out[pos] = ring.add(out[pos], ring.mul(ring.mul(c, bv), uv))
 
 
 # --- hypothesis strategies ---------------------------------------------------

@@ -22,6 +22,7 @@ from hopfdual.crossed import (
     opposite_crossed,
     smash_product_data,
     trivial_cocycle,
+    trivial_sigma,
     validate_cocycle,
 )
 from hopfdual.errors import NotConvInvertible, NotUnital
@@ -60,6 +61,37 @@ def test_trivial_cocycle_flags_and_self_inverse():
     c = trivial_cocycle(action)
     assert c.flags.all_true
     assert c.sigma_inv == c.sigma
+
+
+def test_trivial_sigma_is_unit_times_counits():
+    # σ(h⊗k) = ε(h)ε(k)·1_A on every basis pair, and trivial_cocycle wraps it
+    action = sweedler_module_action(QQ)
+    b, A = action.bialgebra, action.algebra
+    eps = b.coalgebra.counit.matrix[0]
+    sigma = trivial_sigma(action)
+    assert sigma.domain.rank == b.rank ** 2 and sigma.codomain.rank == A.rank
+    for p in range(b.rank):
+        for q in range(b.rank):
+            assert sigma.column(p * b.rank + q) == tuple(
+                QQ.mul(QQ.mul(eps[p], eps[q]), x) for x in A.unit)
+    assert trivial_cocycle(action).sigma == sigma
+
+
+def test_build_crossed_product_builds_its_table_once(monkeypatch):
+    import hopfdual.crossed as crossed
+
+    calls = []
+
+    def counted(action, sigma):
+        calls.append(sigma)
+        return crossed_table(action, sigma)
+
+    monkeypatch.setattr(crossed, "crossed_table", counted)
+    cp = gauss_crossed()
+    assert len(calls) == 1
+    assert cp.product_algebra.mult == crossed_table(cp.action, cp.cocycle.sigma)
+    assert direct_product_checks(cp.action, cp.cocycle.sigma) == (True, True)
+    assert len(calls) == 2
 
 
 def test_gauss_cocycle_is_its_own_inverse():

@@ -3,7 +3,12 @@ import pytest
 
 import dense_oracle
 from hopfdual import catalog
-from hopfdual.actions import regular_comodule, trivial_action
+from hopfdual.actions import (
+    WeakActionData,
+    regular_comodule,
+    trivial_action,
+    validate_weak_action,
+)
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
@@ -54,6 +59,7 @@ from hopfdual.hopf import (
     convolution_invert,
     endomorphism_algebra,
     ensure_hopf,
+    matrix_algebra,
 )
 from hopfdual.linalg import (
     LinearMap,
@@ -63,6 +69,8 @@ from hopfdual.linalg import (
     kron_vec,
     map_to_vec,
     tensor_module,
+    vec_add,
+    vec_scale,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
@@ -443,6 +451,50 @@ def sweedler_coboundary_Q():
     return build_crossed_product(action, validate_cocycle(action, sigma))
 
 
+def m2_gauge_twisted_Q():
+    """Q[C₂] on M₂(Q), gauge-twisted by the normalised u with u(1) = 1 and
+    u(g) = [[1,1],[0,1]]: h·a = Σ u(h₁)·a·u⁻¹(h₂) and σ(h⊗k) =
+    Σ u(h₁)u(k₁)u⁻¹(h₂k₂).  So σ(g⊗g) = [[1,2],[0,1]] is not central: a
+    nontrivial σ on a noncommutative A."""
+    h = group_algebra(QQ, 2)
+    A = matrix_algebra(QQ, 2)
+    co = h.coalgebra
+    rH, rA = h.rank, A.rank
+    u = [A.unit, A.carrier.vector([1, 1, 0, 1])]
+    u_flat = tuple(u[j][i] for i in range(rA) for j in range(rH))
+    inv = convolution_invert(ConvolutionAlgebra(co, A), u_flat)
+    u_inv = [tuple(inv[i * rH + j] for i in range(rA)) for j in range(rH)]
+
+    def act(p, a):
+        total = A.carrier.zero_vector()
+        for c, (p1, p2) in co.sweedler_basis(p, 2):
+            total = vec_add(QQ, total, vec_scale(
+                QQ, c, A.product_many(u[p1], A.carrier.basis_vector(a), u_inv[p2])))
+        return total
+
+    def sigma_col(p, q):
+        total = A.carrier.zero_vector()
+        for c1, (p1, p2) in co.sweedler_basis(p, 2):
+            for c2, (q1, q2) in co.sweedler_basis(q, 2):
+                pq = h.algebra.product(h.carrier.basis_vector(p2),
+                                       h.carrier.basis_vector(q2))
+                inv_pq = A.carrier.zero_vector()
+                for t, x in enumerate(pq):
+                    inv_pq = vec_add(QQ, inv_pq, vec_scale(QQ, x, u_inv[t]))
+                total = vec_add(QQ, total, vec_scale(
+                    QQ, c1 * c2, A.product_many(u[p1], u[q1], inv_pq)))
+        return total
+
+    action = WeakActionData(h, A, LinearMap.from_columns(
+        tensor_module(h.carrier, A.carrier), A.carrier,
+        [act(p, a) for p in range(rH) for a in range(rA)]))
+    validate_weak_action(action).require()
+    sigma = LinearMap.from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
+                                   [sigma_col(p, q) for p in range(rH) for q in range(rH)])
+    assert sigma.column(3) == (1, 2, 0, 1)  # σ(g⊗g)
+    return build_crossed_product(action, validate_cocycle(action, sigma))
+
+
 def sweedler_terms(cp, legs):
     co = ensure_hopf(cp.action.hopf).coalgebra
     return sum(len(co.sweedler_basis(t, legs)) for t in range(co.rank))
@@ -462,6 +514,7 @@ ORACLE_CASES = {
     "sweedler4_Q": lambda: sweedler_smash("sweedler4_Q"),
     "sweedler4_smash_Z3": lambda: catalog.get("sweedler4_smash_Z3").payload,
     "gauss": lambda: catalog.get("gauss").payload,
+    "m2_gauge_twisted_Q": m2_gauge_twisted_Q,
     "sweedler_coboundary_Q": sweedler_coboundary_Q,
     "sweedler_Z3_rebased": rebased_sweedler_Z3,
 }

@@ -341,3 +341,75 @@ def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
     want = dense.convolve(c, a, f, g)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# --- the associativity certificate against the sparse-dict products ----------
+# Associative tables (known algebras in a random unitriangular basis) with an
+# optional wrong entry, and wholly random tables; the unit is kept or redrawn.
+
+
+def associative_table(data, ring):
+    base = data.draw(st.sampled_from([
+        lambda: ground_algebra(ring),
+        lambda: group_algebra(ring, 3, validate=False).algebra,
+        lambda: matrix_algebra(ring, 2),
+        lambda: sweedler_hopf(ring, validate=False).algebra,
+        lambda: tensor_algebra(group_algebra(ring, 2, validate=False).algebra,
+                               group_algebra(ring, 2, validate=False).algebra),
+    ]))()
+    r = base.rank
+    carrier = dense.module(ring, r, "e")
+    P = LinearMap(carrier, carrier, [
+        [ring.one if i == j else data.draw(dense.elements(ring)) if i < j
+         else ring.zero for j in range(r)] for i in range(r)])
+    Pi = invert_map(P)
+    mult = Pi @ base.mult @ kron(P, P)
+    return AlgebraData(carrier, LinearMap(mult.domain, carrier, mult.matrix),
+                       Pi.apply(base.unit))
+
+
+def with_wrong_entry(data, alg):
+    rows = [list(row) for row in alg.mult.matrix]
+    i = data.draw(st.integers(0, alg.rank - 1))
+    j = data.draw(st.integers(0, alg.rank ** 2 - 1))
+    rows[i][j] = data.draw(dense.elements(alg.ring))
+    return AlgebraData(alg.carrier, LinearMap(alg.mult.domain, alg.carrier, rows),
+                       alg.unit)
+
+
+def record_tuples(rep):
+    return [(r.check_id, r.statement, r.passed, r.witness) for r in rep.records]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(dense.RINGS), st.data())
+def test_validate_matches_the_sparse_dict_products(ring, data):
+    intact = data.draw(st.booleans())
+    if intact:
+        alg = associative_table(data, ring)
+        if data.draw(st.booleans()):
+            alg, intact = with_wrong_entry(data, alg), False
+    else:
+        alg = random_algebra(data, ring, data.draw(st.integers(1, 4)), "a")
+    if data.draw(st.booleans()):
+        alg, intact = AlgebraData(alg.carrier, alg.mult,
+                                  dense.draw_vector(data, ring, alg.rank)), False
+    got = alg.validate("subject")
+    assert got.subject == "subject"
+    assert record_tuples(got) == record_tuples(dense.validate_algebra(alg, "subject"))
+    if intact:
+        assert got.ok
+
+
+def test_validate_reports_the_first_failing_triple():
+    # e·e = 0 instead of e in the rank-2 group algebra: the first failing
+    # triple in (i, j, k) order is (e, e, g), and 1·e ≠ e breaks the unit law
+    alg = group_algebra(ZZ, 2, validate=False).algebra
+    rows = [list(row) for row in alg.mult.matrix]
+    rows[0][0] = 0
+    broken = AlgebraData(alg.carrier, LinearMap(alg.mult.domain, alg.carrier, rows),
+                         alg.unit)
+    rep = broken.validate()
+    assert record_tuples(rep) == record_tuples(dense.validate_algebra(broken))
+    assert [(r.check_id, r.passed, r.witness) for r in rep.records] == [
+        ("algebra.assoc", False, "(e,e,g)"), ("algebra.unit", False, "e")]

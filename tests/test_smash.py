@@ -1,6 +1,8 @@
 """Smash-type algebras and the left/right smash comparison."""
 import pytest
 
+import dense_oracle as dense
+from hopfdual import catalog
 from hopfdual.actions import ComoduleAlgebraData, regular_comodule, trivial_action
 from hopfdual.catalog import (
     ground_algebra,
@@ -11,7 +13,7 @@ from hopfdual.catalog import (
 )
 from hopfdual.crossed import crossed_table, trivial_cocycle
 from hopfdual.errors import SideMismatch, ValidationError
-from hopfdual.hopf import ConvolutionAlgebra, tensor_algebra
+from hopfdual.hopf import ConvolutionAlgebra, ensure_hopf, tensor_algebra
 from hopfdual.linalg import LinearMap, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
@@ -26,6 +28,7 @@ from hopfdual.smash import (
     right_smash,
     smash_compare,
 )
+from test_duality import rebased_sweedler_Z3
 
 
 def trivial_comodule(h, algebra):
@@ -194,3 +197,55 @@ def test_hit_action_of_dual_validates():
 ])
 def test_smash_compare(make):
     assert smash_compare(make()).ok
+
+
+# --- the index-arithmetic builders against the term-by-term oracles ----------
+
+# crossed product and U span (None: all of H*).  U = span{ε, α} of the two
+# characters of Sweedler's algebra is a proper ⋆- and action-closed summand;
+# the rebased Sweedler algebra has coproduct, coaction and product constants
+# other than 0 and 1.
+BUILDER_CASES = {
+    "sweedler4_smash_Q": (lambda: catalog.get("sweedler4_smash_Q").payload, None),
+    "gauss": (lambda: catalog.get("gauss").payload, None),
+    "m2_conj_smash": (lambda: catalog.get("m2_conj_smash").payload, None),
+    "sweedler4_smash_Q_characters": (lambda: catalog.get("sweedler4_smash_Q").payload,
+                                     [(1, 1, 0, 0), (1, -1, 0, 0)]),
+    "sweedler_Z3_rebased": (rebased_sweedler_Z3, None),
+}
+
+
+def assert_same_algebra(got, want):
+    dense.assert_bit_identical(got.mult, want.mult)
+    assert got.unit == want.unit
+    assert [type(x) for x in got.unit] == [type(x) for x in want.unit]
+
+
+@pytest.mark.parametrize("side", list(ModuleSide))
+@pytest.mark.parametrize("name", sorted(BUILDER_CASES))
+def test_coordinate_smash_matches_the_term_by_term_oracle(name, side):
+    make, span = BUILDER_CASES[name]
+    cp = make()
+    h = ensure_hopf(cp.action.hopf)
+    U = (SubalgebraU.full_dual(h, side) if span is None
+         else SubalgebraU(h, span, side))
+    if span is not None:
+        assert U.rank < h.rank
+    build, kind = ((right_smash, SmashKind.RIGHT_SMASH) if side is ModuleSide.RIGHT
+                   else (op_smash, SmashKind.OP_SMASH))
+    got = build(cp.comodule, U)
+    assert got.kind is kind
+    assert_same_algebra(got.product, dense.coordinate_smash(cp.comodule, U, kind))
+
+
+@pytest.mark.parametrize("regular", [False, True])
+@pytest.mark.parametrize("name", ["gauss", "m2_conj_smash", "sweedler4_smash_Q",
+                                  "sweedler_Z3_rebased"])
+def test_hom_smashes_match_the_term_by_term_oracles(name, regular):
+    cp = BUILDER_CASES[name][0]()
+    h = ensure_hopf(cp.action.hopf)
+    B = regular_comodule(h) if regular else cp.comodule
+    hat, ophat = hat_smash(h, B), op_hat_smash(h, B)
+    assert (hat.kind, ophat.kind) == (SmashKind.HAT_HB, SmashKind.OP_HAT_HB)
+    assert_same_algebra(hat.product, dense.hat_smash(h, B))
+    assert_same_algebra(ophat.product, dense.op_hat_smash(h, B))
