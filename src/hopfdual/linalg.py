@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch
 from .rings import Elem, ModularRing, RationalRing, Ring
@@ -213,13 +213,6 @@ class LinearMap:
         rows = [[col[i] for col in cols] for i in range(codomain.rank)]
         return LinearMap(domain, codomain, rows)
 
-    @staticmethod
-    def from_function(
-        domain: FreeModule, codomain: FreeModule, fn: Callable[[int], Vector]
-    ) -> "LinearMap":
-        """Build a map from its values on the domain basis."""
-        return LinearMap.from_columns(domain, codomain, [fn(j) for j in range(domain.rank)])
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
 
@@ -350,6 +343,17 @@ def kron_column(fcol, gcol, rank: int, mul) -> list:
     is the codomain rank of g: u_i1·v_i2 sits at row i1·rank + i2."""
     return [(i1 * rank + i2, ab) for i1, a in fcol for i2, b in gcol
             if (ab := mul(a, b))]
+
+
+def combine_columns(ring, rank, terms):
+    """Σ c·col over (col, c) in ``terms``, each col a sparse column: the
+    sparse vector of length ``rank``, zeros dropped."""
+    mul, add = ring.mul, ring.add
+    out = [ring.zero] * rank
+    for col, c in terms:
+        for t, x in col:
+            out[t] = add(out[t], mul(c, x))
+    return [(t, x) for t, x in enumerate(out) if x]
 
 
 def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:

@@ -10,19 +10,20 @@ U of the dual:
 U carries the regular H-action of its declared side and all closure data is
 witnessed by solved coefficient tables at construction time.
 
-#(H,B), #^op(H,B), B#U and B#^opU are built by index arithmetic on the sparse
-multiplication tables and the coaction: each factor that depends on only some
-of the column indices (the Sweedler-and-coaction coefficients of a basis map of
-Hom(H,B), the U-coordinates of (u_l·h)⋆u_m) is computed once per call, and
-every column is a sum of table entries.  Every builder then certifies its
-result with ``AlgebraData.validate``, whose associativity check is index
-arithmetic on the same sparse table.
+#(H,B), #^op(H,B), B#U, B#^opU and A#H are built by index arithmetic on the
+sparse multiplication, action and coaction tables: each factor that depends on
+only some of the column indices (the Sweedler-and-coaction coefficients of a
+basis map of Hom(H,B), the U-coordinates of (u_l·h)⋆u_m, a_i(h₁·a_k)) is
+computed once per call, and every column is a sum of table entries.  Every
+builder then certifies its result with ``AlgebraData.validate``, whose
+associativity check is index arithmetic on the same sparse table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import product
 
 from .actions import (
     ComoduleAlgebraData,
@@ -33,7 +34,7 @@ from .actions import (
     validate_weak_action,
 )
 from .catalog import ground_algebra
-from .crossed import crossed_table, trivial_cocycle
+from .crossed import crossed_table, trivial_sigma, twisted_module_identity
 from .errors import SideMismatch, ValidationError
 from .hopf import (
     AlgebraData,
@@ -47,6 +48,7 @@ from .hopf import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    combine_columns,
     dual_module,
     hom_module,
     kron_vec,
@@ -280,37 +282,48 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
 
 
 def left_smash(action: WeakActionData) -> SmashAlgebra:
-    """A#H for a genuine module-algebra action (twisted module with trivial σ);
-    bit-identical to the crossed product with trivial cocycle."""
-    cocycle = trivial_cocycle(action)
-    if not cocycle.flags.twisted_module:
+    """A#H for a genuine module-algebra action (the twisted-module identity
+    with σ = η∘(ε⊗ε)); bit-identical to the crossed product with that σ.
+
+    By index arithmetic: column (a_i#h_j)(a_k#h_l) sums a_i(h₁·a_k) # h₂h_l,
+    where Σ c·h₂h_l is tabulated once per (j, l, h₁) and a_i(h₁·a_k) once per
+    (i, h₁, k) from the sparse action and multiplication tables."""
+    sigma = trivial_sigma(action)
+    if not twisted_module_identity(action, sigma):
         raise ValidationError("left smash requires a module-algebra action")
     b = action.bialgebra
     A = action.algebra
     ring = action.ring
+    mul, add = ring.mul, ring.add
     rH, rA = b.rank, A.rank
     carrier = tensor_module(A.carrier, b.carrier)
-    coalg = b.coalgebra
+    hmul = b.algebra.mult.sparse_columns()
+    amul = A.mult.sparse_columns()
+    act = action.action.sparse_columns()
+
+    def terms(j, l):  # h₁ ↦ Σ c·h₂h_l over Δ(h_j) = Σ c·h₁⊗h₂
+        by_h1 = {}
+        for c, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
+            by_h1.setdefault(h1, []).append((hmul[h2 * rH + l], c))
+        return [(h1, combine_columns(ring, rH, t)) for h1, t in by_h1.items()]
+
+    @cache
+    def apart(i, h1, k):  # a_i·(h₁·a_k)
+        return combine_columns(ring, rA, ((amul[i * rA + s], c)
+                                          for s, c in act[h1 * rA + k]))
+
+    table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
     cols = []
-    for i in range(rA):
-        a_i = A.carrier.basis_vector(i)
-        for j in range(rH):
-            for k in range(rA):
-                a_k = A.carrier.basis_vector(k)
-                for l in range(rH):
-                    out = [ring.zero] * carrier.rank
-                    for c, (h1, h2) in coalg.sweedler_basis(j, 2):
-                        apart = A.product(a_i, action.act_basis(h1, a_k))
-                        for hidx, hc in b.algebra.basis_product(h2, l):
-                            cc = ring.mul(c, hc)
-                            for aidx, av in enumerate(apart):
-                                if not (av):
-                                    continue
-                                pos = aidx * rH + hidx
-                                out[pos] = ring.add(out[pos], ring.mul(cc, av))
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
-    if mult != crossed_table(action, cocycle.sigma):
+    for i, j, k, l in product(range(rA), range(rH), range(rA), range(rH)):
+        out = [ring.zero] * carrier.rank
+        for h1, hx in table[j][l]:
+            for t, av in apart(i, h1, k):
+                for x, hc in hx:
+                    pos = t * rH + x
+                    out[pos] = add(out[pos], mul(av, hc))
+        cols.append([(pos, v) for pos, v in enumerate(out) if v])
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
+    if mult != crossed_table(action, sigma):
         raise ValidationError(
             "left smash disagrees with the trivial-cocycle crossed product")
     alg = AlgebraData(carrier, mult,

@@ -9,6 +9,7 @@ from .actions import (
     coinvariants,
     coinvariants_form_subalgebra,
     regular_comodule,
+    trivial_action,
     validate_weak_action,
 )
 from .catalog import CatalogEntry, ground_algebra
@@ -20,6 +21,7 @@ from .crossed import (
     direct_product_checks,
     integral_from_crossed,
     opposite_crossed,
+    smash_product_data,
     trivial_sigma,
 )
 from .duality import (
@@ -37,14 +39,17 @@ from .duality import (
 from .errors import HopfdualError, ValidationError
 from .hopf import (
     ConvolutionAlgebra,
+    algebra_morphism_witness,
     certify_algebra_iso,
+    compute_antipode,
     convolution_invert,
     dual_hopf,
     endomorphism_algebra,
     ensure_hopf,
+    tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import LinearMap, invert_map, submodule_membership
+from .linalg import LinearMap, invert_map, kron, kron_vec, submodule_membership
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -100,8 +105,6 @@ def run_hopf_suite(entry: CatalogEntry) -> ValidationReport:
     rep.extend(validate_hopf(h, f"{entry.name}"))
 
     def antipode_recomputed():
-        from .hopf import compute_antipode
-
         return compute_antipode(h.bialgebra) == h.antipode
 
     _timed(rep, "hopf.antipode_recomputed",
@@ -148,8 +151,9 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
            "agree with the cocycle flags in both directions", biconditional)
 
     def inverse_recomputed():
+        b = cp.action.bialgebra
         hh_coalg_conv = ConvolutionAlgebra(
-            __tensor_coalg(cp), cp.action.algebra)
+            tensor_coalgebra(b.coalgebra, b.coalgebra), cp.action.algebra)
         flat = tuple(x for row in cp.cocycle.sigma.matrix for x in row)
         inv = convolution_invert(hh_coalg_conv, flat)
         return inv == tuple(x for row in cp.cocycle.sigma_inv.matrix for x in row)
@@ -164,8 +168,6 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
             return False
         b = cp.action.bialgebra
         ring = cp.ring
-        from .linalg import kron_vec
-
         expected = [kron_vec(ring, cp.action.algebra.carrier.basis_vector(i),
                              b.algebra.unit)
                     for i in range(cp.action.algebra.rank)]
@@ -180,13 +182,6 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
     _timed(rep, "crossed.coinvariants", "the coinvariants equal A⊗1 and form "
            "a subalgebra", coinvariants_ok)
     return rep
-
-
-def __tensor_coalg(cp: CrossedProductData):
-    from .hopf import tensor_coalgebra
-
-    b = cp.action.bialgebra
-    return tensor_coalgebra(b.coalgebra, b.coalgebra)
 
 
 def run_smash_suite(entry: CatalogEntry) -> ValidationReport:
@@ -229,8 +224,6 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
     full_u = entry.u_span is None
 
     def lambda_iso():
-        from .hopf import algebra_morphism_witness
-
         lam = lambda_map(h, U)
         lamb = lambda_bar_map(h, UL)
         end = endomorphism_algebra(h.carrier)
@@ -255,9 +248,6 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
            and True)
     cp = _crossed_of(entry)
     if cp is None:
-        from .actions import trivial_action
-        from .crossed import smash_product_data
-
         cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
     A = cp.action.algebra
     _timed(rep, "duality.epsilon", "ε/ε⁻¹ and the barred pair round-trip and "
@@ -348,8 +338,6 @@ def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
         U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
         direct = duality_iso(cp, U, DiagramSide.RIGHT)
         ext = crossed_from_integral(cleft)
-        from .linalg import kron
-
         transport = kron(ext.iso.inverse, LinearMap.identity(U.module))
         b_smash = right_smash(cleft.comodule_algebra, U)
         routed = LinearMap(b_smash.carrier, direct.map.codomain,

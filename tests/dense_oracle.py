@@ -18,12 +18,19 @@ whole products: two sparse-dict products per basis triple, and every
 B-product, regular action, ⋆-product and U-coordinate recomputed for every
 term.  ``test_hopf.py`` and ``test_smash.py`` require the index-arithmetic
 kernels to agree with them (records and witnesses; entries and entry types).
+
+``normality``, ``cocycle_identity``, ``twisted_module_identity`` (together
+``cocycle_flags``), ``crossed_table`` and ``left_smash_table`` are the
+crossed-product identities and tables with one dense A-product, action and
+σ-evaluation per Sweedler term; ``test_crossed.py`` and ``test_smash.py``
+require the index-arithmetic kernels to agree with them.
 """
 from hypothesis import strategies as st
 
+from hopfdual.crossed import CocycleFlags
 from hopfdual.duality import DiagramSide, end_rep_module
 from hopfdual.errors import ValidationError
-from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf
+from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf, expand_sparse
 from hopfdual.linalg import (
     LinearMap,
     free_module,
@@ -486,6 +493,182 @@ def _accumulate_smash(out, ring, c, bpart, upart_ambient, U, rU):
                 continue
             pos = bidx * rU + uidx
             out[pos] = ring.add(out[pos], ring.mul(ring.mul(c, bv), uv))
+
+
+# --- the crossed layer, term by term -------------------------------------------
+
+
+def _sigma_basis(sigma, rH, rA, ring, i, j):
+    return expand_sparse(sigma.sparse_columns()[i * rH + j], rA, ring)
+
+
+def normality(action, sigma):
+    """σ(h⊗1) = ε(h)1_A = σ(1⊗h) on every basis h."""
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    eps = b.coalgebra.counit_scalar
+    one_h = b.algebra.unit
+
+    def sig(u, v):
+        return sigma.apply(kron_vec(ring, u, v))
+
+    for i in range(b.rank):
+        h = b.carrier.basis_vector(i)
+        want = vec_scale(ring, eps(h), A.unit)
+        if sig(h, one_h) != want or sig(one_h, h) != want:
+            return False
+    return True
+
+
+def cocycle_identity(action, sigma):
+    """Σ [h₁σ(k₁⊗l₁)]·σ(h₂⊗k₂l₂) = Σ σ(h₁⊗k₁)·σ(h₂k₂⊗l) on every basis
+    triple, one dense product per Sweedler term."""
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    rH, rA = b.rank, A.rank
+    coalg = b.coalgebra
+
+    def sig(u, v):
+        return sigma.apply(kron_vec(ring, u, v))
+
+    for i in range(rH):
+        for j in range(rH):
+            for k in range(rH):
+                lhs = A.carrier.zero_vector()
+                for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
+                    for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
+                        for cl, (l1, l2) in coalg.sweedler_basis(k, 2):
+                            c = ring.mul(ring.mul(ch, ck), cl)
+                            skl = _sigma_basis(sigma, rH, rA, ring, k1, l1)
+                            t1 = action.act_basis(h1, skl)
+                            k2l2 = expand_sparse(b.algebra.basis_product(k2, l2),
+                                                 rH, ring)
+                            t2 = sig(b.carrier.basis_vector(h2), k2l2)
+                            lhs = vec_add(ring, lhs,
+                                          vec_scale(ring, c, A.product(t1, t2)))
+                if lhs != _cocycle_rhs(action, sigma, i, j, k):
+                    return False
+    return True
+
+
+def _cocycle_rhs(action, sigma, i, j, k):
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    rH, rA = b.rank, A.rank
+    coalg = b.coalgebra
+    rhs = A.carrier.zero_vector()
+    for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
+        for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
+            c = ring.mul(ch, ck)
+            s1 = _sigma_basis(sigma, rH, rA, ring, h1, k1)
+            h2k2 = expand_sparse(b.algebra.basis_product(h2, k2), rH, ring)
+            s2 = sigma.apply(kron_vec(ring, h2k2, b.carrier.basis_vector(k)))
+            rhs = vec_add(ring, rhs, vec_scale(ring, c, A.product(s1, s2)))
+    return rhs
+
+
+def twisted_module_identity(action, sigma):
+    """Σ h₁·(k₁·a)·σ(h₂⊗k₂) = Σ σ(h₁⊗k₁)·((h₂k₂)·a) on every basis (h, k, a)."""
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    rH, rA = b.rank, A.rank
+    coalg = b.coalgebra
+    for i in range(rH):
+        for j in range(rH):
+            for t in range(rA):
+                a = A.carrier.basis_vector(t)
+                lhs = A.carrier.zero_vector()
+                rhs = A.carrier.zero_vector()
+                for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
+                    for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
+                        c = ring.mul(ch, ck)
+                        t1 = action.act_basis(h1, action.act_basis(k1, a))
+                        s12 = _sigma_basis(sigma, rH, rA, ring, h2, k2)
+                        lhs = vec_add(ring, lhs,
+                                      vec_scale(ring, c, A.product(t1, s12)))
+                        s1 = _sigma_basis(sigma, rH, rA, ring, h1, k1)
+                        h2k2 = expand_sparse(b.algebra.basis_product(h2, k2), rH, ring)
+                        t2 = action.act(h2k2, a)
+                        rhs = vec_add(ring, rhs,
+                                      vec_scale(ring, c, A.product(s1, t2)))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def cocycle_flags(action, sigma):
+    return CocycleFlags(normality(action, sigma), cocycle_identity(action, sigma),
+                        twisted_module_identity(action, sigma))
+
+
+def crossed_table(action, sigma):
+    """(a#h)(ã#h̃) = Σ a(h₁ã)σ(h₂⊗h̃₁) # h₃h̃₂, two dense A-products and one
+    action per Sweedler term."""
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    rH, rA = b.rank, A.rank
+    carrier = tensor_module(A.carrier, b.carrier)
+    coalg = b.coalgebra
+    rB = carrier.rank
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            for k in range(rA):
+                a_k = A.carrier.basis_vector(k)
+                for l in range(rH):
+                    out = [ring.zero] * rB
+                    for ch, (h1, h2, h3) in coalg.sweedler_basis(j, 3):
+                        for cl, (l1, l2) in coalg.sweedler_basis(l, 2):
+                            c = ring.mul(ch, cl)
+                            apart = A.product(
+                                A.product(a_i, action.act_basis(h1, a_k)),
+                                _sigma_basis(sigma, rH, rA, ring, h2, l1))
+                            for hidx, hc in b.algebra.basis_product(h3, l2):
+                                cc = ring.mul(c, hc)
+                                for aidx, ac in enumerate(apart):
+                                    if not (ac):
+                                        continue
+                                    pos = aidx * rH + hidx
+                                    out[pos] = ring.add(out[pos],
+                                                        ring.mul(cc, ac))
+                    cols.append(tuple(out))
+    return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+
+
+def left_smash_table(action):
+    """(a#h)(ã#h̃) = Σ a(h₁ã) # h₂h̃, one dense A-product and one action per
+    Sweedler term (the multiplication only: not compared, not validated)."""
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    rH, rA = b.rank, A.rank
+    carrier = tensor_module(A.carrier, b.carrier)
+    coalg = b.coalgebra
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            for k in range(rA):
+                a_k = A.carrier.basis_vector(k)
+                for l in range(rH):
+                    out = [ring.zero] * carrier.rank
+                    for c, (h1, h2) in coalg.sweedler_basis(j, 2):
+                        apart = A.product(a_i, action.act_basis(h1, a_k))
+                        for hidx, hc in b.algebra.basis_product(h2, l):
+                            cc = ring.mul(c, hc)
+                            for aidx, av in enumerate(apart):
+                                if not (av):
+                                    continue
+                                pos = aidx * rH + hidx
+                                out[pos] = ring.add(out[pos], ring.mul(cc, av))
+                    cols.append(tuple(out))
+    return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
 # --- hypothesis strategies ---------------------------------------------------

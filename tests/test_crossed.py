@@ -1,7 +1,18 @@
 """Crossed products, cocycle flags, cleft round trips, opposite products."""
-import pytest
+import functools
 
-from hopfdual.actions import action_from_endomorphisms, trivial_action
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import dense_oracle as dense
+from hopfdual import catalog
+from hopfdual.actions import (
+    WeakActionData,
+    action_from_endomorphisms,
+    trivial_action,
+    validate_weak_action,
+)
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
@@ -9,6 +20,7 @@ from hopfdual.catalog import (
     swap_action_data,
     sweedler_hopf,
     sweedler_module_action,
+    truncated_polynomial_algebra,
 )
 from hopfdual.crossed import (
     CleftData,
@@ -23,12 +35,24 @@ from hopfdual.crossed import (
     smash_product_data,
     trivial_cocycle,
     trivial_sigma,
+    twisted_module_identity,
     validate_cocycle,
 )
 from hopfdual.errors import NotConvInvertible, NotUnital
-from hopfdual.hopf import ConvolutionAlgebra, convolution_invert, tensor_algebra
-from hopfdual.linalg import LinearMap, kron_vec, tensor_module
+from hopfdual.hopf import (
+    AlgebraData,
+    BialgebraData,
+    CoalgebraData,
+    ConvolutionAlgebra,
+    HopfData,
+    convolution_invert,
+    matrix_algebra,
+    tensor_algebra,
+)
+from hopfdual.linalg import LinearMap, invert_map, kron, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
+from hopfdual.smash import hit_action_of_dual
+from test_duality import m2_gauge_twisted_Q, rebased_sweedler_Z3, sweedler_coboundary_Q
 
 
 def sigma_with_gg(action, value):
@@ -365,3 +389,189 @@ def test_cleft_maps_gauss_value():
     # = (σ(g⊗g)#1) = -1.
     col = phi.column(1 * 1 + 0)  # h=g, a=1
     assert col[1] == -1  # value at h̃ = g
+
+
+# --- the index-arithmetic crossed layer against the term-by-term oracles -------
+
+
+def _catalog_crossed(name):
+    cp = catalog.get(name).payload
+    return cp.action, cp.cocycle.sigma
+
+
+def _hit_of_dual(name):
+    action = hit_action_of_dual(catalog.get(name).hopf_data())
+    return action, trivial_sigma(action)
+
+
+def _oracle_case(make):
+    cp = make()
+    return cp.action, cp.cocycle.sigma
+
+
+def gauss_rebased():
+    """The Gaussian twisted product with Z[C₂] in the basis f₀ = e + g,
+    f₁ = g: the unit of H is f₀ - f₁, Δ(f₀) = f₀⊗f₀ - f₀⊗f₁ - f₁⊗f₀ + 2f₁⊗f₁
+    and ε(f₀) = 2, so the flags read unit, Δ- and ε-coefficients other than 1."""
+    h = group_algebra(ZZ, 2)
+    H = h.carrier
+    P = LinearMap(H, H, [[1, 0], [1, 1]])
+    Pi = invert_map(P)
+    rebased = HopfData(
+        BialgebraData(
+            AlgebraData(H, Pi @ h.algebra.mult @ kron(P, P), Pi.apply(h.algebra.unit)),
+            CoalgebraData(H, kron(Pi, Pi) @ h.coalgebra.comult @ P,
+                          h.coalgebra.counit @ P)),
+        Pi @ h.antipode @ P, Pi @ h.twisted_antipode @ P)
+    rebased.validate().require()
+    action = trivial_action(rebased, ground_algebra(ZZ))
+    gauss = sigma_with_gg(trivial_action(h, ground_algebra(ZZ)), -1)
+    sigma = LinearMap(gauss.domain, gauss.codomain, (gauss @ kron(P, P)).matrix)
+    assert rebased.algebra.unit == (1, -1)
+    return action, sigma
+
+
+def m2_gauge_twisted_C3():
+    """Q[C₃] on M₂(Q) gauge-twisted by u(1) = 1, u(g) = U = [[1,1],[0,1]],
+    u(g²) = V = [[1,0],[1,1]]: h·a = u(h)·a·u(h)⁻¹, σ(h⊗k) = u(h)u(k)u(hk)⁻¹.
+    At (g, g, g) the two factors of each side of the cocycle identity are
+    g·σ(g⊗g) = U³V⁻¹U⁻¹ and σ(g⊗g²) = UV, which do not commute."""
+    h = group_algebra(QQ, 3)
+    A = matrix_algebra(QQ, 2)
+    u = [A.unit, A.carrier.vector([1, 1, 0, 1]), A.carrier.vector([1, 0, 1, 1])]
+    u_inv = [A.unit, A.carrier.vector([1, -1, 0, 1]), A.carrier.vector([1, 0, -1, 1])]
+    assert all(A.product(x, y) == A.unit for x, y in zip(u, u_inv))
+
+    def act(p, a):
+        return A.product_many(u[p], A.carrier.basis_vector(a), u_inv[p])
+
+    def sigma_col(p, q):
+        return A.product_many(u[p], u[q], u_inv[(p + q) % 3])
+
+    action = WeakActionData(h, A, LinearMap.from_columns(
+        tensor_module(h.carrier, A.carrier), A.carrier,
+        [act(p, a) for p in range(3) for a in range(A.rank)]))
+    validate_weak_action(action).require()
+    sigma = LinearMap.from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
+                                   [sigma_col(p, q) for p in range(3) for q in range(3)])
+    return action, sigma
+
+
+def doubling_weak_action():
+    """Z[C₂] on Z[y]/(y²) by g·y = 2y with σ = η∘(ε⊗ε): a weak action whose
+    twisted-module identity holds at a = 1 and fails only at a = y."""
+    h = group_algebra(ZZ, 2)
+    a = truncated_polynomial_algebra(ZZ)
+    double = LinearMap(a.carrier, a.carrier, [[1, 0], [0, 2]])
+    action = action_from_endomorphisms(h, a, [LinearMap.identity(a.carrier), double])
+    validate_weak_action(action).require()
+    return action, trivial_sigma(action)
+
+
+# (action, σ): every catalog crossed entry, the hit action of the dual of every
+# catalog Hopf algebra with σ = η∘(ε⊗ε), the test-only duality cases with a
+# nontrivial σ on a noncommutative A (m2_gauge_twisted_Q), on a
+# non-cocommutative H (sweedler_coboundary_Q) and in a rebased basis, and the
+# three cases above
+CROSSED_CASES = {
+    **{name: functools.partial(_catalog_crossed, name)
+       for name, kind, _ in catalog.list_entries() if kind == "crossed"},
+    **{f"{name}_hit": functools.partial(_hit_of_dual, name)
+       for name, kind, _ in catalog.list_entries() if kind == "hopf"},
+    "m2_gauge_twisted_Q": functools.partial(_oracle_case, m2_gauge_twisted_Q),
+    "sweedler_coboundary_Q": functools.partial(_oracle_case, sweedler_coboundary_Q),
+    "sweedler_Z3_rebased": functools.partial(_oracle_case, rebased_sweedler_Z3),
+    "gauss_rebased": gauss_rebased,
+    "m2_gauge_twisted_C3": m2_gauge_twisted_C3,
+    "doubling_weak_action": doubling_weak_action,
+}
+
+
+@functools.cache
+def crossed_case(name):
+    return CROSSED_CASES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(CROSSED_CASES))
+def test_crossed_layer_matches_the_term_by_term_oracles(name):
+    action, sigma = crossed_case(name)
+    dense.assert_bit_identical(crossed_table(action, sigma),
+                               dense.crossed_table(action, sigma))
+    flags = cocycle_flags(action, sigma)
+    assert flags == dense.cocycle_flags(action, sigma)
+    assert twisted_module_identity(action, sigma) is flags.twisted_module
+
+
+@pytest.mark.parametrize("name", ["m2_gauge_twisted_Q", "m2_gauge_twisted_C3"])
+def test_the_flags_see_a_nontrivial_sigma(name):
+    # a normal 2-cocycle on a noncommutative A: the twisted-module identity
+    # holds for (action, σ) but not for the same action with σ = η∘(ε⊗ε)
+    action, sigma = crossed_case(name)
+    assert cocycle_flags(action, sigma).all_true
+    assert not twisted_module_identity(action, trivial_sigma(action))
+    assert not dense.twisted_module_identity(action, trivial_sigma(action))
+
+
+def test_rebased_gauss_is_a_crossed_product():
+    action, sigma = crossed_case("gauss_rebased")
+    cp = build_crossed_product(action, validate_cocycle(action, sigma))
+    assert cp.cocycle.flags.all_true
+
+
+# one σ value changed: (case, column p·rH + q of σ(h_p⊗h_q), new value, flags).
+# On the rebased Sweedler case only its Δ-coefficients other than 1 tell the
+# flags apart; on gauss σ(g⊗e) and σ(e⊗g) each break one side of normality;
+# on sweedler4_smash_Q, σ(g⊗g) = 2 meets a nontrivial action of a
+# non-cocommutative H, where the legs h₁ and h₂ of the crossed table differ.
+MUTATED_SIGMAS = [
+    ("sweedler_Z3_rebased", 2, 1, (False, False, True)),
+    ("gauss", 2, 2, (False, False, True)),
+    ("gauss", 1, 2, (False, False, True)),
+    ("sweedler4_smash_Q", 5, 2, (True, True, False)),
+]
+
+
+@pytest.mark.parametrize("name,column,value,want", MUTATED_SIGMAS)
+def test_flags_and_table_of_a_mutated_sigma(name, column, value, want):
+    action, sigma = crossed_case(name)
+    rows = [list(r) for r in sigma.matrix]
+    assert rows[0][column] != value
+    rows[0][column] = value
+    mutant = LinearMap(sigma.domain, sigma.codomain, rows)
+    flags = cocycle_flags(action, mutant)
+    assert flags == dense.cocycle_flags(action, mutant)
+    assert (flags.normal, flags.cocycle, flags.twisted_module) == want
+    dense.assert_bit_identical(crossed_table(action, mutant),
+                               dense.crossed_table(action, mutant))
+
+
+def _mutated(data, m):
+    """``m`` with one entry replaced by a drawn ring element."""
+    rows = [list(r) for r in m.matrix]
+    i = data.draw(st.integers(0, m.codomain.rank - 1))
+    j = data.draw(st.integers(0, m.domain.rank - 1))
+    rows[i][j] = data.draw(dense.elements(m.ring))
+    return LinearMap(m.domain, m.codomain, rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_flags_match_the_oracle_and_the_direct_checks(data):
+    action, sigma = crossed_case(data.draw(st.sampled_from(sorted(CROSSED_CASES))))
+    if data.draw(st.booleans()):
+        sigma = _mutated(data, sigma)
+    else:
+        action = WeakActionData(action.hopf, action.algebra,
+                                _mutated(data, action.action))
+    flags = cocycle_flags(action, sigma)
+    assert flags == dense.cocycle_flags(action, sigma)
+    dense.assert_bit_identical(crossed_table(action, sigma),
+                               dense.crossed_table(action, sigma))
+    # unit ⇔ normality needs a weak action; associativity ⇔ cocycle and
+    # twisted module needs a normal σ as well
+    unit_ok, assoc_ok = direct_product_checks(action, sigma)
+    if validate_weak_action(action).ok:
+        assert unit_ok == flags.normal
+        if flags.normal:
+            assert assoc_ok == (flags.cocycle and flags.twisted_module)

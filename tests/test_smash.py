@@ -1,4 +1,6 @@
 """Smash-type algebras and the left/right smash comparison."""
+import itertools
+
 import pytest
 
 import dense_oracle as dense
@@ -7,14 +9,20 @@ from hopfdual.actions import ComoduleAlgebraData, regular_comodule, trivial_acti
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
+    hopf_from_parts,
     product_ring_algebra,
     swap_action_data,
     sweedler_hopf,
 )
-from hopfdual.crossed import crossed_table, trivial_cocycle
+from hopfdual.crossed import (
+    crossed_table,
+    trivial_cocycle,
+    trivial_sigma,
+    twisted_module_identity,
+)
 from hopfdual.errors import SideMismatch, ValidationError
 from hopfdual.hopf import ConvolutionAlgebra, ensure_hopf, tensor_algebra
-from hopfdual.linalg import LinearMap, kron_vec, tensor_module
+from hopfdual.linalg import LinearMap, free_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
     ModuleSide,
@@ -28,6 +36,7 @@ from hopfdual.smash import (
     right_smash,
     smash_compare,
 )
+from test_crossed import CROSSED_CASES, crossed_case
 from test_duality import rebased_sweedler_Z3
 
 
@@ -249,3 +258,58 @@ def test_hom_smashes_match_the_term_by_term_oracles(name, regular):
     assert (hat.kind, ophat.kind) == (SmashKind.HAT_HB, SmashKind.OP_HAT_HB)
     assert_same_algebra(hat.product, dense.hat_smash(h, B))
     assert_same_algebra(ophat.product, dense.op_hat_smash(h, B))
+
+
+# --- A#H by index arithmetic against the term-by-term oracle ------------------
+
+
+@pytest.mark.parametrize("name", sorted(CROSSED_CASES))
+def test_left_smash_matches_the_term_by_term_oracle(name):
+    action, _ = crossed_case(name)
+    if dense.twisted_module_identity(action, trivial_sigma(action)):
+        dense.assert_bit_identical(left_smash(action).product.mult,
+                                   dense.left_smash_table(action))
+    else:
+        with pytest.raises(ValidationError,
+                           match="left smash requires a module-algebra action"):
+            left_smash(action)
+
+
+def test_left_smash_needs_no_cocycle_validation(monkeypatch):
+    import hopfdual.crossed as crossed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_cocycle called")
+
+    monkeypatch.setattr(crossed, "validate_cocycle", refuse)
+    action, _ = crossed_case("sweedler4_Q_hit")
+    assert left_smash(action).product.validate().ok
+
+
+def z_s3():
+    """Z[S₃] from its structure constants: basis the six permutations of
+    {0, 1, 2} (identity first), g·g' the composite g∘g', Δ(g) = g⊗g, S(g) = g⁻¹."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    carrier = free_module(ZZ, ["".join(map(str, p)) for p in perms])
+    mult = [(i, j, index[tuple(p[x] for x in q)], 1)
+            for i, p in enumerate(perms) for j, q in enumerate(perms)]
+    inverse = [carrier.basis_vector(index[tuple(p.index(x) for x in range(3))])
+               for p in perms]
+    return hopf_from_parts(carrier, mult, carrier.basis_vector(0),
+                           [(i, i, i, 1) for i in range(6)], [1] * 6,
+                           antipode_cols=inverse, twisted_cols=inverse)
+
+
+def test_z_s3_hit_action_smash_matches_the_oracles():
+    # A = Z[S₃] is noncommutative and the acting Z^{S₃} is not cocommutative
+    h = z_s3()
+    assert not h.algebra.is_commutative()
+    hit = hit_action_of_dual(h)
+    assert not hit.bialgebra.coalgebra.is_cocommutative()
+    sigma = trivial_sigma(hit)
+    assert twisted_module_identity(hit, sigma)
+    assert dense.twisted_module_identity(hit, sigma)
+    dense.assert_bit_identical(left_smash(hit).product.mult,
+                               dense.left_smash_table(hit))
+    assert smash_compare(h).ok
