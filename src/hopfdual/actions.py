@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import ground_algebra
-from .errors import DimensionMismatch, RingMismatch
+from .errors import DimensionMismatch, RingMismatch, ValidationError
 from .hopf import (
     AlgebraData,
     CoalgebraData,
@@ -418,8 +418,6 @@ def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     res = solve_linear(diff, (ring.zero,) * diff.codomain.rank)
     vectors = res.kernel_basis
     if vectors and split_coefficient_map(ring, vectors, B.rank) is None:
-        from .errors import ValidationError
-
         raise ValidationError("coinvariants do not span a direct summand")
     module = FreeModule(ring, len(vectors), tuple(f"c{i}" for i in range(len(vectors))))
     inclusion = LinearMap.from_columns(module, B.carrier, list(vectors))

@@ -43,17 +43,18 @@ from .hopf import (
     tensor_coalgebra,
 )
 from .linalg import (
-    FreeModule,
     LinearMap,
     combine_columns,
     hom_module,
     kron,
     kron_column,
     kron_vec,
+    map_to_vec,
     submodule_membership,
     tensor_module,
     vec_add,
     vec_scale,
+    vec_to_map,
 )
 from .reporting import ValidationReport
 
@@ -190,15 +191,12 @@ def validate_cocycle(action: WeakActionData, sigma: LinearMap,
     flags = cocycle_flags(action, sigma)
     hh = tensor_coalgebra(b.coalgebra, b.coalgebra)
     conv = ConvolutionAlgebra(hh, action.algebra)
-    sigma_flat = tuple(x for row in sigma.matrix for x in row)
     try:
-        inv_flat = convolution_invert(conv, sigma_flat)
+        inv_flat = convolution_invert(conv, map_to_vec(sigma))
     except NotConvInvertible as exc:
         exc.flags = flags
         raise
-    sigma_inv = LinearMap(sigma.domain, sigma.codomain,
-                          [inv_flat[i * sigma.domain.rank:(i + 1) * sigma.domain.rank]
-                           for i in range(sigma.codomain.rank)])
+    sigma_inv = vec_to_map(inv_flat, sigma.domain, sigma.codomain)
     if claimed_inverse is not None and claimed_inverse != sigma_inv:
         raise ValidationError("supplied cocycle inverse disagrees with the "
                               "recomputed convolution inverse")
@@ -324,24 +322,28 @@ def build_crossed_product(action: WeakActionData, cocycle: CocycleData) -> Cross
     comodule = ComoduleAlgebraData(action.hopf, alg, coaction)
     comodule.validate().require()
     cp = CrossedProductData(action, cocycle, alg, comodule)
-    _check_coinvariants_are_coefficients(cp)
+    mismatch = coefficient_mismatch(cp, coinvariants(cp.comodule))
+    if mismatch:
+        raise ValidationError(mismatch)
     return cp
 
 
-def _check_coinvariants_are_coefficients(cp: CrossedProductData):
-    """(A#_σH)^{coH} = A⊗1, both inclusions."""
+def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional[str]:
+    """None when the coinvariants ``coin`` of A#_σH span exactly A⊗1, by
+    membership in both directions; otherwise the inclusion that fails.
+    ``build_crossed_product`` raises it, the crossed suite records it."""
     b = bialgebra_of(cp.action.hopf)
     A = cp.action.algebra
     ring = cp.ring
-    coin = coinvariants(cp.comodule)
     expected = [kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
                 for i in range(A.rank)]
     for v in expected:
         if submodule_membership(ring, list(coin.vectors), v) is None:
-            raise ValidationError("A⊗1 not contained in the coinvariants")
+            return "A⊗1 not contained in the coinvariants"
     for v in coin.vectors:
         if submodule_membership(ring, expected, v) is None:
-            raise ValidationError("coinvariants leak outside A⊗1")
+            return "coinvariants leak outside A⊗1"
+    return None
 
 
 def smash_product_data(action: WeakActionData) -> CrossedProductData:
@@ -377,8 +379,7 @@ class CleftData:
         rep.add("cleft.unital", "θ(1_H) = 1_B",
                 self.theta.apply(b.algebra.unit) == B.unit)
         conv = ConvolutionAlgebra(b.coalgebra, B)
-        t = tuple(x for row in self.theta.matrix for x in row)
-        ti = tuple(x for row in self.theta_inv.matrix for x in row)
+        t, ti = map_to_vec(self.theta), map_to_vec(self.theta_inv)
         two_sided = (conv.convolve(t, ti) == conv.unit_vec
                      and conv.convolve(ti, t) == conv.unit_vec)
         rep.add("cleft.invertible", "θ⋆θ⁻¹ = η∘ε = θ⁻¹⋆θ", two_sided)
@@ -423,8 +424,7 @@ class CleftExtraction:
     colinear: bool
 
 
-def crossed_from_integral(cl: CleftData,
-                          coinvariant_basis=None) -> CleftExtraction:
+def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     """Extract (action, σ) via ha = Σθ(h₁)aθ⁻¹(h₂), σ(h⊗k) = Σθ(h₁)θ(k₁)θ⁻¹(h₂k₂),
     rebuild A#_σH, and certify B ≅ A#_σH."""
     B_com = cl.comodule_algebra
@@ -433,22 +433,7 @@ def crossed_from_integral(cl: CleftData,
     b = hopf.bialgebra
     ring = B.ring
     rH = b.rank
-    if coinvariant_basis is not None:
-        coin_vectors = tuple(tuple(ring.of(x) for x in v) for v in coinvariant_basis)
-        computed = coinvariants(B_com)
-        for v in coin_vectors:
-            if submodule_membership(ring, list(computed.vectors), v) is None:
-                raise CoinvariantEscape("supplied coinvariant basis is not coinvariant")
-        for v in computed.vectors:
-            if submodule_membership(ring, list(coin_vectors), v) is None:
-                raise CoinvariantEscape("supplied coinvariant basis does not span")
-        module = FreeModule(ring, len(coin_vectors),
-                            tuple(f"c{i}" for i in range(len(coin_vectors))))
-        coin = Coinvariants(module, LinearMap.from_columns(module, B.carrier,
-                                                           list(coin_vectors)),
-                            coin_vectors)
-    else:
-        coin = coinvariants(B_com)
+    coin = coinvariants(B_com)
 
     def express(vec, what):
         coords = coin.express(vec)
@@ -566,7 +551,7 @@ def opposite_crossed(cp: CrossedProductData) -> OppositeCrossed:
 # the two cleft compatibility maps
 
 
-def cleft_maps(cl: CleftData, coin: Optional[Coinvariants] = None):
+def cleft_maps(cl: CleftData):
     """φ̃, ψ̃: H⊗A → Hom(H, A) by direct expansion:
 
     φ̃(h⊗a)(h̃) = Σ θ(S̄(h̃₂)) a θ(h₁) θ⁻¹(S̄(h̃₁)h₂)
@@ -579,8 +564,7 @@ def cleft_maps(cl: CleftData, coin: Optional[Coinvariants] = None):
     ring = B.ring
     rH = b.rank
     Sbar = hopf.twisted_antipode
-    if coin is None:
-        coin = coinvariants(B_com)
+    coin = coinvariants(B_com)
     rA = coin.rank
 
     def express(vec):

@@ -35,12 +35,7 @@ from .actions import (
     regular_comodule,
 )
 from .catalog import ground_algebra
-from .crossed import (
-    CleftData,
-    CrossedProductData,
-    crossed_from_integral,
-    opposite_crossed,
-)
+from .crossed import CrossedProductData, opposite_crossed, trivial_sigma
 from .errors import (
     CommutativityFailure,
     DimensionMismatch,
@@ -52,6 +47,7 @@ from .errors import (
 from .hopf import (
     AlgebraData,
     AlgebraIso,
+    ConvolutionAlgebra,
     HopfData,
     HopfLike,
     bialgebra_of,
@@ -64,6 +60,8 @@ from .hopf import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    PreparedSolver,
+    canonical_span,
     column_witness,
     determinant,
     dual_module,
@@ -83,6 +81,8 @@ from .smash import (
     ModuleSide,
     SmashAlgebra,
     SubalgebraU,
+    hat_smash,
+    op_hat_smash,
     op_smash,
     right_smash,
 )
@@ -284,8 +284,6 @@ def phi_maps(hopf: HopfLike, side: DiagramSide = DiagramSide.RIGHT):
 
 def _assert_phi_multiplicative(h: HopfData, phi1: LinearMap, side: DiagramSide):
     """φ₁ is an algebra morphism #(H,H) → End(H) (resp. into End(H)^op)."""
-    from .smash import hat_smash, op_hat_smash
-
     b = h.bialgebra
     source = (hat_smash(h, regular_comodule(h)) if side is DiagramSide.RIGHT
               else op_hat_smash(h, regular_comodule(h))).product
@@ -310,9 +308,9 @@ def end_rep_module(hopf: HopfLike, A: AlgebraData, side: DiagramSide) -> FreeMod
 
 
 def epsilon_maps(hopf: HopfLike, A: AlgebraData,
-                 side: DiagramSide = DiagramSide.RIGHT,
-                 U: Optional[SubalgebraU] = None):
-    """(ε, ε⁻¹) with both composites the identity, and χ = ε∘α as matrices.
+                 side: DiagramSide = DiagramSide.RIGHT):
+    """(ε, ε⁻¹) with both composites the identity, and χ = ε∘α as matrices
+    for U = H*.
 
     Right: ε(g)(k⊗1) = Σ τ(g(k₂))·(k₁⊗1),  ε⁻¹(F)(k) = Σ τ(F(k₂⊗1))·(1⊗S̄(k₁)).
     Op:    ε̄(g)(1⊗k) = Σ (1⊗k₁)·g(k₂),    ε̄⁻¹(F)(k) = Σ (1⊗S(k₁))·F(1⊗k₂).
@@ -384,9 +382,8 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
     if eps @ eps_inv != LinearMap.identity(end_mod) or \
             eps_inv @ eps != LinearMap.identity(hom_src):
         raise ValidationError("ε and ε⁻¹ are not mutually inverse")
-    if U is None:
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT if side is DiagramSide.RIGHT
-                                  else ModuleSide.LEFT)
+    U = SubalgebraU.full_dual(h, ModuleSide.RIGHT if side is DiagramSide.RIGHT
+                              else ModuleSide.LEFT)
     if (eps @ alpha_map(h, A, U)) != chi_map(h, A, U, side):
         raise ValidationError("χ ≠ ε∘α")
     return eps, eps_inv
@@ -454,7 +451,6 @@ class DualityDiagram:
     pi: LinearMap
     nu: LinearMap
     chi: LinearMap
-    pi_order: str = "g_left"
 
 
 def nu_map(cp: CrossedProductData) -> LinearMap:
@@ -669,13 +665,12 @@ def _scatter(out, ring, val, rH, t):
             out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
-def pi_map(cp: CrossedProductData, side: DiagramSide,
-           pi_order: str = "g_left") -> LinearMap:
+def pi_map(cp: CrossedProductData, side: DiagramSide) -> LinearMap:
     """π: Hom(H, A#_σH) → one-sided endomorphisms.
 
-    Right: π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ) with the
-    displayed product order ambiguous; ``pi_order`` places g(k₅) on the left
-    ("g_left", the order under which the diagram commutes) or right.
+    Right: π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ), with g(k₅)
+    on the left: the displayed product order is ambiguous, and this is the
+    order under which the diagram commutes.
     Op: π̄(g)(1⊗k) = Σ (1#k₁)·g(k₂).
     """
     h = ensure_hopf(cp.action.hopf)
@@ -706,8 +701,7 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
                         acted = cp.action.act_basis(k3, A.unit)
                         apart = A.product(s, acted)
                         elem = kron_vec(ring, apart, basis(k4))
-                        prod = (B.product(g_val, elem) if pi_order == "g_left"
-                                else B.product(elem, g_val))
+                        prod = B.product(g_val, elem)
                         total = vec_add(ring, total,
                                         vec_scale(ring, c, nu.apply(prod)))
                     _scatter(out, ring, total, rH, t)
@@ -731,8 +725,8 @@ def pi_map(cp: CrossedProductData, side: DiagramSide,
     return LinearMap.from_columns(dom, cod, cols)
 
 
-def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
-                  pi_order: str = "g_left") -> DualityDiagram:
+def build_diagram(cp: CrossedProductData, U: SubalgebraU,
+                  side: DiagramSide) -> DualityDiagram:
     """Materialize all five corners and maps; assert π∘α = γ, π∘δ = χ and
     that π is invertible."""
     h = ensure_hopf(cp.action.hopf)
@@ -751,7 +745,7 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
     alpha = alpha_map(h, A, U)
     gamma = gamma_map(cp, U, side)
     delta = delta_map(cp, U, side)
-    pi = pi_map(cp, side, pi_order)
+    pi = pi_map(cp, side)
     nu = nu_map(cp) if side is DiagramSide.RIGHT else LinearMap.identity(cp.carrier)
     chi = chi_map(h, A, U, side)
     lhs1 = pi @ alpha
@@ -765,15 +759,14 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
     det = determinant(pi)
     if not cp.ring.is_unit(det):
         raise NotInvertible("π is not invertible", determinant=det)
-    return DualityDiagram(side, p1, p4, alpha, gamma, delta, pi, nu, chi, pi_order)
+    return DualityDiagram(side, p1, p4, alpha, gamma, delta, pi, nu, chi)
 
 
 def duality_iso(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
-                diagram: Optional[DualityDiagram] = None,
-                pi_order: str = "g_left") -> AlgebraIso:
+                diagram: Optional[DualityDiagram] = None) -> AlgebraIso:
     """The certified isomorphism χ⁻¹∘γ: (A#_σH)#U → A⊗(H#U) (resp. op)."""
     if diagram is None:
-        diagram = build_diagram(cp, U, side, pi_order)
+        diagram = build_diagram(cp, U, side)
     chi_inv = invert_map(diagram.chi)
     iso_map = chi_inv @ diagram.gamma
     name = ("(A#σH)#U ≅ A⊗(H#U)" if side is DiagramSide.RIGHT
@@ -921,13 +914,12 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
     return phi, psi
 
 
-def j_generators(A: AlgebraData, V, rH: int):
-    """Generators J(a_k ⊗ v): h ↦ a_k·v(h) of J(A⊗V) ⊆ Hom(H, A)."""
-    ring = A.ring
+def j_generators(ring, rA: int, V, rH: int):
+    """Generators J(a_k ⊗ v): h ↦ a_k·v(h) of J(A⊗V) ⊆ Hom(H, A), rank(A) = rA."""
     gens = []
-    for k in range(A.rank):
+    for k in range(rA):
         for v in V:
-            out = [ring.zero] * (A.rank * rH)
+            out = [ring.zero] * (rA * rH)
             for t in range(rH):
                 if (v[t]):
                     out[k * rH + t] = v[t]
@@ -943,7 +935,7 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, V,
     A = cp.action.algebra
     ring = cp.ring
     phi, psi = compat_maps(cp, side)
-    gens = j_generators(A, [tuple(ring.of(x) for x in v) for v in V], b.rank)
+    gens = j_generators(ring, A.rank, [tuple(ring.of(x) for x in v) for v in V], b.rank)
     phi_ok, psi_ok = True, True
     phi_wit = psi_wit = None
     for col in range(phi.domain.rank):
@@ -1019,14 +1011,13 @@ def coaction_table(hopf: HopfLike, side: CoactionSide) -> CoactionTable:
 
 
 def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationReport:
-    from .hopf import ConvolutionAlgebra
-
     b = h.bialgebra
     ring = b.ring
     rH = b.rank
     rep = ValidationReport(f"coaction table ({side.value})")
     dual_alg = ConvolutionAlgebra(b.coalgebra, ground_algebra(ring)).algebra()
     basis = b.carrier.basis_vector
+    fbasis = dual_module(b.carrier).basis_vector
     S, Sb = h.antipode, h.twisted_antipode
     tag = "upsilon" if side is CoactionSide.UPSILON else "omega"
 
@@ -1042,9 +1033,9 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     ok = True
     wit = None
     for i in range(rH):
-        f = Hd_basis(b, i)
+        f = fbasis(i)
         for gidx in range(rH):
-            g = Hd_basis(b, gidx)
+            g = fbasis(gidx)
             lhs = dual_alg.product(f, g)
             rhs = (ring.zero,) * rH
             for c, p, q in terms(i):
@@ -1052,7 +1043,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
                          if side is CoactionSide.UPSILON
                          else regular_act_left(h, basis(p), g))
                 rhs = vec_add(ring, rhs, vec_scale(
-                    ring, c, dual_alg.product(moved, Hd_basis(b, q))))
+                    ring, c, dual_alg.product(moved, fbasis(q))))
             if lhs != rhs:
                 ok, wit = False, f"(f{i},g{gidx})"
                 break
@@ -1065,7 +1056,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     ok = True
     wit = None
     for i in range(rH):
-        f = Hd_basis(b, i)
+        f = fbasis(i)
         for t in range(rH):
             lhs = b.carrier.zero_vector()
             for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
@@ -1073,7 +1064,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
                               vec_scale(ring, ring.mul(c, f[t1]), basis(t2)))
             rhs = b.carrier.zero_vector()
             for c, p, q in terms(i):
-                hit = _hit(b, Hd_basis(b, q), t)
+                hit = _hit(b, fbasis(q), t)
                 term = (b.algebra.product(basis(p), hit)
                         if side is CoactionSide.UPSILON
                         else b.algebra.product(hit, basis(p)))
@@ -1102,7 +1093,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
             rhs = b.carrier.zero_vector()
             for c, p, q in terms(i):
                 rhs = vec_add(ring, rhs,
-                              vec_scale(ring, ring.mul(c, Hd_basis(b, q)[t]),
+                              vec_scale(ring, ring.mul(c, fbasis(q)[t]),
                                         basis(p)))
             if lhs != rhs:
                 ok, wit = False, f"(f{i},h{t})"
@@ -1119,17 +1110,16 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
         for i in range(rH):
             for j in range(rH):
                 for gidx in range(rH):
-                    g = Hd_basis(b, gidx)
+                    g = fbasis(gidx)
                     lhs = dual_alg.product(
-                        dual_alg.product(Hd_basis(b, i), Hd_basis(b, j)), g)
+                        dual_alg.product(fbasis(i), fbasis(j)), g)
                     rhs = (ring.zero,) * rH
                     for ci, p1, q1 in terms(i):
                         for cj, p2, q2 in terms(j):
                             c = ring.mul(ci, cj)
                             prod = b.algebra.product(basis(p2), basis(p1))
                             moved = regular_act_right(h, g, prod)
-                            inner = dual_alg.product(Hd_basis(b, q1),
-                                                     Hd_basis(b, q2))
+                            inner = dual_alg.product(fbasis(q1), fbasis(q2))
                             rhs = vec_add(ring, rhs, vec_scale(
                                 ring, c, dual_alg.product(moved, inner)))
                     if lhs != rhs:
@@ -1158,7 +1148,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     ok = True
     wit = None
     for i in range(rH):
-        f = Hd_basis(b, i)
+        f = fbasis(i)
         for t in range(rH):
             hvec = basis(t)
             if side is CoactionSide.UPSILON:
@@ -1174,12 +1164,12 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
                         # S̄(h₃)f₍₋₁₎h₁ ⊗ f₍₀₎h₂
                         hpart = b.algebra.product(
                             b.algebra.product(Sb.column(h3), basis(p)), basis(h1))
-                        fpart = regular_act_right(h, Hd_basis(b, q), basis(h2))
+                        fpart = regular_act_right(h, fbasis(q), basis(h2))
                     else:
                         # h₁f₍₋₁₎S(h₃) ⊗ h₂f₍₀₎
                         hpart = b.algebra.product(
                             b.algebra.product(basis(h1), basis(p)), S.column(h3))
-                        fpart = regular_act_left(h, basis(h2), Hd_basis(b, q))
+                        fpart = regular_act_left(h, basis(h2), fbasis(q))
                     rhs = vec_add(ring, rhs,
                                   vec_scale(ring, s, kron_vec(ring, hpart, fpart)))
             if lhs != rhs:
@@ -1192,10 +1182,6 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     return rep
 
 
-def Hd_basis(b, i):
-    return tuple(b.ring.one if j == i else b.ring.zero for j in range(b.rank))
-
-
 def coaction_preimage_of_U(table: CoactionTable, hopf: HopfLike,
                            U: SubalgebraU):
     """V := coaction⁻¹(H ⊗ span(U)) as a canonical list of functionals."""
@@ -1205,8 +1191,6 @@ def coaction_preimage_of_U(table: CoactionTable, hopf: HopfLike,
     gens = [kron_vec(ring, b.carrier.basis_vector(i), u)
             for i in range(rH) for u in U.elements]
     # f with cmap(f) in span(gens): kernel of (quotient ∘ cmap)
-    from .linalg import PreparedSolver, canonical_span
-
     cols = []
     for i in range(rH):
         cols.append(table.map.column(i))
@@ -1270,8 +1254,7 @@ class ChainResult:
     report: ValidationReport
 
 
-def final_chain(cp: CrossedProductData, U: SubalgebraU,
-                direct: Optional[AlgebraIso] = None) -> ChainResult:
+def final_chain(cp: CrossedProductData, U: SubalgebraU) -> ChainResult:
     """The four-step route through the opposite crossed product:
 
     (A#σH)#U ≅ ((A^op#τH^op)#^opU^cop)^op ≅ (A^op⊗(H^op#^opU^cop))^op
@@ -1321,9 +1304,7 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU,
     composite = step2.map @ step1
     composite = LinearMap(lhs.carrier, target.carrier, composite.matrix)
     iso = certify_algebra_iso(lhs.product, target, composite, "chain composite")
-    if direct is None:
-        direct = duality_iso(cp, U, DiagramSide.RIGHT)
-    equal = direct.map == iso.map
+    equal = duality_iso(cp, U, DiagramSide.RIGHT).map == iso.map
     rep.add("chain.certified", "the four-step composite is a certified "
             "isomorphism (A#σH)#U ≅ A⊗(H#U)", True)
     rep.add("chain.vs_direct", "the composite equals the direct duality "
@@ -1331,26 +1312,16 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU,
     return ChainResult(iso, equal, rep)
 
 
-def theorem_suite(payload, U: Optional[SubalgebraU] = None,
-                  V=None, run_chain: bool = True) -> ValidationReport:
-    """Run the applicable duality routes on a crossed product or cleft datum.
+def theorem_suite(cp: CrossedProductData, U: Optional[SubalgebraU] = None,
+                  V=None) -> ValidationReport:
+    """Run both duality theorems, and the trivial-cocycle corollary route
+    when σ is trivial, on a crossed product.
 
     Hypothesis checks use V = coaction⁻¹(H⊗U) per side unless an explicit V
-    is supplied; a failed hypothesis raises HypothesisFailed.
+    is supplied; a failed hypothesis raises HypothesisFailed.  The cleft and
+    opposite-product routes are the ``cleft`` and ``opposite`` suites.
     """
     rep = ValidationReport("theorem suite")
-    cleft_iso = None
-    if isinstance(payload, CleftData):
-        ext = crossed_from_integral(payload)
-        cp = ext.crossed
-        cleft_iso = ext.iso
-        rep.add("cleft.extraction", "cleft datum converts to a crossed product "
-                "with certified comodule-algebra iso", ext.colinear)
-    elif isinstance(payload, CrossedProductData):
-        cp = payload
-    else:
-        raise ValidationError(f"unsupported payload: {type(payload).__name__}")
-
     h = ensure_hopf(cp.action.hopf)
     if U is None:
         U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
@@ -1367,7 +1338,7 @@ def theorem_suite(payload, U: Optional[SubalgebraU] = None,
         raise HypothesisFailed("right-side compatibility failed",
                                hypothesis="compatibility")
     diag_right = build_diagram(cp, U, DiagramSide.RIGHT)
-    direct = duality_iso(cp, U, DiagramSide.RIGHT, diag_right)
+    duality_iso(cp, U, DiagramSide.RIGHT, diag_right)
     rep.add("right.duality", "(A#σH)#U ≅ A⊗(H#U) certified", True)
 
     # op side: the omega coaction supplies V
@@ -1385,22 +1356,6 @@ def theorem_suite(payload, U: Optional[SubalgebraU] = None,
     rep.add("op.duality", "(A#σH)#^opU ≅ A⊗(H#^opU) certified", True)
 
     # the trivial-cocycle corollary route
-    from .crossed import trivial_sigma
-
     if cp.cocycle.sigma == trivial_sigma(cp.action):
         rep.extend(bm_route_hypotheses(cp, U))
-
-    # cleft route: the two isomorphisms agree after transporting along ι(a)θ(h)
-    if cleft_iso is not None:
-        transport = kron(cleft_iso.inverse, LinearMap.identity(U.module))
-        b_smash = right_smash(payload.comodule_algebra, U)
-        routed = direct.map @ transport
-        routed = LinearMap(b_smash.carrier, direct.map.codomain, routed.matrix)
-        certify_algebra_iso(b_smash.product, direct.target, routed,
-                            "cleft-route duality")
-        rep.add("cleft.duality", "B#U ≅ A⊗(H#U) certified via the integral", True)
-
-    if run_chain:
-        chain = final_chain(cp, U, direct=direct)
-        rep.extend(chain.report)
     return rep

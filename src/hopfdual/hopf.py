@@ -7,6 +7,7 @@ nesting equal; fixing one makes formula transcription mechanical.
 """
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Union
 
 from .errors import (
@@ -660,20 +661,7 @@ def tensor_coalgebra(c: CoalgebraData, d: CoalgebraData) -> CoalgebraData:
 def matrix_algebra(ring, n: int) -> AlgebraData:
     """M_n(R) on the matrix units e_ij with e_ij·e_kl = δ_jk·e_il."""
     labels = tuple(f"e[{i},{j}]" for i in range(n) for j in range(n))
-    carrier = FreeModule(ring, n * n, labels)
-    cols = []
-    zero, one = ring.zero, ring.one
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out = [zero] * (n * n)
-                    if j == k:
-                        out[i * n + l] = one
-                    cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = tuple(one if (idx // n) == (idx % n) else zero for idx in range(n * n))
-    return AlgebraData(carrier, mult, unit)
+    return _matrix_units(FreeModule(ring, n * n, labels), n)
 
 
 def endomorphism_algebra(module: FreeModule) -> AlgebraData:
@@ -682,12 +670,18 @@ def endomorphism_algebra(module: FreeModule) -> AlgebraData:
     With the row-major hom flattening this has exactly the structure constants
     of :func:`matrix_algebra`.
     """
-    ring = module.ring
-    n = module.rank
-    base = matrix_algebra(ring, n)
-    carrier = hom_module(module, module)
-    mult = LinearMap(tensor_module(carrier, carrier), carrier, base.mult.matrix)
-    return AlgebraData(carrier, mult, base.unit)
+    return _matrix_units(hom_module(module, module), module.rank)
+
+
+def _matrix_units(carrier: FreeModule, n: int) -> AlgebraData:
+    """The table e_ij·e_jl = e_il on a rank-n² carrier, e_ij at index i·n+j:
+    its n³ nonzero constants as sparse columns, every other column empty."""
+    one, zero = carrier.ring.one, carrier.ring.zero
+    cols = [[(i * n + l, one)] if j == k else []
+            for i, j, k, l in product(range(n), repeat=4)]
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
+    unit = tuple(one if (idx // n) == (idx % n) else zero for idx in range(n * n))
+    return AlgebraData(carrier, mult, unit)
 
 
 def validate_hopf(h: HopfData, subject: str = "hopf") -> ValidationReport:

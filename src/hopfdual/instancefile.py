@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .actions import ComoduleAlgebraData, WeakActionData
+from .actions import ComoduleAlgebraData, WeakActionData, validate_weak_action
 from .catalog import (
     CatalogEntry,
     algebra_from_quadruples,
@@ -21,11 +21,13 @@ from .crossed import CleftData, build_crossed_product, validate_cocycle
 from .errors import ParseError, ValidationError
 from .hopf import (
     BialgebraData,
+    ConvolutionAlgebra,
     HopfData,
     compute_antipode,
     compute_twisted_antipode,
+    convolution_invert,
 )
-from .linalg import LinearMap, free_module, tensor_module
+from .linalg import LinearMap, free_module, map_to_vec, tensor_module, vec_to_map
 from .rings import Ring, ring_from_descriptor
 
 SUITES = ("hopf", "crossed", "smash", "duality", "cleft", "opposite", "all")
@@ -121,8 +123,11 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
     suite = doc.get("suite", "all")
     if suite not in SUITES:
         _fail(f"{where}: unknown suite {suite!r}")
+    ring_desc = _need(doc, "ring", where)
+    if not isinstance(ring_desc, dict):
+        _fail(f"{where}: 'ring' must be a descriptor object")
     try:
-        ring = ring_from_descriptor(_need(doc, "ring", where))
+        ring = ring_from_descriptor(ring_desc)
     except (ValueError, KeyError, TypeError) as exc:
         _fail(f"{where}: bad ring descriptor ({exc})")
     modules = _need(doc, "modules", where)
@@ -130,8 +135,9 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
         _fail(f"{where}: 'modules' must map names to label lists")
     for mname, labels in modules.items():
         if (not isinstance(labels, list) or not labels
+                or not all(isinstance(x, str) for x in labels)
                 or len(set(labels)) != len(labels)):
-            _fail(f"{where}: module {mname!r} needs distinct labels")
+            _fail(f"{where}: module {mname!r} needs distinct string labels")
 
     blocks = {}
     hopf_block = _need(doc, "hopf", where)
@@ -176,6 +182,8 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
     rH = len(modules[blocks["hopf"]["carrier"]])
     for key in ("U", "V"):
         if doc.get(key) is not None:
+            if not isinstance(doc[key], list):
+                _fail(f"{where}: {key!r} must be a list of vectors")
             blocks[key] = [_parse_vector(ring, v, rH, f"{where}: {key}")
                            for v in doc[key]]
 
@@ -287,8 +295,6 @@ def _build_payload(inst: InstanceFile):
         act_rows = _quads_to_map(ring, inst.blocks["action"], (rH, rA), a_carrier)
         action = WeakActionData(hopf, algebra, LinearMap(
             tensor_module(hopf.carrier, a_carrier), a_carrier, act_rows))
-        from .actions import validate_weak_action
-
         validate_weak_action(action).require()
         sig_rows = _quads_to_map(ring, inst.blocks["cocycle"], (rH, rH), a_carrier)
         sigma = LinearMap(tensor_module(hopf.carrier, hopf.carrier), a_carrier,
@@ -314,26 +320,12 @@ def _build_payload(inst: InstanceFile):
         b_carrier, tensor_module(b_carrier, hopf.carrier), coact_rows))
     comodule.validate().require()
     theta = LinearMap(hopf.carrier, b_carrier, inst.blocks["integral"]["theta"])
-    if "theta_inv" in inst.blocks["integral"]:
-        theta_inv = LinearMap(hopf.carrier, b_carrier,
-                              inst.blocks["integral"]["theta_inv"])
-        from .hopf import ConvolutionAlgebra, convolution_invert
-        from .linalg import vec_to_map
-
-        conv = ConvolutionAlgebra(hopf.coalgebra, b_alg)
-        flat = tuple(x for row in theta.matrix for x in row)
-        recomputed = vec_to_map(convolution_invert(conv, flat), hopf.carrier,
-                                b_carrier)
-        if recomputed != theta_inv:
-            _fail("supplied theta_inv disagrees with the convolution inverse")
-    else:
-        from .hopf import ConvolutionAlgebra, convolution_invert
-        from .linalg import vec_to_map
-
-        conv = ConvolutionAlgebra(hopf.coalgebra, b_alg)
-        flat = tuple(x for row in theta.matrix for x in row)
-        theta_inv = vec_to_map(convolution_invert(conv, flat), hopf.carrier,
-                               b_carrier)
+    conv = ConvolutionAlgebra(hopf.coalgebra, b_alg)
+    theta_inv = vec_to_map(convolution_invert(conv, map_to_vec(theta)), hopf.carrier,
+                           b_carrier)
+    if ("theta_inv" in inst.blocks["integral"] and theta_inv != LinearMap(
+            hopf.carrier, b_carrier, inst.blocks["integral"]["theta_inv"])):
+        _fail("supplied theta_inv disagrees with the convolution inverse")
     cleft = CleftData(comodule, theta, theta_inv)
     cleft.validate().require()
     return cleft

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import ValidationError
+
 
 @dataclass
 class CheckRecord:
@@ -66,8 +68,6 @@ class ValidationReport:
 
     def require(self, exc_type=None) -> "ValidationReport":
         """Raise (ValidationError by default) if any record failed."""
-        from .errors import ValidationError
-
         if not self.ok:
             bad = self.failures()[0]
             exc = exc_type or ValidationError

@@ -17,6 +17,7 @@ from .crossed import (
     CleftData,
     CrossedProductData,
     cleft_maps,
+    coefficient_mismatch,
     crossed_from_integral,
     direct_product_checks,
     integral_from_crossed,
@@ -29,6 +30,7 @@ from .duality import (
     duality_iso,
     epsilon_maps,
     final_chain,
+    j_generators,
     lambda_bar_map,
     lambda_map,
     matrix_iso,
@@ -49,7 +51,7 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import LinearMap, invert_map, kron, kron_vec, submodule_membership
+from .linalg import LinearMap, invert_map, kron, map_to_vec, submodule_membership
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -154,9 +156,8 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
         b = cp.action.bialgebra
         hh_coalg_conv = ConvolutionAlgebra(
             tensor_coalgebra(b.coalgebra, b.coalgebra), cp.action.algebra)
-        flat = tuple(x for row in cp.cocycle.sigma.matrix for x in row)
-        inv = convolution_invert(hh_coalg_conv, flat)
-        return inv == tuple(x for row in cp.cocycle.sigma_inv.matrix for x in row)
+        inv = convolution_invert(hh_coalg_conv, map_to_vec(cp.cocycle.sigma))
+        return inv == map_to_vec(cp.cocycle.sigma_inv)
 
     _timed(rep, "crossed.sigma_inverse", "σ⁻¹ is the two-sided convolution "
            "inverse of σ", inverse_recomputed)
@@ -164,20 +165,8 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
 
     def coinvariants_ok():
         coin = coinvariants(cp.comodule)
-        if not coinvariants_form_subalgebra(cp.comodule, coin):
-            return False
-        b = cp.action.bialgebra
-        ring = cp.ring
-        expected = [kron_vec(ring, cp.action.algebra.carrier.basis_vector(i),
-                             b.algebra.unit)
-                    for i in range(cp.action.algebra.rank)]
-        for v in expected:
-            if submodule_membership(ring, list(coin.vectors), v) is None:
-                return False
-        for v in coin.vectors:
-            if submodule_membership(ring, expected, v) is None:
-                return False
-        return True
+        return (coinvariants_form_subalgebra(cp.comodule, coin)
+                and coefficient_mismatch(cp, coin) is None)
 
     _timed(rep, "crossed.coinvariants", "the coinvariants equal A⊗1 and form "
            "a subalgebra", coinvariants_ok)
@@ -264,8 +253,7 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
                             DiagramSide.OP).ok)
 
     def suite_run():
-        inner = theorem_suite(cp, U=None if full_u else U,
-                              V=entry.v_span, run_chain=False)
+        inner = theorem_suite(cp, U=None if full_u else U, V=entry.v_span)
         rep.extend(inner)
         return inner.ok
 
@@ -291,9 +279,8 @@ def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
     def theta_inv_matches():
         conv = ConvolutionAlgebra(ensure_hopf(cp.action.hopf).coalgebra,
                                   cleft.comodule_algebra.algebra)
-        flat = tuple(x for row in cleft.theta.matrix for x in row)
-        inv = convolution_invert(conv, flat)
-        return inv == tuple(x for row in cleft.theta_inv.matrix for x in row)
+        inv = convolution_invert(conv, map_to_vec(cleft.theta))
+        return inv == map_to_vec(cleft.theta_inv)
 
     _timed(rep, "cleft.theta_inverse", "θ⁻¹ equals the convolution inverse "
            "of θ", theta_inv_matches)
@@ -310,19 +297,10 @@ def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
     def maps_contained():
         h = ensure_hopf(cp.action.hopf)
         phi, psi = cleft_maps(cleft)
-        coin = coinvariants(cleft.comodule_algebra)
-        V = [h.carrier.basis_vector(i) for i in range(h.rank)]
-        # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
-        a_rank = coin.rank
-        gens = []
         ring = cp.ring
-        for k in range(a_rank):
-            for v in V:
-                out = [ring.zero] * (a_rank * h.rank)
-                for t in range(h.rank):
-                    if v[t]:
-                        out[k * h.rank + t] = v[t]
-                gens.append(tuple(out))
+        # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
+        gens = j_generators(ring, phi.codomain.rank // h.rank,
+                            [h.carrier.basis_vector(i) for i in range(h.rank)], h.rank)
         for col in range(phi.domain.rank):
             if submodule_membership(ring, gens, phi.column(col)) is None:
                 return False

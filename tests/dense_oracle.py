@@ -24,14 +24,22 @@ kernels to agree with them (records and witnesses; entries and entry types).
 crossed-product identities and tables with one dense A-product, action and
 σ-evaluation per Sweedler term; ``test_crossed.py`` and ``test_smash.py``
 require the index-arithmetic kernels to agree with them.
+
+``pi_right`` is the right-side π as a plain Sweedler sum in either reading of
+its ambiguous product order: g(k₅) on the left reproduces the library's π,
+and g(k₅) on the right is the negative control that breaks π∘α = γ
+(``test_duality.py``).  ``matrix_algebra`` and ``endomorphism_algebra`` build
+M_n(R) as n⁴ dense columns, End(M) by re-wrapping that table on the Hom
+carrier; ``test_hopf.py`` requires the sparse builders to agree bit for bit.
 """
 from hypothesis import strategies as st
 
 from hopfdual.crossed import CocycleFlags
-from hopfdual.duality import DiagramSide, end_rep_module
+from hopfdual.duality import DiagramSide, end_rep_module, nu_map
 from hopfdual.errors import ValidationError
 from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf, expand_sparse
 from hopfdual.linalg import (
+    FreeModule,
     LinearMap,
     free_module,
     hom_module,
@@ -305,6 +313,39 @@ def _scatter_hom(out, ring, c, apart, hpart, rH, t):
                 continue
             pos = (ap * rH + hp) * rH + t
             out[pos] = ring.add(out[pos], ring.mul(c, ring.mul(av, hv)))
+
+
+def pi_right(cp, g_left):
+    """π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ), the product taken
+    with g(k₅) on the left (``g_left``) or on the right, term by term."""
+    h = ensure_hopf(cp.action.hopf)
+    b = h.bialgebra
+    A = cp.action.algebra
+    ring = cp.ring
+    rH = b.rank
+    B = cp.product_algebra
+    nu = nu_map(cp)
+    Sb = h.twisted_antipode
+    basis = b.carrier.basis_vector
+    cod = end_rep_module(h, A, DiagramSide.RIGHT)
+    cols = []
+    for gi in range(cp.carrier.rank):
+        g_val = cp.carrier.basis_vector(gi)
+        for gj in range(rH):
+            out = [ring.zero] * cod.rank
+            for t in range(rH):
+                for c, (k1, k2, k3, k4, k5) in b.coalgebra.sweedler_basis(t, 5):
+                    if k5 != gj:
+                        continue
+                    s = cp.cocycle.sigma_inv.apply(kron_vec(ring, basis(k2), Sb.column(k1)))
+                    elem = kron_vec(ring, A.product(s, cp.action.act_basis(k3, A.unit)),
+                                    basis(k4))
+                    prod = B.product(g_val, elem) if g_left else B.product(elem, g_val)
+                    for p, v in enumerate(nu.apply(prod)):
+                        if v:
+                            out[p * rH + t] = ring.add(out[p * rH + t], ring.mul(c, v))
+            cols.append(tuple(out))
+    return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
 
 
 # --- the associativity certificate and the smash builders, term by term ------
@@ -669,6 +710,36 @@ def left_smash_table(action):
                                 out[pos] = ring.add(out[pos], ring.mul(cc, av))
                     cols.append(tuple(out))
     return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+
+
+# --- the matrix-unit algebras, densely -----------------------------------------
+
+
+def matrix_algebra(ring, n):
+    """M_n(R): every one of the n⁴ columns written out, then canonicalised."""
+    labels = tuple(f"e[{i},{j}]" for i in range(n) for j in range(n))
+    carrier = FreeModule(ring, n * n, labels)
+    cols = []
+    zero, one = ring.zero, ring.one
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out = [zero] * (n * n)
+                    if j == k:
+                        out[i * n + l] = one
+                    cols.append(tuple(out))
+    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    unit = tuple(one if (idx // n) == (idx % n) else zero for idx in range(n * n))
+    return AlgebraData(carrier, mult, unit)
+
+
+def endomorphism_algebra(module):
+    """End_R(M): the M_n(R) table canonicalised again on the Hom(M, M) carrier."""
+    base = matrix_algebra(module.ring, module.rank)
+    carrier = hom_module(module, module)
+    mult = LinearMap(tensor_module(carrier, carrier), carrier, base.mult.matrix)
+    return AlgebraData(carrier, mult, base.unit)
 
 
 # --- hypothesis strategies ---------------------------------------------------

@@ -95,6 +95,34 @@ def test_verify_crossed_without_action_is_input_error(tmp_path, capsys):
     assert "action" in err
 
 
+def _ring_as_list(doc):
+    doc["ring"] = ["integers"]
+
+
+def _list_labels(doc):
+    doc["modules"]["H"] = [[label] for label in doc["modules"]["H"]]
+
+
+def _scalar_U(doc):
+    doc["U"] = 5
+
+
+@pytest.mark.parametrize("mutate,block", [
+    (_ring_as_list, "'ring'"),
+    (_list_labels, "module 'H'"),
+    (_scalar_U, "'U'"),
+])
+def test_verify_malformed_block_is_input_error(tmp_path, capsys, mutate, block):
+    path = tmp_path / "malformed.json"
+    doc = json.loads(export_entry_json(get("gauss_cleft")))
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "hopf"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert block in err
+
+
 def test_json_report_format(tmp_path):
     out = tmp_path / "report.json"
     assert main(["catalog", "run", "Z_C2", "--suite", "hopf", "--format",

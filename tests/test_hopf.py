@@ -265,6 +265,18 @@ def test_endomorphism_algebra_matches_matrix_algebra():
     assert end.unit == mat.unit
 
 
+@pytest.mark.parametrize("ring", dense.RINGS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_units_match_dense_oracle(ring, n):
+    module = free_module(ring, [f"m{i}" for i in range(n)])
+    for got, want in ((matrix_algebra(ring, n), dense.matrix_algebra(ring, n)),
+                      (endomorphism_algebra(module), dense.endomorphism_algebra(module))):
+        dense.assert_bit_identical(got.mult, want.mult)
+        assert got.carrier == want.carrier
+        assert got.unit == want.unit
+        assert [type(x) for x in got.unit] == [type(x) for x in want.unit]
+
+
 def test_tensor_algebra_componentwise():
     a = group_algebra(ZZ, 2).algebra
     t = tensor_algebra(a, matrix_algebra(ZZ, 2))
