@@ -47,7 +47,8 @@ from hopfdual.duality import (
     rl_check,
     theorem_suite,
 )
-from hopfdual.errors import NotInvertible
+from hopfdual import duality
+from hopfdual.errors import CommutativityFailure, NotInvertible
 from hopfdual.hopf import (
     AlgebraData,
     BialgebraData,
@@ -240,15 +241,23 @@ def test_diagram_commutes_and_pi_invertible(make, side):
     assert cp.ring.is_unit(determinant(diag.pi))
 
 
-def test_pi_order_is_resolved_by_commutativity():
+def test_pi_order_is_resolved_by_commutativity(monkeypatch):
     # π's displayed product order is ambiguous: the library's π is the
-    # g(k₅)-on-the-left reading, and the other reading breaks π∘α = γ
+    # g(k₅)-on-the-left reading, and the other reading breaks π∘α = γ,
+    # which build_diagram's commutativity gate must catch
     cp = smash_product_data(sweedler_module_action(QQ))
     h = ensure_hopf(cp.action.hopf)
-    diag = build_diagram(cp, SubalgebraU.full_dual(h), DiagramSide.RIGHT)
+    U = SubalgebraU.full_dual(h)
+    diag = build_diagram(cp, U, DiagramSide.RIGHT)
     dense_oracle.assert_bit_identical(diag.pi, dense_oracle.pi_right(cp, g_left=True))
     assert diag.pi @ diag.alpha == diag.gamma
     assert dense_oracle.pi_right(cp, g_left=False) @ diag.alpha != diag.gamma
+    monkeypatch.setattr(duality, "pi_map",
+                        lambda cp, side: dense_oracle.pi_right(cp, g_left=False))
+    with pytest.raises(CommutativityFailure) as exc:
+        build_diagram(cp, U, DiagramSide.RIGHT)
+    assert "π∘α ≠ γ" in str(exc.value)
+    assert exc.value.witness
 
 
 def test_duality_iso_not_invertible_for_proper_U():
