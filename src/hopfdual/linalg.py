@@ -14,9 +14,11 @@ columns, so their cost follows the nonzero entries.  Tensor, opposite and
 convolution structure constants are likewise written by index arithmetic on
 sparse columns, never by composing Kronecker products with twist matrices.
 
-Solving is exact: Smith normal form over Z (with unimodular transforms), the
-same machinery on the ``[A | n*I]`` lift for Z/n (composite n included), and
-Gaussian elimination with ``Fraction`` arithmetic over Q.
+Solving is exact, with the factorization chosen by the ground ring:
+Gauss–Jordan elimination over the fields Q and Z/p (p prime), Smith normal
+form with unimodular transforms over Z, and the same Smith machinery on the
+``[A | n*I]`` lift for composite Z/n.  :func:`invert_map` reads M⁻¹ off that
+one factorization.
 """
 from __future__ import annotations
 
@@ -616,25 +618,16 @@ class PreparedSolver:
         self.m = len(self.rows)
         self.k = len(self.rows[0]) if self.m else 0
         self._kernel = None
-        if isinstance(ring, RationalRing):
+        if ring.is_field:
             self._prepare_field()
-        elif isinstance(ring, ModularRing):
-            self._prepare_modular()
-        else:
-            self._prepare_integer(self.rows, self.k)
+            return
+        lifted = self.rows
+        if isinstance(ring, ModularRing):  # Smith form of [A | n*I] over Z
+            lifted = [list(r) + [ring.n if i == j else 0 for j in range(self.m)]
+                      for i, r in enumerate(self.rows)]
+        self._U, self._D, self._V = smith_normal_form(lifted)
 
-    # -- integer / modular path (Smith normal form) --
-
-    def _prepare_integer(self, rows, nvars):
-        U, D, V = smith_normal_form(rows)
-        self._U, self._D, self._V = U, D, V
-        self._nvars = nvars  # solution variables (k, or k for the Z/n lift)
-
-    def _prepare_modular(self):
-        n = self.ring.n
-        lifted = [list(r) + [n if i == j else 0 for j in range(self.m)]
-                  for i, r in enumerate(self.rows)]
-        self._prepare_integer(lifted, self.k)
+    # -- integer / composite-modulus path (Smith normal form) --
 
     def _solve_snf(self, rhs):
         U, D = self._U, self._D
@@ -665,7 +658,7 @@ class PreparedSolver:
                 out.append([V[i][j] for i in range(cols)])
         return out
 
-    # -- rational path (exact Gaussian elimination) --
+    # -- field path (Gauss–Jordan elimination over Q and Z/p) --
 
     def _prepare_field(self):
         ring = self.ring
@@ -700,7 +693,7 @@ class PreparedSolver:
         if self._kernel is not None:
             return self._kernel
         ring = self.ring
-        if isinstance(ring, RationalRing):
+        if ring.is_field:
             pivots = set(self._pivots)
             basis = []
             for col in range(self.k):
@@ -727,12 +720,9 @@ class PreparedSolver:
             raise DimensionMismatch("right-hand side length mismatch")
         ring = self.ring
         particular = None
-        if isinstance(ring, RationalRing):
+        if ring.is_field:
             c = [ring.dot(self._T[i], rhs) for i in range(self.m)]
-            npiv = len(self._pivots)
-            if any(c[i] != 0 for i in range(npiv, self.m)):
-                particular = None
-            else:
+            if not any(c[len(self._pivots):]):
                 x = [ring.zero] * self.k
                 for r, pc in enumerate(self._pivots):
                     x[pc] = c[r]
@@ -813,29 +803,34 @@ def determinant(m: LinearMap) -> Elem:
 
 
 def invert_map(m: LinearMap) -> LinearMap:
-    """Exact two-sided inverse; exists iff det(m) is a unit in the ring."""
+    """Exact two-sided inverse; exists iff det(m) is a unit in the ring.
+
+    The candidate is T over a field, V·U over Z (U·M·V = I) and one solve per
+    column over composite Z/n; the exact check inv∘m = id = m∘inv decides,
+    and the determinant is computed only to report a failure."""
     if m.domain.rank != m.codomain.rank:
         raise NotInvertible("cannot invert a non-square map")
     ring = m.ring
+    solver = PreparedSolver(ring, m.matrix)
+    ident = LinearMap.identity(m.domain)
+    if ring.is_field:
+        rows = solver._T
+    elif isinstance(ring, ModularRing):
+        cols = [solver.solve(e).particular for e in ident.matrix]
+        rows = None if None in cols else list(zip(*cols))
+    else:
+        U, V = solver._U, solver._V
+        rows = [[sum(a * b for a, b in zip(v, col)) for col in zip(*U)] for v in V]
+    if rows is not None:
+        inv = LinearMap(m.codomain, m.domain, rows)
+        if inv @ m == ident and m @ inv == ident:
+            return inv
     det = determinant(m)
     if not ring.is_unit(det):
         raise NotInvertible(
             f"determinant {ring.show(det)} is not a unit in {ring!r}", determinant=det
         )
-    n = m.domain.rank
-    solver = PreparedSolver(ring, m.matrix)
-    cols = []
-    for j in range(n):
-        rhs = [ring.one if i == j else ring.zero for i in range(n)]
-        res = solver.solve(rhs)
-        if not res.solvable:  # pragma: no cover - impossible once det is a unit
-            raise NotInvertible("no solution while inverting", determinant=det)
-        cols.append(res.particular)
-    inv = LinearMap.from_columns(m.codomain, m.domain, cols)
-    ident = LinearMap.identity(m.domain)
-    if inv @ m != ident or m @ inv != LinearMap.identity(m.codomain):
-        raise NotInvertible("inverse verification failed", determinant=det)
-    return inv
+    raise NotInvertible("inverse verification failed", determinant=det)  # pragma: no cover
 
 
 def submodule_membership(ring: Ring, generators, v) -> Optional[Vector]:

@@ -20,6 +20,7 @@ class Ring:
     """Common interface of the three supported coefficient rings."""
 
     kind: str = ""
+    is_field: bool = False
 
     @property
     def zero(self) -> Elem:
@@ -134,6 +135,7 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     kind = "rationals"
+    is_field = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -191,6 +193,7 @@ class ModularRing(Ring):
         if not isinstance(n, int) or n < 2:
             raise ValueError("modulus must be an integer >= 2")
         self.n = n
+        self.is_field = _is_prime(n)
 
     zero = 0
     one = 1
@@ -240,6 +243,31 @@ class ModularRing(Ring):
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Z/{self.n}"
+
+
+# Miller–Rabin with the primes up to 41 as bases is exact below _MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017).  Larger moduli count as
+# composite, which only keeps them on the general Z/n path.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n >= _MR_BOUND or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d·2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 ZZ = IntegerRing()

@@ -31,26 +31,40 @@ and g(k₅) on the right is the negative control that breaks π∘α = γ
 (``test_duality.py``).  ``matrix_algebra`` and ``endomorphism_algebra`` build
 M_n(R) as n⁴ dense columns, End(M) by re-wrapping that table on the Hom
 carrier; ``test_hopf.py`` requires the sparse builders to agree bit for bit.
+
+``PreparedSolver`` and ``invert_map`` are the solver and inversion before the
+field path: Gaussian elimination over Q only, every Z/n system (prime n
+included) lifted to ``[A | n*I]`` and Smith-reduced, and an inverse made of a
+determinant, then one solve per column, then the two-sided check.  They reuse
+the library's unchanged ``smith_normal_form``, ``canonical_span`` and
+``determinant``.  ``test_linalg.py`` requires the library's inverses to agree
+with them bit for bit, its failures message for message, and its solves on
+status and kernel.
 """
 from hypothesis import strategies as st
 
 from hopfdual.crossed import CocycleFlags
 from hopfdual.duality import DiagramSide, end_rep_module, nu_map
-from hopfdual.errors import ValidationError
+from hopfdual.errors import NotInvertible, ValidationError
 from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf, expand_sparse
 from hopfdual.linalg import (
     FreeModule,
     LinearMap,
+    SolveResult,
+    SolveStatus,
+    canonical_span,
+    determinant,
     free_module,
     hom_module,
     kron_vec,
+    smith_normal_form,
     tensor_module,
     vec_add,
     vec_scale,
 )
 from hopfdual.reporting import ValidationReport
 from hopfdual.smash import SmashKind
-from hopfdual.rings import QQ, ZZ, Zmod
+from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
 
@@ -742,6 +756,160 @@ def endomorphism_algebra(module):
     return AlgebraData(carrier, mult, base.unit)
 
 
+# --- solving and inversion before the field path ---------------------------
+
+
+class PreparedSolver:
+    """The Smith-form solver that lifts every Z/n system, prime n included, to
+    ``[A | n*I]`` over Z; Gaussian elimination over Q only."""
+
+    def __init__(self, ring, rows):
+        self.ring = ring
+        self.rows = [tuple(ring.of(x) for x in r) for r in rows]
+        self.m = len(self.rows)
+        self.k = len(self.rows[0]) if self.m else 0
+        self._kernel = None
+        if isinstance(ring, RationalRing):
+            self._prepare_field()
+        elif isinstance(ring, ModularRing):
+            n = ring.n
+            lifted = [list(r) + [n if i == j else 0 for j in range(self.m)]
+                      for i, r in enumerate(self.rows)]
+            self._U, self._D, self._V = smith_normal_form(lifted)
+        else:
+            self._U, self._D, self._V = smith_normal_form(self.rows)
+
+    def _solve_snf(self, rhs):
+        U, D = self._U, self._D
+        m = len(U)
+        cols = len(D[0]) if m else 0
+        c = [sum(U[i][j] * rhs[j] for j in range(m)) for i in range(m)]
+        r = min(m, cols)
+        y = [0] * cols
+        for i in range(m):
+            d = D[i][i] if i < r else 0
+            if d:
+                if c[i] % d:
+                    return None
+                y[i] = c[i] // d
+            elif c[i]:
+                return None
+        V = self._V
+        return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+
+    def _snf_kernel_columns(self):
+        D, V = self._D, self._V
+        m = len(D)
+        cols = len(D[0]) if m else len(V)
+        r = min(m, cols)
+        return [[V[i][j] for i in range(cols)]
+                for j in range(cols) if j >= r or D[j][j] == 0]
+
+    def _prepare_field(self):
+        ring = self.ring
+        R = [list(row) for row in self.rows]
+        T = [[ring.one if i == j else ring.zero for j in range(self.m)]
+             for i in range(self.m)]
+        pivots = []
+        r = 0
+        for col in range(self.k):
+            pivot = next((i for i in range(r, self.m) if R[i][col] != 0), None)
+            if pivot is None:
+                continue
+            R[r], R[pivot] = R[pivot], R[r]
+            T[r], T[pivot] = T[pivot], T[r]
+            inv = ring.inv(R[r][col])
+            R[r] = [ring.mul(inv, a) for a in R[r]]
+            T[r] = [ring.mul(inv, a) for a in T[r]]
+            for i in range(self.m):
+                if i != r and R[i][col] != 0:
+                    c = R[i][col]
+                    R[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(R[i], R[r])]
+                    T[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(T[i], T[r])]
+            pivots.append(col)
+            r += 1
+            if r == self.m:
+                break
+        self._R, self._T, self._pivots = R, T, pivots
+
+    def kernel(self):
+        if self._kernel is not None:
+            return self._kernel
+        ring = self.ring
+        if isinstance(ring, RationalRing):
+            pivots = set(self._pivots)
+            basis = []
+            for col in range(self.k):
+                if col in pivots:
+                    continue
+                vec = [ring.zero] * self.k
+                vec[col] = ring.one
+                for r, pc in enumerate(self._pivots):
+                    vec[pc] = ring.neg(self._R[r][col])
+                basis.append(tuple(vec))
+        else:
+            raw = self._snf_kernel_columns()
+            if isinstance(ring, ModularRing):
+                basis = [tuple(x % ring.n for x in v[: self.k]) for v in raw]
+                basis = [v for v in basis if any(v)]
+            else:
+                basis = [tuple(v) for v in raw]
+        self._kernel = canonical_span(self.ring, basis, self.k)
+        return self._kernel
+
+    def solve(self, rhs):
+        rhs = [self.ring.of(x) for x in rhs]
+        ring = self.ring
+        particular = None
+        if isinstance(ring, RationalRing):
+            c = [ring.dot(self._T[i], rhs) for i in range(self.m)]
+            npiv = len(self._pivots)
+            if not any(c[i] != 0 for i in range(npiv, self.m)):
+                x = [ring.zero] * self.k
+                for r, pc in enumerate(self._pivots):
+                    x[pc] = c[r]
+                particular = tuple(x)
+        else:
+            sol = self._solve_snf([int(x) for x in rhs])
+            if sol is not None:
+                if isinstance(ring, ModularRing):
+                    particular = tuple(x % ring.n for x in sol[: self.k])
+                else:
+                    particular = tuple(sol)
+        if particular is None:
+            return SolveResult(SolveStatus.NO_SOLUTION, None, ())
+        kernel = self.kernel()
+        status = SolveStatus.UNIQUE if not kernel else SolveStatus.PARAMETRIC
+        return SolveResult(status, particular, kernel)
+
+
+def invert_map(m):
+    """The determinant first, then one solve per column of the solver above,
+    then the two-sided check."""
+    if m.domain.rank != m.codomain.rank:
+        raise NotInvertible("cannot invert a non-square map")
+    ring = m.ring
+    det = determinant(m)
+    if not ring.is_unit(det):
+        raise NotInvertible(
+            f"determinant {ring.show(det)} is not a unit in {ring!r}", determinant=det
+        )
+    n = m.domain.rank
+    solver = PreparedSolver(ring, m.matrix)
+    cols = []
+    for j in range(n):
+        rhs = [ring.one if i == j else ring.zero for i in range(n)]
+        res = solver.solve(rhs)
+        if not res.solvable:
+            raise NotInvertible("no solution while inverting", determinant=det)
+        cols.append(res.particular)
+    inv = LinearMap.from_columns(m.codomain, m.domain, cols)
+    ident = LinearMap.identity(m.domain)
+    if inv @ m != ident or m @ inv != LinearMap.identity(m.codomain):
+        raise NotInvertible("inverse verification failed", determinant=det)
+    return inv
+
+
 # --- hypothesis strategies ---------------------------------------------------
 
 
@@ -775,3 +943,31 @@ def draw_map(data, ring, domain, codomain):
 def draw_vector(data, ring, length):
     return tuple(data.draw(elements(ring)) for _ in range(length))
 
+
+def units(ring):
+    return st.sampled_from((1, -1)) if ring == ZZ else elements(ring).filter(ring.is_unit)
+
+
+def non_units(ring):
+    return elements(ring).filter(lambda x: not ring.is_unit(x))
+
+
+def draw_square(data, ring, n, kind):
+    """An n×n map.  ``unimodular``: a diagonal of units, random row additions
+    and a row permutation; ``singular``: the same with one row scaled by a
+    non-unit (n ≥ 1); ``random``: :func:`draw_map`."""
+    carrier = module(ring, n, "e")
+    if kind == "random":
+        return draw_map(data, ring, carrier, carrier)
+    rows = [[data.draw(units(ring)) if i == j else ring.zero for j in range(n)]
+            for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i != j:
+            c = data.draw(elements(ring))
+            rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+    rows = [rows[i] for i in data.draw(st.permutations(range(n)))]
+    if kind == "singular":
+        i, c = data.draw(st.integers(0, n - 1)), data.draw(non_units(ring))
+        rows[i] = [ring.mul(c, a) for a in rows[i]]
+    return LinearMap(carrier, carrier, rows)

@@ -15,7 +15,6 @@ from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
     list_entries,
-    product_ring_algebra,
     swap_action_data,
     sweedler_hopf,
 )
@@ -25,8 +24,6 @@ from hopfdual.crossed import (
     direct_product_checks,
     integral_from_crossed,
     opposite_crossed,
-    smash_product_data,
-    trivial_cocycle,
 )
 from hopfdual.duality import (
     CoactionSide,

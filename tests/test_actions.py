@@ -1,11 +1,6 @@
 """Action-layer tests: hit actions, regular actions, weak actions, coinvariants."""
-import pytest
-
 from hopfdual.actions import (
     ComoduleAlgebraData,
-    Coinvariants,
-    PairingData,
-    WeakActionData,
     action_from_endomorphisms,
     coinvariants,
     coinvariants_form_subalgebra,
@@ -18,7 +13,6 @@ from hopfdual.actions import (
     validate_weak_action,
 )
 from hopfdual.catalog import group_algebra, product_ring_algebra, sweedler_hopf
-from hopfdual.hopf import tensor_algebra
 from hopfdual.linalg import LinearMap, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 

@@ -6,7 +6,7 @@ from hopfdual.crossed import CleftData, CrossedProductData
 from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
 from hopfdual.linalg import kron_vec
-from hopfdual.rings import QQ, ZZ, Zmod
+from hopfdual.rings import Zmod
 
 
 def test_listing_is_deterministic_and_contains_required_entries():

@@ -18,12 +18,10 @@ from hopfdual.catalog import (
     group_algebra,
     product_ring_algebra,
     swap_action_data,
-    sweedler_hopf,
     sweedler_module_action,
     truncated_polynomial_algebra,
 )
 from hopfdual.crossed import (
-    CleftData,
     build_crossed_product,
     cleft_maps,
     cocycle_flags,
@@ -214,7 +212,7 @@ def test_violates_only_twisted_module():
 def test_build_requires_normality():
     action = trivial_action(group_algebra(ZZ, 2), ground_algebra(ZZ))
     sigma = scaled_trivial_sigma(action, 2)
-    from hopfdual.crossed import CocycleData, CocycleFlags
+    from hopfdual.crossed import CocycleData
 
     fake = CocycleData(action, sigma, sigma, cocycle_flags(action, sigma))
     with pytest.raises(NotUnital):

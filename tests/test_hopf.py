@@ -17,7 +17,6 @@ from hopfdual.catalog import (
 from hopfdual.errors import NotConvInvertible
 from hopfdual.hopf import (
     AlgebraData,
-    BialgebraData,
     CoalgebraData,
     ConvolutionAlgebra,
     HopfData,

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import dense_oracle as dense
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
-    FreeModule,
     LinearMap,
+    PreparedSolver,
     SolveStatus,
     _rref_rows,
     canonical_span,
@@ -438,6 +438,57 @@ def test_canonical_span_mod_n_brute_force(n, data):
     assert span2 == span
     # and be a function of the span alone: rebuild from the whole span
     assert canonical_span(Zmod(n), sorted(span), length) == canon
+
+
+# --- field path and one-factorization inverse against the parent oracle ------
+# Z/7, Z/11 and Z/13 take the field path; Z/6 keeps the lifted Smith form.
+
+INVERSION_RINGS = (ZZ, QQ, Zmod(7), Zmod(11), Zmod(13), Zmod(6))
+square_kinds = st.sampled_from(("unimodular", "singular", "random"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INVERSION_RINGS), st.integers(1, 5), square_kinds, st.data())
+def test_invert_map_matches_parent(ring, n, kind, data):
+    m = dense.draw_square(data, ring, n, kind)
+    try:
+        want = dense.invert_map(m)
+    except NotInvertible as exc:
+        assert kind != "unimodular"
+        with pytest.raises(NotInvertible) as got:
+            invert_map(m)
+        assert str(got.value) == str(exc)
+        assert got.value.determinant == exc.determinant
+        assert type(got.value.determinant) is type(exc.determinant)
+    else:
+        assert kind != "singular"
+        dense.assert_bit_identical(invert_map(m), want)
+
+
+def test_invert_empty_map():
+    for ring in INVERSION_RINGS:
+        empty = LinearMap.identity(module(ring, 0))
+        dense.assert_bit_identical(invert_map(empty), dense.invert_map(empty))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INVERSION_RINGS), ranks, ranks, st.booleans(), st.data())
+def test_solve_matches_parent(ring, m, k, consistent, data):
+    a = dense.draw_map(data, ring, dense.module(ring, k, "x"), dense.module(ring, m, "y"))
+    if consistent:
+        rhs = a.apply(dense.draw_vector(data, ring, k))
+    else:
+        rhs = dense.draw_vector(data, ring, m)
+    solver, oracle = PreparedSolver(ring, a.matrix), dense.PreparedSolver(ring, a.matrix)
+    got, want = solver.solve(rhs), oracle.solve(rhs)
+    assert got.status is want.status
+    assert got.kernel_basis == want.kernel_basis
+    assert solver.kernel() == oracle.kernel()
+    if consistent:
+        assert got.solvable
+    if got.solvable:
+        assert a.apply(got.particular) == tuple(rhs)
+        assert {type(x) for x in got.particular} == {type(ring.one)}
 
 
 def test_split_coefficient_map_detects_direct_summand():

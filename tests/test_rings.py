@@ -1,4 +1,5 @@
 """Coefficient ring canonicalization and unit arithmetic."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,3 +57,32 @@ def test_ring_equality_and_descriptors():
 def test_strings_round_trip():
     assert ZZ.parse(ZZ.show(10**30 + 7)) == 10**30 + 7
     assert Zmod(9).parse("16") == 7
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_field_flags():
+    assert not ZZ.is_field
+    assert QQ.is_field
+    assert [n for n in range(2, 2001) if Zmod(n).is_field] == \
+        [n for n in range(2, 2001) if _prime_by_trial_division(n)]
+
+
+def test_large_moduli_decided_quickly():
+    p, q = 2**40 - 87, 2**40 - 167  # two 40-bit primes
+    start = time.perf_counter()
+    assert Zmod(2**61 - 1).is_field
+    assert Zmod(p).is_field and Zmod(q).is_field
+    assert not Zmod(p * q).is_field
+    # prime, but past the bound where the test is exact: the Smith path
+    assert not Zmod(2**89 - 1).is_field
+    assert time.perf_counter() - start < 0.5
+
+
+def test_strong_pseudoprimes_are_composite():
+    # the least composites that pass Miller–Rabin on the first 1, 4 and 12
+    # prime bases; only base 41 rejects the last one
+    for n in (2047, 3215031751, 318665857834031151167461):
+        assert not Zmod(n).is_field
