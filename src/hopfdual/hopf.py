@@ -34,6 +34,7 @@ from .linalg import (
     vec_to_map,
 )
 from .reporting import ValidationReport
+from .rings import QQ, ZZ
 
 
 class AlgebraData:
@@ -131,11 +132,11 @@ class AlgebraData:
         labels = self.carrier.labels
         # associativity on all basis triples (i, j, k), in that order, by index
         # arithmetic on the sparse table: with e_ie_j = Σ_t c^{ij}_t e_t,
-        # Σ_t c^{ij}_t·col(t,k) must equal Σ_s c^{jk}_s·col(i,s)
+        # Σ_t c^{ij}_t·col(t,k) must equal Σ_s c^{jk}_s·col(i,s); an integral
+        # table over Q is checked over Z
         witness = None
-        ring = self.ring
+        ring, cols = integral_view(self.ring, self.mult.sparse_columns())
         zero, mul, add = ring.zero, ring.mul, ring.add
-        cols = self.mult.sparse_columns()
         for i in range(r):
             row_i = cols[i * r:(i + 1) * r]
             for j in range(r):
@@ -178,6 +179,15 @@ class AlgebraData:
 
     def __hash__(self):
         return hash((self.rank, self.mult, self.unit))
+
+
+def integral_view(ring, cols):
+    """``(ZZ, numerators)`` when ``ring`` is Q and every entry of ``cols`` is
+    integral, else ``(ring, cols)``.  Z → Q is injective, so sums of products
+    compare equal over Z exactly when they do over Q."""
+    if ring != QQ or any(c.denominator != 1 for col in cols for _, c in col):
+        return ring, cols
+    return ZZ, tuple(tuple((t, c.numerator) for t, c in col) for col in cols)
 
 
 def expand_sparse(sparse, rank, ring):

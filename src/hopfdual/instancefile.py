@@ -129,7 +129,7 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
     try:
         ring = ring_from_descriptor(ring_desc)
     except (ValueError, KeyError, TypeError) as exc:
-        _fail(f"{where}: bad ring descriptor ({exc})")
+        _fail(f"{where}: bad 'ring' descriptor ({exc})")
     modules = _need(doc, "modules", where)
     if not isinstance(modules, dict) or not modules:
         _fail(f"{where}: 'modules' must map names to label lists")

@@ -673,14 +673,15 @@ class PreparedSolver:
                 continue
             R[r], R[pivot] = R[pivot], R[r]
             T[r], T[pivot] = T[pivot], T[r]
+            # inv·0 is 0 and a - c·0 is a: skip the zeros of the pivot row
             inv = ring.inv(R[r][col])
-            R[r] = [ring.mul(inv, a) for a in R[r]]
-            T[r] = [ring.mul(inv, a) for a in T[r]]
+            R[r] = [ring.mul(inv, a) if a else a for a in R[r]]
+            T[r] = [ring.mul(inv, a) if a else a for a in T[r]]
             for i in range(self.m):
                 if i != r and R[i][col] != 0:
                     c = R[i][col]
-                    R[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(R[i], R[r])]
-                    T[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(T[i], T[r])]
+                    R[i] = [ring.sub(a, ring.mul(c, b)) if b else a for a, b in zip(R[i], R[r])]
+                    T[i] = [ring.sub(a, ring.mul(c, b)) if b else a for a, b in zip(T[i], T[r])]
             pivots.append(col)
             r += 1
             if r == self.m:

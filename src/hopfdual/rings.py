@@ -4,6 +4,9 @@ Elements are plain Python values kept in canonical form: ``int`` for the
 integers, ``fractions.Fraction`` (lowest terms, positive denominator) for the
 rationals, and residues in ``[0, n)`` for the integers mod n.  Ring objects
 are immutable and compare by kind (and modulus).
+
+Rational ``add``/``sub``/``mul`` work on the numerators when both operands
+are integral; elements stay ``Fraction`` either way.
 """
 from __future__ import annotations
 
@@ -75,7 +78,7 @@ class Ring:
             raise ValueError("dot: length mismatch")
         total = self.zero
         for a, b in zip(u, v):
-            if a != 0 and b != 0:
+            if a and b:
                 total = self.add(total, self.mul(a, b))
         return total
 
@@ -153,12 +156,18 @@ class RationalRing(Ring):
         return not a
 
     def add(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator + b.numerator)
         return a + b
 
     def sub(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator - b.numerator)
         return a - b
 
     def mul(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator * b.numerator)
         return a * b
 
     def neg(self, a):
@@ -190,8 +199,8 @@ class ModularRing(Ring):
     kind = "integers_mod"
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("modulus must be an integer >= 2")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"modulus must be an integer >= 2, not {n!r}")
         self.n = n
         self.is_field = _is_prime(n)
 
@@ -199,6 +208,8 @@ class ModularRing(Ring):
     one = 1
 
     def of(self, value) -> int:
+        if type(value) is int:
+            return value % self.n
         if isinstance(value, bool):
             raise TypeError("bool is not a modular ring element")
         if isinstance(value, str):
@@ -286,5 +297,5 @@ def ring_from_descriptor(desc: dict) -> Ring:
     if kind == "rationals":
         return QQ
     if kind == "integers_mod":
-        return Zmod(int(desc["n"]))
+        return Zmod(desc["n"])
     raise ValueError(f"unknown ring kind: {kind!r}")

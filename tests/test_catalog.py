@@ -7,6 +7,7 @@ from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
 from hopfdual.linalg import kron_vec
 from hopfdual.rings import Zmod
+from hopfdual.suites import run_suite
 
 
 def test_listing_is_deterministic_and_contains_required_entries():
@@ -78,3 +79,23 @@ def test_catalog_coverage():
     hopfs = [e.hopf_data() for e in entries]
     assert any(h.coalgebra.is_cocommutative() for h in hopfs)
     assert any(not h.coalgebra.is_cocommutative() for h in hopfs)
+
+
+def _records(name, suite):
+    report = run_suite(get(name), suite)
+    return [(r.check_id, r.passed, r.witness)
+            for section in report.sections for r in section.records]
+
+
+@pytest.mark.parametrize("z_name,q_name,suite", [
+    ("Z_C3", "Q_C3", "hopf"),
+    ("Z_C3", "Q_C3", "smash"),
+    ("Z_C3", "Q_C3", "duality"),
+    ("sweedler4_Z", "sweedler4_Q", "hopf"),
+])
+def test_base_change_from_z_to_q_keeps_every_record(z_name, q_name, suite):
+    # the same structure constants over Z and over Q: Z → Q is injective, so
+    # every check must give the same verdict with the same witness
+    z_records = _records(z_name, suite)
+    assert z_records
+    assert _records(q_name, suite) == z_records

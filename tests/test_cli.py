@@ -123,6 +123,19 @@ def test_verify_malformed_block_is_input_error(tmp_path, capsys, mutate, block):
     assert block in err
 
 
+@pytest.mark.parametrize("modulus", [7.9, 7.0, True])
+def test_verify_non_integer_modulus_is_input_error(tmp_path, capsys, modulus):
+    # a float modulus used to be truncated: n = 7.9 ran over Z/7 and exited 0
+    path = tmp_path / "modulus.json"
+    doc = json.loads(export_entry_json(get("sweedler4_Z3")))
+    doc["ring"] = {"kind": "integers_mod", "n": modulus}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "hopf"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "'ring'" in err
+
+
 def test_json_report_format(tmp_path):
     out = tmp_path / "report.json"
     assert main(["catalog", "run", "Z_C2", "--suite", "hopf", "--format",

@@ -25,6 +25,7 @@ from hopfdual.hopf import (
     compute_twisted_antipode,
     dual_hopf,
     endomorphism_algebra,
+    integral_view,
     matrix_algebra,
     tensor_algebra,
     tensor_coalgebra,
@@ -357,9 +358,12 @@ def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
 # --- the associativity certificate against the sparse-dict products ----------
 # Associative tables (known algebras in a random unitriangular basis) with an
 # optional wrong entry, and wholly random tables; the unit is kept or redrawn.
+# Over Q the tables are also drawn integral (an integer basis change and an
+# integer wrong entry: the certificate runs over Z) and halved (the same basis
+# scaled by 1/2, so the constants are halves of integers: it stays over Q).
 
 
-def associative_table(data, ring):
+def associative_table(data, ring, entries=None, scale=None):
     base = data.draw(st.sampled_from([
         lambda: ground_algebra(ring),
         lambda: group_algebra(ring, 3, validate=False).algebra,
@@ -370,20 +374,23 @@ def associative_table(data, ring):
     ]))()
     r = base.rank
     carrier = dense.module(ring, r, "e")
+    entries = dense.elements(ring) if entries is None else entries
     P = LinearMap(carrier, carrier, [
-        [ring.one if i == j else data.draw(dense.elements(ring)) if i < j
+        [ring.one if i == j else data.draw(entries) if i < j
          else ring.zero for j in range(r)] for i in range(r)])
+    if scale is not None:
+        P = LinearMap(carrier, carrier, [[scale * x for x in row] for row in P.matrix])
     Pi = invert_map(P)
     mult = Pi @ base.mult @ kron(P, P)
     return AlgebraData(carrier, LinearMap(mult.domain, carrier, mult.matrix),
                        Pi.apply(base.unit))
 
 
-def with_wrong_entry(data, alg):
+def with_wrong_entry(data, alg, entries=None):
     rows = [list(row) for row in alg.mult.matrix]
     i = data.draw(st.integers(0, alg.rank - 1))
     j = data.draw(st.integers(0, alg.rank ** 2 - 1))
-    rows[i][j] = data.draw(dense.elements(alg.ring))
+    rows[i][j] = data.draw(dense.elements(alg.ring) if entries is None else entries)
     return AlgebraData(alg.carrier, LinearMap(alg.mult.domain, alg.carrier, rows),
                        alg.unit)
 
@@ -392,14 +399,22 @@ def record_tuples(rep):
     return [(r.check_id, r.statement, r.passed, r.witness) for r in rep.records]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(dense.RINGS), st.data())
-def test_validate_matches_the_sparse_dict_products(ring, data):
-    intact = data.draw(st.booleans())
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(dense.RINGS), st.sampled_from(("any", "integral", "halved")),
+       st.data())
+def test_validate_matches_the_sparse_dict_products(ring, q_table, data):
+    q_table = q_table if ring == QQ else "any"
+    integers = st.integers(-3, 3).map(QQ.of)
+    intact = q_table != "any" or data.draw(st.booleans())
     if intact:
-        alg = associative_table(data, ring)
+        alg = associative_table(data, ring, None if q_table == "any" else integers,
+                                QQ.of("1/2") if q_table == "halved" else None)
+        if q_table != "any":  # integral tables are certified over Z, halved ones over Q
+            view_ring = integral_view(ring, alg.mult.sparse_columns())[0]
+            assert view_ring == (ZZ if q_table == "integral" else QQ)
         if data.draw(st.booleans()):
-            alg, intact = with_wrong_entry(data, alg), False
+            wrong = integers if q_table == "integral" else None
+            alg, intact = with_wrong_entry(data, alg, wrong), False
     else:
         alg = random_algebra(data, ring, data.draw(st.integers(1, 4)), "a")
     if data.draw(st.booleans()):

@@ -1,8 +1,9 @@
 """Cross-checks of the exact linear algebra against sympy.
 
 sympy shares no code with hopfdual, so it is an independent oracle for
-determinants, inverses, Smith invariant factors and kernel ranks on random
-matrices over Z, Q, Z/p and Z/6.  Skipped where sympy is not installed.
+determinants, inverses, Smith invariant factors, kernel ranks and canonical
+spans on random matrices over Z, Q, Z/p and Z/6.  Skipped where sympy is not
+installed.
 """
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import dense_oracle as dense  # noqa: E402
 from hopfdual.errors import NotInvertible  # noqa: E402
 from hopfdual.linalg import (  # noqa: E402
     LinearMap,
+    canonical_span,
     determinant,
     invert_map,
     smith_normal_form,
@@ -111,3 +113,21 @@ def test_kernel_rank_mod_p_matches_sympy(ring, m, k, data):
     assert len(res.kernel_basis) == k - rank
     for v in res.kernel_basis:
         assert not any(a.apply(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((QQ,) + PRIMES), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_canonical_span_matches_sympy_rref(ring, m, k, data):
+    # over a field the canonical span is the reduced row echelon form
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [[data.draw(entry) for _ in range(k)] for _ in range(m)]
+    if ring == QQ:
+        reduced, _ = to_sympy(rows).rref()
+    else:
+        reduced, _ = DomainMatrix.from_Matrix(to_sympy(rows)).convert_to(
+            sympy.GF(ring.n)).rref()
+        reduced = reduced.to_Matrix()
+    want = tuple(row for row in (
+        tuple(from_sympy(ring, x) for x in reduced.row(i)) for i in range(reduced.rows))
+        if any(row))
+    assert canonical_span(ring, rows, k) == want

@@ -1,8 +1,11 @@
 """Coefficient ring canonicalization and unit arithmetic."""
+import operator
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfdual.errors import NotInvertible
 from hopfdual.rings import QQ, ZZ, Zmod, ring_from_descriptor
@@ -18,7 +21,10 @@ def test_modulus_must_be_at_least_two():
 def test_canonical_residues():
     r = Zmod(6)
     assert r.of(-1) == 5
+    assert r.of(6**20 + 1) == 1
     assert r.of("13") == 1
+    with pytest.raises(TypeError):
+        r.of(True)
     assert r.add(4, 5) == 3
     assert r.neg(2) == 4
 
@@ -86,3 +92,21 @@ def test_strong_pseudoprimes_are_composite():
     # prime bases; only base 41 rejects the last one
     for n in (2047, 3215031751, 318665857834031151167461):
         assert not Zmod(n).is_field
+
+
+# integral, non-integral, negative and large rationals, in canonical form
+rationals = st.one_of(
+    st.integers(-10, 10),
+    st.integers(-2**80, 2**80),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40)),
+).map(QQ.of)
+
+
+@given(st.sampled_from([(QQ.add, operator.add), (QQ.sub, operator.sub),
+                        (QQ.mul, operator.mul)]), rationals, rationals)
+def test_rational_ops_equal_the_fraction_operators(ops, a, b):
+    ours, plain = ops
+    got, want = ours(a, b), plain(a, b)
+    assert got == want
+    assert type(got) is type(want) is Fraction
