@@ -54,8 +54,6 @@ from .linalg import (
     kron_vec,
     split_coefficient_map,
     tensor_module,
-    vec_add,
-    vec_scale,
 )
 from .reporting import ValidationReport
 
@@ -85,6 +83,8 @@ class SubalgebraU:
                 "span(U) is not a direct summand of H* with independent generators")
         self.module = FreeModule(ring, len(self.elements),
                                  tuple(f"u{i}" for i in range(len(self.elements))))
+        self.inclusion = LinearMap.from_columns(self.module, self.ambient,
+                                                self.elements)
         self.dual_algebra = ConvolutionAlgebra(b.coalgebra,
                                                ground_algebra(ring)).algebra()
         self.eps_coords = self.express(tuple(b.coalgebra.counit.matrix[0]))
@@ -124,10 +124,7 @@ class SubalgebraU:
     def express(self, vec):
         """Coordinates of a functional in the U-basis, or None if outside."""
         coords = self._split.apply(vec)
-        recon = self.ambient.zero_vector()
-        for c, u in zip(coords, self.elements):
-            recon = vec_add(self.ring, recon, vec_scale(self.ring, c, u))
-        return coords if recon == tuple(vec) else None
+        return coords if self.inclusion.apply(coords) == tuple(vec) else None
 
     def act_regular(self, i: int, h_vec):
         """u_i moved by the regular action of ``h_vec`` on the declared side."""

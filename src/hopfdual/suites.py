@@ -1,5 +1,7 @@
 """Suite execution: each suite is a fixed sequence of exact checks over one
-catalog entry or parsed instance, producing deterministic report sections."""
+catalog entry or parsed instance, producing deterministic report sections.
+``run_suite`` hands every runner one :class:`Derived`, which builds each
+object that several checks read once per call and is dropped on return."""
 from __future__ import annotations
 
 import time
@@ -15,7 +17,9 @@ from .actions import (
 from .catalog import CatalogEntry, ground_algebra
 from .crossed import (
     CleftData,
+    CleftExtraction,
     CrossedProductData,
+    OppositeCrossed,
     cleft_maps,
     coefficient_mismatch,
     crossed_from_integral,
@@ -27,9 +31,11 @@ from .crossed import (
 )
 from .duality import (
     DiagramSide,
+    build_diagram,
     duality_iso,
     epsilon_maps,
     final_chain,
+    first_outside,
     j_generators,
     lambda_bar_map,
     lambda_map,
@@ -40,7 +46,9 @@ from .duality import (
 )
 from .errors import HopfdualError, ValidationError
 from .hopf import (
+    AlgebraIso,
     ConvolutionAlgebra,
+    HopfData,
     algebra_morphism_witness,
     certify_algebra_iso,
     compute_antipode,
@@ -51,7 +59,7 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import LinearMap, invert_map, kron, map_to_vec, submodule_membership
+from .linalg import LinearMap, invert_map, kron, map_to_vec
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -92,18 +100,75 @@ def _timed(rep: ValidationReport, check_id: str, statement: str, fn):
             (time.perf_counter() - start) * 1000.0)
 
 
-def _crossed_of(entry: CatalogEntry) -> Optional[CrossedProductData]:
-    payload = entry.payload
-    if isinstance(payload, CrossedProductData):
-        return payload
-    if isinstance(payload, CleftData):
-        return crossed_from_integral(payload).crossed
-    return None
+class Derived:
+    """What one ``run_suite`` call derives from its entry.  Each object is
+    built on first use and shared by the later checks of the call; a build
+    that raises keeps nothing, so every check that asks again fails alike.
+    ``full_dual`` asks for U = H* where a check ignores the entry's span."""
+
+    def __init__(self, entry: CatalogEntry):
+        self.entry = entry
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    @property
+    def hopf(self) -> HopfData:
+        return self._once("hopf", self.entry.hopf_data)
+
+    def u(self, side: ModuleSide, full_dual: bool = False) -> SubalgebraU:
+        """U on ``side``: the entry's span, or H* without one or if asked."""
+        span = None if full_dual else self.entry.u_span
+        return self._once(("U", side, span is None), lambda: (
+            SubalgebraU.full_dual(self.hopf, side) if span is None
+            else SubalgebraU(self.hopf, span, side)))
+
+    @property
+    def crossed(self) -> Optional[CrossedProductData]:
+        """None for a bare Hopf algebra; cleft data are extracted once."""
+        payload = self.entry.payload
+        if isinstance(payload, CleftData):
+            return self.extraction.crossed
+        return payload if isinstance(payload, CrossedProductData) else None
+
+    @property
+    def cleft(self) -> CleftData:
+        """The entry's cleft data, or θ(h) = 1#h on its crossed product."""
+        payload = self.entry.payload
+        if isinstance(payload, CleftData):
+            return payload
+        return self._once("cleft", lambda: integral_from_crossed(payload))
+
+    @property
+    def extraction(self) -> CleftExtraction:
+        return self._once("extraction", lambda: crossed_from_integral(self.cleft))
+
+    @property
+    def diagram_crossed(self) -> CrossedProductData:
+        """The entry's crossed product, or R#H with the trivial action."""
+        h = self.hopf
+        return self.crossed or self._once("trivial", lambda: smash_product_data(
+            trivial_action(h, ground_algebra(h.ring))))
+
+    @property
+    def opposite(self) -> OppositeCrossed:
+        return self._once("opposite", lambda: opposite_crossed(self.crossed))
+
+    def duality_iso(self, side: DiagramSide, full_dual: bool = False) -> AlgebraIso:
+        """The certified duality isomorphism on ``side`` for ``self.u``."""
+        full_dual = full_dual or self.entry.u_span is None
+        u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
+        return self._once(("iso", side, full_dual), lambda: duality_iso(
+            build_diagram(self.diagram_crossed, self.u(u_side, full_dual), side)))
 
 
-def run_hopf_suite(entry: CatalogEntry) -> ValidationReport:
+def run_hopf_suite(ctx: Derived) -> ValidationReport:
+    entry = ctx.entry
     rep = ValidationReport(f"{entry.name}: hopf suite")
-    h = entry.hopf_data()
+    h = ctx.hopf
     rep.extend(validate_hopf(h, f"{entry.name}"))
 
     def antipode_recomputed():
@@ -134,9 +199,9 @@ def run_hopf_suite(entry: CatalogEntry) -> ValidationReport:
     return rep
 
 
-def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
-    rep = ValidationReport(f"{entry.name}: crossed suite")
-    cp = _crossed_of(entry)
+def run_crossed_suite(ctx: Derived) -> ValidationReport:
+    rep = ValidationReport(f"{ctx.entry.name}: crossed suite")
+    cp = ctx.crossed
     if cp is None:
         raise ValidationError("crossed suite needs crossed or cleft data")
     rep.extend(validate_weak_action(cp.action, "weak action"))
@@ -173,18 +238,18 @@ def run_crossed_suite(entry: CatalogEntry) -> ValidationReport:
     return rep
 
 
-def run_smash_suite(entry: CatalogEntry) -> ValidationReport:
-    rep = ValidationReport(f"{entry.name}: smash suite")
-    h = entry.hopf_data()
+def run_smash_suite(ctx: Derived) -> ValidationReport:
+    rep = ValidationReport(f"{ctx.entry.name}: smash suite")
+    h = ctx.hopf
     rep.extend(smash_compare(h, "left vs right smash on H⊗H*"))
     _timed(rep, "smash.hat", "#(H,H) constructs and validates",
            lambda: hat_smash(h, regular_comodule(h)) is not None)
     _timed(rep, "smash.op_hat", "#op(H,H) constructs and validates",
            lambda: op_hat_smash(h, regular_comodule(h)) is not None)
-    cp = _crossed_of(entry)
+    cp = ctx.crossed
     if cp is not None:
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        UL = SubalgebraU.full_dual(h, ModuleSide.LEFT)
+        U = ctx.u(ModuleSide.RIGHT, full_dual=True)
+        UL = ctx.u(ModuleSide.LEFT, full_dual=True)
         _timed(rep, "smash.right", "(A#σH)#U constructs and validates",
                lambda: right_smash(cp.comodule, U) is not None)
         _timed(rep, "smash.op", "(A#σH)#opU constructs and validates",
@@ -200,16 +265,12 @@ def run_smash_suite(entry: CatalogEntry) -> ValidationReport:
     return rep
 
 
-def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
+def run_duality_suite(ctx: Derived) -> ValidationReport:
+    entry = ctx.entry
     rep = ValidationReport(f"{entry.name}: duality suite")
-    h = entry.hopf_data()
-    if entry.u_span is not None:
-        U = SubalgebraU(h, entry.u_span, ModuleSide.RIGHT)
-        UL = SubalgebraU(h, entry.u_span, ModuleSide.LEFT)
-    else:
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        UL = SubalgebraU.full_dual(h, ModuleSide.LEFT)
-
+    h = ctx.hopf
+    U = ctx.u(ModuleSide.RIGHT)
+    UL = ctx.u(ModuleSide.LEFT)
     full_u = entry.u_span is None
 
     def lambda_iso():
@@ -235,9 +296,7 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
            "inverse and multiplicative",
            lambda: phi_maps(h, DiagramSide.RIGHT) and phi_maps(h, DiagramSide.OP)
            and True)
-    cp = _crossed_of(entry)
-    if cp is None:
-        cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
+    cp = ctx.diagram_crossed
     A = cp.action.algebra
     _timed(rep, "duality.epsilon", "ε/ε⁻¹ and the barred pair round-trip and "
            "factor χ = ε∘α",
@@ -253,7 +312,7 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
                             DiagramSide.OP).ok)
 
     def suite_run():
-        inner = theorem_suite(cp, U=None if full_u else U, V=entry.v_span)
+        inner = theorem_suite(cp, U, UL, ctx.duality_iso, V=entry.v_span)
         rep.extend(inner)
         return inner.ok
 
@@ -261,19 +320,16 @@ def run_duality_suite(entry: CatalogEntry) -> ValidationReport:
            "both duality isomorphisms hold", suite_run)
     if full_u:
         _timed(rep, "duality.matrix", "the end-to-end matrix-algebra "
-               "isomorphism is certified", lambda: matrix_iso(cp) is not None)
+               "isomorphism is certified",
+               lambda: matrix_iso(cp, U, ctx.duality_iso(DiagramSide.RIGHT))
+               is not None)
     return rep
 
 
-def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
-    rep = ValidationReport(f"{entry.name}: cleft suite")
-    payload = entry.payload
-    if isinstance(payload, CleftData):
-        cleft = payload
-        cp = crossed_from_integral(cleft).crossed
-    else:
-        cp = payload
-        cleft = integral_from_crossed(cp)
+def run_cleft_suite(ctx: Derived) -> ValidationReport:
+    rep = ValidationReport(f"{ctx.entry.name}: cleft suite")
+    cp = ctx.crossed
+    cleft = ctx.cleft
     rep.extend(cleft.validate("cleft data"))
 
     def theta_inv_matches():
@@ -301,29 +357,23 @@ def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
         # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
         gens = j_generators(ring, phi.codomain.rank // h.rank,
                             [h.carrier.basis_vector(i) for i in range(h.rank)], h.rank)
-        for col in range(phi.domain.rank):
-            if submodule_membership(ring, gens, phi.column(col)) is None:
-                return False
-            if submodule_membership(ring, gens, psi.column(col)) is None:
-                return False
-        return True
+        return (first_outside(ring, gens, phi) is None
+                and first_outside(ring, gens, psi) is None)
 
     _timed(rep, "cleft.maps", "the integral compatibility maps land in "
            "J(A⊗V) for V = H*", maps_contained)
 
     def route_equality():
-        h = ensure_hopf(cp.action.hopf)
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        direct = duality_iso(cp, U, DiagramSide.RIGHT)
-        ext = crossed_from_integral(cleft)
-        transport = kron(ext.iso.inverse, LinearMap.identity(U.module))
+        U = ctx.u(ModuleSide.RIGHT, full_dual=True)
+        direct = ctx.duality_iso(DiagramSide.RIGHT, full_dual=True)
+        transport = kron(ctx.extraction.iso.inverse, LinearMap.identity(U.module))
         b_smash = right_smash(cleft.comodule_algebra, U)
         routed = LinearMap(b_smash.carrier, direct.map.codomain,
                            (direct.map @ transport).matrix)
         certify_algebra_iso(b_smash.product, direct.target, routed,
                             "cleft-route duality")
         # on a crossed-product payload the transport is the identity
-        if isinstance(entry.payload, CrossedProductData):
+        if isinstance(ctx.entry.payload, CrossedProductData):
             return routed == direct.map
         return True
 
@@ -332,30 +382,21 @@ def run_cleft_suite(entry: CatalogEntry) -> ValidationReport:
     return rep
 
 
-def run_opposite_suite(entry: CatalogEntry) -> ValidationReport:
-    rep = ValidationReport(f"{entry.name}: opposite suite")
-    cp = _crossed_of(entry)
+def run_opposite_suite(ctx: Derived) -> ValidationReport:
+    rep = ValidationReport(f"{ctx.entry.name}: opposite suite")
+    cp = ctx.crossed
     if cp is None:
         raise ValidationError("opposite suite needs crossed or cleft data")
-
-    state = {}
-
-    def tau_ok():
-        res = opposite_crossed(cp)
-        state["res"] = res
-        return res.tau.flags.all_true
-
     _timed(rep, "opposite.tau", "τ = σ⁻¹∘(S̄⊗S̄) validates as an invertible "
-           "normal cocycle with the twisted-module property", tau_ok)
+           "normal cocycle with the twisted-module property",
+           lambda: ctx.opposite.tau.flags.all_true)
     _timed(rep, "opposite.iso", "A#σH ≅ (A^op#τH^op)^op certified as a "
-           "comodule-algebra isomorphism",
-           lambda: state["res"].colinear if "res" in state else False)
+           "comodule-algebra isomorphism", lambda: ctx.opposite.colinear)
 
     def chain_ok():
-        h = ensure_hopf(cp.action.hopf)
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        res = final_chain(cp, U)
-        state["chain"] = res
+        res = final_chain(cp, ctx.u(ModuleSide.RIGHT, full_dual=True),
+                          ctx.opposite,
+                          ctx.duality_iso(DiagramSide.RIGHT, full_dual=True))
         rep.extend(res.report)
         return res.report.ok
 
@@ -387,6 +428,7 @@ def run_suite(entry: CatalogEntry, suite: str = "all") -> Report:
             raise ValidationError(
                 f"suite {suite!r} is not applicable to entry {entry.name!r}")
         chosen = (suite,)
+    ctx = Derived(entry)
     for s in chosen:
-        report.add_section(_RUNNERS[s](entry))
+        report.add_section(_RUNNERS[s](ctx))
     return report

@@ -32,6 +32,11 @@ and g(k₅) on the right is the negative control that breaks π∘α = γ
 M_n(R) as n⁴ dense columns, End(M) by re-wrapping that table on the Hom
 carrier; ``test_hopf.py`` requires the sparse builders to agree bit for bit.
 
+``subalgebra_express`` is ``SubalgebraU.express`` rebuilding the functional
+densely, one scale and one add over the ambient vector per U-element;
+``test_smash.py`` requires the library's prebuilt inclusion to give the same
+coordinates or ``None``.
+
 ``PreparedSolver`` and ``invert_map`` are the solver and inversion before the
 field path: Gaussian elimination over Q only, every Z/n system (prime n
 included) lifted to ``[A | n*I]`` and Smith-reduced, and an inverse made of a
@@ -551,6 +556,16 @@ def _accumulate_smash(out, ring, c, bpart, upart_ambient, U, rU):
 
 
 # --- the crossed layer, term by term -------------------------------------------
+
+
+def subalgebra_express(U, vec):
+    """Coordinates of ``vec`` in the U-basis, or None if the U-combination of
+    the split coordinates does not rebuild it."""
+    coords = U._split.apply(vec)
+    recon = U.ambient.zero_vector()
+    for c, u in zip(coords, U.elements):
+        recon = vec_add(U.ring, recon, vec_scale(U.ring, c, u))
+    return coords if recon == tuple(vec) else None
 
 
 def _sigma_basis(sigma, rH, rA, ring, i, j):

@@ -93,7 +93,7 @@ def diagrams(crossed_products):
                             (DiagramSide.OP, ModuleSide.LEFT)):
             U = SubalgebraU.full_dual(h, mside)
             diag = build_diagram(cp, U, side)
-            iso = duality_iso(cp, U, side, diag)
+            iso = duality_iso(diag)
             out[name, side] = (U, diag, iso)
     return out
 
@@ -231,9 +231,10 @@ def test_08_duality_isomorphisms(diagrams):
                "pairs, both sides, for every catalog crossed product")
 
 
-def test_09_matrix_algebra_route(crossed_products):
+def test_09_matrix_algebra_route(crossed_products, diagrams):
     for name, n in (("triv_C2", 2), ("gauss", 2), ("triv_C3", 3)):
-        res = matrix_iso(crossed_products[name])
+        U, _, leg1 = diagrams[name, DiagramSide.RIGHT]
+        res = matrix_iso(crossed_products[name], U, leg1)
         assert res.n == n
         assert res.iso.map.codomain.rank == n * n
     # negative control: a rank-2 span of index 2 in H* gives det(χ) = ±4
@@ -291,14 +292,14 @@ def test_11_cleft_round_trips(crossed_products, diagrams):
                 "give equal matrices")
 
 
-def test_12_opposite_route(crossed_products):
+def test_12_opposite_route(crossed_products, diagrams):
     for name in ("gauss", "swap_smash", "Zmod6_C2"):
         res = opposite_crossed(crossed_products[name])
         assert res.tau.flags.all_true, name
         assert res.colinear, name
     cp = crossed_products["swap_smash"]
-    h = ensure_hopf(cp.action.hopf)
-    chain = final_chain(cp, SubalgebraU.full_dual(h))
+    U, _, direct = diagrams["swap_smash", DiagramSide.RIGHT]
+    chain = final_chain(cp, U, opposite_crossed(cp), direct)
     assert chain.report.ok
     assert chain.equal_to_direct
     verdict(12, "τ validates as an invertible cocycle with certified "

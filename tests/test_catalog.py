@@ -1,12 +1,15 @@
 """Catalog integrity: deterministic listing, validated entries, coverage."""
 import pytest
 
-from hopfdual.catalog import get, list_entries
-from hopfdual.crossed import CleftData, CrossedProductData
+from hopfdual.actions import trivial_action
+from hopfdual.catalog import get, ground_algebra, list_entries
+from hopfdual.crossed import CleftData, CrossedProductData, smash_product_data
+from hopfdual.duality import DiagramSide, build_diagram, duality_iso, matrix_iso
 from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
 from hopfdual.linalg import kron_vec
 from hopfdual.rings import Zmod
+from hopfdual.smash import ModuleSide, SubalgebraU
 from hopfdual.suites import run_suite
 
 
@@ -99,3 +102,23 @@ def test_base_change_from_z_to_q_keeps_every_record(z_name, q_name, suite):
     z_records = _records(z_name, suite)
     assert z_records
     assert _records(q_name, suite) == z_records
+
+
+def test_base_change_from_z_to_z3_keeps_records_and_isomorphisms():
+    # sweedler4_Z reduced mod 3 is sweedler4_Z3: every hopf-suite record, and
+    # with A the ground ring the certified right duality isomorphism and the
+    # matrix form, reduced mod 3, must equal the ones computed over Z/3
+    z_records = _records("sweedler4_Z", "hopf")
+    assert z_records
+    assert _records("sweedler4_Z3", "hopf") == z_records
+    maps = []
+    for name in ("sweedler4_Z", "sweedler4_Z3"):
+        h = get(name).hopf_data()
+        cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
+        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
+        iso = duality_iso(build_diagram(cp, U, DiagramSide.RIGHT))
+        maps.append((iso.map, matrix_iso(cp, U, iso).iso.map))
+    z3 = Zmod(3)
+    for over_z, over_z3 in zip(*maps):
+        assert [[z3.of(x) for x in row] for row in over_z.matrix] == \
+            [list(row) for row in over_z3.matrix]

@@ -20,6 +20,7 @@ from hopfdual.crossed import (
     CocycleData,
     CrossedProductData,
     build_crossed_product,
+    opposite_crossed,
     smash_product_data,
     trivial_cocycle,
     validate_cocycle,
@@ -95,6 +96,14 @@ def gauss_crossed():
 def triv_crossed(ring=ZZ, n=2):
     return smash_product_data(trivial_action(group_algebra(ring, n),
                                              ground_algebra(ring)))
+
+
+def certified_iso(cp, side):
+    """U = H* on ``side`` and the certified duality isomorphism of ``cp``."""
+    h = ensure_hopf(cp.action.hopf)
+    U = SubalgebraU.full_dual(
+        h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+    return U, duality_iso(build_diagram(cp, U, side))
 
 
 # --- λ and the RL-condition ---------------------------------------------------
@@ -291,18 +300,19 @@ def test_non_unit_determinant_leg_reports_not_invertible():
 ])
 def test_duality_iso_both_sides(make):
     cp = make()
-    h = ensure_hopf(cp.action.hopf)
-    duality_iso(cp, SubalgebraU.full_dual(h, ModuleSide.RIGHT), DiagramSide.RIGHT)
-    duality_iso(cp, SubalgebraU.full_dual(h, ModuleSide.LEFT), DiagramSide.OP)
+    certified_iso(cp, DiagramSide.RIGHT)
+    certified_iso(cp, DiagramSide.OP)
 
 
 def test_matrix_iso_families():
     for make, n, expect_rank in ((triv_crossed, 2, 4), (gauss_crossed, 2, 4),
                                  (lambda: triv_crossed(ZZ, 3), 3, 9)):
-        res = matrix_iso(make())
+        cp = make()
+        res = matrix_iso(cp, *certified_iso(cp, DiagramSide.RIGHT))
         assert res.n == n
         assert res.iso.map.codomain.rank == expect_rank
-    res = matrix_iso(smash_product_data(swap_action_data(ZZ)))
+    cp = smash_product_data(swap_action_data(ZZ))
+    res = matrix_iso(cp, *certified_iso(cp, DiagramSide.RIGHT))
     assert res.iso.map.codomain.rank == 8  # M₂ of a rank-2 coefficient algebra
 
 
@@ -344,8 +354,9 @@ def test_small_V_fails_compatibility_with_witness():
     U = SubalgebraU.full_dual(h)
     rep = compat_check(cp, U, [(1, 1)], DiagramSide.RIGHT)
     assert not rep.ok
-    assert not rep.phi_contained
-    assert rep.phi_witness is not None
+    assert not rep.phi_contained and not rep.psi_contained
+    # the witness names the first basis pair h⊗a whose image leaves J(A⊗V)
+    assert rep.phi_witness == rep.psi_witness == "(e,u0)"
 
 
 # --- coactions -------------------------------------------------------------------
@@ -393,15 +404,19 @@ def test_coaction_preimage_of_full_dual_is_everything():
 
 
 def test_theorem_suite_on_gauss():
-    rep = theorem_suite(gauss_crossed())
+    cp = gauss_crossed()
+    h = ensure_hopf(cp.action.hopf)
+    rep = theorem_suite(cp, SubalgebraU.full_dual(h, ModuleSide.RIGHT),
+                        SubalgebraU.full_dual(h, ModuleSide.LEFT),
+                        lambda side: certified_iso(cp, side)[1])
     assert rep.ok
 
 
 def test_final_chain_matches_direct_on_c2_smash():
     for make in (triv_crossed, lambda: smash_product_data(swap_action_data(ZZ))):
         cp = make()
-        h = ensure_hopf(cp.action.hopf)
-        res = final_chain(cp, SubalgebraU.full_dual(h))
+        U, direct = certified_iso(cp, DiagramSide.RIGHT)
+        res = final_chain(cp, U, opposite_crossed(cp), direct)
         assert res.report.ok
         assert res.equal_to_direct
 

@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_oracle as dense
 from hopfdual import catalog
@@ -71,6 +73,27 @@ def test_non_summand_U_is_rejected():
     h = group_algebra(ZZ, 2)
     with pytest.raises(ValidationError):
         SubalgebraU(h, [(1, 1), (0, 2)], ModuleSide.RIGHT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(dense.RINGS), st.data())
+def test_express_matches_the_dense_oracle(ring, data):
+    # U = the functions on C4 constant on the cosets of C2; c·u + d lies in
+    # span(U) exactly when d does, i.e. when d₀ = d₂ and d₁ = d₃
+    elements = [(1, 0, 1, 0), (0, 1, 0, 1)]
+    U = SubalgebraU(group_algebra(ring, 4), elements, ModuleSide.RIGHT)
+    c = dense.draw_vector(data, ring, 2)
+    d = dense.draw_vector(data, ring, 4)
+    if data.draw(st.booleans()):
+        d = (d[0], d[1], d[0], d[1])
+    vec = tuple(ring.add(ring.add(ring.mul(c[0], ring.of(x)), ring.mul(c[1], ring.of(y))), z)
+                for x, y, z in zip(*elements, d))
+    got = U.express(vec)
+    assert got == dense.subalgebra_express(U, vec)
+    if d[0] == d[2] and d[1] == d[3]:
+        assert got == (ring.add(c[0], d[0]), ring.add(c[1], d[1]))
+    else:
+        assert got is None
 
 
 def test_side_mismatch_raises():

@@ -1,0 +1,92 @@
+"""Suite runs: each derived object is built once per ``run_suite`` call, a
+failed build is never reused as a success, and every check that needs a
+failed object carries its witness."""
+import sys
+
+import pytest
+
+import dense_oracle
+from hopfdual import crossed, duality
+from hopfdual.catalog import get
+from hopfdual.errors import ValidationError
+from hopfdual.suites import run_suite
+
+COUNTED = ((duality, "build_diagram"), (duality, "delta_map"),
+           (crossed, "crossed_from_integral"), (crossed, "opposite_crossed"))
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` in every hopfdual namespace that imported it."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("hopfdual")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, replacement)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of the builders in COUNTED, by name."""
+    counts = dict.fromkeys((name for _, name in COUNTED), 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for module, name in COUNTED:
+        patch_everywhere(monkeypatch, module, name,
+                         counting(name, getattr(module, name)))
+    return counts
+
+
+def records(report):
+    return [(r.check_id, r.passed, r.witness)
+            for section in report.sections for r in section.records]
+
+
+@pytest.mark.parametrize("name,suite,expected", [
+    # one right and one op diagram for the theorem suite; the matrix form
+    # reuses the certified right isomorphism
+    ("sweedler4_Z3", "all", (2, 2, 0, 0)),
+    ("gauss", "duality", (2, 2, 0, 0)),
+    # the route reuses the extraction that gave the crossed product; the
+    # round trip extracts from θ(h) = 1#h on it
+    ("gauss_cleft", "cleft", (1, 1, 2, 0)),
+    # the direct right diagram and the op diagram of the opposite product;
+    # τ, the comodule-algebra iso and the chain share one opposite product
+    ("gauss_cleft", "opposite", (2, 2, 1, 1)),
+])
+def test_each_object_is_built_once_per_run(calls, name, suite, expected):
+    entry = get(name)
+    assert all(r[1] for r in records(run_suite(entry, suite)))
+    once = tuple(calls.values())
+    assert once == expected
+    # a second call builds everything anew: nothing outlives run_suite
+    run_suite(entry, suite)
+    assert tuple(calls.values()) == tuple(2 * n for n in once)
+
+
+def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
+    # the g(k₅)-on-the-right π breaks π∘α = γ, so the right isomorphism never
+    # certifies: the theorem suite and the matrix form must both fail on it
+    monkeypatch.setattr(duality, "pi_map",
+                        lambda cp, side: dense_oracle.pi_right(cp, g_left=False))
+    failed = {r[0]: r[2] for r in records(run_suite(get("sweedler4_smash_Q"),
+                                                    "duality")) if not r[1]}
+    assert set(failed) == {"duality.theorems", "duality.matrix"}
+    assert failed["duality.theorems"] == failed["duality.matrix"]
+    assert "π∘α ≠ γ" in failed["duality.matrix"]
+
+
+def test_a_failed_opposite_product_fails_each_check_with_its_witness(monkeypatch):
+    def no_tau(cp):
+        raise ValidationError("τ fails the cocycle flags")
+
+    patch_everywhere(monkeypatch, crossed, "opposite_crossed", no_tau)
+    result = {r[0]: r for r in records(run_suite(get("gauss_cleft"), "opposite"))}
+    tau, iso = result["opposite.tau"], result["opposite.iso"]
+    assert not tau[1] and not iso[1]
+    assert tau[2] and tau[2] == iso[2] == "τ fails the cocycle flags"
+    assert result["opposite.chain"][2] == tau[2]
