@@ -15,7 +15,6 @@ from .linalg import (
     kron,
     solve_linear,
     submodule_membership,
-    twist,
     twist_map,
 )
 from .hopf import (
@@ -36,10 +35,8 @@ from .hopf import (
 )
 from .actions import (
     ComoduleAlgebraData,
-    PairingData,
     WeakActionData,
     coinvariants,
-    regular_actions,
     validate_weak_action,
 )
 from .crossed import (

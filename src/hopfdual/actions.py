@@ -1,31 +1,20 @@
-"""Hit actions from measuring pairings, regular actions on the dual, weak
-actions, comodule algebras and coinvariants.
+"""Regular actions of H on its dual, weak actions, comodule algebras and
+coinvariants.
 
-The hit actions of a measuring pairing (A, C) are a⇀c = Σ c₁⟨a,c₂⟩ and
-c↼a = Σ ⟨a,c₁⟩c₂; the regular actions of H on H* are (hf)(k) = f(kh) and
-(fh)(k) = f(hk).
+The regular actions of H on H* are (hf)(k) = f(kh) and (fh)(k) = f(hk).  The
+hit actions f⇀k = Σ k₁f(k₂) and k↼f = Σ f(k₁)k₂ of H* on H, which λ, χ and
+the RL check read, are ``duality._hit`` and ``duality.rho_endo``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import ground_algebra
 from .errors import DimensionMismatch, RingMismatch, ValidationError
-from .hopf import (
-    AlgebraData,
-    CoalgebraData,
-    ConvolutionAlgebra,
-    HopfLike,
-    bialgebra_of,
-    expand_sparse,
-    tensor_algebra,
-)
+from .hopf import AlgebraData, HopfLike, bialgebra_of, tensor_algebra
 from .linalg import (
     FreeModule,
     LinearMap,
     column_witness,
-    dual_module,
-    hom_module,
     kron,
     kron_vec,
     product_labels,
@@ -37,132 +26,6 @@ from .linalg import (
     vec_scale,
 )
 from .reporting import ValidationReport
-
-
-class PairingData:
-    """A measuring pairing: an algebra A, a coalgebra C, and ⟨-,-⟩: A⊗C → R
-    whose induced map β: A → C* is an algebra morphism."""
-
-    def __init__(self, algebra_side: AlgebraData, coalgebra_side: CoalgebraData,
-                 eval_map: LinearMap):
-        if algebra_side.ring != coalgebra_side.ring:
-            raise RingMismatch("pairing sides over different rings")
-        expected = algebra_side.rank * coalgebra_side.rank
-        if eval_map.domain.rank != expected or eval_map.codomain.rank != 1:
-            raise DimensionMismatch("evaluation must map A⊗C to the ground ring")
-        self.algebra_side = algebra_side
-        self.coalgebra_side = coalgebra_side
-        self.eval_map = eval_map
-
-    @property
-    def ring(self):
-        return self.algebra_side.ring
-
-    def pair(self, a_vec, c_vec):
-        return self.eval_map.apply(kron_vec(self.ring, a_vec, c_vec))[0]
-
-    def pair_basis(self, i: int, j: int):
-        return self.eval_map.matrix[0][i * self.coalgebra_side.rank + j]
-
-    def hit_left(self, a_vec, c_vec):
-        """a⇀c = Σ c₁⟨a,c₂⟩."""
-        ring = self.ring
-        C = self.coalgebra_side
-        out = [ring.zero] * C.rank
-        for coeff, (c1, c2) in C.sweedler(c_vec, 2):
-            s = ring.mul(coeff, self.pair(a_vec, C.carrier.basis_vector(c2)))
-            if (s):
-                out[c1] = ring.add(out[c1], s)
-        return tuple(out)
-
-    def hit_right(self, c_vec, a_vec):
-        """c↼a = Σ ⟨a,c₁⟩c₂."""
-        ring = self.ring
-        C = self.coalgebra_side
-        out = [ring.zero] * C.rank
-        for coeff, (c1, c2) in C.sweedler(c_vec, 2):
-            s = ring.mul(coeff, self.pair(a_vec, C.carrier.basis_vector(c1)))
-            if (s):
-                out[c2] = ring.add(out[c2], s)
-        return tuple(out)
-
-    def beta_map(self) -> LinearMap:
-        """β: A → C*, a ↦ ⟨a,-⟩, into the hom flattening of Hom(C, R)."""
-        A, C = self.algebra_side, self.coalgebra_side
-        cols = [tuple(self.pair_basis(i, j) for j in range(C.rank))
-                for i in range(A.rank)]
-        return LinearMap.from_columns(A.carrier, hom_module(C.carrier,
-                                                            unit_module(self.ring)), cols)
-
-    def is_nondegenerate(self) -> bool:
-        """Whether β is injective.  Recorded for information only: at finite
-        free rank the needed injectivity hypotheses hold automatically, so
-        non-degeneracy is never enforced."""
-        res = solve_linear(self.beta_map(),
-                           (self.ring.zero,) * self.coalgebra_side.rank)
-        return not res.kernel_basis
-
-    def validate(self, subject: str = "pairing") -> ValidationReport:
-        rep = ValidationReport(subject)
-        conv = ConvolutionAlgebra(self.coalgebra_side, ground_algebra(self.ring))
-        beta = self.beta_map()
-        dual_alg = conv.algebra()
-        ok_unit = beta.apply(self.algebra_side.unit) == conv.unit_vec
-        rep.add("pairing.beta_unit", "β(1) is the convolution unit", ok_unit)
-        witness = None
-        r = self.algebra_side.rank
-        for i in range(r):
-            for j in range(r):
-                prod = expand_sparse(self.algebra_side.basis_product(i, j), r, self.ring)
-                lhs = beta.apply(prod)
-                rhs = dual_alg.product(beta.column(i), beta.column(j))
-                if lhs != rhs:
-                    witness = (f"({self.algebra_side.carrier.labels[i]},"
-                               f"{self.algebra_side.carrier.labels[j]})")
-                    break
-            if witness:
-                break
-        rep.add("pairing.beta_mult", "β is multiplicative into (C*,⋆)",
-                witness is None, witness)
-        # informational: recorded, never enforced (automatic at finite rank)
-        rep.add("pairing.nondegeneracy_recorded",
-                "β injectivity recorded (not a hypothesis at finite free rank)",
-                True, f"injective: {self.is_nondegenerate()}")
-        return rep
-
-
-def dual_pairing(h: HopfLike) -> PairingData:
-    """The canonical measuring pairing (H*, H) with ⟨f, k⟩ = f(k)."""
-    b = bialgebra_of(h)
-    ring = b.ring
-    r = b.rank
-    dual_alg = ConvolutionAlgebra(b.coalgebra, ground_algebra(ring)).algebra()
-    rows = [[ring.one if i == j else ring.zero
-             for i in range(r) for j in range(r)]]
-    ev = LinearMap(tensor_module(dual_alg.carrier, b.carrier), unit_module(ring), rows)
-    return PairingData(dual_alg, b.coalgebra, ev)
-
-
-def regular_actions(h: HopfLike):
-    """The H-bimodule structure of H*: left (hf)(k)=f(kh), right (fh)(k)=f(hk).
-
-    Returns (left: H⊗H* → H*, right: H*⊗H → H*).
-    """
-    b = bialgebra_of(h)
-    r = b.rank
-    mult = b.algebra.mult.matrix
-    Hd = dual_module(b.carrier)
-    left_cols = []
-    for i in range(r):
-        for j in range(r):
-            left_cols.append(tuple(mult[j][l * r + i] for l in range(r)))
-    right_cols = []
-    for j in range(r):
-        for i in range(r):
-            right_cols.append(tuple(mult[j][i * r + l] for l in range(r)))
-    left = LinearMap.from_columns(tensor_module(b.carrier, Hd), Hd, left_cols)
-    right = LinearMap.from_columns(tensor_module(Hd, b.carrier), Hd, right_cols)
-    return left, right
 
 
 def regular_act_left(h: HopfLike, h_vec, f_vec):

@@ -8,6 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .actions import action_from_endomorphisms, trivial_action
+from .crossed import (
+    build_crossed_product,
+    integral_from_crossed,
+    trivial_cocycle,
+    validate_cocycle,
+)
 from .errors import UnknownEntry
 from .hopf import (
     AlgebraData,
@@ -16,6 +23,8 @@ from .hopf import (
     HopfData,
     compute_antipode,
     compute_twisted_antipode,
+    ensure_hopf,
+    matrix_algebra,
 )
 from .linalg import FreeModule, LinearMap, free_module, tensor_module, unit_module
 from .rings import QQ, ZZ, Ring, Zmod
@@ -113,54 +122,36 @@ def sweedler_hopf(ring: Ring, validate=True) -> HopfData:
                            validate=validate)
 
 
-def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:
-    """R[{1, t}] with t² = t, Δ(t)=t⊗t: a bialgebra that is not Hopf."""
-    carrier = free_module(ring, ["1", "t"])
-    alg = algebra_from_quadruples(
-        carrier,
-        [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)],
-        carrier.basis_vector(0),
-    )
-    coalg = coalgebra_from_quadruples(carrier, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
-    b = BialgebraData(alg, coalg)
-    b.validate().require()
-    return b
-
-
 def ground_algebra(ring: Ring) -> AlgebraData:
     """R itself as a rank-one algebra."""
     carrier = free_module(ring, ["1"])
     return algebra_from_quadruples(carrier, [(0, 0, 0, 1)], (1,))
 
 
-def product_ring_algebra(ring: Ring, n: int, validate=True) -> AlgebraData:
+def product_ring_algebra(ring: Ring, n: int) -> AlgebraData:
     """R × ... × R (n factors) with componentwise product."""
     carrier = free_module(ring, [f"u{i}" for i in range(n)])
     quads = [(i, i, i, 1) for i in range(n)]
     alg = algebra_from_quadruples(carrier, quads, [1] * n)
-    if validate:
-        alg.validate().require()
+    alg.validate().require()
     return alg
 
 
-def truncated_polynomial_algebra(ring: Ring, validate=True) -> AlgebraData:
+def truncated_polynomial_algebra(ring: Ring) -> AlgebraData:
     """R[y]/(y²), basis {1, y}."""
     carrier = free_module(ring, ["1", "y"])
     quads = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
     alg = algebra_from_quadruples(carrier, quads, (1, 0))
-    if validate:
-        alg.validate().require()
+    alg.validate().require()
     return alg
 
 
 # ---------------------------------------------------------------------------
-# actions (imported lazily to avoid a cycle with the actions module)
+# actions
 
 
 def swap_action_data(ring: Ring):
     """R[C₂] acting on R×R by coordinate swap."""
-    from .actions import action_from_endomorphisms
-
     h = group_algebra(ring, 2)
     a = product_ring_algebra(ring, 2)
     swap = LinearMap(a.carrier, a.carrier, [[0, 1], [1, 0]])
@@ -169,8 +160,6 @@ def swap_action_data(ring: Ring):
 
 def sweedler_module_action(ring: Ring):
     """The rank-4 Hopf algebra acting on R[y]/(y²): g·y = -y, x·y = 1."""
-    from .actions import action_from_endomorphisms
-
     h = sweedler_hopf(ring)
     a = truncated_polynomial_algebra(ring)
     m1 = ring.neg(ring.one)
@@ -183,9 +172,6 @@ def sweedler_module_action(ring: Ring):
 
 def matrix_conjugation_action(ring: Ring):
     """R[C₂] acting on M₂(R) by conjugation with the coordinate swap matrix."""
-    from .actions import action_from_endomorphisms
-    from .hopf import matrix_algebra
-
     h = group_algebra(ring, 2)
     a = matrix_algebra(ring, 2)
     # P·e_ij·P with P the permutation matrix of (0 1): e_ij ↦ e_{1-i,1-j}
@@ -226,8 +212,6 @@ class CatalogEntry:
 
     def hopf_data(self):
         """The underlying Hopf algebra of any payload kind."""
-        from .hopf import ensure_hopf
-
         p = self.payload
         if self.kind == "hopf":
             return ensure_hopf(p)
@@ -260,43 +244,31 @@ def _sigma_single(action, i, j, value):
 
 
 def _crossed(action, sigma=None):
-    from .crossed import build_crossed_product, trivial_cocycle, validate_cocycle
-
     if sigma is None:
         return build_crossed_product(action, trivial_cocycle(action))
     return build_crossed_product(action, validate_cocycle(action, sigma))
 
 
 def _build_gauss():
-    from .actions import trivial_action
-
     action = trivial_action(group_algebra(ZZ, 2), ground_algebra(ZZ))
     return _crossed(action, _sigma_single(action, 1, 1, -1))
 
 
 def _build_zmod6():
-    from .actions import trivial_action
-
     ring = Zmod(6)
     action = trivial_action(group_algebra(ring, 2), ground_algebra(ring))
     return _crossed(action, _sigma_single(action, 1, 1, 5))
 
 
 def _build_triv_c2():
-    from .actions import trivial_action
-
     return _crossed(trivial_action(group_algebra(ZZ, 2), ground_algebra(ZZ)))
 
 
 def _build_triv_c3():
-    from .actions import trivial_action
-
     return _crossed(trivial_action(group_algebra(ZZ, 3), ground_algebra(ZZ)))
 
 
 def _build_gauss_cleft():
-    from .crossed import integral_from_crossed
-
     return integral_from_crossed(_build_gauss())
 
 

@@ -93,28 +93,6 @@ class DiagramSide(Enum):
     OP = "op"
 
 
-class FunctionalSpan:
-    """A bare spanning list of functionals on H, with none of the closure
-    guarantees of :class:`SubalgebraU`.  Enough for the raw map builders
-    (α, χ, λ, ρ) and for negative controls that need an invalid U."""
-
-    def __init__(self, hopf: HopfLike, elements, side: ModuleSide = ModuleSide.RIGHT):
-        b = bialgebra_of(hopf)
-        ring = b.ring
-        self.hopf = hopf
-        self.side = side
-        self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
-        self.module = FreeModule(ring, len(self.elements),
-                                 tuple(f"v{i}" for i in range(len(self.elements))))
-
-    @property
-    def rank(self):
-        return len(self.elements)
-
-    def element(self, i: int):
-        return self.elements[i]
-
-
 # ---------------------------------------------------------------------------
 # λ, ρ and the RL-condition
 

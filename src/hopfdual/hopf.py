@@ -623,11 +623,6 @@ def opposite_bialgebra(b: HopfLike) -> BialgebraData:
     return BialgebraData(b.algebra.opposite(), b.coalgebra)
 
 
-def co_opposite_bialgebra(b: HopfLike) -> BialgebraData:
-    b = bialgebra_of(b)
-    return BialgebraData(b.algebra, b.coalgebra.co_opposite())
-
-
 def opposite_hopf(h: HopfData) -> HopfData:
     """H^op as a Hopf algebra: its antipode is the twisted antipode of H."""
     h = ensure_hopf(h)

@@ -361,7 +361,7 @@ def _coaction_to_quads(ring, m: LinearMap, rH: int):
     return out
 
 
-def export_entry(entry: CatalogEntry, suite: str = "all") -> dict:
+def export_entry(entry: CatalogEntry) -> dict:
     """Serialize an entry to the instance document format."""
     ring = entry.ring
     payload = entry.payload
@@ -370,7 +370,7 @@ def export_entry(entry: CatalogEntry, suite: str = "all") -> dict:
         "name": entry.name,
         "description": entry.description,
         "kind": entry.kind,
-        "suite": suite,
+        "suite": "all",
         "ring": ring.describe(),
         "expected": dict(entry.expected),
     }
@@ -417,11 +417,6 @@ def export_entry(entry: CatalogEntry, suite: str = "all") -> dict:
     return doc
 
 
-def export_entry_json(entry: CatalogEntry, suite: str = "all") -> str:
-    return json.dumps(export_entry(entry, suite), indent=2, sort_keys=True,
+def export_entry_json(entry: CatalogEntry) -> str:
+    return json.dumps(export_entry(entry), indent=2, sort_keys=True,
                       ensure_ascii=False) + "\n"
-
-
-def entries_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
-    """Equality through canonical serialization."""
-    return export_entry(a) == export_entry(b)

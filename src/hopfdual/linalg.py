@@ -32,7 +32,6 @@ from .errors import DimensionMismatch, NotInvertible, RingMismatch
 from .rings import Elem, ModularRing, RationalRing, Ring
 
 Vector = tuple
-Matrix = tuple
 
 
 @dataclass(frozen=True)
@@ -202,12 +201,6 @@ class LinearMap:
         return LinearMap(module, module, rows)
 
     @staticmethod
-    def zero(domain: FreeModule, codomain: FreeModule) -> "LinearMap":
-        zero = domain.ring.zero
-        rows = [[zero] * domain.rank for _ in range(codomain.rank)]
-        return LinearMap(domain, codomain, rows)
-
-    @staticmethod
     def from_columns(domain: FreeModule, codomain: FreeModule, cols) -> "LinearMap":
         cols = list(cols)
         if len(cols) != domain.rank:
@@ -265,15 +258,6 @@ class LinearMap:
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         return self.compose(other)
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        self._require_same_shape(other)
-        ring = self.ring
-        rows = [
-            [ring.add(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix, other.matrix)
-        ]
-        return LinearMap._raw(self.domain, self.codomain, rows)
-
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         self._require_same_shape(other)
         ring = self.ring
@@ -282,24 +266,6 @@ class LinearMap:
             for r1, r2 in zip(self.matrix, other.matrix)
         ]
         return LinearMap._raw(self.domain, self.codomain, rows)
-
-    def scale(self, c: Elem) -> "LinearMap":
-        ring = self.ring
-        c = ring.of(c)
-        rows = [[ring.mul(c, a) for a in row] for row in self.matrix]
-        return LinearMap._raw(self.domain, self.codomain, rows)
-
-    def transpose(self) -> "LinearMap":
-        """The dual map between the dual modules (matrix transpose)."""
-        rows = [
-            [self.matrix[i][j] for i in range(self.codomain.rank)]
-            for j in range(self.domain.rank)
-        ]
-        return LinearMap(dual_module(self.codomain), dual_module(self.domain), rows)
-
-    def is_zero(self) -> bool:
-        ring = self.ring
-        return all(ring.is_zero(x) for row in self.matrix for x in row)
 
     def _require_same_shape(self, other: "LinearMap"):
         if self.ring != other.ring:
@@ -365,10 +331,6 @@ def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:
     one = m.ring.one
     cols = [((j * m.rank + i, one),) for i in range(m.rank) for j in range(n.rank)]
     return LinearMap.from_sparse_columns(tensor_module(m, n), tensor_module(n, m), cols)
-
-
-# spec-facing name for the canonical twist constructor
-twist = twist_map
 
 
 def column_witness(a: LinearMap, b: LinearMap, labels) -> Optional[str]:

@@ -66,13 +66,13 @@ class ValidationReport:
     def failures(self):
         return [r for r in self.records if not r.passed]
 
-    def require(self, exc_type=None) -> "ValidationReport":
-        """Raise (ValidationError by default) if any record failed."""
+    def require(self) -> "ValidationReport":
+        """Raise ValidationError if any record failed."""
         if not self.ok:
             bad = self.failures()[0]
-            exc = exc_type or ValidationError
-            raise exc(f"{self.subject or 'validation'}: {bad.check_id} failed"
-                      + (f" (witness: {bad.witness})" if bad.witness else ""))
+            raise ValidationError(
+                f"{self.subject or 'validation'}: {bad.check_id} failed"
+                + (f" (witness: {bad.witness})" if bad.witness else ""))
         return self
 
     def to_text(self, canonical: bool = False) -> str:

@@ -104,7 +104,7 @@ class Derived:
     """What one ``run_suite`` call derives from its entry.  Each object is
     built on first use and shared by the later checks of the call; a build
     that raises keeps nothing, so every check that asks again fails alike.
-    ``full_dual`` asks for U = H* where a check ignores the entry's span."""
+    Every check reads the same U: the entry's span, or H* without one."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -119,10 +119,10 @@ class Derived:
     def hopf(self) -> HopfData:
         return self._once("hopf", self.entry.hopf_data)
 
-    def u(self, side: ModuleSide, full_dual: bool = False) -> SubalgebraU:
-        """U on ``side``: the entry's span, or H* without one or if asked."""
-        span = None if full_dual else self.entry.u_span
-        return self._once(("U", side, span is None), lambda: (
+    def u(self, side: ModuleSide) -> SubalgebraU:
+        """U on ``side``: the entry's span, or H* without one."""
+        span = self.entry.u_span
+        return self._once(("U", side), lambda: (
             SubalgebraU.full_dual(self.hopf, side) if span is None
             else SubalgebraU(self.hopf, span, side)))
 
@@ -157,12 +157,11 @@ class Derived:
     def opposite(self) -> OppositeCrossed:
         return self._once("opposite", lambda: opposite_crossed(self.crossed))
 
-    def duality_iso(self, side: DiagramSide, full_dual: bool = False) -> AlgebraIso:
+    def duality_iso(self, side: DiagramSide) -> AlgebraIso:
         """The certified duality isomorphism on ``side`` for ``self.u``."""
-        full_dual = full_dual or self.entry.u_span is None
         u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
-        return self._once(("iso", side, full_dual), lambda: duality_iso(
-            build_diagram(self.diagram_crossed, self.u(u_side, full_dual), side)))
+        return self._once(("iso", side), lambda: duality_iso(
+            build_diagram(self.diagram_crossed, self.u(u_side), side)))
 
 
 def run_hopf_suite(ctx: Derived) -> ValidationReport:
@@ -241,15 +240,16 @@ def run_crossed_suite(ctx: Derived) -> ValidationReport:
 def run_smash_suite(ctx: Derived) -> ValidationReport:
     rep = ValidationReport(f"{ctx.entry.name}: smash suite")
     h = ctx.hopf
+    cp = ctx.crossed
+    if cp is not None:
+        U = ctx.u(ModuleSide.RIGHT)
+        UL = ctx.u(ModuleSide.LEFT)
     rep.extend(smash_compare(h, "left vs right smash on H⊗H*"))
     _timed(rep, "smash.hat", "#(H,H) constructs and validates",
            lambda: hat_smash(h, regular_comodule(h)) is not None)
     _timed(rep, "smash.op_hat", "#op(H,H) constructs and validates",
            lambda: op_hat_smash(h, regular_comodule(h)) is not None)
-    cp = ctx.crossed
     if cp is not None:
-        U = ctx.u(ModuleSide.RIGHT, full_dual=True)
-        UL = ctx.u(ModuleSide.LEFT, full_dual=True)
         _timed(rep, "smash.right", "(A#σH)#U constructs and validates",
                lambda: right_smash(cp.comodule, U) is not None)
         _timed(rep, "smash.op", "(A#σH)#opU constructs and validates",
@@ -330,6 +330,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
     rep = ValidationReport(f"{ctx.entry.name}: cleft suite")
     cp = ctx.crossed
     cleft = ctx.cleft
+    U = ctx.u(ModuleSide.RIGHT)
     rep.extend(cleft.validate("cleft data"))
 
     def theta_inv_matches():
@@ -364,8 +365,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
            "J(A⊗V) for V = H*", maps_contained)
 
     def route_equality():
-        U = ctx.u(ModuleSide.RIGHT, full_dual=True)
-        direct = ctx.duality_iso(DiagramSide.RIGHT, full_dual=True)
+        direct = ctx.duality_iso(DiagramSide.RIGHT)
         transport = kron(ctx.extraction.iso.inverse, LinearMap.identity(U.module))
         b_smash = right_smash(cleft.comodule_algebra, U)
         routed = LinearMap(b_smash.carrier, direct.map.codomain,
@@ -387,6 +387,7 @@ def run_opposite_suite(ctx: Derived) -> ValidationReport:
     cp = ctx.crossed
     if cp is None:
         raise ValidationError("opposite suite needs crossed or cleft data")
+    U = ctx.u(ModuleSide.RIGHT)
     _timed(rep, "opposite.tau", "τ = σ⁻¹∘(S̄⊗S̄) validates as an invertible "
            "normal cocycle with the twisted-module property",
            lambda: ctx.opposite.tau.flags.all_true)
@@ -394,9 +395,8 @@ def run_opposite_suite(ctx: Derived) -> ValidationReport:
            "comodule-algebra isomorphism", lambda: ctx.opposite.colinear)
 
     def chain_ok():
-        res = final_chain(cp, ctx.u(ModuleSide.RIGHT, full_dual=True),
-                          ctx.opposite,
-                          ctx.duality_iso(DiagramSide.RIGHT, full_dual=True))
+        res = final_chain(cp, U, ctx.opposite,
+                          ctx.duality_iso(DiagramSide.RIGHT))
         rep.extend(res.report)
         return res.report.ok
 

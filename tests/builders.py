@@ -1,0 +1,58 @@
+"""Test-only builders: fixtures and negative controls that no CLI path needs.
+
+``FunctionalSpan`` is a bare spanning list of functionals on H, for the raw
+map builders and for an invalid U; ``idempotent_monoid_bialgebra`` is a
+bialgebra with no antipode; ``entries_equal`` compares two entries through
+their canonical instance documents.
+"""
+from hopfdual.catalog import (
+    CatalogEntry,
+    algebra_from_quadruples,
+    coalgebra_from_quadruples,
+)
+from hopfdual.hopf import BialgebraData, HopfLike, bialgebra_of
+from hopfdual.instancefile import export_entry
+from hopfdual.linalg import FreeModule, free_module
+from hopfdual.rings import Ring
+from hopfdual.smash import ModuleSide
+
+
+class FunctionalSpan:
+    """A bare spanning list of functionals on H, with none of the closure
+    guarantees of :class:`SubalgebraU`.  Enough for the raw map builders
+    (α, χ, λ, ρ) and for negative controls that need an invalid U."""
+
+    def __init__(self, hopf: HopfLike, elements, side: ModuleSide = ModuleSide.RIGHT):
+        b = bialgebra_of(hopf)
+        ring = b.ring
+        self.hopf = hopf
+        self.side = side
+        self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
+        self.module = FreeModule(ring, len(self.elements),
+                                 tuple(f"v{i}" for i in range(len(self.elements))))
+
+    @property
+    def rank(self):
+        return len(self.elements)
+
+    def element(self, i: int):
+        return self.elements[i]
+
+
+def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:
+    """R[{1, t}] with t² = t, Δ(t)=t⊗t: a bialgebra that is not Hopf."""
+    carrier = free_module(ring, ["1", "t"])
+    alg = algebra_from_quadruples(
+        carrier,
+        [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)],
+        carrier.basis_vector(0),
+    )
+    coalg = coalgebra_from_quadruples(carrier, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
+    b = BialgebraData(alg, coalg)
+    b.validate().require()
+    return b
+
+
+def entries_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
+    """Equality through canonical serialization."""
+    return export_entry(a) == export_entry(b)

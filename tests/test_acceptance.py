@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from builders import FunctionalSpan
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     get,
@@ -28,7 +29,6 @@ from hopfdual.crossed import (
 from hopfdual.duality import (
     CoactionSide,
     DiagramSide,
-    FunctionalSpan,
     build_diagram,
     chi_map,
     coaction_table,

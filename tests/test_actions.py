@@ -1,76 +1,86 @@
-"""Action-layer tests: hit actions, regular actions, weak actions, coinvariants."""
+"""Action-layer tests: the hit actions of H* on H (``duality._hit`` and
+``duality.rho_endo``), regular actions, weak actions, coinvariants."""
 from hopfdual.actions import (
     ComoduleAlgebraData,
     action_from_endomorphisms,
     coinvariants,
     coinvariants_form_subalgebra,
-    dual_pairing,
     regular_act_left,
     regular_act_right,
-    regular_actions,
     regular_comodule,
     trivial_action,
     validate_weak_action,
 )
-from hopfdual.catalog import group_algebra, product_ring_algebra, sweedler_hopf
-from hopfdual.linalg import LinearMap, kron_vec, tensor_module
+from hopfdual.catalog import (
+    ground_algebra,
+    group_algebra,
+    product_ring_algebra,
+    sweedler_hopf,
+)
+from hopfdual.duality import _hit, rho_endo
+from hopfdual.hopf import ConvolutionAlgebra
+from hopfdual.linalg import LinearMap, kron_vec, tensor_module, vec_to_map
 from hopfdual.rings import QQ, ZZ, Zmod
 
 
-def test_dual_pairing_validates():
-    p = dual_pairing(group_algebra(ZZ, 2))
-    assert p.validate().ok
-    p4 = dual_pairing(sweedler_hopf(QQ))
-    assert p4.validate().ok
+def hit_left(b, f, k):
+    """f⇀k = Σ k₁f(k₂), by ``duality._hit`` on each basis term of k."""
+    out = [b.ring.zero] * b.rank
+    for t, c in enumerate(k):
+        out = [b.ring.add(x, b.ring.mul(c, y)) for x, y in zip(out, _hit(b, f, t))]
+    return tuple(out)
+
+
+def hit_right(b, k, g):
+    """k↼g = Σ g(k₁)k₂, by applying the End(H) coordinates ``rho_endo``."""
+    return vec_to_map(rho_endo(b, g), b.carrier, b.carrier).apply(k)
 
 
 def test_hit_by_unit_is_identity():
-    h = group_algebra(ZZ, 2)
-    p = dual_pairing(h)
-    eps = p.algebra_side.unit  # β(1) of the dual algebra is ε
-    for j in range(2):
-        c = h.carrier.basis_vector(j)
-        assert p.hit_left(eps, c) == c
-        assert p.hit_right(c, eps) == c
+    for h in (group_algebra(ZZ, 2), sweedler_hopf(QQ)):
+        b = h.bialgebra
+        eps = b.coalgebra.counit.matrix[0]
+        for j in range(b.rank):
+            k = b.carrier.basis_vector(j)
+            assert hit_left(b, eps, k) == k
+            assert hit_right(b, k, eps) == k
 
 
 def test_hit_on_group_algebra_picks_out_group_element():
     # Oracle: Δ(g)=g⊗g, Δ(e)=e⊗e, so δ_g⇀g = g·δ_g(g) = g and δ_g⇀e = 0.
-    h = group_algebra(ZZ, 2)
-    p = dual_pairing(h)
-    delta_g = p.algebra_side.carrier.basis_vector(1)
-    g = h.carrier.basis_vector(1)
-    e = h.carrier.basis_vector(0)
-    assert p.hit_left(delta_g, g) == g
-    assert p.hit_left(delta_g, e) == (0, 0)
+    b = group_algebra(ZZ, 2).bialgebra
+    delta_g = (0, 1)
+    g = b.carrier.basis_vector(1)
+    e = b.carrier.basis_vector(0)
+    assert hit_left(b, delta_g, g) == g
+    assert hit_left(b, delta_g, e) == (0, 0)
+    assert hit_right(b, g, delta_g) == g
 
 
 def test_hit_actions_are_bimodule_actions():
     for h in (group_algebra(ZZ, 2), sweedler_hopf(QQ)):
-        p = dual_pairing(h)
-        A, C = p.algebra_side, p.coalgebra_side
-        for i in range(A.rank):
-            a = A.carrier.basis_vector(i)
-            for j in range(A.rank):
-                b = A.carrier.basis_vector(j)
-                ab = A.product(a, b)
-                for k in range(C.rank):
-                    c = C.carrier.basis_vector(k)
-                    # (ab)⇀c = a⇀(b⇀c); c↼(ab) = (c↼a)↼b
-                    assert p.hit_left(ab, c) == p.hit_left(a, p.hit_left(b, c))
-                    assert p.hit_right(c, ab) == p.hit_right(p.hit_right(c, a), b)
-                    # compatibility: (a⇀c)↼b = a⇀(c↼b)
-                    assert p.hit_right(p.hit_left(a, c), b) == \
-                        p.hit_left(a, p.hit_right(c, b))
+        b = h.bialgebra
+        dual = ConvolutionAlgebra(b.coalgebra, ground_algebra(b.ring)).algebra()
+        for i in range(b.rank):
+            f = dual.carrier.basis_vector(i)
+            for j in range(b.rank):
+                g = dual.carrier.basis_vector(j)
+                fg = dual.product(f, g)
+                for t in range(b.rank):
+                    k = b.carrier.basis_vector(t)
+                    # (f⋆g)⇀k = f⇀(g⇀k); k↼(f⋆g) = (k↼f)↼g
+                    assert hit_left(b, fg, k) == hit_left(b, f, hit_left(b, g, k))
+                    assert hit_right(b, k, fg) == hit_right(b, hit_right(b, k, f), g)
+                    # compatibility: (f⇀k)↼g = f⇀(k↼g)
+                    assert hit_right(b, hit_left(b, f, k), g) == \
+                        hit_left(b, f, hit_right(b, k, g))
 
 
 def test_regular_actions_on_group_algebra():
     # Oracle: (δ_e·g)(k) = δ_e(gk): nonzero iff k = g, so δ_e·g = δ_g.
     h = group_algebra(ZZ, 2)
-    left, right = regular_actions(h)
     delta_e, delta_g = (1, 0), (0, 1)
     g = h.carrier.basis_vector(1)
-    assert right.apply(kron_vec(ZZ, delta_e, g)) == delta_g
     assert regular_act_right(h, delta_e, g) == delta_g
     assert regular_act_left(h, g, delta_e) == delta_g
     # unit acts trivially

@@ -3,13 +3,12 @@ import json
 
 import pytest
 
+from builders import entries_equal
 from hopfdual.cli import main
-from hopfdual.catalog import get
-from hopfdual.instancefile import (
-    entries_equal,
-    export_entry_json,
-    parse_instance,
-)
+from hopfdual.catalog import get, list_entries
+from hopfdual.instancefile import export_entry_json, parse_instance
+from hopfdual.suites import run_suite
+from test_suites import records
 
 
 def test_catalog_list(capsys):
@@ -32,11 +31,14 @@ def test_bad_suite_for_entry_is_input_error(capsys):
     assert main(["catalog", "run", "Z_C2", "--suite", "opposite"]) == 2
 
 
-def test_export_round_trip(tmp_path, capsys):
-    path = tmp_path / "z_c2.json"
-    assert main(["catalog", "export", "Z_C2", str(path)]) == 0
-    inst = parse_instance(path)
-    assert entries_equal(get("Z_C2"), inst.to_entry())
+@pytest.mark.parametrize("name", [name for name, _, _ in list_entries()])
+def test_export_round_trip(tmp_path, capsys, name):
+    # the parsed file is the same entry and gets the same records
+    path = tmp_path / f"{name}.json"
+    assert main(["catalog", "export", name, str(path)]) == 0
+    parsed = parse_instance(path).to_entry()
+    assert entries_equal(get(name), parsed)
+    assert records(run_suite(parsed, "all")) == records(run_suite(get(name), "all"))
 
 
 def test_verify_exported_file(tmp_path, capsys):
@@ -185,3 +187,19 @@ def test_restricted_U_instance_reports_proper_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "duality.lambda" in out
     assert "non-square" in out or "NotInvertible" in out or "invert" in out
+    # every suite reads this U: each route through the duality isomorphism
+    # fails alike, and B#U, B#ᵒᵖU still build
+    assert main(["verify", str(path), "--suite", "all", "--format", "json"]) == 1
+    checks = [c for s in json.loads(capsys.readouterr().out)["sections"]
+              for c in s["checks"]]
+    passed = {c["id"] for c in checks if c["passed"]}
+    assert {"smash.right", "smash.op"} <= passed
+    assert [(c["id"], c["witness"]) for c in checks if not c["passed"]] == [
+        (check_id, "cannot invert a non-square map")
+        for check_id in ("duality.theorems", "cleft.route", "opposite.chain")]
+    # ε ∉ span(U): not a subalgebra of H*, an input error in every suite
+    doc["U"] = [["1", "0"]]
+    path.write_text(json.dumps(doc))
+    for suite in ("smash", "duality", "cleft", "opposite"):
+        assert main(["verify", str(path), "--suite", suite]) == 2
+        assert "ε_H is not in span(U)" in capsys.readouterr().err

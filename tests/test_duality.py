@@ -2,6 +2,7 @@
 import pytest
 
 import dense_oracle
+from builders import FunctionalSpan
 from hopfdual import catalog
 from hopfdual.actions import (
     WeakActionData,
@@ -28,7 +29,6 @@ from hopfdual.crossed import (
 from hopfdual.duality import (
     CoactionSide,
     DiagramSide,
-    FunctionalSpan,
     build_diagram,
     chi_map,
     coaction_preimage_of_U,

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
+from builders import idempotent_monoid_bialgebra
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
-    idempotent_monoid_bialgebra,
     sweedler_hopf,
 )
 from hopfdual.errors import NotConvInvertible

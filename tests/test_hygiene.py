@@ -1,7 +1,11 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and every definition in
+``src/`` is reached from the command line.
 
-Scans ``src/hopfdual/*.py`` (but ``__init__.py``, whose imports are the
-package's re-exports) and ``tests/*.py`` with the standard ``ast`` module.
+Both scans use the standard ``ast`` module and skip ``__init__.py``, whose
+imports are the package's re-exports.  The import scan reads
+``src/hopfdual/*.py`` and ``tests/*.py``; the reachability scan reads
+``src/hopfdual/*.py`` from ``cli.main`` and from the names that
+``perfbench/tracer.py`` wraps.
 """
 import ast
 from pathlib import Path
@@ -9,8 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "hopfdual").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted(p for p in (ROOT / "src" / "hopfdual").glob("*.py")
+                 if p.name != "__init__.py")
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +44,107 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _read_names(nodes) -> set:
+    """Every ``Name`` id and ``Attribute`` name read under ``nodes``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached(sources: dict, roots: set) -> list:
+    """The definitions in ``sources`` (module name -> source) that nothing
+    reached from ``roots`` names, as ``module.name`` or ``module.Class.name``.
+
+    Definitions are module-level functions, classes and single-name
+    assignments, and methods.  Roots besides ``roots`` are every other
+    module-level statement, each class's bases, decorators and non-method
+    body, and the dunder methods of a reached class.  Reached code reaches a
+    definition by reading its name, as a ``Name`` or an ``Attribute``, in any
+    module; a method also needs its class reached.  Matching by name
+    over-approximates what runs, so whatever the scan lists is dead.
+    """
+    defs = {}          # qualified name -> (name, owning class or None, node)
+    seen = []          # nodes whose names are read
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, DEFINITIONS):
+                qual = f"{module}.{stmt.name}"
+                defs[qual] = (stmt.name, None, stmt)
+                if isinstance(stmt, ast.ClassDef):
+                    seen += stmt.bases + stmt.keywords + stmt.decorator_list
+                    for sub in stmt.body:
+                        if isinstance(sub, DEFINITIONS):
+                            defs[f"{qual}.{sub.name}"] = (sub.name, qual, sub)
+                        else:
+                            seen.append(sub)
+            elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                  and isinstance(stmt.targets[0], ast.Name)):
+                defs[f"{module}.{stmt.targets[0].id}"] = (
+                    stmt.targets[0].id, None, stmt.value)
+            else:
+                seen.append(stmt)
+    reached = set(roots) & set(defs)
+    seen += [defs[qual][2] for qual in reached]
+    names = set()
+    while seen:
+        names |= _read_names(seen)
+        seen = []
+        for qual, (name, owner, node) in defs.items():
+            if qual in reached:
+                continue
+            if owner is None:
+                named = name in names
+            else:
+                dunder = name.startswith("__") and name.endswith("__")
+                named = owner in reached and (dunder or name in names)
+            if named:
+                reached.add(qual)
+                seen.append(node)
+    return sorted(set(defs) - reached)
+
+
+def tracer_roots() -> set:
+    """What ``perfbench/tracer.py`` resolves by name: its ``TIMED``,
+    ``COUNTED`` and ``SWEEDLER`` paths, and ``RING_OPS`` on ``RING_CLASSES``."""
+    tables = {stmt.targets[0].id: ast.literal_eval(stmt.value)
+              for stmt in ast.parse(TRACER.read_text(encoding="utf-8")).body
+              if isinstance(stmt, ast.Assign)
+              and isinstance(stmt.targets[0], ast.Name)
+              and stmt.targets[0].id in ("TIMED", "COUNTED", "SWEEDLER",
+                                         "RING_CLASSES", "RING_OPS")}
+    paths = [(module, path) for module, path, *_ in tables["TIMED"] + tables["COUNTED"]]
+    paths += [("hopf", path) for path in tables["SWEEDLER"]]
+    paths += [("rings", f"{cls}.{op}") for cls, _ in tables["RING_CLASSES"]
+              for op in tables["RING_OPS"]]
+    roots = set()
+    for module, path in paths:
+        parts = path.split(".")
+        roots.update(f"{module}." + ".".join(parts[:k])
+                     for k in range(1, len(parts) + 1))
+    return roots
+
+
+def test_reachability_scanner_flags_only_unreached_definitions():
+    sources = {
+        "cli": "import os\nLIMIT = 3\ndef main():\n    return run(LIMIT)\n",
+        "lib": ("def run(n):\n    return Box(n).total()\n"
+                "def helper():\n    return run(1)\n"
+                "class Box:\n    def __init__(self, n):\n        self.n = n\n"
+                "    def total(self):\n        return self.n\n"
+                "    def scale(self, c):\n        return c\n"
+                "class Unused:\n    def total(self):\n        return 0\n"
+                "ALIAS = helper\n"
+                "def traced():\n    return 0\n"
+                "def setup():\n    return 0\n"
+                "setup()\n"),
+    }
+    assert unreached(sources, {"cli.main", "lib.traced"}) == [
+        "lib.ALIAS", "lib.Box.scale", "lib.Unused", "lib.Unused.total",
+        "lib.helper"]
+
+
+def test_every_definition_is_reached_from_the_cli():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreached(sources, {"cli.main"} | tracer_roots()) == []

@@ -143,10 +143,7 @@ def test_op_hat_smash_trivial_coaction_is_coopposite_convolution():
     a = ground_algebra(QQ)
     B = trivial_comodule(h4, a)
     ophat = op_hat_smash(h4, B)
-    from hopfdual.hopf import co_opposite_bialgebra
-
-    cop = co_opposite_bialgebra(h4)
-    conv = ConvolutionAlgebra(cop.coalgebra, a).algebra()
+    conv = ConvolutionAlgebra(h4.coalgebra.co_opposite(), a).algebra()
     assert ophat.product.mult == conv.mult
 
 
