@@ -58,7 +58,7 @@ def coalgebra_from_quadruples(carrier: FreeModule, quads, counit_values) -> Coal
 
 
 def hopf_from_parts(carrier, mult_quads, unit, comult_quads, counit_values,
-                    antipode_cols=None, twisted_cols=None, validate=True) -> HopfData:
+                    antipode_cols=None, twisted_cols=None) -> HopfData:
     alg = algebra_from_quadruples(carrier, mult_quads, unit)
     coalg = coalgebra_from_quadruples(carrier, comult_quads, counit_values)
     bial = BialgebraData(alg, coalg)
@@ -73,8 +73,7 @@ def hopf_from_parts(carrier, mult_quads, unit, comult_quads, counit_values,
         twisted = LinearMap.from_columns(carrier, carrier,
                                          [carrier.vector(c) for c in twisted_cols])
     h = HopfData(bial, antipode, twisted)
-    if validate:
-        h.validate().require()
+    h.validate().require()
     return h
 
 
@@ -82,23 +81,29 @@ def hopf_from_parts(carrier, mult_quads, unit, comult_quads, counit_values,
 # concrete families
 
 
-def group_algebra(ring: Ring, n: int, validate=True) -> HopfData:
-    """R[C_n]: basis g^0..g^{n-1}, Δ(g^i)=g^i⊗g^i, S(g^i)=g^{-i}."""
+def group_algebra(ring: Ring, n: int) -> HopfData:
+    return hopf_from_parts(*group_algebra_parts(ring, n))
+
+
+def group_algebra_parts(ring: Ring, n: int):
+    """R[C_n]: basis g^0..g^{n-1}, Δ(g^i)=g^i⊗g^i, S(g^i)=g^{-i}, as the
+    arguments of ``hopf_from_parts``."""
     labels = ["e"] + [f"g{'^' + str(i) if i > 1 else ''}" for i in range(1, n)]
     carrier = free_module(ring, labels)
     mult = [(i, j, (i + j) % n, 1) for i in range(n) for j in range(n)]
     comult = [(i, i, i, 1) for i in range(n)]
-    counit = [1] * n
     antipode = [carrier.basis_vector((-i) % n) for i in range(n)]
-    unit = carrier.basis_vector(0)
-    return hopf_from_parts(carrier, mult, unit, comult, counit,
-                           antipode_cols=antipode, twisted_cols=antipode,
-                           validate=validate)
+    return carrier, mult, carrier.basis_vector(0), comult, [1] * n, antipode, antipode
 
 
-def sweedler_hopf(ring: Ring, validate=True) -> HopfData:
+def sweedler_hopf(ring: Ring) -> HopfData:
+    return hopf_from_parts(*sweedler_parts(ring))
+
+
+def sweedler_parts(ring: Ring):
     """The rank-4 Hopf algebra on {1, g, x, gx}: g²=1, x²=0, xg=-gx,
-    Δ(x)=x⊗1+g⊗x, S(x)=-gx.  Its antipode has order 4."""
+    Δ(x)=x⊗1+g⊗x, S(x)=-gx, as the arguments of ``hopf_from_parts``.  Its
+    antipode has order 4."""
     carrier = free_module(ring, ["1", "g", "x", "gx"])
     m1 = ring.neg(ring.one)
     mult = [
@@ -117,9 +122,7 @@ def sweedler_hopf(ring: Ring, validate=True) -> HopfData:
     # S: 1↦1, g↦g, x↦-gx, gx↦x ; S̄ = S³: x↦gx, gx↦-x
     antipode = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, m1), (0, 0, 1, 0)]
     twisted = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, m1, 0)]
-    return hopf_from_parts(carrier, mult, (1, 0, 0, 0), comult, counit,
-                           antipode_cols=antipode, twisted_cols=twisted,
-                           validate=validate)
+    return carrier, mult, (1, 0, 0, 0), comult, counit, antipode, twisted
 
 
 def ground_algebra(ring: Ring) -> AlgebraData:

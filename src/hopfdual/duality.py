@@ -14,11 +14,11 @@ is built into the representation rather than checked.  The duality
 isomorphism is constructed as χ⁻¹∘γ, exactly the map the commuting diagram
 produces, so its multiplicativity is a theorem-test rather than a search.
 
-γ and δ are evaluated by their full Sweedler expansions (δ: 8 legs of k and
-5 of h), term for term as displayed, but without repeated work: each factor
-(σ⁻¹, σ, the action, the H-part) is tabulated per call by the leg indices it
-reads, and the functional f, which enters only through f(k_last), is applied
-in a final contraction.  The tables live for one call only.
+γ and δ are evaluated by their Sweedler expansions (right δ: 4 legs of k and
+5 of h·m, by Δ(h·m) = Δ(h)Δ(m); op δ: 8 of k and 2 of h) without repeated
+work: each factor (σ⁻¹, σ, the action, the H-part) is tabulated per call by
+the leg indices it reads, and the functional f, which enters only through
+f(k_last), is applied in a final contraction.  The tables live for one call.
 """
 from __future__ import annotations
 
@@ -455,25 +455,25 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
         def term(i, hl, kl):
             k1, k2, k3, _ = kl
             return apart(k1, k2, hl[0], i), prod[k3][hl[1]]
-    dom = tensor_module(cp.carrier, U.module)
-    cod = end_rep_module(h, A, side)
-    return LinearMap.from_columns(dom, cod, _tabulated_columns(cp, U, cod, 4, h_legs, term))
+    return _tabulated(cp, U, tensor_module(cp.carrier, U.module),
+                      end_rep_module(h, A, side), 4, _over_h_legs(b, h_legs, term))
 
 
 def delta_map(cp: CrossedProductData, U: SubalgebraU,
               side: DiagramSide) -> LinearMap:
-    """δ(a⊗(h#f)) ∈ Hom(H, A#_σH) by direct Sweedler expansion.
+    """δ(a⊗(h#f)) ∈ Hom(H, A#_σH) by Sweedler expansion.
 
     Right: k ↦ Σ σ⁻¹(h₂k₄⊗S̄(h₁k₃))[(h₃k₅)a]σ(h₄k₆⊗S̄(k₂)) # h₅(f⇀k₇)S̄(k₁)
     Op:    k ↦ Σ σ⁻¹(S(k₄)⊗k₅)[S(k₃)a]σ(S(k₂)⊗k₆h₁) # S(k₁)(f⇀k₇)h₂
 
-    The full 8-leg expansion of k and 5-leg (op: 2-leg) expansion of h is
-    summed as written; only repeated work is removed.  Basis products and
-    their S̄-images are tabulated once per call; σ⁻¹, the action, σ and the
-    H-part once per leg-index key they read (right: s1 by (h₁,h₂,k₃,k₄),
-    the action by (h₃,k₅,a), s2 by (h₄,k₆,k₂), the H-part by (h₅,k₇,k₁)).
-    Since f enters only as f(k₈), the sum is formed once per (a, h, k, k₈)
-    and then contracted with every functional of U.
+    Right, h₁k₃ … h₅k₇ are the legs y of Δ⁴(h·m), m = k₃…k₇ merged: Δ is
+    coassociative and multiplicative on every path here, as
+    ``build_crossed_product`` certifies the comodule algebra A#_σH (ϱ = id⊗Δ)
+    and σ is invertible.  So right δ sums σ⁻¹(y₂⊗S̄(y₁))[y₃⇀a]σ(y₄⊗S̄(k₂)) #
+    y₅S̄(k₁)·f(k₈) over (k₁,k₂,m,k₈) ∈ Δ³(k), (h·m)_p and y ∈ Δ⁴(h_p), at a
+    cost set by Δ³ × Δ⁴, not Δ⁷ × Δ⁴; the inner 5-leg sum is tabulated by
+    (p, k₁, k₂, a).  Op sums 8 legs of k as written.  Factors are tabulated by
+    the leg indices they read; f(k₈) is applied to the sum per (a, h, k, k₈).
     """
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
@@ -485,55 +485,44 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
     basis, a_basis = b.carrier.basis_vector, A.carrier.basis_vector
     prod = _basis_products(b)
     aprod = cache(A.product)  # keyed by the factors' values
-    if side is DiagramSide.RIGHT:
-        h_legs = 5
-        sprod = [[Sb.apply(v) for v in row] for row in prod]
-
-        @cache
-        def s1(h1, h2, k3, k4):
-            return sigma_inv.apply(kron_vec(ring, prod[h2][k4], sprod[h1][k3]))
-
-        @cache
-        def acted(h3, k5, i):
-            return cp.action.act(prod[h3][k5], a_basis(i))
-
-        @cache
-        def s2(h4, k6, k2):
-            return sigma.apply(kron_vec(ring, prod[h4][k6], Sb.column(k2)))
-
-        @cache
-        def hpart(h5, k7, k1):
-            return halg.product(prod[h5][k7], Sb.column(k1))
-
-        def term(i, hl, kl):
-            h1, h2, h3, h4, h5 = hl
-            k1, k2, k3, k4, k5, k6, k7, _ = kl
-            apart = aprod(aprod(s1(h1, h2, k3, k4), acted(h3, k5, i)),
-                          s2(h4, k6, k2))
-            return apart, hpart(h5, k7, k1)
-    else:
-        h_legs = 2
-
-        @cache
-        def s1_acted(k3, k4, k5, i):
-            s1 = sigma_inv.apply(kron_vec(ring, S.column(k4), basis(k5)))
-            return A.product(s1, cp.action.act(S.column(k3), a_basis(i)))
-
-        @cache
-        def s2(k2, k6, h1):
-            return sigma.apply(kron_vec(ring, S.column(k2), prod[k6][h1]))
-
-        @cache
-        def hpart(k1, k7, h2):
-            return halg.product(halg.product(S.column(k1), basis(k7)), basis(h2))
-
-        def term(i, hl, kl):
-            k1, k2, k3, k4, k5, k6, k7, _ = kl
-            h1, h2 = hl
-            return aprod(s1_acted(k3, k4, k5, i), s2(k2, k6, h1)), hpart(k1, k7, h2)
     dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
     cod = hom_module(b.carrier, cp.carrier)
-    return LinearMap.from_columns(dom, cod, _tabulated_columns(cp, U, cod, 8, h_legs, term))
+    if side is DiagramSide.RIGHT:
+        s1 = cache(lambda y1, y2: sigma_inv.apply(kron_vec(ring, basis(y2), Sb.column(y1))))
+        acted = cache(lambda y3, i: cp.action.act_basis(y3, a_basis(i)))
+        s2 = cache(lambda y4, k2: sigma.apply(kron_vec(ring, basis(y4), Sb.column(k2))))
+        hpart = cache(lambda y5, k1: halg.product(basis(y5), Sb.column(k1)))
+
+        @cache
+        def inner(p, k1, k2, i):
+            vec = [ring.zero] * cp.carrier.rank
+            for c, (y1, y2, y3, y4, y5) in b.coalgebra.sweedler_basis(p, 5):
+                apart = aprod(aprod(s1(y1, y2), acted(y3, i)), s2(y4, k2))
+                _add_outer(vec, ring, c, apart, hpart(y5, k1))
+            return vec
+
+        def add_term(vec, ck, i, j, kl):
+            k1, k2, m, _ = kl
+            for p, x in enumerate(prod[j][m]):
+                if x:  # vec += ck·x·inner
+                    _add_outer(vec, ring, ck, (x,), inner(p, k1, k2, i))
+
+        return _tabulated(cp, U, dom, cod, 4, add_term)
+
+    @cache
+    def s1_acted(k3, k4, k5, i):
+        s1 = sigma_inv.apply(kron_vec(ring, S.column(k4), basis(k5)))
+        return A.product(s1, cp.action.act(S.column(k3), a_basis(i)))
+
+    s2 = cache(lambda k2, k6, h1: sigma.apply(kron_vec(ring, S.column(k2), prod[k6][h1])))
+    hpart = cache(lambda k1, k7, h2: halg.product(halg.product(S.column(k1), basis(k7)),
+                                                  basis(h2)))
+
+    def term(i, hl, kl):
+        k1, k2, k3, k4, k5, k6, k7, _ = kl
+        h1, h2 = hl
+        return aprod(s1_acted(k3, k4, k5, i), s2(k2, k6, h1)), hpart(k1, k7, h2)
+    return _tabulated(cp, U, dom, cod, 8, _over_h_legs(b, 2, term))
 
 
 def _basis_products(b):
@@ -543,11 +532,23 @@ def _basis_products(b):
             for x in range(b.rank)]
 
 
-def _tabulated_columns(cp, U, cod, k_legs, h_legs, term):
-    """The columns (a_i, h_j, f_l) of Σ c_h·c_k·f_l(k_last)·(u⊗v), placed at
-    h_t of ``cod`` = Hom(H, B), where c_k runs over the ``k_legs``-fold
-    expansion of h_t, c_h over the ``h_legs``-fold expansion of h_j, and
-    (u, v) = term(i, h-legs, k-legs).  The sum is formed once per
+def _over_h_legs(b, h_legs, term):
+    """The summand that adds c·Σ c_h·(u⊗v) over the ``h_legs``-fold expansion
+    of h_j, with (u, v) = term(i, h-legs, k-legs)."""
+    ring = b.ring
+    h_terms = [b.coalgebra.sweedler_basis(j, h_legs) for j in range(b.rank)]
+
+    def add_term(vec, c, i, j, kl):
+        for ch, hl in h_terms[j]:
+            _add_outer(vec, ring, ring.mul(c, ch), *term(i, hl, kl))
+    return add_term
+
+
+def _tabulated(cp, U, dom, cod, k_legs, add_term):
+    """The map dom → cod = Hom(H, B) whose column (a_i, h_j, f_l) has value
+    Σ c_k·f_l(k_last)·s(i, j, k-legs) at h_t, where c_k runs over the
+    ``k_legs``-fold expansion of h_t and add_term(vec, c_k, i, j, k-legs)
+    adds c_k·s(i, j, k-legs) ∈ B into ``vec``.  The sum is formed once per
     (i, j, t, k_last) and then contracted with each f_l."""
     b = bialgebra_of(cp.action.hopf)
     ring = cp.ring
@@ -557,22 +558,18 @@ def _tabulated_columns(cp, U, cod, k_legs, h_legs, term):
     cols = []
     for i in range(cp.action.algebra.rank):
         for j in range(rH):
-            h_terms = b.coalgebra.sweedler_basis(j, h_legs)
             acc = {}
             for t in range(rH):
                 for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
-                    if kl[-1] not in live:
-                        continue
-                    vec = acc.setdefault((t, kl[-1]), [ring.zero] * width)
-                    for ch, hl in h_terms:
-                        _add_outer(vec, ring, ring.mul(ck, ch), *term(i, hl, kl))
+                    if kl[-1] in live:
+                        add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width), ck, i, j, kl)
             for f in U.elements:
                 out = [ring.zero] * cod.rank
                 for (t, k), vec in acc.items():
                     if f[k]:
                         _scatter(out, ring, vec_scale(ring, f[k], vec), rH, t)
                 cols.append(tuple(out))
-    return cols
+    return LinearMap.from_columns(dom, cod, cols)
 
 
 def _add_outer(acc, ring, c, u, v):

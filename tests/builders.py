@@ -3,16 +3,17 @@
 ``FunctionalSpan`` is a bare spanning list of functionals on H, for the raw
 map builders and for an invalid U; ``idempotent_monoid_bialgebra`` is a
 bialgebra with no antipode; ``entries_equal`` compares two entries through
-their canonical instance documents.
+their canonical instance documents; ``unvalidated_hopf`` builds Hopf data
+from ``hopf_from_parts`` arguments without certifying it.
 """
 from hopfdual.catalog import (
     CatalogEntry,
     algebra_from_quadruples,
     coalgebra_from_quadruples,
 )
-from hopfdual.hopf import BialgebraData, HopfLike, bialgebra_of
+from hopfdual.hopf import BialgebraData, HopfData, HopfLike, bialgebra_of
 from hopfdual.instancefile import export_entry
-from hopfdual.linalg import FreeModule, free_module
+from hopfdual.linalg import FreeModule, LinearMap, free_module
 from hopfdual.rings import Ring
 from hopfdual.smash import ModuleSide
 
@@ -56,3 +57,15 @@ def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:
 def entries_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
     """Equality through canonical serialization."""
     return export_entry(a) == export_entry(b)
+
+
+def unvalidated_hopf(carrier, mult_quads, unit, comult_quads, counit_values,
+                     antipode_cols, twisted_cols) -> HopfData:
+    """Hopf data from quadruples and antipode columns, as
+    ``catalog.hopf_from_parts`` builds it, but not validated: for tests that
+    certify or recompute the parts themselves."""
+    def endo(cols):
+        return LinearMap.from_columns(carrier, carrier, [carrier.vector(c) for c in cols])
+    bial = BialgebraData(algebra_from_quadruples(carrier, mult_quads, unit),
+                         coalgebra_from_quadruples(carrier, comult_quads, counit_values))
+    return HopfData(bial, endo(antipode_cols), endo(twisted_cols))

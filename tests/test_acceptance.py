@@ -9,15 +9,17 @@ import random
 
 import pytest
 
-from builders import FunctionalSpan
+from builders import FunctionalSpan, unvalidated_hopf
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     get,
     ground_algebra,
     group_algebra,
+    group_algebra_parts,
     list_entries,
     swap_action_data,
     sweedler_hopf,
+    sweedler_parts,
 )
 from hopfdual.crossed import (
     cocycle_flags,
@@ -104,7 +106,7 @@ def test_01_hopf_validation():
     # negative control: mutated antipode fails with a witness
     from hopfdual.hopf import HopfData
 
-    h = group_algebra(ZZ, 2, validate=False)
+    h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
     bad = LinearMap.from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0)] * 2)
     rep = validate_hopf(HopfData(h.bialgebra, bad))
@@ -117,12 +119,12 @@ def test_01_hopf_validation():
 def test_02_antipode_oracle():
     # oracle: the closed-form group inverse, independent of the solver
     for n in (2, 3, 4):
-        h = group_algebra(ZZ, n, validate=False)
+        h = unvalidated_hopf(*group_algebra_parts(ZZ, n))
         expected = LinearMap.from_columns(
             h.carrier, h.carrier,
             [h.carrier.basis_vector((-i) % n) for i in range(n)])
         assert compute_antipode(h.bialgebra) == expected, n
-    h4 = sweedler_hopf(QQ, validate=False)
+    h4 = unvalidated_hopf(*sweedler_parts(QQ))
     s = compute_antipode(h4.bialgebra)
     # S(x) = -gx (hand-derived column), S² ≠ id, S⁴ = id
     assert s.column(2) == (0, 0, 0, QQ.of(-1))

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, deterministic reports, round trips."""
 import json
+from pathlib import Path
 
 import pytest
 
 from builders import entries_equal
+from hopfdual import suites
 from hopfdual.cli import main
 from hopfdual.catalog import get, list_entries
 from hopfdual.instancefile import export_entry_json, parse_instance
@@ -203,3 +205,28 @@ def test_restricted_U_instance_reports_proper_failure(tmp_path, capsys):
     for suite in ("smash", "duality", "cleft", "opposite"):
         assert main(["verify", str(path), "--suite", suite]) == 2
         assert "ε_H is not in span(U)" in capsys.readouterr().err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("u_block", [None, [["1", "0"]]])
+@pytest.mark.parametrize("fixture", ["nonmultiplicative_hopf", "nonmultiplicative_crossed"])
+def test_duality_rejects_a_coproduct_that_is_not_multiplicative(
+        tmp_path, capsys, monkeypatch, fixture, u_block):
+    # Z/3[x]/(x²) with x primitive: Δ(x)² = 2x⊗x ≠ Δ(x²) = 0.  Right δ is
+    # summed through Δ(h·m) = Δ(h)Δ(m); the comodule-algebra certificate of
+    # R#H or A#_σH rejects this Δ before any diagram is built.
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    if u_block is not None:
+        doc["U"] = u_block  # span{ε}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+
+    def no_diagram(*args):
+        raise AssertionError("build_diagram reached")
+
+    monkeypatch.setattr(suites, "build_diagram", no_diagram)
+    assert main(["verify", str(path), "--suite", "duality"]) == 2
+    assert ("comodule algebra: comodule.multiplicative failed"
+            in capsys.readouterr().err)

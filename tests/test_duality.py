@@ -1,5 +1,7 @@
 """Duality maps, diagrams, certified isomorphisms, coactions, theorem routes."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_oracle
 from builders import FunctionalSpan
@@ -80,6 +82,7 @@ from hopfdual.smash import (
     op_smash,
     right_smash,
 )
+from hopfdual.suites import Derived
 
 
 def gauss_crossed():
@@ -424,6 +427,20 @@ def test_final_chain_matches_direct_on_c2_smash():
 # --- γ and δ against the term-by-term oracles -----------------------------------
 
 
+def rebase_hopf(h, P):
+    """``h`` in the basis f_a = Σ_i P[i][a]·e_i: every structure map
+    conjugated by P."""
+    H = h.carrier
+    Pi = invert_map(P)
+    alg = AlgebraData(H, Pi @ h.algebra.mult @ kron(P, P), Pi.apply(h.algebra.unit))
+    coalg = CoalgebraData(H, kron(Pi, Pi) @ h.coalgebra.comult @ P,
+                          h.coalgebra.counit @ P)
+    rebased = HopfData(BialgebraData(alg, coalg), Pi @ h.antipode @ P,
+                       Pi @ h.twisted_antipode @ P)
+    rebased.validate().require()
+    return rebased
+
+
 def rebased_sweedler_Z3():
     """Sweedler's algebra over Z/3 in the basis f_a = Σ_i P[i][a]·e_i, here
     f_1 = 1 + x, every structure map conjugated by P, as A#H with A = Z/3.
@@ -432,14 +449,17 @@ def rebased_sweedler_Z3():
     h = sweedler_hopf(ring)
     H = h.carrier
     P = LinearMap(H, H, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
-    Pi = invert_map(P)
-    alg = AlgebraData(H, Pi @ h.algebra.mult @ kron(P, P), Pi.apply(h.algebra.unit))
-    coalg = CoalgebraData(H, kron(Pi, Pi) @ h.coalgebra.comult @ P,
-                          h.coalgebra.counit @ P)
-    rebased = HopfData(BialgebraData(alg, coalg), Pi @ h.antipode @ P,
-                       Pi @ h.twisted_antipode @ P)
-    rebased.validate().require()
+    rebased = rebase_hopf(h, P)
     return smash_product_data(trivial_action(rebased, ground_algebra(ring)))
+
+
+def rebase_crossed(cp, P):
+    """A#_σH with H in the basis of P: the action and σ read through P."""
+    h = rebase_hopf(ensure_hopf(cp.action.hopf), P)
+    A = cp.action.algebra
+    action = WeakActionData(h, A, cp.action.action @ kron(P, LinearMap.identity(A.carrier)))
+    validate_weak_action(action).require()
+    return build_crossed_product(action, validate_cocycle(action, cp.cocycle.sigma @ kron(P, P)))
 
 
 def sweedler_coboundary_Q():
@@ -552,6 +572,45 @@ def test_gamma_and_delta_match_the_term_by_term_oracles(name, side):
                                       dense_oracle.gamma_map(cp, U, side))
     dense_oracle.assert_bit_identical(delta_map(cp, U, side),
                                       dense_oracle.delta_map(cp, U, side))
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_delta_matches_the_oracle_on_every_catalog_entry(name, side):
+    # the crossed product and U every duality check of a run reads
+    ctx = Derived(catalog.get(name))
+    cp = ctx.diagram_crossed
+    U = ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+    dense_oracle.assert_bit_identical(delta_map(cp, U, side),
+                                      dense_oracle.delta_map(cp, U, side))
+
+
+# Change of basis: π∘δ = χ with π invertible fixes δ, so a δ that is wrong in
+# a dense basis fails build_diagram here whatever the δ code does.
+TRANSVECTION_CASES = {
+    "sweedler4_smash_Z3": (lambda: catalog.get("sweedler4_smash_Z3").payload, (1, 2)),
+    "sweedler_coboundary_Q": (sweedler_coboundary_Q, (-1, 1, 2, "1/2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVECTION_CASES))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_duality_certifies_in_a_random_transvection_basis(name, data):
+    make, coefficients = TRANSVECTION_CASES[name]
+    cp = make()
+    ring = cp.ring
+    H = ensure_hopf(cp.action.hopf).carrier
+    P = LinearMap.identity(H)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.permutations(range(H.rank)))[:2]
+        rows = [[ring.one if a == b else ring.zero for b in range(H.rank)]
+                for a in range(H.rank)]
+        rows[i][j] = ring.of(data.draw(st.sampled_from(coefficients)))
+        P = P @ LinearMap(H, H, rows)
+    rebased = rebase_crossed(cp, P)
+    for side in (DiagramSide.RIGHT, DiagramSide.OP):
+        certified_iso(rebased, side)
 
 
 def test_delta_matches_the_oracle_on_a_proper_functional_span():

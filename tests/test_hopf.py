@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from builders import idempotent_monoid_bialgebra
+from builders import idempotent_monoid_bialgebra, unvalidated_hopf
 from hopfdual.catalog import (
     ground_algebra,
     group_algebra,
+    group_algebra_parts,
     sweedler_hopf,
+    sweedler_parts,
 )
 from hopfdual.errors import NotConvInvertible
 from hopfdual.hopf import (
@@ -54,7 +56,7 @@ def test_group_algebra_validates():
 
 
 def test_wrong_antipode_fails_with_witness_g():
-    h = group_algebra(ZZ, 2, validate=False)
+    h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
     bad = LinearMap.from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0), h.carrier.basis_vector(0)])
     broken = HopfData(h.bialgebra, bad)
@@ -130,7 +132,7 @@ def test_convolution_algebra_is_associative_and_unital():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_antipode_of_cyclic_group_algebra_is_group_inverse(n):
     # Oracle: closed form S(g^i) = g^{n-i}, independent of the solver.
-    h = group_algebra(ZZ, n, validate=False)
+    h = unvalidated_hopf(*group_algebra_parts(ZZ, n))
     computed = compute_antipode(h.bialgebra)
     expected = LinearMap.from_columns(
         h.carrier, h.carrier,
@@ -140,7 +142,7 @@ def test_antipode_of_cyclic_group_algebra_is_group_inverse(n):
 
 def test_antipode_of_sweedler_hopf_by_convolution_solve():
     # Oracle: hand-derived S: 1↦1, g↦g, x↦-gx, gx↦x (frozen in the builder).
-    h = sweedler_hopf(QQ, validate=False)
+    h = unvalidated_hopf(*sweedler_parts(QQ))
     computed = compute_antipode(h.bialgebra)
     assert computed == h.antipode
     s2 = computed @ computed
@@ -155,12 +157,12 @@ def test_monoid_bialgebra_is_not_hopf():
 
 
 def test_twisted_antipode_commutative_case_equals_antipode():
-    h = group_algebra(ZZ, 2, validate=False)
+    h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
     assert compute_twisted_antipode(h.bialgebra) == h.antipode
 
 
 def test_twisted_antipode_of_sweedler_is_cube_and_matrix_inverse():
-    h = sweedler_hopf(QQ, validate=False)
+    h = unvalidated_hopf(*sweedler_parts(QQ))
     sb = compute_twisted_antipode(h.bialgebra)
     s = h.antipode
     assert sb == (s @ s @ s)
@@ -169,7 +171,8 @@ def test_twisted_antipode_of_sweedler_is_cube_and_matrix_inverse():
 
 
 def test_twisted_antipode_equals_matrix_inverse_when_bijective():
-    for h in (group_algebra(ZZ, 3, validate=False), sweedler_hopf(Zmod(3), validate=False)):
+    for h in (unvalidated_hopf(*group_algebra_parts(ZZ, 3)),
+              unvalidated_hopf(*sweedler_parts(Zmod(3)))):
         s = compute_antipode(h.bialgebra)
         assert compute_twisted_antipode(h.bialgebra) == invert_map(s)
 
@@ -366,11 +369,10 @@ def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
 def associative_table(data, ring, entries=None, scale=None):
     base = data.draw(st.sampled_from([
         lambda: ground_algebra(ring),
-        lambda: group_algebra(ring, 3, validate=False).algebra,
+        lambda: unvalidated_hopf(*group_algebra_parts(ring, 3)).algebra,
         lambda: matrix_algebra(ring, 2),
-        lambda: sweedler_hopf(ring, validate=False).algebra,
-        lambda: tensor_algebra(group_algebra(ring, 2, validate=False).algebra,
-                               group_algebra(ring, 2, validate=False).algebra),
+        lambda: unvalidated_hopf(*sweedler_parts(ring)).algebra,
+        lambda: tensor_algebra(*[unvalidated_hopf(*group_algebra_parts(ring, 2)).algebra] * 2),
     ]))()
     r = base.rank
     carrier = dense.module(ring, r, "e")
@@ -430,7 +432,7 @@ def test_validate_matches_the_sparse_dict_products(ring, q_table, data):
 def test_validate_reports_the_first_failing_triple():
     # e·e = 0 instead of e in the rank-2 group algebra: the first failing
     # triple in (i, j, k) order is (e, e, g), and 1·e ≠ e breaks the unit law
-    alg = group_algebra(ZZ, 2, validate=False).algebra
+    alg = unvalidated_hopf(*group_algebra_parts(ZZ, 2)).algebra
     rows = [list(row) for row in alg.mult.matrix]
     rows[0][0] = 0
     broken = AlgebraData(alg.carrier, LinearMap(alg.mult.domain, alg.carrier, rows),
