@@ -98,8 +98,8 @@ def _sum_of_products(ring, amul, rA, triples):
     """Σ c·(u·v) over (c, u, v) in ``triples``, u and v sparse in A, by the
     sparse A-table ``amul``: a sparse vector."""
     mul = ring.mul
-    return combine_columns(ring, rA, ((amul[p * rA + q], mul(c, mul(a, b)))
-                                      for c, u, v in triples for p, a in u for q, b in v))
+    return combine_columns(ring, ((amul[p * rA + q], mul(c, mul(a, b)))
+                                  for c, u, v in triples for p, a in u for q, b in v))
 
 
 def _sweedler_pairs(coalg, i, j):
@@ -119,24 +119,24 @@ def cocycle_flags(action: WeakActionData, sigma: LinearMap) -> CocycleFlags:
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
     eps = coalg.counit.matrix[0]
     one_h = [(q, c) for q, c in enumerate(b.algebra.unit) if c]
-    one_a = [(t, x) for t, x in enumerate(action.algebra.unit) if x]
+    one_a = tuple((t, x) for t, x in enumerate(action.algebra.unit) if x)
     normal = all(
-        combine_columns(ring, rA, ((sig[i * rH + q], c) for q, c in one_h))
-        == combine_columns(ring, rA, [(one_a, eps[i])])
-        == combine_columns(ring, rA, ((sig[q * rH + i], c) for q, c in one_h))
+        combine_columns(ring, ((sig[i * rH + q], c) for q, c in one_h))
+        == combine_columns(ring, [(one_a, eps[i])])
+        == combine_columns(ring, ((sig[q * rH + i], c) for q, c in one_h))
         for i in range(rH))
 
     @cache
     def h_sigma(h1, k1, l1):  # h₁·σ(k₁⊗l₁)
-        return combine_columns(ring, rA, ((act[h1 * rA + s], c) for s, c in sig[k1 * rH + l1]))
+        return combine_columns(ring, ((act[h1 * rA + s], c) for s, c in sig[k1 * rH + l1]))
 
     @cache
     def sigma_h_kl(h2, k2, l2):  # σ(h₂⊗k₂l₂)
-        return combine_columns(ring, rA, ((sig[h2 * rH + x], c) for x, c in hmul[k2 * rH + l2]))
+        return combine_columns(ring, ((sig[h2 * rH + x], c) for x, c in hmul[k2 * rH + l2]))
 
     @cache
     def sigma_hk_l(h2, k2, l):  # σ(h₂k₂⊗l)
-        return combine_columns(ring, rA, ((sig[x * rH + l], c) for x, c in hmul[h2 * rH + k2]))
+        return combine_columns(ring, ((sig[x * rH + l], c) for x, c in hmul[h2 * rH + k2]))
 
     cocycle_ok = True
     for i, j, k in product(range(rH), repeat=3):
@@ -162,11 +162,11 @@ def twisted_module_identity(action: WeakActionData, sigma: LinearMap) -> bool:
 
     @cache
     def h_k_a(h1, k1, t):  # h₁·(k₁·a_t)
-        return combine_columns(ring, rA, ((act[h1 * rA + s], c) for s, c in act[k1 * rA + t]))
+        return combine_columns(ring, ((act[h1 * rA + s], c) for s, c in act[k1 * rA + t]))
 
     @cache
     def hk_a(h2, k2, t):  # (h₂k₂)·a_t
-        return combine_columns(ring, rA, ((act[x * rA + t], c) for x, c in hmul[h2 * rH + k2]))
+        return combine_columns(ring, ((act[x * rA + t], c) for x, c in hmul[h2 * rH + k2]))
 
     for i, j, t in product(range(rH), range(rH), range(rA)):
         pairs = _sweedler_pairs(action.bialgebra.coalgebra, i, j)
@@ -242,12 +242,12 @@ def crossed_table(action: WeakActionData, sigma: LinearMap) -> LinearMap:
             for cl, (l1, l2) in b.coalgebra.sweedler_basis(l, 2):
                 by_h1.setdefault(h1, []).append((kron_column(
                     sig[h2 * rH + l1], hmul[h3 * rH + l2], rH, mul), mul(ch, cl)))
-        return [(h1, [(*divmod(pos, rH), v) for pos, v in combine_columns(ring, rB, t)])
+        return [(h1, [(*divmod(pos, rH), v) for pos, v in combine_columns(ring, t)])
                 for h1, t in by_h1.items()]
 
     @cache
     def a_h_a(i, h1, k):  # a_i·(h₁·a_k)
-        return combine_columns(ring, rA, ((amul[i * rA + s], c) for s, c in act[h1 * rA + k]))
+        return combine_columns(ring, ((amul[i * rA + s], c) for s, c in act[h1 * rA + k]))
 
     table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
     cols = []

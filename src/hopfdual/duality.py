@@ -592,11 +592,12 @@ def _scatter(out, ring, val, rH, t):
             out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
-def pi_map(cp: CrossedProductData, side: DiagramSide) -> LinearMap:
+def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMap:
     """π: Hom(H, A#_σH) → one-sided endomorphisms.
 
     Right: π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ), with g(k₅)
-    on the left: the displayed product order is ambiguous, and this is the
+    on the left and ``nu`` the map ν of :func:`nu_map` (the op side does not
+    read it): the displayed product order is ambiguous, and this is the
     order under which the diagram commutes.
     Op: π̄(g)(1⊗k) = Σ (1#k₁)·g(k₂).
     """
@@ -611,7 +612,6 @@ def pi_map(cp: CrossedProductData, side: DiagramSide) -> LinearMap:
     basis = b.carrier.basis_vector
     cols = []
     if side is DiagramSide.RIGHT:
-        nu = nu_map(cp)
         Sb = h.twisted_antipode
         sigma_inv = cp.cocycle.sigma_inv
         for gi in range(cp.carrier.rank):   # g = [h_gj ↦ B basis gi]
@@ -672,8 +672,8 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU,
     alpha = alpha_map(h, A, U)
     gamma = gamma_map(cp, U, side)
     delta = delta_map(cp, U, side)
-    pi = pi_map(cp, side)
     nu = nu_map(cp) if side is DiagramSide.RIGHT else LinearMap.identity(cp.carrier)
+    pi = pi_map(cp, side, nu)
     chi = chi_map(h, A, U, side)
     lhs1 = pi @ alpha
     if lhs1 != gamma:

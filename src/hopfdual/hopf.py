@@ -20,6 +20,7 @@ from .linalg import (
     FreeModule,
     LinearMap,
     column_witness,
+    combine_columns,
     dual_module,
     hom_module,
     invert_map,
@@ -107,61 +108,49 @@ class AlgebraData:
             [cols[j * r + i] for i in range(r) for j in range(r)])
         return AlgebraData(self.carrier, mult, self.unit)
 
-    def product_items(self, items_u, items_v) -> dict:
-        """Sparse product of sparse vectors (lists of (index, coeff))."""
-        ring = self.ring
-        r = self.rank
-        cols = self.mult.sparse_columns()
-        mul, add = ring.mul, ring.add
-        acc = {}
-        for i, a in items_u:
-            base = i * r
-            for j, b in items_v:
-                col = cols[base + j]
-                if not col:
-                    continue
-                ab = mul(a, b)
-                for t, c in col:
-                    prev = acc.get(t)
-                    acc[t] = mul(c, ab) if prev is None else add(prev, mul(c, ab))
-        return {t: v for t, v in acc.items() if v}
-
     def validate(self, subject: str = "algebra") -> ValidationReport:
         rep = ValidationReport(subject)
         r = self.rank
         labels = self.carrier.labels
-        # associativity on all basis triples (i, j, k), in that order, by index
-        # arithmetic on the sparse table: with e_ie_j = Σ_t c^{ij}_t e_t,
-        # Σ_t c^{ij}_t·col(t,k) must equal Σ_s c^{jk}_s·col(i,s); an integral
-        # table over Q is checked over Z
+        # associativity on all basis triples (i, j, k), in that order, row by
+        # row: each distinct column x of the sparse table gets its row over k
+        # of x·e_k, and each i the products e_i·y over the distinct columns y;
+        # then (e_ie_j)e_k = e_i(e_je_k) for every k is one comparison of the
+        # row of e_ie_j with e_i·(row j).  A column that is one basis element
+        # e_t needs no arithmetic: its row is row t of the table, and e_i·e_t
+        # is column (i, t).  An integral table over Q is checked over Z
         witness = None
         ring, cols = integral_view(self.ring, self.mult.sparse_columns())
-        zero, mul, add = ring.zero, ring.mul, ring.add
+        rows = [cols[t * r:(t + 1) * r] for t in range(r)]
+        ids = {}
+        col_id = [ids.setdefault(col, len(ids)) for col in cols]
+        basis = [x[0][0] if len(x) == 1 and x[0][1] == ring.one else None for x in ids]
+        right = [rows[b] if b is not None else
+                 tuple(combine_columns(ring, [(rows[t][k], c) for t, c in x])
+                       for k in range(r)) for x, b in zip(ids, basis)]
         for i in range(r):
-            row_i = cols[i * r:(i + 1) * r]
+            row_i = rows[i]
+            left = [row_i[b] if b is not None else
+                    combine_columns(ring, [(row_i[s], a) for s, a in y])
+                    for y, b in zip(ids, basis)]
             for j in range(r):
-                ij, row_j = row_i[j], cols[j * r:(j + 1) * r]
-                for k in range(r):
-                    lhs = [zero] * r
-                    for t, a in ij:
-                        for u, c in cols[t * r + k]:
-                            lhs[u] = add(lhs[u], mul(c, a))
-                    rhs = [zero] * r
-                    for s, a in row_j[k]:
-                        for u, c in row_i[s]:
-                            rhs[u] = add(rhs[u], mul(c, a))
-                    if lhs != rhs:
-                        witness = f"({labels[i]},{labels[j]},{labels[k]})"
-                        break
-                if witness:
+                lhs = right[col_id[i * r + j]]
+                rhs = tuple(map(left.__getitem__, col_id[j * r:(j + 1) * r]))
+                if lhs != rhs:
+                    k = next(k for k in range(r) if lhs[k] != rhs[k])
+                    witness = f"({labels[i]},{labels[j]},{labels[k]})"
                     break
             if witness:
                 break
         rep.add("algebra.assoc", "multiplication is associative", witness is None, witness)
         witness = None
+        # the unit law reads the table in its own ring: the unit need not be integral
+        ring, cols = self.ring, self.mult.sparse_columns()
+        unit = [(t, c) for t, c in enumerate(self.unit) if c]
         for i in range(r):
-            e = self.carrier.basis_vector(i)
-            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
+            e = ((i, ring.one),)
+            if (combine_columns(ring, [(cols[t * r + i], c) for t, c in unit]) != e
+                    or combine_columns(ring, [(cols[i * r + t], c) for t, c in unit]) != e):
                 witness = labels[i]
                 break
         rep.add("algebra.unit", "two-sided unit law", witness is None, witness)
@@ -724,15 +713,21 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
         raise DimensionMismatch("map shape does not match the algebras")
     if map_.apply(source.unit) != target.unit:
         return "1"
-    r = source.rank
+    r, rt = source.rank, target.rank
     ring = source.ring
+    mul = ring.mul
     images = map_.sparse_columns()
+    tcols = target.mult.sparse_columns()
+    mapped = {}  # map(e_ie_j), once per distinct column e_ie_j
     for i in range(r):
         for j in range(r):
-            lhs = map_.apply(expand_sparse(source.basis_product(i, j), r, ring))
-            lhs_items = {t: v for t, v in enumerate(lhs) if v}
-            rhs = target.product_items(images[i], images[j])
-            if lhs_items != rhs:
+            col = source.basis_product(i, j)
+            lhs = mapped.get(col)
+            if lhs is None:
+                lhs = mapped[col] = combine_columns(ring, [(images[t], c) for t, c in col])
+            rhs = combine_columns(ring, [(tcols[p * rt + q], mul(a, b))
+                                         for p, a in images[i] for q, b in images[j]])
+            if lhs != rhs:
                 return f"({source.carrier.labels[i]},{source.carrier.labels[j]})"
     return None
 

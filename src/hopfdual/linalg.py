@@ -313,15 +313,21 @@ def kron_column(fcol, gcol, rank: int, mul) -> list:
             if (ab := mul(a, b))]
 
 
-def combine_columns(ring, rank, terms):
-    """Σ c·col over (col, c) in ``terms``, each col a sparse column: the
-    sparse vector of length ``rank``, zeros dropped."""
+def combine_columns(ring, terms):
+    """Σ c·col over (col, c) in ``terms``, each col a canonical sparse column
+    (rows increasing, zeros dropped): the canonical sparse column of the sum,
+    a tuple.  A lone term with c = 1 is returned as it is."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][1] == ring.one:
+        return terms[0][0]
     mul, add = ring.mul, ring.add
-    out = [ring.zero] * rank
+    acc = {}
     for col, c in terms:
         for t, x in col:
-            out[t] = add(out[t], mul(c, x))
-    return [(t, x) for t, x in enumerate(out) if x]
+            v = mul(c, x)
+            prev = acc.get(t)
+            acc[t] = v if prev is None else add(prev, v)
+    return tuple(sorted([(t, x) for t, x in acc.items() if x]))
 
 
 def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:

@@ -302,12 +302,12 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
         by_h1 = {}
         for c, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
             by_h1.setdefault(h1, []).append((hmul[h2 * rH + l], c))
-        return [(h1, combine_columns(ring, rH, t)) for h1, t in by_h1.items()]
+        return [(h1, combine_columns(ring, t)) for h1, t in by_h1.items()]
 
     @cache
     def apart(i, h1, k):  # a_i·(h₁·a_k)
-        return combine_columns(ring, rA, ((amul[i * rA + s], c)
-                                          for s, c in act[h1 * rA + k]))
+        return combine_columns(ring, ((amul[i * rA + s], c)
+                                      for s, c in act[h1 * rA + k]))
 
     table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
     cols = []

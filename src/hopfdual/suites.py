@@ -147,6 +147,15 @@ class Derived:
         return self._once("extraction", lambda: crossed_from_integral(self.cleft))
 
     @property
+    def round_trip(self) -> CleftExtraction:
+        """The extraction from θ(h) = 1#h on the crossed product: on a
+        crossed-product payload that is :attr:`extraction` itself, on cleft
+        data a second extraction from the extracted product."""
+        if isinstance(self.entry.payload, CrossedProductData):
+            return self.extraction
+        return crossed_from_integral(integral_from_crossed(self.crossed))
+
+    @property
     def diagram_crossed(self) -> CrossedProductData:
         """The entry's crossed product, or R#H with the trivial action."""
         h = self.hopf
@@ -343,7 +352,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
            "of θ", theta_inv_matches)
 
     def round_trip():
-        ext = crossed_from_integral(integral_from_crossed(cp))
+        ext = ctx.round_trip
         return (ext.crossed.action.action == cp.action.action
                 and ext.crossed.cocycle.sigma == cp.cocycle.sigma
                 and ext.colinear)

@@ -18,6 +18,9 @@ whole products: two sparse-dict products per basis triple, and every
 B-product, regular action, ⋆-product and U-coordinate recomputed for every
 term.  ``test_hopf.py`` and ``test_smash.py`` require the index-arithmetic
 kernels to agree with them (records and witnesses; entries and entry types).
+``algebra_morphism_witness`` applies the map to the dense expansion of every
+basis product and multiplies the images as sparse dicts, pair by pair;
+``test_hopf.py`` requires the library's witness strings to equal its own.
 
 ``normality``, ``cocycle_identity``, ``twisted_module_identity`` (together
 ``cocycle_flags``), ``crossed_table`` and ``left_smash_table`` are the
@@ -50,7 +53,7 @@ from hypothesis import strategies as st
 
 from hopfdual.crossed import CocycleFlags
 from hopfdual.duality import DiagramSide, end_rep_module, nu_map
-from hopfdual.errors import NotInvertible, ValidationError
+from hopfdual.errors import DimensionMismatch, NotInvertible, ValidationError
 from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf, expand_sparse
 from hopfdual.linalg import (
     FreeModule,
@@ -420,6 +423,27 @@ def validate_algebra(alg, subject="algebra"):
             break
     rep.add("algebra.unit", "two-sided unit law", witness is None, witness)
     return rep
+
+
+def algebra_morphism_witness(source, target, map_):
+    """``hopf.algebra_morphism_witness``: the unit, then per basis pair
+    map(e_ie_j) as the dense image of the expanded product against
+    map(e_i)map(e_j) as a sparse-dict product."""
+    if map_.domain.rank != source.rank or map_.codomain.rank != target.rank:
+        raise DimensionMismatch("map shape does not match the algebras")
+    if map_.apply(source.unit) != target.unit:
+        return "1"
+    r = source.rank
+    ring = source.ring
+    images = map_.sparse_columns()
+    for i in range(r):
+        for j in range(r):
+            lhs = map_.apply(expand_sparse(source.basis_product(i, j), r, ring))
+            lhs_items = {t: v for t, v in enumerate(lhs) if v}
+            rhs = product_items(target, images[i], images[j])
+            if lhs_items != rhs:
+                return f"({source.carrier.labels[i]},{source.carrier.labels[j]})"
+    return None
 
 
 def hat_smash(hopf, B):

@@ -265,7 +265,7 @@ def test_pi_order_is_resolved_by_commutativity(monkeypatch):
     assert diag.pi @ diag.alpha == diag.gamma
     assert dense_oracle.pi_right(cp, g_left=False) @ diag.alpha != diag.gamma
     monkeypatch.setattr(duality, "pi_map",
-                        lambda cp, side: dense_oracle.pi_right(cp, g_left=False))
+                        lambda cp, side, nu: dense_oracle.pi_right(cp, g_left=False))
     with pytest.raises(CommutativityFailure) as exc:
         build_diagram(cp, U, DiagramSide.RIGHT)
     assert "π∘α ≠ γ" in str(exc.value)

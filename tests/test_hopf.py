@@ -3,13 +3,17 @@
 Closed-form group inverses and the hand-derived rank-4 antipode serve as the
 independent oracles for the convolution-system solver.
 """
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
 from builders import idempotent_monoid_bialgebra, unvalidated_hopf
+from hopfdual.actions import regular_comodule
 from hopfdual.catalog import (
+    algebra_from_quadruples,
     ground_algebra,
     group_algebra,
     group_algebra_parts,
@@ -22,6 +26,7 @@ from hopfdual.hopf import (
     CoalgebraData,
     ConvolutionAlgebra,
     HopfData,
+    algebra_morphism_witness,
     certify_algebra_iso,
     compute_antipode,
     compute_twisted_antipode,
@@ -45,6 +50,7 @@ from hopfdual.linalg import (
     solve_linear,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
+from hopfdual.smash import SubalgebraU, right_smash
 
 
 # --- validation -------------------------------------------------------------
@@ -364,17 +370,26 @@ def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
 # Over Q the tables are also drawn integral (an integer basis change and an
 # integer wrong entry: the certificate runs over Z) and halved (the same basis
 # scaled by 1/2, so the constants are halves of integers: it stays over Q).
+# Monomial tables keep their basis, so their columns are one term or empty and
+# repeat: C5, C6 and their H#H* (ranks 25 and 36), Sweedler's xg = -gx (a
+# one-term column with coefficient -1), and a table where (xx)x = 2y·x = 2·3z
+# cancels to zero over Z/6 while x(xx) = x·2y is empty.
 
 
-def associative_table(data, ring, entries=None, scale=None):
-    base = data.draw(st.sampled_from([
+def known_algebra(data, ring):
+    return data.draw(st.sampled_from([
         lambda: ground_algebra(ring),
         lambda: unvalidated_hopf(*group_algebra_parts(ring, 3)).algebra,
         lambda: matrix_algebra(ring, 2),
         lambda: unvalidated_hopf(*sweedler_parts(ring)).algebra,
         lambda: tensor_algebra(*[unvalidated_hopf(*group_algebra_parts(ring, 2)).algebra] * 2),
     ]))()
-    r = base.rank
+
+
+def rebased(data, base, entries=None, scale=None):
+    """``base`` in a random unitriangular basis P (times ``scale``): the
+    rebased algebra and P, an algebra isomorphism from it onto ``base``."""
+    ring, r = base.ring, base.rank
     carrier = dense.module(ring, r, "e")
     entries = dense.elements(ring) if entries is None else entries
     P = LinearMap(carrier, carrier, [
@@ -384,8 +399,34 @@ def associative_table(data, ring, entries=None, scale=None):
         P = LinearMap(carrier, carrier, [[scale * x for x in row] for row in P.matrix])
     Pi = invert_map(P)
     mult = Pi @ base.mult @ kron(P, P)
-    return AlgebraData(carrier, LinearMap(mult.domain, carrier, mult.matrix),
-                       Pi.apply(base.unit))
+    alg = AlgebraData(carrier, LinearMap(mult.domain, carrier, mult.matrix),
+                      Pi.apply(base.unit))
+    return alg, LinearMap(carrier, base.carrier, P.matrix)
+
+
+def cancelling_table(ring):
+    """1, x, y, z with x·x = 2y and y·x = 3z, every other product of x, y, z
+    zero: associative exactly when 6 = 0."""
+    quads = [(0, k, k, 1) for k in range(4)] + [(k, 0, k, 1) for k in range(1, 4)]
+    return algebra_from_quadruples(free_module(ring, ["1", "x", "y", "z"]),
+                                   quads + [(1, 1, 2, 2), (2, 1, 3, 3)], (1, 0, 0, 0))
+
+
+def group_smash_dual(ring, n):
+    """H#H* for H = R[C_n]: rank n², one-term columns with coefficient 1."""
+    h = group_algebra(ring, n)
+    return right_smash(regular_comodule(h), SubalgebraU.full_dual(h)).product
+
+
+@functools.cache
+def monomial_tables(ring):
+    """(table, associative) pairs, built once per ring."""
+    return ((unvalidated_hopf(*group_algebra_parts(ring, 5)).algebra, True),
+            (unvalidated_hopf(*group_algebra_parts(ring, 6)).algebra, True),
+            (group_smash_dual(ring, 5), True),
+            (group_smash_dual(ring, 6), True),
+            (unvalidated_hopf(*sweedler_parts(ring)).algebra, True),
+            (cancelling_table(ring), ring.is_zero(ring.of(6))))
 
 
 def with_wrong_entry(data, alg, entries=None):
@@ -401,24 +442,29 @@ def record_tuples(rep):
     return [(r.check_id, r.statement, r.passed, r.witness) for r in rep.records]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(st.sampled_from(dense.RINGS), st.sampled_from(("any", "integral", "halved")),
        st.data())
 def test_validate_matches_the_sparse_dict_products(ring, q_table, data):
     q_table = q_table if ring == QQ else "any"
     integers = st.integers(-3, 3).map(QQ.of)
-    intact = q_table != "any" or data.draw(st.booleans())
-    if intact:
-        alg = associative_table(data, ring, None if q_table == "any" else integers,
-                                QQ.of("1/2") if q_table == "halved" else None)
+    table = ("rebased" if q_table != "any"
+             else data.draw(st.sampled_from(("rebased", "monomial", "random"))))
+    intact = True
+    if table == "rebased":
+        alg = rebased(data, known_algebra(data, ring),
+                      None if q_table == "any" else integers,
+                      QQ.of("1/2") if q_table == "halved" else None)[0]
         if q_table != "any":  # integral tables are certified over Z, halved ones over Q
             view_ring = integral_view(ring, alg.mult.sparse_columns())[0]
             assert view_ring == (ZZ if q_table == "integral" else QQ)
-        if data.draw(st.booleans()):
-            wrong = integers if q_table == "integral" else None
-            alg, intact = with_wrong_entry(data, alg, wrong), False
+    elif table == "monomial":
+        alg, intact = data.draw(st.sampled_from(monomial_tables(ring)))
     else:
-        alg = random_algebra(data, ring, data.draw(st.integers(1, 4)), "a")
+        alg, intact = random_algebra(data, ring, data.draw(st.integers(1, 4)), "a"), False
+    if intact and data.draw(st.booleans()):
+        wrong = integers if q_table == "integral" else None
+        alg, intact = with_wrong_entry(data, alg, wrong), False
     if data.draw(st.booleans()):
         alg, intact = AlgebraData(alg.carrier, alg.mult,
                                   dense.draw_vector(data, ring, alg.rank)), False
@@ -441,3 +487,61 @@ def test_validate_reports_the_first_failing_triple():
     assert record_tuples(rep) == record_tuples(dense.validate_algebra(broken))
     assert [(r.check_id, r.passed, r.witness) for r in rep.records] == [
         ("algebra.assoc", False, "(e,e,g)"), ("algebra.unit", False, "e")]
+
+
+@pytest.mark.parametrize("ring", dense.RINGS)
+def test_validate_finds_the_first_failure_inside_a_row(ring):
+    # g·g³ = g⁴ + e instead of g⁴ in R[C5]: every triple before the row
+    # (g, g) holds, and that row fails at k = g² and again at k = g³
+    alg = unvalidated_hopf(*group_algebra_parts(ring, 5)).algebra
+    rows = [list(row) for row in alg.mult.matrix]
+    rows[0][1 * 5 + 3] = ring.one
+    broken = AlgebraData(alg.carrier, LinearMap(alg.mult.domain, alg.carrier, rows),
+                         alg.unit)
+    rep = broken.validate()
+    assert record_tuples(rep) == record_tuples(dense.validate_algebra(broken))
+    assert [(r.check_id, r.passed, r.witness) for r in rep.records] == [
+        ("algebra.assoc", False, "(g,g,g^2)"), ("algebra.unit", True, None)]
+
+
+# --- the morphism witness against the dense images ---------------------------
+# Basis changes P of known and monomial algebras are isomorphisms both ways;
+# they are drawn intact, with one wrong entry, or with a wrong unit (the zero
+# map, or a redrawn source unit).  Random maps between random tables cover
+# the rest.  The monomial sources repeat their columns.
+
+MORPHISM_RINGS = (ZZ, QQ, Zmod(6), Zmod(7))
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from(MORPHISM_RINGS),
+       st.sampled_from(("iso", "wrong entry", "wrong unit", "random")), st.data())
+def test_morphism_witness_matches_the_dense_images(ring, kind, data):
+    if kind == "random":
+        source = random_algebra(data, ring, data.draw(ranks), "a")
+        target = random_algebra(data, ring, data.draw(ranks), "b")
+        map_ = dense.draw_map(data, ring, source.carrier, target.carrier)
+    else:
+        small = [(t, ok) for t, ok in monomial_tables(ring) if t.rank <= 6]
+        base = (known_algebra(data, ring) if data.draw(st.booleans())
+                else data.draw(st.sampled_from(small))[0])
+        source, P = rebased(data, base)
+        target, map_ = base, P
+        if data.draw(st.booleans()):
+            source, target, map_ = base, source, invert_map(P)
+        if kind == "wrong entry":
+            rows = [list(row) for row in map_.matrix]
+            i = data.draw(st.integers(0, target.rank - 1))
+            j = data.draw(st.integers(0, source.rank - 1))
+            rows[i][j] = data.draw(dense.elements(ring))
+            map_ = LinearMap(map_.domain, map_.codomain, rows)
+        elif kind == "wrong unit" and data.draw(st.booleans()):
+            map_ = LinearMap(map_.domain, map_.codomain,
+                             [[ring.zero] * source.rank] * target.rank)
+        elif kind == "wrong unit":
+            source = AlgebraData(source.carrier, source.mult,
+                                 dense.draw_vector(data, ring, source.rank))
+    got = algebra_morphism_witness(source, target, map_)
+    assert got == dense.algebra_morphism_witness(source, target, map_)
+    if kind == "iso":
+        assert got is None

@@ -11,7 +11,7 @@ from hopfdual.catalog import get
 from hopfdual.errors import ValidationError
 from hopfdual.suites import run_suite
 
-COUNTED = ((duality, "build_diagram"), (duality, "delta_map"),
+COUNTED = ((duality, "build_diagram"), (duality, "delta_map"), (duality, "nu_map"),
            (crossed, "crossed_from_integral"), (crossed, "opposite_crossed"))
 
 
@@ -47,16 +47,18 @@ def records(report):
 
 
 @pytest.mark.parametrize("name,suite,expected", [
-    # one right and one op diagram for the theorem suite; the matrix form
-    # reuses the certified right isomorphism
-    ("sweedler4_Z3", "all", (2, 2, 0, 0)),
-    ("gauss", "duality", (2, 2, 0, 0)),
+    # one right and one op diagram for the theorem suite, ν built for the
+    # right one only; the matrix form reuses the certified right isomorphism
+    ("sweedler4_Z3", "all", (2, 2, 1, 0, 0)),
+    ("gauss", "duality", (2, 2, 1, 0, 0)),
     # the route reuses the extraction that gave the crossed product; the
     # round trip extracts from θ(h) = 1#h on it
-    ("gauss_cleft", "cleft", (1, 1, 2, 0)),
+    ("gauss_cleft", "cleft", (1, 1, 1, 2, 0)),
+    # on a crossed-product payload that extraction is the round trip itself
+    ("gauss", "cleft", (1, 1, 1, 1, 0)),
     # the direct right diagram and the op diagram of the opposite product;
     # τ, the comodule-algebra iso and the chain share one opposite product
-    ("gauss_cleft", "opposite", (2, 2, 1, 1)),
+    ("gauss_cleft", "opposite", (2, 2, 1, 1, 1)),
 ])
 def test_each_object_is_built_once_per_run(calls, name, suite, expected):
     entry = get(name)
@@ -72,7 +74,7 @@ def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
     # the g(k₅)-on-the-right π breaks π∘α = γ, so the right isomorphism never
     # certifies: the theorem suite and the matrix form must both fail on it
     monkeypatch.setattr(duality, "pi_map",
-                        lambda cp, side: dense_oracle.pi_right(cp, g_left=False))
+                        lambda cp, side, nu: dense_oracle.pi_right(cp, g_left=False))
     failed = {r[0]: r[2] for r in records(run_suite(get("sweedler4_smash_Q"),
                                                     "duality")) if not r[1]}
     assert set(failed) == {"duality.theorems", "duality.matrix"}
