@@ -14,7 +14,7 @@ from .linalg import (
     invert_map,
     kron,
     solve_linear,
-    submodule_membership,
+    span_coordinates,
     twist_map,
 )
 from .hopf import (

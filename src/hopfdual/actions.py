@@ -19,8 +19,8 @@ from .linalg import (
     kron_vec,
     product_labels,
     solve_linear,
+    span_coordinates,
     split_coefficient_map,
-    submodule_membership,
     tensor_module,
     unit_module,
     vec_scale,
@@ -263,9 +263,11 @@ class Coinvariants:
     def rank(self):
         return len(self.vectors)
 
-    def express(self, b_vec):
-        """Coefficients of a coinvariant element in the computed basis, or None."""
-        return submodule_membership(self.module.ring, self.vectors, b_vec)
+    def coordinates(self):
+        """v ↦ the coefficients of v in the computed basis, or None when v is
+        not coinvariant; the basis is factored once per call of this method."""
+        return span_coordinates(self.module.ring, self.vectors,
+                                self.inclusion.codomain.rank)
 
 
 def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
@@ -289,10 +291,8 @@ def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
 
 def coinvariants_form_subalgebra(c: ComoduleAlgebraData, coin: Coinvariants) -> bool:
     """Closure of the coinvariant span under unit and products."""
-    if coin.express(c.algebra.unit) is None:
+    express = coin.coordinates()
+    if express(c.algebra.unit) is None:
         return False
-    for u in coin.vectors:
-        for v in coin.vectors:
-            if coin.express(c.algebra.product(u, v)) is None:
-                return False
-    return True
+    return all(express(c.algebra.product(u, v)) is not None
+               for u in coin.vectors for v in coin.vectors)

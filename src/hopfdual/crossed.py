@@ -50,7 +50,7 @@ from .linalg import (
     kron_column,
     kron_vec,
     map_to_vec,
-    submodule_membership,
+    span_coordinates,
     tensor_module,
     vec_add,
     vec_scale,
@@ -337,12 +337,12 @@ def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional
     ring = cp.ring
     expected = [kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
                 for i in range(A.rank)]
-    for v in expected:
-        if submodule_membership(ring, list(coin.vectors), v) is None:
-            return "A⊗1 not contained in the coinvariants"
-    for v in coin.vectors:
-        if submodule_membership(ring, expected, v) is None:
-            return "coinvariants leak outside A⊗1"
+    in_coin = coin.coordinates()
+    if any(in_coin(v) is None for v in expected):
+        return "A⊗1 not contained in the coinvariants"
+    in_expected = span_coordinates(ring, expected, cp.carrier.rank)
+    if any(in_expected(v) is None for v in coin.vectors):
+        return "coinvariants leak outside A⊗1"
     return None
 
 
@@ -434,9 +434,10 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     ring = B.ring
     rH = b.rank
     coin = coinvariants(B_com)
+    coordinates = coin.coordinates()
 
     def express(vec, what):
-        coords = coin.express(vec)
+        coords = coordinates(vec)
         if coords is None:
             raise CoinvariantEscape(f"{what} does not lie in the coinvariants")
         return coords
@@ -511,9 +512,10 @@ class OppositeCrossed:
     colinear: bool
 
 
-def opposite_crossed(cp: CrossedProductData) -> OppositeCrossed:
+def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrossed:
     """Build the H^op-crossed product on A^op with h·a := S̄(h)a and
-    τ = σ⁻¹∘(S̄⊗S̄), and certify A#_σH ≅ (A^op#_τH^op)^op."""
+    τ = σ⁻¹∘(S̄⊗S̄), and certify A#_σH ≅ (A^op#_τH^op)^op.  ``cleft`` is
+    θ(h) = 1#h on ``cp``, ``integral_from_crossed(cp)``."""
     hopf = ensure_hopf(cp.action.hopf)
     hop = opposite_hopf(hopf)
     A = cp.action.algebra
@@ -532,7 +534,6 @@ def opposite_crossed(cp: CrossedProductData) -> OppositeCrossed:
     crossed_op = build_crossed_product(action_op, tau)
     y_alg = crossed_op.product_algebra.opposite()
     # G: (A^op#_τH^op)^op → A#_σH, a⊗h ↦ θ⁻¹(S̄(h))·(a#1)
-    cleft = integral_from_crossed(cp)
     b = hopf.bialgebra
     cols = []
     for i in range(A.rank):
@@ -566,9 +567,10 @@ def cleft_maps(cl: CleftData):
     Sbar = hopf.twisted_antipode
     coin = coinvariants(B_com)
     rA = coin.rank
+    coordinates = coin.coordinates()
 
     def express(vec):
-        coords = coin.express(vec)
+        coords = coordinates(vec)
         if coords is None:
             raise CoinvariantEscape("cleft map value escapes the coinvariants")
         return coords

@@ -18,7 +18,9 @@ produces, so its multiplicativity is a theorem-test rather than a search.
 5 of h·m, by Δ(h·m) = Δ(h)Δ(m); op δ: 8 of k and 2 of h) without repeated
 work: each factor (σ⁻¹, σ, the action, the H-part) is tabulated per call by
 the leg indices it reads, and the functional f, which enters only through
-f(k_last), is applied in a final contraction.  The tables live for one call.
+f(k_last), is applied in a final contraction.  The hypothesis checks (the
+coactions υ/ω, φ and ψ) read the same sparse tables, and each membership
+question factors its span once.  The tables live for one call.
 """
 from __future__ import annotations
 
@@ -27,14 +29,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Optional
 
-from .actions import (
-    ComoduleAlgebraData,
-    WeakActionData,
-    regular_act_left,
-    regular_act_right,
-    regular_comodule,
-)
-from .catalog import ground_algebra
+from .actions import ComoduleAlgebraData, WeakActionData, regular_comodule
 from .crossed import CrossedProductData, OppositeCrossed, trivial_sigma
 from .errors import (
     CommutativityFailure,
@@ -47,7 +42,6 @@ from .errors import (
 from .hopf import (
     AlgebraData,
     AlgebraIso,
-    ConvolutionAlgebra,
     HopfData,
     HopfLike,
     bialgebra_of,
@@ -63,14 +57,15 @@ from .linalg import (
     PreparedSolver,
     canonical_span,
     column_witness,
+    combine_columns,
     determinant,
     dual_module,
     hom_module,
     invert_map,
     kron,
+    kron_column,
     kron_vec,
-    solve_linear,
-    submodule_membership,
+    span_coordinates,
     tensor_module,
     twist_map,
     vec_add,
@@ -177,25 +172,26 @@ class RLReport:
 
 
 def rl_check(hopf: HopfLike, U: SubalgebraU, V, side: DiagramSide = DiagramSide.RIGHT) -> RLReport:
-    """Solve λ(ξ) = ρ(g) over the H#U coordinate space for each g in V."""
+    """Solve λ(ξ) = ρ(g) over the H#U coordinate space for each g in V, on
+    one factorization of λ."""
     b = bialgebra_of(hopf)
     ring = b.ring
+    rH, rU = b.rank, U.rank
     lam = _lambda_of_side(hopf, U, side)
+    express = span_coordinates(ring, zip(*lam.matrix), lam.codomain.rank)
     witnesses, failures = [], []
     for g in V:
         g = tuple(ring.of(x) for x in g)
-        res = solve_linear(lam, rho_endo(hopf, g))
-        if not res.solvable:
+        xi = express(rho_endo(hopf, g))
+        if xi is None:
             failures.append(g)
             continue
         pairs = []
-        rU = U.rank
-        for pos, c in enumerate(res.particular):
-            if not (c):
-                continue
-            i, l = divmod(pos, rU)
-            pairs.append((vec_scale(ring, c, b.carrier.basis_vector(i)),
-                          U.element(l)))
+        for pos, c in enumerate(xi):
+            if c:
+                i, l = divmod(pos, rU)
+                pairs.append((tuple(c if x == i else ring.zero for x in range(rH)),
+                              U.element(l)))
         witnesses.append(RLWitness(g, tuple(pairs)))
     return RLReport(side, witnesses, failures)
 
@@ -762,6 +758,7 @@ class CompatReport:
     phi_witness: Optional[str]
     psi_witness: Optional[str]
     rl: RLReport
+    maps: tuple  # (φ, ψ) as checked
 
     @property
     def ok(self):
@@ -769,74 +766,86 @@ class CompatReport:
 
 
 def compat_maps(cp: CrossedProductData, side: DiagramSide):
-    """φ, ψ: H⊗A → Hom(H, A) (right side; barred versions on the op side)."""
+    """φ, ψ: H⊗A → Hom(H, A) (right side; barred versions on the op side).
+
+    Right: φ(h⊗a)(h̃) = Σ [S̄(h̃₂)a]σ(S̄(h̃₁)⊗h)
+           ψ(h⊗a)(h̃) = Σ σ⁻¹(h̃₃⊗S̄(h̃₂))[h̃₄a]σ(h̃₅⊗S̄(h̃₁)h)
+    Op:    φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
+           ψ̄(h⊗a)(h̃) = Σ σ⁻¹(S(h̃₃)⊗h̃₄)[S(h̃₂)a]σ(S(h̃₁)⊗h̃₅h)
+
+    The 2- and 5-leg expansions of h̃ are summed as written.  σ, σ⁻¹, the
+    action and the A-products are read off their sparse tables, each factor
+    once per call per leg-index key it reads.
+    """
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    rH, rA = b.rank, A.rank
-    sigma, sigma_inv = cp.cocycle.sigma, cp.cocycle.sigma_inv
-    Sb, S = h.twisted_antipode, h.antipode
-    basis = b.carrier.basis_vector
-    halg = b.algebra
-    dom = tensor_module(b.carrier, A.carrier)
+    e, a_e = _unit_vectors(ring, b.rank), _unit_vectors(ring, A.rank)
+    hprod = _bilinear(ring, b.algebra.mult, b.rank)
+    aprod = _bilinear(ring, A.mult, A.rank)
+    act = _bilinear(ring, cp.action.action, A.rank)
+    sigma = _bilinear(ring, cp.cocycle.sigma, b.rank)
+    sigma_inv = _bilinear(ring, cp.cocycle.sigma_inv, b.rank)
+    if side is DiagramSide.RIGHT:
+        Sb = h.twisted_antipode.sparse_columns()
+        acted = cache(lambda t2, j: act(Sb[t2], a_e[j]))
+        sig = cache(lambda t1, i: sigma(Sb[t1], e[i]))
+        s1_acted = cache(lambda t2, t3, t4, j: aprod(sigma_inv(e[t3], Sb[t2]),
+                                                     act(e[t4], a_e[j])))
+        s2 = cache(lambda t1, t5, i: sigma(e[t5], hprod(Sb[t1], e[i])))
+
+        def phi(i, j, legs):
+            return aprod(acted(legs[1], j), sig(legs[0], i))
+    else:
+        S = h.antipode.sparse_columns()
+        s1_acted = cache(lambda t2, t3, t4, j: aprod(sigma_inv(S[t3], e[t4]),
+                                                     act(S[t2], a_e[j])))
+        s2 = cache(lambda t1, t5, i: sigma(S[t1], hprod(e[t5], e[i])))
+
+        def phi(i, j, legs):
+            return aprod(act(e[legs[0]], a_e[j]), sigma(e[legs[1]], e[i]))
+
+    def psi(i, j, legs):
+        t1, t2, t3, t4, t5 = legs
+        return aprod(s1_acted(t2, t3, t4, j), s2(t1, t5, i))
+
+    return _hom_values(b, A, 2, phi), _hom_values(b, A, 5, psi)
+
+
+def _unit_vectors(ring, rank):
+    """The basis vectors of R^rank as canonical sparse vectors."""
+    return [((x, ring.one),) for x in range(rank)]
+
+
+def _bilinear(ring, m: LinearMap, right_rank: int):
+    """(u, v) ↦ m(u⊗v) on canonical sparse vectors, for a map m out of a
+    tensor product whose right factor has rank ``right_rank``: the terms are
+    read off m's sparse columns."""
+    cols, mul = m.sparse_columns(), ring.mul
+    return lambda u, v: combine_columns(
+        ring, [(cols[x * right_rank + y], mul(a, c)) for x, a in u for y, c in v])
+
+
+def _hom_values(b, A, legs, value):
+    """The map H⊗A → Hom(H, A) whose column (h_i, a_j) has value
+    Σ c·value(i, j, legs) at h_t, over the ``legs``-fold expansion of h_t;
+    ``value`` returns a canonical sparse vector of A."""
+    ring = b.ring
+    rH = b.rank
+    mul, add = ring.mul, ring.add
     cod = hom_module(b.carrier, A.carrier)
-    phi_cols, psi_cols = [], []
+    expansions = [b.coalgebra.sweedler_basis(t, legs) for t in range(rH)]
+    cols = []
     for i in range(rH):
-        for j in range(rA):
-            a_j = A.carrier.basis_vector(j)
-            phi_out = [ring.zero] * cod.rank
-            psi_out = [ring.zero] * cod.rank
-            for t in range(rH):
-                if side is DiagramSide.RIGHT:
-                    # φ(h⊗a)(h̃) = Σ [S̄(h̃₂)a]σ(S̄(h̃₁)⊗h)
-                    val = A.carrier.zero_vector()
-                    for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                        acted = cp.action.act(Sb.column(t2), a_j)
-                        sig = sigma.apply(kron_vec(ring, Sb.column(t1), basis(i)))
-                        val = vec_add(ring, val,
-                                      vec_scale(ring, c, A.product(acted, sig)))
-                    _scatter(phi_out, ring, val, rH, t)
-                    # ψ(h⊗a)(h̃) = Σ σ⁻¹(h̃₃⊗S̄(h̃₂))[h̃₄a]σ(h̃₅⊗S̄(h̃₁)h)
-                    val = A.carrier.zero_vector()
-                    for c, legs in b.coalgebra.sweedler_basis(t, 5):
-                        t1, t2, t3, t4, t5 = legs
-                        s1 = sigma_inv.apply(kron_vec(ring, basis(t3),
-                                                      Sb.column(t2)))
-                        acted = cp.action.act_basis(t4, a_j)
-                        s2 = sigma.apply(kron_vec(
-                            ring, basis(t5),
-                            halg.product(Sb.column(t1), basis(i))))
-                        val = vec_add(ring, val, vec_scale(
-                            ring, c, A.product(A.product(s1, acted), s2)))
-                    _scatter(psi_out, ring, val, rH, t)
-                else:
-                    # φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
-                    val = A.carrier.zero_vector()
-                    for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                        acted = cp.action.act_basis(t1, a_j)
-                        sig = sigma.apply(kron_vec(ring, basis(t2), basis(i)))
-                        val = vec_add(ring, val,
-                                      vec_scale(ring, c, A.product(acted, sig)))
-                    _scatter(phi_out, ring, val, rH, t)
-                    # ψ̄(h⊗a)(h̃) = Σ σ⁻¹(S(h̃₃)⊗h̃₄)[S(h̃₂)a]σ(S(h̃₁)⊗h̃₅h)
-                    val = A.carrier.zero_vector()
-                    for c, legs in b.coalgebra.sweedler_basis(t, 5):
-                        t1, t2, t3, t4, t5 = legs
-                        s1 = sigma_inv.apply(kron_vec(ring, S.column(t3),
-                                                      basis(t4)))
-                        acted = cp.action.act(S.column(t2), a_j)
-                        s2 = sigma.apply(kron_vec(
-                            ring, S.column(t1),
-                            halg.product(basis(t5), basis(i))))
-                        val = vec_add(ring, val, vec_scale(
-                            ring, c, A.product(A.product(s1, acted), s2)))
-                    _scatter(psi_out, ring, val, rH, t)
-            phi_cols.append(tuple(phi_out))
-            psi_cols.append(tuple(psi_out))
-    phi = LinearMap.from_columns(dom, cod, phi_cols)
-    psi = LinearMap.from_columns(dom, cod, psi_cols)
-    return phi, psi
+        for j in range(A.rank):
+            out = [ring.zero] * cod.rank
+            for t, terms in enumerate(expansions):
+                for c, tl in terms:
+                    for p, x in value(i, j, tl):
+                        out[p * rH + t] = add(out[p * rH + t], mul(c, x))
+            cols.append(out)
+    return LinearMap.from_columns(tensor_module(b.carrier, A.carrier), cod, cols)
 
 
 def j_generators(ring, rA: int, V, rH: int):
@@ -853,25 +862,30 @@ def j_generators(ring, rA: int, V, rH: int):
 
 
 def compat_check(cp: CrossedProductData, U: SubalgebraU, V,
-                 side: DiagramSide = DiagramSide.RIGHT) -> CompatReport:
-    """(V,U) compatibility: φ(H⊗A), ψ(H⊗A) ⊆ J(A⊗V) and the RL-condition."""
+                 side: DiagramSide = DiagramSide.RIGHT, maps=None) -> CompatReport:
+    """(V,U) compatibility: φ(H⊗A), ψ(H⊗A) ⊆ J(A⊗V) and the RL-condition.
+    ``maps`` is (φ, ψ) when the caller has built them for ``side``; both are
+    tested against one factorization of J(A⊗V)."""
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    phi, psi = compat_maps(cp, side)
+    phi, psi = maps or compat_maps(cp, side)
     gens = j_generators(ring, A.rank, [tuple(ring.of(x) for x in v) for v in V], b.rank)
-    phi_col = first_outside(ring, gens, phi)
-    psi_col = first_outside(ring, gens, psi)
+    inside = span_coordinates(ring, gens, A.rank * b.rank)
+    phi_col = first_outside(inside, phi)
+    psi_col = first_outside(inside, psi)
     rl = rl_check(h, U, V, side)
     return CompatReport(side, phi_col is None, psi_col is None,
-                        _pair_label(b, A, phi_col), _pair_label(b, A, psi_col), rl)
+                        _pair_label(b, A, phi_col), _pair_label(b, A, psi_col), rl,
+                        (phi, psi))
 
 
-def first_outside(ring, gens, m: LinearMap) -> Optional[int]:
-    """The first column of ``m`` outside span(gens), or None."""
+def first_outside(express, m: LinearMap) -> Optional[int]:
+    """The first column of ``m`` that ``express`` (a :func:`span_coordinates`
+    of the span) cannot express, or None."""
     return next((col for col in range(m.domain.rank)
-                 if submodule_membership(ring, gens, m.column(col)) is None), None)
+                 if express(m.column(col)) is None), None)
 
 
 def _pair_label(b, A, col):
@@ -907,202 +921,168 @@ def coaction_table(hopf: HopfLike, side: CoactionSide) -> CoactionTable:
     """
     h = ensure_hopf(hopf)
     b = h.bialgebra
-    ring = b.ring
-    rH = b.rank
-    S, Sb = h.antipode, h.twisted_antipode
-    basis = b.carrier.basis_vector
-    rows = []
-    for i in range(rH):
-        # L(h_t) = Σ h₃S̄(h₁)f(h₂)  resp.  Σ S(h₁)h₃·f(h₂); the canonical map
-        # H⊗H* → End(H) is the identity on our flattenings, so the solution
-        # exists and is unique outright.
-        vec = [ring.zero] * (rH * rH)
-        for t in range(rH):
-            acc = b.carrier.zero_vector()
-            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-                if h2 != i:
-                    continue
-                term = (b.algebra.product(basis(h3), Sb.column(h1))
-                        if side is CoactionSide.UPSILON
-                        else b.algebra.product(S.column(h1), basis(h3)))
-                acc = vec_add(ring, acc, vec_scale(ring, c, term))
-            _scatter(vec, ring, acc, rH, t)
-        rows.append(tuple(vec))
+    rows = _coaction_rows(h, side)
     Hd = dual_module(b.carrier)
     cmap = LinearMap.from_columns(Hd, tensor_module(b.carrier, Hd), rows)
     rep = _coaction_checks(h, side, rows, cmap)
     return CoactionTable(side, tuple(rows), cmap, rep)
 
 
-def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationReport:
+def _coaction_rows(h: HopfData, side: CoactionSide) -> list:
+    """Row i is Σ f₍₋₁₎⊗f₍₀₎ ∈ H⊗H* for f = δ_i: at (p, t), the h_p-coefficient
+    of Σ h₃S̄(h₁)δ_i(h₂) (υ) resp. Σ S(h₁)h₃δ_i(h₂) (ω) at h = h_t.  The
+    canonical map H⊗H* → End(H) is the identity on these flattenings, so the
+    solution exists and is unique outright."""
     b = h.bialgebra
     ring = b.ring
     rH = b.rank
-    rep = ValidationReport(f"coaction table ({side.value})")
-    dual_alg = ConvolutionAlgebra(b.coalgebra, ground_algebra(ring)).algebra()
-    basis = b.carrier.basis_vector
-    fbasis = dual_module(b.carrier).basis_vector
-    S, Sb = h.antipode, h.twisted_antipode
-    tag = "upsilon" if side is CoactionSide.UPSILON else "omega"
+    mul, add = ring.mul, ring.add
+    e = _unit_vectors(ring, rH)
+    hprod = _bilinear(ring, b.algebra.mult, rH)
+    if side is CoactionSide.UPSILON:
+        Sb = h.twisted_antipode.sparse_columns()
+        term = cache(lambda h1, h3: hprod(e[h3], Sb[h1]))
+    else:
+        S = h.antipode.sparse_columns()
+        term = cache(lambda h1, h3: hprod(S[h1], e[h3]))
+    rows = [[ring.zero] * (rH * rH) for _ in range(rH)]
+    for t in range(rH):
+        for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
+            row = rows[h2]
+            for p, x in term(h1, h3):
+                row[p * rH + t] = add(row[p * rH + t], mul(c, x))
+    return [tuple(row) for row in rows]
 
-    def terms(i):
-        out = []
-        for pos, c in enumerate(rows[i]):
-            if (c):
-                p, q = divmod(pos, rH)
-                out.append((c, p, q))
-        return out
 
-    # (1-a)
-    ok = True
-    wit = None
-    for i in range(rH):
-        f = fbasis(i)
-        for gidx in range(rH):
-            g = fbasis(gidx)
-            lhs = dual_alg.product(f, g)
-            rhs = (ring.zero,) * rH
-            for c, p, q in terms(i):
-                moved = (regular_act_right(h, g, basis(p))
-                         if side is CoactionSide.UPSILON
-                         else regular_act_left(h, basis(p), g))
-                rhs = vec_add(ring, rhs, vec_scale(
-                    ring, c, dual_alg.product(moved, fbasis(q))))
-            if lhs != rhs:
-                ok, wit = False, f"(f{i},g{gidx})"
-                break
-        if not ok:
-            break
-    rep.add(f"{tag}.1a", "f⋆g matches the coaction expansion for all basis pairs",
-            ok, wit)
+def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationReport:
+    """The structure identities of the coaction ``rows`` (``cmap`` is its map
+    H* → H⊗H*), each on every basis tuple in order; a failure names the
+    first failing tuple.  Both sides of each identity are canonical sparse
+    vectors summed, by bilinearity, from tables built once per call: δ_x⋆δ_y,
+    δ_y⇀h_t and the left legs of Δ(h_t) from Δ; δ_g·h_p (υ) resp. h_p·δ_g
+    (ω) from the multiplication; and (δ_g·h_p)⋆δ_q for all g per (p, q)."""
+    b = h.bialgebra
+    ring = b.ring
+    rH = b.rank
+    mul = ring.mul
+    ups = side is CoactionSide.UPSILON
+    tag = side.value
+    rep = ValidationReport(f"coaction table ({tag})")
+    e = _unit_vectors(ring, rH)
+    hprod = _bilinear(ring, b.algebra.mult, rH)
+    mcols = b.algebra.mult.sparse_columns()
+    cm = cmap.sparse_columns()
+    srows = [[(pos, c) for pos, c in enumerate(row) if c] for row in rows]
+    # the terms c·h_x⊗h_y of Δ(h_t), read as star[x·rH + y] = δ_x⋆δ_y at h_t,
+    # lead[x][t] = Σ c·h_y and hit[y][t] = δ_y⇀h_t = Σ c·h_x
+    star = [[] for _ in range(rH * rH)]
+    lead = [[[] for _ in range(rH)] for _ in range(rH)]
+    hit = [[[] for _ in range(rH)] for _ in range(rH)]
+    for t, col in enumerate(b.coalgebra.comult.sparse_columns()):
+        for flat, c in col:
+            x, y = divmod(flat, rH)
+            star[flat].append((t, c))
+            lead[x][t].append((y, c))
+            hit[y][t].append((x, c))
+    # moved[g][p] = δ_g·h_p: l ↦ δ_g(h_p·h_l) (υ), resp. h_p·δ_g: l ↦ δ_g(h_l·h_p) (ω)
+    moved = [[[] for _ in range(rH)] for _ in range(rH)]
+    for x in range(rH):
+        for y in range(rH):
+            for k, c in mcols[x * rH + y]:
+                if ups:
+                    moved[k][x].append((y, c))
+                else:
+                    moved[k][y].append((x, c))
+
+    def combine(terms):
+        return tuple(combine_columns(ring, terms))
+
+    @cache
+    def moved_star(p, q):
+        return [combine([(star[l * rH + q], m) for l, m in moved[g][p]]) for g in range(rH)]
+
+    def per_g(weights):
+        """Σ w·(δ_g·h_p)⋆δ_q (υ), resp. w·(h_p·δ_g)⋆δ_q (ω), over the terms
+        w·h_p⊗δ_q of ``weights``, for each g."""
+        return [combine([(moved_star(*divmod(pos, rH))[g], w) for pos, w in weights])
+                for g in range(rH)]
+
+    def tensor_product(u, v, flip):
+        """u·v in H⊗H*, the H-factors multiplied in reverse order if ``flip``."""
+        pairs = []
+        for x, cx in u:
+            p1, q1 = divmod(x, rH)
+            for y, cy in v:
+                p2, q2 = divmod(y, rH)
+                hcol = mcols[p2 * rH + p1] if flip else mcols[p1 * rH + p2]
+                pairs.append((kron_column(hcol, star[q1 * rH + q2], rH, mul), mul(cx, cy)))
+        return combine(pairs)
+
+    def add(check, statement, cases):
+        wit = next((wit for wit, lhs, rhs in cases if lhs != rhs), None)
+        rep.add(f"{tag}.{check}", statement, wit is None, wit)
+
+    # (1-a): f⋆g = Σ (g·f₍₋₁₎)⋆f₍₀₎ (υ), resp. Σ (f₍₋₁₎·g)⋆f₍₀₎ (ω)
+    add("1a", "f⋆g matches the coaction expansion for all basis pairs",
+        ((f"(f{i},g{g})", tuple(star[i * rH + g]), rhs)
+         for i in range(rH) for g, rhs in enumerate(per_g(srows[i]))))
 
     # (1-b): h↼f = Σ f₍₋₁₎(f₍₀₎⇀h) (upsilon) or Σ (f₍₀₎⇀h)f₍₋₁₎ (omega)
-    ok = True
-    wit = None
-    for i in range(rH):
-        f = fbasis(i)
-        for t in range(rH):
-            lhs = b.carrier.zero_vector()
-            for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                lhs = vec_add(ring, lhs,
-                              vec_scale(ring, ring.mul(c, f[t1]), basis(t2)))
-            rhs = b.carrier.zero_vector()
-            for c, p, q in terms(i):
-                hit = _hit(b, fbasis(q), t)
-                term = (b.algebra.product(basis(p), hit)
-                        if side is CoactionSide.UPSILON
-                        else b.algebra.product(hit, basis(p)))
-                rhs = vec_add(ring, rhs, vec_scale(ring, c, term))
-            if lhs != rhs:
-                ok, wit = False, f"(f{i},h{t})"
-                break
-        if not ok:
-            break
-    rep.add(f"{tag}.1b", "h↼f matches the coaction expansion on all basis elements",
-            ok, wit)
+    def case_1b():
+        for i in range(rH):
+            for t in range(rH):
+                rhs = []
+                for pos, c in srows[i]:
+                    p, q = divmod(pos, rH)
+                    rhs += [(mcols[p * rH + k] if ups else mcols[k * rH + p], mul(c, ck))
+                            for k, ck in hit[q][t]]
+                yield f"(f{i},h{t})", tuple(lead[i][t]), combine(rhs)
+
+    add("1b", "h↼f matches the coaction expansion on all basis elements", case_1b())
 
     # (1-c): the defining identity, recomputed
-    ok = True
-    wit = None
-    for i in range(rH):
-        for t in range(rH):
-            lhs = b.carrier.zero_vector()
-            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-                if h2 != i:
-                    continue
-                term = (b.algebra.product(basis(h3), Sb.column(h1))
-                        if side is CoactionSide.UPSILON
-                        else b.algebra.product(S.column(h1), basis(h3)))
-                lhs = vec_add(ring, lhs, vec_scale(ring, c, term))
-            rhs = b.carrier.zero_vector()
-            for c, p, q in terms(i):
-                rhs = vec_add(ring, rhs,
-                              vec_scale(ring, ring.mul(c, fbasis(q)[t]),
-                                        basis(p)))
-            if lhs != rhs:
-                ok, wit = False, f"(f{i},h{t})"
-                break
-        if not ok:
-            break
-    rep.add(f"{tag}.1c", "the characterizing identity holds", ok, wit)
+    defining = _coaction_rows(h, side)
+    add("1c", "the characterizing identity holds",
+        ((f"(f{i},h{t})", defining[i][t::rH], tuple(rows[i][t::rH]))
+         for i in range(rH) for t in range(rH)))
 
     # (3)
-    ok = True
-    wit = None
-    if side is CoactionSide.UPSILON:
+    if ups:
         # (f⋆f̃)⋆g = Σ (g·(f̃₍₋₁₎f₍₋₁₎)) ⋆ (f₍₀₎⋆f̃₍₀₎)
-        for i in range(rH):
-            for j in range(rH):
-                for gidx in range(rH):
-                    g = fbasis(gidx)
-                    lhs = dual_alg.product(
-                        dual_alg.product(fbasis(i), fbasis(j)), g)
-                    rhs = (ring.zero,) * rH
-                    for ci, p1, q1 in terms(i):
-                        for cj, p2, q2 in terms(j):
-                            c = ring.mul(ci, cj)
-                            prod = b.algebra.product(basis(p2), basis(p1))
-                            moved = regular_act_right(h, g, prod)
-                            inner = dual_alg.product(fbasis(q1), fbasis(q2))
-                            rhs = vec_add(ring, rhs, vec_scale(
-                                ring, c, dual_alg.product(moved, inner)))
-                    if lhs != rhs:
-                        ok, wit = False, f"(f{i},f{j},g{gidx})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"{tag}.3", "(f⋆f̃)⋆g matches the double-coaction expansion",
-                ok, wit)
+        add("3", "(f⋆f̃)⋆g matches the double-coaction expansion",
+            ((f"(f{i},f{j},g{g})",
+              combine([(star[l * rH + g], x) for l, x in star[i * rH + j]]), rhs)
+             for i in range(rH) for j in range(rH)
+             for g, rhs in enumerate(per_g(tensor_product(srows[i], srows[j], True)))))
     else:
-        # ω is an algebra morphism into H⊗H*
-        hd_alg = dual_alg
-        hhd = tensor_algebra(b.algebra, hd_alg)
-        lhs = cmap @ hd_alg.mult
-        rhs = hhd.mult @ kron(cmap, cmap)
-        ok = lhs == rhs
+        # ω is an algebra morphism into H⊗H*, unital and multiplicative
+        ok = all(combine([(cm[t], x) for t, x in star[i * rH + j]])
+                 == tensor_product(cm[i], cm[j], False)
+                 for i in range(rH) for j in range(rH))
         eps_vec = tuple(b.coalgebra.counit.matrix[0])
-        unit_ok = cmap.apply(eps_vec) == kron_vec(ring, b.algebra.unit, eps_vec)
+        ok = ok and cmap.apply(eps_vec) == kron_vec(ring, b.algebra.unit, eps_vec)
         rep.add(f"{tag}.3", "the coaction is an algebra morphism (H^ω is a "
-                "left H-comodule algebra)", ok and unit_ok,
-                None if ok and unit_ok else "multiplicativity")
+                "left H-comodule algebra)", ok, None if ok else "multiplicativity")
 
-    # (4): the right/left H-module formula
-    ok = True
-    wit = None
-    for i in range(rH):
-        f = fbasis(i)
-        for t in range(rH):
-            hvec = basis(t)
-            if side is CoactionSide.UPSILON:
-                moved = regular_act_right(h, f, hvec)
-            else:
-                moved = regular_act_left(h, hvec, f)
-            lhs = cmap.apply(moved)
-            rhs = (ring.zero,) * (rH * rH)
-            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-                for cc, p, q in terms(i):
-                    s = ring.mul(c, cc)
-                    if side is CoactionSide.UPSILON:
-                        # S̄(h₃)f₍₋₁₎h₁ ⊗ f₍₀₎h₂
-                        hpart = b.algebra.product(
-                            b.algebra.product(Sb.column(h3), basis(p)), basis(h1))
-                        fpart = regular_act_right(h, fbasis(q), basis(h2))
-                    else:
-                        # h₁f₍₋₁₎S(h₃) ⊗ h₂f₍₀₎
-                        hpart = b.algebra.product(
-                            b.algebra.product(basis(h1), basis(p)), S.column(h3))
-                        fpart = regular_act_left(h, basis(h2), fbasis(q))
-                    rhs = vec_add(ring, rhs,
-                                  vec_scale(ring, s, kron_vec(ring, hpart, fpart)))
-            if lhs != rhs:
-                ok, wit = False, f"(f{i},h{t})"
-                break
-        if not ok:
-            break
-    rep.add(f"{tag}.4", "the module-compatibility formula for the coaction holds",
-            ok, wit)
+    # (4): the right/left H-module formula, with
+    # S̄(h₃)f₍₋₁₎h₁ ⊗ f₍₀₎h₂ (υ), resp. h₁f₍₋₁₎S(h₃) ⊗ h₂f₍₀₎ (ω)
+    anti = (h.twisted_antipode if ups else h.antipode).sparse_columns()
+    hpart = cache(lambda h3, p, h1: hprod(hprod(anti[h3], e[p]), e[h1]) if ups
+                  else hprod(hprod(e[h1], e[p]), anti[h3]))
+
+    def case_4():
+        for i in range(rH):
+            for t in range(rH):
+                rhs = []
+                for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
+                    for pos, cc in srows[i]:
+                        p, q = divmod(pos, rH)
+                        rhs.append((kron_column(hpart(h3, p, h1), moved[q][h2], rH, mul),
+                                    mul(c, cc)))
+                yield (f"(f{i},h{t})", combine([(cm[l], x) for l, x in moved[i][t]]),
+                       combine(rhs))
+
+    add("4", "the module-compatibility formula for the coaction holds", case_4())
     return rep
 
 
@@ -1150,9 +1130,11 @@ def coefficient_space_of_action(action: WeakActionData):
     return out
 
 
-def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU) -> ValidationReport:
+def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU,
+                        maps) -> ValidationReport:
     """The trivial-cocycle specialization: V := Cf(A) ∪ S̄*(Cf(A)) satisfies
-    the containments and the RL-condition."""
+    the containments and the RL-condition.  ``maps`` is the right-side
+    (φ, ψ) of ``cp``, as :func:`compat_maps` builds it."""
     rep = ValidationReport("Blattner-Montgomery route")
     h = ensure_hopf(cp.action.hopf)
     ring = cp.ring
@@ -1163,7 +1145,7 @@ def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU) -> ValidationRep
                               for i in range(h.rank)) for j in range(h.rank))
 
     V = list(cf) + [compose_sbar(v) for v in cf]
-    compat = compat_check(cp, U, V, DiagramSide.RIGHT)
+    compat = compat_check(cp, U, V, DiagramSide.RIGHT, maps)
     rep.add("bm.phi", "φ(H⊗A) ⊆ J(A⊗V) for V from the coefficient space",
             compat.phi_contained, compat.phi_witness)
     rep.add("bm.psi", "ψ(H⊗A) ⊆ J(A⊗V)", compat.psi_contained, compat.psi_witness)
@@ -1284,5 +1266,5 @@ def theorem_suite(cp: CrossedProductData, U: SubalgebraU, u_left: SubalgebraU,
 
     # the trivial-cocycle corollary route
     if cp.cocycle.sigma == trivial_sigma(cp.action):
-        rep.extend(bm_route_hypotheses(cp, U))
+        rep.extend(bm_route_hypotheses(cp, U, compat.maps))
     return rep

@@ -802,22 +802,22 @@ def invert_map(m: LinearMap) -> LinearMap:
     raise NotInvertible("inverse verification failed", determinant=det)  # pragma: no cover
 
 
-def submodule_membership(ring: Ring, generators, v) -> Optional[Vector]:
-    """Coefficients expressing ``v`` in the span of ``generators``, or None.
-
-    Exact over all three rings (reduces to :func:`solve_linear` on the matrix
-    whose columns are the generators).
-    """
-    v = tuple(ring.of(x) for x in v)
+def span_coordinates(ring: Ring, generators, length: int):
+    """The map v ↦ coefficients expressing v in span(generators), or None,
+    on vectors of ``length``.  The matrix whose columns are the generators is
+    factored once and every v is one solve against that factorization, so a
+    loop over many v shares it.  Exact over all three rings."""
     gens = [tuple(ring.of(x) for x in g) for g in generators]
-    for g in gens:
-        if len(g) != len(v):
-            raise DimensionMismatch("generator/vector length mismatch")
+    if any(len(g) != length for g in gens):
+        raise DimensionMismatch("generator/vector length mismatch")
     if not gens:
-        return () if all(ring.is_zero(x) for x in v) else None
-    rows = [[g[i] for g in gens] for i in range(len(v))]
-    res = PreparedSolver(ring, rows).solve(v)
-    return res.particular if res.solvable else None
+        return lambda v: () if all(ring.is_zero(ring.of(x)) for x in v) else None
+    solver = PreparedSolver(ring, [[g[i] for g in gens] for i in range(length)])
+
+    def coordinates(v):
+        res = solver.solve(v)
+        return res.particular if res.solvable else None
+    return coordinates
 
 
 def split_coefficient_map(ring: Ring, generators, length: int) -> Optional[LinearMap]:

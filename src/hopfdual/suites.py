@@ -59,7 +59,7 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import LinearMap, invert_map, kron, map_to_vec
+from .linalg import LinearMap, invert_map, kron, map_to_vec, span_coordinates
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -147,13 +147,21 @@ class Derived:
         return self._once("extraction", lambda: crossed_from_integral(self.cleft))
 
     @property
+    def integral(self) -> CleftData:
+        """θ(h) = 1#h on :attr:`crossed`: on a crossed-product payload that
+        is :attr:`cleft` itself."""
+        if isinstance(self.entry.payload, CrossedProductData):
+            return self.cleft
+        return self._once("integral", lambda: integral_from_crossed(self.crossed))
+
+    @property
     def round_trip(self) -> CleftExtraction:
-        """The extraction from θ(h) = 1#h on the crossed product: on a
-        crossed-product payload that is :attr:`extraction` itself, on cleft
-        data a second extraction from the extracted product."""
+        """The extraction from :attr:`integral`: on a crossed-product payload
+        that is :attr:`extraction` itself, on cleft data a second extraction
+        from the extracted product."""
         if isinstance(self.entry.payload, CrossedProductData):
             return self.extraction
-        return crossed_from_integral(integral_from_crossed(self.crossed))
+        return crossed_from_integral(self.integral)
 
     @property
     def diagram_crossed(self) -> CrossedProductData:
@@ -164,7 +172,8 @@ class Derived:
 
     @property
     def opposite(self) -> OppositeCrossed:
-        return self._once("opposite", lambda: opposite_crossed(self.crossed))
+        return self._once("opposite", lambda: opposite_crossed(self.crossed,
+                                                               self.integral))
 
     def duality_iso(self, side: DiagramSide) -> AlgebraIso:
         """The certified duality isomorphism on ``side`` for ``self.u``."""
@@ -367,8 +376,9 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
         # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
         gens = j_generators(ring, phi.codomain.rank // h.rank,
                             [h.carrier.basis_vector(i) for i in range(h.rank)], h.rank)
-        return (first_outside(ring, gens, phi) is None
-                and first_outside(ring, gens, psi) is None)
+        inside = span_coordinates(ring, gens, phi.codomain.rank)
+        return (first_outside(inside, phi) is None
+                and first_outside(inside, psi) is None)
 
     _timed(rep, "cleft.maps", "the integral compatibility maps land in "
            "J(A⊗V) for V = H*", maps_contained)

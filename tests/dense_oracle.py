@@ -40,6 +40,16 @@ densely, one scale and one add over the ambient vector per U-element;
 ``test_smash.py`` requires the library's prebuilt inclusion to give the same
 coordinates or ``None``.
 
+``coaction_table`` (with ``coaction_rows`` and ``coaction_checks``),
+``compat_maps``, ``rl_check`` and ``first_outside`` are the hypothesis layer
+as sums of whole products: dense ⋆-products, regular actions, H- and
+A-products and σ-evaluations per term, and a fresh factorization of the
+span (``submodule_membership``, the library's solver) for every vector;
+``compat_records`` assembles the compatibility verdicts and witnesses from
+them.  ``test_duality.py`` requires the index-arithmetic layer to agree with
+them (maps bit for bit, records and witnesses), and ``test_linalg.py``
+requires ``span_coordinates`` to answer like ``submodule_membership``.
+
 ``PreparedSolver`` and ``invert_map`` are the solver and inversion before the
 field path: Gaussian elimination over Q only, every Z/n system (prime n
 included) lifted to ``[A | n*I]`` and Smith-reduced, and an inverse made of a
@@ -51,10 +61,20 @@ status and kernel.
 """
 from hypothesis import strategies as st
 
+from hopfdual import duality, linalg
+from hopfdual.actions import regular_act_left, regular_act_right
+from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
-from hopfdual.duality import DiagramSide, end_rep_module, nu_map
+from hopfdual.duality import DiagramSide, _scatter as scatter_value, end_rep_module, nu_map
 from hopfdual.errors import DimensionMismatch, NotInvertible, ValidationError
-from hopfdual.hopf import AlgebraData, bialgebra_of, ensure_hopf, expand_sparse
+from hopfdual.hopf import (
+    AlgebraData,
+    ConvolutionAlgebra,
+    bialgebra_of,
+    ensure_hopf,
+    expand_sparse,
+    tensor_algebra,
+)
 from hopfdual.linalg import (
     FreeModule,
     LinearMap,
@@ -62,6 +82,7 @@ from hopfdual.linalg import (
     SolveStatus,
     canonical_span,
     determinant,
+    dual_module,
     free_module,
     hom_module,
     kron_vec,
@@ -947,6 +968,341 @@ def invert_map(m):
     if inv @ m != ident or m @ inv != LinearMap.identity(m.codomain):
         raise NotInvertible("inverse verification failed", determinant=det)
     return inv
+
+
+# --- the hypothesis layer, term by term ----------------------------------------
+
+
+def submodule_membership(ring, generators, v):
+    """Coefficients expressing ``v`` in the span of ``generators``, or None:
+    the library's solver built afresh on the generator matrix for this v."""
+    v = tuple(ring.of(x) for x in v)
+    gens = [tuple(ring.of(x) for x in g) for g in generators]
+    for g in gens:
+        if len(g) != len(v):
+            raise DimensionMismatch("generator/vector length mismatch")
+    if not gens:
+        return () if all(ring.is_zero(x) for x in v) else None
+    rows = [[g[i] for g in gens] for i in range(len(v))]
+    res = linalg.PreparedSolver(ring, rows).solve(v)
+    return res.particular if res.solvable else None
+
+
+def first_outside(ring, gens, m):
+    """The first column of ``m`` outside span(gens), one factorization per
+    column."""
+    return next((col for col in range(m.domain.rank)
+                 if submodule_membership(ring, gens, m.column(col)) is None), None)
+
+
+def rl_check(hopf, U, V, side=DiagramSide.RIGHT):
+    """λ(ξ) = ρ(g) solved for each g in V, λ factored afresh for each g."""
+    b = bialgebra_of(hopf)
+    ring = b.ring
+    lam = duality._lambda_of_side(hopf, U, side)
+    witnesses, failures = [], []
+    for g in V:
+        g = tuple(ring.of(x) for x in g)
+        res = linalg.solve_linear(lam, duality.rho_endo(hopf, g))
+        if not res.solvable:
+            failures.append(g)
+            continue
+        pairs = []
+        rU = U.rank
+        for pos, c in enumerate(res.particular):
+            if not (c):
+                continue
+            i, l = divmod(pos, rU)
+            pairs.append((vec_scale(ring, c, b.carrier.basis_vector(i)),
+                          U.element(l)))
+        witnesses.append(duality.RLWitness(g, tuple(pairs)))
+    return duality.RLReport(side, witnesses, failures)
+
+
+def compat_maps(cp, side):
+    """φ, ψ (right) or φ̄, ψ̄ (op) with one dense σ, σ⁻¹, action and A-product
+    per Sweedler term."""
+    h = ensure_hopf(cp.action.hopf)
+    b = h.bialgebra
+    A = cp.action.algebra
+    ring = cp.ring
+    rH, rA = b.rank, A.rank
+    sigma, sigma_inv = cp.cocycle.sigma, cp.cocycle.sigma_inv
+    Sb, S = h.twisted_antipode, h.antipode
+    basis = b.carrier.basis_vector
+    halg = b.algebra
+    dom = tensor_module(b.carrier, A.carrier)
+    cod = hom_module(b.carrier, A.carrier)
+    phi_cols, psi_cols = [], []
+    for i in range(rH):
+        for j in range(rA):
+            a_j = A.carrier.basis_vector(j)
+            phi_out = [ring.zero] * cod.rank
+            psi_out = [ring.zero] * cod.rank
+            for t in range(rH):
+                if side is DiagramSide.RIGHT:
+                    # φ(h⊗a)(h̃) = Σ [S̄(h̃₂)a]σ(S̄(h̃₁)⊗h)
+                    val = A.carrier.zero_vector()
+                    for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+                        acted = cp.action.act(Sb.column(t2), a_j)
+                        sig = sigma.apply(kron_vec(ring, Sb.column(t1), basis(i)))
+                        val = vec_add(ring, val,
+                                      vec_scale(ring, c, A.product(acted, sig)))
+                    scatter_value(phi_out, ring, val, rH, t)
+                    # ψ(h⊗a)(h̃) = Σ σ⁻¹(h̃₃⊗S̄(h̃₂))[h̃₄a]σ(h̃₅⊗S̄(h̃₁)h)
+                    val = A.carrier.zero_vector()
+                    for c, legs in b.coalgebra.sweedler_basis(t, 5):
+                        t1, t2, t3, t4, t5 = legs
+                        s1 = sigma_inv.apply(kron_vec(ring, basis(t3),
+                                                      Sb.column(t2)))
+                        acted = cp.action.act_basis(t4, a_j)
+                        s2 = sigma.apply(kron_vec(
+                            ring, basis(t5),
+                            halg.product(Sb.column(t1), basis(i))))
+                        val = vec_add(ring, val, vec_scale(
+                            ring, c, A.product(A.product(s1, acted), s2)))
+                    scatter_value(psi_out, ring, val, rH, t)
+                else:
+                    # φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
+                    val = A.carrier.zero_vector()
+                    for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+                        acted = cp.action.act_basis(t1, a_j)
+                        sig = sigma.apply(kron_vec(ring, basis(t2), basis(i)))
+                        val = vec_add(ring, val,
+                                      vec_scale(ring, c, A.product(acted, sig)))
+                    scatter_value(phi_out, ring, val, rH, t)
+                    # ψ̄(h⊗a)(h̃) = Σ σ⁻¹(S(h̃₃)⊗h̃₄)[S(h̃₂)a]σ(S(h̃₁)⊗h̃₅h)
+                    val = A.carrier.zero_vector()
+                    for c, legs in b.coalgebra.sweedler_basis(t, 5):
+                        t1, t2, t3, t4, t5 = legs
+                        s1 = sigma_inv.apply(kron_vec(ring, S.column(t3),
+                                                      basis(t4)))
+                        acted = cp.action.act(S.column(t2), a_j)
+                        s2 = sigma.apply(kron_vec(
+                            ring, S.column(t1),
+                            halg.product(basis(t5), basis(i))))
+                        val = vec_add(ring, val, vec_scale(
+                            ring, c, A.product(A.product(s1, acted), s2)))
+                    scatter_value(psi_out, ring, val, rH, t)
+            phi_cols.append(tuple(phi_out))
+            psi_cols.append(tuple(psi_out))
+    phi = LinearMap.from_columns(dom, cod, phi_cols)
+    psi = LinearMap.from_columns(dom, cod, psi_cols)
+    return phi, psi
+
+
+def compat_records(cp, U, V, side):
+    """(φ-witness, ψ-witness, RL failures, RL witnesses) of the compatibility
+    check, from the maps and solves above."""
+    h = ensure_hopf(cp.action.hopf)
+    A = cp.action.algebra
+    ring = cp.ring
+    phi, psi = compat_maps(cp, side)
+    gens = duality.j_generators(ring, A.rank,
+                                [tuple(ring.of(x) for x in v) for v in V], h.rank)
+    rl = rl_check(h, U, V, side)
+    return (duality._pair_label(h, A, first_outside(ring, gens, phi)),
+            duality._pair_label(h, A, first_outside(ring, gens, psi)),
+            rl.failures, rl.witnesses)
+
+
+def coaction_rows(h, side):
+    """Σ f₍₋₁₎⊗f₍₀₎ per dual basis element, one dense product per term."""
+    b = h.bialgebra
+    ring = b.ring
+    rH = b.rank
+    S, Sb = h.antipode, h.twisted_antipode
+    basis = b.carrier.basis_vector
+    rows = []
+    for i in range(rH):
+        vec = [ring.zero] * (rH * rH)
+        for t in range(rH):
+            acc = b.carrier.zero_vector()
+            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
+                if h2 != i:
+                    continue
+                term = (b.algebra.product(basis(h3), Sb.column(h1))
+                        if side is duality.CoactionSide.UPSILON
+                        else b.algebra.product(S.column(h1), basis(h3)))
+                acc = vec_add(ring, acc, vec_scale(ring, c, term))
+            scatter_value(vec, ring, acc, rH, t)
+        rows.append(tuple(vec))
+    return rows
+
+
+def coaction_table(hopf, side):
+    h = ensure_hopf(hopf)
+    b = h.bialgebra
+    rows = coaction_rows(h, side)
+    Hd = dual_module(b.carrier)
+    cmap = LinearMap.from_columns(Hd, tensor_module(b.carrier, Hd), rows)
+    rep = coaction_checks(h, side, rows, cmap)
+    return duality.CoactionTable(side, tuple(rows), cmap, rep)
+
+
+def coaction_checks(h, side, rows, cmap):
+    """The coaction identities with dense ⋆-products, regular actions and
+    H-products, recomputed for every term of every basis tuple."""
+    b = h.bialgebra
+    ring = b.ring
+    rH = b.rank
+    rep = ValidationReport(f"coaction table ({side.value})")
+    dual_alg = ConvolutionAlgebra(b.coalgebra, ground_algebra(ring)).algebra()
+    basis = b.carrier.basis_vector
+    fbasis = dual_module(b.carrier).basis_vector
+    S, Sb = h.antipode, h.twisted_antipode
+    ups = side is duality.CoactionSide.UPSILON
+    tag = "upsilon" if ups else "omega"
+
+    def terms(i):
+        out = []
+        for pos, c in enumerate(rows[i]):
+            if (c):
+                p, q = divmod(pos, rH)
+                out.append((c, p, q))
+        return out
+
+    # (1-a)
+    ok = True
+    wit = None
+    for i in range(rH):
+        f = fbasis(i)
+        for gidx in range(rH):
+            g = fbasis(gidx)
+            lhs = dual_alg.product(f, g)
+            rhs = (ring.zero,) * rH
+            for c, p, q in terms(i):
+                moved = (regular_act_right(h, g, basis(p)) if ups
+                         else regular_act_left(h, basis(p), g))
+                rhs = vec_add(ring, rhs, vec_scale(
+                    ring, c, dual_alg.product(moved, fbasis(q))))
+            if lhs != rhs:
+                ok, wit = False, f"(f{i},g{gidx})"
+                break
+        if not ok:
+            break
+    rep.add(f"{tag}.1a", "f⋆g matches the coaction expansion for all basis pairs",
+            ok, wit)
+
+    # (1-b)
+    ok = True
+    wit = None
+    for i in range(rH):
+        f = fbasis(i)
+        for t in range(rH):
+            lhs = b.carrier.zero_vector()
+            for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+                lhs = vec_add(ring, lhs,
+                              vec_scale(ring, ring.mul(c, f[t1]), basis(t2)))
+            rhs = b.carrier.zero_vector()
+            for c, p, q in terms(i):
+                hit = duality._hit(b, fbasis(q), t)
+                term = (b.algebra.product(basis(p), hit) if ups
+                        else b.algebra.product(hit, basis(p)))
+                rhs = vec_add(ring, rhs, vec_scale(ring, c, term))
+            if lhs != rhs:
+                ok, wit = False, f"(f{i},h{t})"
+                break
+        if not ok:
+            break
+    rep.add(f"{tag}.1b", "h↼f matches the coaction expansion on all basis elements",
+            ok, wit)
+
+    # (1-c)
+    ok = True
+    wit = None
+    for i in range(rH):
+        for t in range(rH):
+            lhs = b.carrier.zero_vector()
+            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
+                if h2 != i:
+                    continue
+                term = (b.algebra.product(basis(h3), Sb.column(h1)) if ups
+                        else b.algebra.product(S.column(h1), basis(h3)))
+                lhs = vec_add(ring, lhs, vec_scale(ring, c, term))
+            rhs = b.carrier.zero_vector()
+            for c, p, q in terms(i):
+                rhs = vec_add(ring, rhs,
+                              vec_scale(ring, ring.mul(c, fbasis(q)[t]),
+                                        basis(p)))
+            if lhs != rhs:
+                ok, wit = False, f"(f{i},h{t})"
+                break
+        if not ok:
+            break
+    rep.add(f"{tag}.1c", "the characterizing identity holds", ok, wit)
+
+    # (3)
+    ok = True
+    wit = None
+    if ups:
+        for i in range(rH):
+            for j in range(rH):
+                for gidx in range(rH):
+                    g = fbasis(gidx)
+                    lhs = dual_alg.product(
+                        dual_alg.product(fbasis(i), fbasis(j)), g)
+                    rhs = (ring.zero,) * rH
+                    for ci, p1, q1 in terms(i):
+                        for cj, p2, q2 in terms(j):
+                            c = ring.mul(ci, cj)
+                            prod = b.algebra.product(basis(p2), basis(p1))
+                            moved = regular_act_right(h, g, prod)
+                            inner = dual_alg.product(fbasis(q1), fbasis(q2))
+                            rhs = vec_add(ring, rhs, vec_scale(
+                                ring, c, dual_alg.product(moved, inner)))
+                    if lhs != rhs:
+                        ok, wit = False, f"(f{i},f{j},g{gidx})"
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        rep.add(f"{tag}.3", "(f⋆f̃)⋆g matches the double-coaction expansion",
+                ok, wit)
+    else:
+        hhd = tensor_algebra(b.algebra, dual_alg)
+        lhs = compose(cmap, dual_alg.mult)
+        rhs = compose(hhd.mult, kron(cmap, cmap))
+        ok = lhs == rhs
+        eps_vec = tuple(b.coalgebra.counit.matrix[0])
+        unit_ok = cmap.apply(eps_vec) == kron_vec(ring, b.algebra.unit, eps_vec)
+        rep.add(f"{tag}.3", "the coaction is an algebra morphism (H^ω is a "
+                "left H-comodule algebra)", ok and unit_ok,
+                None if ok and unit_ok else "multiplicativity")
+
+    # (4)
+    ok = True
+    wit = None
+    for i in range(rH):
+        f = fbasis(i)
+        for t in range(rH):
+            hvec = basis(t)
+            moved = (regular_act_right(h, f, hvec) if ups
+                     else regular_act_left(h, hvec, f))
+            lhs = cmap.apply(moved)
+            rhs = (ring.zero,) * (rH * rH)
+            for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
+                for cc, p, q in terms(i):
+                    s = ring.mul(c, cc)
+                    if ups:
+                        hpart = b.algebra.product(
+                            b.algebra.product(Sb.column(h3), basis(p)), basis(h1))
+                        fpart = regular_act_right(h, fbasis(q), basis(h2))
+                    else:
+                        hpart = b.algebra.product(
+                            b.algebra.product(basis(h1), basis(p)), S.column(h3))
+                        fpart = regular_act_left(h, basis(h2), fbasis(q))
+                    rhs = vec_add(ring, rhs,
+                                  vec_scale(ring, s, kron_vec(ring, hpart, fpart)))
+            if lhs != rhs:
+                ok, wit = False, f"(f{i},h{t})"
+                break
+        if not ok:
+            break
+    rep.add(f"{tag}.4", "the module-compatibility formula for the coaction holds",
+            ok, wit)
+    return rep
 
 
 # --- hypothesis strategies ---------------------------------------------------

@@ -296,12 +296,13 @@ def test_11_cleft_round_trips(crossed_products, diagrams):
 
 def test_12_opposite_route(crossed_products, diagrams):
     for name in ("gauss", "swap_smash", "Zmod6_C2"):
-        res = opposite_crossed(crossed_products[name])
+        res = opposite_crossed(crossed_products[name],
+                               integral_from_crossed(crossed_products[name]))
         assert res.tau.flags.all_true, name
         assert res.colinear, name
     cp = crossed_products["swap_smash"]
     U, _, direct = diagrams["swap_smash", DiagramSide.RIGHT]
-    chain = final_chain(cp, U, opposite_crossed(cp), direct)
+    chain = final_chain(cp, U, opposite_crossed(cp, integral_from_crossed(cp)), direct)
     assert chain.report.ok
     assert chain.equal_to_direct
     verdict(12, "τ validates as an invertible cocycle with certified "

@@ -323,7 +323,7 @@ def test_round_trip_on_trivial_coaction_gives_trivial_data():
 
 def test_opposite_of_trivial_is_identity_iso():
     cp = smash_product_data(trivial_action(group_algebra(ZZ, 2), ground_algebra(ZZ)))
-    res = opposite_crossed(cp)
+    res = opposite_crossed(cp, integral_from_crossed(cp))
     assert res.iso.map == LinearMap.identity(cp.carrier)
     assert res.tau.flags.all_true
     assert res.colinear
@@ -331,14 +331,14 @@ def test_opposite_of_trivial_is_identity_iso():
 
 def test_opposite_of_gauss_has_minus_one_cocycle():
     cp = gauss_crossed()
-    res = opposite_crossed(cp)
+    res = opposite_crossed(cp, integral_from_crossed(cp))
     assert res.tau.sigma.apply(kron_vec(ZZ, (0, 1), (0, 1))) == (-1,)
     assert res.colinear
 
 
 def test_opposite_of_sweedler_smash_certifies():
     cp = smash_product_data(sweedler_module_action(QQ))
-    res = opposite_crossed(cp)
+    res = opposite_crossed(cp, integral_from_crossed(cp))
     assert res.tau.flags.all_true
     assert res.colinear
     assert res.iso.map.domain.rank == 8

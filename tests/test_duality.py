@@ -23,6 +23,7 @@ from hopfdual.crossed import (
     CocycleData,
     CrossedProductData,
     build_crossed_product,
+    integral_from_crossed,
     opposite_crossed,
     smash_product_data,
     trivial_cocycle,
@@ -351,6 +352,10 @@ def test_phi_reduces_to_bm_form_for_trivial_cocycle():
                 assert got == expected
 
 
+def compat_records(rep):
+    return rep.phi_witness, rep.psi_witness, rep.rl.failures, rep.rl.witnesses
+
+
 def test_small_V_fails_compatibility_with_witness():
     cp = smash_product_data(swap_action_data(ZZ))
     h = ensure_hopf(cp.action.hopf)
@@ -360,6 +365,31 @@ def test_small_V_fails_compatibility_with_witness():
     assert not rep.phi_contained and not rep.psi_contained
     # the witness names the first basis pair h⊗a whose image leaves J(A⊗V)
     assert rep.phi_witness == rep.psi_witness == "(e,u0)"
+    assert compat_records(rep) == dense_oracle.compat_records(
+        cp, U, [(1, 1)], DiagramSide.RIGHT)
+
+
+def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
+    # over Z, φ and ψ of gauss span exactly {(1,1), (1,-1)} = J(Z⊗V); with
+    # σ(g⊗g) = 2 instead of -1, φ(g⊗1) = (1, 2) leaves that lattice
+    cp = gauss_crossed()
+    h = ensure_hopf(cp.action.hopf)
+    U = SubalgebraU.full_dual(h)
+    V = [(1, 1), (1, -1)]
+    rep = compat_check(cp, U, V, DiagramSide.RIGHT)
+    assert rep.phi_contained and rep.psi_contained
+    mutant = with_sigma_entry(cp, 3, 2)
+    for side in (DiagramSide.RIGHT, DiagramSide.OP):
+        maps = compat_maps(mutant, side)
+        want = dense_oracle.compat_maps(mutant, side)
+        for got, ref in zip(maps, want):
+            dense_oracle.assert_bit_identical(got, ref)
+        assert maps != compat_maps(cp, side)
+    rep = compat_check(mutant, U, V, DiagramSide.RIGHT)
+    assert not rep.phi_contained
+    assert rep.phi_witness == "(g,1)"
+    assert compat_records(rep) == dense_oracle.compat_records(
+        mutant, U, V, DiagramSide.RIGHT)
 
 
 # --- coactions -------------------------------------------------------------------
@@ -419,7 +449,8 @@ def test_final_chain_matches_direct_on_c2_smash():
     for make in (triv_crossed, lambda: smash_product_data(swap_action_data(ZZ))):
         cp = make()
         U, direct = certified_iso(cp, DiagramSide.RIGHT)
-        res = final_chain(cp, U, opposite_crossed(cp), direct)
+        res = final_chain(cp, U, opposite_crossed(cp, integral_from_crossed(cp)),
+                          direct)
         assert res.report.ok
         assert res.equal_to_direct
 
@@ -622,20 +653,99 @@ def test_delta_matches_the_oracle_on_a_proper_functional_span():
                                           dense_oracle.delta_map(cp, span, side))
 
 
-@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
-def test_delta_reads_every_sigma_value(side):
-    cp = gauss_crossed()
+def with_sigma_entry(cp, column, value):
+    """``cp`` with the first coordinate of σ's column ``column`` replaced by
+    ``value`` and everything else, σ⁻¹ included, kept: not a crossed product,
+    only an input for the maps that read σ."""
     sigma = cp.cocycle.sigma
     rows = [list(r) for r in sigma.matrix]
-    rows[0][3] = 2  # σ(g⊗g): -1 → 2
+    rows[0][column] = value
     mutant_sigma = LinearMap(sigma.domain, sigma.codomain, rows)
-    mutant = CrossedProductData(
+    return CrossedProductData(
         cp.action, CocycleData(cp.action, mutant_sigma, cp.cocycle.sigma_inv,
                                cp.cocycle.flags),
         cp.product_algebra, cp.comodule)
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+def test_delta_reads_every_sigma_value(side):
+    cp = gauss_crossed()
+    mutant = with_sigma_entry(cp, 3, 2)  # σ(g⊗g): -1 → 2
     U = full_dual(cp, side)
     mutated = delta_map(mutant, U, side)
     assert mutated != delta_map(cp, U, side)
     dense_oracle.assert_bit_identical(mutated,
                                       dense_oracle.delta_map(mutant, U, side))
 
+
+# --- the hypothesis layer against its term-by-term oracles ------------------------
+
+
+COACTION_OF = {DiagramSide.RIGHT: CoactionSide.UPSILON, DiagramSide.OP: CoactionSide.OMEGA}
+
+
+def records(report):
+    return [(r.check_id, r.passed, r.witness) for r in report.records]
+
+
+def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
+    """υ resp. ω, its checks, φ and ψ, and the compatibility verdicts and
+    witnesses of ``side`` agree with the dense oracles bit for bit."""
+    h = ensure_hopf(cp.action.hopf)
+    table = coaction_table(h, COACTION_OF[side])
+    want = dense_oracle.coaction_table(h, COACTION_OF[side])
+    assert table.rows == want.rows
+    assert [type(x) for row in table.rows for x in row] == \
+        [type(x) for row in want.rows for x in row]
+    dense_oracle.assert_bit_identical(table.map, want.map)
+    assert records(table.report) == records(want.report)
+    for got, ref in zip(compat_maps(cp, side), dense_oracle.compat_maps(cp, side)):
+        dense_oracle.assert_bit_identical(got, ref)
+    V = V if V is not None else coaction_preimage_of_U(table, h, U)
+    assert compat_records(compat_check(cp, U, V, side)) == \
+        dense_oracle.compat_records(cp, U, V, side)
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_hypotheses_match_the_oracles_on_every_catalog_entry(name, side):
+    # the crossed product, U and V every theorem-suite run reads
+    entry = catalog.get(name)
+    ctx = Derived(entry)
+    U = ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+    assert_hypotheses_match_the_oracles(ctx.diagram_crossed, U, side, entry.v_span)
+
+
+def rebased_coboundary_Q():
+    """``sweedler_coboundary_Q`` in the basis 1, g, 2 + x, gx: Δ(2 + x) has
+    the term -2·g⊗1, a coefficient other than 1 on legs that ε and σ do not
+    kill (in the other cases here every such coefficient is 1)."""
+    cp = sweedler_coboundary_Q()
+    H = ensure_hopf(cp.action.hopf).carrier
+    return rebase_crossed(cp, LinearMap(H, H, [[1, 0, 2, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("make", [rebased_sweedler_Z3, sweedler_coboundary_Q,
+                                  rebased_coboundary_Q, m2_gauge_twisted_Q])
+def test_hypotheses_match_the_oracles_on_dense_and_twisted_cases(make, side):
+    cp = make()
+    assert_hypotheses_match_the_oracles(cp, full_dual(cp, side), side)
+
+
+@pytest.mark.parametrize("side", [CoactionSide.UPSILON, CoactionSide.OMEGA])
+@pytest.mark.parametrize("make", [lambda: sweedler_hopf(Zmod(3)),
+                                  lambda: rebased_sweedler_Z3().action.hopf])
+def test_a_wrong_coaction_row_entry_fails_with_the_oracle_witness(make, side):
+    h = ensure_hopf(make())
+    ring, rH = h.ring, h.rank
+    table = coaction_table(h, side)
+    for i, pos in [(i, pos) for i in range(rH) for pos in range(i, rH * rH, 5)]:
+        mutated = [list(row) for row in table.rows]
+        mutated[i][pos] = ring.add(mutated[i][pos], ring.one)
+        mutated = [tuple(row) for row in mutated]
+        cmap = LinearMap.from_columns(table.map.domain, table.map.codomain, mutated)
+        got = records(duality._coaction_checks(h, side, mutated, cmap))
+        assert not all(passed for _, passed, _ in got), (i, pos)
+        assert got == records(dense_oracle.coaction_checks(h, side, mutated, cmap)), (i, pos)

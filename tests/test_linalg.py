@@ -28,8 +28,8 @@ from hopfdual.linalg import (
     kron_vec,
     smith_normal_form,
     solve_linear,
+    span_coordinates,
     split_coefficient_map,
-    submodule_membership,
     tensor_module,
     twist_map,
     unit_module,
@@ -376,25 +376,51 @@ def test_determinant_values():
 
 
 def test_membership_straightforward():
-    coeffs = submodule_membership(ZZ, [(2, 0), (0, 1)], (4, 3))
+    coeffs = span_coordinates(ZZ, [(2, 0), (0, 1)], 2)((4, 3))
     assert coeffs == (2, 3)
 
 
 def test_membership_absent():
-    assert submodule_membership(ZZ, [(2, 0)], (1, 0)) is None
+    assert span_coordinates(ZZ, [(2, 0)], 2)((1, 0)) is None
 
 
 def test_membership_bezout():
     # Oracle: solve 2a + 3b = 1 over Z; a solution exists (1 = 3 - 2).
-    coeffs = submodule_membership(ZZ, [(2,), (3,)], (1,))
+    coeffs = span_coordinates(ZZ, [(2,), (3,)], 1)((1,))
     assert coeffs is not None
     a, b = coeffs
     assert 2 * a + 3 * b == 1
 
 
 def test_membership_mod_n():
-    assert submodule_membership(Zmod(6), [(2,)], (4,)) is not None
-    assert submodule_membership(Zmod(6), [(2,)], (3,)) is None
+    in_span = span_coordinates(Zmod(6), [(2,)], 1)
+    assert in_span((4,)) is not None
+    assert in_span((3,)) is None
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6), Zmod(7)], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
+    # one factorization of the generators, asked about several vectors in a
+    # row (combinations of the generators and random vectors), answers each
+    # exactly as the library's solver built afresh for that vector
+    length = data.draw(st.integers(1, 4))
+    gens = [dense.draw_vector(data, ring, length)
+            for _ in range(data.draw(st.integers(0, 4)))]
+    express = span_coordinates(ring, gens, length)
+    for _ in range(data.draw(st.integers(1, 5))):
+        if gens and data.draw(st.booleans()):
+            coeffs = dense.draw_vector(data, ring, len(gens))
+            v = tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(coeffs, gens))
+                      for i in range(length))
+        else:
+            v = dense.draw_vector(data, ring, length)
+        got = express(v)
+        assert got == dense.submodule_membership(ring, gens, v)
+        if got is not None:  # the coefficients do express v
+            assert tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(got, gens))
+                         for i in range(length)) == tuple(ring.of(x) for x in v)
 
 
 def test_hermite_rows_canonical():

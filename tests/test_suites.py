@@ -7,7 +7,7 @@ import pytest
 
 import dense_oracle
 from hopfdual import crossed, duality
-from hopfdual.catalog import get
+from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.suites import run_suite
 
@@ -70,6 +70,43 @@ def test_each_object_is_built_once_per_run(calls, name, suite, expected):
     assert tuple(calls.values()) == tuple(2 * n for n in once)
 
 
+def counter(monkeypatch, module, name):
+    """Count calls of ``module.name`` from here on, in every namespace."""
+    count = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, module, name, counted)
+    return count
+
+
+# the theorem suite builds φ, ψ once per side: the trivial-cocycle route
+# checks the right side's pair against its own V
+@pytest.mark.parametrize("name,expected", [("sweedler4_Z3", 2), ("gauss", 2),
+                                           ("swap_smash", 2)])
+def test_compat_maps_are_built_once_per_side(monkeypatch, name, expected):
+    entry = get(name)
+    built = counter(monkeypatch, duality, "compat_maps")
+    report = run_suite(entry, "duality")
+    assert all(r[1] for r in records(report))
+    assert built[0] == expected
+    ids = {r[0] for r in records(report)}
+    assert ("bm.phi" in ids) == (name != "gauss")  # σ is nontrivial on gauss
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in list_entries()])
+def test_theta_is_built_at_most_once_per_run(monkeypatch, name):
+    # θ(h) = 1#h on the crossed product serves the cleft suite's round trip
+    # and the opposite product alike
+    entry = get(name)
+    built = counter(monkeypatch, crossed, "integral_from_crossed")
+    assert all(r[1] for r in records(run_suite(entry, "all")))
+    assert built[0] <= 1
+
+
 def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
     # the g(k₅)-on-the-right π breaks π∘α = γ, so the right isomorphism never
     # certifies: the theorem suite and the matrix form must both fail on it
@@ -83,7 +120,7 @@ def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
 
 
 def test_a_failed_opposite_product_fails_each_check_with_its_witness(monkeypatch):
-    def no_tau(cp):
+    def no_tau(cp, cleft):
         raise ValidationError("τ fails the cocycle flags")
 
     patch_everywhere(monkeypatch, crossed, "opposite_crossed", no_tau)
