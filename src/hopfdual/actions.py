@@ -15,6 +15,7 @@ from .linalg import (
     FreeModule,
     LinearMap,
     column_witness,
+    combine_columns,
     kron,
     kron_vec,
     product_labels,
@@ -23,7 +24,6 @@ from .linalg import (
     split_coefficient_map,
     tensor_module,
     unit_module,
-    vec_scale,
 )
 from .reporting import ValidationReport
 
@@ -154,15 +154,13 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
             witness = A.carrier.labels[j]
             break
     rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
-    # h·1_A = ε(h)·1_A
-    witness = None
-    for i in range(rH):
-        got = w.act_basis(i, A.unit)
-        want = vec_scale(ring, b.coalgebra.counit_scalar(b.carrier.basis_vector(i)),
-                         A.unit)
-        if got != want:
-            witness = b.carrier.labels[i]
-            break
+    # h·1_A = ε(h)·1_A, on the sparse columns of the action
+    act = w.action.sparse_columns()
+    one_a = tuple((t, x) for t, x in enumerate(A.unit) if x)
+    eps = b.coalgebra.counit.matrix[0]
+    witness = next((b.carrier.labels[i] for i in range(rH)
+                    if combine_columns(ring, ((act[i * rA + s], c) for s, c in one_a))
+                    != combine_columns(ring, [(one_a, eps[i])])), None)
     rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
     # measuring: h(ab) = Σ (h₁a)(h₂b)
     lhs = w.action @ kron(LinearMap.identity(b.carrier), A.mult)

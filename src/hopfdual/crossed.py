@@ -44,16 +44,17 @@ from .hopf import (
 )
 from .linalg import (
     LinearMap,
+    bilinear,
     combine_columns,
     hom_module,
+    hom_scatter,
     kron,
     kron_column,
     kron_vec,
     map_to_vec,
     span_coordinates,
     tensor_module,
-    vec_add,
-    vec_scale,
+    unit_vectors,
     vec_to_map,
 )
 from .reporting import ValidationReport
@@ -80,10 +81,6 @@ class CocycleData:
         self.sigma_inv = sigma_inv
         self.flags = flags
 
-    @property
-    def ring(self):
-        return self.action.ring
-
 
 def _tables(action: WeakActionData, sigma: LinearMap):
     """The ranks of H and A and the sparse columns the crossed-product
@@ -95,8 +92,9 @@ def _tables(action: WeakActionData, sigma: LinearMap):
 
 
 def _sum_of_products(ring, amul, rA, triples):
-    """Σ c·(u·v) over (c, u, v) in ``triples``, u and v sparse in A, by the
-    sparse A-table ``amul``: a sparse vector."""
+    """Σ c·(u·v) over (c, u, v) in ``triples``, u and v sparse in an algebra
+    of rank ``rA`` with the sparse multiplication table ``amul`` (A, or B in
+    a cleft extraction): a sparse vector."""
     mul = ring.mul
     return combine_columns(ring, ((amul[p * rA + q], mul(c, mul(a, b)))
                                   for c, u, v in triples for p, a in u for q, b in v))
@@ -365,10 +363,6 @@ class CleftData:
         self.theta = theta
         self.theta_inv = theta_inv
 
-    @property
-    def ring(self):
-        return self.comodule_algebra.ring
-
     def validate(self, subject: str = "cleft data") -> ValidationReport:
         rep = ValidationReport(subject)
         B = self.comodule_algebra.algebra
@@ -387,30 +381,27 @@ class CleftData:
 
 
 def integral_from_crossed(cp: CrossedProductData) -> CleftData:
-    """θ(h) = 1_A#h with θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁)."""
+    """θ(h) = 1_A#h with θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁), each term read
+    off the sparse columns of σ⁻¹ and S."""
     hopf = ensure_hopf(cp.action.hopf)
     b = hopf.bialgebra
     A = cp.action.algebra
     ring = cp.ring
     rH = b.rank
-    S = hopf.antipode
-    sigma_inv = cp.cocycle.sigma_inv
+    S = hopf.antipode.sparse_columns()
+    sinv = cp.cocycle.sigma_inv.sparse_columns()
     theta_cols = [kron_vec(ring, A.unit, b.carrier.basis_vector(j))
                   for j in range(rH)]
     theta = LinearMap.from_columns(b.carrier, cp.carrier, theta_cols)
-    inv_cols = []
-    for j in range(rH):
-        out = [ring.zero] * cp.carrier.rank
-        for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(j, 3):
-            apart = sigma_inv.apply(
-                kron_vec(ring, S.column(h2), b.carrier.basis_vector(h3)))
-            hpart = S.column(h1)
-            term = kron_vec(ring, apart, hpart)
-            for pos, val in enumerate(term):
-                if (val):
-                    out[pos] = ring.add(out[pos], ring.mul(c, val))
-        inv_cols.append(tuple(out))
-    theta_inv = LinearMap.from_columns(b.carrier, cp.carrier, inv_cols)
+
+    def term(h1, h2, h3):  # σ⁻¹(S(h₂)⊗h₃) ⊗ S(h₁)
+        apart = combine_columns(ring, ((sinv[x * rH + h3], s) for x, s in S[h2]))
+        return kron_column(apart, S[h1], rH, ring.mul)
+
+    inv_cols = [combine_columns(ring, ((term(*legs), c) for c, legs
+                                       in b.coalgebra.sweedler_basis(j, 3)))
+                for j in range(rH)]
+    theta_inv = LinearMap.from_sparse_columns(b.carrier, cp.carrier, inv_cols)
     cleft = CleftData(cp.comodule, theta, theta_inv)
     cleft.validate().require()
     return cleft
@@ -453,33 +444,37 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     mult = LinearMap.from_columns(tensor_module(coin.module, coin.module),
                                   coin.module, mult_cols)
     A_alg = AlgebraData(coin.module, mult, unit_coords)
+    # the sums below are read off the sparse tables of B, H, θ and θ⁻¹
+    rB = B.rank
+    bmul = B.mult.sparse_columns()
+    bprod = bilinear(ring, B.mult, rB)
+    theta, theta_inv = cl.theta.sparse_columns(), cl.theta_inv.sparse_columns()
+    a_s = [tuple((p, x) for p, x in enumerate(v) if x) for v in coin.vectors]
     # action ha = Σ θ(h₁) a θ⁻¹(h₂)
+    theta_a = cache(lambda h1, j: bprod(theta[h1], a_s[j]))
     act_cols = []
     for i in range(rH):
         for j in range(rA):
-            val = B.carrier.zero_vector()
-            for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
-                term = B.product_many(cl.theta.column(h1), coin.vectors[j],
-                                      cl.theta_inv.column(h2))
-                val = vec_add(ring, val, vec_scale(ring, c, term))
-            act_cols.append(express(val, "h⇀a"))
+            val = _sum_of_products(ring, bmul, rB, (
+                (c, theta_a(h1, j), theta_inv[h2])
+                for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2)))
+            act_cols.append(express(expand_sparse(val, rB, ring), "h⇀a"))
     action_map = LinearMap.from_columns(tensor_module(b.carrier, coin.module),
                                         coin.module, act_cols)
     action = WeakActionData(B_com.hopf, A_alg, action_map)
     validate_weak_action(action).require()
     # σ(h⊗k) = Σ θ(h₁)θ(k₁)θ⁻¹(h₂k₂)
+    hmul = b.algebra.mult.sparse_columns()
+    theta_theta = cache(lambda h1, k1: bprod(theta[h1], theta[k1]))
+    theta_inv_hk = cache(lambda h2, k2: combine_columns(
+        ring, ((theta_inv[x], c) for x, c in hmul[h2 * rH + k2])))
     sig_cols = []
     for i in range(rH):
         for j in range(rH):
-            val = B.carrier.zero_vector()
-            for ci, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
-                for cj, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
-                    c = ring.mul(ci, cj)
-                    h2k2 = expand_sparse(b.algebra.basis_product(h2, k2), rH, ring)
-                    term = B.product_many(cl.theta.column(h1), cl.theta.column(k1),
-                                          cl.theta_inv.apply(h2k2))
-                    val = vec_add(ring, val, vec_scale(ring, c, term))
-            sig_cols.append(express(val, "σ(h⊗k)"))
+            val = _sum_of_products(ring, bmul, rB, (
+                (c, theta_theta(h1, k1), theta_inv_hk(h2, k2))
+                for c, h1, h2, k1, k2 in _sweedler_pairs(b.coalgebra, i, j)))
+            sig_cols.append(express(expand_sparse(val, rB, ring), "σ(h⊗k)"))
     sigma = LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
                                    coin.module, sig_cols)
     cocycle = validate_cocycle(action, sigma)
@@ -557,76 +552,65 @@ def cleft_maps(cl: CleftData):
 
     φ̃(h⊗a)(h̃) = Σ θ(S̄(h̃₂)) a θ(h₁) θ⁻¹(S̄(h̃₁)h₂)
     ψ̃(h⊗a)(h̃) = Σ θ⁻¹(S̄(h̃₃)) a θ(S̄(h̃₂)h₁) θ⁻¹(h̃₄S̄(h̃₁)h₂)
+
+    Each value is summed in B from the sparse tables of B, H, θ, θ⁻¹ and S̄,
+    the part left of the last factor once per (h̃-legs, a, h₁) and the last
+    factor once per leg-index key, and then expressed in the coinvariants.
     """
     B_com = cl.comodule_algebra
     B = B_com.algebra
     hopf = ensure_hopf(B_com.hopf)
     b = hopf.bialgebra
     ring = B.ring
-    rH = b.rank
-    Sbar = hopf.twisted_antipode
+    rH, rB = b.rank, B.rank
     coin = coinvariants(B_com)
     rA = coin.rank
     coordinates = coin.coordinates()
+    bmul = B.mult.sparse_columns()
+    bprod = bilinear(ring, B.mult, rB)
+    hprod = bilinear(ring, b.algebra.mult, rH)
+    e = unit_vectors(ring, rH)
+    Sb = hopf.twisted_antipode.sparse_columns()
+    a_s = [tuple((p, x) for p, x in enumerate(v) if x) for v in coin.vectors]
 
-    def express(vec):
-        coords = coordinates(vec)
-        if coords is None:
-            raise CoinvariantEscape("cleft map value escapes the coinvariants")
-        return coords
+    def image(m, vec):  # m(vec) for a sparse vector of H
+        cols = m.sparse_columns()
+        return combine_columns(ring, ((cols[x], c) for x, c in vec))
 
-    hom = hom_module(b.carrier, coin.module)
+    theta = cl.theta.sparse_columns()
+    phi_left = cache(lambda t2, j, h1: bprod(bprod(image(cl.theta, Sb[t2]), a_s[j]),
+                                             theta[h1]))
+    phi_right = cache(lambda t1, h2: image(cl.theta_inv, hprod(Sb[t1], e[h2])))
+    psi_left = cache(lambda t2, t3, j, h1: bprod(
+        bprod(image(cl.theta_inv, Sb[t3]), a_s[j]), image(cl.theta, hprod(Sb[t2], e[h1]))))
+    psi_right = cache(lambda t1, t4, h2: image(
+        cl.theta_inv, hprod(hprod(e[t4], Sb[t1]), e[h2])))
+
+    def phi(j, hl, tl):
+        return phi_left(tl[1], j, hl[0]), phi_right(tl[0], hl[1])
+
+    def psi(j, hl, tl):
+        t1, t2, t3, t4 = tl
+        return psi_left(t2, t3, j, hl[0]), psi_right(t1, t4, hl[1])
+
     dom = tensor_module(b.carrier, coin.module)
-
-    def hmul(*vecs):
-        out = b.algebra.unit
-        for v in vecs:
-            out = b.algebra.product(out, v)
-        return out
-
-    phi_cols = []
-    psi_cols = []
-    for i in range(rH):
-        hi = i
-        for j in range(rA):
-            a_vec = coin.vectors[j]
-            phi_out = [ring.zero] * (rA * rH)
-            psi_out = [ring.zero] * (rA * rH)
-            for t in range(rH):
-                # φ̃ at h̃ = basis t
-                val = B.carrier.zero_vector()
-                for ct, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                    for ci, (h1, h2) in b.coalgebra.sweedler_basis(hi, 2):
-                        c = ring.mul(ct, ci)
-                        term = B.product_many(
-                            cl.theta.apply(Sbar.column(t2)),
-                            a_vec,
-                            cl.theta.column(h1),
-                            cl.theta_inv.apply(
-                                hmul(Sbar.column(t1), b.carrier.basis_vector(h2))))
-                        val = vec_add(ring, val, vec_scale(ring, c, term))
-                for aidx, av in enumerate(express(val)):
-                    if (av):
-                        phi_out[aidx * rH + t] = ring.add(phi_out[aidx * rH + t], av)
-                # ψ̃ at h̃ = basis t
-                val = B.carrier.zero_vector()
-                for ct, (t1, t2, t3, t4) in b.coalgebra.sweedler_basis(t, 4):
-                    for ci, (h1, h2) in b.coalgebra.sweedler_basis(hi, 2):
-                        c = ring.mul(ct, ci)
-                        term = B.product_many(
-                            cl.theta_inv.apply(Sbar.column(t3)),
-                            a_vec,
-                            cl.theta.apply(hmul(Sbar.column(t2),
-                                                b.carrier.basis_vector(h1))),
-                            cl.theta_inv.apply(hmul(b.carrier.basis_vector(t4),
-                                                    Sbar.column(t1),
-                                                    b.carrier.basis_vector(h2))))
-                        val = vec_add(ring, val, vec_scale(ring, c, term))
-                for aidx, av in enumerate(express(val)):
-                    if (av):
-                        psi_out[aidx * rH + t] = ring.add(psi_out[aidx * rH + t], av)
-            phi_cols.append(tuple(phi_out))
-            psi_cols.append(tuple(psi_out))
-    phi = LinearMap.from_columns(dom, hom, phi_cols)
-    psi = LinearMap.from_columns(dom, hom, psi_cols)
-    return phi, psi
+    hom = hom_module(b.carrier, coin.module)
+    maps = []
+    for legs, factors in ((2, phi), (4, psi)):
+        expansions = [b.coalgebra.sweedler_basis(t, legs) for t in range(rH)]
+        cols = []
+        for i in range(rH):
+            h_terms = b.coalgebra.sweedler_basis(i, 2)
+            for j in range(rA):
+                out = [ring.zero] * hom.rank
+                for t, terms in enumerate(expansions):
+                    val = _sum_of_products(ring, bmul, rB, (
+                        (ring.mul(ct, ch), *factors(j, hl, tl))
+                        for ct, tl in terms for ch, hl in h_terms))
+                    coords = coordinates(expand_sparse(val, rB, ring))
+                    if coords is None:
+                        raise CoinvariantEscape("cleft map value escapes the coinvariants")
+                    hom_scatter(out, ring, ring.one, enumerate(coords), rH, t)
+                cols.append(tuple(out))
+        maps.append(LinearMap.from_columns(dom, hom, cols))
+    return tuple(maps)

@@ -18,9 +18,14 @@ produces, so its multiplicativity is a theorem-test rather than a search.
 5 of h·m, by Δ(h·m) = Δ(h)Δ(m); op δ: 8 of k and 2 of h) without repeated
 work: each factor (σ⁻¹, σ, the action, the H-part) is tabulated per call by
 the leg indices it reads, and the functional f, which enters only through
-f(k_last), is applied in a final contraction.  The hypothesis checks (the
-coactions υ/ω, φ and ψ) read the same sparse tables, and each membership
-question factors its span once.  The tables live for one call.
+f(k_last), is applied in a final contraction.  The other Sweedler sums take
+the same route: φ₁/φ₂ and ε/ε⁻¹ form each product once per (column, leg); π
+sums its factor that does not read g once per (h_t, last leg) and reads each
+column off the products of basis elements; ν tabulates its A-part by leg
+indices; χ places a beside the columns of λ.  Values in Hom(H, B) are added
+with ``linalg.hom_scatter``.  The hypothesis checks (the coactions υ/ω, φ and
+ψ) read the same sparse tables, and each membership question factors its span
+once.  The tables live for one call.
 """
 from __future__ import annotations
 
@@ -55,12 +60,14 @@ from .linalg import (
     FreeModule,
     LinearMap,
     PreparedSolver,
+    bilinear,
     canonical_span,
     column_witness,
     combine_columns,
     determinant,
     dual_module,
     hom_module,
+    hom_scatter,
     invert_map,
     kron,
     kron_column,
@@ -68,8 +75,7 @@ from .linalg import (
     span_coordinates,
     tensor_module,
     twist_map,
-    vec_add,
-    vec_scale,
+    unit_vectors,
 )
 from .reporting import ValidationReport
 from .smash import (
@@ -111,22 +117,20 @@ def _lambda_of_side(hopf: HopfLike, U: SubalgebraU, side: DiagramSide) -> Linear
     ring = b.ring
     rH = b.rank
     end_mod = hom_module(b.carrier, b.carrier)
-    dom = tensor_module(b.carrier, U.module)
-    rU = U.rank
+    hprod = bilinear(ring, b.algebra.mult, rH)
+    e = unit_vectors(ring, rH)
+    hits = [[tuple((p, x) for p, x in enumerate(_hit(b, f, t)) if x) for t in range(rH)]
+            for f in U.elements]
     cols = []
     for i in range(rH):
-        h_i = b.carrier.basis_vector(i)
-        for l in range(rU):
+        for hit in hits:
             out = [ring.zero] * end_mod.rank
             for t in range(rH):
-                hit = _hit(b, U.element(l), t)
-                if side is DiagramSide.RIGHT:
-                    val = b.algebra.product(h_i, hit)
-                else:
-                    val = b.algebra.product(hit, h_i)
-                _scatter(out, ring, val, rH, t)
+                val = (hprod(e[i], hit[t]) if side is DiagramSide.RIGHT
+                       else hprod(hit[t], e[i]))
+                hom_scatter(out, ring, ring.one, val, rH, t)
             cols.append(tuple(out))
-    return LinearMap.from_columns(dom, end_mod, cols)
+    return LinearMap.from_columns(tensor_module(b.carrier, U.module), end_mod, cols)
 
 
 def _hit(b, f_vec, t: int):
@@ -238,20 +242,22 @@ def _assert_phi_multiplicative(h: HopfData, phi1: LinearMap, side: DiagramSide):
 def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
     """Columns (i, j), of length ``rank``, of a map out of Hom(H, vals): the
     value at h_t is Σ c·algebra.product(*pair(v_i, k_of(t₁))) over the terms
-    c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j (φ₁, φ₂, ε and ε⁻¹)."""
-    ring = b.ring
+    c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j (φ₁, φ₂, ε and ε⁻¹).  The terms are
+    grouped by t₂ once per call, and each product is formed once per (i, t₁)."""
+    ring, rH = b.ring, b.rank
+    by_j = [[[] for _ in range(rH)] for _ in range(rH)]  # by_j[t₂][t]: (c, t₁)
+    for t in range(rH):
+        for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+            by_j[t2][t].append((c, t1))
     cols = []
     for i in range(vals.rank):
         v = vals.basis_vector(i)
-        for j in range(b.rank):
+        prods = [algebra.product(*pair(v, k_of(t1))) for t1 in range(rH)]
+        for terms in by_j:
             out = [ring.zero] * rank
-            for t in range(b.rank):
-                acc = algebra.carrier.zero_vector()
-                for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                    if t2 == j:
-                        acc = vec_add(ring, acc, vec_scale(
-                            ring, c, algebra.product(*pair(v, k_of(t1)))))
-                _scatter(out, ring, acc, b.rank, t)
+            for t, tt in enumerate(terms):
+                for c, t1 in tt:
+                    hom_scatter(out, ring, c, enumerate(prods[t1]), rH, t)
             cols.append(tuple(out))
     return cols
 
@@ -338,28 +344,20 @@ def alpha_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU) -> LinearMap:
 def chi_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU,
             side: DiagramSide = DiagramSide.RIGHT) -> LinearMap:
     """χ(a⊗(h#f)) = [k⊗ã ↦ h(f⇀k)⊗aã] (right) or [ã⊗k ↦ ãa⊗(f⇀k)h] (op),
-    on the one-sided representation."""
+    on the one-sided representation: λ's (resp. λ̄'s) column (h, f) with a
+    placed beside its value, the entry at p·rH+t moving to (p·rA+i)·rH+t
+    (resp. (i·rH+p)·rH+t) for a = a_i."""
     b = bialgebra_of(hopf)
-    ring = b.ring
-    rH, rA, rU = b.rank, A.rank, U.rank
-    dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
-    cod = end_rep_module(hopf, A, side)
-    cols = []
-    for i in range(rA):
-        a_i = A.carrier.basis_vector(i)
-        for j in range(rH):
-            h_j = b.carrier.basis_vector(j)
-            for l in range(rU):
-                out = [ring.zero] * cod.rank
-                for t in range(rH):
-                    hit = _hit(b, U.element(l), t)
-                    if side is DiagramSide.RIGHT:
-                        val = kron_vec(ring, b.algebra.product(h_j, hit), a_i)
-                    else:
-                        val = kron_vec(ring, a_i, b.algebra.product(hit, h_j))
-                    _scatter(out, ring, val, rH, t)
-                cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    rH, rA = b.rank, A.rank
+    lam = _lambda_of_side(hopf, U, side).sparse_columns()
+    if side is DiagramSide.RIGHT:
+        cols = [[((pos // rH * rA + i) * rH + pos % rH, x) for pos, x in col]
+                for i in range(rA) for col in lam]
+    else:
+        cols = [[(i * rH * rH + pos, x) for pos, x in col] for i in range(rA) for col in lam]
+    return LinearMap.from_sparse_columns(
+        tensor_module(A.carrier, tensor_module(b.carrier, U.module)),
+        end_rep_module(hopf, A, side), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -380,32 +378,29 @@ class DualityDiagram:
 
 
 def nu_map(cp: CrossedProductData) -> LinearMap:
-    """ν: A#_σH → H⊗A, a#h ↦ Σ h₄ ⊗ [S̄(h₃)a]σ(S̄(h₂)⊗h₁)."""
+    """ν: A#_σH → H⊗A, a#h ↦ Σ h₄ ⊗ [S̄(h₃)a]σ(S̄(h₂)⊗h₁).  The A-part is
+    read off the sparse tables once per (h₁, h₂, h₃, a) and summed per h₄."""
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
     rH, rA = b.rank, A.rank
-    Sb = h.twisted_antipode
-    sigma = cp.cocycle.sigma
-    cod = tensor_module(b.carrier, A.carrier)
+    Sb = h.twisted_antipode.sparse_columns()
+    e, a_e = unit_vectors(ring, rH), unit_vectors(ring, rA)
+    act = bilinear(ring, cp.action.action, rA)
+    sigma = bilinear(ring, cp.cocycle.sigma, rH)
+    aprod = bilinear(ring, A.mult, rA)
+    apart = cache(lambda h1, h2, h3, i: aprod(act(Sb[h3], a_e[i]), sigma(Sb[h2], e[h1])))
     cols = []
     for i in range(rA):
-        a_i = A.carrier.basis_vector(i)
         for j in range(rH):
-            out = [ring.zero] * cod.rank
+            by_h4 = {}
             for c, (h1, h2, h3, h4) in b.coalgebra.sweedler_basis(j, 4):
-                acted = cp.action.act(Sb.column(h3), a_i)
-                sig = sigma.apply(kron_vec(ring, Sb.column(h2),
-                                           b.carrier.basis_vector(h1)))
-                apart = A.product(acted, sig)
-                for aidx, av in enumerate(apart):
-                    if not (av):
-                        continue
-                    pos = h4 * rA + aidx
-                    out[pos] = ring.add(out[pos], ring.mul(c, av))
-            cols.append(tuple(out))
-    return LinearMap.from_columns(cp.carrier, cod, cols)
+                by_h4.setdefault(h4, []).append((apart(h1, h2, h3, i), c))
+            cols.append([(h4 * rA + p, x) for h4 in sorted(by_h4)
+                         for p, x in combine_columns(ring, by_h4[h4])])
+    return LinearMap.from_sparse_columns(cp.carrier, tensor_module(b.carrier, A.carrier),
+                                         cols)
 
 
 def gamma_map(cp: CrossedProductData, U: SubalgebraU,
@@ -563,7 +558,7 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
                 out = [ring.zero] * cod.rank
                 for (t, k), vec in acc.items():
                     if f[k]:
-                        _scatter(out, ring, vec_scale(ring, f[k], vec), rH, t)
+                        hom_scatter(out, ring, f[k], enumerate(vec), rH, t)
                 cols.append(tuple(out))
     return LinearMap.from_columns(dom, cod, cols)
 
@@ -581,13 +576,6 @@ def _add_outer(acc, ring, c, u, v):
                 acc[q] = add(acc[q], mul(cx, y))
 
 
-def _scatter(out, ring, val, rH, t):
-    """Add ``val`` ∈ B into the value at h_t of a Hom(H, B) coordinate vector."""
-    for p, v in enumerate(val):
-        if v:
-            out[p * rH + t] = ring.add(out[p * rH + t], v)
-
-
 def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMap:
     """π: Hom(H, A#_σH) → one-sided endomorphisms.
 
@@ -596,56 +584,58 @@ def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMa
     read it): the displayed product order is ambiguous, and this is the
     order under which the diagram commutes.
     Op: π̄(g)(1⊗k) = Σ (1#k₁)·g(k₂).
+
+    The factor that does not read g, σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄ resp. 1#k₁, is
+    summed once per call over the terms of h_t with k_last = j, into E ∈ B.
+    The column of g = [h_j ↦ b] at h_t is then ν(b·E) resp. E·b, read off
+    ν(b·b_q) resp. b_q·b per basis element b_q of B.
     """
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    rH = b.rank
-    B = cp.product_algebra
-    dom = hom_module(b.carrier, cp.carrier)
-    cod = end_rep_module(h, A, side)
-    basis = b.carrier.basis_vector
-    cols = []
+    rH, rB = b.rank, cp.carrier.rank
+    mul = ring.mul
+    mult = cp.product_algebra.mult.sparse_columns()
+    e = unit_vectors(ring, rH)
+    one_a = tuple((x, c) for x, c in enumerate(A.unit) if c)
     if side is DiagramSide.RIGHT:
-        Sb = h.twisted_antipode
-        sigma_inv = cp.cocycle.sigma_inv
-        for gi in range(cp.carrier.rank):   # g = [h_gj ↦ B basis gi]
-            for gj in range(rH):
-                out = [ring.zero] * cod.rank
-                g_val = cp.carrier.basis_vector(gi)
-                for t in range(rH):
-                    total = tensor_module(b.carrier, A.carrier).zero_vector()
-                    for c, (k1, k2, k3, k4, k5) in b.coalgebra.sweedler_basis(t, 5):
-                        if k5 != gj:
-                            continue
-                        s = sigma_inv.apply(kron_vec(ring, basis(k2),
-                                                     Sb.column(k1)))
-                        acted = cp.action.act_basis(k3, A.unit)
-                        apart = A.product(s, acted)
-                        elem = kron_vec(ring, apart, basis(k4))
-                        prod = B.product(g_val, elem)
-                        total = vec_add(ring, total,
-                                        vec_scale(ring, c, nu.apply(prod)))
-                    _scatter(out, ring, total, rH, t)
-                cols.append(tuple(out))
+        Sb = h.twisted_antipode.sparse_columns()
+        sigma_inv = bilinear(ring, cp.cocycle.sigma_inv, rH)
+        act = bilinear(ring, cp.action.action, A.rank)
+        aprod = bilinear(ring, A.mult, A.rank)
+        apart = cache(lambda k1, k2, k3: aprod(sigma_inv(e[k2], Sb[k1]), act(e[k3], one_a)))
+        nu_cols = nu.sparse_columns()
+        legs = 5
+
+        def factor(kl):
+            return kron_column(apart(*kl[:3]), e[kl[3]], rH, mul)
+
+        value = cache(lambda b_i, q: combine_columns(
+            ring, ((nu_cols[r], x) for r, x in mult[b_i * rB + q])))
     else:
-        for gi in range(cp.carrier.rank):
-            for gj in range(rH):
-                out = [ring.zero] * cod.rank
-                g_val = cp.carrier.basis_vector(gi)
-                for t in range(rH):
-                    total = cp.carrier.zero_vector()
-                    for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
-                        if k2 != gj:
-                            continue
-                        one_k = kron_vec(ring, A.unit, basis(k1))
-                        total = vec_add(ring, total,
-                                        vec_scale(ring, c,
-                                                  B.product(one_k, g_val)))
-                    _scatter(out, ring, total, rH, t)
-                cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+        legs = 2
+
+        def factor(kl):
+            return kron_column(one_a, e[kl[0]], rH, mul)
+
+        def value(b_i, q):
+            return mult[q * rB + b_i]
+    terms = [[[] for _ in range(rH)] for _ in range(rH)]  # terms[t][k_last]
+    for t in range(rH):
+        for c, kl in b.coalgebra.sweedler_basis(t, legs):
+            terms[t][kl[-1]].append((factor(kl), c))
+    E = [[combine_columns(ring, by_j) for by_j in row] for row in terms]
+    cod = end_rep_module(h, A, side)
+    cols = []
+    for b_i in range(rB):
+        for j in range(rH):
+            out = [ring.zero] * cod.rank
+            for t in range(rH):
+                for q, x in E[t][j]:
+                    hom_scatter(out, ring, x, value(b_i, q), rH, t)
+            cols.append(tuple(out))
+    return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
 
 
 def build_diagram(cp: CrossedProductData, U: SubalgebraU,
@@ -781,12 +771,12 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    e, a_e = _unit_vectors(ring, b.rank), _unit_vectors(ring, A.rank)
-    hprod = _bilinear(ring, b.algebra.mult, b.rank)
-    aprod = _bilinear(ring, A.mult, A.rank)
-    act = _bilinear(ring, cp.action.action, A.rank)
-    sigma = _bilinear(ring, cp.cocycle.sigma, b.rank)
-    sigma_inv = _bilinear(ring, cp.cocycle.sigma_inv, b.rank)
+    e, a_e = unit_vectors(ring, b.rank), unit_vectors(ring, A.rank)
+    hprod = bilinear(ring, b.algebra.mult, b.rank)
+    aprod = bilinear(ring, A.mult, A.rank)
+    act = bilinear(ring, cp.action.action, A.rank)
+    sigma = bilinear(ring, cp.cocycle.sigma, b.rank)
+    sigma_inv = bilinear(ring, cp.cocycle.sigma_inv, b.rank)
     if side is DiagramSide.RIGHT:
         Sb = h.twisted_antipode.sparse_columns()
         acted = cache(lambda t2, j: act(Sb[t2], a_e[j]))
@@ -813,27 +803,12 @@ def compat_maps(cp: CrossedProductData, side: DiagramSide):
     return _hom_values(b, A, 2, phi), _hom_values(b, A, 5, psi)
 
 
-def _unit_vectors(ring, rank):
-    """The basis vectors of R^rank as canonical sparse vectors."""
-    return [((x, ring.one),) for x in range(rank)]
-
-
-def _bilinear(ring, m: LinearMap, right_rank: int):
-    """(u, v) ↦ m(u⊗v) on canonical sparse vectors, for a map m out of a
-    tensor product whose right factor has rank ``right_rank``: the terms are
-    read off m's sparse columns."""
-    cols, mul = m.sparse_columns(), ring.mul
-    return lambda u, v: combine_columns(
-        ring, [(cols[x * right_rank + y], mul(a, c)) for x, a in u for y, c in v])
-
-
 def _hom_values(b, A, legs, value):
     """The map H⊗A → Hom(H, A) whose column (h_i, a_j) has value
     Σ c·value(i, j, legs) at h_t, over the ``legs``-fold expansion of h_t;
     ``value`` returns a canonical sparse vector of A."""
     ring = b.ring
     rH = b.rank
-    mul, add = ring.mul, ring.add
     cod = hom_module(b.carrier, A.carrier)
     expansions = [b.coalgebra.sweedler_basis(t, legs) for t in range(rH)]
     cols = []
@@ -842,8 +817,7 @@ def _hom_values(b, A, legs, value):
             out = [ring.zero] * cod.rank
             for t, terms in enumerate(expansions):
                 for c, tl in terms:
-                    for p, x in value(i, j, tl):
-                        out[p * rH + t] = add(out[p * rH + t], mul(c, x))
+                    hom_scatter(out, ring, c, value(i, j, tl), rH, t)
             cols.append(out)
     return LinearMap.from_columns(tensor_module(b.carrier, A.carrier), cod, cols)
 
@@ -936,9 +910,8 @@ def _coaction_rows(h: HopfData, side: CoactionSide) -> list:
     b = h.bialgebra
     ring = b.ring
     rH = b.rank
-    mul, add = ring.mul, ring.add
-    e = _unit_vectors(ring, rH)
-    hprod = _bilinear(ring, b.algebra.mult, rH)
+    e = unit_vectors(ring, rH)
+    hprod = bilinear(ring, b.algebra.mult, rH)
     if side is CoactionSide.UPSILON:
         Sb = h.twisted_antipode.sparse_columns()
         term = cache(lambda h1, h3: hprod(e[h3], Sb[h1]))
@@ -948,9 +921,7 @@ def _coaction_rows(h: HopfData, side: CoactionSide) -> list:
     rows = [[ring.zero] * (rH * rH) for _ in range(rH)]
     for t in range(rH):
         for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-            row = rows[h2]
-            for p, x in term(h1, h3):
-                row[p * rH + t] = add(row[p * rH + t], mul(c, x))
+            hom_scatter(rows[h2], ring, c, term(h1, h3), rH, t)
     return [tuple(row) for row in rows]
 
 
@@ -968,8 +939,8 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     ups = side is CoactionSide.UPSILON
     tag = side.value
     rep = ValidationReport(f"coaction table ({tag})")
-    e = _unit_vectors(ring, rH)
-    hprod = _bilinear(ring, b.algebra.mult, rH)
+    e = unit_vectors(ring, rH)
+    hprod = bilinear(ring, b.algebra.mult, rH)
     mcols = b.algebra.mult.sparse_columns()
     cm = cmap.sparse_columns()
     srows = [[(pos, c) for pos, c in enumerate(row) if c] for row in rows]

@@ -84,12 +84,6 @@ class AlgebraData:
                     out[t] = add(out[t], mul(c, ab))
         return tuple(out)
 
-    def product_many(self, *vectors):
-        out = self.unit
-        for v in vectors:
-            out = self.product(out, v)
-        return out
-
     def is_commutative(self) -> bool:
         r = self.rank
         return all(

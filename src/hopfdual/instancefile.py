@@ -62,6 +62,14 @@ def _need(doc, key, ctx):
     return doc[key]
 
 
+def _object(doc, key, ctx):
+    """The block ``doc[key]``, which must be present and a JSON object."""
+    block = _need(doc, key, ctx)
+    if not isinstance(block, dict):
+        _fail(f"{ctx}: {key!r} must be an object")
+    return block
+
+
 def _parse_quads(ring: Ring, quads, ranks, ctx):
     """(i, j, k, c) with per-slot range checks; errors name the quadruple."""
     out = []
@@ -140,14 +148,14 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
             _fail(f"{where}: module {mname!r} needs distinct string labels")
 
     blocks = {}
-    hopf_block = _need(doc, "hopf", where)
-    blocks["hopf"] = _validate_hopf_block(ring, modules, hopf_block, where)
+    blocks["hopf"] = _validate_hopf_block(ring, modules, _object(doc, "hopf", where),
+                                          where)
 
     if kind == "crossed" or "algebra" in doc:
         if "algebra" not in doc:
             _fail(f"{where}: kind 'crossed' needs an 'algebra' block")
-        blocks["algebra"] = _validate_algebra_block(ring, modules,
-                                                    doc["algebra"], where)
+        blocks["algebra"] = _validate_algebra_block(
+            ring, modules, _object(doc, "algebra", where), where)
     if kind == "crossed":
         rH = len(modules[blocks["hopf"]["carrier"]])
         rA = len(modules[blocks["algebra"]["carrier"]])
@@ -168,10 +176,10 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
         if "comodule" not in doc or "integral" not in doc:
             _fail(f"{where}: kind 'cleft' needs 'comodule' and 'integral'")
         blocks["comodule"] = _validate_comodule_block(
-            ring, modules, doc["comodule"], blocks["hopf"], where)
+            ring, modules, _object(doc, "comodule", where), blocks["hopf"], where)
         rH = len(modules[blocks["hopf"]["carrier"]])
         rB = len(modules[blocks["comodule"]["carrier"]])
-        integral = doc["integral"]
+        integral = _object(doc, "integral", where)
         theta = _parse_matrix(ring, _need(integral, "theta", where), rB, rH,
                               f"{where}: theta")
         blocks["integral"] = {"theta": theta}
@@ -195,13 +203,19 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
 
     return InstanceFile(name, doc.get("description", ""), kind, ring, suite,
                         {k: list(v) for k, v in modules.items()}, blocks,
-                        doc.get("expected", {}))
+                        _object(doc, "expected", where) if "expected" in doc else {})
+
+
+def _carrier(block, modules, what, where):
+    """The name of the module that ``block`` declares as its carrier."""
+    carrier = _need(block, "carrier", f"{where}: {what}")
+    if not isinstance(carrier, str) or carrier not in modules:
+        _fail(f"{where}: {what} carrier {carrier!r} not among modules")
+    return carrier
 
 
 def _validate_hopf_block(ring, modules, block, where):
-    carrier = _need(block, "carrier", f"{where}: hopf")
-    if carrier not in modules:
-        _fail(f"{where}: hopf carrier {carrier!r} not among modules")
+    carrier = _carrier(block, modules, "hopf", where)
     r = len(modules[carrier])
     out = {"carrier": carrier}
     out["mult"] = _parse_quads(ring, _need(block, "mult", where), (r, r, r),
@@ -220,9 +234,7 @@ def _validate_hopf_block(ring, modules, block, where):
 
 
 def _validate_algebra_block(ring, modules, block, where):
-    carrier = _need(block, "carrier", f"{where}: algebra")
-    if carrier not in modules:
-        _fail(f"{where}: algebra carrier {carrier!r} not among modules")
+    carrier = _carrier(block, modules, "algebra", where)
     r = len(modules[carrier])
     return {
         "carrier": carrier,
@@ -234,9 +246,7 @@ def _validate_algebra_block(ring, modules, block, where):
 
 
 def _validate_comodule_block(ring, modules, block, hopf_block, where):
-    carrier = _need(block, "carrier", f"{where}: comodule")
-    if carrier not in modules:
-        _fail(f"{where}: comodule carrier {carrier!r} not among modules")
+    carrier = _carrier(block, modules, "comodule", where)
     rB = len(modules[carrier])
     rH = len(modules[hopf_block["carrier"]])
     return {

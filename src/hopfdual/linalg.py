@@ -63,9 +63,6 @@ class FreeModule:
             raise DimensionMismatch(f"basis index {i} out of range")
         return cache[i]
 
-    def zero_vector(self) -> Vector:
-        return (self.ring.zero,) * self.rank
-
     def vector(self, entries) -> Vector:
         entries = tuple(self.ring.of(e) for e in entries)
         if len(entries) != self.rank:
@@ -101,21 +98,18 @@ def hom_module(dom: FreeModule, cod: FreeModule) -> FreeModule:
     return FreeModule(dom.ring, cod.rank * dom.rank, labels)
 
 
+def hom_scatter(out: list, ring: Ring, c: Elem, value, rank: int, t: int):
+    """out += c·value at the t-th basis vector of C, for a Hom(C, B)
+    coordinate list ``out`` with rank(C) = ``rank``; ``value`` is (row,
+    coefficient) pairs of B, a sparse vector or an enumerated dense one."""
+    mul, add = ring.mul, ring.add
+    for p, x in value:
+        if x:
+            out[p * rank + t] = add(out[p * rank + t], mul(c, x))
+
+
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def vec_add(ring: Ring, u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(ring: Ring, c: Elem, u: Vector) -> Vector:
-    if not c:
-        return (ring.zero,) * len(u)
-    mul = ring.mul
-    return tuple(mul(c, a) if a else a for a in u)
 
 
 def kron_vec(ring: Ring, u: Vector, v: Vector) -> Vector:
@@ -328,6 +322,20 @@ def combine_columns(ring, terms):
             prev = acc.get(t)
             acc[t] = v if prev is None else add(prev, v)
     return tuple(sorted([(t, x) for t, x in acc.items() if x]))
+
+
+def bilinear(ring, m: LinearMap, right_rank: int):
+    """(u, v) ↦ m(u⊗v) on canonical sparse vectors, for a map m out of a
+    tensor product whose right factor has rank ``right_rank``: the terms are
+    read off m's sparse columns."""
+    cols, mul = m.sparse_columns(), ring.mul
+    return lambda u, v: combine_columns(
+        ring, [(cols[x * right_rank + y], mul(a, c)) for x, a in u for y, c in v])
+
+
+def unit_vectors(ring, rank: int) -> list:
+    """The basis vectors of R^rank as canonical sparse vectors."""
+    return [((x, ring.one),) for x in range(rank)]
 
 
 def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:

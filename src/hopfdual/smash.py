@@ -111,10 +111,6 @@ class SubalgebraU:
                 self.action_witness[i, j] = coords
 
     @property
-    def ring(self):
-        return self.ambient.ring
-
-    @property
     def rank(self):
         return len(self.elements)
 

@@ -28,10 +28,20 @@ crossed-product identities and tables with one dense A-product, action and
 σ-evaluation per Sweedler term; ``test_crossed.py`` and ``test_smash.py``
 require the index-arithmetic kernels to agree with them.
 
-``pi_right`` is the right-side π as a plain Sweedler sum in either reading of
-its ambiguous product order: g(k₅) on the left reproduces the library's π,
-and g(k₅) on the right is the negative control that breaks π∘α = γ
-(``test_duality.py``).  ``matrix_algebra`` and ``endomorphism_algebra`` build
+``pi_map`` is π as a plain Sweedler sum on either side, its g-free factor
+recomputed for every g, and on the right side in either reading of the
+ambiguous product order: g(k₅) on the left reproduces the library's π, and
+g(k₅) on the right is the negative control that breaks π∘α = γ
+(``test_duality.py``).  ``nu_map``, ``chi_map`` and ``phi_maps`` /
+``epsilon_maps`` (through ``_sweedler_columns``, which scans all of Δ(h_t)
+for every column) are ν, χ, φ₁/φ₂ and ε/ε⁻¹ as dense term-by-term sums, χ
+with its own f⇀k loop rather than λ's columns; ``theta_inverse``,
+``extracted_action_and_sigma`` and ``cleft_maps`` are θ⁻¹, the action and σ
+of a cleft extraction and φ̃, ψ̃ with a dense B-product chain per term.
+``test_duality.py`` requires the library's sums to agree with all of them
+entry for entry.  ``vec_add``, ``vec_scale``, ``zero_vector``,
+``product_many`` and ``scatter_value`` are the dense vector helpers these
+definitions are written with; the library has none.  ``matrix_algebra`` and ``endomorphism_algebra`` build
 M_n(R) as n⁴ dense columns, End(M) by re-wrapping that table on the Hom
 carrier; ``test_hopf.py`` requires the sparse builders to agree bit for bit.
 
@@ -65,7 +75,8 @@ from hopfdual import duality, linalg
 from hopfdual.actions import regular_act_left, regular_act_right
 from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
-from hopfdual.duality import DiagramSide, _scatter as scatter_value, end_rep_module, nu_map
+from hopfdual.actions import coinvariants
+from hopfdual.duality import DiagramSide, end_rep_module
 from hopfdual.errors import DimensionMismatch, NotInvertible, ValidationError
 from hopfdual.hopf import (
     AlgebraData,
@@ -88,14 +99,48 @@ from hopfdual.linalg import (
     kron_vec,
     smith_normal_form,
     tensor_module,
-    vec_add,
-    vec_scale,
+    twist_map,
 )
 from hopfdual.reporting import ValidationReport
 from hopfdual.smash import SmashKind
 from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
+
+
+def zero_vector(module):
+    """The zero vector of a free module."""
+    return (module.ring.zero,) * module.rank
+
+
+def product_many(alg, *vectors):
+    """((1·v₁)·v₂)·…, the left fold from the unit of ``alg``."""
+    out = alg.unit
+    for v in vectors:
+        out = alg.product(out, v)
+    return out
+
+
+def vec_add(ring, u, v):
+    """u + v, entry by entry."""
+    if len(u) != len(v):
+        raise DimensionMismatch("vector length mismatch")
+    return tuple(ring.add(a, b) for a, b in zip(u, v))
+
+
+def vec_scale(ring, c, u):
+    """c·u, entry by entry (zero entries kept as they are)."""
+    if not c:
+        return (ring.zero,) * len(u)
+    return tuple(ring.mul(c, a) if a else a for a in u)
+
+
+def scatter_value(out, ring, val, rH, t):
+    """Add the dense ``val`` ∈ B into the value at h_t of a Hom(H, B)
+    coordinate vector."""
+    for p, v in enumerate(val):
+        if v:
+            out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
 def dense(domain, codomain, rows):
@@ -358,37 +403,168 @@ def _scatter_hom(out, ring, c, apart, hpart, rH, t):
             out[pos] = ring.add(out[pos], ring.mul(c, ring.mul(av, hv)))
 
 
-def pi_right(cp, g_left):
-    """π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ), the product taken
-    with g(k₅) on the left (``g_left``) or on the right, term by term."""
+def nu_map(cp):
+    """ν: A#_σH → H⊗A, a#h ↦ Σ h₄ ⊗ [S̄(h₃)a]σ(S̄(h₂)⊗h₁), one dense action,
+    σ-evaluation and A-product per term."""
+    h = ensure_hopf(cp.action.hopf)
+    b = h.bialgebra
+    A = cp.action.algebra
+    ring = cp.ring
+    rH, rA = b.rank, A.rank
+    Sb = h.twisted_antipode
+    sigma = cp.cocycle.sigma
+    cod = tensor_module(b.carrier, A.carrier)
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            out = [ring.zero] * cod.rank
+            for c, (h1, h2, h3, h4) in b.coalgebra.sweedler_basis(j, 4):
+                acted = cp.action.act(Sb.column(h3), a_i)
+                sig = sigma.apply(kron_vec(ring, Sb.column(h2),
+                                           b.carrier.basis_vector(h1)))
+                apart = A.product(acted, sig)
+                for aidx, av in enumerate(apart):
+                    if not (av):
+                        continue
+                    pos = h4 * rA + aidx
+                    out[pos] = ring.add(out[pos], ring.mul(c, av))
+            cols.append(tuple(out))
+    return LinearMap.from_columns(cp.carrier, cod, cols)
+
+
+def pi_map(cp, side, g_left=True):
+    """π(g)(k⊗1) = Σ ν( g(k₅)·(σ⁻¹(k₂⊗S̄(k₁))(k₃⇀1)#k₄) ) (right, with ν the
+    oracle above), π̄(g)(1⊗k) = Σ (1#k₁)·g(k₂) (op), term by term and g by
+    g.  On the right the product is taken with g(k₅) on the left
+    (``g_left``) or on the right."""
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
     rH = b.rank
     B = cp.product_algebra
-    nu = nu_map(cp)
-    Sb = h.twisted_antipode
     basis = b.carrier.basis_vector
-    cod = end_rep_module(h, A, DiagramSide.RIGHT)
+    cod = end_rep_module(h, A, side)
+    nu = nu_map(cp) if side is DiagramSide.RIGHT else None
+    Sb = h.twisted_antipode
     cols = []
     for gi in range(cp.carrier.rank):
         g_val = cp.carrier.basis_vector(gi)
         for gj in range(rH):
             out = [ring.zero] * cod.rank
             for t in range(rH):
-                for c, (k1, k2, k3, k4, k5) in b.coalgebra.sweedler_basis(t, 5):
-                    if k5 != gj:
-                        continue
-                    s = cp.cocycle.sigma_inv.apply(kron_vec(ring, basis(k2), Sb.column(k1)))
-                    elem = kron_vec(ring, A.product(s, cp.action.act_basis(k3, A.unit)),
-                                    basis(k4))
-                    prod = B.product(g_val, elem) if g_left else B.product(elem, g_val)
-                    for p, v in enumerate(nu.apply(prod)):
-                        if v:
-                            out[p * rH + t] = ring.add(out[p * rH + t], ring.mul(c, v))
+                if side is DiagramSide.RIGHT:
+                    total = zero_vector(tensor_module(b.carrier, A.carrier))
+                    for c, (k1, k2, k3, k4, k5) in b.coalgebra.sweedler_basis(t, 5):
+                        if k5 != gj:
+                            continue
+                        s = cp.cocycle.sigma_inv.apply(kron_vec(ring, basis(k2),
+                                                                Sb.column(k1)))
+                        elem = kron_vec(ring, A.product(s, cp.action.act_basis(k3, A.unit)),
+                                        basis(k4))
+                        prod = B.product(g_val, elem) if g_left else B.product(elem, g_val)
+                        total = vec_add(ring, total, vec_scale(ring, c, nu.apply(prod)))
+                else:
+                    total = zero_vector(cp.carrier)
+                    for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
+                        if k2 != gj:
+                            continue
+                        one_k = kron_vec(ring, A.unit, basis(k1))
+                        total = vec_add(ring, total,
+                                        vec_scale(ring, c, B.product(one_k, g_val)))
+                scatter_value(out, ring, total, rH, t)
             cols.append(tuple(out))
     return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
+
+
+def chi_map(hopf, A, U, side):
+    """χ(a⊗(h#f)) = [k⊗ã ↦ h(f⇀k)⊗aã] (right) or [ã⊗k ↦ ãa⊗(f⇀k)h] (op),
+    with f⇀k and the H-product recomputed for every column."""
+    b = bialgebra_of(hopf)
+    ring = b.ring
+    rH, rA, rU = b.rank, A.rank, U.rank
+    dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
+    cod = end_rep_module(hopf, A, side)
+    cols = []
+    for i in range(rA):
+        a_i = A.carrier.basis_vector(i)
+        for j in range(rH):
+            h_j = b.carrier.basis_vector(j)
+            for l in range(rU):
+                out = [ring.zero] * cod.rank
+                for t in range(rH):
+                    hit = duality._hit(b, U.element(l), t)
+                    if side is DiagramSide.RIGHT:
+                        val = kron_vec(ring, b.algebra.product(h_j, hit), a_i)
+                    else:
+                        val = kron_vec(ring, a_i, b.algebra.product(hit, h_j))
+                    scatter_value(out, ring, val, rH, t)
+                cols.append(tuple(out))
+    return LinearMap.from_columns(dom, cod, cols)
+
+
+def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
+    """Columns (i, j) of a map out of Hom(H, vals): the value at h_t is
+    Σ c·algebra.product(*pair(v_i, k_of(t₁))) over the terms c·h_t₁⊗h_t₂ of
+    Δ(h_t) with t₂ = j, the whole of Δ(h_t) scanned for every j."""
+    ring = b.ring
+    cols = []
+    for i in range(vals.rank):
+        v = vals.basis_vector(i)
+        for j in range(b.rank):
+            out = [ring.zero] * rank
+            for t in range(b.rank):
+                acc = zero_vector(algebra.carrier)
+                for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+                    if t2 == j:
+                        acc = vec_add(ring, acc, vec_scale(
+                            ring, c, algebra.product(*pair(v, k_of(t1)))))
+                scatter_value(out, ring, acc, b.rank, t)
+            cols.append(tuple(out))
+    return cols
+
+
+def phi_maps(hopf, side):
+    """(φ₁, φ₂) (right) or (φ̄₁, φ̄₂) (op) from the columns above, uncertified."""
+    h = ensure_hopf(hopf)
+    b = h.bialgebra
+    end_mod = hom_module(b.carrier, b.carrier)
+    anti = h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode
+    pair = ((lambda x, k: (x, k)) if side is DiagramSide.RIGHT
+            else (lambda x, k: (k, x)))
+    return tuple(LinearMap.from_columns(end_mod, end_mod, _sweedler_columns(
+        b, b.carrier, end_mod.rank, b.algebra, pair, k_of))
+        for k_of in (b.carrier.basis_vector, anti.column))
+
+
+def epsilon_maps(hopf, A, side):
+    """(ε, ε⁻¹) (right) or (ε̄, ε̄⁻¹) (op) from the columns above, uncertified."""
+    h = ensure_hopf(hopf)
+    b = h.bialgebra
+    ring = b.ring
+    hom_src = hom_module(b.carrier, tensor_module(A.carrier, b.carrier))
+    end_mod = end_rep_module(h, A, side)
+    ah = tensor_algebra(A, b.algebra)
+    sw_ha_to_ah = twist_map(b.carrier, A.carrier)
+    anti = h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode
+    target = (tensor_module(b.carrier, A.carrier) if side is DiagramSide.RIGHT
+              else tensor_module(A.carrier, b.carrier))
+    if side is DiagramSide.RIGHT:
+        alg, swap = tensor_algebra(b.algebra, A), twist_map(A.carrier, b.carrier)
+        eps_pair = lambda g, k: (swap.apply(g), kron_vec(ring, k, A.unit))
+        inv_pair = lambda f, k: (sw_ha_to_ah.apply(f), k)
+    else:
+        alg = ah
+        eps_pair = lambda g, k: (kron_vec(ring, A.unit, k), g)
+        inv_pair = lambda f, k: (k, f)
+    eps = LinearMap.from_columns(hom_src, end_mod, _sweedler_columns(
+        b, tensor_module(A.carrier, b.carrier), end_mod.rank, alg, eps_pair,
+        b.carrier.basis_vector))
+    eps_inv = LinearMap.from_columns(end_mod, hom_src, _sweedler_columns(
+        b, target, hom_src.rank, ah, inv_pair,
+        lambda t1: kron_vec(ring, A.unit, anti.column(t1))))
+    return eps, eps_inv
 
 
 # --- the associativity certificate and the smash builders, term by term ------
@@ -482,7 +658,7 @@ def hat_smash(hopf, B):
                 for gj in range(rH):
                     out = [ring.zero] * carrier.rank
                     for t in range(rH):
-                        val = B.algebra.carrier.zero_vector()
+                        val = zero_vector(B.algebra.carrier)
                         for c, (t1, t2) in coalg.sweedler_basis(t, 2):
                             if t2 != gj:
                                 continue
@@ -525,7 +701,7 @@ def op_hat_smash(hopf, B):
                 for gj in range(rH):
                     out = [ring.zero] * carrier.rank
                     for t in range(rH):
-                        val = B.algebra.carrier.zero_vector()
+                        val = zero_vector(B.algebra.carrier)
                         for c, (t1, t2) in coalg.sweedler_basis(t, 2):
                             if t2 != fj:
                                 continue
@@ -607,10 +783,127 @@ def subalgebra_express(U, vec):
     """Coordinates of ``vec`` in the U-basis, or None if the U-combination of
     the split coordinates does not rebuild it."""
     coords = U._split.apply(vec)
-    recon = U.ambient.zero_vector()
+    recon = zero_vector(U.ambient)
     for c, u in zip(coords, U.elements):
-        recon = vec_add(U.ring, recon, vec_scale(U.ring, c, u))
+        recon = vec_add(U.ambient.ring, recon, vec_scale(U.ambient.ring, c, u))
     return coords if recon == tuple(vec) else None
+
+
+def theta_inverse(cp):
+    """θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁) for θ(h) = 1#h, one dense
+    σ⁻¹-evaluation and Kronecker product per term."""
+    hopf = ensure_hopf(cp.action.hopf)
+    b = hopf.bialgebra
+    ring = cp.ring
+    S = hopf.antipode
+    inv_cols = []
+    for j in range(b.rank):
+        out = [ring.zero] * cp.carrier.rank
+        for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(j, 3):
+            apart = cp.cocycle.sigma_inv.apply(
+                kron_vec(ring, S.column(h2), b.carrier.basis_vector(h3)))
+            term = kron_vec(ring, apart, S.column(h1))
+            for pos, val in enumerate(term):
+                if (val):
+                    out[pos] = ring.add(out[pos], ring.mul(c, val))
+        inv_cols.append(tuple(out))
+    return LinearMap.from_columns(b.carrier, cp.carrier, inv_cols)
+
+
+def _cleft_express(cl):
+    """(θ, θ⁻¹, B, H, coinvariants, express) of the cleft data ``cl``."""
+    B_com = cl.comodule_algebra
+    coin = coinvariants(B_com)
+    coordinates = coin.coordinates()
+
+    def express(vec):
+        coords = coordinates(vec)
+        if coords is None:
+            raise ValidationError("value escapes the coinvariants")
+        return coords
+    return B_com.algebra, ensure_hopf(B_com.hopf), coin, express
+
+
+def extracted_action_and_sigma(cl):
+    """The action ha = Σ θ(h₁)aθ⁻¹(h₂) and σ(h⊗k) = Σ θ(h₁)θ(k₁)θ⁻¹(h₂k₂)
+    in coinvariant coordinates, one dense B-product chain per term."""
+    B, hopf, coin, express = _cleft_express(cl)
+    b = hopf.bialgebra
+    ring = B.ring
+    rH = b.rank
+    act_cols = []
+    for i in range(rH):
+        for j in range(coin.rank):
+            val = zero_vector(B.carrier)
+            for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
+                term = product_many(B, cl.theta.column(h1), coin.vectors[j],
+                                      cl.theta_inv.column(h2))
+                val = vec_add(ring, val, vec_scale(ring, c, term))
+            act_cols.append(express(val))
+    sig_cols = []
+    for i in range(rH):
+        for j in range(rH):
+            val = zero_vector(B.carrier)
+            for ci, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
+                for cj, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
+                    h2k2 = expand_sparse(b.algebra.basis_product(h2, k2), rH, ring)
+                    term = product_many(B, cl.theta.column(h1), cl.theta.column(k1),
+                                          cl.theta_inv.apply(h2k2))
+                    val = vec_add(ring, val, vec_scale(ring, ring.mul(ci, cj), term))
+            sig_cols.append(express(val))
+    return (LinearMap.from_columns(tensor_module(b.carrier, coin.module), coin.module,
+                                   act_cols),
+            LinearMap.from_columns(tensor_module(b.carrier, b.carrier), coin.module,
+                                   sig_cols))
+
+
+def cleft_maps(cl):
+    """φ̃(h⊗a)(h̃) = Σ θ(S̄(h̃₂)) a θ(h₁) θ⁻¹(S̄(h̃₁)h₂) and
+    ψ̃(h⊗a)(h̃) = Σ θ⁻¹(S̄(h̃₃)) a θ(S̄(h̃₂)h₁) θ⁻¹(h̃₄S̄(h̃₁)h₂), with every
+    θ-value and B-product recomputed for every term."""
+    B, hopf, coin, express = _cleft_express(cl)
+    b = hopf.bialgebra
+    ring = B.ring
+    rH, rA = b.rank, coin.rank
+    Sbar = hopf.twisted_antipode
+    basis = b.carrier.basis_vector
+
+    def hmul(*vecs):
+        out = b.algebra.unit
+        for v in vecs:
+            out = b.algebra.product(out, v)
+        return out
+
+    phi_cols, psi_cols = [], []
+    for i in range(rH):
+        for j in range(rA):
+            a_vec = coin.vectors[j]
+            phi_out = [ring.zero] * (rA * rH)
+            psi_out = [ring.zero] * (rA * rH)
+            for t in range(rH):
+                val = zero_vector(B.carrier)
+                for ct, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+                    for ci, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
+                        term = product_many(B, 
+                            cl.theta.apply(Sbar.column(t2)), a_vec, cl.theta.column(h1),
+                            cl.theta_inv.apply(hmul(Sbar.column(t1), basis(h2))))
+                        val = vec_add(ring, val, vec_scale(ring, ring.mul(ct, ci), term))
+                scatter_value(phi_out, ring, express(val), rH, t)
+                val = zero_vector(B.carrier)
+                for ct, (t1, t2, t3, t4) in b.coalgebra.sweedler_basis(t, 4):
+                    for ci, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
+                        term = product_many(B, 
+                            cl.theta_inv.apply(Sbar.column(t3)), a_vec,
+                            cl.theta.apply(hmul(Sbar.column(t2), basis(h1))),
+                            cl.theta_inv.apply(hmul(basis(t4), Sbar.column(t1), basis(h2))))
+                        val = vec_add(ring, val, vec_scale(ring, ring.mul(ct, ci), term))
+                scatter_value(psi_out, ring, express(val), rH, t)
+            phi_cols.append(tuple(phi_out))
+            psi_cols.append(tuple(psi_out))
+    dom = tensor_module(b.carrier, coin.module)
+    hom = hom_module(b.carrier, coin.module)
+    return (LinearMap.from_columns(dom, hom, phi_cols),
+            LinearMap.from_columns(dom, hom, psi_cols))
 
 
 def _sigma_basis(sigma, rH, rA, ring, i, j):
@@ -651,7 +944,7 @@ def cocycle_identity(action, sigma):
     for i in range(rH):
         for j in range(rH):
             for k in range(rH):
-                lhs = A.carrier.zero_vector()
+                lhs = zero_vector(A.carrier)
                 for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
                     for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
                         for cl, (l1, l2) in coalg.sweedler_basis(k, 2):
@@ -674,7 +967,7 @@ def _cocycle_rhs(action, sigma, i, j, k):
     ring = action.ring
     rH, rA = b.rank, A.rank
     coalg = b.coalgebra
-    rhs = A.carrier.zero_vector()
+    rhs = zero_vector(A.carrier)
     for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
         for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
             c = ring.mul(ch, ck)
@@ -696,8 +989,8 @@ def twisted_module_identity(action, sigma):
         for j in range(rH):
             for t in range(rA):
                 a = A.carrier.basis_vector(t)
-                lhs = A.carrier.zero_vector()
-                rhs = A.carrier.zero_vector()
+                lhs = zero_vector(A.carrier)
+                rhs = zero_vector(A.carrier)
                 for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
                     for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
                         c = ring.mul(ch, ck)
@@ -1042,7 +1335,7 @@ def compat_maps(cp, side):
             for t in range(rH):
                 if side is DiagramSide.RIGHT:
                     # φ(h⊗a)(h̃) = Σ [S̄(h̃₂)a]σ(S̄(h̃₁)⊗h)
-                    val = A.carrier.zero_vector()
+                    val = zero_vector(A.carrier)
                     for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
                         acted = cp.action.act(Sb.column(t2), a_j)
                         sig = sigma.apply(kron_vec(ring, Sb.column(t1), basis(i)))
@@ -1050,7 +1343,7 @@ def compat_maps(cp, side):
                                       vec_scale(ring, c, A.product(acted, sig)))
                     scatter_value(phi_out, ring, val, rH, t)
                     # ψ(h⊗a)(h̃) = Σ σ⁻¹(h̃₃⊗S̄(h̃₂))[h̃₄a]σ(h̃₅⊗S̄(h̃₁)h)
-                    val = A.carrier.zero_vector()
+                    val = zero_vector(A.carrier)
                     for c, legs in b.coalgebra.sweedler_basis(t, 5):
                         t1, t2, t3, t4, t5 = legs
                         s1 = sigma_inv.apply(kron_vec(ring, basis(t3),
@@ -1064,7 +1357,7 @@ def compat_maps(cp, side):
                     scatter_value(psi_out, ring, val, rH, t)
                 else:
                     # φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
-                    val = A.carrier.zero_vector()
+                    val = zero_vector(A.carrier)
                     for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
                         acted = cp.action.act_basis(t1, a_j)
                         sig = sigma.apply(kron_vec(ring, basis(t2), basis(i)))
@@ -1072,7 +1365,7 @@ def compat_maps(cp, side):
                                       vec_scale(ring, c, A.product(acted, sig)))
                     scatter_value(phi_out, ring, val, rH, t)
                     # ψ̄(h⊗a)(h̃) = Σ σ⁻¹(S(h̃₃)⊗h̃₄)[S(h̃₂)a]σ(S(h̃₁)⊗h̃₅h)
-                    val = A.carrier.zero_vector()
+                    val = zero_vector(A.carrier)
                     for c, legs in b.coalgebra.sweedler_basis(t, 5):
                         t1, t2, t3, t4, t5 = legs
                         s1 = sigma_inv.apply(kron_vec(ring, S.column(t3),
@@ -1117,7 +1410,7 @@ def coaction_rows(h, side):
     for i in range(rH):
         vec = [ring.zero] * (rH * rH)
         for t in range(rH):
-            acc = b.carrier.zero_vector()
+            acc = zero_vector(b.carrier)
             for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
                 if h2 != i:
                     continue
@@ -1190,11 +1483,11 @@ def coaction_checks(h, side, rows, cmap):
     for i in range(rH):
         f = fbasis(i)
         for t in range(rH):
-            lhs = b.carrier.zero_vector()
+            lhs = zero_vector(b.carrier)
             for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
                 lhs = vec_add(ring, lhs,
                               vec_scale(ring, ring.mul(c, f[t1]), basis(t2)))
-            rhs = b.carrier.zero_vector()
+            rhs = zero_vector(b.carrier)
             for c, p, q in terms(i):
                 hit = duality._hit(b, fbasis(q), t)
                 term = (b.algebra.product(basis(p), hit) if ups
@@ -1213,14 +1506,14 @@ def coaction_checks(h, side, rows, cmap):
     wit = None
     for i in range(rH):
         for t in range(rH):
-            lhs = b.carrier.zero_vector()
+            lhs = zero_vector(b.carrier)
             for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
                 if h2 != i:
                     continue
                 term = (b.algebra.product(basis(h3), Sb.column(h1)) if ups
                         else b.algebra.product(S.column(h1), basis(h3)))
                 lhs = vec_add(ring, lhs, vec_scale(ring, c, term))
-            rhs = b.carrier.zero_vector()
+            rhs = zero_vector(b.carrier)
             for c, p, q in terms(i):
                 rhs = vec_add(ring, rhs,
                               vec_scale(ring, ring.mul(c, fbasis(q)[t]),

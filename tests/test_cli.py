@@ -127,6 +127,38 @@ def test_verify_malformed_block_is_input_error(tmp_path, capsys, mutate, block):
     assert block in err
 
 
+@pytest.mark.parametrize("name,block,value", [
+    ("gauss", "hopf", 5),
+    ("gauss", "hopf", ["carrier"]),
+    ("gauss", "algebra", 5),
+    ("gauss_cleft", "comodule", 5),
+    ("gauss_cleft", "integral", 5),
+    ("gauss", "expected", 5),
+    ("gauss", "expected", [1]),
+])
+def test_verify_block_that_is_not_an_object_is_input_error(tmp_path, capsys, name,
+                                                            block, value):
+    # each of these used to raise a TypeError: a traceback and exit 1
+    path = tmp_path / "not_an_object.json"
+    doc = json.loads(export_entry_json(get(name)))
+    doc[block] = value
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: '{block}' must be an object" in err
+
+
+@pytest.mark.parametrize("block", ["hopf", "algebra"])
+def test_verify_carrier_that_is_not_a_name_is_input_error(tmp_path, capsys, block):
+    path = tmp_path / "carrier.json"
+    doc = json.loads(export_entry_json(get("gauss")))
+    doc[block]["carrier"] = [doc[block]["carrier"]]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: {block} carrier" in err
+
+
 @pytest.mark.parametrize("modulus", [7.9, 7.0, True])
 def test_verify_non_integer_modulus_is_input_error(tmp_path, capsys, modulus):
     # a float modulus used to be truncated: n = 7.9 ran over Z/7 and exited 0

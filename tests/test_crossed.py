@@ -441,10 +441,10 @@ def m2_gauge_twisted_C3():
     assert all(A.product(x, y) == A.unit for x, y in zip(u, u_inv))
 
     def act(p, a):
-        return A.product_many(u[p], A.carrier.basis_vector(a), u_inv[p])
+        return dense.product_many(A, u[p], A.carrier.basis_vector(a), u_inv[p])
 
     def sigma_col(p, q):
-        return A.product_many(u[p], u[q], u_inv[(p + q) % 3])
+        return dense.product_many(A, u[p], u[q], u_inv[(p + q) % 3])
 
     action = WeakActionData(h, A, LinearMap.from_columns(
         tensor_module(h.carrier, A.carrier), A.carrier,

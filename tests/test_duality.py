@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from builders import FunctionalSpan
+from dense_oracle import product_many, vec_add, vec_scale, zero_vector
 from hopfdual import catalog
 from hopfdual.actions import (
     WeakActionData,
@@ -20,9 +21,12 @@ from hopfdual.catalog import (
     sweedler_module_action,
 )
 from hopfdual.crossed import (
+    CleftData,
     CocycleData,
     CrossedProductData,
     build_crossed_product,
+    cleft_maps,
+    crossed_from_integral,
     integral_from_crossed,
     opposite_crossed,
     smash_product_data,
@@ -46,7 +50,9 @@ from hopfdual.duality import (
     lambda_bar_map,
     lambda_map,
     matrix_iso,
+    nu_map,
     phi_maps,
+    pi_map,
     rho_endo,
     rl_check,
     theorem_suite,
@@ -73,8 +79,6 @@ from hopfdual.linalg import (
     kron_vec,
     map_to_vec,
     tensor_module,
-    vec_add,
-    vec_scale,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
@@ -170,16 +174,12 @@ def test_rl_witnesses_exist_for_full_dual_everywhere():
         b = h.bialgebra
         for w in rep.witnesses:
             for t in range(h.rank):
-                lhs = b.carrier.zero_vector()
+                lhs = zero_vector(b.carrier)
                 for h_vec, g_vec in w.pairs:
-                    from hopfdual.linalg import vec_add
-
                     term = b.algebra.product(h_vec, _hit(b, g_vec, t))
                     lhs = vec_add(b.ring, lhs, term)
-                rhs = b.carrier.zero_vector()
+                rhs = zero_vector(b.carrier)
                 for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
-                    from hopfdual.linalg import vec_add, vec_scale
-
                     rhs = vec_add(b.ring, rhs, vec_scale(
                         b.ring, b.ring.mul(c, w.g[k1]),
                         b.carrier.basis_vector(k2)))
@@ -262,11 +262,11 @@ def test_pi_order_is_resolved_by_commutativity(monkeypatch):
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(h)
     diag = build_diagram(cp, U, DiagramSide.RIGHT)
-    dense_oracle.assert_bit_identical(diag.pi, dense_oracle.pi_right(cp, g_left=True))
+    dense_oracle.assert_bit_identical(diag.pi, dense_oracle.pi_map(cp, DiagramSide.RIGHT))
     assert diag.pi @ diag.alpha == diag.gamma
-    assert dense_oracle.pi_right(cp, g_left=False) @ diag.alpha != diag.gamma
-    monkeypatch.setattr(duality, "pi_map",
-                        lambda cp, side, nu: dense_oracle.pi_right(cp, g_left=False))
+    g_right = dense_oracle.pi_map(cp, DiagramSide.RIGHT, g_left=False)
+    assert g_right @ diag.alpha != diag.gamma
+    monkeypatch.setattr(duality, "pi_map", lambda cp, side, nu: g_right)
     with pytest.raises(CommutativityFailure) as exc:
         build_diagram(cp, U, DiagramSide.RIGHT)
     assert "π∘α ≠ γ" in str(exc.value)
@@ -519,38 +519,35 @@ def sweedler_coboundary_Q():
     return build_crossed_product(action, validate_cocycle(action, sigma))
 
 
-def m2_gauge_twisted_Q():
-    """Q[C₂] on M₂(Q), gauge-twisted by the normalised u with u(1) = 1 and
-    u(g) = [[1,1],[0,1]]: h·a = Σ u(h₁)·a·u⁻¹(h₂) and σ(h⊗k) =
-    Σ u(h₁)u(k₁)u⁻¹(h₂k₂).  So σ(g⊗g) = [[1,2],[0,1]] is not central: a
-    nontrivial σ on a noncommutative A."""
-    h = group_algebra(QQ, 2)
+def gauge_twisted_M2(h, u_values):
+    """``h`` on M₂(Q), gauge-twisted by the normalised u with u(h_p) =
+    ``u_values[p]``: h·a = Σ u(h₁)·a·u⁻¹(h₂) and σ(h⊗k) = Σ u(h₁)u(k₁)u⁻¹(h₂k₂)."""
     A = matrix_algebra(QQ, 2)
     co = h.coalgebra
     rH, rA = h.rank, A.rank
-    u = [A.unit, A.carrier.vector([1, 1, 0, 1])]
+    u = [A.carrier.vector(v) for v in u_values]
     u_flat = tuple(u[j][i] for i in range(rA) for j in range(rH))
     inv = convolution_invert(ConvolutionAlgebra(co, A), u_flat)
     u_inv = [tuple(inv[i * rH + j] for i in range(rA)) for j in range(rH)]
 
     def act(p, a):
-        total = A.carrier.zero_vector()
+        total = zero_vector(A.carrier)
         for c, (p1, p2) in co.sweedler_basis(p, 2):
             total = vec_add(QQ, total, vec_scale(
-                QQ, c, A.product_many(u[p1], A.carrier.basis_vector(a), u_inv[p2])))
+                QQ, c, product_many(A, u[p1], A.carrier.basis_vector(a), u_inv[p2])))
         return total
 
     def sigma_col(p, q):
-        total = A.carrier.zero_vector()
+        total = zero_vector(A.carrier)
         for c1, (p1, p2) in co.sweedler_basis(p, 2):
             for c2, (q1, q2) in co.sweedler_basis(q, 2):
                 pq = h.algebra.product(h.carrier.basis_vector(p2),
                                        h.carrier.basis_vector(q2))
-                inv_pq = A.carrier.zero_vector()
+                inv_pq = zero_vector(A.carrier)
                 for t, x in enumerate(pq):
                     inv_pq = vec_add(QQ, inv_pq, vec_scale(QQ, x, u_inv[t]))
                 total = vec_add(QQ, total, vec_scale(
-                    QQ, c1 * c2, A.product_many(u[p1], u[q1], inv_pq)))
+                    QQ, c1 * c2, product_many(A, u[p1], u[q1], inv_pq)))
         return total
 
     action = WeakActionData(h, A, LinearMap.from_columns(
@@ -559,8 +556,26 @@ def m2_gauge_twisted_Q():
     validate_weak_action(action).require()
     sigma = LinearMap.from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
                                    [sigma_col(p, q) for p in range(rH) for q in range(rH)])
-    assert sigma.column(3) == (1, 2, 0, 1)  # σ(g⊗g)
     return build_crossed_product(action, validate_cocycle(action, sigma))
+
+
+def m2_gauge_twisted_Q():
+    """Q[C₂] on M₂(Q), gauge-twisted by u(1) = 1, u(g) = [[1,1],[0,1]]: so
+    σ(g⊗g) = [[1,2],[0,1]] is not central, a nontrivial σ on a
+    noncommutative A."""
+    cp = gauge_twisted_M2(group_algebra(QQ, 2), [(1, 0, 0, 1), (1, 1, 0, 1)])
+    assert cp.cocycle.sigma.column(3) == (1, 2, 0, 1)  # σ(g⊗g)
+    return cp
+
+
+def sweedler_gauge_twisted_Q():
+    """Sweedler's algebra on M₂(Q), gauge-twisted by u = 1, [[1,1],[0,1]],
+    [[0,1],[0,0]], 0 on 1, g, x, gx: a nontrivial σ and action on a
+    noncommutative A over a non-cocommutative H."""
+    cp = gauge_twisted_M2(sweedler_hopf(QQ), [(1, 0, 0, 1), (1, 1, 0, 1),
+                                              (0, 1, 0, 0), (0, 0, 0, 0)])
+    assert cp.cocycle.sigma.column(6) == (0, 1, 0, 0)  # σ(g⊗x), 0 if σ were trivial
+    return cp
 
 
 def sweedler_terms(cp, legs):
@@ -749,3 +764,119 @@ def test_a_wrong_coaction_row_entry_fails_with_the_oracle_witness(make, side):
         got = records(duality._coaction_checks(h, side, mutated, cmap))
         assert not all(passed for _, passed, _ in got), (i, pos)
         assert got == records(dense_oracle.coaction_checks(h, side, mutated, cmap)), (i, pos)
+
+
+# --- φ, ε, π, ν, χ and the cleft sums against their term-by-term oracles ---------
+
+
+def assert_sums_match_the_oracles(cp, U, side):
+    """φ₁/φ₂ and ε/ε⁻¹ (A the coefficient algebra), π, ν and χ of ``side``
+    agree with the dense oracles entry for entry, entry types included."""
+    h = ensure_hopf(cp.action.hopf)
+    A = cp.action.algebra
+    pairs = [*zip(phi_maps(h, side), dense_oracle.phi_maps(h, side)),
+             *zip(epsilon_maps(h, A, side), dense_oracle.epsilon_maps(h, A, side)),
+             (chi_map(h, A, U, side), dense_oracle.chi_map(h, A, U, side))]
+    if side is DiagramSide.RIGHT:
+        nu = nu_map(cp)
+        pairs += [(nu, dense_oracle.nu_map(cp)),
+                  (pi_map(cp, side, nu), dense_oracle.pi_map(cp, side))]
+    else:
+        pairs.append((pi_map(cp, side, LinearMap.identity(cp.carrier)),
+                      dense_oracle.pi_map(cp, side)))
+    for got, want in pairs:
+        dense_oracle.assert_bit_identical(got, want)
+
+
+def assert_cleft_sums_match_the_oracles(cp, cleft_data):
+    """θ⁻¹ of θ = 1#h on ``cp``, and the extracted action and σ and φ̃, ψ̃ of
+    each of ``cleft_data``, agree with the dense oracles."""
+    dense_oracle.assert_bit_identical(integral_from_crossed(cp).theta_inv,
+                                      dense_oracle.theta_inverse(cp))
+    for cl in cleft_data:
+        ext = crossed_from_integral(cl)
+        action, sigma = dense_oracle.extracted_action_and_sigma(cl)
+        dense_oracle.assert_bit_identical(ext.crossed.action.action, action)
+        dense_oracle.assert_bit_identical(ext.crossed.cocycle.sigma, sigma)
+        for got, want in zip(cleft_maps(cl), dense_oracle.cleft_maps(cl)):
+            dense_oracle.assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_sums_match_the_oracles_on_every_catalog_entry(name, side):
+    # the crossed product and U every duality check of a run reads
+    ctx = Derived(catalog.get(name))
+    cp = ctx.diagram_crossed
+    assert_sums_match_the_oracles(
+        cp, ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT), side)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_cleft_sums_match_the_oracles_on_every_catalog_entry(name):
+    # θ = 1#h on the crossed product every suite reads, and cleft data as given
+    ctx = Derived(catalog.get(name))
+    cp = ctx.diagram_crossed
+    payload = ctx.entry.payload
+    cleft_data = [integral_from_crossed(cp)]
+    if isinstance(payload, CleftData):
+        cleft_data.append(payload)
+    assert_cleft_sums_match_the_oracles(cp, cleft_data)
+
+
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("make", [rebased_sweedler_Z3, sweedler_coboundary_Q,
+                                  m2_gauge_twisted_Q, sweedler_gauge_twisted_Q])
+def test_sums_match_the_oracles_on_dense_and_twisted_cases(make, side):
+    cp = make()
+    assert_sums_match_the_oracles(cp, full_dual(cp, side), side)
+    if side is DiagramSide.RIGHT:
+        assert_cleft_sums_match_the_oracles(cp, [integral_from_crossed(cp)])
+
+
+@pytest.mark.parametrize("column", [2, 7])  # σ(1⊗x), σ(g⊗gx)
+def test_nu_reads_sigma_in_leg_order(column):
+    # on every cocycle tried, σ(S̄(h₂)⊗h₁) and σ(S̄(h₁)⊗h₂) sum to the same ν;
+    # one σ-value changed off the cocycle tells the two leg orders apart
+    cp = sweedler_coboundary_Q()
+    mutant = with_sigma_entry(cp, column, 5)
+    nu = nu_map(mutant)
+    assert nu != nu_map(cp)
+    dense_oracle.assert_bit_identical(nu, dense_oracle.nu_map(mutant))
+
+
+def base_change_maps(cp):
+    """Every map the tabulated sums build, on ``cp`` with U = H*, by name."""
+    h = ensure_hopf(cp.action.hopf)
+    A = cp.action.algebra
+    maps = {}
+    for side in (DiagramSide.RIGHT, DiagramSide.OP):
+        tag = side.value
+        maps.update(zip((f"phi1.{tag}", f"phi2.{tag}"), phi_maps(h, side)))
+        maps.update(zip((f"eps.{tag}", f"eps_inv.{tag}"), epsilon_maps(h, A, side)))
+        diag = build_diagram(cp, full_dual(cp, side), side)
+        for name in ("alpha", "gamma", "delta", "pi", "nu", "chi"):
+            maps[f"{name}.{tag}"] = getattr(diag, name)
+    cleft = integral_from_crossed(cp)
+    ext = crossed_from_integral(cleft)
+    maps["theta_inv"] = cleft.theta_inv
+    maps["action"] = ext.crossed.action.action
+    maps["sigma"] = ext.crossed.cocycle.sigma
+    maps["phi_tilde"], maps["psi_tilde"] = cleft_maps(cleft)
+    return maps, ext.coinvariants.vectors
+
+
+def test_every_sum_commutes_with_the_base_change_from_Z_to_Z6():
+    # gauss reduced mod 6 is Zmod6_C2: every map computed over Z, reduced mod
+    # 6, is the map computed over Z/6, entry for entry
+    Z6 = Zmod(6)
+    over_z, coin_z = base_change_maps(catalog.get("gauss").payload)
+    over_z6, coin_z6 = base_change_maps(catalog.get("Zmod6_C2").payload)
+    assert [tuple(map(Z6.of, v)) for v in coin_z] == list(coin_z6) == [(1, 0)]
+    assert over_z.keys() == over_z6.keys()
+    for name, m in over_z.items():
+        want = over_z6[name]
+        assert want.ring == Z6, name
+        reduced = tuple(tuple(Z6.of(x) for x in row) for row in m.matrix)
+        assert reduced == want.matrix, name
+        assert all(type(x) is int for row in want.matrix for x in row), name

@@ -111,7 +111,8 @@ def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
     # the g(k₅)-on-the-right π breaks π∘α = γ, so the right isomorphism never
     # certifies: the theorem suite and the matrix form must both fail on it
     monkeypatch.setattr(duality, "pi_map",
-                        lambda cp, side, nu: dense_oracle.pi_right(cp, g_left=False))
+                        lambda cp, side, nu: dense_oracle.pi_map(
+                            cp, duality.DiagramSide.RIGHT, g_left=False))
     failed = {r[0]: r[2] for r in records(run_suite(get("sweedler4_smash_Q"),
                                                     "duality")) if not r[1]}
     assert set(failed) == {"duality.theorems", "duality.matrix"}
