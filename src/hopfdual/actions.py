@@ -2,8 +2,9 @@
 coinvariants.
 
 The regular actions of H on H* are (hf)(k) = f(kh) and (fh)(k) = f(hk).  The
-hit actions f⇀k = Σ k₁f(k₂) and k↼f = Σ f(k₁)k₂ of H* on H, which λ, χ and
-the RL check read, are ``duality._hit`` and ``duality.rho_endo``.
+hit action f⇀k = Σ k₁f(k₂) of H* on H is :func:`hit`, which λ and the
+H*-module algebra H of ``smash.hit_action_of_dual`` read; the other hit
+action k↼f = Σ f(k₁)k₂, which the RL check reads, is ``duality.rho_endo``.
 """
 from __future__ import annotations
 
@@ -69,6 +70,17 @@ def regular_act_right(h: HopfLike, f_vec, h_vec):
                 if (c):
                     total = ring.add(total, ring.mul(ring.mul(hc, fc), c))
         out[l] = total
+    return tuple(out)
+
+
+def hit(b, f_vec, t: int):
+    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t), for a functional f on the bialgebra b."""
+    ring = b.ring
+    out = [ring.zero] * b.rank
+    for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
+        s = ring.mul(c, f_vec[k2])
+        if (s):
+            out[k1] = ring.add(out[k1], s)
     return tuple(out)
 
 

@@ -34,7 +34,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Optional
 
-from .actions import ComoduleAlgebraData, WeakActionData, regular_comodule
+from .actions import ComoduleAlgebraData, WeakActionData, hit, regular_comodule
 from .crossed import CrossedProductData, OppositeCrossed, trivial_sigma
 from .errors import (
     CommutativityFailure,
@@ -85,7 +85,6 @@ from .smash import (
     hat_smash,
     op_hat_smash,
     op_smash,
-    right_smash,
 )
 
 
@@ -99,49 +98,26 @@ class DiagramSide(Enum):
 
 
 def lambda_map(hopf: HopfLike, U: SubalgebraU) -> LinearMap:
-    """λ: H#U → End_R(H), h#g ↦ [k ↦ h·(g⇀k)] (right side)."""
-    if U.side is not ModuleSide.RIGHT:
-        raise SideMismatch("λ needs a right H-module subalgebra U")
-    return _lambda_of_side(hopf, U, DiagramSide.RIGHT)
-
-
-def lambda_bar_map(hopf: HopfLike, U: SubalgebraU) -> LinearMap:
-    """λ̄: H#^opU → End_R(H), h#g ↦ [k ↦ (g⇀k)·h] (op side)."""
-    if U.side is not ModuleSide.LEFT:
-        raise SideMismatch("λ̄ needs a left H-module subalgebra U")
-    return _lambda_of_side(hopf, U, DiagramSide.OP)
-
-
-def _lambda_of_side(hopf: HopfLike, U: SubalgebraU, side: DiagramSide) -> LinearMap:
+    """λ: H#U → End_R(H), h#g ↦ [k ↦ h·(g⇀k)] for a right U, and
+    λ̄: H#^opU → End_R(H), h#g ↦ [k ↦ (g⇀k)·h] for a left U."""
     b = bialgebra_of(hopf)
     ring = b.ring
     rH = b.rank
+    right = U.side is ModuleSide.RIGHT
     end_mod = hom_module(b.carrier, b.carrier)
     hprod = bilinear(ring, b.algebra.mult, rH)
     e = unit_vectors(ring, rH)
-    hits = [[tuple((p, x) for p, x in enumerate(_hit(b, f, t)) if x) for t in range(rH)]
+    hits = [[tuple((p, x) for p, x in enumerate(hit(b, f, t)) if x) for t in range(rH)]
             for f in U.elements]
     cols = []
     for i in range(rH):
-        for hit in hits:
+        for f_hits in hits:
             out = [ring.zero] * end_mod.rank
             for t in range(rH):
-                val = (hprod(e[i], hit[t]) if side is DiagramSide.RIGHT
-                       else hprod(hit[t], e[i]))
+                val = hprod(e[i], f_hits[t]) if right else hprod(f_hits[t], e[i])
                 hom_scatter(out, ring, ring.one, val, rH, t)
             cols.append(tuple(out))
     return LinearMap.from_columns(tensor_module(b.carrier, U.module), end_mod, cols)
-
-
-def _hit(b, f_vec, t: int):
-    """f⇀k_t = Σ k₁ f(k₂) for a functional f on the bialgebra b."""
-    ring = b.ring
-    out = [ring.zero] * b.rank
-    for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
-        s = ring.mul(c, f_vec[k2])
-        if (s):
-            out[k1] = ring.add(out[k1], s)
-    return tuple(out)
 
 
 def rho_endo(hopf: HopfLike, g_vec) -> tuple:
@@ -166,7 +142,6 @@ class RLWitness:
 
 @dataclass
 class RLReport:
-    side: DiagramSide
     witnesses: list
     failures: list
 
@@ -175,18 +150,16 @@ class RLReport:
         return not self.failures
 
 
-def rl_check(hopf: HopfLike, U: SubalgebraU, V, side: DiagramSide = DiagramSide.RIGHT) -> RLReport:
-    """Solve λ(ξ) = ρ(g) over the H#U coordinate space for each g in V, on
-    one factorization of λ."""
+def rl_check(hopf: HopfLike, U: SubalgebraU, lam_coords, V) -> RLReport:
+    """Solve λ(ξ) = ρ(g) (λ̄ for a left U) for each g in V on ``lam_coords``,
+    the :func:`span_coordinates` factorization of λ's columns."""
     b = bialgebra_of(hopf)
     ring = b.ring
     rH, rU = b.rank, U.rank
-    lam = _lambda_of_side(hopf, U, side)
-    express = span_coordinates(ring, zip(*lam.matrix), lam.codomain.rank)
     witnesses, failures = [], []
     for g in V:
         g = tuple(ring.of(x) for x in g)
-        xi = express(rho_endo(hopf, g))
+        xi = lam_coords(rho_endo(hopf, g))
         if xi is None:
             failures.append(g)
             continue
@@ -197,7 +170,7 @@ def rl_check(hopf: HopfLike, U: SubalgebraU, V, side: DiagramSide = DiagramSide.
                 pairs.append((tuple(c if x == i else ring.zero for x in range(rH)),
                               U.element(l)))
         witnesses.append(RLWitness(g, tuple(pairs)))
-    return RLReport(side, witnesses, failures)
+    return RLReport(witnesses, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +289,7 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
         raise ValidationError("ε and ε⁻¹ are not mutually inverse")
     U = SubalgebraU.full_dual(h, ModuleSide.RIGHT if side is DiagramSide.RIGHT
                               else ModuleSide.LEFT)
-    if (eps @ alpha_map(h, A, U)) != chi_map(h, A, U, side):
+    if (eps @ alpha_map(h, A, U)) != chi_map(h, A, lambda_map(h, U), side):
         raise ValidationError("χ ≠ ε∘α")
     return eps, eps_inv
 
@@ -341,23 +314,21 @@ def alpha_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU) -> LinearMap:
     return LinearMap.from_columns(dom, cod, cols)
 
 
-def chi_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU,
+def chi_map(hopf: HopfLike, A: AlgebraData, lam: LinearMap,
             side: DiagramSide = DiagramSide.RIGHT) -> LinearMap:
     """χ(a⊗(h#f)) = [k⊗ã ↦ h(f⇀k)⊗aã] (right) or [ã⊗k ↦ ãa⊗(f⇀k)h] (op),
-    on the one-sided representation: λ's (resp. λ̄'s) column (h, f) with a
-    placed beside its value, the entry at p·rH+t moving to (p·rA+i)·rH+t
-    (resp. (i·rH+p)·rH+t) for a = a_i."""
-    b = bialgebra_of(hopf)
-    rH, rA = b.rank, A.rank
-    lam = _lambda_of_side(hopf, U, side).sparse_columns()
+    on the one-sided representation: the column (h, f) of ``lam`` = λ (resp.
+    λ̄) with a placed beside its value, the entry at p·rH+t moving to
+    (p·rA+i)·rH+t (resp. (i·rH+p)·rH+t) for a = a_i."""
+    rH, rA = bialgebra_of(hopf).rank, A.rank
+    cols = lam.sparse_columns()
     if side is DiagramSide.RIGHT:
         cols = [[((pos // rH * rA + i) * rH + pos % rH, x) for pos, x in col]
-                for i in range(rA) for col in lam]
+                for i in range(rA) for col in cols]
     else:
-        cols = [[(i * rH * rH + pos, x) for pos, x in col] for i in range(rA) for col in lam]
-    return LinearMap.from_sparse_columns(
-        tensor_module(A.carrier, tensor_module(b.carrier, U.module)),
-        end_rep_module(hopf, A, side), cols)
+        cols = [[(i * rH * rH + pos, x) for pos, x in col] for i in range(rA) for col in cols]
+    return LinearMap.from_sparse_columns(tensor_module(A.carrier, lam.domain),
+                                         end_rep_module(hopf, A, side), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -638,33 +609,28 @@ def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMa
     return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
 
 
-def build_diagram(cp: CrossedProductData, U: SubalgebraU,
-                  side: DiagramSide) -> DualityDiagram:
+def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
+                  b_smash: SmashAlgebra, h_smash: SmashAlgebra,
+                  lam: LinearMap) -> DualityDiagram:
     """Materialize all five corners and maps; assert π∘α = γ, π∘δ = χ and
-    that π is invertible."""
+    that π is invertible.  ``b_smash`` is B#U of B = ``cp.comodule``,
+    ``h_smash`` is H#U and ``lam`` is λ (op: B#^opU, H#^opU, λ̄)."""
     h = ensure_hopf(cp.action.hopf)
     A = cp.action.algebra
-    if side is DiagramSide.RIGHT:
-        if U.side is not ModuleSide.RIGHT:
-            raise SideMismatch("right diagram needs a right-side U")
-        p1 = right_smash(cp.comodule, U)
-        h_smash = right_smash(regular_comodule(h), U)
-    else:
-        if U.side is not ModuleSide.LEFT:
-            raise SideMismatch("op diagram needs a left-side U")
-        p1 = op_smash(cp.comodule, U)
-        h_smash = op_smash(regular_comodule(h), U)
+    u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
+    if U.side is not u_side:
+        raise SideMismatch(f"{side.value} diagram needs a {u_side.value}-side U")
     p4 = tensor_algebra(A, h_smash.product)
     alpha = alpha_map(h, A, U)
     gamma = gamma_map(cp, U, side)
     delta = delta_map(cp, U, side)
     nu = nu_map(cp) if side is DiagramSide.RIGHT else LinearMap.identity(cp.carrier)
     pi = pi_map(cp, side, nu)
-    chi = chi_map(h, A, U, side)
+    chi = chi_map(h, A, lam, side)
     lhs1 = pi @ alpha
     if lhs1 != gamma:
         raise CommutativityFailure("π∘α ≠ γ",
-                                   witness=column_witness(lhs1, gamma, p1.carrier.labels))
+                                   witness=column_witness(lhs1, gamma, b_smash.carrier.labels))
     lhs2 = pi @ delta
     if lhs2 != chi:
         raise CommutativityFailure("π∘δ ≠ χ",
@@ -672,7 +638,7 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU,
     det = determinant(pi)
     if not cp.ring.is_unit(det):
         raise NotInvertible("π is not invertible", determinant=det)
-    return DualityDiagram(side, p1, p4, alpha, gamma, delta, pi, nu, chi)
+    return DualityDiagram(side, b_smash, p4, alpha, gamma, delta, pi, nu, chi)
 
 
 def duality_iso(diagram: DualityDiagram) -> AlgebraIso:
@@ -698,18 +664,17 @@ class MatrixIsoResult:
     matrix_target: AlgebraData
 
 
-def matrix_iso(cp: CrossedProductData, U: SubalgebraU,
+def matrix_iso(cp: CrossedProductData, lam: LinearMap,
                leg1: AlgebraIso) -> MatrixIsoResult:
     """(A#_σH)#H* ≅ A⊗(H#H*) ≅ A⊗End(H) ≅ A⊗M_n(R) ≅ M_n(A), each leg
     certified; M_n(A) is materialized as M_n(R)⊗A.  ``leg1`` is the certified
-    right-side duality isomorphism of ``cp`` for ``U``, which must be all of
-    H* for λ to be invertible."""
+    right-side duality isomorphism of ``cp`` for a right U and ``lam`` is
+    λ of that U, which must be all of H* for λ to be invertible."""
     h = ensure_hopf(cp.action.hopf)
     A = cp.action.algebra
     ring = cp.ring
     n = h.rank
     # A⊗(H#U) → A⊗End(H) via id⊗λ
-    lam = lambda_map(h, U)
     det = determinant(lam)
     if not ring.is_unit(det):
         raise NotInvertible("λ is not invertible for this U", determinant=det)
@@ -742,7 +707,6 @@ def matrix_iso(cp: CrossedProductData, U: SubalgebraU,
 
 @dataclass
 class CompatReport:
-    side: DiagramSide
     phi_contained: bool
     psi_contained: bool
     phi_witness: Optional[str]
@@ -835,11 +799,12 @@ def j_generators(ring, rA: int, V, rH: int):
     return gens
 
 
-def compat_check(cp: CrossedProductData, U: SubalgebraU, V,
+def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
                  side: DiagramSide = DiagramSide.RIGHT, maps=None) -> CompatReport:
     """(V,U) compatibility: φ(H⊗A), ψ(H⊗A) ⊆ J(A⊗V) and the RL-condition.
-    ``maps`` is (φ, ψ) when the caller has built them for ``side``; both are
-    tested against one factorization of J(A⊗V)."""
+    ``lam_coords`` is λ's factorization for :func:`rl_check`.  ``maps`` is
+    (φ, ψ) when the caller has built them for ``side``; both are tested
+    against one factorization of J(A⊗V)."""
     h = ensure_hopf(cp.action.hopf)
     b = h.bialgebra
     A = cp.action.algebra
@@ -849,8 +814,8 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, V,
     inside = span_coordinates(ring, gens, A.rank * b.rank)
     phi_col = first_outside(inside, phi)
     psi_col = first_outside(inside, psi)
-    rl = rl_check(h, U, V, side)
-    return CompatReport(side, phi_col is None, psi_col is None,
+    rl = rl_check(h, U, lam_coords, V)
+    return CompatReport(phi_col is None, psi_col is None,
                         _pair_label(b, A, phi_col), _pair_label(b, A, psi_col), rl,
                         (phi, psi))
 
@@ -1101,11 +1066,11 @@ def coefficient_space_of_action(action: WeakActionData):
     return out
 
 
-def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU,
+def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU, lam_coords,
                         maps) -> ValidationReport:
     """The trivial-cocycle specialization: V := Cf(A) ∪ S̄*(Cf(A)) satisfies
-    the containments and the RL-condition.  ``maps`` is the right-side
-    (φ, ψ) of ``cp``, as :func:`compat_maps` builds it."""
+    the containments and the RL-condition.  ``lam_coords`` is λ's
+    factorization, ``maps`` the right-side (φ, ψ) of ``cp``."""
     rep = ValidationReport("Blattner-Montgomery route")
     h = ensure_hopf(cp.action.hopf)
     ring = cp.ring
@@ -1116,7 +1081,7 @@ def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU,
                               for i in range(h.rank)) for j in range(h.rank))
 
     V = list(cf) + [compose_sbar(v) for v in cf]
-    compat = compat_check(cp, U, V, DiagramSide.RIGHT, maps)
+    compat = compat_check(cp, U, lam_coords, V, DiagramSide.RIGHT, maps)
     rep.add("bm.phi", "φ(H⊗A) ⊆ J(A⊗V) for V from the coefficient space",
             compat.phi_contained, compat.phi_witness)
     rep.add("bm.psi", "ψ(H⊗A) ⊆ J(A⊗V)", compat.psi_contained, compat.psi_witness)
@@ -1132,7 +1097,7 @@ class ChainResult:
 
 
 def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
-                direct: AlgebraIso) -> ChainResult:
+                direct: AlgebraIso, h_smash: SmashAlgebra) -> ChainResult:
     """The four-step route through the opposite crossed product:
 
     (A#σH)#U ≅ ((A^op#τH^op)#^opU^cop)^op ≅ (A^op⊗(H^op#^opU^cop))^op
@@ -1143,10 +1108,10 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
     crossed product, conjugated by the certified comodule-algebra iso.
     ``opp`` is ``opposite_crossed(cp)``; ``direct`` is the certified
     right-side duality isomorphism of ``cp`` for ``U``, whose source and
-    target the composite connects and whose matrix it must equal.
+    target the composite connects and whose matrix it must equal, and
+    ``h_smash`` is the H#U it was built with.
     """
     rep = ValidationReport("opposite-route chain")
-    h = ensure_hopf(cp.action.hopf)
     A = cp.action.algebra
     hop = ensure_hopf(opp.crossed.action.hopf)
     u_cop = SubalgebraU(hop, U.elements, ModuleSide.LEFT)
@@ -1164,18 +1129,19 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
     step1 = kron(g_inv, LinearMap.identity(U.module))
 
     # step 2: the op-side duality isomorphism of the opposite crossed product
-    diag_op = build_diagram(opp.crossed, u_cop, DiagramSide.OP)
+    b_op_smash = op_smash(opp.crossed.comodule, u_cop)
+    h_op_smash = op_smash(regular_comodule(hop), u_cop)
+    diag_op = build_diagram(opp.crossed, u_cop, DiagramSide.OP, b_op_smash,
+                            h_op_smash, lambda_map(hop, u_cop))
     step2 = duality_iso(diag_op)
 
     # step 3: (A^op ⊗ W)^op = A ⊗ W^op bit-identically
     w_alg = diag_op.tensor_target  # A^op⊗(H^op#^opU^cop)
-    h_op_smash = op_smash(regular_comodule(hop), u_cop)
     w_op = tensor_algebra(A, h_op_smash.product.opposite())
     rep.add("chain.step3", "(A^op⊗W)^op = A⊗W^op as structure constants",
             w_alg.opposite().mult == w_op.mult)
 
     # step 4: (H^op#^opU^cop)^op = H#U bit-identically
-    h_smash = right_smash(regular_comodule(h), U)
     rep.add("chain.step4", "(H^op#^opU^cop)^op = H#U as structure constants",
             h_op_smash.product.opposite().mult == h_smash.product.mult
             and h_op_smash.product.opposite().unit == h_smash.product.unit)
@@ -1192,50 +1158,44 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
     return ChainResult(iso, equal, rep)
 
 
-def theorem_suite(cp: CrossedProductData, U: SubalgebraU, u_left: SubalgebraU,
+def theorem_suite(cp: CrossedProductData, u: Callable[[DiagramSide], SubalgebraU],
+                  lam_coords: Callable[[DiagramSide], Callable],
                   certified_iso: Callable[[DiagramSide], AlgebraIso],
                   V=None) -> ValidationReport:
     """Run both duality theorems, and the trivial-cocycle corollary route
     when σ is trivial, on a crossed product.
 
-    ``U`` and ``u_left`` are the same functionals as right and left
-    H-module subalgebras; ``certified_iso(side)`` returns the certified
-    duality isomorphism of ``cp`` on that side for them, and is asked for it
-    only once that side's hypotheses hold.  Hypothesis checks use
-    V = coaction⁻¹(H⊗U) per side unless an explicit V is supplied; a failed
-    hypothesis raises HypothesisFailed.  The cleft and opposite-product
-    routes are the ``cleft`` and ``opposite`` suites.
+    Per side, ``u(side)`` is U as a right (op: left) H-module subalgebra,
+    ``lam_coords(side)`` the :func:`span_coordinates` factorization of λ
+    (op: λ̄) for it, which the RL-condition reads, and ``certified_iso(side)``
+    the certified duality isomorphism of ``cp`` for it, asked for only once
+    that side's hypotheses hold.  Hypothesis checks use V = coaction⁻¹(H⊗U)
+    per side, of υ on the right and ω on the op side, unless an explicit V
+    is supplied; a failed hypothesis raises HypothesisFailed.  The cleft and
+    opposite-product routes are the ``cleft`` and ``opposite`` suites.
     """
     rep = ValidationReport("theorem suite")
     h = ensure_hopf(cp.action.hopf)
-
-    # right side: the upsilon coaction supplies V
-    ups = coaction_table(h, CoactionSide.UPSILON)
-    rep.extend(ups.report)
-    V_right = V if V is not None else coaction_preimage_of_U(ups, h, U)
-    compat = compat_check(cp, U, V_right, DiagramSide.RIGHT)
-    rep.add("right.compat", "(V,U) is compatible on the right side", compat.ok,
-            compat.phi_witness or compat.psi_witness)
-    if not compat.ok:
-        raise HypothesisFailed("right-side compatibility failed",
-                               hypothesis="compatibility")
-    certified_iso(DiagramSide.RIGHT)
-    rep.add("right.duality", "(A#σH)#U ≅ A⊗(H#U) certified", True)
-
-    # op side: the omega coaction supplies V
-    om = coaction_table(h, CoactionSide.OMEGA)
-    rep.extend(om.report)
-    V_left = V if V is not None else coaction_preimage_of_U(om, h, u_left)
-    compat_op = compat_check(cp, u_left, V_left, DiagramSide.OP)
-    rep.add("op.compat", "(V,U) is compatible on the op side", compat_op.ok,
-            compat_op.phi_witness or compat_op.psi_witness)
-    if not compat_op.ok:
-        raise HypothesisFailed("op-side compatibility failed",
-                               hypothesis="compatibility")
-    certified_iso(DiagramSide.OP)
-    rep.add("op.duality", "(A#σH)#^opU ≅ A⊗(H#^opU) certified", True)
+    for side, coaction, iso in (
+            (DiagramSide.RIGHT, CoactionSide.UPSILON, "(A#σH)#U ≅ A⊗(H#U)"),
+            (DiagramSide.OP, CoactionSide.OMEGA, "(A#σH)#^opU ≅ A⊗(H#^opU)")):
+        table = coaction_table(h, coaction)
+        rep.extend(table.report)
+        U = u(side)
+        V_side = V if V is not None else coaction_preimage_of_U(table, h, U)
+        compat = compat_check(cp, U, lam_coords(side), V_side, side)
+        rep.add(f"{side.value}.compat", f"(V,U) is compatible on the "
+                f"{side.value} side", compat.ok, compat.phi_witness or compat.psi_witness)
+        if not compat.ok:
+            raise HypothesisFailed(f"{side.value}-side compatibility failed",
+                                   hypothesis="compatibility")
+        certified_iso(side)
+        rep.add(f"{side.value}.duality", f"{iso} certified", True)
+        if side is DiagramSide.RIGHT:
+            right_maps = compat.maps
 
     # the trivial-cocycle corollary route
     if cp.cocycle.sigma == trivial_sigma(cp.action):
-        rep.extend(bm_route_hypotheses(cp, U, compat.maps))
+        rep.extend(bm_route_hypotheses(cp, u(DiagramSide.RIGHT),
+                                       lam_coords(DiagramSide.RIGHT), right_maps))
     return rep

@@ -201,9 +201,16 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
     if suite == "cleft" and kind == "hopf":
         _fail(f"{where}: suite 'cleft' needs crossed or cleft data")
 
+    expected = _object(doc, "expected", where) if "expected" in doc else {}
+    if "only_suites" in expected:
+        only = expected["only_suites"]
+        if (not isinstance(only, list) or not only
+                or not all(s in SUITES and s != "all" for s in only)):
+            _fail(f"{where}: expected.only_suites must be a non-empty list of "
+                  "suite names other than 'all'")
+
     return InstanceFile(name, doc.get("description", ""), kind, ring, suite,
-                        {k: list(v) for k, v in modules.items()}, blocks,
-                        _object(doc, "expected", where) if "expected" in doc else {})
+                        {k: list(v) for k, v in modules.items()}, blocks, expected)
 
 
 def _carrier(block, modules, what, where):

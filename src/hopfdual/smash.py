@@ -28,6 +28,7 @@ from itertools import product
 from .actions import (
     ComoduleAlgebraData,
     WeakActionData,
+    hit,
     regular_act_left,
     regular_act_right,
     regular_comodule,
@@ -325,19 +326,10 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
 
 
 def hit_action_of_dual(h: HopfData) -> WeakActionData:
-    """H as a left H*-module algebra under f⇀k = Σ k₁f(k₂)."""
+    """H as a left H*-module algebra under f⇀k = Σ k₁f(k₂) (``actions.hit``)."""
     dual = dual_hopf(ensure_hopf(h))
     b = bialgebra_of(h)
-    ring = b.ring
-    rH = b.rank
-    cols = []
-    for l in range(rH):       # f = δ_l
-        for j in range(rH):   # k = h_j
-            out = [ring.zero] * rH
-            for c, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
-                if k2 == l:
-                    out[k1] = ring.add(out[k1], c)
-            cols.append(tuple(out))
+    cols = [hit(b, b.carrier.basis_vector(l), j) for l in range(b.rank) for j in range(b.rank)]
     action = LinearMap.from_columns(tensor_module(dual.carrier, b.carrier),
                                     b.carrier, cols)
     w = WeakActionData(dual.bialgebra, b.algebra, action)

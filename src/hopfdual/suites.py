@@ -1,7 +1,9 @@
 """Suite execution: each suite is a fixed sequence of exact checks over one
 catalog entry or parsed instance, producing deterministic report sections.
 ``run_suite`` hands every runner one :class:`Derived`, which builds each
-object that several checks read once per call and is dropped on return."""
+object that several checks read once per call and is dropped on return.
+The duality checks and maps take the objects of each side (U, H#U, B#U and
+λ with its factorization) from it as arguments instead of building them."""
 from __future__ import annotations
 
 import time
@@ -37,7 +39,6 @@ from .duality import (
     final_chain,
     first_outside,
     j_generators,
-    lambda_bar_map,
     lambda_map,
     matrix_iso,
     phi_maps,
@@ -63,6 +64,7 @@ from .linalg import LinearMap, invert_map, kron, map_to_vec, span_coordinates
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
+    SmashAlgebra,
     SubalgebraU,
     hat_smash,
     left_smash,
@@ -104,7 +106,11 @@ class Derived:
     """What one ``run_suite`` call derives from its entry.  Each object is
     built on first use and shared by the later checks of the call; a build
     that raises keeps nothing, so every check that asks again fails alike.
-    Every check reads the same U: the entry's span, or H* without one."""
+    Every check reads the same U: the entry's span, or H* without one.
+    Each side of the duality theorems shares U, H#U, B#U, λ with its one
+    factorization and the duality isomorphism (op: H#^opU, B#^opU, λ̄).
+    #(H,H) and #^op(H,H) are built per check: a one-suite run reads each
+    once, so keeping them would only raise the peak memory."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -119,12 +125,37 @@ class Derived:
     def hopf(self) -> HopfData:
         return self._once("hopf", self.entry.hopf_data)
 
-    def u(self, side: ModuleSide) -> SubalgebraU:
-        """U on ``side``: the entry's span, or H* without one."""
+    def u(self, side: DiagramSide) -> SubalgebraU:
+        """U for ``side`` (op: a left H-module): the entry's span, or H*."""
         span = self.entry.u_span
+        u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
         return self._once(("U", side), lambda: (
-            SubalgebraU.full_dual(self.hopf, side) if span is None
-            else SubalgebraU(self.hopf, span, side)))
+            SubalgebraU.full_dual(self.hopf, u_side) if span is None
+            else SubalgebraU(self.hopf, span, u_side)))
+
+    def _smash(self, B, side: DiagramSide) -> SmashAlgebra:
+        build = right_smash if side is DiagramSide.RIGHT else op_smash
+        return build(B, self.u(side))
+
+    def h_smash(self, side: DiagramSide) -> SmashAlgebra:
+        """H#U (op: H#^opU) of the regular comodule."""
+        return self._once(("H#U", side),
+                          lambda: self._smash(regular_comodule(self.hopf), side))
+
+    def b_smash(self, side: DiagramSide) -> SmashAlgebra:
+        """B#U (op: B#^opU) of B = :attr:`diagram_crossed`'s comodule."""
+        return self._once(("B#U", side),
+                          lambda: self._smash(self.diagram_crossed.comodule, side))
+
+    def lam(self, side: DiagramSide) -> LinearMap:
+        """λ: H#U → End(H) (op: λ̄: H#^opU → End(H))."""
+        return self._once(("λ", side), lambda: lambda_map(self.hopf, self.u(side)))
+
+    def lam_coords(self, side: DiagramSide):
+        """The :func:`span_coordinates` factorization of :meth:`lam`'s columns."""
+        lam = self.lam(side)
+        return self._once(("λ coords", side), lambda: span_coordinates(
+            self.hopf.ring, zip(*lam.matrix), lam.codomain.rank))
 
     @property
     def crossed(self) -> Optional[CrossedProductData]:
@@ -177,9 +208,9 @@ class Derived:
 
     def duality_iso(self, side: DiagramSide) -> AlgebraIso:
         """The certified duality isomorphism on ``side`` for ``self.u``."""
-        u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
-        return self._once(("iso", side), lambda: duality_iso(
-            build_diagram(self.diagram_crossed, self.u(u_side), side)))
+        return self._once(("iso", side), lambda: duality_iso(build_diagram(
+            self.diagram_crossed, self.u(side), side, self.b_smash(side),
+            self.h_smash(side), self.lam(side))))
 
 
 def run_hopf_suite(ctx: Derived) -> ValidationReport:
@@ -260,8 +291,8 @@ def run_smash_suite(ctx: Derived) -> ValidationReport:
     h = ctx.hopf
     cp = ctx.crossed
     if cp is not None:
-        U = ctx.u(ModuleSide.RIGHT)
-        UL = ctx.u(ModuleSide.LEFT)
+        for side in DiagramSide:  # an invalid U is an input error, not a failure
+            ctx.u(side)
     rep.extend(smash_compare(h, "left vs right smash on H⊗H*"))
     _timed(rep, "smash.hat", "#(H,H) constructs and validates",
            lambda: hat_smash(h, regular_comodule(h)) is not None)
@@ -269,9 +300,9 @@ def run_smash_suite(ctx: Derived) -> ValidationReport:
            lambda: op_hat_smash(h, regular_comodule(h)) is not None)
     if cp is not None:
         _timed(rep, "smash.right", "(A#σH)#U constructs and validates",
-               lambda: right_smash(cp.comodule, U) is not None)
+               lambda: ctx.b_smash(DiagramSide.RIGHT) is not None)
         _timed(rep, "smash.op", "(A#σH)#opU constructs and validates",
-               lambda: op_smash(cp.comodule, UL) is not None)
+               lambda: ctx.b_smash(DiagramSide.OP) is not None)
         if cp.cocycle.sigma == trivial_sigma(cp.action):
             def left_matches():
                 ls = left_smash(cp.action)
@@ -287,25 +318,20 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
     entry = ctx.entry
     rep = ValidationReport(f"{entry.name}: duality suite")
     h = ctx.hopf
-    U = ctx.u(ModuleSide.RIGHT)
-    UL = ctx.u(ModuleSide.LEFT)
+    for side in DiagramSide:  # an invalid U is an input error, not a failure
+        ctx.u(side)
     full_u = entry.u_span is None
 
     def lambda_iso():
-        lam = lambda_map(h, U)
-        lamb = lambda_bar_map(h, UL)
         end = endomorphism_algebra(h.carrier)
-        if full_u:
-            certify_algebra_iso(right_smash(regular_comodule(h), U).product,
-                                end, lam, "λ")
-            certify_algebra_iso(op_smash(regular_comodule(h), UL).product,
-                                end.opposite(), lamb, "λ̄")
-            return True
-        ok = algebra_morphism_witness(
-            right_smash(regular_comodule(h), U).product, end, lam) is None
-        return ok and algebra_morphism_witness(
-            op_smash(regular_comodule(h), UL).product, end.opposite(),
-            lamb) is None
+        for side, target, name in ((DiagramSide.RIGHT, end, "λ"),
+                                   (DiagramSide.OP, end.opposite(), "λ̄")):
+            source, lam = ctx.h_smash(side).product, ctx.lam(side)
+            if full_u:
+                certify_algebra_iso(source, target, lam, name)
+            elif algebra_morphism_witness(source, target, lam) is not None:
+                return False
+        return True
 
     _timed(rep, "duality.lambda",
            "λ and λ̄ are unital algebra morphisms (isomorphisms for U = H*)",
@@ -321,16 +347,14 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
            lambda: epsilon_maps(h, A, DiagramSide.RIGHT)
            and epsilon_maps(h, A, DiagramSide.OP) and True)
     if full_u:
+        basis = [h.carrier.basis_vector(i) for i in range(h.rank)]
         _timed(rep, "duality.rl", "U = H* satisfies the RL-condition on both "
-               "sides",
-               lambda: rl_check(h, U, [h.carrier.basis_vector(i)
-                                       for i in range(h.rank)]).ok
-               and rl_check(h, UL, [h.carrier.basis_vector(i)
-                                    for i in range(h.rank)],
-                            DiagramSide.OP).ok)
+               "sides", lambda: all(rl_check(h, ctx.u(side), ctx.lam_coords(side),
+                                             basis).ok for side in DiagramSide))
 
     def suite_run():
-        inner = theorem_suite(cp, U, UL, ctx.duality_iso, V=entry.v_span)
+        inner = theorem_suite(cp, ctx.u, ctx.lam_coords, ctx.duality_iso,
+                              V=entry.v_span)
         rep.extend(inner)
         return inner.ok
 
@@ -339,8 +363,8 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
     if full_u:
         _timed(rep, "duality.matrix", "the end-to-end matrix-algebra "
                "isomorphism is certified",
-               lambda: matrix_iso(cp, U, ctx.duality_iso(DiagramSide.RIGHT))
-               is not None)
+               lambda: matrix_iso(cp, ctx.lam(DiagramSide.RIGHT),
+                                  ctx.duality_iso(DiagramSide.RIGHT)) is not None)
     return rep
 
 
@@ -348,7 +372,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
     rep = ValidationReport(f"{ctx.entry.name}: cleft suite")
     cp = ctx.crossed
     cleft = ctx.cleft
-    U = ctx.u(ModuleSide.RIGHT)
+    U = ctx.u(DiagramSide.RIGHT)
     rep.extend(cleft.validate("cleft data"))
 
     def theta_inv_matches():
@@ -406,7 +430,7 @@ def run_opposite_suite(ctx: Derived) -> ValidationReport:
     cp = ctx.crossed
     if cp is None:
         raise ValidationError("opposite suite needs crossed or cleft data")
-    U = ctx.u(ModuleSide.RIGHT)
+    U = ctx.u(DiagramSide.RIGHT)
     _timed(rep, "opposite.tau", "τ = σ⁻¹∘(S̄⊗S̄) validates as an invertible "
            "normal cocycle with the twisted-module property",
            lambda: ctx.opposite.tau.flags.all_true)
@@ -414,8 +438,8 @@ def run_opposite_suite(ctx: Derived) -> ValidationReport:
            "comodule-algebra isomorphism", lambda: ctx.opposite.colinear)
 
     def chain_ok():
-        res = final_chain(cp, U, ctx.opposite,
-                          ctx.duality_iso(DiagramSide.RIGHT))
+        res = final_chain(cp, U, ctx.opposite, ctx.duality_iso(DiagramSide.RIGHT),
+                          ctx.h_smash(DiagramSide.RIGHT))
         rep.extend(res.report)
         return res.report.ok
 
@@ -439,6 +463,8 @@ def run_suite(entry: CatalogEntry, suite: str = "all") -> Report:
     report = Report()
     allowed = applicable_suites(entry)
     if suite == "all":
+        if not allowed:
+            raise ValidationError(f"no suite applies to entry {entry.name!r}")
         chosen = allowed
     else:
         if suite not in _RUNNERS:

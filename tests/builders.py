@@ -1,7 +1,10 @@
 """Test-only builders: fixtures and negative controls that no CLI path needs.
 
 ``FunctionalSpan`` is a bare spanning list of functionals on H, for the raw
-map builders and for an invalid U; ``idempotent_monoid_bialgebra`` is a
+map builders and for an invalid U; ``side_objects`` builds the corners of a
+duality diagram that read only U, as ``suites.Derived`` does, ``diagram``
+hands them to ``build_diagram`` and ``lambda_coordinates`` factors λ for the
+RL-condition; ``idempotent_monoid_bialgebra`` is a
 bialgebra with no antipode; ``entries_equal`` compares two entries through
 their canonical instance documents; ``unvalidated_hopf`` builds Hopf data
 from ``hopf_from_parts`` arguments without certifying it.
@@ -11,11 +14,13 @@ from hopfdual.catalog import (
     algebra_from_quadruples,
     coalgebra_from_quadruples,
 )
-from hopfdual.hopf import BialgebraData, HopfData, HopfLike, bialgebra_of
+from hopfdual.actions import regular_comodule
+from hopfdual.duality import build_diagram, lambda_map
+from hopfdual.hopf import BialgebraData, HopfData, HopfLike, bialgebra_of, ensure_hopf
 from hopfdual.instancefile import export_entry
-from hopfdual.linalg import FreeModule, LinearMap, free_module
+from hopfdual.linalg import FreeModule, LinearMap, free_module, span_coordinates
 from hopfdual.rings import Ring
-from hopfdual.smash import ModuleSide
+from hopfdual.smash import ModuleSide, op_smash, right_smash
 
 
 class FunctionalSpan:
@@ -38,6 +43,25 @@ class FunctionalSpan:
 
     def element(self, i: int):
         return self.elements[i]
+
+
+def side_objects(cp, U):
+    """B#U of ``cp.comodule``, H#U of the regular comodule and λ for a right
+    U; B#^opU, H#^opU and λ̄ for a left one."""
+    h = ensure_hopf(cp.action.hopf)
+    smash = right_smash if U.side is ModuleSide.RIGHT else op_smash
+    return smash(cp.comodule, U), smash(regular_comodule(h), U), lambda_map(h, U)
+
+
+def diagram(cp, U, side):
+    """``build_diagram`` of ``cp`` for U on ``side``."""
+    return build_diagram(cp, U, side, *side_objects(cp, U))
+
+
+def lambda_coordinates(hopf: HopfLike, U):
+    """The ``span_coordinates`` factorization of λ (λ̄ for a left U)."""
+    lam = lambda_map(hopf, U)
+    return span_coordinates(bialgebra_of(hopf).ring, zip(*lam.matrix), lam.codomain.rank)
 
 
 def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:

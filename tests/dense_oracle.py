@@ -27,6 +27,9 @@ basis product and multiplies the images as sparse dicts, pair by pair;
 crossed-product identities and tables with one dense A-product, action and
 σ-evaluation per Sweedler term; ``test_crossed.py`` and ``test_smash.py``
 require the index-arithmetic kernels to agree with them.
+``hit_action_of_dual`` is the action map of H* on H by f⇀k, summed for
+f = δ_l over the terms of Δ(k) with second leg l rather than through
+``actions.hit``; ``test_smash.py`` requires the library's to agree with it.
 
 ``pi_map`` is π as a plain Sweedler sum on either side, its g-free factor
 recomputed for every g, and on the right side in either reading of the
@@ -72,7 +75,7 @@ status and kernel.
 from hypothesis import strategies as st
 
 from hopfdual import duality, linalg
-from hopfdual.actions import regular_act_left, regular_act_right
+from hopfdual.actions import hit, regular_act_left, regular_act_right
 from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
 from hopfdual.actions import coinvariants
@@ -82,6 +85,7 @@ from hopfdual.hopf import (
     AlgebraData,
     ConvolutionAlgebra,
     bialgebra_of,
+    dual_hopf,
     ensure_hopf,
     expand_sparse,
     tensor_algebra,
@@ -494,11 +498,11 @@ def chi_map(hopf, A, U, side):
             for l in range(rU):
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
-                    hit = duality._hit(b, U.element(l), t)
+                    moved = hit(b, U.element(l), t)
                     if side is DiagramSide.RIGHT:
-                        val = kron_vec(ring, b.algebra.product(h_j, hit), a_i)
+                        val = kron_vec(ring, b.algebra.product(h_j, moved), a_i)
                     else:
-                        val = kron_vec(ring, a_i, b.algebra.product(hit, h_j))
+                        val = kron_vec(ring, a_i, b.algebra.product(moved, h_j))
                     scatter_value(out, ring, val, rH, t)
                 cols.append(tuple(out))
     return LinearMap.from_columns(dom, cod, cols)
@@ -1079,6 +1083,25 @@ def left_smash_table(action):
     return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
+def hit_action_of_dual(h):
+    """The action map H*⊗H → H, f⇀k = Σ k₁f(k₂), column (δ_l, h_j) summed
+    over the terms of Δ(h_j) whose second leg is h_l."""
+    dual = dual_hopf(ensure_hopf(h))
+    b = bialgebra_of(h)
+    ring = b.ring
+    rH = b.rank
+    cols = []
+    for l in range(rH):       # f = δ_l
+        for j in range(rH):   # k = h_j
+            out = [ring.zero] * rH
+            for c, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
+                if k2 == l:
+                    out[k1] = ring.add(out[k1], c)
+            cols.append(tuple(out))
+    return LinearMap.from_columns(tensor_module(dual.carrier, b.carrier),
+                                  b.carrier, cols)
+
+
 # --- the matrix-unit algebras, densely -----------------------------------------
 
 
@@ -1288,11 +1311,12 @@ def first_outside(ring, gens, m):
                  if submodule_membership(ring, gens, m.column(col)) is None), None)
 
 
-def rl_check(hopf, U, V, side=DiagramSide.RIGHT):
-    """λ(ξ) = ρ(g) solved for each g in V, λ factored afresh for each g."""
+def rl_check(hopf, U, V):
+    """λ(ξ) = ρ(g) solved for each g in V (λ̄ for a left U), λ factored
+    afresh for each g."""
     b = bialgebra_of(hopf)
     ring = b.ring
-    lam = duality._lambda_of_side(hopf, U, side)
+    lam = duality.lambda_map(hopf, U)
     witnesses, failures = [], []
     for g in V:
         g = tuple(ring.of(x) for x in g)
@@ -1309,7 +1333,7 @@ def rl_check(hopf, U, V, side=DiagramSide.RIGHT):
             pairs.append((vec_scale(ring, c, b.carrier.basis_vector(i)),
                           U.element(l)))
         witnesses.append(duality.RLWitness(g, tuple(pairs)))
-    return duality.RLReport(side, witnesses, failures)
+    return duality.RLReport(witnesses, failures)
 
 
 def compat_maps(cp, side):
@@ -1393,7 +1417,7 @@ def compat_records(cp, U, V, side):
     phi, psi = compat_maps(cp, side)
     gens = duality.j_generators(ring, A.rank,
                                 [tuple(ring.of(x) for x in v) for v in V], h.rank)
-    rl = rl_check(h, U, V, side)
+    rl = rl_check(h, U, V)
     return (duality._pair_label(h, A, first_outside(ring, gens, phi)),
             duality._pair_label(h, A, first_outside(ring, gens, psi)),
             rl.failures, rl.witnesses)
@@ -1489,9 +1513,9 @@ def coaction_checks(h, side, rows, cmap):
                               vec_scale(ring, ring.mul(c, f[t1]), basis(t2)))
             rhs = zero_vector(b.carrier)
             for c, p, q in terms(i):
-                hit = duality._hit(b, fbasis(q), t)
-                term = (b.algebra.product(basis(p), hit) if ups
-                        else b.algebra.product(hit, basis(p)))
+                moved = hit(b, fbasis(q), t)
+                term = (b.algebra.product(basis(p), moved) if ups
+                        else b.algebra.product(moved, basis(p)))
                 rhs = vec_add(ring, rhs, vec_scale(ring, c, term))
             if lhs != rhs:
                 ok, wit = False, f"(f{i},h{t})"

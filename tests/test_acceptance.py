@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from builders import FunctionalSpan, unvalidated_hopf
+from builders import FunctionalSpan, diagram, unvalidated_hopf
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     get,
@@ -31,13 +31,11 @@ from hopfdual.crossed import (
 from hopfdual.duality import (
     CoactionSide,
     DiagramSide,
-    build_diagram,
     chi_map,
     coaction_table,
     duality_iso,
     epsilon_maps,
     final_chain,
-    lambda_bar_map,
     lambda_map,
     matrix_iso,
     phi_maps,
@@ -94,7 +92,7 @@ def diagrams(crossed_products):
         for side, mside in ((DiagramSide.RIGHT, ModuleSide.RIGHT),
                             (DiagramSide.OP, ModuleSide.LEFT)):
             U = SubalgebraU.full_dual(h, mside)
-            diag = build_diagram(cp, U, side)
+            diag = diagram(cp, U, side)
             iso = duality_iso(diag)
             out[name, side] = (U, diag, iso)
     return out
@@ -182,7 +180,7 @@ def test_04_phi_and_lambda_isomorphisms():
         certify_algebra_iso(right_smash(regular_comodule(h), U).product,
                             end, lambda_map(h, U), "λ")
         certify_algebra_iso(op_smash(regular_comodule(h), UL).product,
-                            end.opposite(), lambda_bar_map(h, UL), "λ̄")
+                            end.opposite(), lambda_map(h, UL), "λ̄")
     verdict(4, "φ pairs are mutually inverse and multiplicative; λ and λ̄ are "
                "unital algebra isomorphisms for U = H* on every catalog "
                "Hopf algebra")
@@ -236,14 +234,15 @@ def test_08_duality_isomorphisms(diagrams):
 def test_09_matrix_algebra_route(crossed_products, diagrams):
     for name, n in (("triv_C2", 2), ("gauss", 2), ("triv_C3", 3)):
         U, _, leg1 = diagrams[name, DiagramSide.RIGHT]
-        res = matrix_iso(crossed_products[name], U, leg1)
+        cp = crossed_products[name]
+        res = matrix_iso(cp, lambda_map(cp.action.hopf, U), leg1)
         assert res.n == n
         assert res.iso.map.codomain.rank == n * n
     # negative control: a rank-2 span of index 2 in H* gives det(χ) = ±4
     cp = crossed_products["triv_C2"]
     h = ensure_hopf(cp.action.hopf)
     span = FunctionalSpan(h, [(1, 1), (1, -1)])
-    chi = chi_map(h, cp.action.algebra, span, DiagramSide.RIGHT)
+    chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible) as exc:
         invert_map(chi)
     assert not ZZ.is_unit(exc.value.determinant)
@@ -302,7 +301,8 @@ def test_12_opposite_route(crossed_products, diagrams):
         assert res.colinear, name
     cp = crossed_products["swap_smash"]
     U, _, direct = diagrams["swap_smash", DiagramSide.RIGHT]
-    chain = final_chain(cp, U, opposite_crossed(cp, integral_from_crossed(cp)), direct)
+    chain = final_chain(cp, U, opposite_crossed(cp, integral_from_crossed(cp)), direct,
+                        right_smash(regular_comodule(cp.action.hopf), U))
     assert chain.report.ok
     assert chain.equal_to_direct
     verdict(12, "τ validates as an invertible cocycle with certified "

@@ -1,10 +1,11 @@
-"""Action-layer tests: the hit actions of H* on H (``duality._hit`` and
+"""Action-layer tests: the hit actions of H* on H (``actions.hit`` and
 ``duality.rho_endo``), regular actions, weak actions, coinvariants."""
 from hopfdual.actions import (
     ComoduleAlgebraData,
     action_from_endomorphisms,
     coinvariants,
     coinvariants_form_subalgebra,
+    hit,
     regular_act_left,
     regular_act_right,
     regular_comodule,
@@ -17,17 +18,17 @@ from hopfdual.catalog import (
     product_ring_algebra,
     sweedler_hopf,
 )
-from hopfdual.duality import _hit, rho_endo
+from hopfdual.duality import rho_endo
 from hopfdual.hopf import ConvolutionAlgebra
 from hopfdual.linalg import LinearMap, kron_vec, tensor_module, vec_to_map
 from hopfdual.rings import QQ, ZZ, Zmod
 
 
 def hit_left(b, f, k):
-    """f⇀k = Σ k₁f(k₂), by ``duality._hit`` on each basis term of k."""
+    """f⇀k = Σ k₁f(k₂), by ``actions.hit`` on each basis term of k."""
     out = [b.ring.zero] * b.rank
     for t, c in enumerate(k):
-        out = [b.ring.add(x, b.ring.mul(c, y)) for x, y in zip(out, _hit(b, f, t))]
+        out = [b.ring.add(x, b.ring.mul(c, y)) for x, y in zip(out, hit(b, f, t))]
     return tuple(out)
 
 

@@ -1,10 +1,11 @@
 """Catalog integrity: deterministic listing, validated entries, coverage."""
 import pytest
 
+from builders import diagram
 from hopfdual.actions import trivial_action
 from hopfdual.catalog import get, ground_algebra, list_entries
 from hopfdual.crossed import CleftData, CrossedProductData, smash_product_data
-from hopfdual.duality import DiagramSide, build_diagram, duality_iso, matrix_iso
+from hopfdual.duality import DiagramSide, duality_iso, lambda_map, matrix_iso
 from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
 from hopfdual.linalg import kron_vec
@@ -116,8 +117,8 @@ def test_base_change_from_z_to_z3_keeps_records_and_isomorphisms():
         h = get(name).hopf_data()
         cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
         U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        iso = duality_iso(build_diagram(cp, U, DiagramSide.RIGHT))
-        maps.append((iso.map, matrix_iso(cp, U, iso).iso.map))
+        iso = duality_iso(diagram(cp, U, DiagramSide.RIGHT))
+        maps.append((iso.map, matrix_iso(cp, lambda_map(h, U), iso).iso.map))
     z3 = Zmod(3)
     for over_z, over_z3 in zip(*maps):
         assert [[z3.of(x) for x in row] for row in over_z.matrix] == \

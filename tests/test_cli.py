@@ -89,6 +89,27 @@ def test_verify_bool_index_names_quadruple(tmp_path, capsys):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("only,message", [
+    (5, "expected.only_suites must be"),
+    ("smash", "expected.only_suites must be"),  # not a substring match
+    ([], "expected.only_suites must be"),
+    (["nope"], "expected.only_suites must be"),
+    (["all"], "expected.only_suites must be"),
+    # known, but none applies to a hopf-kind file: nothing would be verified
+    (["crossed"], "no suite applies to entry 'Z_C2'"),
+])
+def test_verify_bad_only_suites_is_input_error(tmp_path, capsys, only, message):
+    doc = json.loads(export_entry_json(get("Z_C2")))
+    assert doc["kind"] == "hopf"
+    doc["expected"]["only_suites"] = only
+    path = tmp_path / "only.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "overall" not in captured.out
+
+
 def test_verify_crossed_without_action_is_input_error(tmp_path, capsys):
     path = tmp_path / "noaction.json"
     doc = json.loads(export_entry_json(get("gauss")))

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from builders import FunctionalSpan
+from builders import FunctionalSpan, diagram, lambda_coordinates
 from dense_oracle import product_many, vec_add, vec_scale, zero_vector
 from hopfdual import catalog
 from hopfdual.actions import (
     WeakActionData,
+    hit,
     regular_comodule,
     trivial_action,
     validate_weak_action,
@@ -36,7 +37,6 @@ from hopfdual.crossed import (
 from hopfdual.duality import (
     CoactionSide,
     DiagramSide,
-    build_diagram,
     chi_map,
     coaction_preimage_of_U,
     coaction_table,
@@ -47,7 +47,6 @@ from hopfdual.duality import (
     epsilon_maps,
     final_chain,
     gamma_map,
-    lambda_bar_map,
     lambda_map,
     matrix_iso,
     nu_map,
@@ -111,7 +110,7 @@ def certified_iso(cp, side):
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(
         h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
-    return U, duality_iso(build_diagram(cp, U, side))
+    return U, duality_iso(diagram(cp, U, side))
 
 
 # --- λ and the RL-condition ---------------------------------------------------
@@ -147,7 +146,7 @@ def test_lambda_maps_are_unital_algebra_isos(make):
     end = endomorphism_algebra(h.carrier)
     certify_algebra_iso(smash.product, end, lam, "λ")
     UL = SubalgebraU.full_dual(h, ModuleSide.LEFT)
-    lamb = lambda_bar_map(h, UL)
+    lamb = lambda_map(h, UL)
     opsm = op_smash(regular_comodule(h), UL)
     certify_algebra_iso(opsm.product, end.opposite(), lamb, "λ̄")
 
@@ -155,7 +154,7 @@ def test_lambda_maps_are_unital_algebra_isos(make):
 def test_rl_witness_for_counit_is_trivial():
     h = group_algebra(ZZ, 2)
     U = SubalgebraU.full_dual(h)
-    rep = rl_check(h, U, [(1, 1)])  # ε
+    rep = rl_check(h, U, lambda_coordinates(h, U), [(1, 1)])  # ε
     assert rep.ok
     # ρ(ε) = id: the witness identity Σ h_j(g_j⇀k) = k↼ε holds
     assert rho_endo(h, (1, 1)) == map_to_vec(LinearMap.identity(h.carrier))
@@ -166,17 +165,15 @@ def test_rl_witnesses_exist_for_full_dual_everywhere():
         h = ensure_hopf(make())
         U = SubalgebraU.full_dual(h)
         V = [h.carrier.basis_vector(i) for i in range(h.rank)]
-        rep = rl_check(h, U, V)
+        rep = rl_check(h, U, lambda_coordinates(h, U), V)
         assert rep.ok
         # verify each witness satisfies its defining identity
-        from hopfdual.duality import _hit
-
         b = h.bialgebra
         for w in rep.witnesses:
             for t in range(h.rank):
                 lhs = zero_vector(b.carrier)
                 for h_vec, g_vec in w.pairs:
-                    term = b.algebra.product(h_vec, _hit(b, g_vec, t))
+                    term = b.algebra.product(h_vec, hit(b, g_vec, t))
                     lhs = vec_add(b.ring, lhs, term)
                 rhs = zero_vector(b.carrier)
                 for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
@@ -190,7 +187,7 @@ def test_rl_fails_for_too_small_U():
     # U = span{ε} cannot express the nontrivial right-hit operators.
     h = group_algebra(ZZ, 2)
     U = SubalgebraU(h, [(1, 1)], ModuleSide.RIGHT)
-    rep = rl_check(h, U, [(0, 1)])  # g = δ_g
+    rep = rl_check(h, U, lambda_coordinates(h, U), [(0, 1)])  # g = δ_g
     assert not rep.ok
 
 
@@ -226,7 +223,7 @@ def test_chi_sends_unit_to_identity_endomorphism():
     h = group_algebra(ZZ, 2)
     U = SubalgebraU.full_dual(h)
     A = ground_algebra(ZZ)
-    chi = chi_map(h, A, U, DiagramSide.RIGHT)
+    chi = chi_map(h, A, lambda_map(h, U), DiagramSide.RIGHT)
     arg = kron_vec(ZZ, A.unit, kron_vec(ZZ, h.algebra.unit, U.eps_coords))
     end_unit = [0] * 4
     for i in range(2):
@@ -250,7 +247,7 @@ def test_diagram_commutes_and_pi_invertible(make, side):
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(
         h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
-    diag = build_diagram(cp, U, side)
+    diag = diagram(cp, U, side)
     assert cp.ring.is_unit(determinant(diag.pi))
 
 
@@ -261,14 +258,14 @@ def test_pi_order_is_resolved_by_commutativity(monkeypatch):
     cp = smash_product_data(sweedler_module_action(QQ))
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(h)
-    diag = build_diagram(cp, U, DiagramSide.RIGHT)
+    diag = diagram(cp, U, DiagramSide.RIGHT)
     dense_oracle.assert_bit_identical(diag.pi, dense_oracle.pi_map(cp, DiagramSide.RIGHT))
     assert diag.pi @ diag.alpha == diag.gamma
     g_right = dense_oracle.pi_map(cp, DiagramSide.RIGHT, g_left=False)
     assert g_right @ diag.alpha != diag.gamma
     monkeypatch.setattr(duality, "pi_map", lambda cp, side, nu: g_right)
     with pytest.raises(CommutativityFailure) as exc:
-        build_diagram(cp, U, DiagramSide.RIGHT)
+        diagram(cp, U, DiagramSide.RIGHT)
     assert "π∘α ≠ γ" in str(exc.value)
     assert exc.value.witness
 
@@ -277,7 +274,7 @@ def test_duality_iso_not_invertible_for_proper_U():
     cp = triv_crossed()
     h = ensure_hopf(cp.action.hopf)
     span = FunctionalSpan(h, [(1, 1)])
-    chi = chi_map(h, cp.action.algebra, span, DiagramSide.RIGHT)
+    chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible):
         invert_map(chi)
 
@@ -287,7 +284,7 @@ def test_non_unit_determinant_leg_reports_not_invertible():
     cp = triv_crossed()
     h = ensure_hopf(cp.action.hopf)
     span = FunctionalSpan(h, [(1, 1), (1, -1)])
-    chi = chi_map(h, cp.action.algebra, span, DiagramSide.RIGHT)
+    chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible) as exc:
         invert_map(chi)
     assert not ZZ.is_unit(exc.value.determinant)
@@ -308,15 +305,19 @@ def test_duality_iso_both_sides(make):
     certified_iso(cp, DiagramSide.OP)
 
 
+def matrix_form(cp):
+    U, iso = certified_iso(cp, DiagramSide.RIGHT)
+    return matrix_iso(cp, lambda_map(cp.action.hopf, U), iso)
+
+
 def test_matrix_iso_families():
     for make, n, expect_rank in ((triv_crossed, 2, 4), (gauss_crossed, 2, 4),
                                  (lambda: triv_crossed(ZZ, 3), 3, 9)):
         cp = make()
-        res = matrix_iso(cp, *certified_iso(cp, DiagramSide.RIGHT))
+        res = matrix_form(cp)
         assert res.n == n
         assert res.iso.map.codomain.rank == expect_rank
-    cp = smash_product_data(swap_action_data(ZZ))
-    res = matrix_iso(cp, *certified_iso(cp, DiagramSide.RIGHT))
+    res = matrix_form(smash_product_data(swap_action_data(ZZ)))
     assert res.iso.map.codomain.rank == 8  # M₂ of a rank-2 coefficient algebra
 
 
@@ -328,7 +329,7 @@ def test_full_dual_is_always_compatible():
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(h)
     V = [h.carrier.basis_vector(i) for i in range(h.rank)]
-    rep = compat_check(cp, U, V, DiagramSide.RIGHT)
+    rep = compat_check(cp, U, lambda_coordinates(h, U), V, DiagramSide.RIGHT)
     assert rep.ok
 
 
@@ -360,7 +361,7 @@ def test_small_V_fails_compatibility_with_witness():
     cp = smash_product_data(swap_action_data(ZZ))
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(h)
-    rep = compat_check(cp, U, [(1, 1)], DiagramSide.RIGHT)
+    rep = compat_check(cp, U, lambda_coordinates(h, U), [(1, 1)], DiagramSide.RIGHT)
     assert not rep.ok
     assert not rep.phi_contained and not rep.psi_contained
     # the witness names the first basis pair h⊗a whose image leaves J(A⊗V)
@@ -376,7 +377,8 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
     h = ensure_hopf(cp.action.hopf)
     U = SubalgebraU.full_dual(h)
     V = [(1, 1), (1, -1)]
-    rep = compat_check(cp, U, V, DiagramSide.RIGHT)
+    lam_coords = lambda_coordinates(h, U)
+    rep = compat_check(cp, U, lam_coords, V, DiagramSide.RIGHT)
     assert rep.phi_contained and rep.psi_contained
     mutant = with_sigma_entry(cp, 3, 2)
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
@@ -385,7 +387,7 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
         for got, ref in zip(maps, want):
             dense_oracle.assert_bit_identical(got, ref)
         assert maps != compat_maps(cp, side)
-    rep = compat_check(mutant, U, V, DiagramSide.RIGHT)
+    rep = compat_check(mutant, U, lam_coords, V, DiagramSide.RIGHT)
     assert not rep.phi_contained
     assert rep.phi_witness == "(g,1)"
     assert compat_records(rep) == dense_oracle.compat_records(
@@ -439,8 +441,8 @@ def test_coaction_preimage_of_full_dual_is_everything():
 def test_theorem_suite_on_gauss():
     cp = gauss_crossed()
     h = ensure_hopf(cp.action.hopf)
-    rep = theorem_suite(cp, SubalgebraU.full_dual(h, ModuleSide.RIGHT),
-                        SubalgebraU.full_dual(h, ModuleSide.LEFT),
+    u = {side: full_dual(cp, side) for side in DiagramSide}
+    rep = theorem_suite(cp, u.get, lambda side: lambda_coordinates(h, u[side]),
                         lambda side: certified_iso(cp, side)[1])
     assert rep.ok
 
@@ -450,7 +452,7 @@ def test_final_chain_matches_direct_on_c2_smash():
         cp = make()
         U, direct = certified_iso(cp, DiagramSide.RIGHT)
         res = final_chain(cp, U, opposite_crossed(cp, integral_from_crossed(cp)),
-                          direct)
+                          direct, right_smash(regular_comodule(cp.action.hopf), U))
         assert res.report.ok
         assert res.equal_to_direct
 
@@ -626,7 +628,7 @@ def test_delta_matches_the_oracle_on_every_catalog_entry(name, side):
     # the crossed product and U every duality check of a run reads
     ctx = Derived(catalog.get(name))
     cp = ctx.diagram_crossed
-    U = ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+    U = ctx.u(side)
     dense_oracle.assert_bit_identical(delta_map(cp, U, side),
                                       dense_oracle.delta_map(cp, U, side))
 
@@ -717,7 +719,7 @@ def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
     for got, ref in zip(compat_maps(cp, side), dense_oracle.compat_maps(cp, side)):
         dense_oracle.assert_bit_identical(got, ref)
     V = V if V is not None else coaction_preimage_of_U(table, h, U)
-    assert compat_records(compat_check(cp, U, V, side)) == \
+    assert compat_records(compat_check(cp, U, lambda_coordinates(h, U), V, side)) == \
         dense_oracle.compat_records(cp, U, V, side)
 
 
@@ -727,7 +729,7 @@ def test_hypotheses_match_the_oracles_on_every_catalog_entry(name, side):
     # the crossed product, U and V every theorem-suite run reads
     entry = catalog.get(name)
     ctx = Derived(entry)
-    U = ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
+    U = ctx.u(side)
     assert_hypotheses_match_the_oracles(ctx.diagram_crossed, U, side, entry.v_span)
 
 
@@ -776,7 +778,7 @@ def assert_sums_match_the_oracles(cp, U, side):
     A = cp.action.algebra
     pairs = [*zip(phi_maps(h, side), dense_oracle.phi_maps(h, side)),
              *zip(epsilon_maps(h, A, side), dense_oracle.epsilon_maps(h, A, side)),
-             (chi_map(h, A, U, side), dense_oracle.chi_map(h, A, U, side))]
+             (chi_map(h, A, lambda_map(h, U), side), dense_oracle.chi_map(h, A, U, side))]
     if side is DiagramSide.RIGHT:
         nu = nu_map(cp)
         pairs += [(nu, dense_oracle.nu_map(cp)),
@@ -808,8 +810,7 @@ def test_sums_match_the_oracles_on_every_catalog_entry(name, side):
     # the crossed product and U every duality check of a run reads
     ctx = Derived(catalog.get(name))
     cp = ctx.diagram_crossed
-    assert_sums_match_the_oracles(
-        cp, ctx.u(ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT), side)
+    assert_sums_match_the_oracles(cp, ctx.u(side), side)
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
@@ -854,7 +855,7 @@ def base_change_maps(cp):
         tag = side.value
         maps.update(zip((f"phi1.{tag}", f"phi2.{tag}"), phi_maps(h, side)))
         maps.update(zip((f"eps.{tag}", f"eps_inv.{tag}"), epsilon_maps(h, A, side)))
-        diag = build_diagram(cp, full_dual(cp, side), side)
+        diag = diagram(cp, full_dual(cp, side), side)
         for name in ("alpha", "gamma", "delta", "pi", "nu", "chi"):
             maps[f"{name}.{tag}"] = getattr(diag, name)
     cleft = integral_from_crossed(cp)

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every definition in
-``src/`` is reached from the command line.
+"""Source hygiene: every imported name is used, every definition in
+``src/`` is reached from the command line, and every name that
+``perfbench/tracer.py`` wraps is defined in ``src/``.
 
 Both scans use the standard ``ast`` module and skip ``__init__.py``, whose
 imports are the package's re-exports.  The import scan reads
@@ -53,20 +54,15 @@ def _read_names(nodes) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unreached(sources: dict, roots: set) -> list:
-    """The definitions in ``sources`` (module name -> source) that nothing
-    reached from ``roots`` names, as ``module.name`` or ``module.Class.name``.
-
-    Definitions are module-level functions, classes and single-name
-    assignments, and methods.  Roots besides ``roots`` are every other
-    module-level statement, each class's bases, decorators and non-method
-    body, and the dunder methods of a reached class.  Reached code reaches a
-    definition by reading its name, as a ``Name`` or an ``Attribute``, in any
-    module; a method also needs its class reached.  Matching by name
-    over-approximates what runs, so whatever the scan lists is dead.
-    """
-    defs = {}          # qualified name -> (name, owning class or None, node)
-    seen = []          # nodes whose names are read
+def definitions(sources: dict):
+    """The definitions in ``sources`` (module name -> source) by qualified
+    name, ``module.name`` or ``module.Class.name``, each as (name, owning
+    class or None, node), and the nodes outside any definition: every other
+    module-level statement and each class's bases, decorators and non-method
+    body.  Definitions are module-level functions, classes and single-name
+    assignments, and methods."""
+    defs = {}
+    seen = []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             if isinstance(stmt, DEFINITIONS):
@@ -85,6 +81,20 @@ def unreached(sources: dict, roots: set) -> list:
                     stmt.targets[0].id, None, stmt.value)
             else:
                 seen.append(stmt)
+    return defs, seen
+
+
+def unreached(sources: dict, roots: set) -> list:
+    """The :func:`definitions` in ``sources`` that nothing reached from
+    ``roots`` names.
+
+    Roots besides ``roots`` are the nodes outside any definition and the
+    dunder methods of a reached class.  Reached code reaches a definition by
+    reading its name, as a ``Name`` or an ``Attribute``, in any module; a
+    method also needs its class reached.  Matching by name over-approximates
+    what runs, so whatever the scan lists is dead.
+    """
+    defs, seen = definitions(sources)
     reached = set(roots) & set(defs)
     seen += [defs[qual][2] for qual in reached]
     names = set()
@@ -145,6 +155,16 @@ def test_reachability_scanner_flags_only_unreached_definitions():
         "lib.helper"]
 
 
+def sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+
+
 def test_every_definition_is_reached_from_the_cli():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert unreached(sources, {"cli.main"} | tracer_roots()) == []
+    assert unreached(sources(), {"cli.main"} | tracer_roots()) == []
+
+
+def test_every_tracer_target_is_defined():
+    # the tracer resolves each target by name when it installs, so a renamed
+    # or deleted one would fail only the traced benchmark run
+    defs, _ = definitions(sources())
+    assert sorted(tracer_roots() - set(defs)) == []

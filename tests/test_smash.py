@@ -217,6 +217,15 @@ def test_hit_action_of_dual_validates():
         hit_action_of_dual(h)  # raises if the weak-action axioms fail
 
 
+@pytest.mark.parametrize("make", [lambda: catalog.get("sweedler4_Q").hopf_data(),
+                                  lambda: catalog.get("gauss").hopf_data(),
+                                  lambda: rebased_sweedler_Z3().action.hopf],
+                         ids=["sweedler4_Q", "gauss", "sweedler_Z3_rebased"])
+def test_hit_action_of_dual_matches_the_term_by_term_oracle(make):
+    h = ensure_hopf(make())
+    dense.assert_bit_identical(hit_action_of_dual(h).action, dense.hit_action_of_dual(h))
+
+
 @pytest.mark.parametrize("make", [
     lambda: group_algebra(ZZ, 2),
     lambda: group_algebra(QQ, 3),

@@ -1,14 +1,16 @@
 """Suite runs: each derived object is built once per ``run_suite`` call, a
 failed build is never reused as a success, and every check that needs a
 failed object carries its witness."""
+import json
 import sys
 
 import pytest
 
 import dense_oracle
-from hopfdual import crossed, duality
+from hopfdual import crossed, duality, smash
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
+from hopfdual.instancefile import export_entry_json, parse_instance_dict
 from hopfdual.suites import run_suite
 
 COUNTED = ((duality, "build_diagram"), (duality, "delta_map"), (duality, "nu_map"),
@@ -68,6 +70,72 @@ def test_each_object_is_built_once_per_run(calls, name, suite, expected):
     # a second call builds everything anew: nothing outlives run_suite
     run_suite(entry, suite)
     assert tuple(calls.values()) == tuple(2 * n for n in once)
+
+
+def triv_c2_small_u():
+    """triv_C2 with U = span{ε}: λ is a morphism, χ is not invertible."""
+    doc = json.loads(export_entry_json(get("triv_C2")))
+    doc["U"] = [["1", "1"]]
+    return parse_instance_dict(doc).to_entry()
+
+
+# B#U and H#U per (comodule algebra, U, kind) and λ per U, keyed by object
+# identity.  The regular comodule is made afresh for each build, so its
+# algebra, H's own, stands for it.  smash_compare and ε build on a fresh H*
+# and #(H,H) is no coordinate smash, so those never repeat a key; the
+# cleft.route B#U is not reached here (no cleft suite, or χ fails first).
+@pytest.mark.parametrize("entry,suite,smashes,lambdas", [
+    (lambda: get("sweedler4_Z3"), "all", 5, 4),
+    (lambda: get("gauss"), "duality", 4, 4),
+    (lambda: get("gauss"), "opposite", 5, 2),
+    (triv_c2_small_u, "all", 5, 4),
+])
+def test_run_suite_builds_each_side_object_once(monkeypatch, entry, suite,
+                                                smashes, lambdas):
+    smash_keys, lambda_keys = [], []
+    coordinate_smash, lambda_map = smash._coordinate_smash, duality.lambda_map
+
+    def counted_smash(B, U, kind):
+        smash_keys.append((B.algebra, U, kind))
+        return coordinate_smash(B, U, kind)
+
+    def counted_lambda(hopf, U):
+        lambda_keys.append((U,))
+        return lambda_map(hopf, U)
+
+    monkeypatch.setattr(smash, "_coordinate_smash", counted_smash)
+    patch_everywhere(monkeypatch, duality, "lambda_map", counted_lambda)
+    run_suite(entry(), suite)
+    for keys in (smash_keys, lambda_keys):  # held here, so no id is reused
+        ids = [tuple(map(id, key)) for key in keys]
+        assert len(set(ids)) == len(ids)
+    assert (len(smash_keys), len(lambda_keys)) == (smashes, lambdas)
+
+
+@pytest.mark.parametrize("name", ["sweedler4_Q", "sweedler4_smash_Q"])
+def test_each_side_reads_its_own_lambda_and_maps(monkeypatch, name):
+    # H is noncommutative, so λ ≠ λ̄; for U = H* both are invertible and the
+    # RL verdicts cannot tell them apart, so the arguments are checked: each
+    # factorization is the one of λ for that U's side, each compatibility
+    # check reads U on its own side, and the corollary route the right pair
+    seen = {fn: [] for fn in ("rl_check", "compat_check", "bm_route_hypotheses")}
+    for fn, calls in seen.items():
+        def spy(*args, original=getattr(duality, fn), calls=calls):
+            calls.append(args)
+            return original(*args)
+        patch_everywhere(monkeypatch, duality, fn, spy)
+    assert all(r[1] for r in records(run_suite(get(name), "duality")))
+    for hopf, U, lam_coords, _ in seen["rl_check"]:
+        lam = duality.lambda_map(hopf, U)
+        n = lam.domain.rank
+        assert [lam_coords(lam.column(j)) for j in range(n)] == \
+            [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    assert {U.side.value for _, U, *_ in seen["rl_check"]} == {"right", "left"}
+    for _, U, _, _, side, *_ in seen["compat_check"]:
+        assert (U.side.value == "right") == (side is duality.DiagramSide.RIGHT)
+    (cp, U, _, maps), = seen["bm_route_hypotheses"]
+    assert U.side.value == "right"
+    assert maps == duality.compat_maps(cp, duality.DiagramSide.RIGHT)
 
 
 def counter(monkeypatch, module, name):
