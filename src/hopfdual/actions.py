@@ -15,6 +15,7 @@ from .hopf import AlgebraData, HopfLike, bialgebra_of, tensor_algebra
 from .linalg import (
     FreeModule,
     LinearMap,
+    certified,
     column_witness,
     combine_columns,
     kron,
@@ -261,7 +262,7 @@ def regular_comodule(h: HopfLike) -> ComoduleAlgebraData:
     return ComoduleAlgebraData(h, b.algebra, coaction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Coinvariants:
     """A spanning set for B^{coH} = {b | ϱ(b) = b⊗1}, with its inclusion."""
 
@@ -282,6 +283,11 @@ class Coinvariants:
 
 def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     """Kernel of ϱ - (id ⊗ 1_H), canonicalized; checked to be a direct summand."""
+    return certified("coinvariants", (c.algebra.carrier, c.coaction.sparse_columns(),
+                                      c.bialgebra.algebra.unit), lambda: _coinvariants(c))
+
+
+def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     b = c.bialgebra
     B = c.algebra
     ring = c.ring

@@ -19,6 +19,7 @@ from .errors import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    certified,
     column_witness,
     combine_columns,
     dual_module,
@@ -104,8 +105,18 @@ class AlgebraData:
 
     def validate(self, subject: str = "algebra") -> ValidationReport:
         rep = ValidationReport(subject)
-        r = self.rank
         labels = self.carrier.labels
+        assoc, unit = certified("algebra", (self.ring, self.mult.sparse_columns(),
+                                            self.unit), self._axiom_failures)
+        assoc = assoc and f"({','.join(map(labels.__getitem__, assoc))})"
+        rep.add("algebra.assoc", "multiplication is associative", assoc is None, assoc)
+        unit = None if unit is None else labels[unit]
+        rep.add("algebra.unit", "two-sided unit law", unit is None, unit)
+        return rep
+
+    def _axiom_failures(self):
+        """The first (i, j, k) failing associativity, the first i failing the unit law."""
+        r = self.rank
         # associativity on all basis triples (i, j, k), in that order, row by
         # row: each distinct column x of the sparse table gets its row over k
         # of x·e_k, and each i the products e_i·y over the distinct columns y;
@@ -113,7 +124,7 @@ class AlgebraData:
         # row of e_ie_j with e_i·(row j).  A column that is one basis element
         # e_t needs no arithmetic: its row is row t of the table, and e_i·e_t
         # is column (i, t).  An integral table over Q is checked over Z
-        witness = None
+        assoc = None
         ring, cols = integral_view(self.ring, self.mult.sparse_columns())
         rows = [cols[t * r:(t + 1) * r] for t in range(r)]
         ids = {}
@@ -131,13 +142,10 @@ class AlgebraData:
                 lhs = right[col_id[i * r + j]]
                 rhs = tuple(map(left.__getitem__, col_id[j * r:(j + 1) * r]))
                 if lhs != rhs:
-                    k = next(k for k in range(r) if lhs[k] != rhs[k])
-                    witness = f"({labels[i]},{labels[j]},{labels[k]})"
+                    assoc = (i, j, next(k for k in range(r) if lhs[k] != rhs[k]))
                     break
-            if witness:
+            if assoc:
                 break
-        rep.add("algebra.assoc", "multiplication is associative", witness is None, witness)
-        witness = None
         # the unit law reads the table in its own ring: the unit need not be integral
         ring, cols = self.ring, self.mult.sparse_columns()
         unit = [(t, c) for t, c in enumerate(self.unit) if c]
@@ -145,10 +153,8 @@ class AlgebraData:
             e = ((i, ring.one),)
             if (combine_columns(ring, [(cols[t * r + i], c) for t, c in unit]) != e
                     or combine_columns(ring, [(cols[i * r + t], c) for t, c in unit]) != e):
-                witness = labels[i]
-                break
-        rep.add("algebra.unit", "two-sided unit law", witness is None, witness)
-        return rep
+                return assoc, i
+        return assoc, None
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraData):
@@ -705,6 +711,17 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
     or None when the map is a unital algebra morphism."""
     if map_.domain.rank != source.rank or map_.codomain.rank != target.rank:
         raise DimensionMismatch("map shape does not match the algebras")
+    failure = certified("morphism", (source.ring, map_.ring, source.mult.sparse_columns(),
+                                     source.unit, target.mult.sparse_columns(),
+                                     target.unit, map_.sparse_columns()),
+                        lambda: _morphism_failure(source, target, map_))
+    if isinstance(failure, tuple):
+        return f"({','.join(map(source.carrier.labels.__getitem__, failure))})"
+    return failure
+
+
+def _morphism_failure(source: AlgebraData, target: AlgebraData, map_: LinearMap):
+    """The string "1", the first basis pair (i, j) that fails, or None."""
     if map_.apply(source.unit) != target.unit:
         return "1"
     r, rt = source.rank, target.rank
@@ -722,7 +739,7 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
             rhs = combine_columns(ring, [(tcols[p * rt + q], mul(a, b))
                                          for p, a in images[i] for q, b in images[j]])
             if lhs != rhs:
-                return f"({source.carrier.labels[i]},{source.carrier.labels[j]})"
+                return i, j
     return None
 
 

@@ -3,7 +3,9 @@ catalog entry or parsed instance, producing deterministic report sections.
 ``run_suite`` hands every runner one :class:`Derived`, which builds each
 object that several checks read once per call and is dropped on return.
 The duality checks and maps take the objects of each side (U, H#U, B#U and
-λ with its factorization) from it as arguments instead of building them."""
+λ with its factorization) from it as arguments instead of building them.
+A table, morphism, inverse or coinvariant span that recurs by value (φ₁ is
+λ for U = H*) is certified once per call, in ``linalg.CERTIFICATES``."""
 from __future__ import annotations
 
 import time
@@ -60,7 +62,7 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import LinearMap, invert_map, kron, map_to_vec, span_coordinates
+from .linalg import CERTIFICATES, LinearMap, invert_map, kron, map_to_vec, span_coordinates
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -105,7 +107,7 @@ def _timed(rep: ValidationReport, check_id: str, statement: str, fn):
 class Derived:
     """What one ``run_suite`` call derives from its entry.  Each object is
     built on first use and shared by the later checks of the call; a build
-    that raises keeps nothing, so every check that asks again fails alike.
+    that raises keeps its HopfdualError, and every later ask re-raises it.
     Every check reads the same U: the entry's span, or H* without one.
     Each side of the duality theorems shares U, H#U, B#U, λ with its one
     factorization and the duality isomorphism (op: H#^opU, B#^opU, λ̄).
@@ -118,7 +120,12 @@ class Derived:
 
     def _once(self, key, build):
         if key not in self._built:
-            self._built[key] = build()
+            try:
+                self._built[key] = build()
+            except HopfdualError as exc:
+                self._built[key] = exc
+        if isinstance(self._built[key], HopfdualError):
+            raise self._built[key]
         return self._built[key]
 
     @property
@@ -474,6 +481,10 @@ def run_suite(entry: CatalogEntry, suite: str = "all") -> Report:
                 f"suite {suite!r} is not applicable to entry {entry.name!r}")
         chosen = (suite,)
     ctx = Derived(entry)
-    for s in chosen:
-        report.add_section(_RUNNERS[s](ctx))
+    token = CERTIFICATES.set({})
+    try:
+        for s in chosen:
+            report.add_section(_RUNNERS[s](ctx))
+    finally:
+        CERTIFICATES.reset(token)
     return report

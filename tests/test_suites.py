@@ -1,6 +1,6 @@
 """Suite runs: each derived object is built once per ``run_suite`` call, a
-failed build is never reused as a success, and every check that needs a
-failed object carries its witness."""
+failed build is kept as its error and never reused as a success, and every
+check that needs a failed object carries its witness."""
 import json
 import sys
 
@@ -173,6 +173,17 @@ def test_theta_is_built_at_most_once_per_run(monkeypatch, name):
     built = counter(monkeypatch, crossed, "integral_from_crossed")
     assert all(r[1] for r in records(run_suite(entry, "all")))
     assert built[0] <= 1
+
+
+def test_a_failed_duality_iso_is_built_once_per_run(calls):
+    # χ is not invertible for U = span{ε}: the theorem suite, the cleft route
+    # and the opposite chain all read the one failed right isomorphism
+    failed = {r[0]: r[2] for r in records(run_suite(triv_c2_small_u(), "all"))
+              if not r[1]}
+    assert calls["build_diagram"] == 1
+    assert failed == dict.fromkeys(
+        ("duality.theorems", "cleft.route", "opposite.chain"),
+        "cannot invert a non-square map")
 
 
 def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
