@@ -1,10 +1,11 @@
 """Regular actions of H on its dual, weak actions, comodule algebras and
 coinvariants.
 
-The regular actions of H on H* are (hf)(k) = f(kh) and (fh)(k) = f(hk).  The
-hit action f⇀k = Σ k₁f(k₂) of H* on H is :func:`hit`, which λ and the
-H*-module algebra H of ``smash.hit_action_of_dual`` read; the other hit
-action k↼f = Σ f(k₁)k₂, which the RL check reads, is ``duality.rho_endo``.
+The regular actions of H on H*, (hf)(k) = f(kh) and (fh)(k) = f(hk), are
+:func:`regular_act`.  The hit action f⇀k = Σ k₁f(k₂) of H* on H is
+:func:`hit`, which λ reads (``smash.hit_action_of_dual`` writes its table
+straight from Δ); the other hit action k↼f = Σ f(k₁)k₂, which the RL check
+reads, is ``duality.rho_endo``.
 """
 from __future__ import annotations
 
@@ -30,47 +31,24 @@ from .linalg import (
 from .reporting import ValidationReport
 
 
-def regular_act_left(h: HopfLike, h_vec, f_vec):
-    """(hf)(k) = f(kh) on explicit vectors."""
+def regular_act(h: HopfLike, f_vec, h_vec, left: bool):
+    """The regular action of h on the functional f, on explicit vectors:
+    (hf)(k) = f(kh) when ``left``, else (fh)(k) = f(hk).  Entry l sums
+    h_i·f_j·c over the terms c·e_j of the basis product e_l·e_i (right:
+    e_i·e_l), read off the sparse multiplication table."""
     b = bialgebra_of(h)
-    ring = b.ring
-    r = b.rank
-    mult = b.algebra.mult.matrix
-    out = [ring.zero] * r
+    ring, r = b.ring, b.rank
+    mul, add = ring.mul, ring.add
+    cols = b.algebra.mult.sparse_columns()
+    out = []
     for l in range(r):
         total = ring.zero
         for i, hc in enumerate(h_vec):
-            if not (hc):
-                continue
-            for j, fc in enumerate(f_vec):
-                if not (fc):
-                    continue
-                c = mult[j][l * r + i]
-                if (c):
-                    total = ring.add(total, ring.mul(ring.mul(hc, fc), c))
-        out[l] = total
-    return tuple(out)
-
-
-def regular_act_right(h: HopfLike, f_vec, h_vec):
-    """(fh)(k) = f(hk) on explicit vectors."""
-    b = bialgebra_of(h)
-    ring = b.ring
-    r = b.rank
-    mult = b.algebra.mult.matrix
-    out = [ring.zero] * r
-    for l in range(r):
-        total = ring.zero
-        for i, hc in enumerate(h_vec):
-            if not (hc):
-                continue
-            for j, fc in enumerate(f_vec):
-                if not (fc):
-                    continue
-                c = mult[j][i * r + l]
-                if (c):
-                    total = ring.add(total, ring.mul(ring.mul(hc, fc), c))
-        out[l] = total
+            if hc:
+                for j, c in cols[l * r + i] if left else cols[i * r + l]:
+                    if f_vec[j]:
+                        total = add(total, mul(mul(hc, f_vec[j]), c))
+        out.append(total)
     return tuple(out)
 
 
@@ -133,8 +111,7 @@ def trivial_action(hopf: HopfLike, algebra: AlgebraData) -> WeakActionData:
     b = bialgebra_of(hopf)
     ida = LinearMap.identity(algebra.carrier)
     action = kron(b.coalgebra.counit, ida)
-    action = LinearMap(tensor_module(b.carrier, algebra.carrier), algebra.carrier,
-                       action.matrix)
+    action = action.relabeled(tensor_module(b.carrier, algebra.carrier), algebra.carrier)
     return WeakActionData(hopf, algebra, action)
 
 
@@ -257,8 +234,7 @@ class ComoduleAlgebraData:
 def regular_comodule(h: HopfLike) -> ComoduleAlgebraData:
     """H as a right H-comodule algebra over itself via Δ."""
     b = bialgebra_of(h)
-    coaction = LinearMap(b.carrier, tensor_module(b.carrier, b.carrier),
-                         b.coalgebra.comult.matrix)
+    coaction = b.coalgebra.comult.relabeled(b.carrier, tensor_module(b.carrier, b.carrier))
     return ComoduleAlgebraData(h, b.algebra, coaction)
 
 
@@ -294,7 +270,7 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     unit_embed = LinearMap.from_columns(unit_module(ring), b.carrier,
                                         [b.algebra.unit])
     embed = kron(LinearMap.identity(B.carrier), unit_embed)
-    embed = LinearMap(B.carrier, c.coaction.codomain, embed.matrix)
+    embed = embed.relabeled(B.carrier, c.coaction.codomain)
     diff = c.coaction - embed
     res = solve_linear(diff, (ring.zero,) * diff.codomain.rank)
     vectors = res.kernel_basis

@@ -53,6 +53,7 @@ from .linalg import (
     kron_vec,
     map_to_vec,
     span_coordinates,
+    sparse_column,
     tensor_module,
     unit_vectors,
     vec_to_map,
@@ -202,13 +203,13 @@ def validate_cocycle(action: WeakActionData, sigma: LinearMap,
 
 
 def trivial_sigma(action: WeakActionData) -> LinearMap:
-    """σ = η_A∘(ε⊗ε): H⊗H → A, not validated."""
-    b = action.bialgebra
-    A = action.algebra
-    eps = b.coalgebra.counit
-    unit_embed = LinearMap.from_columns(eps.codomain, A.carrier, [A.unit])
-    sigma = unit_embed @ kron(eps, eps)
-    return LinearMap(tensor_module(b.carrier, b.carrier), A.carrier, sigma.matrix)
+    """σ = η_A∘(ε⊗ε): H⊗H → A, h⊗k ↦ ε(h)ε(k)1_A, not validated."""
+    b, ring = action.bialgebra, action.ring
+    one_a = tuple((t, x) for t, x in enumerate(action.algebra.unit) if x)
+    eps = [col[0][1] if col else ring.zero for col in b.coalgebra.counit.sparse_columns()]
+    cols = [combine_columns(ring, [(one_a, ring.mul(x, y))]) for x in eps for y in eps]
+    return LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier),
+                                         action.algebra.carrier, cols)
 
 
 def trivial_cocycle(action: WeakActionData) -> CocycleData:
@@ -229,10 +230,9 @@ def crossed_table(action: WeakActionData, sigma: LinearMap) -> LinearMap:
     column multiplies the two with A-products read off the sparse table."""
     b = action.bialgebra
     ring = action.ring
-    mul, add = ring.mul, ring.add
+    zero, mul, add = ring.zero, ring.mul, ring.add
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
     carrier = tensor_module(action.algebra.carrier, b.carrier)
-    rB = carrier.rank
 
     def terms(j, l):  # h₁ ↦ Σ c·σ(h₂⊗l₁)⊗h₃l₂ as (a-index, h-index, coefficient)
         by_h1 = {}
@@ -250,15 +250,15 @@ def crossed_table(action: WeakActionData, sigma: LinearMap) -> LinearMap:
     table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
     cols = []
     for i, j, k, l in product(range(rA), range(rH), range(rA), range(rH)):
-        out = [ring.zero] * rB
+        acc = {}
         for h1, w in table[j][l]:
             for p, a in a_h_a(i, h1, k):
                 for s, x, v in w:
                     av = mul(a, v)
                     for t, m in amul[p * rA + s]:
                         pos = t * rH + x
-                        out[pos] = add(out[pos], mul(m, av))
-        cols.append([(pos, v) for pos, v in enumerate(out) if v])
+                        acc[pos] = add(acc.get(pos, zero), mul(m, av))
+        cols.append(sparse_column(acc))
     return LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
@@ -316,7 +316,7 @@ def build_crossed_product(action: WeakActionData, cocycle: CocycleData) -> Cross
     A = action.algebra
     carrier = alg.carrier
     coaction = kron(LinearMap.identity(A.carrier), b.coalgebra.comult)
-    coaction = LinearMap(carrier, tensor_module(carrier, b.carrier), coaction.matrix)
+    coaction = coaction.relabeled(carrier, tensor_module(carrier, b.carrier))
     comodule = ComoduleAlgebraData(action.hopf, alg, coaction)
     comodule.validate().require()
     cp = CrossedProductData(action, cocycle, alg, comodule)
@@ -518,11 +518,11 @@ def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrosse
     Sbar = hopf.twisted_antipode
     a_op = A.opposite()
     action_op_map = cp.action.action @ kron(Sbar, LinearMap.identity(A.carrier))
-    action_op = WeakActionData(hop, a_op, LinearMap(
-        cp.action.action.domain, A.carrier, action_op_map.matrix))
+    action_op = WeakActionData(hop, a_op, action_op_map.relabeled(
+        cp.action.action.domain, A.carrier))
     validate_weak_action(action_op, "opposite weak action").require()
     tau_map = cp.cocycle.sigma_inv @ kron(Sbar, Sbar)
-    tau_map = LinearMap(cp.cocycle.sigma.domain, A.carrier, tau_map.matrix)
+    tau_map = tau_map.relabeled(cp.cocycle.sigma.domain, A.carrier)
     tau = validate_cocycle(action_op, tau_map)
     if not tau.flags.all_true:
         raise ValidationError("τ fails the cocycle flags")

@@ -681,7 +681,7 @@ def matrix_iso(cp: CrossedProductData, lam: LinearMap,
     end_alg = endomorphism_algebra(h.carrier)
     a_end = tensor_algebra(A, end_alg)
     leg2_map = kron(LinearMap.identity(A.carrier), lam)
-    leg2_map = LinearMap(leg1.target.carrier, a_end.carrier, leg2_map.matrix)
+    leg2_map = leg2_map.relabeled(leg1.target.carrier, a_end.carrier)
     leg2 = certify_algebra_iso(leg1.target, a_end, leg2_map, "id⊗λ")
     # A⊗End(H) = A⊗M_n(R) bit-identically
     mat = matrix_algebra(ring, n)
@@ -693,7 +693,7 @@ def matrix_iso(cp: CrossedProductData, lam: LinearMap,
     # A⊗M_n(R) ≅ M_n(R)⊗A via the twist
     mat_a = tensor_algebra(mat, A)
     sw = twist_map(A.carrier, mat.carrier)
-    sw = LinearMap(a_mat.carrier, mat_a.carrier, sw.matrix)
+    sw = sw.relabeled(a_mat.carrier, mat_a.carrier)
     leg4 = certify_algebra_iso(a_mat, mat_a, sw, "A⊗M_n ≅ M_n(A)")
     iso = leg4.compose(leg3.compose(leg2.compose(leg1)))
     if iso.map.codomain.rank != n * n * A.rank:
@@ -1148,7 +1148,7 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
 
     target = direct.target  # A⊗(H#U)
     composite = step2.map @ step1
-    composite = LinearMap(lhs.carrier, target.carrier, composite.matrix)
+    composite = composite.relabeled(lhs.carrier, target.carrier)
     iso = certify_algebra_iso(lhs, target, composite, "chain composite")
     equal = direct.map == iso.map
     rep.add("chain.certified", "the four-step composite is a certified "

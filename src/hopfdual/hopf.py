@@ -32,6 +32,7 @@ from .linalg import (
     product_labels,
     solve_linear,
     tensor_module,
+    transpose,
     unit_module,
     vec_to_map,
 )
@@ -497,26 +498,16 @@ class ConvolutionAlgebra:
     def algebra(self) -> AlgebraData:
         """The convolution product as an AlgebraData on the hom module."""
         if self._algebra is None:
-            ring = self.ring
-            rC, rA = self.source.rank, self.target.rank
-            cols = []
-            for i in range(rA):
-                for j in range(rC):
-                    for k in range(rA):
-                        for l in range(rC):
-                            out = [ring.zero] * (rA * rC)
-                            prod = self.target.basis_product(i, k)
-                            drow = j * rC + l
-                            for m in range(rC):
-                                s = self.source.comult.matrix[drow][m]
-                                if ring.is_zero(s):
-                                    continue
-                                for t, c in prod:
-                                    out[t * rC + m] = ring.add(
-                                        out[t * rC + m], ring.mul(s, c))
-                            cols.append(tuple(out))
-            mult = LinearMap.from_columns(tensor_module(self.carrier, self.carrier),
-                                          self.carrier, cols)
+            # column (i,j)⊗(k,l) is Σ s·c at (t, m) over the terms c·a_t of
+            # a_ia_k and s·c_j⊗c_l of Δ(c_m): row (j, l) of Δ, m increasing
+            rC, rA, mul = self.source.rank, self.target.rank, self.ring.mul
+            comult = self.source.comult
+            drows = transpose(comult, comult.codomain, comult.domain).sparse_columns()
+            cols = [[(t * rC + m, sc) for t, c in self.target.basis_product(i, k)
+                     for m, s in drows[j * rC + l] if (sc := mul(s, c))]
+                    for i, j, k, l in product(range(rA), range(rC), range(rA), range(rC))]
+            mult = LinearMap.from_sparse_columns(tensor_module(self.carrier, self.carrier),
+                                                 self.carrier, cols)
             self._algebra = AlgebraData(self.carrier, mult, self.unit_vec)
         return self._algebra
 
@@ -578,25 +569,17 @@ def compute_twisted_antipode(b: HopfLike) -> LinearMap:
 
 def dual_hopf(h: HopfData) -> HopfData:
     """The dual Hopf algebra on H* (finite free rank, so H° = H*)."""
-    H = h.carrier
-    ring = h.ring
-    Hd = dual_module(H)
-    r = H.rank
-    comult_m = h.coalgebra.comult.matrix
-    mult_m = h.algebra.mult.matrix
-    # (δ_i ⋆ δ_j)(h_k) = coefficient of h_i⊗h_j in Δ(h_k)
-    mult_rows = [[comult_m[i][k] for i in range(r * r)] for k in range(r)]
-    mult_d = LinearMap(tensor_module(Hd, Hd), Hd, mult_rows)
+    Hd = dual_module(h.carrier)
+    HdHd = tensor_module(Hd, Hd)
+    # (δ_i ⋆ δ_j)(h_k) = coefficient of h_i⊗h_j in Δ(h_k): every structure
+    # map of H* is the transpose of one of H
+    mult_d = transpose(h.coalgebra.comult, HdHd, Hd)
     unit_d = tuple(h.coalgebra.counit.matrix[0])
-    comult_rows = [[mult_m[k][i] for k in range(r)] for i in range(r * r)]
-    comult_d = LinearMap(Hd, tensor_module(Hd, Hd), comult_rows)
-    counit_d = LinearMap(Hd, unit_module(ring), [list(h.algebra.unit)])
-    antipode_d = LinearMap(Hd, Hd, [[h.antipode.matrix[j][i] for j in range(r)]
-                                    for i in range(r)])
-    twisted_d = None
-    if h.twisted_antipode is not None:
-        twisted_d = LinearMap(Hd, Hd, [[h.twisted_antipode.matrix[j][i]
-                                        for j in range(r)] for i in range(r)])
+    comult_d = transpose(h.algebra.mult, Hd, HdHd)
+    counit_d = transpose(h.bialgebra.unit_map(), Hd, unit_module(h.ring))
+    antipode_d = transpose(h.antipode, Hd, Hd)
+    twisted_d = (None if h.twisted_antipode is None
+                 else transpose(h.twisted_antipode, Hd, Hd))
     out = HopfData(
         BialgebraData(AlgebraData(Hd, mult_d, unit_d),
                       CoalgebraData(Hd, comult_d, counit_d)),

@@ -2,17 +2,22 @@
 
 Conventions, fixed once for the whole library:
 
-* a :class:`LinearMap` stores its matrix row-major; column ``j`` is the image
-  of the ``j``-th domain basis vector;
+* column ``j`` of a :class:`LinearMap` is the image of the ``j``-th domain
+  basis vector, and its ``matrix`` is the tuple of rows;
 * tensor indices flatten row-major: ``e_i (x) f_j`` sits at ``i * rank(N) + j``;
 * ``Hom(C, A)`` flattens the matrix of a map row-major, i.e. the basis map
   ``c_j -> a_i`` sits at index ``i * rank(C) + j``.
 
-A :class:`LinearMap` keeps its dense matrix, but the kernels (``apply``,
-``compose``, :func:`kron`, :func:`twist_map`) work on its cached sparse
-columns, so their cost follows the nonzero entries.  Tensor, opposite and
-convolution structure constants are likewise written by index arithmetic on
-sparse columns, never by composing Kronecker products with twist matrices.
+A :class:`LinearMap` stores one form, its canonical sparse columns: per
+column the (row, coefficient) pairs with nonzero coefficient, rows
+increasing, so that equality and hashing compare columns.  Its dense rows
+are built the first time ``matrix`` is read, which only elimination,
+determinants and dense readers do.  The kernels (``apply``, ``compose``,
+:func:`kron`, :func:`twist_map`) work on the sparse columns, so their cost
+follows the nonzero entries, and the structure builders sum each column in a
+dict (:func:`sparse_column`).  Tensor, opposite and convolution structure
+constants are likewise written by index arithmetic on sparse columns, never
+by composing Kronecker products with twist matrices.
 
 Solving is exact, with the factorization chosen by the ground ring:
 Gauss–Jordan elimination over the fields Q and Z/p (p prime), Smith normal
@@ -145,9 +150,10 @@ def kron_vec(ring: Ring, u: Vector, v: Vector) -> Vector:
 
 
 class LinearMap:
-    """A matrix of ring elements between two free modules."""
+    """A matrix of ring elements between two free modules, stored as its
+    canonical sparse columns; the dense rows are built on first read."""
 
-    __slots__ = ("domain", "codomain", "matrix", "_cols")
+    __slots__ = ("domain", "codomain", "_cols", "_rows")
 
     def __init__(self, domain: FreeModule, codomain: FreeModule, matrix):
         if domain.ring != codomain.ring:
@@ -163,51 +169,52 @@ class LinearMap:
                 raise DimensionMismatch(
                     f"matrix row length {len(row)}, domain rank {domain.rank}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "_cols", None)
+        cols = (tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows))
+                if rows else ((),) * domain.rank)
+        self._store(domain, codomain, cols, rows)
+
+    def _store(self, domain, codomain, cols, rows):
+        for name, value in zip(self.__slots__, (domain, codomain, cols, rows)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("LinearMap is immutable")
-
-    @staticmethod
-    def _raw(domain: FreeModule, codomain: FreeModule, rows) -> "LinearMap":
-        """Internal constructor for entries already in canonical form."""
-        m = object.__new__(LinearMap)
-        object.__setattr__(m, "domain", domain)
-        object.__setattr__(m, "codomain", codomain)
-        object.__setattr__(m, "matrix", tuple(tuple(r) for r in rows))
-        object.__setattr__(m, "_cols", None)
-        return m
 
     @staticmethod
     def from_sparse_columns(domain: FreeModule, codomain: FreeModule,
                             cols) -> "LinearMap":
         """Build a map from canonical sparse columns: per domain basis vector,
         the (row, coefficient) pairs with nonzero canonical coefficient, rows
-        increasing.  They become the cached :meth:`sparse_columns`."""
-        zero = domain.ring.zero
-        rows = [[zero] * domain.rank for _ in range(codomain.rank)]
-        for j, col in enumerate(cols):
-            for i, c in col:
-                rows[i][j] = c
-        m = LinearMap._raw(domain, codomain, rows)
-        object.__setattr__(m, "_cols", tuple(map(tuple, cols)))
+        increasing.  They are stored as they are, as :meth:`sparse_columns`."""
+        m = object.__new__(LinearMap)
+        m._store(domain, codomain, tuple(map(tuple, cols)), None)
         return m
+
+    def relabeled(self, domain: FreeModule, codomain: FreeModule) -> "LinearMap":
+        """The same columns between modules of the same ranks."""
+        return LinearMap.from_sparse_columns(domain, codomain, self._cols)
 
     @property
     def ring(self) -> Ring:
         return self.domain.ring
 
+    @property
+    def matrix(self) -> tuple:
+        """The dense rows, built from the sparse columns on first read."""
+        if self._rows is None:
+            zero = self.ring.zero
+            rows = [[zero] * self.domain.rank for _ in range(self.codomain.rank)]
+            for j, col in enumerate(self._cols):
+                for i, c in col:
+                    rows[i][j] = c
+            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
+
     @staticmethod
     def identity(module: FreeModule) -> "LinearMap":
-        one, zero = module.ring.one, module.ring.zero
-        rows = [
-            [one if i == j else zero for j in range(module.rank)]
-            for i in range(module.rank)
-        ]
-        return LinearMap(module, module, rows)
+        one = module.ring.one
+        return LinearMap.from_sparse_columns(module, module,
+                                             [((i, one),) for i in range(module.rank)])
 
     @staticmethod
     def from_columns(domain: FreeModule, codomain: FreeModule, cols) -> "LinearMap":
@@ -218,17 +225,14 @@ class LinearMap:
         return LinearMap(domain, codomain, rows)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.matrix)
+        out = [self.ring.zero] * self.codomain.rank
+        for i, c in self._cols[j]:
+            out[i] = c
+        return tuple(out)
 
     def sparse_columns(self):
-        """Per column, the list of (row, coefficient) with nonzero coefficient."""
-        if self._cols is None:
-            if self.codomain.rank:
-                cols = tuple(tuple((i, x) for i, x in enumerate(col) if x)
-                             for col in zip(*self.matrix))
-            else:
-                cols = ((),) * self.domain.rank
-            object.__setattr__(self, "_cols", cols)
+        """Per column, the (row, coefficient) pairs with nonzero coefficient,
+        rows increasing."""
         return self._cols
 
     def apply(self, vec: Vector) -> Vector:
@@ -236,7 +240,7 @@ class LinearMap:
             raise DimensionMismatch("vector length must equal domain rank")
         ring = self.ring
         out = [ring.zero] * self.codomain.rank
-        cols = self.sparse_columns()
+        cols = self._cols
         mul, add = ring.mul, ring.add
         for j, x in enumerate(vec):
             if not x:
@@ -251,17 +255,8 @@ class LinearMap:
             raise RingMismatch("composition over different rings")
         if other.codomain.rank != self.domain.rank:
             raise DimensionMismatch("composition rank mismatch")
-        ring = self.ring
-        zero, mul, add = ring.zero, ring.mul, ring.add
-        inner = self.sparse_columns()
-        n = self.codomain.rank
-        cols = []
-        for col in other.sparse_columns():
-            out = [zero] * n
-            for k, x in col:
-                for i, c in inner[k]:
-                    out[i] = add(out[i], mul(c, x))
-            cols.append([(i, v) for i, v in enumerate(out) if v])
+        ring, inner = self.ring, self._cols
+        cols = [combine_columns(ring, [(inner[k], x) for k, x in col]) for col in other._cols]
         return LinearMap.from_sparse_columns(other.domain, self.codomain, cols)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
@@ -270,11 +265,10 @@ class LinearMap:
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         self._require_same_shape(other)
         ring = self.ring
-        rows = [
-            [ring.sub(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix, other.matrix)
-        ]
-        return LinearMap._raw(self.domain, self.codomain, rows)
+        minus_one = ring.neg(ring.one)
+        cols = [combine_columns(ring, [(x, ring.one), (y, minus_one)])
+                for x, y in zip(self._cols, other._cols)]
+        return LinearMap.from_sparse_columns(self.domain, self.codomain, cols)
 
     def _require_same_shape(self, other: "LinearMap"):
         if self.ring != other.ring:
@@ -286,18 +280,18 @@ class LinearMap:
             raise DimensionMismatch("map shapes differ")
 
     def __eq__(self, other) -> bool:
-        # Labels are cosmetic; equality is ring + shape + matrix.
+        # Labels are cosmetic; equality is ring + shape + sparse columns.
         if not isinstance(other, LinearMap):
             return NotImplemented
         return (
             self.ring == other.ring
             and self.domain.rank == other.domain.rank
             and self.codomain.rank == other.codomain.rank
-            and self.matrix == other.matrix
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.domain.rank, self.codomain.rank, self.matrix))
+        return hash((self.domain.rank, self.codomain.rank, self._cols))
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"LinearMap({self.codomain.rank}x{self.domain.rank} over {self.ring!r})"
@@ -336,6 +330,12 @@ def combine_columns(ring, terms):
             v = mul(c, x)
             prev = acc.get(t)
             acc[t] = v if prev is None else add(prev, v)
+    return sparse_column(acc)
+
+
+def sparse_column(acc: dict) -> tuple:
+    """The canonical sparse column of a {row: coefficient} accumulator: the
+    nonzero pairs, rows increasing."""
     return tuple(sorted([(t, x) for t, x in acc.items() if x]))
 
 
@@ -360,6 +360,16 @@ def twist_map(m: FreeModule, n: FreeModule) -> LinearMap:
     one = m.ring.one
     cols = [((j * m.rank + i, one),) for i in range(m.rank) for j in range(n.rank)]
     return LinearMap.from_sparse_columns(tensor_module(m, n), tensor_module(n, m), cols)
+
+
+def transpose(m: LinearMap, domain: FreeModule, codomain: FreeModule) -> LinearMap:
+    """The transpose of ``m`` as a map ``domain`` → ``codomain``, whose ranks
+    are m's codomain and domain ranks: row i of m becomes column i."""
+    cols = [[] for _ in range(m.codomain.rank)]
+    for j, col in enumerate(m.sparse_columns()):
+        for i, c in col:
+            cols[i].append((j, c))
+    return LinearMap.from_sparse_columns(domain, codomain, cols)
 
 
 def column_witness(a: LinearMap, b: LinearMap, labels) -> Optional[str]:
@@ -802,19 +812,20 @@ def invert_map(m: LinearMap) -> LinearMap:
     and the determinant is computed only to report a failure."""
     if m.domain.rank != m.codomain.rank:
         raise NotInvertible("cannot invert a non-square map")
-    rows = certified("inverse", (m.ring, m.domain.rank, m.sparse_columns()),
-                     lambda: _inverse_rows(m))
-    return LinearMap._raw(m.codomain, m.domain, rows)
+    cols = certified("inverse", (m.ring, m.domain.rank, m.sparse_columns()),
+                     lambda: _inverse_columns(m))
+    return LinearMap.from_sparse_columns(m.codomain, m.domain, cols)
 
 
-def _inverse_rows(m: LinearMap):
+def _inverse_columns(m: LinearMap):
     ring = m.ring
     solver = PreparedSolver(ring, m.matrix)
     ident = LinearMap.identity(m.domain)
     if ring.is_field:
         rows = solver._T
     elif isinstance(ring, ModularRing):
-        cols = [solver.solve(e).particular for e in ident.matrix]
+        cols = [solver.solve(m.domain.basis_vector(j)).particular
+                for j in range(m.domain.rank)]
         rows = None if None in cols else list(zip(*cols))
     else:
         U, V = solver._U, solver._V
@@ -822,7 +833,7 @@ def _inverse_rows(m: LinearMap):
     if rows is not None:
         inv = LinearMap(m.codomain, m.domain, rows)
         if inv @ m == ident and m @ inv == ident:
-            return inv.matrix
+            return inv.sparse_columns()
     det = determinant(m)
     if not ring.is_unit(det):
         raise NotInvertible(

@@ -28,9 +28,7 @@ from itertools import product
 from .actions import (
     ComoduleAlgebraData,
     WeakActionData,
-    hit,
-    regular_act_left,
-    regular_act_right,
+    regular_act,
     regular_comodule,
     validate_weak_action,
 )
@@ -53,6 +51,7 @@ from .linalg import (
     dual_module,
     hom_module,
     kron_vec,
+    sparse_column,
     split_coefficient_map,
     tensor_module,
 )
@@ -99,13 +98,9 @@ class SubalgebraU:
                     raise ValidationError(f"U is not ⋆-closed at (u{i},u{j})")
                 self.star_witness[i, j] = coords
         self.action_witness = {}
-        for i, u in enumerate(self.elements):
+        for i in range(self.rank):
             for j in range(b.rank):
-                h = b.carrier.basis_vector(j)
-                moved = (regular_act_right(hopf, u, h)
-                         if side is ModuleSide.RIGHT
-                         else regular_act_left(hopf, h, u))
-                coords = self.express(moved)
+                coords = self.express(self.act_regular(i, b.carrier.basis_vector(j)))
                 if coords is None:
                     raise ValidationError(
                         f"U is not closed under the {side.value} regular action")
@@ -125,9 +120,8 @@ class SubalgebraU:
 
     def act_regular(self, i: int, h_vec):
         """u_i moved by the regular action of ``h_vec`` on the declared side."""
-        if self.side is ModuleSide.RIGHT:
-            return regular_act_right(self.hopf, self.elements[i], h_vec)
-        return regular_act_left(self.hopf, h_vec, self.elements[i])
+        return regular_act(self.hopf, self.elements[i], h_vec,
+                           self.side is ModuleSide.LEFT)
 
     @classmethod
     def full_dual(cls, hopf: HopfLike, side: ModuleSide = ModuleSide.RIGHT) -> "SubalgebraU":
@@ -180,7 +174,7 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
     """
     b = bialgebra_of(hopf)
     ring = b.ring
-    mul, add = ring.mul, ring.add
+    zero, mul, add = ring.zero, ring.mul, ring.add
     rH, rB = b.rank, B.algebra.rank
     carrier = hom_module(b.carrier, B.algebra.carrier)
     hcols = b.algebra.mult.sparse_columns()
@@ -205,12 +199,12 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
         for fj in range(rH):
             for gi in range(rB):
                 for gj in range(rH):
-                    out = [ring.zero] * carrier.rank
+                    acc = {}
                     for t, b0, s in (table[fi][fj][gj] if op else table[gi][gj][fj]):
                         for bidx, bv in bcols[b0 * rB + gi] if op else bcols[fi * rB + b0]:
                             pos = bidx * rH + t
-                            out[pos] = add(out[pos], mul(s, bv))
-                    cols.append([(pos, v) for pos, v in enumerate(out) if v])
+                            acc[pos] = add(acc.get(pos, zero), mul(s, bv))
+                    cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = kron_vec(ring, B.algebra.unit, b.coalgebra.counit.matrix[0])
     alg = AlgebraData(carrier, mult, unit)
@@ -240,7 +234,7 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
     which are computed once per (l, b₁, m)."""
     b = bialgebra_of(B.hopf)
     ring = b.ring
-    mul, add = ring.mul, ring.add
+    zero, mul, add = ring.zero, ring.mul, ring.add
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
@@ -260,15 +254,15 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
         for l in range(rU):
             for k in range(rB):
                 for m in range(rU):
-                    out = [ring.zero] * carrier.rank
+                    acc = {}
                     for b0, b1, c in coact[i] if op else coact[k]:
                         ucoords = upart(l, b1, m)
                         for bidx, bv in bcols[b0 * rB + k] if op else bcols[i * rB + b0]:
                             cb = mul(c, bv)
                             for uidx, uv in ucoords:
                                 pos = bidx * rU + uidx
-                                out[pos] = add(out[pos], mul(cb, uv))
-                    cols.append([(pos, v) for pos, v in enumerate(out) if v])
+                                acc[pos] = add(acc.get(pos, zero), mul(cb, uv))
+                    cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
     alg = AlgebraData(carrier, mult, unit)
@@ -288,7 +282,7 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
     b = action.bialgebra
     A = action.algebra
     ring = action.ring
-    mul, add = ring.mul, ring.add
+    zero, mul, add = ring.zero, ring.mul, ring.add
     rH, rA = b.rank, A.rank
     carrier = tensor_module(A.carrier, b.carrier)
     hmul = b.algebra.mult.sparse_columns()
@@ -309,13 +303,13 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
     table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
     cols = []
     for i, j, k, l in product(range(rA), range(rH), range(rA), range(rH)):
-        out = [ring.zero] * carrier.rank
+        acc = {}
         for h1, hx in table[j][l]:
             for t, av in apart(i, h1, k):
                 for x, hc in hx:
                     pos = t * rH + x
-                    out[pos] = add(out[pos], mul(av, hc))
-        cols.append([(pos, v) for pos, v in enumerate(out) if v])
+                    acc[pos] = add(acc.get(pos, zero), mul(av, hc))
+        cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     if mult != crossed_table(action, sigma):
         raise ValidationError(
@@ -326,12 +320,16 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
 
 
 def hit_action_of_dual(h: HopfData) -> WeakActionData:
-    """H as a left H*-module algebra under f⇀k = Σ k₁f(k₂) (``actions.hit``)."""
+    """H as a left H*-module algebra under f⇀k = Σ k₁f(k₂) (``actions.hit``):
+    column δ_l⊗h_j is Σ c·h_k₁ over the terms c·h_k₁⊗h_l of Δ(h_j)."""
     dual = dual_hopf(ensure_hopf(h))
     b = bialgebra_of(h)
-    cols = [hit(b, b.carrier.basis_vector(l), j) for l in range(b.rank) for j in range(b.rank)]
-    action = LinearMap.from_columns(tensor_module(dual.carrier, b.carrier),
-                                    b.carrier, cols)
+    cols = [[] for _ in range(b.rank * b.rank)]
+    for j in range(b.rank):
+        for c, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
+            cols[k2 * b.rank + j].append((k1, c))
+    action = LinearMap.from_sparse_columns(tensor_module(dual.carrier, b.carrier),
+                                           b.carrier, cols)
     w = WeakActionData(dual.bialgebra, b.algebra, action)
     validate_weak_action(w, "hit action of the dual").require()
     return w

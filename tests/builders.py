@@ -8,6 +8,7 @@ RL-condition; ``idempotent_monoid_bialgebra`` is a
 bialgebra with no antipode; ``entries_equal`` compares two entries through
 their canonical instance documents; ``unvalidated_hopf`` builds Hopf data
 from ``hopf_from_parts`` arguments without certifying it.
+``cyclic_document`` is the instance document of R[C_n] over Z/p.
 """
 from hopfdual.catalog import (
     CatalogEntry,
@@ -93,3 +94,18 @@ def unvalidated_hopf(carrier, mult_quads, unit, comult_quads, counit_values,
     bial = BialgebraData(algebra_from_quadruples(carrier, mult_quads, unit),
                          coalgebra_from_quadruples(carrier, comult_quads, counit_values))
     return HopfData(bial, endo(antipode_cols), endo(twisted_cols))
+
+
+def cyclic_document(n: int, p: int) -> dict:
+    """R[C_n] over Z/p as a kind-'hopf' instance document with no antipode:
+    g^i g^j = g^(i+j), Δ(g^i) = g^i⊗g^i, ε = 1."""
+    return {
+        "name": f"Zmod{p}_C{n}", "description": f"the order-{n} group algebra over Z/{p}",
+        "kind": "hopf", "suite": "all", "ring": {"kind": "integers_mod", "n": p},
+        "modules": {"H": [f"g{i}" for i in range(n)]},
+        "hopf": {"carrier": "H",
+                 "mult": [[i, j, (i + j) % n, "1"] for i in range(n) for j in range(n)],
+                 "unit": ["1"] + ["0"] * (n - 1),
+                 "comult": [[i, i, i, "1"] for i in range(n)],
+                 "counit": ["1"] * n},
+    }

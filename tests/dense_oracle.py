@@ -1,11 +1,22 @@
 """Dense reference definitions for the sparse kernels and structure builders.
 
 Each definition builds its result entry by entry on the dense matrices, with
-nothing from hopfdual but the ring operations and the ``LinearMap`` container:
-a triple-loop product, an entrywise Kronecker product, a permutation-matrix
-twist, and the Kronecker-and-twist composites that define tensor, opposite
-and convolution structure constants.  ``test_linalg.py`` and ``test_hopf.py``
-require the library to agree with them bit for bit.
+nothing from hopfdual but the ring operations and the dense-first
+``DenseMap`` container: a triple-loop product, an entrywise Kronecker
+product, a permutation-matrix twist, and the Kronecker-and-twist composites
+that define tensor, opposite and convolution structure constants.
+``test_linalg.py`` and ``test_hopf.py`` require the library to agree with
+them bit for bit.
+
+``DenseMap`` is the linear map that stores its dense matrix and derives its
+sparse columns on first use, with equality and hashing on the matrix;
+``test_linalg.py`` requires the library's sparse-first ``LinearMap`` to agree
+with it on every constructor, ``compose``, ``kron``, the twist and the
+opposite table: matrix, sparse columns, columns, application, equality and
+hashing, entry types included.  ``regular_act_left`` and
+``regular_act_right`` are the regular actions of H on H* as triple loops
+over the dense multiplication table; ``test_actions.py`` requires
+``actions.regular_act`` to agree with them.
 
 ``gamma_map`` and ``delta_map`` are the duality maps γ and δ written as the
 plain Sweedler sums, every factor recomputed for every term, column and
@@ -75,12 +86,12 @@ status and kernel.
 from hypothesis import strategies as st
 
 from hopfdual import duality, linalg
-from hopfdual.actions import hit, regular_act_left, regular_act_right
+from hopfdual.actions import hit
 from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
 from hopfdual.actions import coinvariants
 from hopfdual.duality import DiagramSide, end_rep_module
-from hopfdual.errors import DimensionMismatch, NotInvertible, ValidationError
+from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch, ValidationError
 from hopfdual.hopf import (
     AlgebraData,
     ConvolutionAlgebra,
@@ -147,9 +158,143 @@ def scatter_value(out, ring, val, rH, t):
             out[p * rH + t] = ring.add(out[p * rH + t], v)
 
 
+class DenseMap:
+    """The dense-first linear map: it stores the row-major matrix and derives
+    the sparse columns from it on first use.  Equality and hashing read the
+    matrix.  ``test_linalg.py`` requires the library's sparse-first
+    ``LinearMap`` to agree with it on every constructor and kernel."""
+
+    __slots__ = ("domain", "codomain", "matrix", "_cols")
+
+    def __init__(self, domain, codomain, matrix):
+        if domain.ring != codomain.ring:
+            raise RingMismatch("domain and codomain rings differ")
+        ring = domain.ring
+        rows = tuple(tuple(ring.of(x) for x in row) for row in matrix)
+        if len(rows) != codomain.rank:
+            raise DimensionMismatch(
+                f"matrix has {len(rows)} rows, codomain rank is {codomain.rank}")
+        for row in rows:
+            if len(row) != domain.rank:
+                raise DimensionMismatch(
+                    f"matrix row length {len(row)}, domain rank {domain.rank}")
+        self.domain, self.codomain, self.matrix, self._cols = domain, codomain, rows, None
+
+    @staticmethod
+    def _raw(domain, codomain, rows):
+        """A map over exactly ``rows``, with no re-canonicalisation."""
+        m = object.__new__(DenseMap)
+        m.domain, m.codomain, m._cols = domain, codomain, None
+        m.matrix = tuple(tuple(r) for r in rows)
+        return m
+
+    @staticmethod
+    def from_sparse_columns(domain, codomain, cols):
+        zero = domain.ring.zero
+        rows = [[zero] * domain.rank for _ in range(codomain.rank)]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                rows[i][j] = c
+        m = DenseMap._raw(domain, codomain, rows)
+        m._cols = tuple(map(tuple, cols))
+        return m
+
+    @staticmethod
+    def from_columns(domain, codomain, cols):
+        cols = list(cols)
+        return DenseMap(domain, codomain,
+                        [[col[i] for col in cols] for i in range(codomain.rank)])
+
+    @staticmethod
+    def identity(module):
+        one, zero = module.ring.one, module.ring.zero
+        return DenseMap(module, module, [[one if i == j else zero
+                                          for j in range(module.rank)]
+                                         for i in range(module.rank)])
+
+    @property
+    def ring(self):
+        return self.domain.ring
+
+    def column(self, j):
+        return tuple(row[j] for row in self.matrix)
+
+    def sparse_columns(self):
+        if self._cols is None:
+            if self.codomain.rank:
+                self._cols = tuple(tuple((i, x) for i, x in enumerate(col) if x)
+                                   for col in zip(*self.matrix))
+            else:
+                self._cols = ((),) * self.domain.rank
+        return self._cols
+
+    def apply(self, vec):
+        ring = self.ring
+        out = [ring.zero] * self.codomain.rank
+        cols = self.sparse_columns()
+        for j, x in enumerate(vec):
+            if x:
+                for i, c in cols[j]:
+                    out[i] = ring.add(out[i], ring.mul(c, x))
+        return tuple(out)
+
+    def compose(self, other):
+        """self ∘ other, each column summed in a dense accumulator."""
+        ring = self.ring
+        inner = self.sparse_columns()
+        cols = []
+        for col in other.sparse_columns():
+            out = [ring.zero] * self.codomain.rank
+            for k, x in col:
+                for i, c in inner[k]:
+                    out[i] = ring.add(out[i], ring.mul(c, x))
+            cols.append([(i, v) for i, v in enumerate(out) if v])
+        return DenseMap.from_sparse_columns(other.domain, self.codomain, cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, DenseMap):
+            return NotImplemented
+        return (self.ring == other.ring
+                and self.domain.rank == other.domain.rank
+                and self.codomain.rank == other.codomain.rank
+                and self.matrix == other.matrix)
+
+    def __hash__(self):
+        return hash((self.domain.rank, self.codomain.rank, self.matrix))
+
+
+def regular_act_left(h, h_vec, f_vec):
+    """(hf)(k) = f(kh): the triple loop over the dense multiplication table."""
+    return _regular_act(h, h_vec, f_vec, lambda l, i, r: l * r + i)
+
+
+def regular_act_right(h, f_vec, h_vec):
+    """(fh)(k) = f(hk): the triple loop over the dense multiplication table."""
+    return _regular_act(h, h_vec, f_vec, lambda l, i, r: i * r + l)
+
+
+def _regular_act(h, h_vec, f_vec, column):
+    b = bialgebra_of(h)
+    ring, r, mult = b.ring, b.rank, b.algebra.mult.matrix
+    out = [ring.zero] * r
+    for l in range(r):
+        total = ring.zero
+        for i, hc in enumerate(h_vec):
+            if not hc:
+                continue
+            for j, fc in enumerate(f_vec):
+                if not fc:
+                    continue
+                c = mult[j][column(l, i, r)]
+                if c:
+                    total = ring.add(total, ring.mul(ring.mul(hc, fc), c))
+        out[l] = total
+    return tuple(out)
+
+
 def dense(domain, codomain, rows):
-    """A LinearMap over exactly ``rows``, with no re-canonicalisation."""
-    return LinearMap._raw(domain, codomain, [tuple(r) for r in rows])
+    """A :class:`DenseMap` over exactly ``rows``, with no re-canonicalisation."""
+    return DenseMap._raw(domain, codomain, rows)
 
 
 def compose(f, g):

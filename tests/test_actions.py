@@ -1,13 +1,15 @@
 """Action-layer tests: the hit actions of H* on H (``actions.hit`` and
 ``duality.rho_endo``), regular actions, weak actions, coinvariants."""
+import pytest
+
+import dense_oracle as dense
 from hopfdual.actions import (
     ComoduleAlgebraData,
     action_from_endomorphisms,
     coinvariants,
     coinvariants_form_subalgebra,
     hit,
-    regular_act_left,
-    regular_act_right,
+    regular_act,
     regular_comodule,
     trivial_action,
     validate_weak_action,
@@ -75,6 +77,31 @@ def test_hit_actions_are_bimodule_actions():
                     # compatibility: (f⇀k)↼g = f⇀(k↼g)
                     assert hit_right(b, hit_left(b, f, k), g) == \
                         hit_left(b, f, hit_right(b, k, g))
+
+
+def regular_act_left(h, h_vec, f_vec):
+    return regular_act(h, f_vec, h_vec, True)
+
+
+def regular_act_right(h, f_vec, h_vec):
+    return regular_act(h, f_vec, h_vec, False)
+
+
+@pytest.mark.parametrize("h", [sweedler_hopf(QQ), sweedler_hopf(Zmod(6)),
+                               group_algebra(ZZ, 3)],
+                         ids=["sweedler_Q", "sweedler_Z6", "group_Z_C3"])
+def test_regular_actions_match_the_dense_triple_loop(h):
+    # the sparse-table action against the triple loop over the dense table,
+    # entry types included, on every pair of basis vectors and one sum
+    ring, r = h.ring, h.rank
+    vectors = [h.carrier.basis_vector(i) for i in range(r)]
+    vectors.append(tuple(ring.of(i + 1) for i in range(r)))
+    for x in vectors:
+        for f in vectors:
+            for got, want in ((regular_act_left(h, x, f), dense.regular_act_left(h, x, f)),
+                              (regular_act_right(h, f, x), dense.regular_act_right(h, f, x))):
+                assert got == want
+                assert list(map(type, got)) == list(map(type, want))
 
 
 def test_regular_actions_on_group_algebra():

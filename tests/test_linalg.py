@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
+from hopfdual.hopf import AlgebraData
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
     LinearMap,
@@ -313,6 +314,69 @@ def test_kron_matches_entrywise_product(ring, k, m, p, q, data):
 def test_twist_matches_permutation_matrix(ring, m, n):
     a, b = dense.module(ring, m, "a"), dense.module(ring, n, "b")
     dense.assert_bit_identical(twist_map(a, b), dense.twist(a, b))
+
+
+# --- the sparse-first LinearMap against the dense-first one -------------------
+
+
+def typed(x):
+    """``x`` with every leaf paired with its type, so that == compares types."""
+    return tuple(map(typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def raw_entries(ring):
+    """Entries as a caller may write them: ints anywhere, fractions over Q."""
+    values = st.integers(min_value=-7, max_value=7)
+    if ring == QQ:
+        values = st.one_of(values, st.fractions(min_value=-3, max_value=3,
+                                                max_denominator=4))
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, ranks, st.data())
+def test_sparse_first_map_agrees_with_the_dense_first_oracle(ring, k, m, n, data):
+    D = dense.DenseMap
+    a, b, c = (dense.module(ring, r, p) for r, p in ((k, "a"), (m, "b"), (n, "c")))
+
+    def draw_rows(rows, length):
+        return [[data.draw(raw_entries(ring)) for _ in range(length)] for _ in range(rows)]
+
+    rows_ab, cols_bc = draw_rows(m, k), draw_rows(m, n)
+    f, Df = LinearMap(a, b, rows_ab), D(a, b, rows_ab)
+    g, Dg = LinearMap.from_columns(b, c, cols_bc), D.from_columns(b, c, cols_bc)
+    h = dense.draw_map(data, ring, b, c)
+    square = dense.draw_map(data, ring, tensor_module(a, a), a)
+    alg = AlgebraData(a, square, a.basis_vector(0))
+    pairs = [
+        (f, Df), (g, Dg), (h, D(b, c, h.matrix)),
+        (LinearMap.from_sparse_columns(b, c, h.sparse_columns()),
+         D.from_sparse_columns(b, c, D(b, c, h.matrix).sparse_columns())),
+        (LinearMap.identity(b), D.identity(b)),
+        (f.relabeled(dense.module(ring, k, "x"), b), D(a, b, Df.matrix)),
+        (g @ f, Dg.compose(Df)), (h @ f, D(b, c, h.matrix).compose(Df)),
+        (LinearMap.identity(b) @ f, D.identity(b).compose(Df)),
+        (g - h, D(b, c, [[ring.sub(x, y) for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(Dg.matrix, h.matrix)])),
+        (kron(f, g), dense.kron(Df, Dg)),
+        (twist_map(a, b), dense.twist(a, b)),
+        (alg.opposite().mult, dense.opposite_mult(alg)),
+    ]
+    for got, want in pairs:
+        assert (got.domain.rank, got.codomain.rank) == (want.domain.rank,
+                                                        want.codomain.rank)
+        # the sparse readers first, while the dense rows may still be unbuilt
+        assert typed(got.sparse_columns()) == typed(want.sparse_columns())
+        for j in range(got.domain.rank):
+            assert typed(got.column(j)) == typed(want.column(j))
+        v = dense.draw_vector(data, ring, got.domain.rank)
+        assert typed(got.apply(v)) == typed(want.apply(v))
+        assert typed(got.matrix) == typed(want.matrix)
+    for got1, want1 in pairs:
+        for got2, want2 in pairs:
+            assert (got1 == got2) == (want1 == want2)
+            if got1 == got2:
+                assert hash(got1) == hash(got2)
 
 
 def test_column_witness_labels_first_differing_column():

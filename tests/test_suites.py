@@ -1,17 +1,21 @@
 """Suite runs: each derived object is built once per ``run_suite`` call, a
 failed build is kept as its error and never reused as a success, and every
-check that needs a failed object carries its witness."""
+check that needs a failed object carries its witness.  Every sparse column
+a run stores is canonical, and the structure builders build no dense rows."""
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 import dense_oracle
+from builders import cyclic_document
 from hopfdual import crossed, duality, smash
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.instancefile import export_entry_json, parse_instance_dict
-from hopfdual.suites import run_suite
+from hopfdual.linalg import LinearMap
+from hopfdual.suites import applicable_suites, run_suite
 
 COUNTED = ((duality, "build_diagram"), (duality, "delta_map"), (duality, "nu_map"),
            (crossed, "crossed_from_integral"), (crossed, "opposite_crossed"))
@@ -209,3 +213,60 @@ def test_a_failed_opposite_product_fails_each_check_with_its_witness(monkeypatch
     assert not tau[1] and not iso[1]
     assert tau[2] and tau[2] == iso[2] == "τ fails the cocycle flags"
     assert result["opposite.chain"][2] == tau[2]
+
+
+def test_every_stored_sparse_column_is_canonical(monkeypatch):
+    # LinearMap equality and hashing compare sparse columns, so every column
+    # handed to from_sparse_columns in a catalog pass must be canonical: rows
+    # strictly increasing and in range, no zero, canonical ring elements
+    bad, seen = [], [0]
+    original = LinearMap.from_sparse_columns
+
+    def checked(domain, codomain, cols):
+        cols = [tuple(col) for col in cols]
+        ring, rows = domain.ring, [[i for i, _ in col] for col in cols]
+        seen[0] += len(cols)
+        if len(cols) != domain.rank or any(
+                r != sorted(set(r)) or not all(0 <= i < codomain.rank for i in r)
+                for r in rows) or any(
+                not c or type(ring.of(c)) is not type(c) or ring.of(c) != c
+                for col in cols for _, c in col):
+            bad.append((domain.rank, codomain.rank, cols))
+        return original(domain, codomain, cols)
+
+    monkeypatch.setattr(LinearMap, "from_sparse_columns", staticmethod(checked))
+    for name, _, _ in list_entries():
+        entry = get(name)
+        for suite in applicable_suites(entry):
+            run_suite(entry, suite)
+    assert seen[0] and bad == []
+
+
+SPARSE_BUILDERS = {("smash", "_coordinate_smash"), ("smash", "_hom_smash"),
+                   ("smash", "left_smash"), ("crossed", "crossed_table"),
+                   ("linalg", "compose"), ("linalg", "kron"),
+                   ("hopf", "tensor_algebra")}
+
+
+@pytest.mark.parametrize("suite", ["smash", "duality"])
+def test_structure_builders_build_no_dense_rows(monkeypatch, suite):
+    # the dense rows of a map are built only when something reads `matrix`;
+    # no frame of a structure builder or sparse kernel may be on the stack then
+    package = Path(smash.__file__).parent
+    original = LinearMap.matrix
+    builders = set()
+
+    def matrix(self):
+        if self._rows is None:
+            frame = sys._getframe(1)
+            while frame is not None:
+                code = frame.f_code
+                if Path(code.co_filename).parent == package:
+                    builders.add((Path(code.co_filename).stem, code.co_name))
+                frame = frame.f_back
+        return original.fget(self)
+
+    monkeypatch.setattr(LinearMap, "matrix", property(matrix))
+    entry = parse_instance_dict(cyclic_document(5, 11)).to_entry()
+    assert all(r[1] for r in records(run_suite(entry, suite)))
+    assert builders and not builders & SPARSE_BUILDERS
