@@ -37,7 +37,6 @@ from .linalg import (
     vec_to_map,
 )
 from .reporting import ValidationReport
-from .rings import QQ, ZZ
 
 
 class AlgebraData:
@@ -124,9 +123,9 @@ class AlgebraData:
         # then (e_ie_j)e_k = e_i(e_je_k) for every k is one comparison of the
         # row of e_ie_j with e_i·(row j).  A column that is one basis element
         # e_t needs no arithmetic: its row is row t of the table, and e_i·e_t
-        # is column (i, t).  An integral table over Q is checked over Z
+        # is column (i, t).
         assoc = None
-        ring, cols = integral_view(self.ring, self.mult.sparse_columns())
+        ring, cols = self.ring, self.mult.sparse_columns()
         rows = [cols[t * r:(t + 1) * r] for t in range(r)]
         ids = {}
         col_id = [ids.setdefault(col, len(ids)) for col in cols]
@@ -147,8 +146,6 @@ class AlgebraData:
                     break
             if assoc:
                 break
-        # the unit law reads the table in its own ring: the unit need not be integral
-        ring, cols = self.ring, self.mult.sparse_columns()
         unit = [(t, c) for t, c in enumerate(self.unit) if c]
         for i in range(r):
             e = ((i, ring.one),)
@@ -169,15 +166,6 @@ class AlgebraData:
 
     def __hash__(self):
         return hash((self.rank, self.mult, self.unit))
-
-
-def integral_view(ring, cols):
-    """``(ZZ, numerators)`` when ``ring`` is Q and every entry of ``cols`` is
-    integral, else ``(ring, cols)``.  Z → Q is injective, so sums of products
-    compare equal over Z exactly when they do over Q."""
-    if ring != QQ or any(c.denominator != 1 for col in cols for _, c in col):
-        return ring, cols
-    return ZZ, tuple(tuple((t, c.numerator) for t, c in col) for col in cols)
 
 
 def expand_sparse(sparse, rank, ring):

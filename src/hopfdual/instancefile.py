@@ -85,7 +85,7 @@ def _parse_quads(ring: Ring, quads, ranks, ctx):
             if not 0 <= idx < bound:
                 _fail(f"{ctx}: index out of range in quadruple {q!r}")
         try:
-            val = ring.parse(c) if isinstance(c, str) else ring.of(c)
+            val = ring.of(c)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             _fail(f"{ctx}: bad constant in quadruple {q!r} ({exc})")
         out.append((i, j, k, val))
@@ -96,8 +96,7 @@ def _parse_vector(ring: Ring, entries, length, ctx):
     if not isinstance(entries, list) or len(entries) != length:
         _fail(f"{ctx}: expected a vector of length {length}")
     try:
-        return tuple(ring.parse(x) if isinstance(x, str) else ring.of(x)
-                     for x in entries)
+        return tuple(ring.of(x) for x in entries)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         _fail(f"{ctx}: bad vector entry ({exc})")
 

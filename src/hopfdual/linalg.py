@@ -31,7 +31,6 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch
@@ -551,7 +550,7 @@ def canonical_span(ring: Ring, vectors, length: int):
         if len(v) != length:
             raise DimensionMismatch("span vectors of unequal length")
     if isinstance(ring, RationalRing):
-        return tuple(tuple(r) for r in _rref_rows(vectors))
+        return tuple(tuple(r) for r in _rref_rows(ring, vectors))
     if isinstance(ring, ModularRing):
         n = ring.n
         rows = [list(v) for v in vectors]
@@ -565,7 +564,7 @@ def canonical_span(ring: Ring, vectors, length: int):
     return tuple(tuple(r) for r in hermite_rows(vectors))
 
 
-def _rref_rows(vectors):
+def _rref_rows(ring, vectors):
     rows = [list(v) for v in vectors if any(x != 0 for x in v)]
     if not rows:
         return []
@@ -576,13 +575,12 @@ def _rref_rows(vectors):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        inv = Fraction(1, lead) if isinstance(lead, int) else lead ** -1
-        rows[r] = [a * inv for a in rows[r]]
+        inv = ring.inv(rows[r][col])
+        rows[r] = [ring.mul(a, inv) for a in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
                 c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[r])]
         r += 1
         if r == len(rows):
             break

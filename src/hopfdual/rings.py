@@ -1,16 +1,21 @@
 """Exact coefficient rings: integers, rationals, and integers mod n.
 
 Elements are plain Python values kept in canonical form: ``int`` for the
-integers, ``fractions.Fraction`` (lowest terms, positive denominator) for the
-rationals, and residues in ``[0, n)`` for the integers mod n.  Ring objects
-are immutable and compare by kind (and modulus).
+integers, residues in ``[0, n)`` for the integers mod n, and for the
+rationals an ``int`` when the value is integral and a ``fractions.Fraction``
+(lowest terms, positive denominator, denominator > 1) when it is not.  So Z
+embeds in Q as the identity on elements, integral rational arithmetic is
+plain ``int`` arithmetic, and ``Fraction(n) == n`` with equal hashes keeps
+equality and hashing exact across both forms.  Ring objects are immutable
+and compare by kind (and modulus).
 
-Rational ``add``/``sub``/``mul`` work on the numerators when both operands
-are integral; elements stay ``Fraction`` either way.
+Element strings are decimal integers (``[+-]?digits``) and, over Q,
+``[+-]?digits/digits``; anything else is a ``ValueError``.
 """
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -61,9 +66,6 @@ class Ring:
     def is_one(self, a: Elem) -> bool:
         return a == self.one
 
-    def parse(self, text: str) -> Elem:
-        return self.of(text)
-
     def show(self, a: Elem) -> str:
         return str(a)
 
@@ -104,7 +106,7 @@ class IntegerRing(Ring):
         if isinstance(value, int):
             return value
         if isinstance(value, str):
-            return int(value, 10)
+            return _decimal(value)
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         raise TypeError(f"not an integer: {value!r}")
@@ -140,35 +142,34 @@ class RationalRing(Ring):
     kind = "rationals"
     is_field = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, value) -> Fraction:
-        if type(value) is Fraction:  # immutable: safe to share
+    def of(self, value) -> Elem:
+        if type(value) is int:
             return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a rational ring element")
-        if isinstance(value, (int, Fraction, str)):
-            return Fraction(value)
-        raise TypeError(f"not a rational: {value!r}")
+        if isinstance(value, str):
+            if not _RATIONAL.fullmatch(value):
+                raise ValueError(f"not a decimal integer or p/q: {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not a rational: {value!r}")
+        return _canonical(Fraction(value))
 
     def is_zero(self, a):
         return not a
 
+    # int ∘ int stays int; any other result is normalised once
     def add(self, a, b):
-        if a.denominator == 1 == b.denominator:
-            return Fraction(a.numerator + b.numerator)
-        return a + b
+        q = a + b
+        return q if type(q) is int else _canonical(q)
 
     def sub(self, a, b):
-        if a.denominator == 1 == b.denominator:
-            return Fraction(a.numerator - b.numerator)
-        return a - b
+        q = a - b
+        return q if type(q) is int else _canonical(q)
 
     def mul(self, a, b):
-        if a.denominator == 1 == b.denominator:
-            return Fraction(a.numerator * b.numerator)
-        return a * b
+        q = a * b
+        return q if type(q) is int else _canonical(q)
 
     def neg(self, a):
         return -a
@@ -179,18 +180,27 @@ class RationalRing(Ring):
     def inv(self, a):
         if a == 0:
             raise NotInvertible("0 is not a unit in Q", determinant=a)
-        return Fraction(1) / a
-
-    def show(self, a) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return _canonical(Fraction(1, a))
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
 
     def __hash__(self):
         return hash("rationals")
+
+
+def _canonical(q: Fraction) -> Elem:
+    return q.numerator if q.denominator == 1 else q
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _decimal(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text, 10)
 
 
 class ModularRing(Ring):
@@ -213,7 +223,7 @@ class ModularRing(Ring):
         if isinstance(value, bool):
             raise TypeError("bool is not a modular ring element")
         if isinstance(value, str):
-            value = int(value, 10)
+            value = _decimal(value)
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 value = int(value)

@@ -82,7 +82,18 @@ the library's unchanged ``smith_normal_form``, ``canonical_span`` and
 ``determinant``.  ``test_linalg.py`` requires the library's inverses to agree
 with them bit for bit, its failures message for message, and its solves on
 status and kernel.
+
+``FractionRing`` is the rationals with every element a ``Fraction``,
+integral or not (integral ``add``/``sub``/``mul`` on the numerators, the
+``Fraction`` operators otherwise); ``test_rings.py`` requires ``QQ`` to agree
+with it op for op, value and hash, while returning the canonical form that
+``is_canonical`` tests: over Q an ``int`` exactly when the value is integral.
+``rref_rows`` is the reduced row echelon form over Q with the ``Fraction``
+operators; ``test_linalg.py`` requires ``linalg._rref_rows`` to agree with it
+and to return canonical entries.
 """
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from hopfdual import duality, linalg
@@ -118,9 +129,96 @@ from hopfdual.linalg import (
 )
 from hopfdual.reporting import ValidationReport
 from hopfdual.smash import SmashKind
-from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Zmod
+from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Ring, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
+
+
+class FractionRing(Ring):
+    """Q with every element boxed in a ``Fraction``."""
+
+    kind = "rationals"
+    is_field = True
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, value):
+        if type(value) is Fraction:
+            return value
+        if isinstance(value, bool):
+            raise TypeError("bool is not a rational ring element")
+        if isinstance(value, (int, Fraction, str)):
+            return Fraction(value)
+        raise TypeError(f"not a rational: {value!r}")
+
+    def is_zero(self, a):
+        return not a
+
+    def add(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator + b.numerator)
+        return a + b
+
+    def sub(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator - b.numerator)
+        return a - b
+
+    def mul(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator * b.numerator)
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        if a == 0:
+            raise NotInvertible("0 is not a unit in Q", determinant=a)
+        return Fraction(1) / a
+
+    def show(self, a) -> str:
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+
+
+def is_canonical(ring, x):
+    """``x`` is in the ring's canonical form: over Q an ``int`` when integral and
+    a ``Fraction`` with denominator > 1 otherwise; an ``int`` fixed by ``ring.of``
+    over Z and Z/n."""
+    if ring == QQ:
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    return type(x) is int and ring.of(x) == x
+
+
+def rref_rows(vectors):
+    """The nonzero rows of the reduced row echelon form of ``vectors`` over Q."""
+    rows = [list(v) for v in vectors if any(x != 0 for x in v)]
+    if not rows:
+        return []
+    k = len(rows[0])
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        inv = Fraction(1, lead) if isinstance(lead, int) else lead ** -1
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return [row for row in rows if any(x != 0 for x in row)]
 
 
 def zero_vector(module):

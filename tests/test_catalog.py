@@ -112,14 +112,28 @@ def test_base_change_from_z_to_z3_keeps_records_and_isomorphisms():
     z_records = _records("sweedler4_Z", "hopf")
     assert z_records
     assert _records("sweedler4_Z3", "hopf") == z_records
-    maps = []
-    for name in ("sweedler4_Z", "sweedler4_Z3"):
-        h = get(name).hopf_data()
-        cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
-        U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-        iso = duality_iso(diagram(cp, U, DiagramSide.RIGHT))
-        maps.append((iso.map, matrix_iso(cp, lambda_map(h, U), iso).iso.map))
     z3 = Zmod(3)
-    for over_z, over_z3 in zip(*maps):
+    for over_z, over_z3 in zip(*map(_right_isos, ("sweedler4_Z", "sweedler4_Z3"))):
         assert [[z3.of(x) for x in row] for row in over_z.matrix] == \
             [list(row) for row in over_z3.matrix]
+
+
+def _right_isos(name):
+    """With A the ground ring: the certified right duality isomorphism of the
+    entry, its inverse, and the matrix form and its inverse."""
+    h = get(name).hopf_data()
+    cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
+    U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
+    iso = duality_iso(diagram(cp, U, DiagramSide.RIGHT))
+    matrix_form = matrix_iso(cp, lambda_map(h, U), iso).iso
+    return iso.map, iso.inverse, matrix_form.map, matrix_form.inverse
+
+
+@pytest.mark.parametrize("over_z, over_q", [("Z_C3", "Q_C3"), ("sweedler4_Z", "sweedler4_Q")])
+def test_base_change_from_z_to_q_keeps_isomorphisms_entry_for_entry(over_z, over_q):
+    # Z embeds in Q as the identity on elements, so the certified isomorphisms
+    # over Q are the ones over Z: same sparse columns, same entry types
+    for z_map, q_map in zip(_right_isos(over_z), _right_isos(over_q)):
+        assert q_map.sparse_columns() == z_map.sparse_columns()
+        assert [type(c) for col in q_map.sparse_columns() for _, c in col] == \
+            [type(c) for col in z_map.sparse_columns() for _, c in col]

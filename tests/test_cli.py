@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic reports, round trips."""
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,26 @@ def test_verify_carrier_that_is_not_a_name_is_input_error(tmp_path, capsys, bloc
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"input error: {path}: {block} carrier" in err
+
+
+@pytest.mark.parametrize("constant", ["1e6", "1e10000000", "2.5", "1_000", "0x1"])
+@pytest.mark.parametrize("where", ["counit", "mult"])
+def test_verify_constant_outside_the_grammar_is_input_error(tmp_path, capsys, constant,
+                                                            where):
+    # Fraction(str) also reads exponent and decimal forms: "1e6" used to verify
+    # as 10**6 (exit 1), and "1e10000000" took seconds to parse
+    path = tmp_path / "constant.json"
+    doc = json.loads(export_entry_json(get("Q_C3")))
+    if where == "counit":
+        doc["hopf"]["counit"][0] = constant
+    else:
+        doc["hopf"]["mult"][0][3] = constant
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--suite", "hopf"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "input error" in err and repr(constant) in err
 
 
 @pytest.mark.parametrize("modulus", [7.9, 7.0, True])

@@ -392,10 +392,18 @@ def test_column_witness_labels_first_differing_column():
 
 
 def test_rref_rows_of_integer_rows_is_exact():
-    rows = _rref_rows([(2, 4, 1), (3, 1, 0), (0, 0, 0)])
-    assert rows
-    assert not any(isinstance(x, float) for row in rows for x in row)
+    rows = _rref_rows(QQ, [(2, 4, 1), (3, 1, 0), (0, 0, 0)])
     assert rows == [[1, 0, Fraction(-1, 10)], [0, 1, Fraction(3, 10)]]
+    assert [[type(x) for x in row] for row in rows] == [[int, int, Fraction]] * 2
+
+
+@given(ranks, ranks, st.data())
+def test_rref_rows_match_the_fraction_elimination(m, k, data):
+    vectors = [dense.draw_vector(data, QQ, k) for _ in range(m)]
+    rows = _rref_rows(QQ, vectors)
+    assert rows == dense.rref_rows(vectors)
+    assert all(dense.is_canonical(QQ, x) for row in rows for x in row)
+    assert canonical_span(QQ, vectors, k) == tuple(map(tuple, rows))
 
 
 # --- inversion --------------------------------------------------------------
@@ -574,11 +582,12 @@ def test_solve_matches_parent(ring, m, k, consistent, data):
     assert got.status is want.status
     assert got.kernel_basis == want.kernel_basis
     assert solver.kernel() == oracle.kernel()
+    assert all(dense.is_canonical(ring, x) for v in solver.kernel() for x in v)
     if consistent:
         assert got.solvable
     if got.solvable:
         assert a.apply(got.particular) == tuple(rhs)
-        assert {type(x) for x in got.particular} == {type(ring.one)}
+        assert all(dense.is_canonical(ring, x) for x in got.particular)
 
 
 def test_split_coefficient_map_detects_direct_summand():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_oracle as dense
 from hopfdual.errors import NotInvertible
 from hopfdual.rings import QQ, ZZ, Zmod, ring_from_descriptor
 
@@ -33,7 +34,26 @@ def test_rational_canonical_form():
     assert QQ.of("4/6") == Fraction(2, 3)
     assert QQ.show(QQ.of("-4/6")) == "-2/3"
     assert QQ.show(QQ.of(5)) == "5"
-    assert QQ.parse("7/2") == Fraction(7, 2)
+    assert QQ.of("7/2") == Fraction(7, 2)
+    assert QQ.of("-8/4") == -2 and type(QQ.of("-8/4")) is int
+    assert QQ.zero == 0 and QQ.one == 1 and type(QQ.zero) is type(QQ.one) is int
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)])
+@pytest.mark.parametrize("text", ["1e6", "1.5", "0x10", "1_000", " 12", "12\n", "٣",
+                                  "+", "", "1/2/3", "inf", "nan"])
+def test_element_strings_outside_the_grammar_are_rejected(ring, text):
+    with pytest.raises(ValueError):
+        ring.of(text)
+
+
+def test_rational_strings_in_the_grammar():
+    assert [QQ.of(t) for t in ("-3", "+3", "007", "-6/4", "+0/5")] == \
+        [-3, 3, 7, Fraction(-3, 2), 0]
+    with pytest.raises(ValueError):
+        ZZ.of("6/3")
+    with pytest.raises(ZeroDivisionError):
+        QQ.of("1/0")
 
 
 def test_integer_units():
@@ -61,8 +81,8 @@ def test_ring_equality_and_descriptors():
 
 
 def test_strings_round_trip():
-    assert ZZ.parse(ZZ.show(10**30 + 7)) == 10**30 + 7
-    assert Zmod(9).parse("16") == 7
+    assert ZZ.of(ZZ.show(10**30 + 7)) == 10**30 + 7
+    assert Zmod(9).of("16") == 7
 
 
 def _prime_by_trial_division(n):
@@ -109,4 +129,25 @@ def test_rational_ops_equal_the_fraction_operators(ops, a, b):
     ours, plain = ops
     got, want = ours(a, b), plain(a, b)
     assert got == want
-    assert type(got) is type(want) is Fraction
+    # an integral rational is an int, any other a Fraction
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@given(rationals, rationals, st.lists(st.tuples(rationals, rationals), max_size=5))
+def test_rational_ops_equal_the_fraction_oracle(a, b, pairs):
+    # every op agrees with the all-Fraction ring in value and hash, and returns
+    # the canonical form: an int exactly when the denominator is 1
+    oracle = dense.FractionRing()
+    u, v = [x for x, _ in pairs], [y for _, y in pairs]
+    calls = [("of", (a,)), ("of", (Fraction(a),)), ("of", (str(a),)),
+             ("add", (a, b)), ("sub", (a, b)), ("mul", (a, b)), ("neg", (a,)),
+             ("dot", (u, v)), ("sum", (u,))]
+    if b:
+        calls.append(("inv", (b,)))
+    for name, args in calls:
+        boxed = [[Fraction(x) for x in arg] if isinstance(arg, list)
+                 else arg if isinstance(arg, str) else Fraction(arg) for arg in args]
+        got, want = getattr(QQ, name)(*args), getattr(oracle, name)(*boxed)
+        assert got == want and hash(got) == hash(want), name
+        assert dense.is_canonical(QQ, got), name
+    assert QQ.show(a) == oracle.show(Fraction(a))

@@ -4,17 +4,19 @@ check that needs a failed object carries its witness.  Every sparse column
 a run stores is canonical, and the structure builders build no dense rows."""
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dense_oracle
 from builders import cyclic_document
-from hopfdual import crossed, duality, smash
+from hopfdual import crossed, duality, linalg, smash
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.instancefile import export_entry_json, parse_instance_dict
 from hopfdual.linalg import LinearMap
+from hopfdual.rings import RationalRing
 from hopfdual.suites import applicable_suites, run_suite
 
 COUNTED = ((duality, "build_diagram"), (duality, "delta_map"), (duality, "nu_map"),
@@ -240,6 +242,43 @@ def test_every_stored_sparse_column_is_canonical(monkeypatch):
         for suite in applicable_suites(entry):
             run_suite(entry, suite)
     assert seen[0] and bad == []
+
+
+@pytest.mark.parametrize("name", ["Q_C3", "sweedler4_Q", "sweedler4_smash_Q"])
+def test_no_integral_fraction_is_made_in_a_q_run(monkeypatch, name):
+    # over Q an integral element is an int: no ring operation returns, no map
+    # stores and no canonical span returns a Fraction with denominator 1
+    seen, bad = [0, 0], []
+    store, span = LinearMap._store, linalg.canonical_span
+
+    def integral_fractions(values):
+        return [x for x in values if type(x) is Fraction and x.denominator == 1]
+
+    def checked_store(self, domain, codomain, cols, rows):
+        seen[0] += 1
+        bad.extend(integral_fractions(c for col in cols for _, c in col))
+        bad.extend(integral_fractions(x for row in rows or () for x in row))
+        store(self, domain, codomain, cols, rows)
+
+    def checked_span(ring, vectors, length):
+        out = span(ring, vectors, length)
+        seen[1] += 1
+        bad.extend(integral_fractions(x for v in out for x in v))
+        return out
+
+    def checked_op(op):
+        def checked(self, *args):
+            out = op(self, *args)
+            bad.extend(integral_fractions([out]))
+            return out
+        return checked
+
+    for op in ("of", "add", "sub", "mul", "neg", "inv", "dot", "sum"):
+        monkeypatch.setattr(RationalRing, op, checked_op(getattr(RationalRing, op)))
+    monkeypatch.setattr(LinearMap, "_store", checked_store)
+    patch_everywhere(monkeypatch, linalg, "canonical_span", checked_span)
+    run_suite(get(name), "all")
+    assert seen[0] and seen[1] and bad == []
 
 
 SPARSE_BUILDERS = {("smash", "_coordinate_smash"), ("smash", "_hom_smash"),
