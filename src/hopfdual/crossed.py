@@ -7,7 +7,10 @@ are enforced as cross-checks whenever a product is built.
 
 The crossed table and the three cocycle flags are built by index arithmetic
 on the sparse tables of H, A, the action and σ, each factor once per
-leg-index key.  ``smash.left_smash`` checks the twisted-module identity alone.
+leg-index key and each Sweedler pair of (h, k) once per pair.  Every sum drops
+the terms whose σ factor is the zero column before expanding them: that uses
+only bilinearity, not the coassociativity or multiplicativity these checks
+certify.  ``smash.left_smash`` checks the twisted-module identity alone.
 """
 from __future__ import annotations
 
@@ -108,11 +111,22 @@ def _sweedler_pairs(coalg, i, j):
             for ck, (k1, k2) in coalg.sweedler_basis(j, 2)]
 
 
+def _live_legs(coalg, sig, rH):
+    """Per (x, l), the legs (c, l₁, l₂) of Δ(h_l) = Σ c·l₁⊗l₂ with
+    σ(h_x⊗l₁) ≠ 0.  A term whose σ factor is the zero column is zero, so the
+    sums below skip the others by bilinearity alone."""
+    expansions = [coalg.sweedler_basis(l, 2) for l in range(rH)]
+    return [[[(c, l1, l2) for c, (l1, l2) in terms if sig[x * rH + l1]]
+             for terms in expansions] for x in range(rH)]
+
+
 def cocycle_flags(action: WeakActionData, sigma: LinearMap) -> CocycleFlags:
     """Exact exhaustive evaluation of normality, the cocycle identity on all
     basis triples (h,k,l), and the twisted-module identity on all (h,k,a),
     by index arithmetic on the sparse tables: h₁·σ(k₁⊗l₁), σ(h₂⊗k₂l₂) and
-    σ(h₂k₂⊗l) are computed once per leg-index key."""
+    σ(h₂k₂⊗l) are computed once per leg-index key, the Sweedler pairs of
+    (h, k) once per pair, and the terms with a zero σ(k₁⊗l₁) or σ(h₁⊗k₁)
+    factor are skipped."""
     b = action.bialgebra
     ring, coalg = action.ring, b.coalgebra
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
@@ -137,25 +151,31 @@ def cocycle_flags(action: WeakActionData, sigma: LinearMap) -> CocycleFlags:
     def sigma_hk_l(h2, k2, l):  # σ(h₂k₂⊗l)
         return combine_columns(ring, ((sig[x * rH + l], c) for x, c in hmul[h2 * rH + k2]))
 
-    cocycle_ok = True
-    for i, j, k in product(range(rH), repeat=3):
+    live = _live_legs(coalg, sig, rH)
+
+    def holds(i, j):  # at (h_i, h_j, h_l) for every l
         # Σ [h₁σ(k₁⊗l₁)]·σ(h₂⊗k₂l₂) = Σ σ(h₁⊗k₁)·σ(h₂k₂⊗l)
         pairs = _sweedler_pairs(coalg, i, j)
-        lhs = _sum_of_products(ring, amul, rA, (
-            (ring.mul(c, cl), h_sigma(h1, k1, l1), sigma_h_kl(h2, k2, l2))
-            for c, h1, h2, k1, k2 in pairs for cl, (l1, l2) in coalg.sweedler_basis(k, 2)))
-        rhs = _sum_of_products(ring, amul, rA, (
-            (c, sig[h1 * rH + k1], sigma_hk_l(h2, k2, k)) for c, h1, h2, k1, k2 in pairs))
-        if lhs != rhs:
-            cocycle_ok = False
-            break
+        right = [(c, sig[h1 * rH + k1], h2, k2) for c, h1, h2, k1, k2 in pairs
+                 if sig[h1 * rH + k1]]
+        return all(
+            _sum_of_products(ring, amul, rA, (
+                (ring.mul(c, cl), h_sigma(h1, k1, l1), sigma_h_kl(h2, k2, l2))
+                for c, h1, h2, k1, k2 in pairs for cl, l1, l2 in live[k1][k]))
+            == _sum_of_products(ring, amul, rA, (
+                (c, s, sigma_hk_l(h2, k2, k)) for c, s, h2, k2 in right))
+            for k in range(rH))
+
+    cocycle_ok = all(holds(i, j) for i, j in product(range(rH), repeat=2))
     return CocycleFlags(normal, cocycle_ok, twisted_module_identity(action, sigma))
 
 
 def twisted_module_identity(action: WeakActionData, sigma: LinearMap) -> bool:
     """Σ h₁·(k₁·a)·σ(h₂⊗k₂) = Σ σ(h₁⊗k₁)·((h₂k₂)·a) on every basis (h, k, a),
     in that order, up to the first failure; h₁·(k₁·a) and (h₂k₂)·a are
-    computed once per leg-index key from the sparse tables."""
+    computed once per leg-index key from the sparse tables, and the Sweedler
+    pairs of (h, k) once per pair, each side without the pairs whose σ factor
+    is the zero column."""
     ring = action.ring
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
 
@@ -167,14 +187,19 @@ def twisted_module_identity(action: WeakActionData, sigma: LinearMap) -> bool:
     def hk_a(h2, k2, t):  # (h₂k₂)·a_t
         return combine_columns(ring, ((act[x * rA + t], c) for x, c in hmul[h2 * rH + k2]))
 
-    for i, j, t in product(range(rH), range(rH), range(rA)):
+    for i, j in product(range(rH), repeat=2):
         pairs = _sweedler_pairs(action.bialgebra.coalgebra, i, j)
-        lhs = _sum_of_products(ring, amul, rA, (
-            (c, h_k_a(h1, k1, t), sig[h2 * rH + k2]) for c, h1, h2, k1, k2 in pairs))
-        rhs = _sum_of_products(ring, amul, rA, (
-            (c, sig[h1 * rH + k1], hk_a(h2, k2, t)) for c, h1, h2, k1, k2 in pairs))
-        if lhs != rhs:
-            return False
+        left = [(c, h1, k1, sig[h2 * rH + k2]) for c, h1, h2, k1, k2 in pairs
+                if sig[h2 * rH + k2]]
+        right = [(c, sig[h1 * rH + k1], h2, k2) for c, h1, h2, k1, k2 in pairs
+                 if sig[h1 * rH + k1]]
+        for t in range(rA):
+            lhs = _sum_of_products(ring, amul, rA, (
+                (c, h_k_a(h1, k1, t), s) for c, h1, k1, s in left))
+            rhs = _sum_of_products(ring, amul, rA, (
+                (c, s, hk_a(h2, k2, t)) for c, s, h2, k2 in right))
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -225,19 +250,22 @@ def crossed_table(action: WeakActionData, sigma: LinearMap) -> LinearMap:
     """The (not necessarily associative or unital) product on A⊗H given by
     (a#h)(ã#h̃) = Σ a(h₁ã)σ(h₂⊗h̃₁) # h₃h̃₂.
 
-    By index arithmetic: per (h, h̃) the terms Σ c·σ(h₂⊗h̃₁)⊗h₃h̃₂ are summed
-    once per h₁ into an element of A⊗H, and a(h₁ã) once per (a, h₁, ã); each
-    column multiplies the two with A-products read off the sparse table."""
+    By index arithmetic: per (h, h̃) the terms Σ c·σ(h₂⊗h̃₁)⊗h₃h̃₂ with
+    σ(h₂⊗h̃₁) ≠ 0 are summed once per h₁ into an element of A⊗H, and a(h₁ã)
+    once per (a, h₁, ã); each column multiplies the two with A-products read
+    off the sparse table."""
     b = action.bialgebra
     ring = action.ring
     zero, mul, add = ring.zero, ring.mul, ring.add
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
     carrier = tensor_module(action.algebra.carrier, b.carrier)
 
+    live = _live_legs(b.coalgebra, sig, rH)
+
     def terms(j, l):  # h₁ ↦ Σ c·σ(h₂⊗l₁)⊗h₃l₂ as (a-index, h-index, coefficient)
         by_h1 = {}
         for ch, (h1, h2, h3) in b.coalgebra.sweedler_basis(j, 3):
-            for cl, (l1, l2) in b.coalgebra.sweedler_basis(l, 2):
+            for cl, l1, l2 in live[h2][l]:
                 by_h1.setdefault(h1, []).append((kron_column(
                     sig[h2 * rH + l1], hmul[h3 * rH + l2], rH, mul), mul(ch, cl)))
         return [(h1, [(*divmod(pos, rH), v) for pos, v in combine_columns(ring, t)])

@@ -630,11 +630,15 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
     lhs1 = pi @ alpha
     if lhs1 != gamma:
         raise CommutativityFailure("π∘α ≠ γ",
-                                   witness=column_witness(lhs1, gamma, b_smash.carrier.labels))
+                                   witness=column_witness(
+                                       lhs1.sparse_columns(), gamma.sparse_columns(),
+                                       lambda: b_smash.carrier.labels))
     lhs2 = pi @ delta
     if lhs2 != chi:
         raise CommutativityFailure("π∘δ ≠ χ",
-                                   witness=column_witness(lhs2, chi, p4.carrier.labels))
+                                   witness=column_witness(
+                                       lhs2.sparse_columns(), chi.sparse_columns(),
+                                       lambda: p4.carrier.labels))
     det = determinant(pi)
     if not cp.ring.is_unit(det):
         raise NotInvertible("π is not invertible", determinant=det)

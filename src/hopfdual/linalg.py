@@ -308,11 +308,18 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
                                   tensor_module(f.codomain, g.codomain), cols)
 
 
-def kron_column(fcol, gcol, rank: int, mul) -> list:
-    """The sparse column of f⊗g from sparse columns of f and g, where ``rank``
-    is the codomain rank of g: u_i1·v_i2 sits at row i1·rank + i2."""
-    return [(i1 * rank + i2, ab) for i1, a in fcol for i2, b in gcol
-            if (ab := mul(a, b))]
+def kron_column(fcol, gcol, rank: int, mul) -> tuple:
+    """The canonical sparse column of f⊗g from canonical sparse columns of f
+    and g, where ``rank`` is the codomain rank of g: u_i1·v_i2 sits at row
+    i1·rank + i2."""
+    return tuple([(i1 * rank + i2, ab) for i1, a in fcol for i2, b in gcol
+                  if (ab := mul(a, b))])
+
+
+def legs(col, rank: int) -> list:
+    """The terms of a sparse column of a map into M⊗N, rank(N) = ``rank``,
+    as (p, q, c): c·m_p⊗n_q."""
+    return [(*divmod(flat, rank), c) for flat, c in col]
 
 
 def combine_columns(ring, terms):
@@ -371,16 +378,17 @@ def transpose(m: LinearMap, domain: FreeModule, codomain: FreeModule) -> LinearM
     return LinearMap.from_sparse_columns(domain, codomain, cols)
 
 
-def column_witness(a: LinearMap, b: LinearMap, labels) -> Optional[str]:
-    """Where two maps differ: the label of the first domain basis vector they
-    send to different images (``column j`` past the end of ``labels``),
-    ``shape`` when only their shapes or rings differ, None when equal."""
-    if a == b:
-        return None
-    for j, (x, y) in enumerate(zip(a.sparse_columns(), b.sparse_columns())):
+def column_witness(xs, ys, labels) -> Optional[str]:
+    """Where two sequences of canonical sparse columns first differ: the label
+    of that column, read from ``labels()`` (``column j`` past its end), or
+    None when they agree.  The sequences are walked in step up to the first
+    difference, so lazily computed columns stop there, and the labels are
+    built only then."""
+    for j, (x, y) in enumerate(zip(xs, ys)):
         if x != y:
-            return labels[j] if j < len(labels) else f"column {j}"
-    return "shape"
+            names = labels()
+            return names[j] if j < len(names) else f"column {j}"
+    return None
 
 
 def product_labels(*factors) -> list:

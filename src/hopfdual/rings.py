@@ -10,7 +10,10 @@ equality and hashing exact across both forms.  Ring objects are immutable
 and compare by kind (and modulus).
 
 Element strings are decimal integers (``[+-]?digits``) and, over Q,
-``[+-]?digits/digits``; anything else is a ``ValueError``.
+``[+-]?digits/digits``, each run of digits at most :data:`MAX_DIGITS` long;
+anything else is a ``ValueError``.  The cap is the library's own and holds on
+every Python version: the digits are read in chunks that ``int`` accepts
+under any ``sys.set_int_max_str_digits`` limit.
 """
 from __future__ import annotations
 
@@ -151,7 +154,8 @@ class RationalRing(Ring):
         if isinstance(value, str):
             if not _RATIONAL.fullmatch(value):
                 raise ValueError(f"not a decimal integer or p/q: {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            return _canonical(Fraction(*map(_decimal, value.split("/"))))
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"not a rational: {value!r}")
         return _canonical(Fraction(value))
 
@@ -197,10 +201,22 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+MAX_DIGITS = 4300
+_CHUNK = 600  # digits per int() call: no int_max_str_digits limit is below 640
+
+
 def _decimal(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text, 10)
+    digits = text.lstrip("+-")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"a decimal integer of {len(digits)} digits, "
+                         f"more than {MAX_DIGITS}")
+    value = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k:k + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text[0] == "-" else value
 
 
 class ModularRing(Ring):

@@ -51,6 +51,7 @@ from .linalg import (
     dual_module,
     hom_module,
     kron_vec,
+    legs,
     sparse_column,
     split_coefficient_map,
     tensor_module,
@@ -180,6 +181,7 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
     hcols = b.algebra.mult.sparse_columns()
     bcols = B.algebra.mult.sparse_columns()
     op = kind is SmashKind.OP_HAT_HB
+    coact = [legs(col, rH) for col in B.coaction.sparse_columns()]
     by_h2 = [[] for _ in range(rH)]  # Δ(h_t) = Σ c·h_t1⊗h_t2, grouped by t2
     for t in range(rH):
         for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
@@ -188,7 +190,7 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
     def terms(ci, cj):
         out = [[] for _ in range(rH)]
         for t, t1, c in by_h2[cj]:
-            for b0, b1, cc in B.coact_sparse(ci):
+            for b0, b1, cc in coact[ci]:
                 for x, coeff in hcols[t1 * rH + b1] if op else hcols[b1 * rH + t1]:
                     out[x].append((t, b0, mul(mul(c, cc), coeff)))
         return out
@@ -238,7 +240,7 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
-    coact = [B.coact_sparse(x) for x in range(rB)]
+    coact = [legs(col, b.rank) for col in B.coaction.sparse_columns()]
     op = kind is SmashKind.OP_SMASH
 
     @cache

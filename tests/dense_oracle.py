@@ -33,6 +33,15 @@ kernels to agree with them (records and witnesses; entries and entry types).
 basis product and multiplies the images as sparse dicts, pair by pair;
 ``test_hopf.py`` requires the library's witness strings to equal its own.
 
+``validate_hopf`` (with ``validate_bialgebra``, ``validate_coalgebra`` and
+``anti_morphism_checks``), ``validate_comodule_algebra`` and
+``validate_weak_action`` (with ``spread_coproduct``) are the axiom
+validators as whole-map composites of Kronecker products, twists, tensor
+algebras and compositions, compared as maps and located by ``map_witness``;
+``test_validators.py`` requires the library's index-arithmetic validators to
+give the same records and witnesses.  ``coact_terms`` reads the (b, h, c)
+terms of a coaction column for the smash oracles.
+
 ``normality``, ``cocycle_identity``, ``twisted_module_identity`` (together
 ``cocycle_flags``), ``crossed_table`` and ``left_smash_table`` are the
 crossed-product identities and tables with one dense A-product, action and
@@ -126,6 +135,7 @@ from hopfdual.linalg import (
     smith_normal_form,
     tensor_module,
     twist_map,
+    unit_module,
 )
 from hopfdual.reporting import ValidationReport
 from hopfdual.smash import SmashKind
@@ -890,6 +900,185 @@ def algebra_morphism_witness(source, target, map_):
     return None
 
 
+# --- the axiom validators as Kronecker composites ----------------------------
+
+
+def map_witness(a, b, labels):
+    """The label of the first column where the maps ``a`` and ``b`` differ
+    (``column j`` past the end of ``labels``), ``shape`` when only their
+    shapes or rings differ, None when they are equal."""
+    if a == b:
+        return None
+    for j, (x, y) in enumerate(zip(a.sparse_columns(), b.sparse_columns())):
+        if x != y:
+            return labels[j] if j < len(labels) else f"column {j}"
+    return "shape"
+
+
+def validate_coalgebra(c, subject="coalgebra"):
+    """``CoalgebraData.validate``: (Δ⊗id)∘Δ, (id⊗Δ)∘Δ and the counit laws
+    as composites with Kronecker products."""
+    rep = ValidationReport(subject)
+    ident = LinearMap.identity(c.carrier)
+    lhs = linalg.kron(c.comult, ident) @ c.comult
+    rhs = linalg.kron(ident, c.comult) @ c.comult
+    witness = map_witness(lhs, rhs, c.carrier.labels)
+    rep.add("coalgebra.coassoc", "comultiplication is coassociative",
+            witness is None, witness)
+    left = linalg.kron(c.counit, ident) @ c.comult
+    right = linalg.kron(ident, c.counit) @ c.comult
+    w1 = map_witness(left, ident, c.carrier.labels)
+    w2 = map_witness(right, ident, c.carrier.labels)
+    rep.add("coalgebra.counit", "counit laws hold", w1 is None and w2 is None,
+            w1 or w2)
+    return rep
+
+
+def validate_bialgebra(b, subject="bialgebra"):
+    """``BialgebraData.validate``: Δ∘m against m_{H⊗H}∘(Δ⊗Δ) through the
+    tensor algebra, ε∘m against ε⊗ε."""
+    rep = ValidationReport(subject)
+    rep.extend(b.algebra.validate(subject))
+    rep.extend(validate_coalgebra(b.coalgebra, subject))
+    pairs = linalg.product_labels(b.carrier.labels, b.carrier.labels)
+    mult, comult = b.algebra.mult, b.coalgebra.comult
+    counit = b.coalgebra.counit
+    mult_hh = tensor_algebra(b.algebra, b.algebra).mult
+    w = map_witness(comult @ mult, mult_hh @ linalg.kron(comult, comult), pairs)
+    rep.add("bialgebra.comult_mult", "comultiplication is multiplicative", w is None, w)
+    w = map_witness(counit @ mult, linalg.kron(counit, counit), pairs)
+    rep.add("bialgebra.counit_mult", "counit is multiplicative", w is None, w)
+    one = b.algebra.unit
+    ok = b.coalgebra.comult.apply(one) == kron_vec(b.ring, one, one)
+    ok = ok and b.ring.is_one(b.coalgebra.counit_scalar(one))
+    rep.add("bialgebra.unit_grouplike", "Δ(1)=1⊗1 and ε(1)=1", ok,
+            None if ok else "1")
+    return rep
+
+
+def validate_hopf(h, subject="hopf"):
+    """``HopfData.validate``: m∘(S⊗id)∘Δ and m∘(id⊗S)∘Δ against η∘ε, the
+    twisted antipode the same way over τ∘Δ, and :func:`anti_morphism_checks`."""
+    rep = validate_bialgebra(h.bialgebra, subject)
+    H = h.carrier
+    ident = LinearMap.identity(H)
+    mult = h.algebra.mult
+    comult = h.coalgebra.comult
+    unit_map = LinearMap.from_columns(unit_module(h.ring), H, [h.algebra.unit])
+    eta_eps = unit_map @ h.coalgebra.counit
+    mult_op = h.algebra.opposite().mult
+    comult_cop = h.coalgebra.co_opposite().comult
+    S = h.antipode
+    lhs = mult @ linalg.kron(S, ident) @ comult
+    rhs = mult @ linalg.kron(ident, S) @ comult
+    w = map_witness(lhs, eta_eps, H.labels) or map_witness(rhs, eta_eps, H.labels)
+    rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
+    rep.extend(anti_morphism_checks(h, S, mult_op, comult_cop,
+                                    "hopf.antipode_anti", "antipode"))
+    if h.twisted_antipode is not None:
+        Sb = h.twisted_antipode
+        lhs = mult @ linalg.kron(Sb, ident) @ comult_cop
+        rhs = mult @ linalg.kron(ident, Sb) @ comult_cop
+        w = map_witness(lhs, eta_eps, H.labels) or map_witness(rhs, eta_eps, H.labels)
+        rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
+                w is None, w)
+        rep.extend(anti_morphism_checks(h, Sb, mult_op, comult_cop,
+                                        "hopf.twisted_anti", "twisted antipode"))
+    return rep
+
+
+def anti_morphism_checks(h, S, mult_op, comult_cop, prefix, name):
+    """S∘m = m^op∘(S⊗S) and Δ∘S = (S⊗S)∘Δ^cop as maps, plus the unit and
+    counit."""
+    rep = ValidationReport()
+    mult, comult = h.algebra.mult, h.coalgebra.comult
+    alg_anti = (S @ mult) == (mult_op @ linalg.kron(S, S))
+    unit_ok = S.apply(h.algebra.unit) == h.algebra.unit
+    rep.add(f"{prefix}.algebra", f"{name} is an algebra anti-morphism",
+            alg_anti and unit_ok)
+    coalg_anti = (comult @ S) == (linalg.kron(S, S) @ comult_cop)
+    counit_ok = (h.coalgebra.counit @ S) == h.coalgebra.counit
+    rep.add(f"{prefix}.coalgebra", f"{name} is a coalgebra anti-morphism",
+            coalg_anti and counit_ok)
+    return rep
+
+
+def validate_comodule_algebra(c, subject="comodule algebra"):
+    """``ComoduleAlgebraData.validate``: (ϱ⊗id)∘ϱ, (id⊗Δ)∘ϱ, (id⊗ε)∘ϱ and
+    ϱ∘m against m_{B⊗H}∘(ϱ⊗ϱ) through the tensor algebra."""
+    rep = ValidationReport(subject)
+    b = c.bialgebra
+    B = c.algebra
+    idb = LinearMap.identity(B.carrier)
+    idh = LinearMap.identity(b.carrier)
+    lhs = linalg.kron(c.coaction, idh) @ c.coaction
+    rhs = linalg.kron(idb, b.coalgebra.comult) @ c.coaction
+    rep.add("comodule.coassoc", "(ϱ⊗id)∘ϱ = (id⊗Δ)∘ϱ", lhs == rhs,
+            map_witness(lhs, rhs, B.carrier.labels))
+    counit_side = linalg.kron(idb, b.coalgebra.counit) @ c.coaction
+    rep.add("comodule.counit", "(id⊗ε)∘ϱ = id", counit_side == idb,
+            map_witness(counit_side, idb, B.carrier.labels))
+    bh = tensor_algebra(B, b.algebra)
+    lhs2 = c.coaction @ B.mult
+    rhs2 = bh.mult @ linalg.kron(c.coaction, c.coaction)
+    witness = map_witness(lhs2, rhs2, linalg.product_labels(B.carrier.labels,
+                                                            B.carrier.labels))
+    rep.add("comodule.multiplicative", "ϱ is an algebra morphism",
+            witness is None, witness)
+    ok = c.coaction.apply(B.unit) == kron_vec(c.ring, B.unit, b.algebra.unit)
+    rep.add("comodule.unit", "ϱ(1) = 1⊗1", ok, None if ok else "1")
+    return rep
+
+
+def validate_weak_action(w, subject="weak action"):
+    """``actions.validate_weak_action``: the unit laws on dense vectors, and
+    measuring as act∘(id⊗m) against m∘(act⊗act)∘:func:`spread_coproduct`."""
+    rep = ValidationReport(subject)
+    b = w.bialgebra
+    A = w.algebra
+    ring = w.ring
+    rH, rA = b.rank, A.rank
+    witness = None
+    for j in range(rA):
+        e = A.carrier.basis_vector(j)
+        if w.act(b.algebra.unit, e) != e:
+            witness = A.carrier.labels[j]
+            break
+    rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
+    eps = b.coalgebra.counit.matrix[0]
+    witness = next((b.carrier.labels[i] for i in range(rH)
+                    if w.act(b.carrier.basis_vector(i), A.unit)
+                    != vec_scale(ring, eps[i], A.unit)), None)
+    rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
+    lhs = w.action @ linalg.kron(LinearMap.identity(b.carrier), A.mult)
+    rhs = A.mult @ linalg.kron(w.action, w.action) @ spread_coproduct(b, A)
+    witness = map_witness(lhs, rhs, linalg.product_labels(
+        b.carrier.labels, A.carrier.labels, A.carrier.labels))
+    rep.add("action.measuring", "h ⇀ (ab) = Σ(h₁⇀a)(h₂⇀b)", witness is None, witness)
+    return rep
+
+
+def spread_coproduct(b, A):
+    """(id⊗τ⊗id)∘(Δ⊗id⊗id): H⊗A⊗A → H⊗A⊗H⊗A, h⊗a⊗a' ↦ Σ h₁⊗a⊗h₂⊗a'."""
+    rH, rA = b.rank, A.rank
+    cols = []
+    for col in b.coalgebra.comult.sparse_columns():
+        terms = [divmod(flat, rH) + (d,) for flat, d in col]
+        for a in range(rA):
+            for a2 in range(rA):
+                cols.append([(((h1 * rA + a) * rH + h2) * rA + a2, d)
+                             for h1, h2, d in terms])
+    ha = tensor_module(b.carrier, A.carrier)
+    return LinearMap.from_sparse_columns(tensor_module(ha, A.carrier),
+                                         tensor_module(ha, ha), cols)
+
+
+def coact_terms(B, i):
+    """ϱ(b_i) as (b-index, h-index, coefficient) triples."""
+    rH = B.bialgebra.rank
+    return [(flat // rH, flat % rH, c) for flat, c in B.coaction.sparse_columns()[i]]
+
+
 def hat_smash(hopf, B):
     """The #(H,B) structure constants, one Sweedler and coaction term at a
     time, every B-product recomputed (not validated)."""
@@ -909,7 +1098,7 @@ def hat_smash(hopf, B):
                         for c, (t1, t2) in coalg.sweedler_basis(t, 2):
                             if t2 != gj:
                                 continue
-                            for b0, b1, cc in B.coact_sparse(gi):
+                            for b0, b1, cc in coact_terms(B, gi):
                                 # f(b₍₁₎·h₁) · b₍₀₎
                                 coeff_f = b.algebra.mult.matrix[fj][b1 * rH + t1]
                                 if not (coeff_f):
@@ -952,7 +1141,7 @@ def op_hat_smash(hopf, B):
                         for c, (t1, t2) in coalg.sweedler_basis(t, 2):
                             if t2 != fj:
                                 continue
-                            for b0, b1, cc in B.coact_sparse(fi):
+                            for b0, b1, cc in coact_terms(B, fi):
                                 # f(h₂)₍₀₎ · g(h₁·f(h₂)₍₁₎)
                                 coeff_g = b.algebra.mult.matrix[gj][t1 * rH + b1]
                                 if not (coeff_g):
@@ -988,7 +1177,7 @@ def coordinate_smash(B, U, kind):
                     out = [ring.zero] * carrier.rank
                     if kind is SmashKind.RIGHT_SMASH:
                         # Σ over ϱ(b̃): b·b̃₍₀₎ ⊗ (f·b̃₍₁₎)⋆f̃
-                        for b0, b1, c in B.coact_sparse(k):
+                        for b0, b1, c in coact_terms(B, k):
                             bpart = B.algebra.product(
                                 b_i, B.algebra.carrier.basis_vector(b0))
                             moved = U.act_regular(l, b.carrier.basis_vector(b1))
@@ -996,7 +1185,7 @@ def coordinate_smash(B, U, kind):
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     else:
                         # Σ over ϱ(b): b₍₀₎·b̃ ⊗ (b₍₁₎·f̃)⋆f
-                        for b0, b1, c in B.coact_sparse(i):
+                        for b0, b1, c in coact_terms(B, i):
                             bpart = B.algebra.product(
                                 B.algebra.carrier.basis_vector(b0),
                                 B.algebra.carrier.basis_vector(k))

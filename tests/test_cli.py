@@ -11,6 +11,7 @@ from hopfdual.cli import main
 from hopfdual.catalog import get, list_entries
 from hopfdual.instancefile import export_entry_json, parse_instance
 from hopfdual.suites import run_suite
+from test_rings import DIGIT_LIMITS, int_digit_limit
 from test_suites import records
 
 
@@ -199,6 +200,23 @@ def test_verify_constant_outside_the_grammar_is_input_error(tmp_path, capsys, co
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "input error" in err and repr(constant) in err
+
+
+@pytest.mark.parametrize("limit", DIGIT_LIMITS)
+@pytest.mark.parametrize("ring_entry", ["Q_C3", "Z_C3", "sweedler4_Z3"])
+def test_verify_caps_constants_at_4300_digits(tmp_path, capsys, limit, ring_entry):
+    # a counit of 1 written with 4,300 digits verifies; with 4,301 it is an
+    # input error under every interpreter digit limit, not CPython's own
+    # ValueError on 3.11+ only
+    path = tmp_path / "digits.json"
+    doc = json.loads(export_entry_json(get(ring_entry)))
+    with int_digit_limit(limit):
+        for zeros, code in ((4299, 0), (4300, 2)):
+            doc["hopf"]["counit"][0] = "0" * zeros + "1"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path), "--suite", "hopf"]) == code
+        err = capsys.readouterr().err
+    assert "input error" in err and "4301 digits, more than 4300" in err
 
 
 @pytest.mark.parametrize("modulus", [7.9, 7.0, True])

@@ -383,11 +383,31 @@ def test_column_witness_labels_first_differing_column():
     f = lmap(ZZ, [[1, 0, 2], [0, 1, 0]])
     g = lmap(ZZ, [[1, 0, 2], [0, 1, 3]])
     h = lmap(ZZ, [[1, 5, 2], [0, 1, 3]])
-    assert column_witness(f, f, ("x", "y", "z")) is None
-    assert column_witness(f, g, ("x", "y", "z")) == "z"
-    assert column_witness(f, h, ("x", "y", "z")) == "y"
-    assert column_witness(f, h, ("x",)) == "column 1"
-    assert column_witness(f, lmap(QQ, [[1, 0, 2], [0, 1, 0]]), "xyz") == "shape"
+
+    def xyz():
+        return ("x", "y", "z")
+
+    f_, g_, h_ = (m.sparse_columns() for m in (f, g, h))
+    assert column_witness(f_, f_, xyz) is None
+    assert column_witness(f_, g_, xyz) == "z"
+    assert column_witness(f_, h_, xyz) == "y"
+    assert column_witness(f_, h_, lambda: ("x",)) == "column 1"
+    # the columns are walked in step up to the first difference, and the
+    # labels are built only there
+    walked = []
+
+    def lazy(name, cols):
+        for j, col in enumerate(cols):
+            walked.append((name, j))
+            yield col
+
+    def no_labels():
+        raise AssertionError("labels built without a difference")
+
+    assert column_witness(lazy("f", f_), lazy("f", f_), no_labels) is None
+    walked.clear()
+    assert column_witness(lazy("f", f_), lazy("h", h_), xyz) == "y"
+    assert walked == [("f", 0), ("h", 0), ("f", 1), ("h", 1)]
     assert product_labels(("a", "b"), ("x", "y")) == ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
 
 

@@ -1,5 +1,7 @@
 """Coefficient ring canonicalization and unit arithmetic."""
+import contextlib
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +11,25 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from hopfdual.errors import NotInvertible
-from hopfdual.rings import QQ, ZZ, Zmod, ring_from_descriptor
+from hopfdual.rings import MAX_DIGITS, QQ, ZZ, Zmod, ring_from_descriptor
+
+# the interpreter's own int/str digit limit (None) and, where it can be set
+# (Python >= 3.11), no limit, the smallest allowed, and the default
+DIGIT_LIMITS = [None] + ([0, 640, 4300] if hasattr(sys, "set_int_max_str_digits") else [])
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run with ``sys.set_int_max_str_digits(limit)``, restored afterwards."""
+    if limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_modulus_must_be_at_least_two():
@@ -54,6 +74,22 @@ def test_rational_strings_in_the_grammar():
         ZZ.of("6/3")
     with pytest.raises(ZeroDivisionError):
         QQ.of("1/0")
+
+
+@pytest.mark.parametrize("limit", DIGIT_LIMITS)
+def test_constants_are_capped_at_the_library_digit_limit(limit):
+    ones = (10 ** MAX_DIGITS - 1) // 9  # MAX_DIGITS ones
+    with int_digit_limit(limit):
+        assert MAX_DIGITS == 4300
+        assert ZZ.of("1" * MAX_DIGITS) == ones
+        assert ZZ.of("-" + "1" * MAX_DIGITS) == -ones
+        assert Zmod(7).of("+" + "1" * MAX_DIGITS) == ones % 7
+        assert QQ.of("1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS) == Fraction(1, 3)
+        for ring, text in ((ZZ, "1" * 4301), (Zmod(7), "-" + "1" * 4301),
+                           (QQ, "1" * 4301), (QQ, "1/" + "0" * 4300 + "1"),
+                           (QQ, "1" * 4301 + "/3")):
+            with pytest.raises(ValueError, match="4301 digits, more than 4300"):
+                ring.of(text)
 
 
 def test_integer_units():
