@@ -784,11 +784,11 @@ def _det_int(rows) -> int:
 
 
 def determinant(m: LinearMap) -> Elem:
-    """Exact determinant of a square map."""
+    """Exact determinant: elimination over a field, integer Bareiss otherwise."""
     if m.domain.rank != m.codomain.rank:
         raise DimensionMismatch("determinant of a non-square map")
     ring = m.ring
-    if isinstance(ring, RationalRing):
+    if ring.is_field:
         A = [list(row) for row in m.matrix]
         n = len(A)
         det = ring.one
@@ -806,8 +806,7 @@ def determinant(m: LinearMap) -> Elem:
                     c = ring.mul(inv, A[i][t])
                     A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(A[i], A[t])]
         return det
-    d = _det_int(m.matrix)
-    return ring.of(d)
+    return ring.of(_det_int(m.matrix))
 
 
 def invert_map(m: LinearMap) -> LinearMap:

@@ -13,16 +13,17 @@ witnessed by solved coefficient tables at construction time.
 #(H,B), #^op(H,B), B#U, B#^opU and A#H are built by index arithmetic on the
 sparse multiplication, action and coaction tables: each factor that depends on
 only some of the column indices (the Sweedler-and-coaction coefficients of a
-basis map of Hom(H,B), the U-coordinates of (u_l·h)⋆u_m, a_i(h₁·a_k)) is
-computed once per call, and every column is a sum of table entries.  Every
-builder then certifies its result with ``AlgebraData.validate``, whose
-associativity check is index arithmetic on the same sparse table.
+basis map of Hom(H,B), the U-coordinates of (u_l·h)⋆u_m read off U's closure
+witnesses, the nonzero a_i(h₁·a_k)) is computed once per call, and every
+column is a sum of table entries.  Every builder then certifies its result
+with ``AlgebraData.validate``, whose associativity check is index arithmetic
+on the same sparse table; the ``smash.left`` record certifies that A#H is the
+trivial-cocycle crossed product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from itertools import product
 
 from .actions import (
@@ -33,7 +34,7 @@ from .actions import (
     validate_weak_action,
 )
 from .catalog import ground_algebra
-from .crossed import crossed_table, trivial_sigma, twisted_module_identity
+from .crossed import trivial_sigma, twisted_module_identity
 from .errors import SideMismatch, ValidationError
 from .hopf import (
     AlgebraData,
@@ -233,7 +234,8 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
     over the coaction terms c·b₀⊗h_{b₁} of b_k (op: of b_i), c times the
     B-product b_i·b₀ (op: b₀·b_k) read off the sparse multiplication table,
     tensored with the U-coordinates of (u_l·h_{b₁})⋆u_m (op: (h_{b₁}·u_m)⋆u_l),
-    which are computed once per (l, b₁, m)."""
+    once per (l, b₁, m): Σ_s (u_l·h_{b₁})_s·(u_s⋆u_m) over U's closure
+    witnesses, since ⋆ is bilinear and U's generators are independent."""
     b = bialgebra_of(B.hopf)
     ring = b.ring
     zero, mul, add = ring.zero, ring.mul, ring.add
@@ -242,15 +244,12 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
     bcols = B.algebra.mult.sparse_columns()
     coact = [legs(col, b.rank) for col in B.coaction.sparse_columns()]
     op = kind is SmashKind.OP_SMASH
-
-    @cache
-    def upart(l, b1, m):
-        moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
-        coords = U.express(U.dual_algebra.product(moved, U.element(l if op else m)))
-        if coords is None:
-            raise ValidationError("smash product left the span of U")
-        return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
-
+    stars = {key: tuple((t, x) for t, x in enumerate(v) if x)
+             for key, v in U.star_witness.items()}
+    uparts = {(l, b1, m): combine_columns(ring, (
+        (stars[s, l if op else m], c)
+        for s, c in enumerate(U.action_witness[m if op else l, b1]) if c))
+        for l, b1, m in product(range(rU), range(b.rank), range(rU))}
     cols = []
     for i in range(rB):
         for l in range(rU):
@@ -258,7 +257,7 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
                 for m in range(rU):
                     acc = {}
                     for b0, b1, c in coact[i] if op else coact[k]:
-                        ucoords = upart(l, b1, m)
+                        ucoords = uparts[l, b1, m]
                         for bidx, bv in bcols[b0 * rB + k] if op else bcols[i * rB + b0]:
                             cb = mul(c, bv)
                             for uidx, uv in ucoords:
@@ -273,13 +272,14 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
 
 def left_smash(action: WeakActionData) -> SmashAlgebra:
     """A#H for a genuine module-algebra action (the twisted-module identity
-    with σ = η∘(ε⊗ε)); bit-identical to the crossed product with that σ.
+    with σ = η∘(ε⊗ε)): the crossed product with that σ, as ``smash.left``
+    certifies.
 
-    By index arithmetic: column (a_i#h_j)(a_k#h_l) sums a_i(h₁·a_k) # h₂h_l,
-    where Σ c·h₂h_l is tabulated once per (j, l, h₁) and a_i(h₁·a_k) once per
-    (i, h₁, k) from the sparse action and multiplication tables."""
-    sigma = trivial_sigma(action)
-    if not twisted_module_identity(action, sigma):
+    By index arithmetic: column (a_i#h_j)(a_k#h_l) sums a_i(h₁·a_k) # h₂h_l
+    over the legs h₁ where a_i(h₁·a_k) ≠ 0, listed once per (i, k), with
+    Σ c·h₂h_l tabulated once per (j, l, h₁), both from the sparse action and
+    multiplication tables."""
+    if not twisted_module_identity(action, trivial_sigma(action)):
         raise ValidationError("left smash requires a module-algebra action")
     b = action.bialgebra
     A = action.algebra
@@ -295,27 +295,27 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
         by_h1 = {}
         for c, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
             by_h1.setdefault(h1, []).append((hmul[h2 * rH + l], c))
-        return [(h1, combine_columns(ring, t)) for h1, t in by_h1.items()]
+        return {h1: combine_columns(ring, t) for h1, t in by_h1.items()}
 
-    @cache
-    def apart(i, h1, k):  # a_i·(h₁·a_k)
-        return combine_columns(ring, ((amul[i * rA + s], c)
-                                      for s, c in act[h1 * rA + k]))
+    def live(i, k):  # (h₁, a_i·(h₁·a_k)) for the h₁ where it is nonzero
+        parts = ((h1, combine_columns(ring, ((amul[i * rA + s], c)
+                                             for s, c in act[h1 * rA + k])))
+                 for h1 in range(rH))
+        return [(h1, part) for h1, part in parts if part]
 
     table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
+    aparts = [[live(i, k) for k in range(rA)] for i in range(rA)]
     cols = []
     for i, j, k, l in product(range(rA), range(rH), range(rA), range(rH)):
         acc = {}
-        for h1, hx in table[j][l]:
-            for t, av in apart(i, h1, k):
-                for x, hc in hx:
+        hterms = table[j][l]
+        for h1, apart in aparts[i][k]:
+            for x, hc in hterms.get(h1, ()):
+                for t, av in apart:
                     pos = t * rH + x
                     acc[pos] = add(acc.get(pos, zero), mul(av, hc))
         cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
-    if mult != crossed_table(action, sigma):
-        raise ValidationError(
-            "left smash disagrees with the trivial-cocycle crossed product")
     alg = AlgebraData(carrier, mult,
                       kron_vec(ring, A.unit, b.algebra.unit))
     return _validated(SmashKind.LEFT_SMASH, alg, {"action": action})

@@ -47,7 +47,12 @@ terms of a coaction column for the smash oracles.
 crossed-product identities and tables with one dense A-product, action and
 σ-evaluation per Sweedler term; ``test_crossed.py`` and ``test_smash.py``
 require the index-arithmetic kernels to agree with them.
-``hit_action_of_dual`` is the action map of H* on H by f⇀k, summed for
+``left_smash_indexed`` (A#H with every leg of Δ(h_j) summed and its table
+compared with ``crossed.crossed_table``) and ``coordinate_smash_indexed``
+(B#U and B#^opU with each U-coordinate solved by ``express``) are the
+index-arithmetic builders before they read only the live legs and U's closure
+witnesses; ``test_smash.py`` requires the library to agree with them bit for
+bit.  ``hit_action_of_dual`` is the action map of H* on H by f⇀k, summed for
 f = δ_l over the terms of Δ(k) with second leg l rather than through
 ``actions.hit``; ``test_smash.py`` requires the library's to agree with it.
 
@@ -102,10 +107,12 @@ operators; ``test_linalg.py`` requires ``linalg._rref_rows`` to agree with it
 and to return canonical entries.
 """
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 from hypothesis import strategies as st
 
-from hopfdual import duality, linalg
+from hopfdual import crossed, duality, linalg
 from hopfdual.actions import hit
 from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
@@ -1513,6 +1520,89 @@ def left_smash_table(action):
                                 out[pos] = ring.add(out[pos], ring.mul(cc, av))
                     cols.append(tuple(out))
     return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+
+
+def left_smash_indexed(action):
+    """A#H's table as the library built it before it stopped rebuilding the
+    crossed product: every (i, h₁, k) of a_i(h₁·a_k) cached as reached, every
+    leg h₁ of Δ(h_j) summed whether or not a_i(h₁·a_k) is zero, and the table
+    required to equal ``crossed.crossed_table`` with σ = η∘(ε⊗ε) (not
+    validated)."""
+    sigma = crossed.trivial_sigma(action)
+    if not crossed.twisted_module_identity(action, sigma):
+        raise ValidationError("left smash requires a module-algebra action")
+    b = action.bialgebra
+    A = action.algebra
+    ring = action.ring
+    zero, mul, add = ring.zero, ring.mul, ring.add
+    rH, rA = b.rank, A.rank
+    carrier = tensor_module(A.carrier, b.carrier)
+    hmul = b.algebra.mult.sparse_columns()
+    amul = A.mult.sparse_columns()
+    act = action.action.sparse_columns()
+
+    def terms(j, l):  # h₁ ↦ Σ c·h₂h_l over Δ(h_j) = Σ c·h₁⊗h₂
+        by_h1 = {}
+        for c, (h1, h2) in b.coalgebra.sweedler_basis(j, 2):
+            by_h1.setdefault(h1, []).append((hmul[h2 * rH + l], c))
+        return [(h1, linalg.combine_columns(ring, t)) for h1, t in by_h1.items()]
+
+    @cache
+    def apart(i, h1, k):  # a_i·(h₁·a_k)
+        return linalg.combine_columns(ring, ((amul[i * rA + s], c)
+                                             for s, c in act[h1 * rA + k]))
+
+    table = [[terms(j, l) for l in range(rH)] for j in range(rH)]
+    cols = []
+    for i, j, k, l in product(range(rA), range(rH), range(rA), range(rH)):
+        acc = {}
+        for h1, hx in table[j][l]:
+            for t, av in apart(i, h1, k):
+                for x, hc in hx:
+                    pos = t * rH + x
+                    acc[pos] = add(acc.get(pos, zero), mul(av, hc))
+        cols.append(linalg.sparse_column(acc))
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
+    if mult != crossed.crossed_table(action, sigma):
+        raise ValidationError(
+            "left smash disagrees with the trivial-cocycle crossed product")
+    return mult
+
+
+def coordinate_smash_indexed(B, U, kind):
+    """B#U or B#^opU's table as the library built it before it read U's
+    closure witnesses: the U-coordinates of (u_l·h_{b₁})⋆u_m (op:
+    (h_{b₁}·u_m)⋆u_l) by one regular action, one ⋆-product and one
+    ``express`` per (l, b₁, m) as reached (not validated)."""
+    b = bialgebra_of(B.hopf)
+    ring = b.ring
+    zero, mul, add = ring.zero, ring.mul, ring.add
+    rB, rU = B.algebra.rank, U.rank
+    carrier = tensor_module(B.algebra.carrier, U.module)
+    bcols = B.algebra.mult.sparse_columns()
+    coact = [linalg.legs(col, b.rank) for col in B.coaction.sparse_columns()]
+    op = kind is SmashKind.OP_SMASH
+
+    @cache
+    def upart(l, b1, m):
+        moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
+        coords = U.express(U.dual_algebra.product(moved, U.element(l if op else m)))
+        if coords is None:
+            raise ValidationError("smash product left the span of U")
+        return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
+
+    cols = []
+    for i, l, k, m in product(range(rB), range(rU), range(rB), range(rU)):
+        acc = {}
+        for b0, b1, c in coact[i] if op else coact[k]:
+            ucoords = upart(l, b1, m)
+            for bidx, bv in bcols[b0 * rB + k] if op else bcols[i * rB + b0]:
+                cb = mul(c, bv)
+                for uidx, uv in ucoords:
+                    pos = bidx * rU + uidx
+                    acc[pos] = add(acc.get(pos, zero), mul(cb, uv))
+        cols.append(linalg.sparse_column(acc))
+    return LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
 def hit_action_of_dual(h):

@@ -18,6 +18,7 @@ from hopfdual.linalg import (
     LinearMap,
     PreparedSolver,
     SolveStatus,
+    _det_int,
     _rref_rows,
     canonical_span,
     column_witness,
@@ -462,6 +463,25 @@ def test_determinant_values():
     assert determinant(lmap(ZZ, [[2, 0], [0, 3]])) == 6
     assert determinant(lmap(QQ, [["1/2", 0], [0, 4]])) == QQ.of(2)
     assert determinant(lmap(Zmod(6), [[2, 0], [0, 3]])) == 0
+    assert determinant(lmap(Zmod(7), [[0, 1], [1, 0]])) == 6  # one row swap
+    assert determinant(lmap(Zmod(7), [[0, 0, 1], [0, 2, 0], [3, 0, 0]])) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 7, 11]), st.integers(min_value=0, max_value=5),
+       st.sampled_from(["unimodular", "singular", "random"]), st.data())
+def test_determinant_over_Zp_is_integer_bareiss_reduced_mod_p(p, n, kind, data):
+    # elimination over the field Z/p against Bareiss on the representatives;
+    # a unimodular draw permutes its rows (so pivoting swaps and flips the
+    # sign) and a singular one scales a row by 0
+    ring = Zmod(p)
+    if kind == "singular" and n == 0:
+        kind = "random"
+    m = dense.draw_square(data, ring, n, kind)
+    det = determinant(m)
+    assert det == _det_int(m.matrix) % p and type(det) is int
+    if kind == "singular":
+        assert det == 0
 
 
 # --- membership / spans -----------------------------------------------------

@@ -1,12 +1,14 @@
 """Smash-type algebras and the left/right smash comparison."""
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from hopfdual import catalog
+from builders import cyclic_document
+from hopfdual import catalog, crossed, smash
 from hopfdual.actions import ComoduleAlgebraData, regular_comodule, trivial_action
 from hopfdual.catalog import (
     ground_algebra,
@@ -23,7 +25,8 @@ from hopfdual.crossed import (
     twisted_module_identity,
 )
 from hopfdual.errors import SideMismatch, ValidationError
-from hopfdual.hopf import ConvolutionAlgebra, ensure_hopf, tensor_algebra
+from hopfdual.hopf import AlgebraData, ConvolutionAlgebra, ensure_hopf, tensor_algebra
+from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import LinearMap, free_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
@@ -38,8 +41,10 @@ from hopfdual.smash import (
     right_smash,
     smash_compare,
 )
+from hopfdual.suites import applicable_suites, run_suite
 from test_crossed import CROSSED_CASES, crossed_case
 from test_duality import rebased_sweedler_Z3
+from test_suites import patch_everywhere
 
 
 def trivial_comodule(h, algebra):
@@ -274,6 +279,8 @@ def test_coordinate_smash_matches_the_term_by_term_oracle(name, side):
     got = build(cp.comodule, U)
     assert got.kind is kind
     assert_same_algebra(got.product, dense.coordinate_smash(cp.comodule, U, kind))
+    dense.assert_bit_identical(got.product.mult,
+                               dense.coordinate_smash_indexed(cp.comodule, U, kind))
 
 
 @pytest.mark.parametrize("regular", [False, True])
@@ -296,17 +303,90 @@ def test_hom_smashes_match_the_term_by_term_oracles(name, regular):
 def test_left_smash_matches_the_term_by_term_oracle(name):
     action, _ = crossed_case(name)
     if dense.twisted_module_identity(action, trivial_sigma(action)):
-        dense.assert_bit_identical(left_smash(action).product.mult,
-                                   dense.left_smash_table(action))
+        got = left_smash(action).product.mult
+        dense.assert_bit_identical(got, dense.left_smash_table(action))
+        dense.assert_bit_identical(got, dense.left_smash_indexed(action))
     else:
         with pytest.raises(ValidationError,
                            match="left smash requires a module-algebra action"):
             left_smash(action)
 
 
-def test_left_smash_needs_no_cocycle_validation(monkeypatch):
-    import hopfdual.crossed as crossed
+def suite_instance(name):
+    """A catalog entry, or R[C5]/R[C6] over Z/11 parsed from its document."""
+    if name.startswith("Zmod11_C"):
+        return parse_instance_dict(cyclic_document(int(name[-1]), 11)).to_entry()
+    return catalog.get(name)
 
+
+# the instances the smash suite runs on (every catalog entry but
+# sweedler4_Z, whose only suite is hopf)
+SUITE_INSTANCES = [name for name, _, _ in catalog.list_entries()
+                   if "smash" in applicable_suites(catalog.get(name))] + ["Zmod11_C5",
+                                                                         "Zmod11_C6"]
+
+
+def left_smash_actions(name):
+    """The module-algebra actions the suites hand to ``left_smash`` for one
+    instance: the hit action of the dual of its Hopf algebra and, for a
+    crossed entry with σ = η∘(ε⊗ε), its action; the rebased Sweedler algebra
+    over Z/3 gives its hit action and its trivial action on Z/3."""
+    if name == "sweedler_Z3_rebased":
+        cp = rebased_sweedler_Z3()
+        return [hit_action_of_dual(ensure_hopf(cp.action.hopf)), cp.action]
+    entry = suite_instance(name)
+    actions = [hit_action_of_dual(entry.hopf_data())]
+    if entry.kind == "crossed":
+        cp = entry.payload
+        if cp.cocycle.sigma == trivial_sigma(cp.action):
+            actions.append(cp.action)
+    return actions
+
+
+@pytest.mark.parametrize("name", SUITE_INSTANCES + ["sweedler_Z3_rebased"])
+def test_left_smash_is_the_trivial_cocycle_crossed_product(name):
+    # left_smash builds only its own table, so the equality with the crossed
+    # product for σ = η∘(ε⊗ε) is required here, entry types included
+    for action in left_smash_actions(name):
+        got = left_smash(action).product.mult
+        dense.assert_bit_identical(got, crossed_table(action, trivial_sigma(action)))
+        dense.assert_bit_identical(got, dense.left_smash_indexed(action))
+
+
+@pytest.mark.parametrize("name", SUITE_INSTANCES)
+def test_smash_builders_rebuild_no_closure_data(monkeypatch, name):
+    # U solved and checked its ⋆- and action-closure coordinates when it was
+    # built, and A#H is not compared with a rebuilt crossed table: no U
+    # solve, regular action, algebra product or crossed table runs inside
+    # _coordinate_smash or left_smash
+    builders = {smash._coordinate_smash.__code__, smash.left_smash.__code__}
+    seen, inside = set(), []
+
+    def guarded(what, original):
+        def call(*args, **kwargs):
+            seen.add(what)
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in builders:
+                    inside.append((what, frame.f_code.co_name))
+                    break
+                frame = frame.f_back
+            return original(*args, **kwargs)
+        return call
+
+    for cls, what in ((SubalgebraU, "express"), (SubalgebraU, "act_regular"),
+                      (AlgebraData, "product")):
+        monkeypatch.setattr(cls, what, guarded(what, getattr(cls, what)))
+    patch_everywhere(monkeypatch, crossed, "crossed_table",
+                     guarded("crossed_table", crossed.crossed_table))
+    entry = suite_instance(name)
+    for suite in ("smash", "duality"):
+        run_suite(entry, suite)
+    assert {"express", "act_regular", "product"} <= seen  # while U is built
+    assert inside == []
+
+
+def test_left_smash_needs_no_cocycle_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate_cocycle called")
 
