@@ -30,9 +30,9 @@ from .linalg import (
     product_labels,
     solve_linear,
     span_coordinates,
+    sparse_vector,
     split_coefficient_map,
     tensor_module,
-    unit_module,
     unit_vectors,
 )
 from .reporting import ValidationReport
@@ -129,11 +129,10 @@ def action_from_endomorphisms(hopf: HopfLike, algebra: AlgebraData, images) -> W
     for i in range(b.rank):
         endo = images[i]
         for j in range(algebra.rank):
-            cols.append(algebra.carrier.vector(endo.column(j)
-                                               if isinstance(endo, LinearMap)
-                                               else endo[j]))
-    action = LinearMap.from_columns(tensor_module(b.carrier, algebra.carrier),
-                                    algebra.carrier, cols)
+            cols.append(sparse_vector(algebra.carrier.vector(
+                endo.column(j) if isinstance(endo, LinearMap) else endo[j])))
+    action = LinearMap.from_sparse_columns(tensor_module(b.carrier, algebra.carrier),
+                                           algebra.carrier, cols)
     return WeakActionData(hopf, algebra, action)
 
 
@@ -153,7 +152,7 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
     rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
     # h·1_A = ε(h)·1_A, on the sparse columns of the action
     act = w.action.sparse_columns()
-    one_a = tuple((t, x) for t, x in enumerate(A.unit) if x)
+    one_a = sparse_vector(A.unit)
     eps = b.coalgebra.counit.matrix[0]
     witness = next((b.carrier.labels[i] for i in range(rH)
                     if combine_columns(ring, ((act[i * rA + s], c) for s, c in one_a))
@@ -274,9 +273,7 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     b = c.bialgebra
     B = c.algebra
     ring = c.ring
-    unit_embed = LinearMap.from_columns(unit_module(ring), b.carrier,
-                                        [b.algebra.unit])
-    embed = kron(LinearMap.identity(B.carrier), unit_embed)
+    embed = kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
     embed = embed.relabeled(B.carrier, c.coaction.codomain)
     diff = c.coaction - embed
     res = solve_linear(diff, (ring.zero,) * diff.codomain.rank)
@@ -284,7 +281,7 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     if vectors and split_coefficient_map(ring, vectors, B.rank) is None:
         raise ValidationError("coinvariants do not span a direct summand")
     module = FreeModule(ring, len(vectors), tuple(f"c{i}" for i in range(len(vectors))))
-    inclusion = LinearMap.from_columns(module, B.carrier, list(vectors))
+    inclusion = LinearMap.from_sparse_columns(module, B.carrier, map(sparse_vector, vectors))
     return Coinvariants(module, inclusion, vectors)
 
 

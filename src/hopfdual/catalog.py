@@ -26,7 +26,7 @@ from .hopf import (
     ensure_hopf,
     matrix_algebra,
 )
-from .linalg import FreeModule, LinearMap, free_module, tensor_module, unit_module
+from .linalg import FreeModule, LinearMap, free_module, sparse_vector, tensor_module, unit_module
 from .rings import QQ, ZZ, Ring, Zmod
 
 
@@ -62,16 +62,10 @@ def hopf_from_parts(carrier, mult_quads, unit, comult_quads, counit_values,
     alg = algebra_from_quadruples(carrier, mult_quads, unit)
     coalg = coalgebra_from_quadruples(carrier, comult_quads, counit_values)
     bial = BialgebraData(alg, coalg)
-    if antipode_cols is None:
-        antipode = compute_antipode(bial)
-    else:
-        antipode = LinearMap.from_columns(carrier, carrier,
-                                          [carrier.vector(c) for c in antipode_cols])
-    if twisted_cols is None:
-        twisted = compute_twisted_antipode(bial)
-    else:
-        twisted = LinearMap.from_columns(carrier, carrier,
-                                         [carrier.vector(c) for c in twisted_cols])
+    antipode = (compute_antipode(bial) if antipode_cols is None
+                else _endomorphism(carrier, antipode_cols))
+    twisted = (compute_twisted_antipode(bial) if twisted_cols is None
+               else _endomorphism(carrier, twisted_cols))
     h = HopfData(bial, antipode, twisted)
     h.validate().require()
     return h
@@ -149,6 +143,12 @@ def truncated_polynomial_algebra(ring: Ring) -> AlgebraData:
     return alg
 
 
+def _endomorphism(carrier: FreeModule, cols) -> LinearMap:
+    """The endomorphism of ``carrier`` with the given hand-written columns."""
+    return LinearMap.from_sparse_columns(
+        carrier, carrier, [sparse_vector(carrier.vector(c)) for c in cols])
+
+
 # ---------------------------------------------------------------------------
 # actions
 
@@ -178,9 +178,8 @@ def matrix_conjugation_action(ring: Ring):
     h = group_algebra(ring, 2)
     a = matrix_algebra(ring, 2)
     # P·e_ij·P with P the permutation matrix of (0 1): e_ij ↦ e_{1-i,1-j}
-    cols = [a.carrier.basis_vector((1 - i) * 2 + (1 - j))
-            for i in range(2) for j in range(2)]
-    conj = LinearMap.from_columns(a.carrier, a.carrier, cols)
+    conj = _endomorphism(a.carrier, [a.carrier.basis_vector((1 - i) * 2 + (1 - j))
+                                     for i in range(2) for j in range(2)])
     return action_from_endomorphisms(h, a, [LinearMap.identity(a.carrier), conj])
 
 
@@ -242,8 +241,8 @@ def _sigma_single(action, i, j, value):
                 c = ring.mul(eps(b.carrier.basis_vector(p)),
                              eps(b.carrier.basis_vector(q)))
                 cols.append(tuple(ring.mul(c, x) for x in A.unit))
-    return LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
-                                  A.carrier, cols)
+    return LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier), A.carrier,
+                                         map(sparse_vector, cols))
 
 
 def _crossed(action, sigma=None):

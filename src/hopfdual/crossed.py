@@ -57,6 +57,7 @@ from .linalg import (
     map_to_vec,
     span_coordinates,
     sparse_column,
+    sparse_vector,
     tensor_module,
     unit_vectors,
     vec_to_map,
@@ -131,8 +132,8 @@ def cocycle_flags(action: WeakActionData, sigma: LinearMap) -> CocycleFlags:
     ring, coalg = action.ring, b.coalgebra
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
     eps = coalg.counit.matrix[0]
-    one_h = [(q, c) for q, c in enumerate(b.algebra.unit) if c]
-    one_a = tuple((t, x) for t, x in enumerate(action.algebra.unit) if x)
+    one_h = sparse_vector(b.algebra.unit)
+    one_a = sparse_vector(action.algebra.unit)
     normal = all(
         combine_columns(ring, ((sig[i * rH + q], c) for q, c in one_h))
         == combine_columns(ring, [(one_a, eps[i])])
@@ -230,7 +231,7 @@ def validate_cocycle(action: WeakActionData, sigma: LinearMap,
 def trivial_sigma(action: WeakActionData) -> LinearMap:
     """σ = η_A∘(ε⊗ε): H⊗H → A, h⊗k ↦ ε(h)ε(k)1_A, not validated."""
     b, ring = action.bialgebra, action.ring
-    one_a = tuple((t, x) for t, x in enumerate(action.algebra.unit) if x)
+    one_a = sparse_vector(action.algebra.unit)
     eps = [col[0][1] if col else ring.zero for col in b.coalgebra.counit.sparse_columns()]
     cols = [combine_columns(ring, [(one_a, ring.mul(x, y))]) for x in eps for y in eps]
     return LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier),
@@ -418,9 +419,10 @@ def integral_from_crossed(cp: CrossedProductData) -> CleftData:
     rH = b.rank
     S = hopf.antipode.sparse_columns()
     sinv = cp.cocycle.sigma_inv.sparse_columns()
-    theta_cols = [kron_vec(ring, A.unit, b.carrier.basis_vector(j))
-                  for j in range(rH)]
-    theta = LinearMap.from_columns(b.carrier, cp.carrier, theta_cols)
+    one_a = sparse_vector(A.unit)
+    theta = LinearMap.from_sparse_columns(b.carrier, cp.carrier,
+                                          [[(p * rH + j, x) for p, x in one_a]
+                                           for j in range(rH)])
 
     def term(h1, h2, h3):  # σ⁻¹(S(h₂)⊗h₃) ⊗ S(h₁)
         apart = combine_columns(ring, ((sinv[x * rH + h3], s) for x, s in S[h2]))
@@ -468,16 +470,16 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     for i in range(rA):
         for j in range(rA):
             prod = B.product(coin.vectors[i], coin.vectors[j])
-            mult_cols.append(express(prod, "a·a'"))
-    mult = LinearMap.from_columns(tensor_module(coin.module, coin.module),
-                                  coin.module, mult_cols)
+            mult_cols.append(sparse_vector(express(prod, "a·a'")))
+    mult = LinearMap.from_sparse_columns(tensor_module(coin.module, coin.module),
+                                         coin.module, mult_cols)
     A_alg = AlgebraData(coin.module, mult, unit_coords)
     # the sums below are read off the sparse tables of B, H, θ and θ⁻¹
     rB = B.rank
     bmul = B.mult.sparse_columns()
     bprod = bilinear(ring, B.mult, rB)
     theta, theta_inv = cl.theta.sparse_columns(), cl.theta_inv.sparse_columns()
-    a_s = [tuple((p, x) for p, x in enumerate(v) if x) for v in coin.vectors]
+    a_s = [sparse_vector(v) for v in coin.vectors]
     # action ha = Σ θ(h₁) a θ⁻¹(h₂)
     theta_a = cache(lambda h1, j: bprod(theta[h1], a_s[j]))
     act_cols = []
@@ -486,9 +488,9 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
             val = _sum_of_products(ring, bmul, rB, (
                 (c, theta_a(h1, j), theta_inv[h2])
                 for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2)))
-            act_cols.append(express(expand_sparse(val, rB, ring), "h⇀a"))
-    action_map = LinearMap.from_columns(tensor_module(b.carrier, coin.module),
-                                        coin.module, act_cols)
+            act_cols.append(sparse_vector(express(expand_sparse(val, rB, ring), "h⇀a")))
+    action_map = LinearMap.from_sparse_columns(tensor_module(b.carrier, coin.module),
+                                               coin.module, act_cols)
     action = WeakActionData(B_com.hopf, A_alg, action_map)
     validate_weak_action(action).require()
     # σ(h⊗k) = Σ θ(h₁)θ(k₁)θ⁻¹(h₂k₂)
@@ -502,19 +504,16 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
             val = _sum_of_products(ring, bmul, rB, (
                 (c, theta_theta(h1, k1), theta_inv_hk(h2, k2))
                 for c, h1, h2, k1, k2 in _sweedler_pairs(b.coalgebra, i, j)))
-            sig_cols.append(express(expand_sparse(val, rB, ring), "σ(h⊗k)"))
-    sigma = LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
-                                   coin.module, sig_cols)
+            sig_cols.append(sparse_vector(express(expand_sparse(val, rB, ring), "σ(h⊗k)")))
+    sigma = LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier),
+                                          coin.module, sig_cols)
     cocycle = validate_cocycle(action, sigma)
     if not cocycle.flags.all_true:
         raise ValidationError("extracted cocycle fails its flags")
     crossed = build_crossed_product(action, cocycle)
     # certified iso A#_σH → B, a#h ↦ ι(a)θ(h)
-    iso_cols = []
-    for i in range(rA):
-        for j in range(rH):
-            iso_cols.append(B.product(coin.vectors[i], cl.theta.column(j)))
-    iso_map = LinearMap.from_columns(crossed.carrier, B.carrier, iso_cols)
+    iso_cols = [bprod(a_s[i], theta[j]) for i in range(rA) for j in range(rH)]
+    iso_map = LinearMap.from_sparse_columns(crossed.carrier, B.carrier, iso_cols)
     iso = certify_algebra_iso(crossed.product_algebra, B, iso_map,
                               "cleft extension ≅ crossed product")
     colinear = (B_com.coaction @ iso_map) == \
@@ -561,9 +560,9 @@ def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrosse
     cols = []
     for i in range(A.rank):
         iota = kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
-        cols.extend(cp.product_algebra.product(
-            cleft.theta_inv.apply(Sbar.column(j)), iota) for j in range(b.rank))
-    g_map = LinearMap.from_columns(y_alg.carrier, cp.carrier, cols)
+        cols.extend(sparse_vector(cp.product_algebra.product(
+            cleft.theta_inv.apply(Sbar.column(j)), iota)) for j in range(b.rank))
+    g_map = LinearMap.from_sparse_columns(y_alg.carrier, cp.carrier, cols)
     iso = certify_algebra_iso(y_alg, cp.product_algebra, g_map,
                               "opposite crossed product")
     colinear = (cp.comodule.coaction @ g_map) == \
@@ -599,7 +598,7 @@ def cleft_maps(cl: CleftData):
     hprod = bilinear(ring, b.algebra.mult, rH)
     e = unit_vectors(ring, rH)
     Sb = hopf.twisted_antipode.sparse_columns()
-    a_s = [tuple((p, x) for p, x in enumerate(v) if x) for v in coin.vectors]
+    a_s = [sparse_vector(v) for v in coin.vectors]
 
     def image(m, vec):  # m(vec) for a sparse vector of H
         cols = m.sparse_columns()
@@ -630,7 +629,7 @@ def cleft_maps(cl: CleftData):
         for i in range(rH):
             h_terms = b.coalgebra.sweedler_basis(i, 2)
             for j in range(rA):
-                out = [ring.zero] * hom.rank
+                out = {}
                 for t, terms in enumerate(expansions):
                     val = _sum_of_products(ring, bmul, rB, (
                         (ring.mul(ct, ch), *factors(j, hl, tl))
@@ -638,7 +637,7 @@ def cleft_maps(cl: CleftData):
                     coords = coordinates(expand_sparse(val, rB, ring))
                     if coords is None:
                         raise CoinvariantEscape("cleft map value escapes the coinvariants")
-                    hom_scatter(out, ring, ring.one, enumerate(coords), rH, t)
-                cols.append(tuple(out))
-        maps.append(LinearMap.from_columns(dom, hom, cols))
+                    hom_scatter(out, ring, ring.one, sparse_vector(coords), rH, t)
+                cols.append(sparse_column(out))
+        maps.append(LinearMap.from_sparse_columns(dom, hom, cols))
     return tuple(maps)

@@ -23,9 +23,10 @@ the same route: φ₁/φ₂ and ε/ε⁻¹ form each product once per (column, l
 sums its factor that does not read g once per (h_t, last leg) and reads each
 column off the products of basis elements; ν tabulates its A-part by leg
 indices; χ places a beside the columns of λ.  Values in Hom(H, B) are added
-with ``linalg.hom_scatter``.  The hypothesis checks (the coactions υ/ω, φ and
-ψ) read the same sparse tables, and each membership question factors its span
-once.  The tables live for one call.
+into a {flat index: coefficient} dict with ``linalg.hom_scatter``, and every
+map is written as its canonical sparse columns.  The hypothesis checks (the
+coactions υ/ω, φ and ψ) read the same sparse tables, and each membership
+question factors its span once.  The tables live for one call.
 """
 from __future__ import annotations
 
@@ -73,6 +74,8 @@ from .linalg import (
     kron_column,
     kron_vec,
     span_coordinates,
+    sparse_column,
+    sparse_vector,
     tensor_module,
     twist_map,
     unit_vectors,
@@ -107,17 +110,16 @@ def lambda_map(hopf: HopfLike, U: SubalgebraU) -> LinearMap:
     end_mod = hom_module(b.carrier, b.carrier)
     hprod = bilinear(ring, b.algebra.mult, rH)
     e = unit_vectors(ring, rH)
-    hits = [[tuple((p, x) for p, x in enumerate(hit(b, f, t)) if x) for t in range(rH)]
-            for f in U.elements]
+    hits = [[sparse_vector(hit(b, f, t)) for t in range(rH)] for f in U.elements]
     cols = []
     for i in range(rH):
         for f_hits in hits:
-            out = [ring.zero] * end_mod.rank
+            out = {}
             for t in range(rH):
                 val = hprod(e[i], f_hits[t]) if right else hprod(f_hits[t], e[i])
                 hom_scatter(out, ring, ring.one, val, rH, t)
-            cols.append(tuple(out))
-    return LinearMap.from_columns(tensor_module(b.carrier, U.module), end_mod, cols)
+            cols.append(sparse_column(out))
+    return LinearMap.from_sparse_columns(tensor_module(b.carrier, U.module), end_mod, cols)
 
 
 def rho_endo(hopf: HopfLike, g_vec) -> tuple:
@@ -191,8 +193,8 @@ def phi_maps(hopf: HopfLike, side: DiagramSide = DiagramSide.RIGHT):
             else (lambda x, k: (k, x)))
 
     def phi(k_of):
-        return LinearMap.from_columns(end_mod, end_mod, _sweedler_columns(
-            b, b.carrier, end_mod.rank, b.algebra, pair, k_of))
+        return LinearMap.from_sparse_columns(end_mod, end_mod, _sweedler_columns(
+            b, b.carrier, b.algebra, pair, k_of))
 
     phi1, phi2 = phi(b.carrier.basis_vector), phi(anti.column)
     ident = LinearMap.identity(end_mod)
@@ -212,11 +214,12 @@ def _assert_phi_multiplicative(h: HopfData, phi1: LinearMap, side: DiagramSide):
     certify_algebra_iso(source, target, phi1, "φ₁")
 
 
-def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
-    """Columns (i, j), of length ``rank``, of a map out of Hom(H, vals): the
-    value at h_t is Σ c·algebra.product(*pair(v_i, k_of(t₁))) over the terms
-    c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j (φ₁, φ₂, ε and ε⁻¹).  The terms are
-    grouped by t₂ once per call, and each product is formed once per (i, t₁)."""
+def _sweedler_columns(b, vals, algebra, pair, k_of):
+    """The sparse columns (i, j) of a map out of Hom(H, vals) into Hom(H, ·):
+    the value at h_t is Σ c·algebra.product(*pair(v_i, k_of(t₁))) over the
+    terms c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j (φ₁, φ₂, ε and ε⁻¹).  The terms
+    are grouped by t₂ once per call, and each product is formed once per
+    (i, t₁)."""
     ring, rH = b.ring, b.rank
     by_j = [[[] for _ in range(rH)] for _ in range(rH)]  # by_j[t₂][t]: (c, t₁)
     for t in range(rH):
@@ -225,13 +228,13 @@ def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
     cols = []
     for i in range(vals.rank):
         v = vals.basis_vector(i)
-        prods = [algebra.product(*pair(v, k_of(t1))) for t1 in range(rH)]
+        prods = [sparse_vector(algebra.product(*pair(v, k_of(t1)))) for t1 in range(rH)]
         for terms in by_j:
-            out = [ring.zero] * rank
+            out = {}
             for t, tt in enumerate(terms):
                 for c, t1 in tt:
-                    hom_scatter(out, ring, c, enumerate(prods[t1]), rH, t)
-            cols.append(tuple(out))
+                    hom_scatter(out, ring, c, prods[t1], rH, t)
+            cols.append(sparse_column(out))
     return cols
 
 
@@ -277,11 +280,10 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
         eps_pair = lambda g, k: (kron_vec(ring, A.unit, k), g)
         inv_pair = lambda f, k: (k, f)
 
-    eps = LinearMap.from_columns(hom_src, end_mod, _sweedler_columns(
-        b, tensor_module(A.carrier, b.carrier), end_mod.rank, alg, eps_pair,
-        b.carrier.basis_vector))
-    eps_inv = LinearMap.from_columns(end_mod, hom_src, _sweedler_columns(
-        b, target, hom_src.rank, ah, inv_pair,
+    eps = LinearMap.from_sparse_columns(hom_src, end_mod, _sweedler_columns(
+        b, tensor_module(A.carrier, b.carrier), alg, eps_pair, b.carrier.basis_vector))
+    eps_inv = LinearMap.from_sparse_columns(end_mod, hom_src, _sweedler_columns(
+        b, target, ah, inv_pair,
         lambda t1: kron_vec(ring, A.unit, anti.column(t1))))
 
     if eps @ eps_inv != LinearMap.identity(end_mod) or \
@@ -297,21 +299,12 @@ def epsilon_maps(hopf: HopfLike, A: AlgebraData,
 def alpha_map(hopf: HopfLike, A: AlgebraData, U: SubalgebraU) -> LinearMap:
     """α: (A⊗H)⊗U → Hom(H, A⊗H), a⊗h⊗f ↦ [k ↦ (a⊗h)f(k)]."""
     b = bialgebra_of(hopf)
-    ring = b.ring
-    rH, rU = b.rank, U.rank
+    rH = b.rank
     ah = tensor_module(A.carrier, b.carrier)
-    dom = tensor_module(ah, U.module)
-    cod = hom_module(b.carrier, ah)
-    cols = []
-    for p in range(ah.rank):
-        for l in range(rU):
-            out = [ring.zero] * cod.rank
-            f = U.element(l)
-            for t in range(rH):
-                if (f[t]):
-                    out[p * rH + t] = f[t]
-            cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    fs = [sparse_vector(f) for f in U.elements]
+    cols = [[(p * rH + t, x) for t, x in f] for p in range(ah.rank) for f in fs]
+    return LinearMap.from_sparse_columns(tensor_module(ah, U.module),
+                                         hom_module(b.carrier, ah), cols)
 
 
 def chi_map(hopf: HopfLike, A: AlgebraData, lam: LinearMap,
@@ -525,13 +518,14 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
                 for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
                     if kl[-1] in live:
                         add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width), ck, i, j, kl)
+            sums = [(t, k, sparse_vector(vec)) for (t, k), vec in acc.items()]
             for f in U.elements:
-                out = [ring.zero] * cod.rank
-                for (t, k), vec in acc.items():
+                out = {}
+                for t, k, vec in sums:
                     if f[k]:
-                        hom_scatter(out, ring, f[k], enumerate(vec), rH, t)
-                cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+                        hom_scatter(out, ring, f[k], vec, rH, t)
+                cols.append(sparse_column(out))
+    return LinearMap.from_sparse_columns(dom, cod, cols)
 
 
 def _add_outer(acc, ring, c, u, v):
@@ -569,7 +563,7 @@ def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMa
     mul = ring.mul
     mult = cp.product_algebra.mult.sparse_columns()
     e = unit_vectors(ring, rH)
-    one_a = tuple((x, c) for x, c in enumerate(A.unit) if c)
+    one_a = sparse_vector(A.unit)
     if side is DiagramSide.RIGHT:
         Sb = h.twisted_antipode.sparse_columns()
         sigma_inv = bilinear(ring, cp.cocycle.sigma_inv, rH)
@@ -601,12 +595,12 @@ def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMa
     cols = []
     for b_i in range(rB):
         for j in range(rH):
-            out = [ring.zero] * cod.rank
+            out = {}
             for t in range(rH):
                 for q, x in E[t][j]:
                     hom_scatter(out, ring, x, value(b_i, q), rH, t)
-            cols.append(tuple(out))
-    return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
+            cols.append(sparse_column(out))
+    return LinearMap.from_sparse_columns(hom_module(b.carrier, cp.carrier), cod, cols)
 
 
 def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
@@ -782,12 +776,12 @@ def _hom_values(b, A, legs, value):
     cols = []
     for i in range(rH):
         for j in range(A.rank):
-            out = [ring.zero] * cod.rank
+            out = {}
             for t, terms in enumerate(expansions):
                 for c, tl in terms:
                     hom_scatter(out, ring, c, value(i, j, tl), rH, t)
-            cols.append(out)
-    return LinearMap.from_columns(tensor_module(b.carrier, A.carrier), cod, cols)
+            cols.append(sparse_column(out))
+    return LinearMap.from_sparse_columns(tensor_module(b.carrier, A.carrier), cod, cols)
 
 
 def j_generators(ring, rA: int, V, rH: int):
@@ -850,8 +844,7 @@ class CoactionSide(Enum):
 @dataclass
 class CoactionTable:
     side: CoactionSide
-    rows: tuple            # per dual basis element: its image in H⊗H*
-    map: LinearMap         # H* → H⊗H*
+    map: LinearMap         # H* → H⊗H*: column i is the image of δ_i
     report: ValidationReport
 
 
@@ -864,15 +857,14 @@ def coaction_table(hopf: HopfLike, side: CoactionSide) -> CoactionTable:
     """
     h = ensure_hopf(hopf)
     b = h.bialgebra
-    rows = _coaction_rows(h, side)
     Hd = dual_module(b.carrier)
-    cmap = LinearMap.from_columns(Hd, tensor_module(b.carrier, Hd), rows)
-    rep = _coaction_checks(h, side, rows, cmap)
-    return CoactionTable(side, tuple(rows), cmap, rep)
+    cmap = LinearMap.from_sparse_columns(Hd, tensor_module(b.carrier, Hd),
+                                         _coaction_columns(h, side))
+    return CoactionTable(side, cmap, _coaction_checks(h, side, cmap))
 
 
-def _coaction_rows(h: HopfData, side: CoactionSide) -> list:
-    """Row i is Σ f₍₋₁₎⊗f₍₀₎ ∈ H⊗H* for f = δ_i: at (p, t), the h_p-coefficient
+def _coaction_columns(h: HopfData, side: CoactionSide) -> list:
+    """Column i is Σ f₍₋₁₎⊗f₍₀₎ ∈ H⊗H* for f = δ_i: at (p, t), the h_p-coefficient
     of Σ h₃S̄(h₁)δ_i(h₂) (υ) resp. Σ S(h₁)h₃δ_i(h₂) (ω) at h = h_t.  The
     canonical map H⊗H* → End(H) is the identity on these flattenings, so the
     solution exists and is unique outright."""
@@ -887,16 +879,16 @@ def _coaction_rows(h: HopfData, side: CoactionSide) -> list:
     else:
         S = h.antipode.sparse_columns()
         term = cache(lambda h1, h3: hprod(S[h1], e[h3]))
-    rows = [[ring.zero] * (rH * rH) for _ in range(rH)]
+    cols = [{} for _ in range(rH)]
     for t in range(rH):
         for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-            hom_scatter(rows[h2], ring, c, term(h1, h3), rH, t)
-    return [tuple(row) for row in rows]
+            hom_scatter(cols[h2], ring, c, term(h1, h3), rH, t)
+    return [sparse_column(col) for col in cols]
 
 
-def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationReport:
-    """The structure identities of the coaction ``rows`` (``cmap`` is its map
-    H* → H⊗H*), each on every basis tuple in order; a failure names the
+def _coaction_checks(h: HopfData, side: CoactionSide, cmap) -> ValidationReport:
+    """The structure identities of the coaction ``cmap``: H* → H⊗H*, each on
+    every basis tuple in order; a failure names the
     first failing tuple.  Both sides of each identity are canonical sparse
     vectors summed, by bilinearity, from tables built once per call: δ_x⋆δ_y,
     δ_y⇀h_t and the left legs of Δ(h_t) from Δ; δ_g·h_p (υ) resp. h_p·δ_g
@@ -912,7 +904,6 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     hprod = bilinear(ring, b.algebra.mult, rH)
     mcols = b.algebra.mult.sparse_columns()
     cm = cmap.sparse_columns()
-    srows = [[(pos, c) for pos, c in enumerate(row) if c] for row in rows]
     # the terms c·h_x⊗h_y of Δ(h_t), read as star[x·rH + y] = δ_x⋆δ_y at h_t,
     # lead[x][t] = Σ c·h_y and hit[y][t] = δ_y⇀h_t = Σ c·h_x
     star = [[] for _ in range(rH * rH)]
@@ -965,14 +956,14 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
     # (1-a): f⋆g = Σ (g·f₍₋₁₎)⋆f₍₀₎ (υ), resp. Σ (f₍₋₁₎·g)⋆f₍₀₎ (ω)
     add("1a", "f⋆g matches the coaction expansion for all basis pairs",
         ((f"(f{i},g{g})", tuple(star[i * rH + g]), rhs)
-         for i in range(rH) for g, rhs in enumerate(per_g(srows[i]))))
+         for i in range(rH) for g, rhs in enumerate(per_g(cm[i]))))
 
     # (1-b): h↼f = Σ f₍₋₁₎(f₍₀₎⇀h) (upsilon) or Σ (f₍₀₎⇀h)f₍₋₁₎ (omega)
     def case_1b():
         for i in range(rH):
             for t in range(rH):
                 rhs = []
-                for pos, c in srows[i]:
+                for pos, c in cm[i]:
                     p, q = divmod(pos, rH)
                     rhs += [(mcols[p * rH + k] if ups else mcols[k * rH + p], mul(c, ck))
                             for k, ck in hit[q][t]]
@@ -980,10 +971,14 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
 
     add("1b", "h↼f matches the coaction expansion on all basis elements", case_1b())
 
-    # (1-c): the defining identity, recomputed
-    defining = _coaction_rows(h, side)
+    # (1-c): the defining identity, recomputed, compared at each h_t
+    defining = _coaction_columns(h, side)
+
+    def at(col, t):
+        return [(pos, c) for pos, c in col if pos % rH == t]
+
     add("1c", "the characterizing identity holds",
-        ((f"(f{i},h{t})", defining[i][t::rH], tuple(rows[i][t::rH]))
+        ((f"(f{i},h{t})", at(defining[i], t), at(cm[i], t))
          for i in range(rH) for t in range(rH)))
 
     # (3)
@@ -993,7 +988,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
             ((f"(f{i},f{j},g{g})",
               combine([(star[l * rH + g], x) for l, x in star[i * rH + j]]), rhs)
              for i in range(rH) for j in range(rH)
-             for g, rhs in enumerate(per_g(tensor_product(srows[i], srows[j], True)))))
+             for g, rhs in enumerate(per_g(tensor_product(cm[i], cm[j], True)))))
     else:
         # ω is an algebra morphism into H⊗H*, unital and multiplicative
         ok = all(combine([(cm[t], x) for t, x in star[i * rH + j]])
@@ -1015,7 +1010,7 @@ def _coaction_checks(h: HopfData, side: CoactionSide, rows, cmap) -> ValidationR
             for t in range(rH):
                 rhs = []
                 for c, (h1, h2, h3) in b.coalgebra.sweedler_basis(t, 3):
-                    for pos, cc in srows[i]:
+                    for pos, cc in cm[i]:
                         p, q = divmod(pos, rH)
                         rhs.append((kron_column(hpart(h3, p, h1), moved[q][h2], rH, mul),
                                     mul(c, cc)))

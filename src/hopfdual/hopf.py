@@ -32,12 +32,14 @@ from .linalg import (
     dual_module,
     hom_module,
     invert_map,
+    kron,
     kron_column,
     kron_vec,
     legs,
     map_to_vec,
     product_labels,
     solve_linear,
+    sparse_vector,
     tensor_module,
     transpose,
     unit_module,
@@ -66,6 +68,11 @@ class AlgebraData:
     @property
     def rank(self):
         return self.carrier.rank
+
+    def unit_map(self) -> LinearMap:
+        """The ring embedding R → A, 1 ↦ 1_A."""
+        return LinearMap.from_sparse_columns(unit_module(self.ring), self.carrier,
+                                             [sparse_vector(self.unit)])
 
     def basis_product(self, i: int, j: int):
         """Sparse product of basis elements: list of (k, coefficient)."""
@@ -154,7 +161,7 @@ class AlgebraData:
                     break
             if assoc:
                 break
-        unit = [(t, c) for t, c in enumerate(self.unit) if c]
+        unit = sparse_vector(self.unit)
         for i in range(r):
             e = ((i, ring.one),)
             if (combine_columns(ring, [(cols[t * r + i], c) for t, c in unit]) != e
@@ -306,11 +313,6 @@ class BialgebraData:
     def rank(self):
         return self.algebra.rank
 
-    def unit_map(self) -> LinearMap:
-        """The ring embedding R → H, 1 ↦ 1_H."""
-        return LinearMap.from_columns(unit_module(self.ring), self.carrier,
-                                      [self.algebra.unit])
-
     def validate(self, subject: str = "bialgebra") -> ValidationReport:
         rep = ValidationReport(subject)
         rep.extend(self.algebra.validate(subject))
@@ -382,7 +384,7 @@ class HopfData:
         rep = self.bialgebra.validate(subject)
         ring, r, mul = self.ring, self.rank, self.ring.mul
         M = self.algebra.mult.sparse_columns()
-        one = tuple((t, x) for t, x in enumerate(self.algebra.unit) if x)
+        one = sparse_vector(self.algebra.unit)
         eta_eps = [combine_columns(ring, [(one, x) for _, x in col])
                    for col in self.coalgebra.counit.sparse_columns()]
         terms = [legs(col, r) for col in self.coalgebra.comult.sparse_columns()]
@@ -484,9 +486,7 @@ class ConvolutionAlgebra:
         self.source = source
         self.target = target
         self.carrier = hom_module(source.carrier, target.carrier)
-        unit_embed = LinearMap.from_columns(unit_module(target.ring), target.carrier,
-                                            [target.unit])
-        self.unit_vec = map_to_vec(unit_embed @ source.counit)
+        self.unit_vec = map_to_vec(target.unit_map() @ source.counit)
         self._algebra = None
 
     @property
@@ -553,12 +553,9 @@ def convolution_invert(conv: ConvolutionAlgebra, f_vec):
     inverse, when it exists, is unique and equals every one-sided one).
     """
     f_vec = tuple(conv.ring.of(x) for x in f_vec)
-    n = conv.carrier.rank
-    cols = []
-    for idx in range(n):
-        basis = conv.carrier.basis_vector(idx)
-        cols.append(conv.convolve(f_vec, basis))
-    lmap = LinearMap.from_columns(conv.carrier, conv.carrier, cols)
+    cols = [sparse_vector(conv.convolve(f_vec, conv.carrier.basis_vector(idx)))
+            for idx in range(conv.carrier.rank)]
+    lmap = LinearMap.from_sparse_columns(conv.carrier, conv.carrier, cols)
     res = solve_linear(lmap, conv.unit_vec)
     if not res.solvable:
         raise NotConvInvertible("f⋆x = η∘ε has no solution", reason="no_right_inverse")
@@ -598,7 +595,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     mult_d = transpose(h.coalgebra.comult, HdHd, Hd)
     unit_d = tuple(h.coalgebra.counit.matrix[0])
     comult_d = transpose(h.algebra.mult, Hd, HdHd)
-    counit_d = transpose(h.bialgebra.unit_map(), Hd, unit_module(h.ring))
+    counit_d = transpose(h.algebra.unit_map(), Hd, unit_module(h.ring))
     antipode_d = transpose(h.antipode, Hd, Hd)
     twisted_d = (None if h.twisted_antipode is None
                  else transpose(h.twisted_antipode, Hd, Hd))
@@ -652,8 +649,7 @@ def tensor_coalgebra(c: CoalgebraData, d: CoalgebraData) -> CoalgebraData:
             for ccol in c.comult.sparse_columns() for dcol in dcols]
     carrier = tensor_module(c.carrier, d.carrier)
     comult = LinearMap.from_sparse_columns(carrier, tensor_module(carrier, carrier), cols)
-    counit = LinearMap(carrier, unit_module(c.ring),
-                       [kron_vec(c.ring, c.counit.matrix[0], d.counit.matrix[0])])
+    counit = kron(c.counit, d.counit).relabeled(carrier, unit_module(c.ring))
     return CoalgebraData(carrier, comult, counit)
 
 

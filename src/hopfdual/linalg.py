@@ -12,10 +12,13 @@ A :class:`LinearMap` stores one form, its canonical sparse columns: per
 column the (row, coefficient) pairs with nonzero coefficient, rows
 increasing, so that equality and hashing compare columns.  Its dense rows
 are built the first time ``matrix`` is read, which only elimination,
-determinants and dense readers do.  The kernels (``apply``, ``compose``,
-:func:`kron`, :func:`twist_map`) work on the sparse columns, so their cost
-follows the nonzero entries, and the structure builders sum each column in a
-dict (:func:`sparse_column`).  Tensor, opposite and convolution structure
+determinants and dense readers do.  Every computed map is written as its
+sparse columns; the normalising constructor, which runs each entry through
+the ring, is for parsed and catalog input.  The kernels (``apply``,
+``compose``, :func:`kron`, :func:`twist_map`) work on the sparse columns, so
+their cost follows the nonzero entries, and the builders sum each column,
+Hom(C, B) values included (:func:`hom_scatter`), in a dict
+(:func:`sparse_column`).  Tensor, opposite and convolution structure
 constants are likewise written by index arithmetic on sparse columns, never
 by composing Kronecker products with twist matrices.
 
@@ -117,14 +120,15 @@ def hom_module(dom: FreeModule, cod: FreeModule) -> FreeModule:
     return FreeModule(dom.ring, cod.rank * dom.rank, labels)
 
 
-def hom_scatter(out: list, ring: Ring, c: Elem, value, rank: int, t: int):
+def hom_scatter(out: dict, ring: Ring, c: Elem, value, rank: int, t: int):
     """out += c·value at the t-th basis vector of C, for a Hom(C, B)
-    coordinate list ``out`` with rank(C) = ``rank``; ``value`` is (row,
-    coefficient) pairs of B, a sparse vector or an enumerated dense one."""
+    accumulator ``out`` = {flat index: coefficient} with rank(C) = ``rank``;
+    ``value`` is a canonical sparse vector of B.  :func:`sparse_column` reads
+    the sum off as a column."""
     mul, add = ring.mul, ring.add
     for p, x in value:
-        if x:
-            out[p * rank + t] = add(out[p * rank + t], mul(c, x))
+        pos, v = p * rank + t, mul(c, x)
+        out[pos] = add(out[pos], v) if pos in out else v
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +172,7 @@ class LinearMap:
                 raise DimensionMismatch(
                     f"matrix row length {len(row)}, domain rank {domain.rank}"
                 )
-        cols = (tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows))
-                if rows else ((),) * domain.rank)
+        cols = tuple(map(sparse_vector, zip(*rows))) if rows else ((),) * domain.rank
         self._store(domain, codomain, cols, rows)
 
     def _store(self, domain, codomain, cols, rows):
@@ -184,9 +187,13 @@ class LinearMap:
                             cols) -> "LinearMap":
         """Build a map from canonical sparse columns: per domain basis vector,
         the (row, coefficient) pairs with nonzero canonical coefficient, rows
-        increasing.  They are stored as they are, as :meth:`sparse_columns`."""
+        increasing.  They are stored as they are, as :meth:`sparse_columns`;
+        only their count is checked against the domain rank."""
+        cols = tuple(map(tuple, cols))
+        if len(cols) != domain.rank:
+            raise DimensionMismatch(f"{len(cols)} columns, domain rank is {domain.rank}")
         m = object.__new__(LinearMap)
-        m._store(domain, codomain, tuple(map(tuple, cols)), None)
+        m._store(domain, codomain, cols, None)
         return m
 
     def relabeled(self, domain: FreeModule, codomain: FreeModule) -> "LinearMap":
@@ -214,14 +221,6 @@ class LinearMap:
         one = module.ring.one
         return LinearMap.from_sparse_columns(module, module,
                                              [((i, one),) for i in range(module.rank)])
-
-    @staticmethod
-    def from_columns(domain: FreeModule, codomain: FreeModule, cols) -> "LinearMap":
-        cols = list(cols)
-        if len(cols) != domain.rank:
-            raise DimensionMismatch("column count must equal domain rank")
-        rows = [[col[i] for col in cols] for i in range(codomain.rank)]
-        return LinearMap(domain, codomain, rows)
 
     def column(self, j: int) -> Vector:
         out = [self.ring.zero] * self.codomain.rank
@@ -345,6 +344,12 @@ def sparse_column(acc: dict) -> tuple:
     return tuple(sorted([(t, x) for t, x in acc.items() if x]))
 
 
+def sparse_vector(v) -> tuple:
+    """The canonical sparse column of a dense vector of canonical entries:
+    the nonzero (index, entry) pairs, indices increasing."""
+    return tuple([(t, x) for t, x in enumerate(v) if x])
+
+
 def bilinear(ring, m: LinearMap, right_rank: int):
     """(u, v) ↦ m(u⊗v) on canonical sparse vectors, for a map m out of a
     tensor product whose right factor has rank ``right_rank``: the terms are
@@ -405,8 +410,8 @@ def vec_to_map(vec: Vector, dom: FreeModule, cod: FreeModule) -> LinearMap:
     """Inverse of :func:`map_to_vec`."""
     if len(vec) != dom.rank * cod.rank:
         raise DimensionMismatch("hom vector length mismatch")
-    rows = [vec[i * dom.rank : (i + 1) * dom.rank] for i in range(cod.rank)]
-    return LinearMap(dom, cod, rows)
+    rows = [sparse_vector(vec[i * dom.rank:(i + 1) * dom.rank]) for i in range(cod.rank)]
+    return transpose(LinearMap.from_sparse_columns(cod, dom, rows), dom, cod)
 
 
 # ---------------------------------------------------------------------------
@@ -827,16 +832,16 @@ def _inverse_columns(m: LinearMap):
     solver = PreparedSolver(ring, m.matrix)
     ident = LinearMap.identity(m.domain)
     if ring.is_field:
-        rows = solver._T
+        cols = list(zip(*solver._T))
     elif isinstance(ring, ModularRing):
         cols = [solver.solve(m.domain.basis_vector(j)).particular
                 for j in range(m.domain.rank)]
-        rows = None if None in cols else list(zip(*cols))
-    else:
+        cols = None if None in cols else cols
+    else:  # column j of V·U
         U, V = solver._U, solver._V
-        rows = [[sum(a * b for a, b in zip(v, col)) for col in zip(*U)] for v in V]
-    if rows is not None:
-        inv = LinearMap(m.codomain, m.domain, rows)
+        cols = [[sum(a * b for a, b in zip(v, col)) for v in V] for col in zip(*U)]
+    if cols is not None:
+        inv = LinearMap.from_sparse_columns(m.codomain, m.domain, map(sparse_vector, cols))
         if inv @ m == ident and m @ inv == ident:
             return inv.sparse_columns()
     det = determinant(m)
@@ -884,4 +889,5 @@ def split_coefficient_map(ring: Ring, generators, length: int) -> Optional[Linea
         prows.append(res.particular)
     dom = FreeModule(ring, length, tuple(f"x{i}" for i in range(length)))
     cod = FreeModule(ring, g, tuple(f"u{j}" for j in range(g)))
-    return LinearMap(dom, cod, prows)
+    return transpose(LinearMap.from_sparse_columns(cod, dom, map(sparse_vector, prows)),
+                     dom, cod)

@@ -54,6 +54,7 @@ from .linalg import (
     kron_vec,
     legs,
     sparse_column,
+    sparse_vector,
     split_coefficient_map,
     tensor_module,
 )
@@ -85,8 +86,8 @@ class SubalgebraU:
                 "span(U) is not a direct summand of H* with independent generators")
         self.module = FreeModule(ring, len(self.elements),
                                  tuple(f"u{i}" for i in range(len(self.elements))))
-        self.inclusion = LinearMap.from_columns(self.module, self.ambient,
-                                                self.elements)
+        self.inclusion = LinearMap.from_sparse_columns(self.module, self.ambient,
+                                                       map(sparse_vector, self.elements))
         self.dual_algebra = ConvolutionAlgebra(b.coalgebra,
                                                ground_algebra(ring)).algebra()
         self.eps_coords = self.express(tuple(b.coalgebra.counit.matrix[0]))
@@ -244,11 +245,10 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
     bcols = B.algebra.mult.sparse_columns()
     coact = [legs(col, b.rank) for col in B.coaction.sparse_columns()]
     op = kind is SmashKind.OP_SMASH
-    stars = {key: tuple((t, x) for t, x in enumerate(v) if x)
-             for key, v in U.star_witness.items()}
+    stars = {key: sparse_vector(v) for key, v in U.star_witness.items()}
     uparts = {(l, b1, m): combine_columns(ring, (
         (stars[s, l if op else m], c)
-        for s, c in enumerate(U.action_witness[m if op else l, b1]) if c))
+        for s, c in sparse_vector(U.action_witness[m if op else l, b1])))
         for l, b1, m in product(range(rU), range(b.rank), range(rU))}
     cols = []
     for i in range(rB):

@@ -4,10 +4,11 @@
 map builders and for an invalid U; ``side_objects`` builds the corners of a
 duality diagram that read only U, as ``suites.Derived`` does, ``diagram``
 hands them to ``build_diagram`` and ``lambda_coordinates`` factors λ for the
-RL-condition; ``idempotent_monoid_bialgebra`` is a
-bialgebra with no antipode; ``entries_equal`` compares two entries through
-their canonical instance documents; ``unvalidated_hopf`` builds Hopf data
-from ``hopf_from_parts`` arguments without certifying it.
+RL-condition; ``idempotent_monoid_bialgebra`` is a bialgebra with no
+antipode; ``entries_equal`` compares two entries through their canonical
+instance documents; ``map_from_columns`` is the tests' one normalising
+constructor from dense columns; ``unvalidated_hopf`` builds Hopf data from
+``hopf_from_parts`` arguments without certifying it.
 ``cyclic_document`` is the instance document of R[C_n] over Z/p.
 """
 from hopfdual.catalog import (
@@ -19,7 +20,13 @@ from hopfdual.actions import regular_comodule
 from hopfdual.duality import build_diagram, lambda_map
 from hopfdual.hopf import BialgebraData, HopfData, HopfLike, bialgebra_of, ensure_hopf
 from hopfdual.instancefile import export_entry
-from hopfdual.linalg import FreeModule, LinearMap, free_module, span_coordinates
+from hopfdual.linalg import (
+    FreeModule,
+    LinearMap,
+    free_module,
+    span_coordinates,
+    sparse_vector,
+)
 from hopfdual.rings import Ring
 from hopfdual.smash import ModuleSide, op_smash, right_smash
 
@@ -79,6 +86,14 @@ def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:
     return b
 
 
+def map_from_columns(domain: FreeModule, codomain: FreeModule, cols) -> LinearMap:
+    """The map whose j-th column is the dense ``cols[j]``, each entry
+    normalised through the ring (``FreeModule.vector``), as fixtures and
+    oracles write their maps."""
+    return LinearMap.from_sparse_columns(
+        domain, codomain, [sparse_vector(codomain.vector(c)) for c in cols])
+
+
 def entries_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
     """Equality through canonical serialization."""
     return export_entry(a) == export_entry(b)
@@ -90,7 +105,7 @@ def unvalidated_hopf(carrier, mult_quads, unit, comult_quads, counit_values,
     ``catalog.hopf_from_parts`` builds it, but not validated: for tests that
     certify or recompute the parts themselves."""
     def endo(cols):
-        return LinearMap.from_columns(carrier, carrier, [carrier.vector(c) for c in cols])
+        return map_from_columns(carrier, carrier, cols)
     bial = BialgebraData(algebra_from_quadruples(carrier, mult_quads, unit),
                          coalgebra_from_quadruples(carrier, comult_quads, counit_values))
     return HopfData(bial, endo(antipode_cols), endo(twisted_cols))

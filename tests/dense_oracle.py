@@ -105,13 +105,28 @@ with it op for op, value and hash, while returning the canonical form that
 ``rref_rows`` is the reduced row echelon form over Q with the ``Fraction``
 operators; ``test_linalg.py`` requires ``linalg._rref_rows`` to agree with it
 and to return canonical entries.
+
+The last section keeps the map builders as they were while they wrote dense
+columns: ``hom_scatter`` adds into a dense Hom(C, B) list, and each map is
+made by ``DenseMap.from_columns``, which runs every entry through the ring.
+They are λ, α, the γ/δ contraction (``_tabulated``, patched into the
+library's γ and δ by ``tabulated_maps``), the φ/ψ sum (``_hom_values``,
+through ``hom_value_maps``), the unit embeddings and convolution unit, the
+convolution-inversion system, the tensor counit, the coinvariant and U
+inclusions, ``action_from_endomorphisms``, the catalog's hand-written
+endomorphisms and σ, θ, the extracted product and isomorphism, the opposite
+isomorphism G, ``vec_to_map`` and ``split_coefficient_map``.
+``test_map_builders.py`` and ``test_linalg.py`` require the library's
+sparse-column builders to agree with them bit for bit, entry types included.
 """
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from builders import map_from_columns
 from hopfdual import crossed, duality, linalg
 from hopfdual.actions import hit
 from hopfdual.catalog import ground_algebra
@@ -145,7 +160,7 @@ from hopfdual.linalg import (
     unit_module,
 )
 from hopfdual.reporting import ValidationReport
-from hopfdual.smash import SmashKind
+from hopfdual.smash import ModuleSide, SmashKind
 from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Ring, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
@@ -575,7 +590,7 @@ def gamma_map(cp, U, side):
                                 _scatter(out, ring, c, hpart, apart, rA, rH, t,
                                          h_first=False)
                 cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    return map_from_columns(dom, cod, cols)
 
 
 def _scatter(out, ring, c, hpart, apart, rA, rH, t, h_first):
@@ -652,7 +667,7 @@ def delta_map(cp, U, side):
                                     basis(h2))
                                 _scatter_hom(out, ring, c, apart, hpart, rH, t)
                 cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    return map_from_columns(dom, cod, cols)
 
 
 def _scatter_hom(out, ring, c, apart, hpart, rH, t):
@@ -694,7 +709,7 @@ def nu_map(cp):
                     pos = h4 * rA + aidx
                     out[pos] = ring.add(out[pos], ring.mul(c, av))
             cols.append(tuple(out))
-    return LinearMap.from_columns(cp.carrier, cod, cols)
+    return map_from_columns(cp.carrier, cod, cols)
 
 
 def pi_map(cp, side, g_left=True):
@@ -739,7 +754,7 @@ def pi_map(cp, side, g_left=True):
                                         vec_scale(ring, c, B.product(one_k, g_val)))
                 scatter_value(out, ring, total, rH, t)
             cols.append(tuple(out))
-    return LinearMap.from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
+    return map_from_columns(hom_module(b.carrier, cp.carrier), cod, cols)
 
 
 def chi_map(hopf, A, U, side):
@@ -765,7 +780,7 @@ def chi_map(hopf, A, U, side):
                         val = kron_vec(ring, a_i, b.algebra.product(moved, h_j))
                     scatter_value(out, ring, val, rH, t)
                 cols.append(tuple(out))
-    return LinearMap.from_columns(dom, cod, cols)
+    return map_from_columns(dom, cod, cols)
 
 
 def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
@@ -797,7 +812,7 @@ def phi_maps(hopf, side):
     anti = h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode
     pair = ((lambda x, k: (x, k)) if side is DiagramSide.RIGHT
             else (lambda x, k: (k, x)))
-    return tuple(LinearMap.from_columns(end_mod, end_mod, _sweedler_columns(
+    return tuple(map_from_columns(end_mod, end_mod, _sweedler_columns(
         b, b.carrier, end_mod.rank, b.algebra, pair, k_of))
         for k_of in (b.carrier.basis_vector, anti.column))
 
@@ -822,10 +837,10 @@ def epsilon_maps(hopf, A, side):
         alg = ah
         eps_pair = lambda g, k: (kron_vec(ring, A.unit, k), g)
         inv_pair = lambda f, k: (k, f)
-    eps = LinearMap.from_columns(hom_src, end_mod, _sweedler_columns(
+    eps = map_from_columns(hom_src, end_mod, _sweedler_columns(
         b, tensor_module(A.carrier, b.carrier), end_mod.rank, alg, eps_pair,
         b.carrier.basis_vector))
-    eps_inv = LinearMap.from_columns(end_mod, hom_src, _sweedler_columns(
+    eps_inv = map_from_columns(end_mod, hom_src, _sweedler_columns(
         b, target, hom_src.rank, ah, inv_pair,
         lambda t1: kron_vec(ring, A.unit, anti.column(t1))))
     return eps, eps_inv
@@ -971,7 +986,7 @@ def validate_hopf(h, subject="hopf"):
     ident = LinearMap.identity(H)
     mult = h.algebra.mult
     comult = h.coalgebra.comult
-    unit_map = LinearMap.from_columns(unit_module(h.ring), H, [h.algebra.unit])
+    unit_map = map_from_columns(unit_module(h.ring), H, [h.algebra.unit])
     eta_eps = unit_map @ h.coalgebra.counit
     mult_op = h.algebra.opposite().mult
     comult_cop = h.coalgebra.co_opposite().comult
@@ -1120,7 +1135,7 @@ def hat_smash(hopf, B):
                             if (bv):
                                 out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
                     cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = [ring.zero] * carrier.rank
     for bidx, bv in enumerate(B.algebra.unit):
         for t in range(rH):
@@ -1163,7 +1178,7 @@ def op_hat_smash(hopf, B):
                             if (bv):
                                 out[bidx * rH + t] = ring.add(out[bidx * rH + t], bv)
                     cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
     return AlgebraData(carrier, mult, hat_smash(hopf, B).unit)
 
 
@@ -1200,7 +1215,7 @@ def coordinate_smash(B, U, kind):
                             upart = dual.product(moved, U.element(l))
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
     return AlgebraData(carrier, mult, unit)
 
@@ -1250,7 +1265,7 @@ def theta_inverse(cp):
                 if (val):
                     out[pos] = ring.add(out[pos], ring.mul(c, val))
         inv_cols.append(tuple(out))
-    return LinearMap.from_columns(b.carrier, cp.carrier, inv_cols)
+    return map_from_columns(b.carrier, cp.carrier, inv_cols)
 
 
 def _cleft_express(cl):
@@ -1294,9 +1309,9 @@ def extracted_action_and_sigma(cl):
                                           cl.theta_inv.apply(h2k2))
                     val = vec_add(ring, val, vec_scale(ring, ring.mul(ci, cj), term))
             sig_cols.append(express(val))
-    return (LinearMap.from_columns(tensor_module(b.carrier, coin.module), coin.module,
+    return (map_from_columns(tensor_module(b.carrier, coin.module), coin.module,
                                    act_cols),
-            LinearMap.from_columns(tensor_module(b.carrier, b.carrier), coin.module,
+            map_from_columns(tensor_module(b.carrier, b.carrier), coin.module,
                                    sig_cols))
 
 
@@ -1345,8 +1360,8 @@ def cleft_maps(cl):
             psi_cols.append(tuple(psi_out))
     dom = tensor_module(b.carrier, coin.module)
     hom = hom_module(b.carrier, coin.module)
-    return (LinearMap.from_columns(dom, hom, phi_cols),
-            LinearMap.from_columns(dom, hom, psi_cols))
+    return (map_from_columns(dom, hom, phi_cols),
+            map_from_columns(dom, hom, psi_cols))
 
 
 def _sigma_basis(sigma, rH, rA, ring, i, j):
@@ -1489,7 +1504,7 @@ def crossed_table(action, sigma):
                                     out[pos] = ring.add(out[pos],
                                                         ring.mul(cc, ac))
                     cols.append(tuple(out))
-    return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    return map_from_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
 def left_smash_table(action):
@@ -1519,7 +1534,7 @@ def left_smash_table(action):
                                 pos = aidx * rH + hidx
                                 out[pos] = ring.add(out[pos], ring.mul(cc, av))
                     cols.append(tuple(out))
-    return LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    return map_from_columns(tensor_module(carrier, carrier), carrier, cols)
 
 
 def left_smash_indexed(action):
@@ -1620,7 +1635,7 @@ def hit_action_of_dual(h):
                 if k2 == l:
                     out[k1] = ring.add(out[k1], c)
             cols.append(tuple(out))
-    return LinearMap.from_columns(tensor_module(dual.carrier, b.carrier),
+    return map_from_columns(tensor_module(dual.carrier, b.carrier),
                                   b.carrier, cols)
 
 
@@ -1641,7 +1656,7 @@ def matrix_algebra(ring, n):
                     if j == k:
                         out[i * n + l] = one
                     cols.append(tuple(out))
-    mult = LinearMap.from_columns(tensor_module(carrier, carrier), carrier, cols)
+    mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = tuple(one if (idx // n) == (idx % n) else zero for idx in range(n * n))
     return AlgebraData(carrier, mult, unit)
 
@@ -1801,7 +1816,7 @@ def invert_map(m):
         if not res.solvable:
             raise NotInvertible("no solution while inverting", determinant=det)
         cols.append(res.particular)
-    inv = LinearMap.from_columns(m.codomain, m.domain, cols)
+    inv = map_from_columns(m.codomain, m.domain, cols)
     ident = LinearMap.identity(m.domain)
     if inv @ m != ident or m @ inv != LinearMap.identity(m.codomain):
         raise NotInvertible("inverse verification failed", determinant=det)
@@ -1925,8 +1940,8 @@ def compat_maps(cp, side):
                     scatter_value(psi_out, ring, val, rH, t)
             phi_cols.append(tuple(phi_out))
             psi_cols.append(tuple(psi_out))
-    phi = LinearMap.from_columns(dom, cod, phi_cols)
-    psi = LinearMap.from_columns(dom, cod, psi_cols)
+    phi = map_from_columns(dom, cod, phi_cols)
+    psi = map_from_columns(dom, cod, psi_cols)
     return phi, psi
 
 
@@ -1974,9 +1989,9 @@ def coaction_table(hopf, side):
     b = h.bialgebra
     rows = coaction_rows(h, side)
     Hd = dual_module(b.carrier)
-    cmap = LinearMap.from_columns(Hd, tensor_module(b.carrier, Hd), rows)
+    cmap = map_from_columns(Hd, tensor_module(b.carrier, Hd), rows)
     rep = coaction_checks(h, side, rows, cmap)
-    return duality.CoactionTable(side, tuple(rows), cmap, rep)
+    return duality.CoactionTable(side, cmap, rep)
 
 
 def coaction_checks(h, side, rows, cmap):
@@ -2144,6 +2159,232 @@ def coaction_checks(h, side, rows, cmap):
     return rep
 
 
+# --- the map builders as they wrote dense columns ------------------------------
+
+
+def hom_scatter(out, ring, c, value, rank, t):
+    """out += c·value at the t-th basis vector of C, for a dense Hom(C, B)
+    coordinate list ``out`` with rank(C) = ``rank``; ``value`` is (row,
+    coefficient) pairs of B, a sparse vector or an enumerated dense one."""
+    for p, x in value:
+        if x:
+            out[p * rank + t] = ring.add(out[p * rank + t], ring.mul(c, x))
+
+
+def lambda_map(hopf, U):
+    """λ (λ̄ for a left U), each column summed in a dense Hom(H, H) list."""
+    b = bialgebra_of(hopf)
+    ring, rH = b.ring, b.rank
+    right = U.side is ModuleSide.RIGHT
+    end_mod = hom_module(b.carrier, b.carrier)
+    hprod = linalg.bilinear(ring, b.algebra.mult, rH)
+    e = linalg.unit_vectors(ring, rH)
+    hits = [[tuple((p, x) for p, x in enumerate(hit(b, f, t)) if x) for t in range(rH)]
+            for f in U.elements]
+    cols = []
+    for i in range(rH):
+        for f_hits in hits:
+            out = [ring.zero] * end_mod.rank
+            for t in range(rH):
+                val = hprod(e[i], f_hits[t]) if right else hprod(f_hits[t], e[i])
+                hom_scatter(out, ring, ring.one, val, rH, t)
+            cols.append(tuple(out))
+    return DenseMap.from_columns(tensor_module(b.carrier, U.module), end_mod, cols)
+
+
+def alpha_map(hopf, A, U):
+    """α, each column written into a dense Hom(H, A⊗H) list."""
+    b = bialgebra_of(hopf)
+    ring, rH = b.ring, b.rank
+    ah = tensor_module(A.carrier, b.carrier)
+    cod = hom_module(b.carrier, ah)
+    cols = []
+    for p in range(ah.rank):
+        for f in U.elements:
+            out = [ring.zero] * cod.rank
+            for t in range(rH):
+                if f[t]:
+                    out[p * rH + t] = f[t]
+            cols.append(tuple(out))
+    return DenseMap.from_columns(tensor_module(ah, U.module), cod, cols)
+
+
+def _tabulated(cp, U, dom, cod, k_legs, add_term):
+    """``duality._tabulated`` contracting each f into a dense list."""
+    b = bialgebra_of(cp.action.hopf)
+    ring, rH = cp.ring, b.rank
+    width = cod.rank // rH
+    live = {k for f in U.elements for k, x in enumerate(f) if x}
+    cols = []
+    for i in range(cp.action.algebra.rank):
+        for j in range(rH):
+            acc = {}
+            for t in range(rH):
+                for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
+                    if kl[-1] in live:
+                        add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width),
+                                 ck, i, j, kl)
+            for f in U.elements:
+                out = [ring.zero] * cod.rank
+                for (t, k), vec in acc.items():
+                    if f[k]:
+                        hom_scatter(out, ring, f[k], enumerate(vec), rH, t)
+                cols.append(tuple(out))
+    return DenseMap.from_columns(dom, cod, cols)
+
+
+def _hom_values(b, A, legs, value):
+    """``duality._hom_values`` summing each column in a dense list."""
+    ring, rH = b.ring, b.rank
+    cod = hom_module(b.carrier, A.carrier)
+    expansions = [b.coalgebra.sweedler_basis(t, legs) for t in range(rH)]
+    cols = []
+    for i in range(rH):
+        for j in range(A.rank):
+            out = [ring.zero] * cod.rank
+            for t, terms in enumerate(expansions):
+                for c, tl in terms:
+                    hom_scatter(out, ring, c, value(i, j, tl), rH, t)
+            cols.append(out)
+    return DenseMap.from_columns(tensor_module(b.carrier, A.carrier), cod, cols)
+
+
+def tabulated_maps(cp, U, side):
+    """The library's γ and δ with the dense-list contraction above."""
+    with mock.patch.object(duality, "_tabulated", _tabulated):
+        return duality.gamma_map(cp, U, side), duality.delta_map(cp, U, side)
+
+
+def hom_value_maps(cp, side):
+    """The library's φ and ψ with the dense-list sum above."""
+    with mock.patch.object(duality, "_hom_values", _hom_values):
+        return duality.compat_maps(cp, side)
+
+
+def unit_map(alg):
+    """R → A, 1 ↦ 1_A, from its dense column."""
+    return DenseMap.from_columns(unit_module(alg.ring), alg.carrier, [alg.unit])
+
+
+def convolution_unit(source, target):
+    """η∘ε of Hom(C, A), flattened row-major."""
+    return tuple(x for row in unit_map(target).compose(source.counit).matrix for x in row)
+
+
+def convolution_system(conv, f_vec):
+    """The matrix of x ↦ f⋆x that ``convolution_invert`` solves, from its
+    dense columns."""
+    f_vec = tuple(conv.ring.of(x) for x in f_vec)
+    cols = [conv.convolve(f_vec, conv.carrier.basis_vector(idx))
+            for idx in range(conv.carrier.rank)]
+    return DenseMap.from_columns(conv.carrier, conv.carrier, cols)
+
+
+def tensor_counit(c, d):
+    """ε_C⊗ε_D from the dense Kronecker product of the counit rows."""
+    return DenseMap(tensor_module(c.carrier, d.carrier), unit_module(c.ring),
+                    [kron_vec(c.ring, c.counit.matrix[0], d.counit.matrix[0])])
+
+
+def coinvariant_inclusion(c):
+    """B^{coH} ↪ B from the dense coinvariant vectors."""
+    coin = coinvariants(c)
+    return DenseMap.from_columns(coin.module, c.algebra.carrier, list(coin.vectors))
+
+
+def action_map(hopf, algebra, images):
+    """``action_from_endomorphisms``: the dense image columns, each through
+    ``FreeModule.vector``."""
+    b = bialgebra_of(hopf)
+    cols = [algebra.carrier.vector(endo.column(j) if hasattr(endo, "column") else endo[j])
+            for endo in images[:b.rank] for j in range(algebra.rank)]
+    return DenseMap.from_columns(tensor_module(b.carrier, algebra.carrier),
+                                 algebra.carrier, cols)
+
+
+def endomorphism(carrier, cols):
+    """A hand-written endomorphism of the catalog: dense columns, each through
+    ``FreeModule.vector``."""
+    return DenseMap.from_columns(carrier, carrier, [carrier.vector(c) for c in cols])
+
+
+def sigma_single(action, i, j, value):
+    """``catalog._sigma_single``: σ normal except σ(h_i⊗h_j) = value."""
+    b, A, ring = action.bialgebra, action.algebra, action.ring
+    eps = b.coalgebra.counit_scalar
+    cols = []
+    for p in range(b.rank):
+        for q in range(b.rank):
+            if (p, q) == (i, j):
+                cols.append(A.carrier.vector(value if isinstance(value, (list, tuple))
+                                             else [value] + [0] * (A.rank - 1)))
+            else:
+                c = ring.mul(eps(b.carrier.basis_vector(p)), eps(b.carrier.basis_vector(q)))
+                cols.append(tuple(ring.mul(c, x) for x in A.unit))
+    return DenseMap.from_columns(tensor_module(b.carrier, b.carrier), A.carrier, cols)
+
+
+def subalgebra_inclusion(U):
+    """span(U) ↪ H* from the dense functionals."""
+    return DenseMap.from_columns(U.module, U.ambient, U.elements)
+
+
+def integral(cp):
+    """θ(h) = 1_A#h from the dense Kronecker products."""
+    b = ensure_hopf(cp.action.hopf).bialgebra
+    A = cp.action.algebra
+    return DenseMap.from_columns(b.carrier, cp.carrier,
+                                 [kron_vec(cp.ring, A.unit, b.carrier.basis_vector(j))
+                                  for j in range(b.rank)])
+
+
+def extracted_product_and_iso(cl, crossed):
+    """The multiplication of the coinvariant algebra A' and the iso
+    A'#_σH → B, a#h ↦ ι(a)θ(h), of the extraction from ``cl`` whose crossed
+    product is ``crossed``, from dense B-products."""
+    B, hopf, coin, express = _cleft_express(cl)
+    vecs = coin.vectors
+    mult = DenseMap.from_columns(tensor_module(coin.module, coin.module), coin.module,
+                                 [express(B.product(u, v)) for u in vecs for v in vecs])
+    iso = DenseMap.from_columns(crossed.carrier, B.carrier,
+                                [B.product(u, cl.theta.column(j))
+                                 for u in vecs for j in range(hopf.rank)])
+    return mult, iso
+
+
+def opposite_iso(cp, cleft):
+    """G: (A^op#_τH^op)^op → A#_σH, a⊗h ↦ θ⁻¹(S̄(h))·(a#1), from dense
+    products (the domain is read as A⊗H: only its rank matters here)."""
+    hopf = ensure_hopf(cp.action.hopf)
+    A, b, ring = cp.action.algebra, hopf.bialgebra, cp.ring
+    Sbar = hopf.twisted_antipode
+    cols = []
+    for i in range(A.rank):
+        iota = kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
+        cols.extend(cp.product_algebra.product(cleft.theta_inv.apply(Sbar.column(j)), iota)
+                    for j in range(b.rank))
+    return DenseMap.from_columns(cp.carrier, cp.carrier, cols)
+
+
+def vec_to_map(vec, dom, cod):
+    """``linalg.vec_to_map`` through the dense rows."""
+    r = dom.rank
+    return DenseMap(dom, cod, [vec[i * r:(i + 1) * r] for i in range(cod.rank)])
+
+
+def split_coefficient_map(ring, generators, length):
+    """``linalg.split_coefficient_map`` with P built from its dense rows."""
+    gens = [tuple(ring.of(x) for x in v) for v in generators]
+    tsolver = linalg.PreparedSolver(ring, [list(gen) for gen in gens])
+    prows = []
+    for j in range(len(gens)):
+        res = tsolver.solve([ring.one if a == j else ring.zero for a in range(len(gens))])
+        if not res.solvable:
+            return None
+        prows.append(res.particular)
+    return DenseMap(module(ring, length, "x"), module(ring, len(gens), "u"), prows)
+
+
 # --- hypothesis strategies ---------------------------------------------------
 
 
@@ -2171,7 +2412,7 @@ def draw_map(data, ring, domain, codomain):
             cols.append([ring.zero] * codomain.rank)
         else:
             cols.append([data.draw(elements(ring)) for _ in range(codomain.rank)])
-    return LinearMap.from_columns(domain, codomain, cols)
+    return map_from_columns(domain, codomain, cols)
 
 
 def draw_vector(data, ring, length):

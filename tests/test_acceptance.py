@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from builders import FunctionalSpan, diagram, unvalidated_hopf
+from builders import FunctionalSpan, diagram, map_from_columns, unvalidated_hopf
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     get,
@@ -105,7 +105,7 @@ def test_01_hopf_validation():
     from hopfdual.hopf import HopfData
 
     h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
-    bad = LinearMap.from_columns(h.carrier, h.carrier,
+    bad = map_from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0)] * 2)
     rep = validate_hopf(HopfData(h.bialgebra, bad))
     failures = {r.check_id: r.witness for r in rep.failures()}
@@ -118,7 +118,7 @@ def test_02_antipode_oracle():
     # oracle: the closed-form group inverse, independent of the solver
     for n in (2, 3, 4):
         h = unvalidated_hopf(*group_algebra_parts(ZZ, n))
-        expected = LinearMap.from_columns(
+        expected = map_from_columns(
             h.carrier, h.carrier,
             [h.carrier.basis_vector((-i) % n) for i in range(n)])
         assert compute_antipode(h.bialgebra) == expected, n
@@ -148,7 +148,7 @@ def test_03_unit_associativity_biconditional(crossed_products):
     b = swap.bialgebra
     cols = [swap.algebra.carrier.vector((1, -1)) if i == j == 1
             else swap.algebra.unit for i in range(2) for j in range(2)]
-    sigma_nc = LinearMap.from_columns(
+    sigma_nc = map_from_columns(
         tensor_module(b.carrier, b.carrier), swap.algebra.carrier, cols)
     pairs.append(("non_cocycle", swap, sigma_nc))
     shift = shift_action_z3()
@@ -262,7 +262,7 @@ def test_10_coaction_tables():
             table = coaction_table(h, side)
             assert table.report.ok
             for i in range(h.rank):
-                assert table.rows[i] == kron_vec(
+                assert table.map.column(i) == kron_vec(
                     ZZ, h.algebra.unit, h.carrier.basis_vector(i))
     verdict(10, "coaction conditions (1-a)–(1-c), (3), (4) hold exhaustively "
                 "for the rank-4 algebra over Q and Z/3; group-algebra "

@@ -3,6 +3,7 @@
 import pytest
 
 import dense_oracle as dense
+from builders import map_from_columns
 from hopfdual.actions import (
     ComoduleAlgebraData,
     action_from_endomorphisms,
@@ -183,7 +184,7 @@ def test_trivial_coaction_everything_coinvariant():
     h = group_algebra(ZZ, 2)
     a = product_ring_algebra(ZZ, 2)
     cols = [kron_vec(ZZ, a.carrier.basis_vector(i), h.algebra.unit) for i in range(2)]
-    coaction = LinearMap.from_columns(a.carrier,
+    coaction = map_from_columns(a.carrier,
                                       tensor_module(a.carrier, h.carrier), cols)
     c = ComoduleAlgebraData(h, a, coaction)
     assert c.validate().ok

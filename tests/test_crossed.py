@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
+from builders import map_from_columns
 from hopfdual import catalog
 from hopfdual.actions import (
     WeakActionData,
@@ -65,7 +66,7 @@ def sigma_with_gg(action, value):
                 cols.append(A.carrier.vector([value] + [0] * (A.rank - 1)))
             else:
                 cols.append(A.unit)
-    return LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
+    return map_from_columns(tensor_module(b.carrier, b.carrier),
                                   A.carrier, cols)
 
 
@@ -157,7 +158,7 @@ def scaled_trivial_sigma(action, scale):
                                 eps(b.carrier.basis_vector(j))),
                 action.ring.of(scale))
             cols.append(tuple(action.ring.mul(c, x) for x in A.unit))
-    return LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
+    return map_from_columns(tensor_module(b.carrier, b.carrier),
                                   A.carrier, cols)
 
 
@@ -187,7 +188,7 @@ def test_violates_only_cocycle_condition():
     for i in range(2):
         for j in range(2):
             cols.append(A.carrier.vector((1, -1)) if i == j == 1 else A.unit)
-    sigma = LinearMap.from_columns(tensor_module(b.carrier, b.carrier),
+    sigma = map_from_columns(tensor_module(b.carrier, b.carrier),
                                    A.carrier, cols)
     flags = cocycle_flags(action, sigma)
     assert (flags.normal, flags.cocycle, flags.twisted_module) == (True, False, True)
@@ -446,11 +447,11 @@ def m2_gauge_twisted_C3():
     def sigma_col(p, q):
         return dense.product_many(A, u[p], u[q], u_inv[(p + q) % 3])
 
-    action = WeakActionData(h, A, LinearMap.from_columns(
+    action = WeakActionData(h, A, map_from_columns(
         tensor_module(h.carrier, A.carrier), A.carrier,
         [act(p, a) for p in range(3) for a in range(A.rank)]))
     validate_weak_action(action).require()
-    sigma = LinearMap.from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
+    sigma = map_from_columns(tensor_module(h.carrier, h.carrier), A.carrier,
                                    [sigma_col(p, q) for p in range(3) for q in range(3)])
     return action, sigma
 

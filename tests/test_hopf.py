@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from builders import idempotent_monoid_bialgebra, unvalidated_hopf
+from builders import idempotent_monoid_bialgebra, map_from_columns, unvalidated_hopf
 from hopfdual.actions import regular_comodule
 from hopfdual.catalog import (
     algebra_from_quadruples,
@@ -62,7 +62,7 @@ def test_group_algebra_validates():
 
 def test_wrong_antipode_fails_with_witness_g():
     h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
-    bad = LinearMap.from_columns(h.carrier, h.carrier,
+    bad = map_from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0), h.carrier.basis_vector(0)])
     broken = HopfData(h.bialgebra, bad)
     rep = validate_hopf(broken)
@@ -139,7 +139,7 @@ def test_antipode_of_cyclic_group_algebra_is_group_inverse(n):
     # Oracle: closed form S(g^i) = g^{n-i}, independent of the solver.
     h = unvalidated_hopf(*group_algebra_parts(ZZ, n))
     computed = compute_antipode(h.bialgebra)
-    expected = LinearMap.from_columns(
+    expected = map_from_columns(
         h.carrier, h.carrier,
         [h.carrier.basis_vector((-i) % n) for i in range(n)])
     assert computed == expected
@@ -224,7 +224,7 @@ def test_sweedler_hopf_is_self_dual():
         cols.append(tuple(ring.sub(a, b) for a, b in zip(lhs, rhs)))
     import hopfdual.linalg as la
 
-    system = la.LinearMap.from_columns(d.carrier, la.tensor_module(d.carrier, d.carrier),
+    system = map_from_columns(d.carrier, la.tensor_module(d.carrier, d.carrier),
                                        cols)
     res = solve_linear(system, (ring.zero,) * 16)
     skews = [v for v in res.kernel_basis]
@@ -234,7 +234,7 @@ def test_sweedler_hopf_is_self_dual():
     assert candidates
     p = candidates[0]
     cols_f = [eps, chi, p, d.algebra.product(chi, p)]
-    f = LinearMap.from_columns(h.carrier, d.carrier, cols_f)
+    f = map_from_columns(h.carrier, d.carrier, cols_f)
     iso = certify_algebra_iso(h.algebra, d.algebra, f, "self-duality")
     # also a coalgebra morphism compatible with the antipode
     assert (d.coalgebra.comult @ f) == (kron(f, f) @ h.coalgebra.comult)

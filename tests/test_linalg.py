@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
+from builders import map_from_columns
 from hopfdual.hopf import AlgebraData
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
@@ -25,12 +26,15 @@ from hopfdual.linalg import (
     determinant,
     free_module,
     hermite_rows,
+    hom_scatter,
     invert_map,
     kron,
     kron_vec,
     smith_normal_form,
     solve_linear,
     span_coordinates,
+    sparse_column,
+    sparse_vector,
     split_coefficient_map,
     tensor_module,
     twist_map,
@@ -345,7 +349,7 @@ def test_sparse_first_map_agrees_with_the_dense_first_oracle(ring, k, m, n, data
 
     rows_ab, cols_bc = draw_rows(m, k), draw_rows(m, n)
     f, Df = LinearMap(a, b, rows_ab), D(a, b, rows_ab)
-    g, Dg = LinearMap.from_columns(b, c, cols_bc), D.from_columns(b, c, cols_bc)
+    g, Dg = map_from_columns(b, c, cols_bc), D.from_columns(b, c, cols_bc)
     h = dense.draw_map(data, ring, b, c)
     square = dense.draw_map(data, ring, tensor_module(a, a), a)
     alg = AlgebraData(a, square, a.basis_vector(0))
@@ -637,6 +641,38 @@ def test_split_coefficient_map_detects_direct_summand():
     assert p is not None
     q = split_coefficient_map(ZZ, [(2, 1), (1, 1)], 2)  # det 1: a basis
     assert q is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
+def test_hom_vectors_and_splittings_agree_with_the_dense_row_builders(ring, k, m, data):
+    dom, cod = dense.module(ring, k, "d"), dense.module(ring, m, "c")
+    vec = dense.draw_vector(data, ring, k * m)
+    dense.assert_bit_identical(vec_to_map(vec, dom, cod), dense.vec_to_map(vec, dom, cod))
+    gens = [[data.draw(raw_entries(ring)) for _ in range(k)]
+            for _ in range(data.draw(st.integers(0, k)))]
+    got, want = split_coefficient_map(ring, gens, k), dense.split_coefficient_map(ring, gens, k)
+    assert (got is None) == (want is None)
+    if got is not None:
+        dense.assert_bit_identical(got, want)
+
+
+def test_sparse_vector_and_hom_scatter():
+    assert sparse_vector((0, 3, 0, -1)) == ((1, 3), (3, -1))
+    assert sparse_vector(()) == ()
+    out = {}  # Hom(C, B) with rank(C) = 2, at c_1
+    hom_scatter(out, ZZ, 2, ((0, 1), (1, 3)), 2, 1)
+    hom_scatter(out, ZZ, 1, ((1, -6), (2, 1)), 2, 1)
+    assert sparse_column(out) == ((1, 2), (5, 1))
+
+
+def test_from_sparse_columns_checks_the_column_count():
+    # three domain basis vectors need three columns: one would leave apply
+    # and compose to fail later with an IndexError
+    m = module(ZZ, 3, "m")
+    with pytest.raises(DimensionMismatch):
+        LinearMap.from_sparse_columns(m, m, [((0, 1),)])
+    assert LinearMap.from_sparse_columns(m, m, [(), ((0, 1),), ()]).apply((0, 1, 0)) == (1, 0, 0)
 
 
 def test_map_vec_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from builders import cyclic_document
+from builders import cyclic_document, map_from_columns
 from hopfdual import catalog, crossed, smash
 from hopfdual.actions import ComoduleAlgebraData, regular_comodule, trivial_action
 from hopfdual.catalog import (
@@ -27,7 +27,7 @@ from hopfdual.crossed import (
 from hopfdual.errors import SideMismatch, ValidationError
 from hopfdual.hopf import AlgebraData, ConvolutionAlgebra, ensure_hopf, tensor_algebra
 from hopfdual.instancefile import parse_instance_dict
-from hopfdual.linalg import LinearMap, free_module, kron_vec, tensor_module
+from hopfdual.linalg import free_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
     ModuleSide,
@@ -51,7 +51,7 @@ def trivial_comodule(h, algebra):
     ring = algebra.ring
     cols = [kron_vec(ring, algebra.carrier.basis_vector(i), h.algebra.unit)
             for i in range(algebra.rank)]
-    coaction = LinearMap.from_columns(
+    coaction = map_from_columns(
         algebra.carrier, tensor_module(algebra.carrier, h.carrier), cols)
     c = ComoduleAlgebraData(h, algebra, coaction)
     c.validate().require()
