@@ -27,7 +27,7 @@ from .linalg import (
     kron_column,
     kron_vec,
     legs,
-    product_labels,
+    product_label,
     solve_linear,
     span_coordinates,
     sparse_vector,
@@ -115,11 +115,8 @@ class WeakActionData:
 
 def trivial_action(hopf: HopfLike, algebra: AlgebraData) -> WeakActionData:
     """h·a = ε(h)a."""
-    b = bialgebra_of(hopf)
-    ida = LinearMap.identity(algebra.carrier)
-    action = kron(b.coalgebra.counit, ida)
-    action = action.relabeled(tensor_module(b.carrier, algebra.carrier), algebra.carrier)
-    return WeakActionData(hopf, algebra, action)
+    counit = bialgebra_of(hopf).coalgebra.counit
+    return WeakActionData(hopf, algebra, kron(counit, LinearMap.identity(algebra.carrier)))
 
 
 def action_from_endomorphisms(hopf: HopfLike, algebra: AlgebraData, images) -> WeakActionData:
@@ -147,14 +144,14 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
     for j in range(rA):
         e = A.carrier.basis_vector(j)
         if w.act(b.algebra.unit, e) != e:
-            witness = A.carrier.labels[j]
+            witness = A.carrier.label(j)
             break
     rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
     # h·1_A = ε(h)·1_A, on the sparse columns of the action
     act = w.action.sparse_columns()
     one_a = sparse_vector(A.unit)
     eps = b.coalgebra.counit.matrix[0]
-    witness = next((b.carrier.labels[i] for i in range(rH)
+    witness = next((b.carrier.label(i) for i in range(rH)
                     if combine_columns(ring, ((act[i * rA + s], c) for s, c in one_a))
                     != combine_columns(ring, [(one_a, eps[i])])), None)
     rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
@@ -169,7 +166,7 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
                                 for p, q, d in terms[h] for u, x in act[p * rA + a]
                                 for v, y in act[q * rA + a2]])
          for h, a, a2 in triples),
-        lambda: product_labels(b.carrier.labels, A.carrier.labels, A.carrier.labels))
+        product_label(b.carrier, A.carrier, A.carrier))
     rep.add("action.measuring", "h ⇀ (ab) = Σ(h₁⇀a)(h₂⇀b)", witness is None, witness)
     return rep
 
@@ -209,16 +206,15 @@ class ComoduleAlgebraData:
         bmul, hmul = B.mult.sparse_columns(), b.algebra.mult.sparse_columns()
         eB, eH = unit_vectors(ring, rB), unit_vectors(ring, rH)
         terms = [legs(col, rH) for col in R]
-        labels = lambda: B.carrier.labels
         witness = column_witness(
             (combine_columns(ring, [(kron_column(R[x], eH[y], rH, mul), c)
                                     for x, y, c in t]) for t in terms),
             (combine_columns(ring, [(kron_column(eB[x], D[y], rH * rH, mul), c)
-                                    for x, y, c in t]) for t in terms), labels)
+                                    for x, y, c in t]) for t in terms), B.carrier.label)
         rep.add("comodule.coassoc", "(ϱ⊗id)∘ϱ = (id⊗Δ)∘ϱ", witness is None, witness)
         witness = column_witness(
             (combine_columns(ring, [(kron_column(eB[x], E[y], 1, mul), c) for x, y, c in t])
-             for t in terms), eB, labels)
+             for t in terms), eB, B.carrier.label)
         rep.add("comodule.counit", "(id⊗ε)∘ϱ = id", witness is None, witness)
         # ϱ(b_ib_j) against Σ ac·b_xb_x'⊗h_yh_y' over the legs of ϱ(b_i), ϱ(b_j)
         # where b_xb_x' and h_yh_y' ≠ 0
@@ -228,7 +224,7 @@ class ComoduleAlgebraData:
                                     for x, y, a in terms[i] for x2, y2, c in terms[j]
                                     if (u := bmul[x * rB + x2]) and (v := hmul[y * rH + y2])])
              for i in range(rB) for j in range(rB)),
-            lambda: product_labels(B.carrier.labels, B.carrier.labels))
+            product_label(B.carrier, B.carrier))
         rep.add("comodule.multiplicative", "ϱ is an algebra morphism",
                 witness is None, witness)
         ok = self.coaction.apply(B.unit) == kron_vec(self.ring, B.unit,
@@ -240,8 +236,7 @@ class ComoduleAlgebraData:
 def regular_comodule(h: HopfLike) -> ComoduleAlgebraData:
     """H as a right H-comodule algebra over itself via Δ."""
     b = bialgebra_of(h)
-    coaction = b.coalgebra.comult.relabeled(b.carrier, tensor_module(b.carrier, b.carrier))
-    return ComoduleAlgebraData(h, b.algebra, coaction)
+    return ComoduleAlgebraData(h, b.algebra, b.coalgebra.comult)
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ class Coinvariants:
 
 def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     """Kernel of ϱ - (id ⊗ 1_H), canonicalized; checked to be a direct summand."""
-    return certified("coinvariants", (c.algebra.carrier, c.coaction.sparse_columns(),
+    return certified("coinvariants", (c.ring, c.coaction.sparse_columns(),
                                       c.bialgebra.algebra.unit), lambda: _coinvariants(c))
 
 
@@ -273,14 +268,12 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     b = c.bialgebra
     B = c.algebra
     ring = c.ring
-    embed = kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
-    embed = embed.relabeled(B.carrier, c.coaction.codomain)
-    diff = c.coaction - embed
+    diff = c.coaction - kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
     res = solve_linear(diff, (ring.zero,) * diff.codomain.rank)
     vectors = res.kernel_basis
     if vectors and split_coefficient_map(ring, vectors, B.rank) is None:
         raise ValidationError("coinvariants do not span a direct summand")
-    module = FreeModule(ring, len(vectors), tuple(f"c{i}" for i in range(len(vectors))))
+    module = FreeModule(ring, len(vectors), "c{}".format)
     inclusion = LinearMap.from_sparse_columns(module, B.carrier, map(sparse_vector, vectors))
     return Coinvariants(module, inclusion, vectors)
 

@@ -342,10 +342,7 @@ def build_crossed_product(action: WeakActionData, cocycle: CocycleData) -> Cross
         raise ValidationError("crossed product is not associative "
                               "(cocycle or twisted-module condition fails)")
     b = action.bialgebra
-    A = action.algebra
-    carrier = alg.carrier
-    coaction = kron(LinearMap.identity(A.carrier), b.coalgebra.comult)
-    coaction = coaction.relabeled(carrier, tensor_module(carrier, b.carrier))
+    coaction = kron(LinearMap.identity(action.algebra.carrier), b.coalgebra.comult)
     comodule = ComoduleAlgebraData(action.hopf, alg, coaction)
     comodule.validate().require()
     cp = CrossedProductData(action, cocycle, alg, comodule)
@@ -544,13 +541,10 @@ def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrosse
     ring = cp.ring
     Sbar = hopf.twisted_antipode
     a_op = A.opposite()
-    action_op_map = cp.action.action @ kron(Sbar, LinearMap.identity(A.carrier))
-    action_op = WeakActionData(hop, a_op, action_op_map.relabeled(
-        cp.action.action.domain, A.carrier))
+    action_op = WeakActionData(hop, a_op,
+                               cp.action.action @ kron(Sbar, LinearMap.identity(A.carrier)))
     validate_weak_action(action_op, "opposite weak action").require()
-    tau_map = cp.cocycle.sigma_inv @ kron(Sbar, Sbar)
-    tau_map = tau_map.relabeled(cp.cocycle.sigma.domain, A.carrier)
-    tau = validate_cocycle(action_op, tau_map)
+    tau = validate_cocycle(action_op, cp.cocycle.sigma_inv @ kron(Sbar, Sbar))
     if not tau.flags.all_true:
         raise ValidationError("τ fails the cocycle flags")
     crossed_op = build_crossed_product(action_op, tau)

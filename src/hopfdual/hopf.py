@@ -37,7 +37,7 @@ from .linalg import (
     kron_vec,
     legs,
     map_to_vec,
-    product_labels,
+    product_label,
     solve_linear,
     sparse_vector,
     tensor_module,
@@ -120,12 +120,11 @@ class AlgebraData:
 
     def validate(self, subject: str = "algebra") -> ValidationReport:
         rep = ValidationReport(subject)
-        labels = self.carrier.labels
         assoc, unit = certified("algebra", (self.ring, self.mult.sparse_columns(),
                                             self.unit), self._axiom_failures)
-        assoc = assoc and f"({','.join(map(labels.__getitem__, assoc))})"
+        assoc = assoc and f"({','.join(map(self.carrier.label, assoc))})"
         rep.add("algebra.assoc", "multiplication is associative", assoc is None, assoc)
-        unit = None if unit is None else labels[unit]
+        unit = None if unit is None else self.carrier.label(unit)
         rep.add("algebra.unit", "two-sided unit law", unit is None, unit)
         return rep
 
@@ -274,20 +273,19 @@ class CoalgebraData:
         D, E = self.comult.sparse_columns(), self.counit.sparse_columns()
         e = unit_vectors(ring, r)
         terms = [legs(col, r) for col in D]
-        labels = lambda: self.carrier.labels
         # per Δ(h) = Σ c·h_p⊗h_q: Σ c·Δ(h_p)⊗h_q against Σ c·h_p⊗Δ(h_q)
         witness = column_witness(
             (combine_columns(ring, [(kron_column(D[p], e[q], r, mul), c) for p, q, c in t])
              for t in terms),
             (combine_columns(ring, [(kron_column(e[p], D[q], r * r, mul), c) for p, q, c in t])
-             for t in terms), labels)
+             for t in terms), self.carrier.label)
         rep.add("coalgebra.coassoc", "comultiplication is coassociative",
                 witness is None, witness)
         witness = (column_witness(
             (combine_columns(ring, [(kron_column(E[p], e[q], r, mul), c) for p, q, c in t])
-             for t in terms), e, labels) or column_witness(
+             for t in terms), e, self.carrier.label) or column_witness(
             (combine_columns(ring, [(kron_column(e[p], E[q], 1, mul), c) for p, q, c in t])
-             for t in terms), e, labels))
+             for t in terms), e, self.carrier.label))
         rep.add("coalgebra.counit", "counit laws hold", witness is None, witness)
         return rep
 
@@ -322,7 +320,7 @@ class BialgebraData:
         D, E = self.coalgebra.comult.sparse_columns(), self.coalgebra.counit.sparse_columns()
         terms = [legs(col, r) for col in D]
         basis_pairs = [(x, y) for x in range(r) for y in range(r)]
-        pairs = lambda: product_labels(self.carrier.labels, self.carrier.labels)
+        pairs = product_label(self.carrier, self.carrier)
         # Δ is an algebra morphism into H⊗H: Δ(xy) against Σ ab·pp'⊗qq' over
         # the legs a·p⊗q of Δ(x) and b·p'⊗q' of Δ(y) where pp' and qq' ≠ 0
         w = column_witness(
@@ -389,7 +387,7 @@ class HopfData:
                    for col in self.coalgebra.counit.sparse_columns()]
         terms = [legs(col, r) for col in self.coalgebra.comult.sparse_columns()]
         cop = [[(q, p, c) for p, q, c in t] for t in terms]
-        labels = lambda: self.carrier.labels
+        label = self.carrier.label
 
         def witness(S, legs_of):
             # Σ c·S(h_p)h_q, then Σ c·h_pS(h_q), over the legs c·h_p⊗h_q of
@@ -398,10 +396,10 @@ class HopfData:
             return column_witness(
                 (combine_columns(ring, [(M[s * r + q], mul(c, x))
                                         for p, q, c in t for s, x in S[p]])
-                 for t in legs_of), eta_eps, labels) or column_witness(
+                 for t in legs_of), eta_eps, label) or column_witness(
                 (combine_columns(ring, [(M[p * r + s], mul(c, x))
                                         for p, q, c in t for s, x in S[q]])
-                 for t in legs_of), eta_eps, labels)
+                 for t in legs_of), eta_eps, label)
 
         w = witness(self.antipode, terms)
         rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
@@ -649,14 +647,12 @@ def tensor_coalgebra(c: CoalgebraData, d: CoalgebraData) -> CoalgebraData:
             for ccol in c.comult.sparse_columns() for dcol in dcols]
     carrier = tensor_module(c.carrier, d.carrier)
     comult = LinearMap.from_sparse_columns(carrier, tensor_module(carrier, carrier), cols)
-    counit = kron(c.counit, d.counit).relabeled(carrier, unit_module(c.ring))
-    return CoalgebraData(carrier, comult, counit)
+    return CoalgebraData(carrier, comult, kron(c.counit, d.counit))
 
 
 def matrix_algebra(ring, n: int) -> AlgebraData:
     """M_n(R) on the matrix units e_ij with e_ij·e_kl = δ_jk·e_il."""
-    labels = tuple(f"e[{i},{j}]" for i in range(n) for j in range(n))
-    return _matrix_units(FreeModule(ring, n * n, labels), n)
+    return _matrix_units(FreeModule(ring, n * n, lambda k: f"e[{k // n},{k % n}]"), n)
 
 
 def endomorphism_algebra(module: FreeModule) -> AlgebraData:
@@ -717,7 +713,7 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
                                      target.unit, map_.sparse_columns()),
                         lambda: _morphism_failure(source, target, map_))
     if isinstance(failure, tuple):
-        return f"({','.join(map(source.carrier.labels.__getitem__, failure))})"
+        return f"({','.join(map(source.carrier.label, failure))})"
     return failure
 
 

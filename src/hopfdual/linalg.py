@@ -22,6 +22,11 @@ Hom(C, B) values included (:func:`hom_scatter`), in a dict
 constants are likewise written by index arithmetic on sparse columns, never
 by composing Kronecker products with twist matrices.
 
+Basis names play no part in this: a :class:`FreeModule` holds a label
+function, derived modules compose their factors', and a name is built only
+when read (a witness, the instance writer).  :func:`free_module`, the one
+constructor from a name list, is where names are checked to be distinct.
+
 Solving is exact, with the factorization chosen by the ground ring:
 Gauss–Jordan elimination over the fields Q and Z/p (p prime), Smith normal
 form with unimodular transforms over Z, and the same Smith machinery on the
@@ -30,11 +35,10 @@ one factorization.
 """
 from __future__ import annotations
 
-import itertools
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch
 from .rings import Elem, ModularRing, RationalRing, Ring
@@ -47,7 +51,8 @@ CERTIFICATES: ContextVar[Optional[dict]] = ContextVar("certificates", default=No
 def certified(kind: str, key, compute):
     """``compute()``, computed once per equal ``(kind, key)`` while
     ``suites.run_suite`` holds a store in :data:`CERTIFICATES`, else on every
-    call.  ``key`` is the whole input; the result must carry no basis label."""
+    call.  ``key`` is the whole input but its basis names: a shared result
+    may carry another caller's modules, and no caller reads names off it."""
     store, key = CERTIFICATES.get(), (kind, key)
     if store is None:
         return compute()
@@ -58,19 +63,21 @@ def certified(kind: str, key, compute):
 
 @dataclass(frozen=True)
 class FreeModule:
-    """A free module of finite rank with labelled basis."""
+    """A free module of finite rank whose i-th basis vector is named
+    ``label(i)``; equality and hashing compare ring and rank only."""
 
     ring: Ring
     rank: int
-    labels: tuple
+    label: Callable[[int], str] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 0:
             raise DimensionMismatch("rank must be non-negative")
-        if len(self.labels) != self.rank:
-            raise DimensionMismatch("label count must equal rank")
-        if len(set(self.labels)) != self.rank:
-            raise DimensionMismatch("basis labels must be pairwise distinct")
+
+    @property
+    def labels(self) -> tuple:
+        """Every basis name, in basis order."""
+        return tuple(map(self.label, range(self.rank)))
 
     def basis_vector(self, i: int) -> Vector:
         cache = self.__dict__.get("_basis_cache")
@@ -93,31 +100,37 @@ class FreeModule:
 
 
 def free_module(ring: Ring, labels: Sequence[str]) -> FreeModule:
-    return FreeModule(ring, len(labels), tuple(labels))
+    """The free module on the basis names ``labels``, which must be pairwise
+    distinct; the only constructor from a name list."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise DimensionMismatch("basis labels must be pairwise distinct")
+    return FreeModule(ring, len(labels), labels.__getitem__)
 
 
 def unit_module(ring: Ring) -> FreeModule:
     """Rank-one module representing the ground ring itself."""
-    return FreeModule(ring, 1, ("1",))
+    return FreeModule(ring, 1, lambda i: "1")
 
 
 def tensor_module(m: FreeModule, n: FreeModule) -> FreeModule:
     if m.ring != n.ring:
         raise RingMismatch("tensor factors live over different rings")
-    labels = tuple(f"{a}⊗{b}" for a in m.labels for b in n.labels)
-    return FreeModule(m.ring, m.rank * n.rank, labels)
+    r = n.rank
+    return FreeModule(m.ring, m.rank * r, lambda i: f"{m.label(i // r)}⊗{n.label(i % r)}")
 
 
 def dual_module(m: FreeModule) -> FreeModule:
-    return FreeModule(m.ring, m.rank, tuple(f"{a}*" for a in m.labels))
+    return FreeModule(m.ring, m.rank, lambda i: f"{m.label(i)}*")
 
 
 def hom_module(dom: FreeModule, cod: FreeModule) -> FreeModule:
     """Hom(dom, cod) as a free module; see the flattening convention above."""
     if dom.ring != cod.ring:
         raise RingMismatch("hom of modules over different rings")
-    labels = tuple(f"[{b}←{a}]" for b in cod.labels for a in dom.labels)
-    return FreeModule(dom.ring, cod.rank * dom.rank, labels)
+    r = dom.rank
+    return FreeModule(dom.ring, cod.rank * r,
+                      lambda i: f"[{cod.label(i // r)}←{dom.label(i % r)}]")
 
 
 def hom_scatter(out: dict, ring: Ring, c: Elem, value, rank: int, t: int):
@@ -195,10 +208,6 @@ class LinearMap:
         m = object.__new__(LinearMap)
         m._store(domain, codomain, cols, None)
         return m
-
-    def relabeled(self, domain: FreeModule, codomain: FreeModule) -> "LinearMap":
-        """The same columns between modules of the same ranks."""
-        return LinearMap.from_sparse_columns(domain, codomain, self._cols)
 
     @property
     def ring(self) -> Ring:
@@ -383,22 +392,27 @@ def transpose(m: LinearMap, domain: FreeModule, codomain: FreeModule) -> LinearM
     return LinearMap.from_sparse_columns(domain, codomain, cols)
 
 
-def column_witness(xs, ys, labels) -> Optional[str]:
-    """Where two sequences of canonical sparse columns first differ: the label
-    of that column, read from ``labels()`` (``column j`` past its end), or
-    None when they agree.  The sequences are walked in step up to the first
-    difference, so lazily computed columns stop there, and the labels are
-    built only then."""
+def column_witness(xs, ys, label) -> Optional[str]:
+    """Where two sequences of canonical sparse columns first differ: the name
+    ``label(j)`` of that column, or None when they agree.  The sequences are
+    walked in step up to the first difference, so lazily computed columns
+    stop there, and only that one name is built."""
     for j, (x, y) in enumerate(zip(xs, ys)):
         if x != y:
-            names = labels()
-            return names[j] if j < len(names) else f"column {j}"
+            return label(j)
     return None
 
 
-def product_labels(*factors) -> list:
-    """Labels ``(x,y,…)`` of the flattened basis of a tensor product."""
-    return [f"({','.join(parts)})" for parts in itertools.product(*factors)]
+def product_label(*modules):
+    """``i ↦ (x,y,…)``: the name of the i-th vector of the flattened basis of
+    the tensor product of ``modules``."""
+    def label(i):
+        parts = []
+        for m in reversed(modules):
+            i, k = divmod(i, m.rank)
+            parts.append(m.label(k))
+        return f"({','.join(reversed(parts))})"
+    return label
 
 
 def map_to_vec(f: LinearMap) -> Vector:
@@ -887,7 +901,7 @@ def split_coefficient_map(ring: Ring, generators, length: int) -> Optional[Linea
         if not res.solvable:
             return None
         prows.append(res.particular)
-    dom = FreeModule(ring, length, tuple(f"x{i}" for i in range(length)))
-    cod = FreeModule(ring, g, tuple(f"u{j}" for j in range(g)))
+    dom = FreeModule(ring, length, "x{}".format)
+    cod = FreeModule(ring, g, "u{}".format)
     return transpose(LinearMap.from_sparse_columns(cod, dom, map(sparse_vector, prows)),
                      dom, cod)

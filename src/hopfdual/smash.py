@@ -84,8 +84,7 @@ class SubalgebraU:
         if self._split is None:
             raise ValidationError(
                 "span(U) is not a direct summand of H* with independent generators")
-        self.module = FreeModule(ring, len(self.elements),
-                                 tuple(f"u{i}" for i in range(len(self.elements))))
+        self.module = FreeModule(ring, len(self.elements), "u{}".format)
         self.inclusion = LinearMap.from_sparse_columns(self.module, self.ambient,
                                                        map(sparse_vector, self.elements))
         self.dual_algebra = ConvolutionAlgebra(b.coalgebra,

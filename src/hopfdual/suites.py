@@ -418,7 +418,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
         direct = ctx.duality_iso(DiagramSide.RIGHT)
         transport = kron(ctx.extraction.iso.inverse, LinearMap.identity(U.module))
         b_smash = right_smash(cleft.comodule_algebra, U)
-        routed = (direct.map @ transport).relabeled(b_smash.carrier, direct.map.codomain)
+        routed = direct.map @ transport
         certify_algebra_iso(b_smash.product, direct.target, routed,
                             "cleft-route duality")
         # on a crossed-product payload the transport is the identity

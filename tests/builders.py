@@ -42,8 +42,7 @@ class FunctionalSpan:
         self.hopf = hopf
         self.side = side
         self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
-        self.module = FreeModule(ring, len(self.elements),
-                                 tuple(f"v{i}" for i in range(len(self.elements))))
+        self.module = free_module(ring, [f"v{i}" for i in range(len(self.elements))])
 
     @property
     def rank(self):

@@ -144,7 +144,6 @@ from hopfdual.hopf import (
     tensor_algebra,
 )
 from hopfdual.linalg import (
-    FreeModule,
     LinearMap,
     SolveResult,
     SolveStatus,
@@ -925,6 +924,11 @@ def algebra_morphism_witness(source, target, map_):
 # --- the axiom validators as Kronecker composites ----------------------------
 
 
+def product_labels(*modules):
+    """Every name ``(x,y,…)`` of the flattened basis of a tensor product."""
+    return [f"({','.join(parts)})" for parts in product(*(m.labels for m in modules))]
+
+
 def map_witness(a, b, labels):
     """The label of the first column where the maps ``a`` and ``b`` differ
     (``column j`` past the end of ``labels``), ``shape`` when only their
@@ -962,7 +966,7 @@ def validate_bialgebra(b, subject="bialgebra"):
     rep = ValidationReport(subject)
     rep.extend(b.algebra.validate(subject))
     rep.extend(validate_coalgebra(b.coalgebra, subject))
-    pairs = linalg.product_labels(b.carrier.labels, b.carrier.labels)
+    pairs = product_labels(b.carrier, b.carrier)
     mult, comult = b.algebra.mult, b.coalgebra.comult
     counit = b.coalgebra.counit
     mult_hh = tensor_algebra(b.algebra, b.algebra).mult
@@ -1043,8 +1047,7 @@ def validate_comodule_algebra(c, subject="comodule algebra"):
     bh = tensor_algebra(B, b.algebra)
     lhs2 = c.coaction @ B.mult
     rhs2 = bh.mult @ linalg.kron(c.coaction, c.coaction)
-    witness = map_witness(lhs2, rhs2, linalg.product_labels(B.carrier.labels,
-                                                            B.carrier.labels))
+    witness = map_witness(lhs2, rhs2, product_labels(B.carrier, B.carrier))
     rep.add("comodule.multiplicative", "ϱ is an algebra morphism",
             witness is None, witness)
     ok = c.coaction.apply(B.unit) == kron_vec(c.ring, B.unit, b.algebra.unit)
@@ -1074,8 +1077,7 @@ def validate_weak_action(w, subject="weak action"):
     rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
     lhs = w.action @ linalg.kron(LinearMap.identity(b.carrier), A.mult)
     rhs = A.mult @ linalg.kron(w.action, w.action) @ spread_coproduct(b, A)
-    witness = map_witness(lhs, rhs, linalg.product_labels(
-        b.carrier.labels, A.carrier.labels, A.carrier.labels))
+    witness = map_witness(lhs, rhs, product_labels(b.carrier, A.carrier, A.carrier))
     rep.add("action.measuring", "h ⇀ (ab) = Σ(h₁⇀a)(h₂⇀b)", witness is None, witness)
     return rep
 
@@ -1644,8 +1646,7 @@ def hit_action_of_dual(h):
 
 def matrix_algebra(ring, n):
     """M_n(R): every one of the n⁴ columns written out, then canonicalised."""
-    labels = tuple(f"e[{i},{j}]" for i in range(n) for j in range(n))
-    carrier = FreeModule(ring, n * n, labels)
+    carrier = free_module(ring, [f"e[{i},{j}]" for i in range(n) for j in range(n)])
     cols = []
     zero, one = ring.zero, ring.one
     for i in range(n):
@@ -1955,9 +1956,18 @@ def compat_records(cp, U, V, side):
     gens = duality.j_generators(ring, A.rank,
                                 [tuple(ring.of(x) for x in v) for v in V], h.rank)
     rl = rl_check(h, U, V)
-    return (duality._pair_label(h, A, first_outside(ring, gens, phi)),
-            duality._pair_label(h, A, first_outside(ring, gens, psi)),
+    return (pair_label(h, A, first_outside(ring, gens, phi)),
+            pair_label(h, A, first_outside(ring, gens, psi)),
             rl.failures, rl.witnesses)
+
+
+def pair_label(h, A, col):
+    """The name (h_i,a_j) of column i·rank(A) + j of H⊗A, read off the label
+    tuples."""
+    if col is None:
+        return None
+    i, j = divmod(col, A.rank)
+    return f"({h.carrier.labels[i]},{A.carrier.labels[j]})"
 
 
 def coaction_rows(h, side):

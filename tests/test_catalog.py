@@ -1,4 +1,6 @@
 """Catalog integrity: deterministic listing, validated entries, coverage."""
+import hashlib
+
 import pytest
 
 from builders import diagram
@@ -8,6 +10,7 @@ from hopfdual.crossed import CleftData, CrossedProductData, smash_product_data
 from hopfdual.duality import DiagramSide, duality_iso, lambda_map, matrix_iso
 from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
+from hopfdual.instancefile import export_entry_json
 from hopfdual.linalg import kron_vec
 from hopfdual.rings import Zmod
 from hopfdual.smash import ModuleSide, SubalgebraU
@@ -137,3 +140,32 @@ def test_base_change_from_z_to_q_keeps_isomorphisms_entry_for_entry(over_z, over
         assert q_map.sparse_columns() == z_map.sparse_columns()
         assert [type(c) for col in q_map.sparse_columns() for _, c in col] == \
             [type(c) for col in z_map.sparse_columns() for _, c in col]
+
+
+# SHA-256 of export_entry_json(get(name)), recorded before basis names were
+# built on read; every export stays byte-identical
+EXPORT_SHA256 = {
+    "Z_C2": "a9923b81829aa35b91ed3d0aac9a08de226e0e95a0fdda8c588427c8eb2b974e",
+    "Z_C3": "92ab3b1d615a35c535e8667d139ffd6d2041be4a9c30027de3ae42ac3ee357b2",
+    "Z_C4": "1a70c0f57cfca08d0d9f3920778f2261473b294b221301bd2d257a164e8ae0be",
+    "Q_C3": "9ec234fcec47c268530950ca218c82f7e14b370c94b6cadb73caf6980e379d09",
+    "sweedler4_Q": "085f72af88f7fd1050ba1429bc8ea71b2076de3bf003bf18d4d05d26dba19e5c",
+    "sweedler4_Z3": "6d728ae5cc9ec5a2299f0d4d146483fb02f7e0ba266284bf650e409e27303ced",
+    "sweedler4_Z": "9d0a5cc9e0c22e9a2d6c9b0c5d27182a0a6b908d9c78bb54dd3557e4e9986291",
+    "triv_C2": "bb1fc15962773e3b29a093cf2c7822de9e45a61b03d1829388a87a0669180c51",
+    "triv_C3": "7ac5babe956ff52d4cd343b22ea72d198dedad18b2d286a770d1b238c6dfd0d5",
+    "gauss": "16fb6ff93d618cef54c89a44cc65fc3989bc00861e39a5287282ad74e15d9600",
+    "Zmod6_C2": "4fc2a38f1186afac965153b8d7a6ce539ae3beaf8299e989797ef866317bbff4",
+    "swap_smash": "3a2338eb662c63527c2bcb4e2b67d9c160702abc91598aaa261f0a49496818f9",
+    "m2_conj_smash": "c86f1db2cf9e08796de055021ba1734df519c2acc9b253dd5a481034d696789b",
+    "sweedler4_smash_Q": "e19820097fd50e6dadc31872c853055e90ad490c2c15132b9b940c14d96b2f9e",
+    "sweedler4_smash_Z3": "e078b40a71e335014daa59da487b8c0600e896c7c76948b82c3087914bb1b3d5",
+    "gauss_cleft": "afa567d698aa1988f82dae6d9e4651e0e321497455b36b49f10a490bd5920f15",
+}
+
+
+def test_exports_are_pinned():
+    assert [name for name, _, _ in list_entries()] == list(EXPORT_SHA256)
+    for name, digest in EXPORT_SHA256.items():
+        text = export_entry_json(get(name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name

@@ -11,13 +11,13 @@ import pytest
 
 from hopfdual import actions, hopf, linalg, suites
 from hopfdual.actions import ComoduleAlgebraData, coinvariants, regular_comodule
-from hopfdual.catalog import CatalogEntry, get, sweedler_hopf
+from hopfdual.catalog import CatalogEntry, get, group_algebra, sweedler_hopf
 from hopfdual.errors import NotInvertible
 from hopfdual.hopf import AlgebraData, algebra_morphism_witness
 from hopfdual.linalg import (
     CERTIFICATES,
-    FreeModule,
     LinearMap,
+    free_module,
     invert_map,
     tensor_module,
 )
@@ -59,7 +59,7 @@ def certificate_store():
 def algebra(ring, cols, unit, labels=None):
     """The algebra on sparse table columns ``cols`` with the given unit."""
     r = len(unit)
-    carrier = FreeModule(ring, r, labels or tuple(f"e{i}" for i in range(r)))
+    carrier = free_module(ring, labels or [f"e{i}" for i in range(r)])
     return AlgebraData(carrier, LinearMap.from_sparse_columns(
         tensor_module(carrier, carrier), carrier,
         [[(t, ring.of(c)) for t, c in col] for col in cols]), unit)
@@ -80,7 +80,7 @@ def verdicts(rep):
 
 def test_no_store_is_installed_outside_run_suite(computed):
     assert CERTIFICATES.get() is None
-    m = LinearMap(FreeModule(ZZ, 2, ("a", "b")), FreeModule(ZZ, 2, ("a", "b")),
+    m = LinearMap(free_module(ZZ, ["a", "b"]), free_module(ZZ, ["a", "b"]),
                   [[2, 1], [1, 1]])
     assert invert_map(m) == invert_map(m)
     assert computed["inverse"] == 2
@@ -137,7 +137,7 @@ def test_equal_integer_tables_over_different_rings_are_not_shared(computed):
         assert unit_laws == [True, False, False]
         assert computed["algebra"] == 3
         # 2 is invertible over Z/3 and Q, not over Z
-        two = [LinearMap(FreeModule(ring, 1, ("x",)), FreeModule(ring, 1, ("x",)),
+        two = [LinearMap(free_module(ring, ["x"]), free_module(ring, ["x"]),
                          [[2]]) for ring in (Z3, QQ, ZZ)]
         assert invert_map(two[0]).matrix == ((2,),)
         assert invert_map(two[1]).matrix == ((Fraction(1, 2),),)
@@ -197,7 +197,7 @@ def test_equal_inputs_under_other_labels_report_their_own_witnesses():
 
 def relabelled_comodule(c: ComoduleAlgebraData, labels) -> ComoduleAlgebraData:
     B = c.algebra
-    carrier = FreeModule(B.ring, B.rank, labels)
+    carrier = free_module(B.ring, labels)
     alg = AlgebraData(carrier, LinearMap(tensor_module(carrier, carrier), carrier,
                                          B.mult.matrix), B.unit)
     coaction = LinearMap(carrier, tensor_module(carrier, c.bialgebra.carrier),
@@ -205,14 +205,19 @@ def relabelled_comodule(c: ComoduleAlgebraData, labels) -> ComoduleAlgebraData:
     return ComoduleAlgebraData(c.hopf, alg, coaction)
 
 
-def test_coinvariants_include_into_their_own_carrier(computed):
+def test_comodules_differing_only_in_labels_share_their_coinvariants(computed):
+    # B^coH does not depend on basis names, so its certificate key holds
+    # none; it holds the ring, since equal integer tables differ by ring
     c = regular_comodule(get("Z_C2").hopf_data())
     other = relabelled_comodule(c, ("p", "q"))
+    over_z3 = regular_comodule(group_algebra(Z3, 2))
+    assert over_z3.coaction.sparse_columns() == c.coaction.sparse_columns()
     with certificate_store():
         coins = [coinvariants(x) for x in (c, other, c, other)]
-    assert [coin.inclusion.codomain for coin in coins] == \
-        [c.algebra.carrier, other.algebra.carrier] * 2
-    assert coins[0] is coins[2] and coins[1] is coins[3]
+        coin_z3 = coinvariants(over_z3)
+    assert all(coin is coins[0] for coin in coins)
+    assert coins[0].inclusion.codomain == other.algebra.carrier
+    assert coin_z3 is not coins[0] and coin_z3.module.ring == Z3
     assert computed["coinvariants"] == 2
 
 

@@ -322,3 +322,22 @@ def test_duality_rejects_a_coproduct_that_is_not_multiplicative(
     assert main(["verify", str(path), "--suite", "duality"]) == 2
     assert ("comodule algebra: comodule.multiplicative failed"
             in capsys.readouterr().err)
+
+
+def test_names_that_format_alike_verify_like_plain_names(tmp_path, capsys):
+    # Z[C3] with H named a, a⊗a, e: a⊗(a⊗a) and (a⊗a)⊗a format alike in
+    # H⊗H, and names play no part in a verdict
+    odd = FIXTURES / "tensor_sign_labels.json"
+    plain = tmp_path / "Z_C3.json"
+    assert main(["catalog", "export", "Z_C3", str(plain)]) == 0
+    odd_doc, plain_doc = (json.loads(p.read_text()) for p in (odd, plain))
+    assert odd_doc["modules"] == {"H": ["a", "a⊗a", "e"]}
+    assert {**odd_doc, "modules": plain_doc["modules"]} == plain_doc
+    assert main(["verify", str(odd), "--suite", "all"]) == 0
+    capsys.readouterr()
+
+    def verdicts(path):
+        report = run_suite(parse_instance(path).to_entry(), "all")
+        return [(check_id, passed) for check_id, passed, _ in records(report)]
+
+    assert verdicts(odd) == verdicts(plain)

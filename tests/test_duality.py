@@ -419,6 +419,27 @@ def test_coaction_conditions_on_sweedler(ring, side):
     assert {f"{tag}.1a", f"{tag}.1b", f"{tag}.1c", f"{tag}.3", f"{tag}.4"} <= ids
 
 
+@pytest.mark.parametrize("side", [CoactionSide.UPSILON, CoactionSide.OMEGA])
+def test_check_1c_fails_on_a_table_entry_it_did_not_build(monkeypatch, side):
+    # 1c sums the identity on its own, so a wrong table is caught, at the
+    # first (f_i, h_t) whose column entry changed
+    original = duality._coaction_columns
+
+    def altered(h, s):
+        cols = original(h, s)
+        pos, c = cols[1][0]
+        cols[1] = ((pos, h.ring.add(c, h.ring.one)),) + cols[1][1:]
+        return cols
+
+    h = sweedler_hopf(Zmod(3))
+    pos = original(h, side)[1][0][0]
+    monkeypatch.setattr(duality, "_coaction_columns", altered)
+    report = coaction_table(h, side).report
+    tag = side.value
+    assert [(r.passed, r.witness) for r in report.records
+            if r.check_id == f"{tag}.1c"] == [(False, f"(f1,h{pos % h.rank})")]
+
+
 def test_sweedler_upsilon_is_not_trivial():
     h = sweedler_hopf(QQ)
     table = coaction_table(h, CoactionSide.UPSILON)

@@ -281,6 +281,7 @@ def test_matrix_units_match_dense_oracle(ring, n):
                       (endomorphism_algebra(module), dense.endomorphism_algebra(module))):
         dense.assert_bit_identical(got.mult, want.mult)
         assert got.carrier == want.carrier
+        assert got.carrier.labels == want.carrier.labels
         assert got.unit == want.unit
         assert [type(x) for x in got.unit] == [type(x) for x in want.unit]
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from builders import map_from_columns
-from hopfdual.hopf import AlgebraData
+from hopfdual.hopf import AlgebraData, matrix_algebra
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
+    FreeModule,
     LinearMap,
     PreparedSolver,
     SolveStatus,
@@ -24,8 +25,10 @@ from hopfdual.linalg import (
     canonical_span,
     column_witness,
     determinant,
+    dual_module,
     free_module,
     hermite_rows,
+    hom_module,
     hom_scatter,
     invert_map,
     kron,
@@ -41,7 +44,7 @@ from hopfdual.linalg import (
     unit_module,
     vec_to_map,
     map_to_vec,
-    product_labels,
+    product_label,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 
@@ -358,7 +361,6 @@ def test_sparse_first_map_agrees_with_the_dense_first_oracle(ring, k, m, n, data
         (LinearMap.from_sparse_columns(b, c, h.sparse_columns()),
          D.from_sparse_columns(b, c, D(b, c, h.matrix).sparse_columns())),
         (LinearMap.identity(b), D.identity(b)),
-        (f.relabeled(dense.module(ring, k, "x"), b), D(a, b, Df.matrix)),
         (g @ f, Dg.compose(Df)), (h @ f, D(b, c, h.matrix).compose(Df)),
         (LinearMap.identity(b) @ f, D.identity(b).compose(Df)),
         (g - h, D(b, c, [[ring.sub(x, y) for x, y in zip(r1, r2)]
@@ -389,16 +391,13 @@ def test_column_witness_labels_first_differing_column():
     g = lmap(ZZ, [[1, 0, 2], [0, 1, 3]])
     h = lmap(ZZ, [[1, 5, 2], [0, 1, 3]])
 
-    def xyz():
-        return ("x", "y", "z")
-
+    xyz = ("x", "y", "z").__getitem__
     f_, g_, h_ = (m.sparse_columns() for m in (f, g, h))
     assert column_witness(f_, f_, xyz) is None
     assert column_witness(f_, g_, xyz) == "z"
     assert column_witness(f_, h_, xyz) == "y"
-    assert column_witness(f_, h_, lambda: ("x",)) == "column 1"
     # the columns are walked in step up to the first difference, and the
-    # labels are built only there
+    # label is built only there
     walked = []
 
     def lazy(name, cols):
@@ -406,14 +405,38 @@ def test_column_witness_labels_first_differing_column():
             walked.append((name, j))
             yield col
 
-    def no_labels():
-        raise AssertionError("labels built without a difference")
+    def no_labels(j):
+        raise AssertionError("label built without a difference")
 
     assert column_witness(lazy("f", f_), lazy("f", f_), no_labels) is None
     walked.clear()
     assert column_witness(lazy("f", f_), lazy("h", h_), xyz) == "y"
     assert walked == [("f", 0), ("h", 0), ("f", 1), ("h", 1)]
-    assert product_labels(("a", "b"), ("x", "y")) == ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
+    ab, xy = free_module(ZZ, ["a", "b"]), free_module(ZZ, ["x", "y"])
+    assert list(map(product_label(ab, xy), range(4))) == ["(a,x)", "(a,y)", "(b,x)", "(b,y)"]
+    assert product_label(ab, xy, ab)(6) == "(b,y,a)"
+
+
+def test_derived_modules_compose_their_factors_names():
+    m, n = free_module(ZZ, ["a", "b"]), free_module(ZZ, ["x", "y", "z"])
+    assert tensor_module(m, n).labels == tuple(f"{a}⊗{b}" for a in "ab" for b in "xyz")
+    assert hom_module(m, n).labels == tuple(f"[{b}←{a}]" for b in "xyz" for a in "ab")
+    assert dual_module(n).labels == ("x*", "y*", "z*")
+    assert unit_module(ZZ).labels == ("1",)
+    assert matrix_algebra(ZZ, 2).carrier.labels == ("e[0,0]", "e[0,1]", "e[1,0]", "e[1,1]")
+    # names that format alike are no error: modules compare by ring and rank
+    odd = free_module(ZZ, ["a", "a⊗a", "e"])
+    tt = tensor_module(odd, odd)
+    assert tt.label(1) == tt.label(3) == "a⊗a⊗a"
+    assert tt == tensor_module(n, n) and hash(tt) == hash(tensor_module(n, n))
+    assert free_module(ZZ, ["p"]) != free_module(QQ, ["p"])
+
+
+def test_free_module_is_where_names_must_be_distinct():
+    with pytest.raises(DimensionMismatch, match="pairwise distinct"):
+        free_module(ZZ, ["a", "b", "a"])
+    with pytest.raises(DimensionMismatch, match="non-negative"):
+        FreeModule(ZZ, -1, str)
 
 
 def test_rref_rows_of_integer_rows_is_exact():

@@ -309,3 +309,37 @@ def test_structure_builders_build_no_dense_rows(monkeypatch, suite):
     entry = parse_instance_dict(cyclic_document(5, 11)).to_entry()
     assert all(r[1] for r in records(run_suite(entry, suite)))
     assert builders and not builders & SPARSE_BUILDERS
+
+
+def _label_free_entries():
+    from test_certificates import rebased_sweedler  # it imports this module
+    yield from (get(name) for name, _, _ in list_entries())
+    for n in (5, 6):
+        yield parse_instance_dict(cyclic_document(n, 11)).to_entry()
+    yield rebased_sweedler("rebased_a", [[1, 0, 0, 0], [0, 1, 0, 0],
+                                         [1, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_a_passing_run_reads_no_basis_name(monkeypatch):
+    # a name is built only for a witness, so building an entry and a run
+    # where every check passes call no label function of any module, input
+    # or derived, and read no label tuple
+    read = []
+    original = linalg.FreeModule.__getattribute__
+
+    def watched(self, name):
+        value = original(self, name)
+        if name == "labels":
+            read.append(name)
+        if name != "label":
+            return value
+
+        def label(i):
+            read.append(i)
+            return value(i)
+        return label
+
+    monkeypatch.setattr(linalg.FreeModule, "__getattribute__", watched)
+    for entry in _label_free_entries():
+        assert run_suite(entry, "all").ok, entry.name
+        assert not read, entry.name
