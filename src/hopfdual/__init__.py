@@ -51,7 +51,6 @@ from .crossed import (
     validate_cocycle,
 )
 from .smash import (
-    SmashAlgebra,
     SubalgebraU,
     hat_smash,
     left_smash,

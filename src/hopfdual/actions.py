@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, RingMismatch, ValidationError
-from .hopf import AlgebraData, HopfLike, bialgebra_of
+from .hopf import AlgebraData, HopfData
 from .linalg import (
     FreeModule,
     LinearMap,
@@ -38,15 +38,14 @@ from .linalg import (
 from .reporting import ValidationReport
 
 
-def regular_act(h: HopfLike, f_vec, h_vec, left: bool):
+def regular_act(h: HopfData, f_vec, h_vec, left: bool):
     """The regular action of h on the functional f, on explicit vectors:
     (hf)(k) = f(kh) when ``left``, else (fh)(k) = f(hk).  Entry l sums
     h_i·f_j·c over the terms c·e_j of the basis product e_l·e_i (right:
     e_i·e_l), read off the sparse multiplication table."""
-    b = bialgebra_of(h)
-    ring, r = b.ring, b.rank
+    ring, r = h.ring, h.rank
     mul, add = ring.mul, ring.add
-    cols = b.algebra.mult.sparse_columns()
+    cols = h.algebra.mult.sparse_columns()
     out = []
     for l in range(r):
         total = ring.zero
@@ -59,11 +58,11 @@ def regular_act(h: HopfLike, f_vec, h_vec, left: bool):
     return tuple(out)
 
 
-def hit(b, f_vec, t: int):
-    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t), for a functional f on the bialgebra b."""
-    ring = b.ring
-    out = [ring.zero] * b.rank
-    for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
+def hit(h: HopfData, f_vec, t: int):
+    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t), for a functional f on H."""
+    ring = h.ring
+    out = [ring.zero] * h.rank
+    for c, (k1, k2) in h.coalgebra.sweedler_basis(t, 2):
         s = ring.mul(c, f_vec[k2])
         if (s):
             out[k1] = ring.add(out[k1], s)
@@ -77,12 +76,11 @@ class WeakActionData:
     module condition, which belongs to the cocycle data).
     """
 
-    def __init__(self, hopf: HopfLike, algebra: AlgebraData, action: LinearMap):
-        b = bialgebra_of(hopf)
-        if action.domain.rank != b.rank * algebra.rank or \
+    def __init__(self, hopf: HopfData, algebra: AlgebraData, action: LinearMap):
+        if action.domain.rank != hopf.rank * algebra.rank or \
                 action.codomain.rank != algebra.rank:
             raise DimensionMismatch("action must map H⊗A to A")
-        if b.ring != algebra.ring:
+        if hopf.ring != algebra.ring:
             raise RingMismatch("action structures over different rings")
         self.hopf = hopf
         self.algebra = algebra
@@ -90,7 +88,7 @@ class WeakActionData:
 
     @property
     def bialgebra(self):
-        return bialgebra_of(self.hopf)
+        return self.hopf.bialgebra
 
     @property
     def ring(self):
@@ -113,22 +111,21 @@ class WeakActionData:
         return tuple(out)
 
 
-def trivial_action(hopf: HopfLike, algebra: AlgebraData) -> WeakActionData:
+def trivial_action(hopf: HopfData, algebra: AlgebraData) -> WeakActionData:
     """h·a = ε(h)a."""
-    counit = bialgebra_of(hopf).coalgebra.counit
-    return WeakActionData(hopf, algebra, kron(counit, LinearMap.identity(algebra.carrier)))
+    return WeakActionData(hopf, algebra, kron(hopf.coalgebra.counit,
+                                              LinearMap.identity(algebra.carrier)))
 
 
-def action_from_endomorphisms(hopf: HopfLike, algebra: AlgebraData, images) -> WeakActionData:
+def action_from_endomorphisms(hopf: HopfData, algebra: AlgebraData, images) -> WeakActionData:
     """Action given per H-basis element as an endo-map column list of A."""
-    b = bialgebra_of(hopf)
     cols = []
-    for i in range(b.rank):
+    for i in range(hopf.rank):
         endo = images[i]
         for j in range(algebra.rank):
             cols.append(sparse_vector(algebra.carrier.vector(
                 endo.column(j) if isinstance(endo, LinearMap) else endo[j])))
-    action = LinearMap.from_sparse_columns(tensor_module(b.carrier, algebra.carrier),
+    action = LinearMap.from_sparse_columns(tensor_module(hopf.carrier, algebra.carrier),
                                            algebra.carrier, cols)
     return WeakActionData(hopf, algebra, action)
 
@@ -150,7 +147,7 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
     # h·1_A = ε(h)·1_A, on the sparse columns of the action
     act = w.action.sparse_columns()
     one_a = sparse_vector(A.unit)
-    eps = b.coalgebra.counit.matrix[0]
+    eps = b.coalgebra.counit_values()
     witness = next((b.carrier.label(i) for i in range(rH)
                     if combine_columns(ring, ((act[i * rA + s], c) for s, c in one_a))
                     != combine_columns(ring, [(one_a, eps[i])])), None)
@@ -175,12 +172,11 @@ class ComoduleAlgebraData:
     """A right H-comodule algebra: ϱ: B → B⊗H coassociative, counital,
     multiplicative, with ϱ(1) = 1⊗1."""
 
-    def __init__(self, hopf: HopfLike, algebra: AlgebraData, coaction: LinearMap):
-        b = bialgebra_of(hopf)
+    def __init__(self, hopf: HopfData, algebra: AlgebraData, coaction: LinearMap):
         if coaction.domain.rank != algebra.rank or \
-                coaction.codomain.rank != algebra.rank * b.rank:
+                coaction.codomain.rank != algebra.rank * hopf.rank:
             raise DimensionMismatch("coaction must map B to B⊗H")
-        if b.ring != algebra.ring:
+        if hopf.ring != algebra.ring:
             raise RingMismatch("comodule structures over different rings")
         self.hopf = hopf
         self.algebra = algebra
@@ -188,7 +184,7 @@ class ComoduleAlgebraData:
 
     @property
     def bialgebra(self):
-        return bialgebra_of(self.hopf)
+        return self.hopf.bialgebra
 
     @property
     def ring(self):
@@ -233,10 +229,9 @@ class ComoduleAlgebraData:
         return rep
 
 
-def regular_comodule(h: HopfLike) -> ComoduleAlgebraData:
+def regular_comodule(h: HopfData) -> ComoduleAlgebraData:
     """H as a right H-comodule algebra over itself via Δ."""
-    b = bialgebra_of(h)
-    return ComoduleAlgebraData(h, b.algebra, b.coalgebra.comult)
+    return ComoduleAlgebraData(h, h.algebra, h.coalgebra.comult)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .hopf import (
     HopfData,
     compute_antipode,
     compute_twisted_antipode,
-    ensure_hopf,
     matrix_algebra,
 )
 from .linalg import FreeModule, LinearMap, free_module, sparse_vector, tensor_module, unit_module
@@ -212,14 +211,14 @@ class CatalogEntry:
             self._payload = self._build()
         return self._payload
 
-    def hopf_data(self):
+    def hopf_data(self) -> HopfData:
         """The underlying Hopf algebra of any payload kind."""
         p = self.payload
         if self.kind == "hopf":
-            return ensure_hopf(p)
+            return p
         if self.kind == "crossed":
-            return ensure_hopf(p.action.hopf)
-        return ensure_hopf(p.comodule_algebra.hopf)
+            return p.action.hopf
+        return p.comodule_algebra.hopf
 
 
 def _sigma_single(action, i, j, value):

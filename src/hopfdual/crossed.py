@@ -37,10 +37,8 @@ from .hopf import (
     AlgebraData,
     AlgebraIso,
     ConvolutionAlgebra,
-    bialgebra_of,
     certify_algebra_iso,
     convolution_invert,
-    ensure_hopf,
     expand_sparse,
     opposite_hopf,
     tensor_coalgebra,
@@ -131,7 +129,7 @@ def cocycle_flags(action: WeakActionData, sigma: LinearMap) -> CocycleFlags:
     b = action.bialgebra
     ring, coalg = action.ring, b.coalgebra
     rH, rA, hmul, amul, act, sig = _tables(action, sigma)
-    eps = coalg.counit.matrix[0]
+    eps = coalg.counit_values()
     one_h = sparse_vector(b.algebra.unit)
     one_a = sparse_vector(action.algebra.unit)
     normal = all(
@@ -232,7 +230,7 @@ def trivial_sigma(action: WeakActionData) -> LinearMap:
     """σ = η_A∘(ε⊗ε): H⊗H → A, h⊗k ↦ ε(h)ε(k)1_A, not validated."""
     b, ring = action.bialgebra, action.ring
     one_a = sparse_vector(action.algebra.unit)
-    eps = [col[0][1] if col else ring.zero for col in b.coalgebra.counit.sparse_columns()]
+    eps = b.coalgebra.counit_values()
     cols = [combine_columns(ring, [(one_a, ring.mul(x, y))]) for x in eps for y in eps]
     return LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier),
                                          action.algebra.carrier, cols)
@@ -356,7 +354,7 @@ def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional
     """None when the coinvariants ``coin`` of A#_σH span exactly A⊗1, by
     membership in both directions; otherwise the inclusion that fails.
     ``build_crossed_product`` raises it, the crossed suite records it."""
-    b = bialgebra_of(cp.action.hopf)
+    b = cp.action.bialgebra
     A = cp.action.algebra
     ring = cp.ring
     expected = [kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
@@ -409,7 +407,7 @@ class CleftData:
 def integral_from_crossed(cp: CrossedProductData) -> CleftData:
     """θ(h) = 1_A#h with θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁), each term read
     off the sparse columns of σ⁻¹ and S."""
-    hopf = ensure_hopf(cp.action.hopf)
+    hopf = cp.action.hopf
     b = hopf.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -447,8 +445,7 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     rebuild A#_σH, and certify B ≅ A#_σH."""
     B_com = cl.comodule_algebra
     B = B_com.algebra
-    hopf = ensure_hopf(B_com.hopf)
-    b = hopf.bialgebra
+    b = B_com.bialgebra
     ring = B.ring
     rH = b.rank
     coin = coinvariants(B_com)
@@ -535,7 +532,7 @@ def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrosse
     """Build the H^op-crossed product on A^op with h·a := S̄(h)a and
     τ = σ⁻¹∘(S̄⊗S̄), and certify A#_σH ≅ (A^op#_τH^op)^op.  ``cleft`` is
     θ(h) = 1#h on ``cp``, ``integral_from_crossed(cp)``."""
-    hopf = ensure_hopf(cp.action.hopf)
+    hopf = cp.action.hopf
     hop = opposite_hopf(hopf)
     A = cp.action.algebra
     ring = cp.ring
@@ -580,7 +577,7 @@ def cleft_maps(cl: CleftData):
     """
     B_com = cl.comodule_algebra
     B = B_com.algebra
-    hopf = ensure_hopf(B_com.hopf)
+    hopf = B_com.hopf
     b = hopf.bialgebra
     ring = B.ring
     rH, rB = b.rank, B.rank

@@ -15,7 +15,7 @@ composition or tensor algebra is built to check an axiom.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DimensionMismatch,
@@ -213,6 +213,11 @@ class CoalgebraData:
     def counit_scalar(self, vec):
         return self.counit.apply(vec)[0]
 
+    def counit_values(self) -> tuple:
+        """(ε(h_0), …, ε(h_{r-1})), read off the counit's sparse columns."""
+        zero = self.ring.zero
+        return tuple(col[0][1] if col else zero for col in self.counit.sparse_columns())
+
     def sweedler_basis(self, i: int, legs: int):
         """Left-nested expansion of the basis element i into ``legs`` tensor legs.
 
@@ -344,14 +349,17 @@ class BialgebraData:
 
 
 class HopfData:
-    """A bialgebra with antipode and (optionally) a twisted antipode.
+    """A bialgebra with its antipode S and twisted antipode S̄.
 
     The twisted antipode is an antipode for the opposite algebra: it satisfies
-    Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁).
+    Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁).  Over a commutative ring the antipode of
+    a finitely generated projective Hopf algebra is bijective, so every valid
+    input has S̄ = S⁻¹; ``catalog.hopf_from_parts`` and the instance parser
+    compute it once when the input supplies none.
     """
 
     def __init__(self, bialgebra: BialgebraData, antipode: LinearMap,
-                 twisted_antipode: Optional[LinearMap] = None):
+                 twisted_antipode: LinearMap):
         if antipode.domain.rank != bialgebra.rank or antipode.codomain.rank != bialgebra.rank:
             raise DimensionMismatch("antipode must be an endo-map of the carrier")
         self.bialgebra = bialgebra
@@ -405,12 +413,11 @@ class HopfData:
         rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
         rep.extend(_anti_morphism_checks(self, self.antipode, cop,
                                          "hopf.antipode_anti", "antipode"))
-        if self.twisted_antipode is not None:
-            w = witness(self.twisted_antipode, cop)
-            rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
-                    w is None, w)
-            rep.extend(_anti_morphism_checks(self, self.twisted_antipode, cop,
-                                             "hopf.twisted_anti", "twisted antipode"))
+        w = witness(self.twisted_antipode, cop)
+        rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
+                w is None, w)
+        rep.extend(_anti_morphism_checks(self, self.twisted_antipode, cop,
+                                         "hopf.twisted_anti", "twisted antipode"))
         return rep
 
     def __eq__(self, other):
@@ -452,23 +459,6 @@ def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str,
     rep.add(f"{prefix}.coalgebra", f"{name} is a coalgebra anti-morphism",
             coalg_anti and counit_ok)
     return rep
-
-
-HopfLike = Union[BialgebraData, HopfData]
-
-
-def bialgebra_of(h: HopfLike) -> BialgebraData:
-    return h.bialgebra if isinstance(h, HopfData) else h
-
-
-def ensure_hopf(h: HopfLike) -> HopfData:
-    """Return ``h`` as HopfData, computing (twisted) antipodes if needed."""
-    if isinstance(h, HopfData):
-        if h.twisted_antipode is None:
-            return HopfData(h.bialgebra, h.antipode, compute_twisted_antipode(h.bialgebra))
-        return h
-    b = h
-    return HopfData(b, compute_antipode(b), compute_twisted_antipode(b))
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +554,15 @@ def convolution_invert(conv: ConvolutionAlgebra, f_vec):
     return x
 
 
-def compute_antipode(b: HopfLike) -> LinearMap:
+def compute_antipode(b: BialgebraData) -> LinearMap:
     """The antipode as the convolution inverse of the identity in Hom(H, H)."""
-    b = bialgebra_of(b)
     conv = ConvolutionAlgebra(b.coalgebra, b.algebra)
     x = convolution_invert(conv, map_to_vec(LinearMap.identity(b.carrier)))
     return conv.as_map(x)
 
 
-def compute_twisted_antipode(b: HopfLike) -> LinearMap:
+def compute_twisted_antipode(b: BialgebraData) -> LinearMap:
     """The antipode of the opposite algebra (same coalgebra), when it exists."""
-    b = bialgebra_of(b)
     conv = ConvolutionAlgebra(b.coalgebra, b.algebra.opposite())
     x = convolution_invert(conv, map_to_vec(LinearMap.identity(b.carrier)))
     return conv.as_map(x)
@@ -591,31 +579,23 @@ def dual_hopf(h: HopfData) -> HopfData:
     # (δ_i ⋆ δ_j)(h_k) = coefficient of h_i⊗h_j in Δ(h_k): every structure
     # map of H* is the transpose of one of H
     mult_d = transpose(h.coalgebra.comult, HdHd, Hd)
-    unit_d = tuple(h.coalgebra.counit.matrix[0])
+    unit_d = h.coalgebra.counit_values()
     comult_d = transpose(h.algebra.mult, Hd, HdHd)
     counit_d = transpose(h.algebra.unit_map(), Hd, unit_module(h.ring))
-    antipode_d = transpose(h.antipode, Hd, Hd)
-    twisted_d = (None if h.twisted_antipode is None
-                 else transpose(h.twisted_antipode, Hd, Hd))
     out = HopfData(
         BialgebraData(AlgebraData(Hd, mult_d, unit_d),
                       CoalgebraData(Hd, comult_d, counit_d)),
-        antipode_d,
-        twisted_d,
+        transpose(h.antipode, Hd, Hd),
+        transpose(h.twisted_antipode, Hd, Hd),
     )
     out.validate("dual").require()
     return out
 
 
-def opposite_bialgebra(b: HopfLike) -> BialgebraData:
-    b = bialgebra_of(b)
-    return BialgebraData(b.algebra.opposite(), b.coalgebra)
-
-
 def opposite_hopf(h: HopfData) -> HopfData:
     """H^op as a Hopf algebra: its antipode is the twisted antipode of H."""
-    h = ensure_hopf(h)
-    return HopfData(opposite_bialgebra(h), h.twisted_antipode, h.antipode)
+    return HopfData(BialgebraData(h.algebra.opposite(), h.coalgebra),
+                    h.twisted_antipode, h.antipode)
 
 
 def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:

@@ -396,7 +396,7 @@ def export_entry(entry: CatalogEntry) -> dict:
         "mult": _map_to_quads(ring, hopf.algebra.mult, hopf.rank),
         "unit": [ring.show(x) for x in hopf.algebra.unit],
         "comult": _coaction_to_quads(ring, hopf.coalgebra.comult, hopf.rank),
-        "counit": [ring.show(x) for x in hopf.coalgebra.counit.matrix[0]],
+        "counit": [ring.show(x) for x in hopf.coalgebra.counit_values()],
         "antipode": _show_matrix(ring, hopf.antipode),
         "twisted_antipode": _show_matrix(ring, hopf.twisted_antipode),
     }

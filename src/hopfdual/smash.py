@@ -17,12 +17,14 @@ basis map of Hom(H,B), the U-coordinates of (u_l·h)⋆u_m read off U's closure
 witnesses, the nonzero a_i(h₁·a_k)) is computed once per call, and every
 column is a sum of table entries.  Every builder then certifies its result
 with ``AlgebraData.validate``, whose associativity check is index arithmetic
-on the same sparse table; the ``smash.left`` record certifies that A#H is the
-trivial-cocycle crossed product.
+on the same sparse table, and returns that validated ``AlgebraData``.  The
+validation subject names the table (``#(H,B)``, ``#op(H,B)``, ``B#U``,
+``B#opU``, ``A#H``), so a failure witness says which table failed.  Every
+builder takes H as its ``HopfData``; the ``smash.left`` record certifies that
+A#H is the trivial-cocycle crossed product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 
@@ -36,15 +38,7 @@ from .actions import (
 from .catalog import ground_algebra
 from .crossed import trivial_sigma, twisted_module_identity
 from .errors import SideMismatch, ValidationError
-from .hopf import (
-    AlgebraData,
-    ConvolutionAlgebra,
-    HopfData,
-    HopfLike,
-    bialgebra_of,
-    dual_hopf,
-    ensure_hopf,
-)
+from .hopf import AlgebraData, ConvolutionAlgebra, HopfData, dual_hopf
 from .linalg import (
     FreeModule,
     LinearMap,
@@ -58,7 +52,6 @@ from .linalg import (
     split_coefficient_map,
     tensor_module,
 )
-from .reporting import ValidationReport
 
 
 class ModuleSide(Enum):
@@ -70,26 +63,25 @@ class SubalgebraU:
     """A spanning list of functionals in H* closed under ⋆ and the regular
     H-action of the declared side, containing ε, spanning a direct summand."""
 
-    def __init__(self, hopf: HopfLike, elements, side: ModuleSide):
-        b = bialgebra_of(hopf)
-        ring = b.ring
+    def __init__(self, hopf: HopfData, elements, side: ModuleSide):
+        ring = hopf.ring
         self.hopf = hopf
         self.side = side
-        self.ambient = dual_module(b.carrier)
+        self.ambient = dual_module(hopf.carrier)
         self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
         for v in self.elements:
-            if len(v) != b.rank:
+            if len(v) != hopf.rank:
                 raise ValidationError("U element has wrong length")
-        self._split = split_coefficient_map(ring, self.elements, b.rank)
+        self._split = split_coefficient_map(ring, self.elements, hopf.rank)
         if self._split is None:
             raise ValidationError(
                 "span(U) is not a direct summand of H* with independent generators")
         self.module = FreeModule(ring, len(self.elements), "u{}".format)
         self.inclusion = LinearMap.from_sparse_columns(self.module, self.ambient,
                                                        map(sparse_vector, self.elements))
-        self.dual_algebra = ConvolutionAlgebra(b.coalgebra,
+        self.dual_algebra = ConvolutionAlgebra(hopf.coalgebra,
                                                ground_algebra(ring)).algebra()
-        self.eps_coords = self.express(tuple(b.coalgebra.counit.matrix[0]))
+        self.eps_coords = self.express(hopf.coalgebra.counit_values())
         if self.eps_coords is None:
             raise ValidationError("ε_H is not in span(U)")
         self.star_witness = {}
@@ -101,8 +93,8 @@ class SubalgebraU:
                 self.star_witness[i, j] = coords
         self.action_witness = {}
         for i in range(self.rank):
-            for j in range(b.rank):
-                coords = self.express(self.act_regular(i, b.carrier.basis_vector(j)))
+            for j in range(hopf.rank):
+                coords = self.express(self.act_regular(i, hopf.carrier.basis_vector(j)))
                 if coords is None:
                     raise ValidationError(
                         f"U is not closed under the {side.value} regular action")
@@ -126,45 +118,27 @@ class SubalgebraU:
                            self.side is ModuleSide.LEFT)
 
     @classmethod
-    def full_dual(cls, hopf: HopfLike, side: ModuleSide = ModuleSide.RIGHT) -> "SubalgebraU":
-        b = bialgebra_of(hopf)
-        basis = [b.carrier.basis_vector(i) for i in range(b.rank)]
+    def full_dual(cls, hopf: HopfData, side: ModuleSide = ModuleSide.RIGHT) -> "SubalgebraU":
+        basis = [hopf.carrier.basis_vector(i) for i in range(hopf.rank)]
         return cls(hopf, basis, side)
 
 
-class SmashKind(Enum):
-    HAT_HB = "#(H,B)"
-    RIGHT_SMASH = "B#U"
-    LEFT_SMASH = "A#H"
-    OP_HAT_HB = "#op(H,B)"
-    OP_SMASH = "B#opU"
+def _validated(subject: str, alg: AlgebraData) -> AlgebraData:
+    alg.validate(subject).require()
+    return alg
 
 
-@dataclass
-class SmashAlgebra:
-    kind: SmashKind
-    carrier: FreeModule
-    product: AlgebraData
-    provenance: dict = field(default_factory=dict)
-
-
-def _validated(kind: SmashKind, alg: AlgebraData, provenance) -> SmashAlgebra:
-    alg.validate(kind.value).require()
-    return SmashAlgebra(kind, alg.carrier, alg, provenance)
-
-
-def hat_smash(hopf: HopfLike, B: ComoduleAlgebraData) -> SmashAlgebra:
+def hat_smash(hopf: HopfData, B: ComoduleAlgebraData) -> AlgebraData:
     """#(H,B) = (Hom_R(H,B), ⋆̂) with unit η_B∘ε_H."""
-    return _hom_smash(hopf, B, SmashKind.HAT_HB)
+    return _hom_smash(hopf, B, False)
 
 
-def op_hat_smash(hopf: HopfLike, B: ComoduleAlgebraData) -> SmashAlgebra:
+def op_hat_smash(hopf: HopfData, B: ComoduleAlgebraData) -> AlgebraData:
     """#^op(H,B) = (Hom_R(H,B), ⋆̃) with the same unit."""
-    return _hom_smash(hopf, B, SmashKind.OP_HAT_HB)
+    return _hom_smash(hopf, B, True)
 
 
-def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
-               kind: SmashKind) -> SmashAlgebra:
+def _hom_smash(hopf: HopfData, B: ComoduleAlgebraData, op: bool) -> AlgebraData:
     """#(H,B) or #^op(H,B) by index arithmetic, column (f, g) for the basis
     maps f = [h_fj ↦ b_fi] and g = [h_gj ↦ b_gi].
 
@@ -174,18 +148,16 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
     H-index x of the other map; each column then scales B-products b_fi·b₀
     (op: b₀·b_gi) read off the sparse multiplication table.
     """
-    b = bialgebra_of(hopf)
-    ring = b.ring
+    ring = hopf.ring
     zero, mul, add = ring.zero, ring.mul, ring.add
-    rH, rB = b.rank, B.algebra.rank
-    carrier = hom_module(b.carrier, B.algebra.carrier)
-    hcols = b.algebra.mult.sparse_columns()
+    rH, rB = hopf.rank, B.algebra.rank
+    carrier = hom_module(hopf.carrier, B.algebra.carrier)
+    hcols = hopf.algebra.mult.sparse_columns()
     bcols = B.algebra.mult.sparse_columns()
-    op = kind is SmashKind.OP_HAT_HB
     coact = [legs(col, rH) for col in B.coaction.sparse_columns()]
     by_h2 = [[] for _ in range(rH)]  # Δ(h_t) = Σ c·h_t1⊗h_t2, grouped by t2
     for t in range(rH):
-        for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
+        for c, (t1, t2) in hopf.coalgebra.sweedler_basis(t, 2):
             by_h2[t2].append((t, t1, c))
 
     def terms(ci, cj):
@@ -209,46 +181,42 @@ def _hom_smash(hopf: HopfLike, B: ComoduleAlgebraData,
                             acc[pos] = add(acc.get(pos, zero), mul(s, bv))
                     cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = kron_vec(ring, B.algebra.unit, b.coalgebra.counit.matrix[0])
-    alg = AlgebraData(carrier, mult, unit)
-    return _validated(kind, alg, {"H": hopf, "B": B})
+    unit = kron_vec(ring, B.algebra.unit, hopf.coalgebra.counit_values())
+    return _validated("#op(H,B)" if op else "#(H,B)", AlgebraData(carrier, mult, unit))
 
 
-def right_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> SmashAlgebra:
+def right_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> AlgebraData:
     """B#U on B⊗U: (b#f)(b̃#f̃) = Σ b·b̃₍₀₎ # (f·b̃₍₁₎)⋆f̃, unit 1_B#ε."""
     if U.side is not ModuleSide.RIGHT:
         raise SideMismatch("right smash needs a right H-module subalgebra U")
-    return _coordinate_smash(B, U, SmashKind.RIGHT_SMASH)
+    return _coordinate_smash(B, U, False)
 
 
-def op_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> SmashAlgebra:
+def op_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> AlgebraData:
     """B#^opU on B⊗U: (b#f)(b̃#f̃) = Σ b₍₀₎·b̃ # (b₍₁₎·f̃)⋆f, unit 1_B#ε."""
     if U.side is not ModuleSide.LEFT:
         raise SideMismatch("opposite smash needs a left H-module subalgebra U")
-    return _coordinate_smash(B, U, SmashKind.OP_SMASH)
+    return _coordinate_smash(B, U, True)
 
 
-def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
-                      kind: SmashKind) -> SmashAlgebra:
+def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU, op: bool) -> AlgebraData:
     """B#U or B#^opU by index arithmetic.  Column (b_i#u_l)(b_k#u_m) sums,
     over the coaction terms c·b₀⊗h_{b₁} of b_k (op: of b_i), c times the
     B-product b_i·b₀ (op: b₀·b_k) read off the sparse multiplication table,
     tensored with the U-coordinates of (u_l·h_{b₁})⋆u_m (op: (h_{b₁}·u_m)⋆u_l),
     once per (l, b₁, m): Σ_s (u_l·h_{b₁})_s·(u_s⋆u_m) over U's closure
     witnesses, since ⋆ is bilinear and U's generators are independent."""
-    b = bialgebra_of(B.hopf)
-    ring = b.ring
+    ring, rH = B.ring, B.hopf.rank
     zero, mul, add = ring.zero, ring.mul, ring.add
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
-    coact = [legs(col, b.rank) for col in B.coaction.sparse_columns()]
-    op = kind is SmashKind.OP_SMASH
+    coact = [legs(col, rH) for col in B.coaction.sparse_columns()]
     stars = {key: sparse_vector(v) for key, v in U.star_witness.items()}
     uparts = {(l, b1, m): combine_columns(ring, (
         (stars[s, l if op else m], c)
         for s, c in sparse_vector(U.action_witness[m if op else l, b1])))
-        for l, b1, m in product(range(rU), range(b.rank), range(rU))}
+        for l, b1, m in product(range(rU), range(rH), range(rU))}
     cols = []
     for i in range(rB):
         for l in range(rU):
@@ -265,11 +233,10 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU,
                     cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
-    alg = AlgebraData(carrier, mult, unit)
-    return _validated(kind, alg, {"B": B, "U": U})
+    return _validated("B#opU" if op else "B#U", AlgebraData(carrier, mult, unit))
 
 
-def left_smash(action: WeakActionData) -> SmashAlgebra:
+def left_smash(action: WeakActionData) -> AlgebraData:
     """A#H for a genuine module-algebra action (the twisted-module identity
     with σ = η∘(ε⊗ε)): the crossed product with that σ, as ``smash.left``
     certifies.
@@ -315,38 +282,30 @@ def left_smash(action: WeakActionData) -> SmashAlgebra:
                     acc[pos] = add(acc.get(pos, zero), mul(av, hc))
         cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
-    alg = AlgebraData(carrier, mult,
-                      kron_vec(ring, A.unit, b.algebra.unit))
-    return _validated(SmashKind.LEFT_SMASH, alg, {"action": action})
+    return _validated("A#H", AlgebraData(carrier, mult,
+                                         kron_vec(ring, A.unit, b.algebra.unit)))
 
 
 def hit_action_of_dual(h: HopfData) -> WeakActionData:
     """H as a left H*-module algebra under f⇀k = Σ k₁f(k₂) (``actions.hit``):
     column δ_l⊗h_j is Σ c·h_k₁ over the terms c·h_k₁⊗h_l of Δ(h_j)."""
-    dual = dual_hopf(ensure_hopf(h))
-    b = bialgebra_of(h)
-    cols = [[] for _ in range(b.rank * b.rank)]
-    for j in range(b.rank):
-        for c, (k1, k2) in b.coalgebra.sweedler_basis(j, 2):
-            cols[k2 * b.rank + j].append((k1, c))
-    action = LinearMap.from_sparse_columns(tensor_module(dual.carrier, b.carrier),
-                                           b.carrier, cols)
-    w = WeakActionData(dual.bialgebra, b.algebra, action)
+    dual = dual_hopf(h)
+    cols = [[] for _ in range(h.rank * h.rank)]
+    for j in range(h.rank):
+        for c, (k1, k2) in h.coalgebra.sweedler_basis(j, 2):
+            cols[k2 * h.rank + j].append((k1, c))
+    action = LinearMap.from_sparse_columns(tensor_module(dual.carrier, h.carrier),
+                                           h.carrier, cols)
+    w = WeakActionData(dual, h.algebra, action)
     validate_weak_action(w, "hit action of the dual").require()
     return w
 
 
-def smash_compare(h: HopfData, report_subject: str = "smash comparison") -> ValidationReport:
+def smash_compare(h: HopfData) -> bool:
     """The two algebra structures on H⊗H*: the left smash for the hit action
     of H* and the right smash for Δ and the right regular action.  At finite
-    free rank their structure constants must be equal outright."""
-    rep = ValidationReport(report_subject)
-    h = ensure_hopf(h)
+    free rank their structure constants must be equal outright; a table that
+    fails its own validation raises."""
     left = left_smash(hit_action_of_dual(h))
-    U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-    right = right_smash(regular_comodule(h), U)
-    same = (left.product.mult == right.product.mult
-            and left.product.unit == right.product.unit)
-    rep.add("smash.compare", "left and right smash structure constants on H⊗H* "
-            "are identical", same)
-    return rep
+    right = right_smash(regular_comodule(h), SubalgebraU.full_dual(h, ModuleSide.RIGHT))
+    return left.mult == right.mult and left.unit == right.unit

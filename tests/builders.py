@@ -18,7 +18,7 @@ from hopfdual.catalog import (
 )
 from hopfdual.actions import regular_comodule
 from hopfdual.duality import build_diagram, lambda_map
-from hopfdual.hopf import BialgebraData, HopfData, HopfLike, bialgebra_of, ensure_hopf
+from hopfdual.hopf import BialgebraData, HopfData
 from hopfdual.instancefile import export_entry
 from hopfdual.linalg import (
     FreeModule,
@@ -36,9 +36,8 @@ class FunctionalSpan:
     guarantees of :class:`SubalgebraU`.  Enough for the raw map builders
     (α, χ, λ, ρ) and for negative controls that need an invalid U."""
 
-    def __init__(self, hopf: HopfLike, elements, side: ModuleSide = ModuleSide.RIGHT):
-        b = bialgebra_of(hopf)
-        ring = b.ring
+    def __init__(self, hopf: HopfData, elements, side: ModuleSide = ModuleSide.RIGHT):
+        ring = hopf.ring
         self.hopf = hopf
         self.side = side
         self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
@@ -55,7 +54,7 @@ class FunctionalSpan:
 def side_objects(cp, U):
     """B#U of ``cp.comodule``, H#U of the regular comodule and λ for a right
     U; B#^opU, H#^opU and λ̄ for a left one."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     smash = right_smash if U.side is ModuleSide.RIGHT else op_smash
     return smash(cp.comodule, U), smash(regular_comodule(h), U), lambda_map(h, U)
 
@@ -65,10 +64,11 @@ def diagram(cp, U, side):
     return build_diagram(cp, U, side, *side_objects(cp, U))
 
 
-def lambda_coordinates(hopf: HopfLike, U):
+def lambda_coordinates(hopf: HopfData, U):
     """The ``span_coordinates`` factorization of λ (λ̄ for a left U)."""
     lam = lambda_map(hopf, U)
-    return span_coordinates(bialgebra_of(hopf).ring, zip(*lam.matrix), lam.codomain.rank)
+    return span_coordinates(hopf.ring, map(lam.column, range(lam.domain.rank)),
+                            lam.codomain.rank)
 
 
 def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:

@@ -137,9 +137,7 @@ from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch, Vali
 from hopfdual.hopf import (
     AlgebraData,
     ConvolutionAlgebra,
-    bialgebra_of,
     dual_hopf,
-    ensure_hopf,
     expand_sparse,
     tensor_algebra,
 )
@@ -159,7 +157,7 @@ from hopfdual.linalg import (
     unit_module,
 )
 from hopfdual.reporting import ValidationReport
-from hopfdual.smash import ModuleSide, SmashKind
+from hopfdual.smash import ModuleSide
 from hopfdual.rings import QQ, ZZ, ModularRing, RationalRing, Ring, Zmod
 
 RINGS = (ZZ, QQ, Zmod(6))
@@ -403,7 +401,7 @@ def regular_act_right(h, f_vec, h_vec):
 
 
 def _regular_act(h, h_vec, f_vec, column):
-    b = bialgebra_of(h)
+    b = h.bialgebra
     ring, r, mult = b.ring, b.rank, b.algebra.mult.matrix
     out = [ring.zero] * r
     for l in range(r):
@@ -533,7 +531,7 @@ def gamma_map(cp, U, side):
     Right: (k⊗1) ↦ Σ h₄(f⇀k₃) ⊗ [S̄(h₃k₂)a]σ(S̄(h₂k₁)⊗h₁)
     Op:    (1⊗k) ↦ Σ [k₁a]σ(k₂⊗h₁) ⊗ (f⇀k₃)h₂
     """
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -610,7 +608,7 @@ def delta_map(cp, U, side):
     Right: k ↦ Σ σ⁻¹(h₂k₄⊗S̄(h₁k₃))[(h₃k₅)a]σ(h₄k₆⊗S̄(k₂)) # h₅(f⇀k₇)S̄(k₁)
     Op:    k ↦ Σ σ⁻¹(S(k₄)⊗k₅)[S(k₃)a]σ(S(k₂)⊗k₆h₁) # S(k₁)(f⇀k₇)h₂
     """
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -684,7 +682,7 @@ def _scatter_hom(out, ring, c, apart, hpart, rH, t):
 def nu_map(cp):
     """ν: A#_σH → H⊗A, a#h ↦ Σ h₄ ⊗ [S̄(h₃)a]σ(S̄(h₂)⊗h₁), one dense action,
     σ-evaluation and A-product per term."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -716,7 +714,7 @@ def pi_map(cp, side, g_left=True):
     oracle above), π̄(g)(1⊗k) = Σ (1#k₁)·g(k₂) (op), term by term and g by
     g.  On the right the product is taken with g(k₅) on the left
     (``g_left``) or on the right."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -759,7 +757,7 @@ def pi_map(cp, side, g_left=True):
 def chi_map(hopf, A, U, side):
     """χ(a⊗(h#f)) = [k⊗ã ↦ h(f⇀k)⊗aã] (right) or [ã⊗k ↦ ãa⊗(f⇀k)h] (op),
     with f⇀k and the H-product recomputed for every column."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring = b.ring
     rH, rA, rU = b.rank, A.rank, U.rank
     dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
@@ -803,9 +801,8 @@ def _sweedler_columns(b, vals, rank, algebra, pair, k_of):
     return cols
 
 
-def phi_maps(hopf, side):
+def phi_maps(h, side):
     """(φ₁, φ₂) (right) or (φ̄₁, φ̄₂) (op) from the columns above, uncertified."""
-    h = ensure_hopf(hopf)
     b = h.bialgebra
     end_mod = hom_module(b.carrier, b.carrier)
     anti = h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode
@@ -816,9 +813,8 @@ def phi_maps(hopf, side):
         for k_of in (b.carrier.basis_vector, anti.column))
 
 
-def epsilon_maps(hopf, A, side):
+def epsilon_maps(h, A, side):
     """(ε, ε⁻¹) (right) or (ε̄, ε̄⁻¹) (op) from the columns above, uncertified."""
-    h = ensure_hopf(hopf)
     b = h.bialgebra
     ring = b.ring
     hom_src = hom_module(b.carrier, tensor_module(A.carrier, b.carrier))
@@ -1001,15 +997,14 @@ def validate_hopf(h, subject="hopf"):
     rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
     rep.extend(anti_morphism_checks(h, S, mult_op, comult_cop,
                                     "hopf.antipode_anti", "antipode"))
-    if h.twisted_antipode is not None:
-        Sb = h.twisted_antipode
-        lhs = mult @ linalg.kron(Sb, ident) @ comult_cop
-        rhs = mult @ linalg.kron(ident, Sb) @ comult_cop
-        w = map_witness(lhs, eta_eps, H.labels) or map_witness(rhs, eta_eps, H.labels)
-        rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
-                w is None, w)
-        rep.extend(anti_morphism_checks(h, Sb, mult_op, comult_cop,
-                                        "hopf.twisted_anti", "twisted antipode"))
+    Sb = h.twisted_antipode
+    lhs = mult @ linalg.kron(Sb, ident) @ comult_cop
+    rhs = mult @ linalg.kron(ident, Sb) @ comult_cop
+    w = map_witness(lhs, eta_eps, H.labels) or map_witness(rhs, eta_eps, H.labels)
+    rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
+            w is None, w)
+    rep.extend(anti_morphism_checks(h, Sb, mult_op, comult_cop,
+                                    "hopf.twisted_anti", "twisted antipode"))
     return rep
 
 
@@ -1106,7 +1101,7 @@ def coact_terms(B, i):
 def hat_smash(hopf, B):
     """The #(H,B) structure constants, one Sweedler and coaction term at a
     time, every B-product recomputed (not validated)."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring = b.ring
     rH, rB = b.rank, B.algebra.rank
     carrier = hom_module(b.carrier, B.algebra.carrier)
@@ -1148,7 +1143,7 @@ def hat_smash(hopf, B):
 
 def op_hat_smash(hopf, B):
     """The #^op(H,B) structure constants, term by term (not validated)."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring = b.ring
     rH = b.rank
     carrier = hom_module(b.carrier, B.algebra.carrier)
@@ -1184,10 +1179,10 @@ def op_hat_smash(hopf, B):
     return AlgebraData(carrier, mult, hat_smash(hopf, B).unit)
 
 
-def coordinate_smash(B, U, kind):
-    """B#U (kind RIGHT_SMASH) or B#^opU (OP_SMASH), every regular action,
+def coordinate_smash(B, U, op):
+    """B#U (``op`` false) or B#^opU (``op`` true), every regular action,
     ⋆-product and U-coordinate recomputed per term (not validated)."""
-    b = bialgebra_of(B.hopf)
+    b = B.hopf.bialgebra
     ring = b.ring
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
@@ -1199,7 +1194,7 @@ def coordinate_smash(B, U, kind):
             for k in range(rB):
                 for m in range(rU):
                     out = [ring.zero] * carrier.rank
-                    if kind is SmashKind.RIGHT_SMASH:
+                    if not op:
                         # Σ over ϱ(b̃): b·b̃₍₀₎ ⊗ (f·b̃₍₁₎)⋆f̃
                         for b0, b1, c in coact_terms(B, k):
                             bpart = B.algebra.product(
@@ -1252,7 +1247,7 @@ def subalgebra_express(U, vec):
 def theta_inverse(cp):
     """θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁) for θ(h) = 1#h, one dense
     σ⁻¹-evaluation and Kronecker product per term."""
-    hopf = ensure_hopf(cp.action.hopf)
+    hopf = cp.action.hopf
     b = hopf.bialgebra
     ring = cp.ring
     S = hopf.antipode
@@ -1281,7 +1276,7 @@ def _cleft_express(cl):
         if coords is None:
             raise ValidationError("value escapes the coinvariants")
         return coords
-    return B_com.algebra, ensure_hopf(B_com.hopf), coin, express
+    return B_com.algebra, B_com.hopf, coin, express
 
 
 def extracted_action_and_sigma(cl):
@@ -1586,19 +1581,18 @@ def left_smash_indexed(action):
     return mult
 
 
-def coordinate_smash_indexed(B, U, kind):
+def coordinate_smash_indexed(B, U, op):
     """B#U or B#^opU's table as the library built it before it read U's
     closure witnesses: the U-coordinates of (u_l·h_{b₁})⋆u_m (op:
     (h_{b₁}·u_m)⋆u_l) by one regular action, one ⋆-product and one
     ``express`` per (l, b₁, m) as reached (not validated)."""
-    b = bialgebra_of(B.hopf)
+    b = B.hopf.bialgebra
     ring = b.ring
     zero, mul, add = ring.zero, ring.mul, ring.add
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
     coact = [linalg.legs(col, b.rank) for col in B.coaction.sparse_columns()]
-    op = kind is SmashKind.OP_SMASH
 
     @cache
     def upart(l, b1, m):
@@ -1625,8 +1619,8 @@ def coordinate_smash_indexed(B, U, kind):
 def hit_action_of_dual(h):
     """The action map H*⊗H → H, f⇀k = Σ k₁f(k₂), column (δ_l, h_j) summed
     over the terms of Δ(h_j) whose second leg is h_l."""
-    dual = dual_hopf(ensure_hopf(h))
-    b = bialgebra_of(h)
+    dual = dual_hopf(h)
+    b = h.bialgebra
     ring = b.ring
     rH = b.rank
     cols = []
@@ -1852,7 +1846,7 @@ def first_outside(ring, gens, m):
 def rl_check(hopf, U, V):
     """λ(ξ) = ρ(g) solved for each g in V (λ̄ for a left U), λ factored
     afresh for each g."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring = b.ring
     lam = duality.lambda_map(hopf, U)
     witnesses, failures = [], []
@@ -1877,7 +1871,7 @@ def rl_check(hopf, U, V):
 def compat_maps(cp, side):
     """φ, ψ (right) or φ̄, ψ̄ (op) with one dense σ, σ⁻¹, action and A-product
     per Sweedler term."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
@@ -1949,7 +1943,7 @@ def compat_maps(cp, side):
 def compat_records(cp, U, V, side):
     """(φ-witness, ψ-witness, RL failures, RL witnesses) of the compatibility
     check, from the maps and solves above."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     A = cp.action.algebra
     ring = cp.ring
     phi, psi = compat_maps(cp, side)
@@ -1994,8 +1988,7 @@ def coaction_rows(h, side):
     return rows
 
 
-def coaction_table(hopf, side):
-    h = ensure_hopf(hopf)
+def coaction_table(h, side):
     b = h.bialgebra
     rows = coaction_rows(h, side)
     Hd = dual_module(b.carrier)
@@ -2183,7 +2176,7 @@ def hom_scatter(out, ring, c, value, rank, t):
 
 def lambda_map(hopf, U):
     """λ (λ̄ for a left U), each column summed in a dense Hom(H, H) list."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring, rH = b.ring, b.rank
     right = U.side is ModuleSide.RIGHT
     end_mod = hom_module(b.carrier, b.carrier)
@@ -2204,7 +2197,7 @@ def lambda_map(hopf, U):
 
 def alpha_map(hopf, A, U):
     """α, each column written into a dense Hom(H, A⊗H) list."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     ring, rH = b.ring, b.rank
     ah = tensor_module(A.carrier, b.carrier)
     cod = hom_module(b.carrier, ah)
@@ -2221,7 +2214,7 @@ def alpha_map(hopf, A, U):
 
 def _tabulated(cp, U, dom, cod, k_legs, add_term):
     """``duality._tabulated`` contracting each f into a dense list."""
-    b = bialgebra_of(cp.action.hopf)
+    b = cp.action.hopf.bialgebra
     ring, rH = cp.ring, b.rank
     width = cod.rank // rH
     live = {k for f in U.elements for k, x in enumerate(f) if x}
@@ -2305,7 +2298,7 @@ def coinvariant_inclusion(c):
 def action_map(hopf, algebra, images):
     """``action_from_endomorphisms``: the dense image columns, each through
     ``FreeModule.vector``."""
-    b = bialgebra_of(hopf)
+    b = hopf.bialgebra
     cols = [algebra.carrier.vector(endo.column(j) if hasattr(endo, "column") else endo[j])
             for endo in images[:b.rank] for j in range(algebra.rank)]
     return DenseMap.from_columns(tensor_module(b.carrier, algebra.carrier),
@@ -2341,7 +2334,7 @@ def subalgebra_inclusion(U):
 
 def integral(cp):
     """θ(h) = 1_A#h from the dense Kronecker products."""
-    b = ensure_hopf(cp.action.hopf).bialgebra
+    b = cp.action.hopf.bialgebra
     A = cp.action.algebra
     return DenseMap.from_columns(b.carrier, cp.carrier,
                                  [kron_vec(cp.ring, A.unit, b.carrier.basis_vector(j))
@@ -2365,7 +2358,7 @@ def extracted_product_and_iso(cl, crossed):
 def opposite_iso(cp, cleft):
     """G: (A^op#_τH^op)^op → A#_σH, a⊗h ↦ θ⁻¹(S̄(h))·(a#1), from dense
     products (the domain is read as A⊗H: only its rank matters here)."""
-    hopf = ensure_hopf(cp.action.hopf)
+    hopf = cp.action.hopf
     A, b, ring = cp.action.algebra, hopf.bialgebra, cp.ring
     Sbar = hopf.twisted_antipode
     cols = []

@@ -48,7 +48,6 @@ from hopfdual.hopf import (
     compute_twisted_antipode,
     convolution_invert,
     endomorphism_algebra,
-    ensure_hopf,
     validate_hopf,
 )
 from hopfdual.linalg import (
@@ -88,7 +87,7 @@ def diagrams(crossed_products):
     """Both-side diagrams and certified duality isos, built once."""
     out = {}
     for name, cp in crossed_products.items():
-        h = ensure_hopf(cp.action.hopf)
+        h = cp.action.hopf
         for side, mside in ((DiagramSide.RIGHT, ModuleSide.RIGHT),
                             (DiagramSide.OP, ModuleSide.LEFT)):
             U = SubalgebraU.full_dual(h, mside)
@@ -107,7 +106,7 @@ def test_01_hopf_validation():
     h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
     bad = map_from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0)] * 2)
-    rep = validate_hopf(HopfData(h.bialgebra, bad))
+    rep = validate_hopf(HopfData(h.bialgebra, bad, h.twisted_antipode))
     failures = {r.check_id: r.witness for r in rep.failures()}
     assert "hopf.antipode" in failures and failures["hopf.antipode"] == "g"
     verdict(1, "all catalog entries pass every axiom; the mutated antipode "
@@ -170,16 +169,16 @@ def test_03_unit_associativity_biconditional(crossed_products):
 
 def test_04_phi_and_lambda_isomorphisms():
     for name in HOPF_ENTRIES:
-        h = ensure_hopf(get(name).payload)
+        h = get(name).payload
         assert h.rank <= 4
         phi_maps(h, DiagramSide.RIGHT)   # raises unless inverse+multiplicative
         phi_maps(h, DiagramSide.OP)
         U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
         UL = SubalgebraU.full_dual(h, ModuleSide.LEFT)
         end = endomorphism_algebra(h.carrier)
-        certify_algebra_iso(right_smash(regular_comodule(h), U).product,
+        certify_algebra_iso(right_smash(regular_comodule(h), U),
                             end, lambda_map(h, U), "λ")
-        certify_algebra_iso(op_smash(regular_comodule(h), UL).product,
+        certify_algebra_iso(op_smash(regular_comodule(h), UL),
                             end.opposite(), lambda_map(h, UL), "λ̄")
     verdict(4, "φ pairs are mutually inverse and multiplicative; λ and λ̄ are "
                "unital algebra isomorphisms for U = H* on every catalog "
@@ -189,7 +188,7 @@ def test_04_phi_and_lambda_isomorphisms():
 def test_05_left_right_smash_agree():
     for maker in (lambda: group_algebra(ZZ, 2), lambda: group_algebra(QQ, 3),
                   lambda: sweedler_hopf(QQ)):
-        assert smash_compare(ensure_hopf(maker())).ok
+        assert smash_compare(maker())
     verdict(5, "left- and right-smash structure constants coincide on H⊗H* "
                "for Z[C2], Q[C3] and the rank-4 algebra over Q")
 
@@ -197,7 +196,7 @@ def test_05_left_right_smash_agree():
 def test_06_epsilon_conjugation(crossed_products):
     seen = set()
     for name, cp in crossed_products.items():
-        h = ensure_hopf(cp.action.hopf)
+        h = cp.action.hopf
         key = (repr(cp.ring), h.rank, cp.action.algebra.rank)
         if key in seen:
             continue
@@ -240,7 +239,7 @@ def test_09_matrix_algebra_route(crossed_products, diagrams):
         assert res.iso.map.codomain.rank == n * n
     # negative control: a rank-2 span of index 2 in H* gives det(χ) = ±4
     cp = crossed_products["triv_C2"]
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     span = FunctionalSpan(h, [(1, 1), (1, -1)])
     chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible) as exc:
@@ -273,7 +272,7 @@ def test_11_cleft_round_trips(crossed_products, diagrams):
     for name, cp in crossed_products.items():
         cl = integral_from_crossed(cp)
         # θ⁻¹ equals the convolution inverse of θ
-        conv = ConvolutionAlgebra(ensure_hopf(cp.action.hopf).coalgebra,
+        conv = ConvolutionAlgebra(cp.action.hopf.coalgebra,
                                   cp.product_algebra)
         flat = tuple(x for row in cl.theta.matrix for x in row)
         assert convolution_invert(conv, flat) == \

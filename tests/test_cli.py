@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import entries_equal
+from builders import cyclic_document, entries_equal
 from hopfdual import suites
 from hopfdual.cli import main
 from hopfdual.catalog import get, list_entries
@@ -341,3 +341,14 @@ def test_names_that_format_alike_verify_like_plain_names(tmp_path, capsys):
         return [(check_id, passed) for check_id, passed, _ in records(report)]
 
     assert verdicts(odd) == verdicts(plain)
+
+
+def test_an_input_without_antipodes_verifies(capsys):
+    # R[C4] over Z/5 with no antipode blocks: construction computes S and S̄
+    # once, and the hopf suite checks S̄ against the inverse of S
+    path = FIXTURES / "cyclic_c4_z5.json"
+    doc = json.loads(path.read_text())
+    assert doc == cyclic_document(4, 5)
+    assert not {"antipode", "twisted_antipode"} & set(doc["hopf"])
+    assert main(["verify", str(path), "--suite", "all"]) == 0
+    assert "PASS  hopf.twisted_vs_inverse" in capsys.readouterr().out

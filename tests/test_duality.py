@@ -67,7 +67,6 @@ from hopfdual.hopf import (
     certify_algebra_iso,
     convolution_invert,
     endomorphism_algebra,
-    ensure_hopf,
     matrix_algebra,
 )
 from hopfdual.linalg import (
@@ -107,7 +106,7 @@ def triv_crossed(ring=ZZ, n=2):
 
 def certified_iso(cp, side):
     """U = H* on ``side`` and the certified duality isomorphism of ``cp``."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(
         h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
     return U, duality_iso(diagram(cp, U, side))
@@ -139,16 +138,16 @@ def test_lambda_sends_unit_to_identity():
 ])
 def test_lambda_maps_are_unital_algebra_isos(make):
     # Both λ: H#H* ≅ End(H) and λ̄: H#^opH* ≅ End(H)^op, certified.
-    h = ensure_hopf(make())
+    h = make()
     U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
     lam = lambda_map(h, U)
     smash = right_smash(regular_comodule(h), U)
     end = endomorphism_algebra(h.carrier)
-    certify_algebra_iso(smash.product, end, lam, "λ")
+    certify_algebra_iso(smash, end, lam, "λ")
     UL = SubalgebraU.full_dual(h, ModuleSide.LEFT)
     lamb = lambda_map(h, UL)
     opsm = op_smash(regular_comodule(h), UL)
-    certify_algebra_iso(opsm.product, end.opposite(), lamb, "λ̄")
+    certify_algebra_iso(opsm, end.opposite(), lamb, "λ̄")
 
 
 def test_rl_witness_for_counit_is_trivial():
@@ -162,7 +161,7 @@ def test_rl_witness_for_counit_is_trivial():
 
 def test_rl_witnesses_exist_for_full_dual_everywhere():
     for make in (lambda: group_algebra(ZZ, 2), lambda: sweedler_hopf(QQ)):
-        h = ensure_hopf(make())
+        h = make()
         U = SubalgebraU.full_dual(h)
         V = [h.carrier.basis_vector(i) for i in range(h.rank)]
         rep = rl_check(h, U, lambda_coordinates(h, U), V)
@@ -244,7 +243,7 @@ def test_chi_sends_unit_to_identity_endomorphism():
 ])
 def test_diagram_commutes_and_pi_invertible(make, side):
     cp = make()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(
         h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
     diag = diagram(cp, U, side)
@@ -256,7 +255,7 @@ def test_pi_order_is_resolved_by_commutativity(monkeypatch):
     # g(k₅)-on-the-left reading, and the other reading breaks π∘α = γ,
     # which build_diagram's commutativity gate must catch
     cp = smash_product_data(sweedler_module_action(QQ))
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
     diag = diagram(cp, U, DiagramSide.RIGHT)
     dense_oracle.assert_bit_identical(diag.pi, dense_oracle.pi_map(cp, DiagramSide.RIGHT))
@@ -272,7 +271,7 @@ def test_pi_order_is_resolved_by_commutativity(monkeypatch):
 
 def test_duality_iso_not_invertible_for_proper_U():
     cp = triv_crossed()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     span = FunctionalSpan(h, [(1, 1)])
     chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible):
@@ -282,7 +281,7 @@ def test_duality_iso_not_invertible_for_proper_U():
 def test_non_unit_determinant_leg_reports_not_invertible():
     # A rank-2 span of index 2 in H*: χ is square with determinant ±4.
     cp = triv_crossed()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     span = FunctionalSpan(h, [(1, 1), (1, -1)])
     chi = chi_map(h, cp.action.algebra, lambda_map(h, span), DiagramSide.RIGHT)
     with pytest.raises(NotInvertible) as exc:
@@ -326,7 +325,7 @@ def test_matrix_iso_families():
 
 def test_full_dual_is_always_compatible():
     cp = gauss_crossed()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
     V = [h.carrier.basis_vector(i) for i in range(h.rank)]
     rep = compat_check(cp, U, lambda_coordinates(h, U), V, DiagramSide.RIGHT)
@@ -336,7 +335,7 @@ def test_full_dual_is_always_compatible():
 def test_phi_reduces_to_bm_form_for_trivial_cocycle():
     # φ(h⊗a)(h̃) = [S̄(h̃)a]ε(h) when σ is trivial.
     cp = smash_product_data(swap_action_data(ZZ))
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     phi, _ = compat_maps(cp, DiagramSide.RIGHT)
@@ -359,7 +358,7 @@ def compat_records(rep):
 
 def test_small_V_fails_compatibility_with_witness():
     cp = smash_product_data(swap_action_data(ZZ))
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
     rep = compat_check(cp, U, lambda_coordinates(h, U), [(1, 1)], DiagramSide.RIGHT)
     assert not rep.ok
@@ -374,7 +373,7 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
     # over Z, φ and ψ of gauss span exactly {(1,1), (1,-1)} = J(Z⊗V); with
     # σ(g⊗g) = 2 instead of -1, φ(g⊗1) = (1, 2) leaves that lattice
     cp = gauss_crossed()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
     V = [(1, 1), (1, -1)]
     lam_coords = lambda_coordinates(h, U)
@@ -461,7 +460,7 @@ def test_coaction_preimage_of_full_dual_is_everything():
 
 def test_theorem_suite_on_gauss():
     cp = gauss_crossed()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     u = {side: full_dual(cp, side) for side in DiagramSide}
     rep = theorem_suite(cp, u.get, lambda side: lambda_coordinates(h, u[side]),
                         lambda side: certified_iso(cp, side)[1])
@@ -509,7 +508,7 @@ def rebased_sweedler_Z3():
 
 def rebase_crossed(cp, P):
     """A#_σH with H in the basis of P: the action and σ read through P."""
-    h = rebase_hopf(ensure_hopf(cp.action.hopf), P)
+    h = rebase_hopf(cp.action.hopf, P)
     A = cp.action.algebra
     action = WeakActionData(h, A, cp.action.action @ kron(P, LinearMap.identity(A.carrier)))
     validate_weak_action(action).require()
@@ -602,7 +601,7 @@ def sweedler_gauge_twisted_Q():
 
 
 def sweedler_terms(cp, legs):
-    co = ensure_hopf(cp.action.hopf).coalgebra
+    co = cp.action.hopf.coalgebra
     return sum(len(co.sweedler_basis(t, legs)) for t in range(co.rank))
 
 
@@ -628,7 +627,7 @@ ORACLE_CASES = {
 
 def full_dual(cp, side):
     return SubalgebraU.full_dual(
-        ensure_hopf(cp.action.hopf),
+        cp.action.hopf,
         ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
 
 
@@ -669,7 +668,7 @@ def test_duality_certifies_in_a_random_transvection_basis(name, data):
     make, coefficients = TRANSVECTION_CASES[name]
     cp = make()
     ring = cp.ring
-    H = ensure_hopf(cp.action.hopf).carrier
+    H = cp.action.hopf.carrier
     P = LinearMap.identity(H)
     for _ in range(data.draw(st.integers(1, 3))):
         i, j = data.draw(st.permutations(range(H.rank)))[:2]
@@ -684,7 +683,7 @@ def test_duality_certifies_in_a_random_transvection_basis(name, data):
 
 def test_delta_matches_the_oracle_on_a_proper_functional_span():
     cp = sweedler_smash("sweedler4_Q")
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     span = FunctionalSpan(h, [(1, 0, 0, 0), (0, 2, 0, -1)])
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
         dense_oracle.assert_bit_identical(delta_map(cp, span, side),
@@ -729,7 +728,7 @@ def records(report):
 def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
     """υ resp. ω, its checks, φ and ψ, and the compatibility verdicts and
     witnesses of ``side`` agree with the dense oracles bit for bit."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     table = coaction_table(h, COACTION_OF[side])
     want = dense_oracle.coaction_table(h, COACTION_OF[side])
     dense_oracle.assert_bit_identical(table.map, want.map)
@@ -756,7 +755,7 @@ def rebased_coboundary_Q():
     the term -2·g⊗1, a coefficient other than 1 on legs that ε and σ do not
     kill (in the other cases here every such coefficient is 1)."""
     cp = sweedler_coboundary_Q()
-    H = ensure_hopf(cp.action.hopf).carrier
+    H = cp.action.hopf.carrier
     return rebase_crossed(cp, LinearMap(H, H, [[1, 0, 2, 0], [0, 1, 0, 0],
                                                [0, 0, 1, 0], [0, 0, 0, 1]]))
 
@@ -773,7 +772,7 @@ def test_hypotheses_match_the_oracles_on_dense_and_twisted_cases(make, side):
 @pytest.mark.parametrize("make", [lambda: sweedler_hopf(Zmod(3)),
                                   lambda: rebased_sweedler_Z3().action.hopf])
 def test_a_wrong_coaction_row_entry_fails_with_the_oracle_witness(make, side):
-    h = ensure_hopf(make())
+    h = make()
     ring, rH = h.ring, h.rank
     table = coaction_table(h, side)
     for i, pos in [(i, pos) for i in range(rH) for pos in range(i, rH * rH, 5)]:
@@ -792,7 +791,7 @@ def test_a_wrong_coaction_row_entry_fails_with_the_oracle_witness(make, side):
 def assert_sums_match_the_oracles(cp, U, side):
     """φ₁/φ₂ and ε/ε⁻¹ (A the coefficient algebra), π, ν and χ of ``side``
     agree with the dense oracles entry for entry, entry types included."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     A = cp.action.algebra
     pairs = [*zip(phi_maps(h, side), dense_oracle.phi_maps(h, side)),
              *zip(epsilon_maps(h, A, side), dense_oracle.epsilon_maps(h, A, side)),
@@ -866,7 +865,7 @@ def test_nu_reads_sigma_in_leg_order(column):
 
 def base_change_maps(cp):
     """Every map the tabulated sums build, on ``cp`` with U = H*, by name."""
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     A = cp.action.algebra
     maps = {}
     for side in (DiagramSide.RIGHT, DiagramSide.OP):

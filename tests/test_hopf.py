@@ -60,11 +60,17 @@ def test_group_algebra_validates():
     assert validate_hopf(h).ok
 
 
+def test_hopf_data_needs_both_antipodes():
+    h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
+    with pytest.raises(TypeError):
+        HopfData(h.bialgebra, h.antipode)
+
+
 def test_wrong_antipode_fails_with_witness_g():
     h = unvalidated_hopf(*group_algebra_parts(ZZ, 2))
     bad = map_from_columns(h.carrier, h.carrier,
                                  [h.carrier.basis_vector(0), h.carrier.basis_vector(0)])
-    broken = HopfData(h.bialgebra, bad)
+    broken = HopfData(h.bialgebra, bad, h.twisted_antipode)
     rep = validate_hopf(broken)
     assert not rep.ok
     fails = {r.check_id: r for r in rep.failures()}
@@ -415,7 +421,7 @@ def cancelling_table(ring):
 def group_smash_dual(ring, n):
     """H#H* for H = R[C_n]: rank n², one-term columns with coefficient 1."""
     h = group_algebra(ring, n)
-    return right_smash(regular_comodule(h), SubalgebraU.full_dual(h)).product
+    return right_smash(regular_comodule(h), SubalgebraU.full_dual(h))
 
 
 @functools.cache

@@ -25,13 +25,12 @@ from hopfdual.crossed import (
     twisted_module_identity,
 )
 from hopfdual.errors import SideMismatch, ValidationError
-from hopfdual.hopf import AlgebraData, ConvolutionAlgebra, ensure_hopf, tensor_algebra
+from hopfdual.hopf import AlgebraData, ConvolutionAlgebra, tensor_algebra
 from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import free_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
     ModuleSide,
-    SmashKind,
     SubalgebraU,
     hat_smash,
     hit_action_of_dual,
@@ -120,8 +119,8 @@ def test_hat_smash_with_trivial_coaction_is_convolution():
     B = trivial_comodule(h, a)
     hat = hat_smash(h, B)
     conv = ConvolutionAlgebra(h.coalgebra, a).algebra()
-    assert hat.product.mult == conv.mult
-    assert hat.product.unit == conv.unit
+    assert hat.mult == conv.mult
+    assert hat.unit == conv.unit
 
 
 def test_hat_smash_on_regular_comodule_value():
@@ -129,8 +128,8 @@ def test_hat_smash_on_regular_comodule_value():
     h = group_algebra(ZZ, 2)
     hat = hat_smash(h, regular_comodule(h))
     f = hat.carrier.basis_vector(1 * 2 + 1)  # b-part g, h-part g
-    assert hat.product.product(f, f) == (0, 0, 0, 0)
-    assert hat.product.validate().ok
+    assert hat.product(f, f) == (0, 0, 0, 0)
+    assert hat.validate().ok
 
 
 def test_op_hat_smash_trivial_coaction_on_cocommutative_is_convolution():
@@ -139,7 +138,7 @@ def test_op_hat_smash_trivial_coaction_on_cocommutative_is_convolution():
     B = trivial_comodule(h, a)
     ophat = op_hat_smash(h, B)
     conv = ConvolutionAlgebra(h.coalgebra, a).algebra()
-    assert ophat.product.mult == conv.mult
+    assert ophat.mult == conv.mult
 
 
 def test_op_hat_smash_trivial_coaction_is_coopposite_convolution():
@@ -149,7 +148,7 @@ def test_op_hat_smash_trivial_coaction_is_coopposite_convolution():
     B = trivial_comodule(h4, a)
     ophat = op_hat_smash(h4, B)
     conv = ConvolutionAlgebra(h4.coalgebra.co_opposite(), a).algebra()
-    assert ophat.product.mult == conv.mult
+    assert ophat.mult == conv.mult
 
 
 # --- B#U and B#^opU -------------------------------------------------------------
@@ -162,14 +161,14 @@ def test_right_smash_trivial_coaction_is_componentwise():
     U = SubalgebraU.full_dual(h)
     rs = right_smash(B, U)
     expected = tensor_algebra(a, U.dual_algebra)
-    assert rs.product.mult == expected.mult
+    assert rs.mult == expected.mult
 
 
 def test_right_smash_on_regular_comodule_is_rank_four():
     h = group_algebra(ZZ, 2)
     rs = right_smash(regular_comodule(h), SubalgebraU.full_dual(h))
     assert rs.carrier.rank == 4
-    assert rs.product.validate().ok
+    assert rs.validate().ok
 
 
 def test_op_smash_trivial_coaction_cocommutative_componentwise():
@@ -179,7 +178,7 @@ def test_op_smash_trivial_coaction_cocommutative_componentwise():
     U = SubalgebraU.full_dual(h, ModuleSide.LEFT)
     os_ = op_smash(B, U)
     expected = tensor_algebra(a, U.dual_algebra)
-    assert os_.product.mult == expected.mult
+    assert os_.mult == expected.mult
 
 
 def test_restricted_U_right_smash():
@@ -197,14 +196,14 @@ def test_left_smash_trivial_action_is_tensor():
     a = product_ring_algebra(ZZ, 2)
     ls = left_smash(trivial_action(h, a))
     expected = tensor_algebra(a, h.algebra)
-    assert ls.product.mult == expected.mult
+    assert ls.mult == expected.mult
 
 
 def test_left_smash_swap_action_table():
     w = swap_action_data(ZZ)
     ls = left_smash(w)
-    assert not ls.product.is_commutative()
-    assert ls.product.mult == crossed_table(w, trivial_cocycle(w).sigma)
+    assert not ls.is_commutative()
+    assert ls.mult == crossed_table(w, trivial_cocycle(w).sigma)
 
 
 def test_left_smash_requires_module_action():
@@ -227,7 +226,7 @@ def test_hit_action_of_dual_validates():
                                   lambda: rebased_sweedler_Z3().action.hopf],
                          ids=["sweedler4_Q", "gauss", "sweedler_Z3_rebased"])
 def test_hit_action_of_dual_matches_the_term_by_term_oracle(make):
-    h = ensure_hopf(make())
+    h = make()
     dense.assert_bit_identical(hit_action_of_dual(h).action, dense.hit_action_of_dual(h))
 
 
@@ -239,7 +238,65 @@ def test_hit_action_of_dual_matches_the_term_by_term_oracle(make):
     lambda: group_algebra(Zmod(6), 2),
 ])
 def test_smash_compare(make):
-    assert smash_compare(make()).ok
+    assert smash_compare(make())
+
+
+def failing_tables(monkeypatch, fails):
+    """A kernel mutant: the associativity scan reports (0, 0, 0) for every
+    table ``fails(table)`` picks and scans the others as before."""
+    scan = AlgebraData._axiom_failures
+    monkeypatch.setattr(AlgebraData, "_axiom_failures",
+                        lambda self: ((0, 0, 0), None) if fails(self) else scan(self))
+
+
+def smash_records(entry):
+    return {r.check_id: r for r in run_suite(entry, "smash").sections[0].records}
+
+
+def test_a_failed_table_in_smash_compare_is_a_failed_record(monkeypatch):
+    # the rank-16 tables of Sweedler's algebra fail, so A#H on H⊗H* does not
+    # build: smash.compare fails with that error, keeping its place
+    entry = catalog.get("sweedler4_Q")
+    failing_tables(monkeypatch, lambda alg: alg.rank == 16)
+    records = smash_records(entry)
+    assert list(records)[0] == "smash.compare"
+    compare = records["smash.compare"]
+    assert compare.statement == ("left and right smash structure constants on "
+                                 "H⊗H* are identical")
+    assert not compare.passed
+    assert compare.witness == "A#H: algebra.assoc failed (witness: (1⊗1*,1⊗1*,1⊗1*))"
+
+
+SUBJECTS = {"smash.hat": "#(H,B)", "smash.op_hat": "#op(H,B)", "smash.right": "B#U",
+            "smash.op": "B#opU", "smash.left": "A#H"}
+
+
+def smash_table(check_id, h, cp):
+    """The table that the smash suite's ``check_id`` builds for U = H*."""
+    U = SubalgebraU.full_dual(h, ModuleSide.LEFT if check_id == "smash.op"
+                              else ModuleSide.RIGHT)
+    return {"smash.hat": lambda: hat_smash(h, regular_comodule(h)),
+            "smash.op_hat": lambda: op_hat_smash(h, regular_comodule(h)),
+            "smash.right": lambda: right_smash(cp.comodule, U),
+            "smash.op": lambda: op_smash(cp.comodule, U),
+            "smash.left": lambda: left_smash(cp.action)}[check_id]()
+
+
+@pytest.mark.parametrize("name,check_id", [
+    ("sweedler4_Z3", "smash.hat"), ("sweedler4_Z3", "smash.op_hat"),
+    *(("swap_smash", check_id) for check_id in SUBJECTS)])
+def test_each_smash_record_names_its_own_failed_table(monkeypatch, name, check_id):
+    entry = catalog.get(name)
+    cp = entry.payload if entry.kind == "crossed" else None
+    table = smash_table(check_id, entry.hopf_data(), cp).mult
+    failing_tables(monkeypatch, lambda alg: alg.mult == table)
+    failed = {i: r.witness for i, r in smash_records(entry).items() if not r.passed}
+    assert failed[check_id].startswith(f"{SUBJECTS[check_id]}: algebra.assoc failed")
+    # #(H,H) has the structure constants of the left smash on H⊗H*, which
+    # smash.compare builds first, so that record fails with the same table
+    also = {"smash.compare": "A#H:"} if check_id == "smash.hat" else {}
+    assert set(failed) == {check_id, *also}
+    assert all(failed[i].startswith(subject) for i, subject in also.items())
 
 
 # --- the index-arithmetic builders against the term-by-term oracles ----------
@@ -269,18 +326,15 @@ def assert_same_algebra(got, want):
 def test_coordinate_smash_matches_the_term_by_term_oracle(name, side):
     make, span = BUILDER_CASES[name]
     cp = make()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     U = (SubalgebraU.full_dual(h, side) if span is None
          else SubalgebraU(h, span, side))
     if span is not None:
         assert U.rank < h.rank
-    build, kind = ((right_smash, SmashKind.RIGHT_SMASH) if side is ModuleSide.RIGHT
-                   else (op_smash, SmashKind.OP_SMASH))
-    got = build(cp.comodule, U)
-    assert got.kind is kind
-    assert_same_algebra(got.product, dense.coordinate_smash(cp.comodule, U, kind))
-    dense.assert_bit_identical(got.product.mult,
-                               dense.coordinate_smash_indexed(cp.comodule, U, kind))
+    op = side is ModuleSide.LEFT
+    got = (op_smash if op else right_smash)(cp.comodule, U)
+    assert_same_algebra(got, dense.coordinate_smash(cp.comodule, U, op))
+    dense.assert_bit_identical(got.mult, dense.coordinate_smash_indexed(cp.comodule, U, op))
 
 
 @pytest.mark.parametrize("regular", [False, True])
@@ -288,12 +342,10 @@ def test_coordinate_smash_matches_the_term_by_term_oracle(name, side):
                                   "sweedler_Z3_rebased"])
 def test_hom_smashes_match_the_term_by_term_oracles(name, regular):
     cp = BUILDER_CASES[name][0]()
-    h = ensure_hopf(cp.action.hopf)
+    h = cp.action.hopf
     B = regular_comodule(h) if regular else cp.comodule
-    hat, ophat = hat_smash(h, B), op_hat_smash(h, B)
-    assert (hat.kind, ophat.kind) == (SmashKind.HAT_HB, SmashKind.OP_HAT_HB)
-    assert_same_algebra(hat.product, dense.hat_smash(h, B))
-    assert_same_algebra(ophat.product, dense.op_hat_smash(h, B))
+    assert_same_algebra(hat_smash(h, B), dense.hat_smash(h, B))
+    assert_same_algebra(op_hat_smash(h, B), dense.op_hat_smash(h, B))
 
 
 # --- A#H by index arithmetic against the term-by-term oracle ------------------
@@ -303,7 +355,7 @@ def test_hom_smashes_match_the_term_by_term_oracles(name, regular):
 def test_left_smash_matches_the_term_by_term_oracle(name):
     action, _ = crossed_case(name)
     if dense.twisted_module_identity(action, trivial_sigma(action)):
-        got = left_smash(action).product.mult
+        got = left_smash(action).mult
         dense.assert_bit_identical(got, dense.left_smash_table(action))
         dense.assert_bit_identical(got, dense.left_smash_indexed(action))
     else:
@@ -333,7 +385,7 @@ def left_smash_actions(name):
     over Z/3 gives its hit action and its trivial action on Z/3."""
     if name == "sweedler_Z3_rebased":
         cp = rebased_sweedler_Z3()
-        return [hit_action_of_dual(ensure_hopf(cp.action.hopf)), cp.action]
+        return [hit_action_of_dual(cp.action.hopf), cp.action]
     entry = suite_instance(name)
     actions = [hit_action_of_dual(entry.hopf_data())]
     if entry.kind == "crossed":
@@ -348,7 +400,7 @@ def test_left_smash_is_the_trivial_cocycle_crossed_product(name):
     # left_smash builds only its own table, so the equality with the crossed
     # product for σ = η∘(ε⊗ε) is required here, entry types included
     for action in left_smash_actions(name):
-        got = left_smash(action).product.mult
+        got = left_smash(action).mult
         dense.assert_bit_identical(got, crossed_table(action, trivial_sigma(action)))
         dense.assert_bit_identical(got, dense.left_smash_indexed(action))
 
@@ -392,7 +444,7 @@ def test_left_smash_needs_no_cocycle_validation(monkeypatch):
 
     monkeypatch.setattr(crossed, "validate_cocycle", refuse)
     action, _ = crossed_case("sweedler4_Q_hit")
-    assert left_smash(action).product.validate().ok
+    assert left_smash(action).validate().ok
 
 
 def z_s3():
@@ -419,6 +471,5 @@ def test_z_s3_hit_action_smash_matches_the_oracles():
     sigma = trivial_sigma(hit)
     assert twisted_module_identity(hit, sigma)
     assert dense.twisted_module_identity(hit, sigma)
-    dense.assert_bit_identical(left_smash(hit).product.mult,
-                               dense.left_smash_table(hit))
-    assert smash_compare(h).ok
+    dense.assert_bit_identical(left_smash(hit).mult, dense.left_smash_table(hit))
+    assert smash_compare(h)

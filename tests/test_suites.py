@@ -101,9 +101,9 @@ def test_run_suite_builds_each_side_object_once(monkeypatch, entry, suite,
     smash_keys, lambda_keys = [], []
     coordinate_smash, lambda_map = smash._coordinate_smash, duality.lambda_map
 
-    def counted_smash(B, U, kind):
-        smash_keys.append((B.algebra, U, kind))
-        return coordinate_smash(B, U, kind)
+    def counted_smash(B, U, op):
+        smash_keys.append((B.algebra, U, op))
+        return coordinate_smash(B, U, op)
 
     def counted_lambda(hopf, U):
         lambda_keys.append((U,))

@@ -39,7 +39,6 @@ from hopfdual.hopf import (
     BialgebraData,
     CoalgebraData,
     HopfData,
-    bialgebra_of,
     dual_hopf,
     validate_hopf,
 )
@@ -112,16 +111,14 @@ def draw_case(data):
     kind = cases()[data.draw(st.sampled_from(("hopf", "comodule", "action")))]
     case = kind[data.draw(st.sampled_from(sorted(kind)))]
     h = case if isinstance(case, HopfData) else case.hopf
-    b = bialgebra_of(h)
+    b = h.bialgebra
     P = unitriangular(data, b.carrier)
     Pi = invert_map(P)
     maps = {"m": Pi @ b.algebra.mult @ kron(P, P),
             "Δ": kron(Pi, Pi) @ b.coalgebra.comult @ P,
-            "ε": b.coalgebra.counit @ P}
-    if isinstance(h, HopfData):
-        maps["S"] = Pi @ h.antipode @ P
-        if h.twisted_antipode is not None:
-            maps["S̄"] = Pi @ h.twisted_antipode @ P
+            "ε": b.coalgebra.counit @ P,
+            "S": Pi @ h.antipode @ P,
+            "S̄": Pi @ h.twisted_antipode @ P}
     if isinstance(case, (ComoduleAlgebraData, WeakActionData)):
         A = case.algebra
         Q = unitriangular(data, A.carrier)
@@ -135,10 +132,9 @@ def draw_case(data):
         role = data.draw(st.sampled_from(sorted(maps)))
         maps[role] = mutated(data, maps[role])
     H = b.carrier
-    new = BialgebraData(AlgebraData(H, maps["m"], Pi.apply(b.algebra.unit)),
-                        CoalgebraData(H, maps["Δ"], maps["ε"]))
-    if "S" in maps:
-        new = HopfData(new, maps["S"], maps.get("S̄"))
+    new = HopfData(BialgebraData(AlgebraData(H, maps["m"], Pi.apply(b.algebra.unit)),
+                                 CoalgebraData(H, maps["Δ"], maps["ε"])),
+                   maps["S"], maps["S̄"])
     if "m_A" not in maps:
         return new
     algebra = AlgebraData(A.carrier, maps["m_A"], Qi.apply(A.unit))
