@@ -22,7 +22,6 @@ from .hopf import (
     AlgebraIso,
     BialgebraData,
     CoalgebraData,
-    ConvolutionAlgebra,
     HopfData,
     certify_algebra_iso,
     compute_antipode,

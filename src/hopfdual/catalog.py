@@ -25,7 +25,15 @@ from .hopf import (
     compute_twisted_antipode,
     matrix_algebra,
 )
-from .linalg import FreeModule, LinearMap, free_module, sparse_vector, tensor_module, unit_module
+from .linalg import (
+    FreeModule,
+    LinearMap,
+    free_module,
+    sparse_column,
+    sparse_vector,
+    tensor_module,
+    unit_module,
+)
 from .rings import QQ, ZZ, Ring, Zmod
 
 
@@ -33,26 +41,31 @@ from .rings import QQ, ZZ, Ring, Zmod
 # structure-constant helpers
 
 
+def quadruple_map(dom: FreeModule, cod: FreeModule, quads, split: int,
+                  co: bool = False) -> LinearMap:
+    """The map with Σ c at column i·split + j, row k over the quadruples
+    (i, j, k, c): e_i⊗e_j ↦ Σ c·e_k.  With ``co``, Σ c at column i, row
+    j·split + k: e_i ↦ Σ c·e_j⊗e_k.  Repeated positions add up."""
+    ring = dom.ring
+    accs = [{} for _ in range(dom.rank)]
+    for i, j, k, c in quads:
+        col, row = (i, j * split + k) if co else (i * split + j, k)
+        acc, v = accs[col], ring.of(c)
+        acc[row] = ring.add(acc[row], v) if row in acc else v
+    return LinearMap.from_sparse_columns(dom, cod, map(sparse_column, accs))
+
+
 def algebra_from_quadruples(carrier: FreeModule, quads, unit) -> AlgebraData:
     """Multiplication from sparse (i, j, k, c) quadruples: e_i·e_j = Σ c·e_k."""
-    ring = carrier.ring
-    r = carrier.rank
-    rows = [[ring.zero] * (r * r) for _ in range(r)]
-    for i, j, k, c in quads:
-        rows[k][i * r + j] = ring.add(rows[k][i * r + j], ring.of(c))
-    mult = LinearMap(tensor_module(carrier, carrier), carrier, rows)
+    mult = quadruple_map(tensor_module(carrier, carrier), carrier, quads, carrier.rank)
     return AlgebraData(carrier, mult, unit)
 
 
 def coalgebra_from_quadruples(carrier: FreeModule, quads, counit_values) -> CoalgebraData:
     """Comultiplication from sparse (i, j, k, c): Δ(e_i) = Σ c·e_j⊗e_k."""
-    ring = carrier.ring
-    r = carrier.rank
-    rows = [[ring.zero] * r for _ in range(r * r)]
-    for i, j, k, c in quads:
-        rows[j * r + k][i] = ring.add(rows[j * r + k][i], ring.of(c))
-    comult = LinearMap(carrier, tensor_module(carrier, carrier), rows)
-    counit = LinearMap(carrier, unit_module(ring), [list(counit_values)])
+    comult = quadruple_map(carrier, tensor_module(carrier, carrier), quads, carrier.rank,
+                           co=True)
+    counit = LinearMap(carrier, unit_module(carrier.ring), [list(counit_values)])
     return CoalgebraData(carrier, comult, counit)
 
 

@@ -36,9 +36,9 @@ from .errors import (
 from .hopf import (
     AlgebraData,
     AlgebraIso,
-    ConvolutionAlgebra,
     certify_algebra_iso,
     convolution_invert,
+    convolve,
     expand_sparse,
     opposite_hopf,
     tensor_coalgebra,
@@ -52,13 +52,11 @@ from .linalg import (
     kron,
     kron_column,
     kron_vec,
-    map_to_vec,
     span_coordinates,
     sparse_column,
     sparse_vector,
     tensor_module,
     unit_vectors,
-    vec_to_map,
 )
 from .reporting import ValidationReport
 
@@ -213,13 +211,11 @@ def validate_cocycle(action: WeakActionData, sigma: LinearMap,
     b = action.bialgebra
     flags = cocycle_flags(action, sigma)
     hh = tensor_coalgebra(b.coalgebra, b.coalgebra)
-    conv = ConvolutionAlgebra(hh, action.algebra)
     try:
-        inv_flat = convolution_invert(conv, map_to_vec(sigma))
+        sigma_inv = convolution_invert(hh, action.algebra, sigma)
     except NotConvInvertible as exc:
         exc.flags = flags
         raise
-    sigma_inv = vec_to_map(inv_flat, sigma.domain, sigma.codomain)
     if claimed_inverse is not None and claimed_inverse != sigma_inv:
         raise ValidationError("supplied cocycle inverse disagrees with the "
                               "recomputed convolution inverse")
@@ -396,10 +392,9 @@ class CleftData:
         rep.add("cleft.colinear", "ϱ∘θ = (θ⊗id)∘Δ", colinear)
         rep.add("cleft.unital", "θ(1_H) = 1_B",
                 self.theta.apply(b.algebra.unit) == B.unit)
-        conv = ConvolutionAlgebra(b.coalgebra, B)
-        t, ti = map_to_vec(self.theta), map_to_vec(self.theta_inv)
-        two_sided = (conv.convolve(t, ti) == conv.unit_vec
-                     and conv.convolve(ti, t) == conv.unit_vec)
+        unit = B.unit_map() @ b.coalgebra.counit
+        two_sided = (convolve(b.coalgebra, B, self.theta, self.theta_inv) == unit
+                     and convolve(b.coalgebra, B, self.theta_inv, self.theta) == unit)
         rep.add("cleft.invertible", "θ⋆θ⁻¹ = η∘ε = θ⁻¹⋆θ", two_sided)
         return rep
 

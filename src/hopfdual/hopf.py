@@ -11,6 +11,13 @@ identities and the anti-morphism checks) is summed over the legs c·h_p⊗h_q
 of a Δ column (``linalg.legs``) from the sparse m, Δ, ε and S columns, and
 compared column by column up to the first failure.  No Kronecker product,
 composition or tensor algebra is built to check an axiom.
+
+Convolution in Hom(C, A) takes and returns ``LinearMap``s: ``convolve`` sums
+f(c_p)g(c_q) over the legs of each Δ column on A's sparse table, and
+``convolution_invert`` writes the system x ↦ f⋆x as sparse columns by index
+arithmetic, solves it for η∘ε once and checks the left inverse with
+``convolve``.  The antipode and the twisted antipode are each one such
+inversion of the identity.
 """
 from __future__ import annotations
 
@@ -26,11 +33,13 @@ from .errors import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    bilinear,
     certified,
     column_witness,
     combine_columns,
     dual_module,
     hom_module,
+    hom_scatter,
     invert_map,
     kron,
     kron_column,
@@ -39,6 +48,7 @@ from .linalg import (
     map_to_vec,
     product_label,
     solve_linear,
+    sparse_column,
     sparse_vector,
     tensor_module,
     transpose,
@@ -465,107 +475,61 @@ def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str,
 # convolution
 
 
-class ConvolutionAlgebra:
-    """Hom_R(C, A) under (f⋆g)(c) = Σ f(c₁)g(c₂) with unit η_A∘ε_C."""
-
-    def __init__(self, source: CoalgebraData, target: AlgebraData):
-        if source.ring != target.ring:
-            raise RingMismatch("convolution of structures over different rings")
-        self.source = source
-        self.target = target
-        self.carrier = hom_module(source.carrier, target.carrier)
-        self.unit_vec = map_to_vec(target.unit_map() @ source.counit)
-        self._algebra = None
-
-    @property
-    def ring(self):
-        return self.source.ring
-
-    def as_map(self, vec) -> LinearMap:
-        return vec_to_map(vec, self.source.carrier, self.target.carrier)
-
-    def convolve(self, f_vec, g_vec):
-        """f⋆g on hom vectors: (f⋆g)(c_j) = Σ d·f(c_p)g(c_q) over the terms
-        d·c_p⊗c_q of Δ(c_j), multiplied out on the sparse structure constants."""
-        ring = self.ring
-        rC = self.source.rank
-        rA = self.target.rank
-        mul, add = ring.mul, ring.add
-        f_cols, g_cols = _hom_columns(f_vec, rC), _hom_columns(g_vec, rC)
-        mcols = self.target.mult.sparse_columns()
-        out = [ring.zero] * (rA * rC)
-        for j, col in enumerate(self.source.comult.sparse_columns()):
-            for flat, d in col:
-                p, q = divmod(flat, rC)
-                for i, x in f_cols[p]:
-                    dx = mul(d, x)
-                    for k, y in g_cols[q]:
-                        dxy = mul(dx, y)
-                        for t, c in mcols[i * rA + k]:
-                            out[t * rC + j] = add(out[t * rC + j], mul(c, dxy))
-        return tuple(out)
-
-    def algebra(self) -> AlgebraData:
-        """The convolution product as an AlgebraData on the hom module."""
-        if self._algebra is None:
-            # column (i,j)⊗(k,l) is Σ s·c at (t, m) over the terms c·a_t of
-            # a_ia_k and s·c_j⊗c_l of Δ(c_m): row (j, l) of Δ, m increasing
-            rC, rA, mul = self.source.rank, self.target.rank, self.ring.mul
-            comult = self.source.comult
-            drows = transpose(comult, comult.codomain, comult.domain).sparse_columns()
-            cols = [[(t * rC + m, sc) for t, c in self.target.basis_product(i, k)
-                     for m, s in drows[j * rC + l] if (sc := mul(s, c))]
-                    for i, j, k, l in product(range(rA), range(rC), range(rA), range(rC))]
-            mult = LinearMap.from_sparse_columns(tensor_module(self.carrier, self.carrier),
-                                                 self.carrier, cols)
-            self._algebra = AlgebraData(self.carrier, mult, self.unit_vec)
-        return self._algebra
+def convolve(source: CoalgebraData, target: AlgebraData, f: LinearMap,
+             g: LinearMap) -> LinearMap:
+    """f⋆g in Hom(C, A): (f⋆g)(c_j) = Σ d·f(c_p)g(c_q) over the legs
+    d·c_p⊗c_q of Δ(c_j), each product read off A's sparse table."""
+    ring = source.ring
+    prod = bilinear(ring, target.mult, target.rank)
+    F, G = f.sparse_columns(), g.sparse_columns()
+    cols = [combine_columns(ring, [(prod(F[p], G[q]), d) for p, q, d in legs(col, source.rank)])
+            for col in source.comult.sparse_columns()]
+    return LinearMap.from_sparse_columns(source.carrier, target.carrier, cols)
 
 
-def _hom_columns(vec, rank_source):
-    """Per source basis vector c_j, the nonzero (i, coefficient) of f(c_j),
-    read off the row-major flattening of f."""
-    cols = [[] for _ in range(rank_source)]
-    for idx, x in enumerate(vec):
-        if x:
-            i, j = divmod(idx, rank_source)
-            cols[j].append((i, x))
-    return cols
+def convolution_invert(source: CoalgebraData, target: AlgebraData,
+                       f: LinearMap) -> LinearMap:
+    """The two-sided convolution inverse of ``f`` in Hom(C, A), unit η∘ε.
 
-
-def convolution_invert(conv: ConvolutionAlgebra, f_vec):
-    """The two-sided convolution inverse of ``f_vec`` in Hom(C, A).
-
-    Solves f⋆x = η∘ε as a linear system, then verifies x⋆f = η∘ε; a right
-    inverse that fails the left check is reported distinctly (a two-sided
-    inverse, when it exists, is unique and equals every one-sided one).
+    Solves f⋆x = η∘ε as a linear system on the Hom(C, A) flattening, then
+    verifies x⋆f = η∘ε; a right inverse that fails the left check is
+    reported distinctly (a two-sided inverse, when it exists, is unique and
+    equals every one-sided one).
     """
-    f_vec = tuple(conv.ring.of(x) for x in f_vec)
-    cols = [sparse_vector(conv.convolve(f_vec, conv.carrier.basis_vector(idx)))
-            for idx in range(conv.carrier.rank)]
-    lmap = LinearMap.from_sparse_columns(conv.carrier, conv.carrier, cols)
-    res = solve_linear(lmap, conv.unit_vec)
+    hom = hom_module(source.carrier, target.carrier)  # RingMismatch across rings
+    ring, rC, rA = source.ring, source.rank, target.rank
+    M, F = target.mult.sparse_columns(), f.sparse_columns()
+    by_second = [[] for _ in range(rC)]  # the legs d·c_p⊗c_l of Δ(c_j) as (j, p, d), by l
+    for j, col in enumerate(source.comult.sparse_columns()):
+        for p, l, d in legs(col, rC):
+            by_second[l].append((j, p, d))
+    # column [c_l ↦ a_k] of x ↦ f⋆x is c_j ↦ Σ d·f(c_p)·a_k over by_second[l]
+    cols = []
+    for k, l in product(range(rA), range(rC)):
+        out = {}
+        for j, p, d in by_second[l]:
+            for i, x in F[p]:
+                hom_scatter(out, ring, ring.mul(d, x), M[i * rA + k], rC, j)
+        cols.append(sparse_column(out))
+    unit = target.unit_map() @ source.counit
+    res = solve_linear(LinearMap.from_sparse_columns(hom, hom, cols), map_to_vec(unit))
     if not res.solvable:
         raise NotConvInvertible("f⋆x = η∘ε has no solution", reason="no_right_inverse")
-    x = res.particular
-    if conv.convolve(x, f_vec) != conv.unit_vec:
-        raise NotConvInvertible("right inverse exists but x⋆f ≠ η∘ε",
-                                reason="one_sided")
+    x = vec_to_map(res.particular, source.carrier, target.carrier)
+    if convolve(source, target, x, f) != unit:
+        raise NotConvInvertible("right inverse exists but x⋆f ≠ η∘ε", reason="one_sided")
     return x
 
 
 def compute_antipode(b: BialgebraData) -> LinearMap:
     """The antipode as the convolution inverse of the identity in Hom(H, H)."""
-    conv = ConvolutionAlgebra(b.coalgebra, b.algebra)
-    x = convolution_invert(conv, map_to_vec(LinearMap.identity(b.carrier)))
-    return conv.as_map(x)
+    return convolution_invert(b.coalgebra, b.algebra, LinearMap.identity(b.carrier))
 
 
 def compute_twisted_antipode(b: BialgebraData) -> LinearMap:
     """The antipode of the opposite algebra (same coalgebra), when it exists."""
-    conv = ConvolutionAlgebra(b.coalgebra, b.algebra.opposite())
-    x = convolution_invert(conv, map_to_vec(LinearMap.identity(b.carrier)))
-    return conv.as_map(x)
+    return convolution_invert(b.coalgebra, b.algebra.opposite(),
+                              LinearMap.identity(b.carrier))
 
 
 # ---------------------------------------------------------------------------

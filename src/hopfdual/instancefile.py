@@ -1,10 +1,12 @@
 """Instance files: a structured JSON document describing one instance.
 
 Ring constants are decimal strings (no word-size cap); rationals are "p/q"
-in lowest terms; mod-n elements are decimal residues.  Structure constants
-are sparse (i, j, k, "c") quadruples; matrices are dense row lists.  Export
-is canonical (sorted keys, fixed element formatting), so equal instances
-serialize byte-identically.
+in lowest terms; mod-n elements are decimal residues.  Bare JSON integers are
+read by ``rings.read_decimal``, under the same digit cap as the strings.
+Structure constants are sparse (i, j, k, "c") quadruples, read into sparse
+columns by ``catalog.quadruple_map`` and written back from them; matrices are
+dense row lists.  Export is canonical (sorted keys, fixed element
+formatting), so equal instances serialize byte-identically.
 """
 from __future__ import annotations
 
@@ -16,19 +18,19 @@ from .catalog import (
     CatalogEntry,
     algebra_from_quadruples,
     coalgebra_from_quadruples,
+    quadruple_map,
 )
 from .crossed import CleftData, build_crossed_product, validate_cocycle
 from .errors import ParseError, ValidationError
 from .hopf import (
     BialgebraData,
-    ConvolutionAlgebra,
     HopfData,
     compute_antipode,
     compute_twisted_antipode,
     convolution_invert,
 )
-from .linalg import LinearMap, free_module, map_to_vec, tensor_module, vec_to_map
-from .rings import Ring, ring_from_descriptor
+from .linalg import LinearMap, free_module, tensor_module
+from .rings import Ring, read_decimal, ring_from_descriptor
 
 SUITES = ("hopf", "crossed", "smash", "duality", "cleft", "opposite", "all")
 
@@ -111,12 +113,14 @@ def parse_instance(path) -> InstanceFile:
     """Read, syntax-check and semantically validate an instance file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=read_decimal)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the digit cap
+        raise ParseError(f"{path}: {exc}") from exc
     return parse_instance_dict(doc, str(path))
 
 
@@ -289,14 +293,6 @@ def _hopf_from_block(ring, modules, block) -> HopfData:
     return HopfData(bial, antipode, twisted)
 
 
-def _quads_to_map(ring, quads, dom_ranks, cod_module):
-    rows = [[ring.zero] * (dom_ranks[0] * dom_ranks[1])
-            for _ in range(cod_module.rank)]
-    for i, j, k, c in quads:
-        rows[k][i * dom_ranks[1] + j] = ring.add(rows[k][i * dom_ranks[1] + j], c)
-    return rows
-
-
 def _build_payload(inst: InstanceFile):
     ring = inst.ring
     hopf = _hopf_from_block(ring, inst.modules, inst.blocks["hopf"])
@@ -307,20 +303,16 @@ def _build_payload(inst: InstanceFile):
         a_carrier = free_module(ring, inst.modules[ab["carrier"]])
         algebra = algebra_from_quadruples(a_carrier, ab["mult"], ab["unit"])
         algebra.validate().require()
-        rH, rA = hopf.rank, algebra.rank
-        act_rows = _quads_to_map(ring, inst.blocks["action"], (rH, rA), a_carrier)
-        action = WeakActionData(hopf, algebra, LinearMap(
-            tensor_module(hopf.carrier, a_carrier), a_carrier, act_rows))
+        action = WeakActionData(hopf, algebra, quadruple_map(
+            tensor_module(hopf.carrier, a_carrier), a_carrier, inst.blocks["action"],
+            algebra.rank))
         validate_weak_action(action).require()
-        sig_rows = _quads_to_map(ring, inst.blocks["cocycle"], (rH, rH), a_carrier)
-        sigma = LinearMap(tensor_module(hopf.carrier, hopf.carrier), a_carrier,
-                          sig_rows)
+        hh = tensor_module(hopf.carrier, hopf.carrier)
+        sigma = quadruple_map(hh, a_carrier, inst.blocks["cocycle"], hopf.rank)
         claimed = None
         if "cocycle_inverse" in inst.blocks:
-            inv_rows = _quads_to_map(ring, inst.blocks["cocycle_inverse"],
-                                     (rH, rH), a_carrier)
-            claimed = LinearMap(tensor_module(hopf.carrier, hopf.carrier),
-                                a_carrier, inv_rows)
+            claimed = quadruple_map(hh, a_carrier, inst.blocks["cocycle_inverse"],
+                                    hopf.rank)
         cocycle = validate_cocycle(action, sigma, claimed_inverse=claimed)
         return build_crossed_product(action, cocycle)
     # cleft
@@ -328,17 +320,12 @@ def _build_payload(inst: InstanceFile):
     b_carrier = free_module(ring, inst.modules[cb["carrier"]])
     b_alg = algebra_from_quadruples(b_carrier, cb["mult"], cb["unit"])
     b_alg.validate().require()
-    rB, rH = b_alg.rank, hopf.rank
-    coact_rows = [[ring.zero] * rB for _ in range(rB * rH)]
-    for i, j, k, c in cb["coaction"]:
-        coact_rows[j * rH + k][i] = ring.add(coact_rows[j * rH + k][i], c)
-    comodule = ComoduleAlgebraData(hopf, b_alg, LinearMap(
-        b_carrier, tensor_module(b_carrier, hopf.carrier), coact_rows))
+    comodule = ComoduleAlgebraData(hopf, b_alg, quadruple_map(
+        b_carrier, tensor_module(b_carrier, hopf.carrier), cb["coaction"], hopf.rank,
+        co=True))
     comodule.validate().require()
     theta = LinearMap(hopf.carrier, b_carrier, inst.blocks["integral"]["theta"])
-    conv = ConvolutionAlgebra(hopf.coalgebra, b_alg)
-    theta_inv = vec_to_map(convolution_invert(conv, map_to_vec(theta)), hopf.carrier,
-                           b_carrier)
+    theta_inv = convolution_invert(hopf.coalgebra, b_alg, theta)
     if ("theta_inv" in inst.blocks["integral"] and theta_inv != LinearMap(
             hopf.carrier, b_carrier, inst.blocks["integral"]["theta_inv"])):
         _fail("supplied theta_inv disagrees with the convolution inverse")
@@ -355,26 +342,12 @@ def _show_matrix(ring, m: LinearMap):
     return [[ring.show(x) for x in row] for row in m.matrix]
 
 
-def _map_to_quads(ring, m: LinearMap, split: int):
-    """Dense bilinear map back to sparse quadruples, deterministic order."""
-    out = []
-    for col in range(m.domain.rank):
-        i, j = divmod(col, split)
-        vec = m.column(col)
-        for k, c in enumerate(vec):
-            if c:
-                out.append([i, j, k, ring.show(c)])
-    return out
-
-
-def _coaction_to_quads(ring, m: LinearMap, rH: int):
-    out = []
-    for i in range(m.domain.rank):
-        for pos, c in enumerate(m.column(i)):
-            if c:
-                j, k = divmod(pos, rH)
-                out.append([i, j, k, ring.show(c)])
-    return out
+def _quadruples(ring, m: LinearMap, split: int, co: bool = False):
+    """The quadruples that ``catalog.quadruple_map`` reads back as ``m``,
+    from its sparse columns in column-then-row order."""
+    return [[col, *divmod(row, split), ring.show(c)] if co else
+            [*divmod(col, split), row, ring.show(c)]
+            for col, entries in enumerate(m.sparse_columns()) for row, c in entries]
 
 
 def export_entry(entry: CatalogEntry) -> dict:
@@ -393,9 +366,9 @@ def export_entry(entry: CatalogEntry) -> dict:
     modules = {"H": list(hopf.carrier.labels)}
     doc["hopf"] = {
         "carrier": "H",
-        "mult": _map_to_quads(ring, hopf.algebra.mult, hopf.rank),
+        "mult": _quadruples(ring, hopf.algebra.mult, hopf.rank),
         "unit": [ring.show(x) for x in hopf.algebra.unit],
-        "comult": _coaction_to_quads(ring, hopf.coalgebra.comult, hopf.rank),
+        "comult": _quadruples(ring, hopf.coalgebra.comult, hopf.rank, co=True),
         "counit": [ring.show(x) for x in hopf.coalgebra.counit_values()],
         "antipode": _show_matrix(ring, hopf.antipode),
         "twisted_antipode": _show_matrix(ring, hopf.twisted_antipode),
@@ -405,22 +378,21 @@ def export_entry(entry: CatalogEntry) -> dict:
         modules["A"] = list(A.carrier.labels)
         doc["algebra"] = {
             "carrier": "A",
-            "mult": _map_to_quads(ring, A.mult, A.rank),
+            "mult": _quadruples(ring, A.mult, A.rank),
             "unit": [ring.show(x) for x in A.unit],
         }
-        doc["action"] = _map_to_quads(ring, payload.action.action, A.rank)
-        doc["cocycle"] = _map_to_quads(ring, payload.cocycle.sigma, hopf.rank)
-        doc["cocycle_inverse"] = _map_to_quads(ring, payload.cocycle.sigma_inv,
-                                               hopf.rank)
+        doc["action"] = _quadruples(ring, payload.action.action, A.rank)
+        doc["cocycle"] = _quadruples(ring, payload.cocycle.sigma, hopf.rank)
+        doc["cocycle_inverse"] = _quadruples(ring, payload.cocycle.sigma_inv, hopf.rank)
     elif entry.kind == "cleft":
         B = payload.comodule_algebra.algebra
         modules["B"] = list(B.carrier.labels)
         doc["comodule"] = {
             "carrier": "B",
-            "mult": _map_to_quads(ring, B.mult, B.rank),
+            "mult": _quadruples(ring, B.mult, B.rank),
             "unit": [ring.show(x) for x in B.unit],
-            "coaction": _coaction_to_quads(
-                ring, payload.comodule_algebra.coaction, hopf.rank),
+            "coaction": _quadruples(ring, payload.comodule_algebra.coaction,
+                                    hopf.rank, co=True),
         }
         doc["integral"] = {
             "theta": _show_matrix(ring, payload.theta),

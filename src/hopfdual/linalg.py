@@ -416,8 +416,14 @@ def product_label(*modules):
 
 
 def map_to_vec(f: LinearMap) -> Vector:
-    """Flatten a map into the Hom(dom, cod) coordinate vector."""
-    return tuple(x for row in f.matrix for x in row)
+    """Flatten a map into the Hom(dom, cod) coordinate vector, read off its
+    sparse columns: entry (i, j) sits at i·rank(dom) + j."""
+    r = f.domain.rank
+    out = [f.ring.zero] * (r * f.codomain.rank)
+    for j, col in enumerate(f.sparse_columns()):
+        for i, c in col:
+            out[i * r + j] = c
+    return tuple(out)
 
 
 def vec_to_map(vec: Vector, dom: FreeModule, cod: FreeModule) -> LinearMap:

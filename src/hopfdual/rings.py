@@ -109,7 +109,7 @@ class IntegerRing(Ring):
         if isinstance(value, int):
             return value
         if isinstance(value, str):
-            return _decimal(value)
+            return read_decimal(value)
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         raise TypeError(f"not an integer: {value!r}")
@@ -154,7 +154,7 @@ class RationalRing(Ring):
         if isinstance(value, str):
             if not _RATIONAL.fullmatch(value):
                 raise ValueError(f"not a decimal integer or p/q: {value!r}")
-            return _canonical(Fraction(*map(_decimal, value.split("/"))))
+            return _canonical(Fraction(*map(read_decimal, value.split("/"))))
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"not a rational: {value!r}")
         return _canonical(Fraction(value))
@@ -205,7 +205,10 @@ MAX_DIGITS = 4300
 _CHUNK = 600  # digits per int() call: no int_max_str_digits limit is below 640
 
 
-def _decimal(text: str) -> int:
+def read_decimal(text: str) -> int:
+    """The integer of a ``[+-]?digits`` string of at most :data:`MAX_DIGITS`
+    digits, else ``ValueError``; also the instance parser's reader for bare
+    JSON integers."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     digits = text.lstrip("+-")
@@ -239,7 +242,7 @@ class ModularRing(Ring):
         if isinstance(value, bool):
             raise TypeError("bool is not a modular ring element")
         if isinstance(value, str):
-            value = _decimal(value)
+            value = read_decimal(value)
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 value = int(value)

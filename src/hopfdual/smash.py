@@ -8,7 +8,9 @@ U of the dual:
 * B#^opU   on B⊗U:       (b#f)(b̃#f̃) = Σ b₍₀₎·b̃ # (b₍₁₎·f̃)⋆f
 
 U carries the regular H-action of its declared side and all closure data is
-witnessed by solved coefficient tables at construction time.
+witnessed by solved coefficient tables at construction time.  U multiplies
+its functionals itself: u⋆v is summed over the legs of each Δ column
+(``SubalgebraU.star``), with no convolution table built.
 
 #(H,B), #^op(H,B), B#U, B#^opU and A#H are built by index arithmetic on the
 sparse multiplication, action and coaction tables: each factor that depends on
@@ -35,10 +37,9 @@ from .actions import (
     regular_comodule,
     validate_weak_action,
 )
-from .catalog import ground_algebra
 from .crossed import trivial_sigma, twisted_module_identity
 from .errors import SideMismatch, ValidationError
-from .hopf import AlgebraData, ConvolutionAlgebra, HopfData, dual_hopf
+from .hopf import AlgebraData, HopfData, dual_hopf
 from .linalg import (
     FreeModule,
     LinearMap,
@@ -79,15 +80,14 @@ class SubalgebraU:
         self.module = FreeModule(ring, len(self.elements), "u{}".format)
         self.inclusion = LinearMap.from_sparse_columns(self.module, self.ambient,
                                                        map(sparse_vector, self.elements))
-        self.dual_algebra = ConvolutionAlgebra(hopf.coalgebra,
-                                               ground_algebra(ring)).algebra()
+        self._coproduct = [legs(col, hopf.rank) for col in hopf.coalgebra.comult.sparse_columns()]
         self.eps_coords = self.express(hopf.coalgebra.counit_values())
         if self.eps_coords is None:
             raise ValidationError("ε_H is not in span(U)")
         self.star_witness = {}
         for i, u in enumerate(self.elements):
             for j, v in enumerate(self.elements):
-                coords = self.express(self.dual_algebra.product(u, v))
+                coords = self.express(self.star(u, v))
                 if coords is None:
                     raise ValidationError(f"U is not ⋆-closed at (u{i},u{j})")
                 self.star_witness[i, j] = coords
@@ -106,6 +106,14 @@ class SubalgebraU:
 
     def element(self, i: int):
         return self.elements[i]
+
+    def star(self, u, v):
+        """u⋆v in H*: (u⋆v)(h_j) = Σ c·u(h_p)v(h_q) over the legs c·h_p⊗h_q
+        of Δ(h_j)."""
+        ring = self.hopf.ring
+        mul = ring.mul
+        return tuple(ring.sum(mul(c, mul(x, y)) for p, q, c in t if (x := u[p]) and (y := v[q]))
+                     for t in self._coproduct)
 
     def express(self, vec):
         """Coordinates of a functional in the U-basis, or None if outside."""

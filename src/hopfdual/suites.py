@@ -51,7 +51,6 @@ from .errors import HopfdualError, ValidationError
 from .hopf import (
     AlgebraData,
     AlgebraIso,
-    ConvolutionAlgebra,
     HopfData,
     algebra_morphism_witness,
     certify_algebra_iso,
@@ -62,7 +61,7 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import CERTIFICATES, LinearMap, invert_map, kron, map_to_vec, span_coordinates
+from .linalg import CERTIFICATES, LinearMap, invert_map, kron, span_coordinates
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -273,10 +272,8 @@ def run_crossed_suite(ctx: Derived) -> ValidationReport:
 
     def inverse_recomputed():
         b = cp.action.bialgebra
-        hh_coalg_conv = ConvolutionAlgebra(
-            tensor_coalgebra(b.coalgebra, b.coalgebra), cp.action.algebra)
-        inv = convolution_invert(hh_coalg_conv, map_to_vec(cp.cocycle.sigma))
-        return inv == map_to_vec(cp.cocycle.sigma_inv)
+        return convolution_invert(tensor_coalgebra(b.coalgebra, b.coalgebra),
+                                  cp.action.algebra, cp.cocycle.sigma) == cp.cocycle.sigma_inv
 
     _timed(rep, "crossed.sigma_inverse", "σ⁻¹ is the two-sided convolution "
            "inverse of σ", inverse_recomputed)
@@ -383,9 +380,8 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
     rep.extend(cleft.validate("cleft data"))
 
     def theta_inv_matches():
-        conv = ConvolutionAlgebra(cp.action.hopf.coalgebra, cleft.comodule_algebra.algebra)
-        inv = convolution_invert(conv, map_to_vec(cleft.theta))
-        return inv == map_to_vec(cleft.theta_inv)
+        return convolution_invert(cp.action.hopf.coalgebra, cleft.comodule_algebra.algebra,
+                                  cleft.theta) == cleft.theta_inv
 
     _timed(rep, "cleft.theta_inverse", "θ⁻¹ equals the convolution inverse "
            "of θ", theta_inv_matches)

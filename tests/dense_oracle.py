@@ -118,6 +118,16 @@ endomorphisms and σ, θ, the extracted product and isomorphism, the opposite
 isomorphism G, ``vec_to_map`` and ``split_coefficient_map``.
 ``test_map_builders.py`` and ``test_linalg.py`` require the library's
 sparse-column builders to agree with them bit for bit, entry types included.
+
+``ConvolutionAlgebra`` is convolution as the library computed it on flat
+row-major Hom vectors before ``hopf.convolve`` and
+``hopf.convolution_invert`` took and returned maps: ``convolve`` on vectors,
+``algebra`` as the whole convolution table (``dual_algebra`` is H* as that
+table) and ``invert`` by one solve of :func:`convolution_system`.
+``test_map_builders.py`` requires the library's inversion system, S, S̄, σ⁻¹
+and θ⁻¹ to agree with it bit for bit, and ``test_hopf.py`` and
+``test_smash.py`` compare ``convolve``, ``SubalgebraU.star`` and the hat
+smash tables with it.
 """
 from fractions import Fraction
 from functools import cache
@@ -133,10 +143,15 @@ from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
 from hopfdual.actions import coinvariants
 from hopfdual.duality import DiagramSide, end_rep_module
-from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch, ValidationError
+from hopfdual.errors import (
+    DimensionMismatch,
+    NotConvInvertible,
+    NotInvertible,
+    RingMismatch,
+    ValidationError,
+)
 from hopfdual.hopf import (
     AlgebraData,
-    ConvolutionAlgebra,
     dual_hopf,
     expand_sparse,
     tensor_algebra,
@@ -1186,7 +1201,7 @@ def coordinate_smash(B, U, op):
     ring = b.ring
     rB, rU = B.algebra.rank, U.rank
     carrier = tensor_module(B.algebra.carrier, U.module)
-    dual = U.dual_algebra
+    dual = dual_algebra(U.hopf)
     cols = []
     for i in range(rB):
         b_i = B.algebra.carrier.basis_vector(i)
@@ -1593,11 +1608,12 @@ def coordinate_smash_indexed(B, U, op):
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
     coact = [linalg.legs(col, b.rank) for col in B.coaction.sparse_columns()]
+    dual = dual_algebra(U.hopf)
 
     @cache
     def upart(l, b1, m):
         moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
-        coords = U.express(U.dual_algebra.product(moved, U.element(l if op else m)))
+        coords = U.express(dual.product(moved, U.element(l if op else m)))
         if coords is None:
             raise ValidationError("smash product left the span of U")
         return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
@@ -2281,6 +2297,79 @@ def convolution_system(conv, f_vec):
     cols = [conv.convolve(f_vec, conv.carrier.basis_vector(idx))
             for idx in range(conv.carrier.rank)]
     return DenseMap.from_columns(conv.carrier, conv.carrier, cols)
+
+
+class ConvolutionAlgebra:
+    """Hom_R(C, A) on row-major flattened vectors, as the library computed it
+    before convolution took and returned maps: ``convolve`` multiplies f⋆g
+    out on the sparse structure constants, ``algebra`` is the whole
+    convolution table with unit η∘ε, and ``invert`` solves the dense system
+    of :func:`convolution_system` for η∘ε and checks x⋆f = η∘ε."""
+
+    def __init__(self, source, target):
+        self.source = source
+        self.target = target
+        self.ring = source.ring
+        self.carrier = hom_module(source.carrier, target.carrier)
+        self.unit_vec = convolution_unit(source, target)
+
+    def convolve(self, f_vec, g_vec):
+        """(f⋆g)(c_j) = Σ d·f(c_p)g(c_q) over the terms d·c_p⊗c_q of Δ(c_j)."""
+        ring, rC, rA = self.ring, self.source.rank, self.target.rank
+        mul, add = ring.mul, ring.add
+        f_cols, g_cols = _hom_columns(f_vec, rC), _hom_columns(g_vec, rC)
+        mcols = self.target.mult.sparse_columns()
+        out = [ring.zero] * (rA * rC)
+        for j, col in enumerate(self.source.comult.sparse_columns()):
+            for flat, d in col:
+                p, q = divmod(flat, rC)
+                for i, x in f_cols[p]:
+                    dx = mul(d, x)
+                    for k, y in g_cols[q]:
+                        dxy = mul(dx, y)
+                        for t, c in mcols[i * rA + k]:
+                            out[t * rC + j] = add(out[t * rC + j], mul(c, dxy))
+        return tuple(out)
+
+    def algebra(self):
+        """The convolution product as an AlgebraData on the hom module: column
+        (i,j)⊗(k,l) is Σ s·c at (t, m) over the terms c·a_t of a_ia_k and
+        s·c_j⊗c_l of Δ(c_m)."""
+        rC, rA, mul = self.source.rank, self.target.rank, self.ring.mul
+        comult = self.source.comult
+        drows = linalg.transpose(comult, comult.codomain, comult.domain).sparse_columns()
+        cols = [[(t * rC + m, sc) for t, c in self.target.basis_product(i, k)
+                 for m, s in drows[j * rC + l] if (sc := mul(s, c))]
+                for i, j, k, l in product(range(rA), range(rC), range(rA), range(rC))]
+        mult = LinearMap.from_sparse_columns(tensor_module(self.carrier, self.carrier),
+                                             self.carrier, cols)
+        return AlgebraData(self.carrier, mult, self.unit_vec)
+
+    def invert(self, f_vec):
+        """The two-sided convolution inverse of ``f_vec`` as a DenseMap."""
+        f_vec = tuple(self.ring.of(x) for x in f_vec)
+        res = linalg.solve_linear(convolution_system(self, f_vec), self.unit_vec)
+        if not res.solvable:
+            raise NotConvInvertible("f⋆x = η∘ε has no solution", reason="no_right_inverse")
+        if self.convolve(res.particular, f_vec) != self.unit_vec:
+            raise NotConvInvertible("right inverse exists but x⋆f ≠ η∘ε", reason="one_sided")
+        return hom_map(res.particular, self.source.carrier, self.target.carrier)
+
+
+def _hom_columns(vec, rank_source):
+    """Per source basis vector c_j, the nonzero (i, coefficient) of f(c_j),
+    read off the row-major flattening of f."""
+    cols = [[] for _ in range(rank_source)]
+    for idx, x in enumerate(vec):
+        if x:
+            i, j = divmod(idx, rank_source)
+            cols[j].append((i, x))
+    return cols
+
+
+def dual_algebra(h):
+    """H* under ⋆ as the whole convolution table Hom(H, R)."""
+    return ConvolutionAlgebra(h.coalgebra, ground_algebra(h.ring)).algebra()
 
 
 def tensor_counit(c, d):

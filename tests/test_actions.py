@@ -16,13 +16,11 @@ from hopfdual.actions import (
     validate_weak_action,
 )
 from hopfdual.catalog import (
-    ground_algebra,
     group_algebra,
     product_ring_algebra,
     sweedler_hopf,
 )
 from hopfdual.duality import rho_endo
-from hopfdual.hopf import ConvolutionAlgebra
 from hopfdual.linalg import LinearMap, kron_vec, tensor_module, vec_to_map
 from hopfdual.rings import QQ, ZZ, Zmod
 
@@ -62,7 +60,7 @@ def test_hit_on_group_algebra_picks_out_group_element():
 
 def test_hit_actions_are_bimodule_actions():
     for h in (group_algebra(ZZ, 2), sweedler_hopf(QQ)):
-        dual = ConvolutionAlgebra(h.coalgebra, ground_algebra(h.ring)).algebra()
+        dual = dense.dual_algebra(h)
         for i in range(h.rank):
             f = dual.carrier.basis_vector(i)
             for j in range(h.rank):

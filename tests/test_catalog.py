@@ -5,13 +5,13 @@ import pytest
 
 from builders import diagram
 from hopfdual.actions import trivial_action
-from hopfdual.catalog import get, ground_algebra, list_entries
+from hopfdual.catalog import get, ground_algebra, list_entries, quadruple_map
 from hopfdual.crossed import CleftData, CrossedProductData, smash_product_data
 from hopfdual.duality import DiagramSide, duality_iso, lambda_map, matrix_iso
 from hopfdual.errors import UnknownEntry
 from hopfdual.hopf import HopfData, validate_hopf
-from hopfdual.instancefile import export_entry_json
-from hopfdual.linalg import kron_vec
+from hopfdual.instancefile import _quadruples, export_entry_json
+from hopfdual.linalg import free_module, kron_vec, tensor_module
 from hopfdual.rings import Zmod
 from hopfdual.smash import ModuleSide, SubalgebraU
 from hopfdual.suites import run_suite
@@ -28,6 +28,21 @@ def test_listing_is_deterministic_and_contains_required_entries():
 def test_get_unknown_raises():
     with pytest.raises(UnknownEntry):
         get("no_such_entry")
+
+
+def test_quadruples_at_one_position_add_up():
+    # on both readings, and a sum of zero leaves no entry; the writer reads
+    # the sparse columns back in column-then-row order
+    ring = Zmod(6)
+    m = free_module(ring, ["a", "b"])
+    mm = tensor_module(m, m)
+    quads = [(0, 1, 1, 2), (1, 1, 0, 5), (0, 1, 1, 3), (1, 0, 0, 4), (1, 0, 0, 2)]
+    mult = quadruple_map(mm, m, quads, 2)
+    assert mult.sparse_columns() == ((), ((1, 5),), (), ((0, 5),))
+    assert _quadruples(ring, mult, 2) == [[0, 1, 1, "5"], [1, 1, 0, "5"]]
+    comult = quadruple_map(m, mm, quads, 2, co=True)
+    assert comult.sparse_columns() == (((3, 5),), ((2, 5),))
+    assert _quadruples(ring, comult, 2, co=True) == [[0, 1, 1, "5"], [1, 1, 0, "5"]]
 
 
 def test_z_c2_payload():

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic reports, round trips."""
 import json
+import re
 import time
 from pathlib import Path
 
@@ -352,3 +353,51 @@ def test_an_input_without_antipodes_verifies(capsys):
     assert not {"antipode", "twisted_antipode"} & set(doc["hopf"])
     assert main(["verify", str(path), "--suite", "all"]) == 0
     assert "PASS  hopf.twisted_vs_inverse" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limit", DIGIT_LIMITS)
+def test_verify_caps_bare_integers_at_4300_digits(tmp_path, capsys, limit):
+    # Z[C2] with the constant of e·e = e written as a bare 4,301-digit JSON
+    # integer: the same capped reader as for string constants makes it an
+    # input error under every interpreter digit limit (json.load alone raised
+    # a ValueError traceback under the default limit and read any length
+    # with the limit off); a bare 4,300-digit integer is read
+    path = FIXTURES / "oversized_integer.json"
+    text = path.read_text()
+    big = "1" + "0" * 4300
+    assert re.findall(r"\d{4300,}", text) == [big]
+    with int_digit_limit(limit):
+        assert main(["verify", str(path), "--suite", "hopf"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "4301 digits, more than 4300" in err
+        at_cap = tmp_path / "at_cap.json"
+        at_cap.write_text(text.replace(big, big[:-1]))
+        assert parse_instance(at_cap).blocks["hopf"]["mult"][0] == (0, 0, 0, 10 ** 4299)
+
+
+@pytest.mark.parametrize("name,key,message", [
+    ("gauss_cleft", "theta_inv", "supplied theta_inv disagrees"),
+    ("gauss", "cocycle_inverse", "supplied cocycle inverse disagrees"),
+    ("sweedler4_smash_Z3", "cocycle_inverse", "supplied cocycle inverse disagrees"),
+])
+def test_inverses_are_computed_or_checked_at_parse_time(tmp_path, capsys, name, key,
+                                                        message):
+    # without the inverse the parser computes it and the file verifies; a
+    # supplied inverse with one entry changed is an input error
+    entry = get(name)
+    doc = json.loads(export_entry_json(entry))
+    block = doc["integral"] if key == "theta_inv" else doc
+    supplied = block.pop(key)
+    if name == "gauss_cleft":
+        assert doc == json.loads((FIXTURES / "gauss_cleft_without_theta_inv.json").read_text())
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "all"]) == 0
+    capsys.readouterr()
+    first, ring = supplied[0], entry.ring  # θ⁻¹'s first row, σ⁻¹'s first quadruple
+    k = 0 if key == "theta_inv" else 3
+    first[k] = ring.show(ring.add(ring.of(first[k]), ring.one))
+    block[key] = supplied
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--suite", "all"]) == 2
+    assert message in capsys.readouterr().err

@@ -62,7 +62,6 @@ from hopfdual.hopf import (
     AlgebraData,
     BialgebraData,
     CoalgebraData,
-    ConvolutionAlgebra,
     HopfData,
     certify_algebra_iso,
     convolution_invert,
@@ -523,7 +522,7 @@ def sweedler_coboundary_Q():
     A = ground_algebra(QQ)
     co = h.coalgebra
     u = tuple(QQ.of(x) for x in (1, 1, 1, 0))
-    u_inv = convolution_invert(ConvolutionAlgebra(co, A), u)
+    u_inv = map_to_vec(convolution_invert(co, A, LinearMap(h.carrier, A.carrier, [u])))
 
     def sigma_col(p, q):
         total = QQ.zero
@@ -548,9 +547,8 @@ def gauge_twisted_M2(h, u_values):
     co = h.coalgebra
     rH, rA = h.rank, A.rank
     u = [A.carrier.vector(v) for v in u_values]
-    u_flat = tuple(u[j][i] for i in range(rA) for j in range(rH))
-    inv = convolution_invert(ConvolutionAlgebra(co, A), u_flat)
-    u_inv = [tuple(inv[i * rH + j] for i in range(rA)) for j in range(rH)]
+    inv = convolution_invert(co, A, map_from_columns(h.carrier, A.carrier, u))
+    u_inv = [inv.column(j) for j in range(rH)]
 
     def act(p, a):
         total = zero_vector(A.carrier)

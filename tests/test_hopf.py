@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from builders import idempotent_monoid_bialgebra, map_from_columns, unvalidated_hopf
+from hopfdual import hopf
 from hopfdual.actions import regular_comodule
 from hopfdual.catalog import (
     algebra_from_quadruples,
@@ -24,12 +25,13 @@ from hopfdual.errors import NotConvInvertible
 from hopfdual.hopf import (
     AlgebraData,
     CoalgebraData,
-    ConvolutionAlgebra,
     HopfData,
     algebra_morphism_witness,
     certify_algebra_iso,
     compute_antipode,
     compute_twisted_antipode,
+    convolution_invert,
+    convolve,
     dual_hopf,
     endomorphism_algebra,
     matrix_algebra,
@@ -40,13 +42,14 @@ from hopfdual.hopf import (
 from hopfdual.linalg import (
     LinearMap,
     free_module,
+    hom_module,
     tensor_module,
     unit_module,
     invert_map,
     kron,
     kron_vec,
-    map_to_vec,
     solve_linear,
+    vec_to_map,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import SubalgebraU, right_smash
@@ -95,46 +98,54 @@ def test_sweedler_not_cocommutative_group_algebra_is():
 
 def test_convolution_unit_inverts_to_itself():
     h = group_algebra(ZZ, 2)
-    conv = ConvolutionAlgebra(h.coalgebra, h.algebra)
-    from hopfdual.hopf import convolution_invert
-
-    assert convolution_invert(conv, conv.unit_vec) == conv.unit_vec
+    unit = h.algebra.unit_map() @ h.coalgebra.counit
+    assert convolution_invert(h.coalgebra, h.algebra, unit) == unit
 
 
 def test_convolution_inverse_of_identity_is_antipode():
     h = group_algebra(ZZ, 2)
-    conv = ConvolutionAlgebra(h.coalgebra, h.algebra)
-    from hopfdual.hopf import convolution_invert
-
-    x = convolution_invert(conv, map_to_vec(LinearMap.identity(h.carrier)))
-    assert conv.as_map(x) == h.antipode
+    x = convolution_invert(h.coalgebra, h.algebra, LinearMap.identity(h.carrier))
+    assert x == h.antipode
 
 
 def test_non_invertible_cocycle_like_functional_over_Z():
     # σ: H⊗H → Z normal except σ(g⊗g)=2; inverting it forces inverting 2.
-    h = group_algebra(ZZ, 2)
-    c2 = tensor_coalgebra(h.coalgebra, h.coalgebra)
-    conv = ConvolutionAlgebra(c2, ground_algebra(ZZ))
-    sigma = (1, 1, 1, 2)
-    with pytest.raises(NotConvInvertible) as exc:
-        from hopfdual.hopf import convolution_invert
+    def functional(ring):
+        h = group_algebra(ring, 2)
+        c2, a = tensor_coalgebra(h.coalgebra, h.coalgebra), ground_algebra(ring)
+        return c2, a, LinearMap(c2.carrier, a.carrier, [[1, 1, 1, 2]])
 
-        convolution_invert(conv, sigma)
+    with pytest.raises(NotConvInvertible) as exc:
+        convolution_invert(*functional(ZZ))
     assert exc.value.reason == "no_right_inverse"
     # over Z/5 the same functional inverts
-    h5 = group_algebra(Zmod(5), 2)
-    c25 = tensor_coalgebra(h5.coalgebra, h5.coalgebra)
-    conv5 = ConvolutionAlgebra(c25, ground_algebra(Zmod(5)))
-    from hopfdual.hopf import convolution_invert
-
-    inv = convolution_invert(conv5, (1, 1, 1, 2))
-    assert conv5.convolve((1, 1, 1, 2), inv) == conv5.unit_vec
+    c25, a5, sigma = functional(Zmod(5))
+    inv = convolution_invert(c25, a5, sigma)
+    assert convolve(c25, a5, sigma, inv) == a5.unit_map() @ c25.counit
 
 
-def test_convolution_algebra_is_associative_and_unital():
+def test_a_right_inverse_that_fails_the_left_check_is_one_sided(monkeypatch):
+    # a kernel mutant: x⋆f comes out as the identity, not η∘ε
     h = group_algebra(ZZ, 2)
-    conv = ConvolutionAlgebra(h.coalgebra, h.algebra)
-    assert conv.algebra().validate().ok
+    monkeypatch.setattr(hopf, "convolve", lambda *args: LinearMap.identity(h.carrier))
+    with pytest.raises(NotConvInvertible, match="right inverse exists but x⋆f ≠ η∘ε") as exc:
+        compute_antipode(h.bialgebra)
+    assert exc.value.reason == "one_sided"
+
+
+def test_convolution_is_associative_and_unital():
+    # on every triple of basis maps of Hom(H, H), and with η∘ε on both sides
+    h = sweedler_hopf(QQ)
+    c, a = h.coalgebra, h.algebra
+    hom = hom_module(h.carrier, h.carrier)
+    basis = [vec_to_map(hom.basis_vector(i), h.carrier, h.carrier) for i in range(hom.rank)]
+    unit = a.unit_map() @ c.counit
+    for f in basis:
+        assert convolve(c, a, f, unit) == f == convolve(c, a, unit, f)
+        for g in basis:
+            fg = convolve(c, a, f, g)
+            for k in basis[::5]:
+                assert convolve(c, a, fg, k) == convolve(c, a, f, convolve(c, a, g, k))
 
 
 # --- antipode computation ---------------------------------------------------
@@ -361,13 +372,12 @@ def test_opposites_match_composites_with_the_twist(ring, r, data):
 def test_convolve_matches_mult_kron_comult(ring, rc, ra, data):
     c = random_coalgebra(data, ring, rc, "c")
     a = random_algebra(data, ring, ra, "a")
-    conv = ConvolutionAlgebra(c, a)
     f = dense.draw_vector(data, ring, rc * ra)
     g = dense.draw_vector(data, ring, rc * ra)
-    got = conv.convolve(f, g)
+    got = convolve(c, a, *(vec_to_map(v, c.carrier, a.carrier) for v in (f, g)))
     want = dense.convolve(c, a, f, g)
-    assert got == want
-    assert [type(x) for x in got] == [type(x) for x in want]
+    dense.assert_bit_identical(got, dense.hom_map(want, c.carrier, a.carrier))
+    assert dense.ConvolutionAlgebra(c, a).convolve(f, g) == want
 
 
 # --- the associativity certificate against the sparse-dict products ----------

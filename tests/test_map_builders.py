@@ -47,7 +47,12 @@ from hopfdual.duality import (
     phi_maps,
     pi_map,
 )
-from hopfdual.hopf import ConvolutionAlgebra, convolution_invert, tensor_coalgebra
+from hopfdual.hopf import (
+    compute_antipode,
+    compute_twisted_antipode,
+    convolution_invert,
+    tensor_coalgebra,
+)
 from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import LinearMap, map_to_vec
 from hopfdual.rings import QQ, ZZ, Zmod
@@ -102,20 +107,13 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
     ctx = Derived(instance(name))
     h, cp = ctx.hopf, ctx.diagram_crossed
     B = cp.product_algebra
-    conv = ConvolutionAlgebra(h.coalgebra, h.algebra)
-    assert conv.unit_vec == dense.convolution_unit(h.coalgebra, h.algebra)
-    assert list(map(type, conv.unit_vec)) == \
+    unit = map_to_vec(h.algebra.unit_map() @ h.coalgebra.counit)
+    assert unit == dense.convolution_unit(h.coalgebra, h.algebra)
+    assert list(map(type, unit)) == \
         list(map(type, dense.convolution_unit(h.coalgebra, h.algebra)))
-    systems = []
-    solve = hopf.solve_linear
-    monkeypatch.setattr(hopf, "solve_linear",
-                        lambda m, rhs: systems.append(m) or solve(m, rhs))
-    ident = map_to_vec(LinearMap.identity(h.carrier))
-    convolution_invert(conv, ident)  # S = id⁻¹
     pairs = [
         (h.algebra.unit_map(), dense.unit_map(h.algebra)),
         (B.unit_map(), dense.unit_map(B)),
-        (systems[0], dense.convolution_system(conv, ident)),
         (tensor_coalgebra(h.coalgebra, h.coalgebra).counit,
          dense.tensor_counit(h.coalgebra, h.coalgebra)),
         (coinvariants(cp.comodule).inclusion, dense.coinvariant_inclusion(cp.comodule)),
@@ -123,6 +121,26 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
     cl = integral_from_crossed(cp)
     pairs += [(cl.theta, dense.integral(cp)), (cl.theta_inv, dense.theta_inverse(cp)),
               (opposite_crossed(cp, cl).iso.map, dense.opposite_iso(cp, cl))]
+    # S, S̄, σ⁻¹ and θ⁻¹, and the system x ↦ f⋆x each inversion solves,
+    # against the flat-vector convolution
+    systems = []
+    solve = hopf.solve_linear
+    monkeypatch.setattr(hopf, "solve_linear",
+                        lambda m, rhs: systems.append(m) or solve(m, rhs))
+    ident = LinearMap.identity(h.carrier)
+    hh = tensor_coalgebra(h.coalgebra, h.coalgebra)
+    for got, source, target, f in [
+            (compute_antipode(h.bialgebra), h.coalgebra, h.algebra, ident),
+            (compute_twisted_antipode(h.bialgebra), h.coalgebra, h.algebra.opposite(), ident),
+            (convolution_invert(hh, cp.action.algebra, cp.cocycle.sigma), hh,
+             cp.action.algebra, cp.cocycle.sigma),
+            (convolution_invert(h.coalgebra, B, cl.theta), h.coalgebra, B, cl.theta)]:
+        conv = dense.ConvolutionAlgebra(source, target)
+        flat = tuple(x for row in f.matrix for x in row)
+        pairs += [(systems.pop(0), dense.convolution_system(conv, flat)),
+                  (got, conv.invert(flat))]
+    assert not systems
+    assert convolution_invert(hh, cp.action.algebra, cp.cocycle.sigma) == cp.cocycle.sigma_inv
     payload = ctx.entry.payload
     for c in [cl] + ([payload] if isinstance(payload, CleftData) else []):
         ext = crossed_from_integral(c)

@@ -25,7 +25,7 @@ from hopfdual.crossed import (
     twisted_module_identity,
 )
 from hopfdual.errors import SideMismatch, ValidationError
-from hopfdual.hopf import AlgebraData, ConvolutionAlgebra, tensor_algebra
+from hopfdual.hopf import AlgebraData, tensor_algebra
 from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import free_module, kron_vec, tensor_module
 from hopfdual.rings import QQ, ZZ, Zmod
@@ -118,7 +118,7 @@ def test_hat_smash_with_trivial_coaction_is_convolution():
     a = product_ring_algebra(ZZ, 2)
     B = trivial_comodule(h, a)
     hat = hat_smash(h, B)
-    conv = ConvolutionAlgebra(h.coalgebra, a).algebra()
+    conv = dense.ConvolutionAlgebra(h.coalgebra, a).algebra()
     assert hat.mult == conv.mult
     assert hat.unit == conv.unit
 
@@ -137,7 +137,7 @@ def test_op_hat_smash_trivial_coaction_on_cocommutative_is_convolution():
     a = product_ring_algebra(ZZ, 2)
     B = trivial_comodule(h, a)
     ophat = op_hat_smash(h, B)
-    conv = ConvolutionAlgebra(h.coalgebra, a).algebra()
+    conv = dense.ConvolutionAlgebra(h.coalgebra, a).algebra()
     assert ophat.mult == conv.mult
 
 
@@ -147,8 +147,26 @@ def test_op_hat_smash_trivial_coaction_is_coopposite_convolution():
     a = ground_algebra(QQ)
     B = trivial_comodule(h4, a)
     ophat = op_hat_smash(h4, B)
-    conv = ConvolutionAlgebra(h4.coalgebra.co_opposite(), a).algebra()
+    conv = dense.ConvolutionAlgebra(h4.coalgebra.co_opposite(), a).algebra()
     assert ophat.mult == conv.mult
+
+
+@pytest.mark.parametrize("make", [lambda: group_algebra(ZZ, 3), lambda: sweedler_hopf(QQ),
+                                  lambda: sweedler_hopf(Zmod(3))])
+def test_u_star_matches_the_convolution_table_of_the_dual(make):
+    # U multiplies functionals over the legs of Δ; the oracle is H* as the
+    # whole flat-vector convolution table Hom(H, R)
+    h = make()
+    ring, r = h.ring, h.rank
+    dual = dense.dual_algebra(h)
+    two = ring.of(2)
+    half = ring.inv(two) if ring.is_unit(two) else ring.one
+    vectors = [h.carrier.basis_vector(i) for i in range(r)] + [
+        tuple(ring.of(x - 1) for x in range(r)), tuple(ring.mul(half, ring.of(x)) for x in range(r))]
+    U = SubalgebraU.full_dual(h)
+    for u, v in itertools.product(vectors, repeat=2):
+        got, want = U.star(u, v), dual.product(u, v)
+        assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 # --- B#U and B#^opU -------------------------------------------------------------
@@ -160,7 +178,7 @@ def test_right_smash_trivial_coaction_is_componentwise():
     B = trivial_comodule(h, a)
     U = SubalgebraU.full_dual(h)
     rs = right_smash(B, U)
-    expected = tensor_algebra(a, U.dual_algebra)
+    expected = tensor_algebra(a, dense.dual_algebra(h))
     assert rs.mult == expected.mult
 
 
@@ -177,7 +195,7 @@ def test_op_smash_trivial_coaction_cocommutative_componentwise():
     B = trivial_comodule(h, a)
     U = SubalgebraU.full_dual(h, ModuleSide.LEFT)
     os_ = op_smash(B, U)
-    expected = tensor_algebra(a, U.dual_algebra)
+    expected = tensor_algebra(a, dense.dual_algebra(h))
     assert os_.mult == expected.mult
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import dense_oracle
 from builders import cyclic_document
-from hopfdual import crossed, duality, linalg, smash
+from hopfdual import crossed, duality, linalg, smash, suites
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.instancefile import export_entry_json, parse_instance_dict
@@ -343,3 +343,47 @@ def test_a_passing_run_reads_no_basis_name(monkeypatch):
     for entry in _label_free_entries():
         assert run_suite(entry, "all").ok, entry.name
         assert not read, entry.name
+
+
+# --- the convolution-inverse records, each made to fail -----------------------
+
+
+def with_one_entry_changed(m: LinearMap) -> LinearMap:
+    """``m`` with one added to the first entry of its first nonzero column."""
+    ring = m.ring
+    cols = [list(col) for col in m.sparse_columns()]
+    col = next(col for col in cols if col)
+    i, x = col[0]
+    y = ring.add(x, ring.one)
+    col[0:1] = [(i, y)] if y else []
+    return LinearMap.from_sparse_columns(m.domain, m.codomain, cols)
+
+
+def failed_ids(report):
+    return [check_id for check_id, passed, _ in records(report) if not passed]
+
+
+def test_a_changed_sigma_inverse_fails_only_crossed_sigma_inverse():
+    # the stored σ⁻¹ of a freshly parsed gauss, one entry off
+    entry = parse_instance_dict(json.loads(export_entry_json(get("gauss")))).to_entry()
+    cocycle = entry.payload.cocycle
+    cocycle.sigma_inv = with_one_entry_changed(cocycle.sigma_inv)
+    assert failed_ids(run_suite(entry, "crossed")) == ["crossed.sigma_inverse"]
+
+
+def test_a_mutant_inversion_fails_cleft_theta_inverse(monkeypatch):
+    # θ⁻¹ cannot be changed in place: the extraction then raises
+    # action.unit_acts before any cleft record is made
+    entry = get("gauss_cleft")
+    invert = suites.convolution_invert
+    monkeypatch.setattr(suites, "convolution_invert",
+                        lambda *args: with_one_entry_changed(invert(*args)))
+    assert "cleft.theta_inverse" in failed_ids(run_suite(entry, "cleft"))
+
+
+def test_a_mutant_convolution_fails_cleft_invertible(monkeypatch):
+    entry = get("gauss_cleft")
+    convolve = crossed.convolve
+    monkeypatch.setattr(crossed, "convolve",
+                        lambda *args: with_one_entry_changed(convolve(*args)))
+    assert "cleft.invertible" in failed_ids(run_suite(entry, "cleft"))
