@@ -2,10 +2,12 @@
 coinvariants.
 
 The regular actions of H on H*, (hf)(k) = f(kh) and (fh)(k) = f(hk), are
-:func:`regular_act`.  The hit action f⇀k = Σ k₁f(k₂) of H* on H is
-:func:`hit`, which λ reads (``smash.hit_action_of_dual`` writes its table
-straight from Δ); the other hit action k↼f = Σ f(k₁)k₂, which the RL check
-reads, is ``duality.rho_endo``.
+:func:`regular_act`, on the dense functionals of a U span.  The hit action
+f⇀k = Σ k₁f(k₂) of H* on H is :func:`hit`, which λ reads
+(``smash.hit_action_of_dual`` writes its table straight from Δ); the other
+hit action k↼f = Σ f(k₁)k₂, which the RL check reads, is
+``duality.rho_endo``.  Both take and return canonical sparse vectors, as do
+the coinvariants' vectors and coordinates.
 
 The comodule-algebra axioms are checked per basis element b of B from the
 legs c·b_x⊗h_y of ϱ(b), and measuring per (h, a, b) from the legs of Δ(h)
@@ -20,6 +22,7 @@ from .hopf import AlgebraData, HopfData
 from .linalg import (
     FreeModule,
     LinearMap,
+    bilinear,
     certified,
     column_witness,
     combine_columns,
@@ -30,6 +33,7 @@ from .linalg import (
     product_label,
     solve_linear,
     span_coordinates,
+    sparse_column,
     sparse_vector,
     split_coefficient_map,
     tensor_module,
@@ -58,15 +62,16 @@ def regular_act(h: HopfData, f_vec, h_vec, left: bool):
     return tuple(out)
 
 
-def hit(h: HopfData, f_vec, t: int):
-    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t), for a functional f on H."""
-    ring = h.ring
-    out = [ring.zero] * h.rank
+def hit(h: HopfData, f, t: int):
+    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t), for a functional f on H; f and the
+    result are canonical sparse vectors."""
+    ring, f = h.ring, dict(f)
+    acc = {}
     for c, (k1, k2) in h.coalgebra.sweedler_basis(t, 2):
-        s = ring.mul(c, f_vec[k2])
-        if (s):
-            out[k1] = ring.add(out[k1], s)
-    return tuple(out)
+        if k2 in f:
+            s = ring.mul(c, f[k2])
+            acc[k1] = ring.add(acc[k1], s) if k1 in acc else s
+    return sparse_column(acc)
 
 
 class WeakActionData:
@@ -94,22 +99,6 @@ class WeakActionData:
     def ring(self):
         return self.algebra.ring
 
-    def act(self, h_vec, a_vec):
-        return self.action.apply(kron_vec(self.ring, h_vec, a_vec))
-
-    def act_basis(self, i: int, a_vec):
-        ring = self.ring
-        rA = self.algebra.rank
-        cols = self.action.sparse_columns()
-        out = [ring.zero] * rA
-        base = i * rA
-        for j, a in enumerate(a_vec):
-            if not (a):
-                continue
-            for t, c in cols[base + j]:
-                out[t] = ring.add(out[t], ring.mul(c, a))
-        return tuple(out)
-
 
 def trivial_action(hopf: HopfData, algebra: AlgebraData) -> WeakActionData:
     """h·a = ε(h)a."""
@@ -136,16 +125,14 @@ def validate_weak_action(w: WeakActionData, subject: str = "weak action") -> Val
     A = w.algebra
     ring = w.ring
     rH, rA = b.rank, A.rank
-    # 1_H acts as the identity
-    witness = None
-    for j in range(rA):
-        e = A.carrier.basis_vector(j)
-        if w.act(b.algebra.unit, e) != e:
-            witness = A.carrier.label(j)
-            break
-    rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
-    # h·1_A = ε(h)·1_A, on the sparse columns of the action
+    # 1_H acts as the identity, on the sparse columns of the action
     act = w.action.sparse_columns()
+    one_h = sparse_vector(b.algebra.unit)
+    witness = column_witness(
+        (combine_columns(ring, ((act[i * rA + j], c) for i, c in one_h)) for j in range(rA)),
+        unit_vectors(ring, rA), A.carrier.label)
+    rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
+    # h·1_A = ε(h)·1_A
     one_a = sparse_vector(A.unit)
     eps = b.coalgebra.counit_values()
     witness = next((b.carrier.label(i) for i in range(rH)
@@ -240,7 +227,7 @@ class Coinvariants:
 
     module: FreeModule
     inclusion: LinearMap
-    vectors: tuple
+    vectors: tuple  # canonical sparse vectors of B
 
     @property
     def rank(self):
@@ -248,7 +235,8 @@ class Coinvariants:
 
     def coordinates(self):
         """v ↦ the coefficients of v in the computed basis, or None when v is
-        not coinvariant; the basis is factored once per call of this method."""
+        not coinvariant, both canonical sparse vectors; the basis is factored
+        once per call of this method."""
         return span_coordinates(self.module.ring, self.vectors,
                                 self.inclusion.codomain.rank)
 
@@ -264,19 +252,19 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     B = c.algebra
     ring = c.ring
     diff = c.coaction - kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
-    res = solve_linear(diff, (ring.zero,) * diff.codomain.rank)
-    vectors = res.kernel_basis
-    if vectors and split_coefficient_map(ring, vectors, B.rank) is None:
+    kernel = solve_linear(diff, (ring.zero,) * diff.codomain.rank).kernel_basis
+    if kernel and split_coefficient_map(ring, kernel, B.rank) is None:
         raise ValidationError("coinvariants do not span a direct summand")
+    vectors = tuple(map(sparse_vector, kernel))
     module = FreeModule(ring, len(vectors), "c{}".format)
-    inclusion = LinearMap.from_sparse_columns(module, B.carrier, map(sparse_vector, vectors))
-    return Coinvariants(module, inclusion, vectors)
+    return Coinvariants(module, LinearMap.from_sparse_columns(module, B.carrier, vectors),
+                        vectors)
 
 
 def coinvariants_form_subalgebra(c: ComoduleAlgebraData, coin: Coinvariants) -> bool:
     """Closure of the coinvariant span under unit and products."""
     express = coin.coordinates()
-    if express(c.algebra.unit) is None:
+    if express(sparse_vector(c.algebra.unit)) is None:
         return False
-    return all(express(c.algebra.product(u, v)) is not None
-               for u in coin.vectors for v in coin.vectors)
+    prod = bilinear(c.ring, c.algebra.mult, c.algebra.rank)
+    return all(express(prod(u, v)) is not None for u in coin.vectors for v in coin.vectors)

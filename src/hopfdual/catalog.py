@@ -283,7 +283,9 @@ def _build_triv_c3():
 
 
 def _build_gauss_cleft():
-    return integral_from_crossed(_build_gauss())
+    cleft = integral_from_crossed(_build_gauss())
+    cleft.validate().require()
+    return cleft
 
 
 _CATALOG = None

@@ -13,7 +13,7 @@ from .catalog import get, list_entries
 from .errors import HopfdualError, ParseError, UnknownEntry, ValidationError
 from .instancefile import export_entry_json, parse_instance
 from .reporting import Report
-from .suites import run_suite
+from .suites import SUITE_ORDER, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,9 +79,7 @@ def main(argv=None) -> int:
 
 
 def _suite_flags(p):
-    p.add_argument("--suite", default=None,
-                   choices=("hopf", "crossed", "smash", "duality", "cleft",
-                            "opposite", "all"),
+    p.add_argument("--suite", default=None, choices=SUITE_ORDER + ("all",),
                    help="default: the instance file's suite, or 'all'")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -11,6 +11,12 @@ leg-index key and each Sweedler pair of (h, k) once per pair.  Every sum drops
 the terms whose σ factor is the zero column before expanding them: that uses
 only bilinearity, not the coassociativity or multiplicativity these checks
 certify.  ``smash.left_smash`` checks the twisted-module identity alone.
+
+The cleft layer hands elements on as canonical sparse vectors too: θ⁻¹ of
+θ(h) = 1#h, the extracted action and σ, the cleft maps φ̃, ψ̃ and the
+opposite product's G multiply factors read off the sparse tables with
+``linalg.bilinear`` and ``linalg.linear``, and the coinvariants answer
+membership in sparse coordinates.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ from .hopf import (
     certify_algebra_iso,
     convolution_invert,
     convolve,
-    expand_sparse,
     opposite_hopf,
     tensor_coalgebra,
 )
@@ -52,6 +57,7 @@ from .linalg import (
     kron,
     kron_column,
     kron_vec,
+    linear,
     span_coordinates,
     sparse_column,
     sparse_vector,
@@ -351,10 +357,10 @@ def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional
     membership in both directions; otherwise the inclusion that fails.
     ``build_crossed_product`` raises it, the crossed suite records it."""
     b = cp.action.bialgebra
-    A = cp.action.algebra
     ring = cp.ring
-    expected = [kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
-                for i in range(A.rank)]
+    one_h = sparse_vector(b.algebra.unit)
+    expected = [kron_column(a, one_h, b.rank, ring.mul)
+                for a in unit_vectors(ring, cp.action.algebra.rank)]
     in_coin = coin.coordinates()
     if any(in_coin(v) is None for v in expected):
         return "A⊗1 not contained in the coinvariants"
@@ -401,7 +407,9 @@ class CleftData:
 
 def integral_from_crossed(cp: CrossedProductData) -> CleftData:
     """θ(h) = 1_A#h with θ⁻¹(h) = Σ σ⁻¹(S(h₂)⊗h₃) #_σ S(h₁), each term read
-    off the sparse columns of σ⁻¹ and S."""
+    off the sparse columns of σ⁻¹ and S.  Not validated: the cleft suite
+    records ``CleftData.validate``, so a σ⁻¹ that is not the convolution
+    inverse of σ fails ``cleft.invertible`` there."""
     hopf = cp.action.hopf
     b = hopf.bialgebra
     A = cp.action.algebra
@@ -422,9 +430,7 @@ def integral_from_crossed(cp: CrossedProductData) -> CleftData:
                                        in b.coalgebra.sweedler_basis(j, 3)))
                 for j in range(rH)]
     theta_inv = LinearMap.from_sparse_columns(b.carrier, cp.carrier, inv_cols)
-    cleft = CleftData(cp.comodule, theta, theta_inv)
-    cleft.validate().require()
-    return cleft
+    return CleftData(cp.comodule, theta, theta_inv)
 
 
 @dataclass
@@ -452,23 +458,19 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
             raise CoinvariantEscape(f"{what} does not lie in the coinvariants")
         return coords
 
-    rA = coin.rank
-    # A' as an abstract algebra on the coinvariant basis
-    unit_coords = express(B.unit, "1_B")
-    mult_cols = []
-    for i in range(rA):
-        for j in range(rA):
-            prod = B.product(coin.vectors[i], coin.vectors[j])
-            mult_cols.append(sparse_vector(express(prod, "a·a'")))
-    mult = LinearMap.from_sparse_columns(tensor_module(coin.module, coin.module),
-                                         coin.module, mult_cols)
-    A_alg = AlgebraData(coin.module, mult, unit_coords)
-    # the sums below are read off the sparse tables of B, H, θ and θ⁻¹
-    rB = B.rank
+    rA, rB = coin.rank, B.rank
+    a_s = coin.vectors
     bmul = B.mult.sparse_columns()
     bprod = bilinear(ring, B.mult, rB)
+    # A' as an abstract algebra on the coinvariant basis; its stored unit is
+    # the dense form of 1_B's coordinates
+    unit = dict(express(sparse_vector(B.unit), "1_B"))
+    mult = LinearMap.from_sparse_columns(
+        tensor_module(coin.module, coin.module), coin.module,
+        [express(bprod(u, v), "a·a'") for u in a_s for v in a_s])
+    A_alg = AlgebraData(coin.module, mult, [unit.get(i, ring.zero) for i in range(rA)])
+    # the sums below are read off the sparse tables of B, H, θ and θ⁻¹
     theta, theta_inv = cl.theta.sparse_columns(), cl.theta_inv.sparse_columns()
-    a_s = [sparse_vector(v) for v in coin.vectors]
     # action ha = Σ θ(h₁) a θ⁻¹(h₂)
     theta_a = cache(lambda h1, j: bprod(theta[h1], a_s[j]))
     act_cols = []
@@ -477,7 +479,7 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
             val = _sum_of_products(ring, bmul, rB, (
                 (c, theta_a(h1, j), theta_inv[h2])
                 for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2)))
-            act_cols.append(sparse_vector(express(expand_sparse(val, rB, ring), "h⇀a")))
+            act_cols.append(express(val, "h⇀a"))
     action_map = LinearMap.from_sparse_columns(tensor_module(b.carrier, coin.module),
                                                coin.module, act_cols)
     action = WeakActionData(B_com.hopf, A_alg, action_map)
@@ -485,15 +487,15 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     # σ(h⊗k) = Σ θ(h₁)θ(k₁)θ⁻¹(h₂k₂)
     hmul = b.algebra.mult.sparse_columns()
     theta_theta = cache(lambda h1, k1: bprod(theta[h1], theta[k1]))
-    theta_inv_hk = cache(lambda h2, k2: combine_columns(
-        ring, ((theta_inv[x], c) for x, c in hmul[h2 * rH + k2])))
+    theta_inv_of = linear(ring, cl.theta_inv)
+    theta_inv_hk = cache(lambda h2, k2: theta_inv_of(hmul[h2 * rH + k2]))
     sig_cols = []
     for i in range(rH):
         for j in range(rH):
             val = _sum_of_products(ring, bmul, rB, (
                 (c, theta_theta(h1, k1), theta_inv_hk(h2, k2))
                 for c, h1, h2, k1, k2 in _sweedler_pairs(b.coalgebra, i, j)))
-            sig_cols.append(sparse_vector(express(expand_sparse(val, rB, ring), "σ(h⊗k)")))
+            sig_cols.append(express(val, "σ(h⊗k)"))
     sigma = LinearMap.from_sparse_columns(tensor_module(b.carrier, b.carrier),
                                           coin.module, sig_cols)
     cocycle = validate_cocycle(action, sigma)
@@ -543,11 +545,12 @@ def opposite_crossed(cp: CrossedProductData, cleft: CleftData) -> OppositeCrosse
     y_alg = crossed_op.product_algebra.opposite()
     # G: (A^op#_τH^op)^op → A#_σH, a⊗h ↦ θ⁻¹(S̄(h))·(a#1)
     b = hopf.bialgebra
-    cols = []
-    for i in range(A.rank):
-        iota = kron_vec(ring, A.carrier.basis_vector(i), b.algebra.unit)
-        cols.extend(sparse_vector(cp.product_algebra.product(
-            cleft.theta_inv.apply(Sbar.column(j)), iota)) for j in range(b.rank))
+    one_h = sparse_vector(b.algebra.unit)
+    bprod = bilinear(ring, cp.product_algebra.mult, cp.carrier.rank)
+    theta_inv = linear(ring, cleft.theta_inv)
+    theta_inv_sbar = [theta_inv(col) for col in Sbar.sparse_columns()]
+    cols = [bprod(t, kron_column(a, one_h, b.rank, ring.mul))
+            for a in unit_vectors(ring, A.rank) for t in theta_inv_sbar]
     g_map = LinearMap.from_sparse_columns(y_alg.carrier, cp.carrier, cols)
     iso = certify_algebra_iso(y_alg, cp.product_algebra, g_map,
                               "opposite crossed product")
@@ -584,20 +587,14 @@ def cleft_maps(cl: CleftData):
     hprod = bilinear(ring, b.algebra.mult, rH)
     e = unit_vectors(ring, rH)
     Sb = hopf.twisted_antipode.sparse_columns()
-    a_s = [sparse_vector(v) for v in coin.vectors]
-
-    def image(m, vec):  # m(vec) for a sparse vector of H
-        cols = m.sparse_columns()
-        return combine_columns(ring, ((cols[x], c) for x, c in vec))
-
-    theta = cl.theta.sparse_columns()
-    phi_left = cache(lambda t2, j, h1: bprod(bprod(image(cl.theta, Sb[t2]), a_s[j]),
-                                             theta[h1]))
-    phi_right = cache(lambda t1, h2: image(cl.theta_inv, hprod(Sb[t1], e[h2])))
+    a_s = coin.vectors
+    theta, theta_of, theta_inv_of = (cl.theta.sparse_columns(), linear(ring, cl.theta),
+                                     linear(ring, cl.theta_inv))
+    phi_left = cache(lambda t2, j, h1: bprod(bprod(theta_of(Sb[t2]), a_s[j]), theta[h1]))
+    phi_right = cache(lambda t1, h2: theta_inv_of(hprod(Sb[t1], e[h2])))
     psi_left = cache(lambda t2, t3, j, h1: bprod(
-        bprod(image(cl.theta_inv, Sb[t3]), a_s[j]), image(cl.theta, hprod(Sb[t2], e[h1]))))
-    psi_right = cache(lambda t1, t4, h2: image(
-        cl.theta_inv, hprod(hprod(e[t4], Sb[t1]), e[h2])))
+        bprod(theta_inv_of(Sb[t3]), a_s[j]), theta_of(hprod(Sb[t2], e[h1]))))
+    psi_right = cache(lambda t1, t4, h2: theta_inv_of(hprod(hprod(e[t4], Sb[t1]), e[h2])))
 
     def phi(j, hl, tl):
         return phi_left(tl[1], j, hl[0]), phi_right(tl[0], hl[1])
@@ -620,10 +617,10 @@ def cleft_maps(cl: CleftData):
                     val = _sum_of_products(ring, bmul, rB, (
                         (ring.mul(ct, ch), *factors(j, hl, tl))
                         for ct, tl in terms for ch, hl in h_terms))
-                    coords = coordinates(expand_sparse(val, rB, ring))
+                    coords = coordinates(val)
                     if coords is None:
                         raise CoinvariantEscape("cleft map value escapes the coinvariants")
-                    hom_scatter(out, ring, ring.one, sparse_vector(coords), rH, t)
+                    hom_scatter(out, ring, ring.one, coords, rH, t)
                 cols.append(sparse_column(out))
         maps.append(LinearMap.from_sparse_columns(dom, hom, cols))
     return tuple(maps)

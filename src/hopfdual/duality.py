@@ -31,12 +31,21 @@ into a {flat index: coefficient} dict with ``linalg.hom_scatter``, and every
 map is written as its canonical sparse columns.  The hypothesis checks (the
 coactions υ/ω, φ and ψ) read the same sparse tables, and each membership
 question factors its span once.  The tables live for one call.
+
+Every factor is a canonical sparse vector read off a sparse table with
+``linalg.bilinear`` or ``linalg.linear``, and so are λ's hit values, ρ(g),
+the RL witnesses and the generators of J(A⊗V).  Only the sums of γ and δ
+per (t, k_last) and right δ's inner sum accumulate in dense lists, and the
+left side of check 1c multiplies with ``AlgebraData.product`` so that it
+shares no code with the coaction's builder.  A V span arrives dense, as
+input does, and ``compat_check`` reads it once into sparse vectors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import product
 from typing import Callable, Optional
 
 from .actions import ComoduleAlgebraData, WeakActionData, hit, regular_comodule
@@ -74,6 +83,7 @@ from .linalg import (
     kron,
     kron_column,
     kron_vec,
+    linear,
     product_label,
     span_coordinates,
     sparse_column,
@@ -111,7 +121,7 @@ def lambda_map(hopf: HopfData, U: SubalgebraU) -> LinearMap:
     end_mod = hom_module(b.carrier, b.carrier)
     hprod = bilinear(ring, b.algebra.mult, rH)
     e = unit_vectors(ring, rH)
-    hits = [[sparse_vector(hit(hopf, f, t)) for t in range(rH)] for f in U.elements]
+    hits = [[hit(hopf, sparse_vector(f), t) for t in range(rH)] for f in U.elements]
     cols = []
     for i in range(rH):
         for f_hits in hits:
@@ -123,24 +133,23 @@ def lambda_map(hopf: HopfData, U: SubalgebraU) -> LinearMap:
     return LinearMap.from_sparse_columns(tensor_module(b.carrier, U.module), end_mod, cols)
 
 
-def rho_endo(hopf: HopfData, g_vec) -> tuple:
-    """ρ(g) = [k ↦ k↼g = Σ g(k₁)k₂] as an End_R(H) coordinate vector."""
+def rho_endo(hopf: HopfData, g) -> tuple:
+    """ρ(g) = [k ↦ k↼g = Σ g(k₁)k₂] as an End_R(H) coordinate vector; g and
+    ρ(g) are canonical sparse vectors."""
     b = hopf.bialgebra
-    ring = b.ring
-    rH = b.rank
-    out = [ring.zero] * (rH * rH)
+    ring, rH, g = b.ring, b.rank, dict(g)
+    out = {}
     for t in range(rH):
         for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
-            s = ring.mul(c, g_vec[k1])
-            if (s):
-                out[k2 * rH + t] = ring.add(out[k2 * rH + t], s)
-    return tuple(out)
+            if k1 in g:
+                hom_scatter(out, ring, ring.mul(c, g[k1]), ((k2, ring.one),), rH, t)
+    return sparse_column(out)
 
 
 @dataclass
 class RLWitness:
     g: tuple
-    pairs: tuple  # ((h_vec, g_vec), ...) with Σ h_j(g_j⇀k) = k↼g (right side)
+    pairs: tuple  # ((h, g_j), ...) with Σ h_j(g_j⇀k) = k↼g (right side), all sparse
 
 
 @dataclass
@@ -154,25 +163,19 @@ class RLReport:
 
 
 def rl_check(hopf: HopfData, U: SubalgebraU, lam_coords, V) -> RLReport:
-    """Solve λ(ξ) = ρ(g) (λ̄ for a left U) for each g in V on ``lam_coords``,
-    the :func:`span_coordinates` factorization of λ's columns."""
-    b = hopf.bialgebra
-    ring = b.ring
-    rH, rU = b.rank, U.rank
+    """Solve λ(ξ) = ρ(g) (λ̄ for a left U) for each g in V, canonical sparse
+    vectors, on ``lam_coords``, the :func:`span_coordinates` factorization
+    of λ's columns."""
+    rU = U.rank
+    us = [sparse_vector(u) for u in U.elements]
     witnesses, failures = [], []
     for g in V:
-        g = tuple(ring.of(x) for x in g)
         xi = lam_coords(rho_endo(hopf, g))
         if xi is None:
             failures.append(g)
             continue
-        pairs = []
-        for pos, c in enumerate(xi):
-            if c:
-                i, l = divmod(pos, rU)
-                pairs.append((tuple(c if x == i else ring.zero for x in range(rH)),
-                              U.element(l)))
-        witnesses.append(RLWitness(g, tuple(pairs)))
+        witnesses.append(RLWitness(g, tuple((((pos // rU, c),), us[pos % rU])
+                                             for pos, c in xi)))
     return RLReport(witnesses, failures)
 
 
@@ -194,9 +197,9 @@ def phi_maps(h: HopfData, side: DiagramSide = DiagramSide.RIGHT):
 
     def phi(k_of):
         return LinearMap.from_sparse_columns(end_mod, end_mod, _sweedler_columns(
-            b, b.carrier, b.algebra, pair, k_of))
+            b, b.rank, b.algebra, pair, k_of))
 
-    phi1, phi2 = phi(b.carrier.basis_vector), phi(anti.column)
+    phi1, phi2 = phi(unit_vectors(b.ring, b.rank)), phi(anti.sparse_columns())
     ident = LinearMap.identity(end_mod)
     if phi1 @ phi2 != ident or phi2 @ phi1 != ident:
         raise ValidationError("φ₁ and φ₂ are not mutually inverse")
@@ -214,21 +217,22 @@ def _assert_phi_multiplicative(h: HopfData, phi1: LinearMap, side: DiagramSide):
     certify_algebra_iso(source, target, phi1, "φ₁")
 
 
-def _sweedler_columns(b, vals, algebra, pair, k_of):
-    """The sparse columns (i, j) of a map out of Hom(H, vals) into Hom(H, ·):
-    the value at h_t is Σ c·algebra.product(*pair(v_i, k_of(t₁))) over the
-    terms c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j (φ₁, φ₂, ε and ε⁻¹).  The terms
+def _sweedler_columns(b, rank, algebra, pair, k_of):
+    """The sparse columns (i, j) of a map out of Hom(H, V), rank(V) =
+    ``rank``, into Hom(H, ·): the value at h_t is Σ c·v_i'k' over the terms
+    c·h_t₁⊗h_t₂ of Δ(h_t) with t₂ = j, where (v_i', k') = pair(v_i,
+    k_of[t₁]) are multiplied in ``algebra`` (φ₁, φ₂, ε and ε⁻¹).  The terms
     are grouped by t₂ once per call, and each product is formed once per
-    (i, t₁)."""
+    (i, t₁) from the sparse table."""
     ring, rH = b.ring, b.rank
+    prod = bilinear(ring, algebra.mult, algebra.rank)
     by_j = [[[] for _ in range(rH)] for _ in range(rH)]  # by_j[t₂][t]: (c, t₁)
     for t in range(rH):
         for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
             by_j[t2][t].append((c, t1))
     cols = []
-    for i in range(vals.rank):
-        v = vals.basis_vector(i)
-        prods = [sparse_vector(algebra.product(*pair(v, k_of(t1)))) for t1 in range(rH)]
+    for v in unit_vectors(ring, rank):
+        prods = [prod(*pair(v, k)) for k in k_of]
         for terms in by_j:
             out = {}
             for t, tt in enumerate(terms):
@@ -261,28 +265,29 @@ def epsilon_maps(h: HopfData, A: AlgebraData,
     Op:    ε̄(g)(1⊗k) = Σ (1⊗k₁)·g(k₂),    ε̄⁻¹(F)(k) = Σ (1⊗S(k₁))·F(1⊗k₂).
     """
     b = h.bialgebra
-    ring = b.ring
+    ring, mul = b.ring, b.ring.mul
+    rH, rA = b.rank, A.rank
     hom_src = hom_module(b.carrier, tensor_module(A.carrier, b.carrier))
     end_mod = end_rep_module(h, A, side)
     ah = tensor_algebra(A, b.algebra)
-    sw_ha_to_ah = twist_map(b.carrier, A.carrier)
-    anti = h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode
-    target = (tensor_module(b.carrier, A.carrier) if side is DiagramSide.RIGHT
-              else tensor_module(A.carrier, b.carrier))
+    one_a = sparse_vector(A.unit)
+    e = unit_vectors(ring, rH)
+    anti = (h.twisted_antipode if side is DiagramSide.RIGHT else h.antipode).sparse_columns()
     if side is DiagramSide.RIGHT:  # ε: τ(g)·(k⊗1) in H⊗A; ε⁻¹: τ(F)·(1⊗k) in A⊗H
-        alg, swap = tensor_algebra(b.algebra, A), twist_map(A.carrier, b.carrier)
-        eps_pair = lambda g, k: (swap.apply(g), kron_vec(ring, k, A.unit))
-        inv_pair = lambda f, k: (sw_ha_to_ah.apply(f), k)
+        alg = tensor_algebra(b.algebra, A)
+        swap = linear(ring, twist_map(A.carrier, b.carrier))
+        swap_back = linear(ring, twist_map(b.carrier, A.carrier))
+        eps_pair = lambda g, k: (swap(g), kron_column(k, one_a, rA, mul))
+        inv_pair = lambda f, k: (swap_back(f), k)
     else:                          # ε̄: (1⊗k)·g and ε̄⁻¹: (1⊗k)·F, both in A⊗H
         alg = ah
-        eps_pair = lambda g, k: (kron_vec(ring, A.unit, k), g)
+        eps_pair = lambda g, k: (kron_column(one_a, k, rH, mul), g)
         inv_pair = lambda f, k: (k, f)
 
     eps = LinearMap.from_sparse_columns(hom_src, end_mod, _sweedler_columns(
-        b, tensor_module(A.carrier, b.carrier), alg, eps_pair, b.carrier.basis_vector))
+        b, rA * rH, alg, eps_pair, e))
     eps_inv = LinearMap.from_sparse_columns(end_mod, hom_src, _sweedler_columns(
-        b, target, ah, inv_pair,
-        lambda t1: kron_vec(ring, A.unit, anti.column(t1))))
+        b, rA * rH, ah, inv_pair, [kron_column(one_a, col, rH, mul) for col in anti]))
 
     if eps @ eps_inv != LinearMap.identity(end_mod) or \
             eps_inv @ eps != LinearMap.identity(hom_src):
@@ -373,7 +378,7 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
     Op:    (1⊗k) ↦ Σ [k₁a]σ(k₂⊗h₁) ⊗ (f⇀k₃)h₂
 
     The full 4-leg expansion of k and 4-leg (op: 2-leg) expansion of h is
-    summed as written.  Basis products and their S̄-images are tabulated once
+    summed as written.  The S̄-images of basis products are tabulated once
     per call, the action and σ factors once per leg-index key they read, and
     the sum is formed once per (a, h, k, k₄) before it meets each f(k₄).
     """
@@ -381,35 +386,34 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    sigma = cp.cocycle.sigma
-    basis, a_basis = b.carrier.basis_vector, A.carrier.basis_vector
-    prod = _basis_products(b)
+    rH, rA = b.rank, A.rank
+    e, a_e = unit_vectors(ring, rH), unit_vectors(ring, rA)
+    hmul = b.algebra.mult.sparse_columns()
+    act = bilinear(ring, cp.action.action, rA)
+    sigma = bilinear(ring, cp.cocycle.sigma, rH)
+    aprod = bilinear(ring, A.mult, rA)
     if side is DiagramSide.RIGHT:
-        h_legs = 4
-        sprod = [[h.twisted_antipode.apply(v) for v in row] for row in prod]
+        h_legs, width = 4, rA
+        sb = linear(ring, h.twisted_antipode)
+        sprod = cache(lambda x, y: sb(hmul[x * rH + y]))
 
         @cache
         def apart(h1, h2, h3, k1, k2, i):
-            acted = cp.action.act(sprod[h3][k2], a_basis(i))
-            return A.product(acted, sigma.apply(kron_vec(ring, sprod[h2][k1], basis(h1))))
+            return aprod(act(sprod(h3, k2), a_e[i]), sigma(sprod(h2, k1), e[h1]))
 
         def term(i, hl, kl):
             h1, h2, h3, h4 = hl
             k1, k2, k3, _ = kl
-            return prod[h4][k3], apart(h1, h2, h3, k1, k2, i)
+            return hmul[h4 * rH + k3], apart(h1, h2, h3, k1, k2, i)
     else:
-        h_legs = 2
-
-        @cache
-        def apart(k1, k2, h1, i):
-            acted = cp.action.act_basis(k1, a_basis(i))
-            return A.product(acted, sigma.apply(kron_vec(ring, basis(k2), basis(h1))))
+        h_legs, width = 2, rH
+        apart = cache(lambda k1, k2, h1, i: aprod(act(e[k1], a_e[i]), sigma(e[k2], e[h1])))
 
         def term(i, hl, kl):
             k1, k2, k3, _ = kl
-            return apart(k1, k2, hl[0], i), prod[k3][hl[1]]
+            return apart(k1, k2, hl[0], i), hmul[k3 * rH + hl[1]]
     return _tabulated(cp, U, tensor_module(cp.carrier, U.module),
-                      end_rep_module(h, A, side), 4, _over_h_legs(b, h_legs, term))
+                      end_rep_module(h, A, side), 4, _over_h_legs(b, h_legs, width, term))
 
 
 def delta_map(cp: CrossedProductData, U: SubalgebraU,
@@ -432,68 +436,61 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
-    sigma, sigma_inv = cp.cocycle.sigma, cp.cocycle.sigma_inv
-    Sb, S = h.twisted_antipode, h.antipode
-    halg = b.algebra
-    basis, a_basis = b.carrier.basis_vector, A.carrier.basis_vector
-    prod = _basis_products(b)
-    aprod = cache(A.product)  # keyed by the factors' values
+    rH, rA = b.rank, A.rank
+    e, a_e = unit_vectors(ring, rH), unit_vectors(ring, rA)
+    hmul = b.algebra.mult.sparse_columns()
+    Sb, S = h.twisted_antipode.sparse_columns(), h.antipode.sparse_columns()
+    act = bilinear(ring, cp.action.action, rA)
+    sigma = bilinear(ring, cp.cocycle.sigma, rH)
+    sigma_inv = bilinear(ring, cp.cocycle.sigma_inv, rH)
+    hprod = bilinear(ring, b.algebra.mult, rH)
+    aprod = cache(bilinear(ring, A.mult, rA))  # keyed by the factors' values
     dom = tensor_module(A.carrier, tensor_module(b.carrier, U.module))
     cod = hom_module(b.carrier, cp.carrier)
     if side is DiagramSide.RIGHT:
-        s1 = cache(lambda y1, y2: sigma_inv.apply(kron_vec(ring, basis(y2), Sb.column(y1))))
-        acted = cache(lambda y3, i: cp.action.act_basis(y3, a_basis(i)))
-        s2 = cache(lambda y4, k2: sigma.apply(kron_vec(ring, basis(y4), Sb.column(k2))))
-        hpart = cache(lambda y5, k1: halg.product(basis(y5), Sb.column(k1)))
+        s1 = cache(lambda y1, y2: sigma_inv(e[y2], Sb[y1]))
+        acted = cache(lambda y3, i: act(e[y3], a_e[i]))
+        s2 = cache(lambda y4, k2: sigma(e[y4], Sb[k2]))
+        hpart = cache(lambda y5, k1: hprod(e[y5], Sb[k1]))
 
         @cache
         def inner(p, k1, k2, i):
             vec = [ring.zero] * cp.carrier.rank
             for c, (y1, y2, y3, y4, y5) in b.coalgebra.sweedler_basis(p, 5):
                 apart = aprod(aprod(s1(y1, y2), acted(y3, i)), s2(y4, k2))
-                _add_outer(vec, ring, c, apart, hpart(y5, k1))
-            return vec
+                _add_outer(vec, ring, c, apart, hpart(y5, k1), rH)
+            return sparse_vector(vec)
 
         def add_term(vec, ck, i, j, kl):
             k1, k2, m, _ = kl
-            for p, x in enumerate(prod[j][m]):
-                if x:  # vec += ck·x·inner
-                    _add_outer(vec, ring, ck, (x,), inner(p, k1, k2, i))
+            for p, x in hmul[j * rH + m]:  # vec += ck·x·inner
+                _add_outer(vec, ring, ck, ((0, x),), inner(p, k1, k2, i), 0)
 
         return _tabulated(cp, U, dom, cod, 4, add_term)
 
     @cache
     def s1_acted(k3, k4, k5, i):
-        s1 = sigma_inv.apply(kron_vec(ring, S.column(k4), basis(k5)))
-        return A.product(s1, cp.action.act(S.column(k3), a_basis(i)))
+        return aprod(sigma_inv(S[k4], e[k5]), act(S[k3], a_e[i]))
 
-    s2 = cache(lambda k2, k6, h1: sigma.apply(kron_vec(ring, S.column(k2), prod[k6][h1])))
-    hpart = cache(lambda k1, k7, h2: halg.product(halg.product(S.column(k1), basis(k7)),
-                                                  basis(h2)))
+    s2 = cache(lambda k2, k6, h1: sigma(S[k2], hmul[k6 * rH + h1]))
+    hpart = cache(lambda k1, k7, h2: hprod(hprod(S[k1], e[k7]), e[h2]))
 
     def term(i, hl, kl):
         k1, k2, k3, k4, k5, k6, k7, _ = kl
         h1, h2 = hl
         return aprod(s1_acted(k3, k4, k5, i), s2(k2, k6, h1)), hpart(k1, k7, h2)
-    return _tabulated(cp, U, dom, cod, 8, _over_h_legs(b, 2, term))
+    return _tabulated(cp, U, dom, cod, 8, _over_h_legs(b, 2, rH, term))
 
 
-def _basis_products(b):
-    """prod[x][y] = h_x·h_y as a dense vector."""
-    basis = b.carrier.basis_vector
-    return [[b.algebra.product(basis(x), basis(y)) for y in range(b.rank)]
-            for x in range(b.rank)]
-
-
-def _over_h_legs(b, h_legs, term):
+def _over_h_legs(b, h_legs, width, term):
     """The summand that adds c·Σ c_h·(u⊗v) over the ``h_legs``-fold expansion
-    of h_j, with (u, v) = term(i, h-legs, k-legs)."""
+    of h_j, with (u, v) = term(i, h-legs, k-legs) and rank ``width`` for v."""
     ring = b.ring
     h_terms = [b.coalgebra.sweedler_basis(j, h_legs) for j in range(b.rank)]
 
     def add_term(vec, c, i, j, kl):
         for ch, hl in h_terms[j]:
-            _add_outer(vec, ring, ring.mul(c, ch), *term(i, hl, kl))
+            _add_outer(vec, ring, ring.mul(c, ch), *term(i, hl, kl), width)
     return add_term
 
 
@@ -501,13 +498,14 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
     """The map dom → cod = Hom(H, B) whose column (a_i, h_j, f_l) has value
     Σ c_k·f_l(k_last)·s(i, j, k-legs) at h_t, where c_k runs over the
     ``k_legs``-fold expansion of h_t and add_term(vec, c_k, i, j, k-legs)
-    adds c_k·s(i, j, k-legs) ∈ B into ``vec``.  The sum is formed once per
-    (i, j, t, k_last) and then contracted with each f_l."""
+    adds c_k·s(i, j, k-legs) ∈ B into the dense list ``vec``.  The sum is
+    formed once per (i, j, t, k_last) and then contracted with each f_l."""
     b = cp.action.bialgebra
     ring = cp.ring
     rH = b.rank
     width = cod.rank // rH
-    live = {k for f in U.elements for k, x in enumerate(f) if x}
+    fs = [dict(sparse_vector(f)) for f in U.elements]
+    live = {k for f in fs for k in f}
     cols = []
     for i in range(cp.action.algebra.rank):
         for j in range(rH):
@@ -517,26 +515,23 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
                     if kl[-1] in live:
                         add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width), ck, i, j, kl)
             sums = [(t, k, sparse_vector(vec)) for (t, k), vec in acc.items()]
-            for f in U.elements:
+            for f in fs:
                 out = {}
                 for t, k, vec in sums:
-                    if f[k]:
+                    if k in f:
                         hom_scatter(out, ring, f[k], vec, rH, t)
                 cols.append(sparse_column(out))
     return LinearMap.from_sparse_columns(dom, cod, cols)
 
 
-def _add_outer(acc, ring, c, u, v):
-    """acc += c·(u⊗v), flattened u-major."""
+def _add_outer(acc, ring, c, u, v, width):
+    """acc += c·(u⊗v), flattened u-major, for canonical sparse vectors u and
+    v, v of rank ``width``, into the dense list ``acc``."""
     mul, add = ring.mul, ring.add
-    n = len(v)
-    for p, x in enumerate(u):
-        if not x:
-            continue
-        cx = mul(c, x)
-        for q, y in enumerate(v, p * n):
-            if y:
-                acc[q] = add(acc[q], mul(cx, y))
+    for p, x in u:
+        cx, base = mul(c, x), p * width
+        for q, y in v:
+            acc[base + q] = add(acc[base + q], mul(cx, y))
 
 
 def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMap:
@@ -780,17 +775,10 @@ def _hom_values(b, A, legs, value):
     return LinearMap.from_sparse_columns(tensor_module(b.carrier, A.carrier), cod, cols)
 
 
-def j_generators(ring, rA: int, V, rH: int):
-    """Generators J(a_k ⊗ v): h ↦ a_k·v(h) of J(A⊗V) ⊆ Hom(H, A), rank(A) = rA."""
-    gens = []
-    for k in range(rA):
-        for v in V:
-            out = [ring.zero] * (rA * rH)
-            for t in range(rH):
-                if (v[t]):
-                    out[k * rH + t] = v[t]
-            gens.append(tuple(out))
-    return gens
+def j_generators(rA: int, V, rH: int):
+    """Generators J(a_k ⊗ v): h ↦ a_k·v(h) of J(A⊗V) ⊆ Hom(H, A), rank(A) = rA,
+    for canonical sparse functionals v, as canonical sparse vectors."""
+    return [tuple((k * rH + t, x) for t, x in v) for k in range(rA) for v in V]
 
 
 def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
@@ -798,14 +786,15 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
     """(V,U) compatibility: φ(H⊗A), ψ(H⊗A) ⊆ J(A⊗V) and the RL-condition.
     ``lam_coords`` is λ's factorization for :func:`rl_check`.  ``maps`` is
     (φ, ψ) when the caller has built them for ``side``; both are tested
-    against one factorization of J(A⊗V)."""
+    against one factorization of J(A⊗V).  V is a list of dense functionals,
+    read once into canonical sparse vectors."""
     h = cp.action.hopf
     b = h.bialgebra
     A = cp.action.algebra
     ring = cp.ring
     phi, psi = maps or compat_maps(cp, side)
-    gens = j_generators(ring, A.rank, [tuple(ring.of(x) for x in v) for v in V], b.rank)
-    inside = span_coordinates(ring, gens, A.rank * b.rank)
+    V = [sparse_vector(map(ring.of, v)) for v in V]
+    inside = span_coordinates(ring, j_generators(A.rank, V, b.rank), A.rank * b.rank)
     phi_col = first_outside(inside, phi)
     psi_col = first_outside(inside, psi)
     rl = rl_check(h, U, lam_coords, V)
@@ -818,8 +807,8 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
 def first_outside(express, m: LinearMap) -> Optional[int]:
     """The first column of ``m`` that ``express`` (a :func:`span_coordinates`
     of the span) cannot express, or None."""
-    return next((col for col in range(m.domain.rank)
-                 if express(m.column(col)) is None), None)
+    return next((j for j, col in enumerate(m.sparse_columns())
+                 if express(col) is None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,23 +1010,21 @@ def _coaction_checks(h: HopfData, side: CoactionSide, cmap) -> ValidationReport:
 
 def coaction_preimage_of_U(table: CoactionTable, hopf: HopfData,
                            U: SubalgebraU):
-    """V := coaction⁻¹(H ⊗ span(U)) as a canonical list of functionals."""
+    """V := coaction⁻¹(H ⊗ span(U)) as a canonical list of dense functionals:
+    the f-part of the kernel of [cmap | -G], G the generators h_i⊗u, whose
+    rows are written from the sparse columns of the coaction and of U."""
     b = hopf.bialgebra
     ring = b.ring
     rH = b.rank
-    gens = [kron_vec(ring, b.carrier.basis_vector(i), u)
-            for i in range(rH) for u in U.elements]
-    # f with cmap(f) in span(gens): kernel of (quotient ∘ cmap)
-    cols = []
-    for i in range(rH):
-        cols.append(table.map.column(i))
-    # stack [cmap | -G] and take the kernel, projecting to the f-part
+    us = [sparse_vector(u) for u in U.elements]
     m = rH * rH
-    rows = []
-    for r in range(m):
-        row = [cols[i][r] for i in range(rH)]
-        row += [ring.neg(g[r]) for g in gens]
-        rows.append(row)
+    rows = [[ring.zero] * (rH + rH * len(us)) for _ in range(m)]
+    for i, col in enumerate(table.map.sparse_columns()):
+        for r, x in col:
+            rows[r][i] = x
+    for g, (i, u) in enumerate(product(range(rH), us), rH):
+        for p, x in u:
+            rows[i * rH + p][g] = ring.neg(x)
     res = PreparedSolver(ring, rows).solve((ring.zero,) * m)
     vs = [v[:rH] for v in res.kernel_basis]
     return list(canonical_span(ring, vs, rH))
@@ -1049,18 +1036,15 @@ def coaction_preimage_of_U(table: CoactionTable, hopf: HopfData,
 
 def coefficient_space_of_action(action: WeakActionData):
     """Cf(A) ⊆ H* for the finite-rank comodule structure induced by a module
-    action: the functionals h ↦ coeff_k(h⇀a_j)."""
-    b = action.bialgebra
-    A = action.algebra
-    ring = action.ring
-    out = []
-    for j in range(A.rank):
-        for k in range(A.rank):
-            vec = tuple(action.act_basis(i, A.carrier.basis_vector(j))[k]
-                        for i in range(b.rank))
-            if any(not ring.is_zero(x) for x in vec):
-                out.append(vec)
-    return out
+    action: the nonzero functionals h ↦ coeff_k(h⇀a_j), in (j, k) order, as
+    dense functionals read off the action's sparse columns."""
+    rH, rA = action.bialgebra.rank, action.algebra.rank
+    coeffs = {}
+    for pos, col in enumerate(action.action.sparse_columns()):
+        i, j = divmod(pos, rA)
+        for k, x in col:
+            coeffs.setdefault((j, k), [action.ring.zero] * rH)[i] = x
+    return [tuple(coeffs[key]) for key in sorted(coeffs)]
 
 
 def bm_route_hypotheses(cp: CrossedProductData, U: SubalgebraU, lam_coords,

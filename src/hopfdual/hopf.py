@@ -192,13 +192,6 @@ class AlgebraData:
         return hash((self.rank, self.mult, self.unit))
 
 
-def expand_sparse(sparse, rank, ring):
-    out = [ring.zero] * rank
-    for i, c in sparse:
-        out[i] = c
-    return tuple(out)
-
-
 class CoalgebraData:
     """A coassociative counital coalgebra; the counit maps into the rank-one module."""
 

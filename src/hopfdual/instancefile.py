@@ -31,8 +31,7 @@ from .hopf import (
 )
 from .linalg import LinearMap, free_module, tensor_module
 from .rings import Ring, read_decimal, ring_from_descriptor
-
-SUITES = ("hopf", "crossed", "smash", "duality", "cleft", "opposite", "all")
+from .suites import SUITE_ORDER, suites_for_kind
 
 
 @dataclass
@@ -132,7 +131,7 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
     if kind not in ("hopf", "crossed", "cleft"):
         _fail(f"{where}: unknown kind {kind!r}")
     suite = doc.get("suite", "all")
-    if suite not in SUITES:
+    if suite != "all" and suite not in SUITE_ORDER:
         _fail(f"{where}: unknown suite {suite!r}")
     ring_desc = _need(doc, "ring", where)
     if not isinstance(ring_desc, dict):
@@ -198,17 +197,14 @@ def parse_instance_dict(doc: dict, where: str = "<memory>") -> InstanceFile:
             blocks[key] = [_parse_vector(ring, v, rH, f"{where}: {key}")
                            for v in doc[key]]
 
-    # suite feasibility
-    if suite in ("crossed", "opposite") and kind == "hopf":
+    if suite != "all" and suite not in suites_for_kind(kind):
         _fail(f"{where}: suite {suite!r} needs crossed or cleft data")
-    if suite == "cleft" and kind == "hopf":
-        _fail(f"{where}: suite 'cleft' needs crossed or cleft data")
 
     expected = _object(doc, "expected", where) if "expected" in doc else {}
     if "only_suites" in expected:
         only = expected["only_suites"]
         if (not isinstance(only, list) or not only
-                or not all(s in SUITES and s != "all" for s in only)):
+                or not all(s in SUITE_ORDER for s in only)):
             _fail(f"{where}: expected.only_suites must be a non-empty list of "
                   "suite names other than 'all'")
 

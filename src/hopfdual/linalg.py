@@ -22,6 +22,18 @@ Hom(C, B) values included (:func:`hom_scatter`), in a dict
 constants are likewise written by index arithmetic on sparse columns, never
 by composing Kronecker products with twist matrices.
 
+An element is handed from one function to another in the same form, as a
+canonical sparse vector: a map's column.  Builders read their factors off
+the sparse tables with :func:`bilinear` ((u, v) ↦ m(u⊗v)) and
+:func:`linear` (v ↦ m(v)), and :func:`span_coordinates` takes sparse
+generators and a sparse vector and returns sparse coordinates.  Dense tuples
+remain only at the boundary: stored units (``AlgebraData.unit``) and the
+unit checks that read them, parsed and hand-written input (the U and V
+spans, ``FreeModule.vector``, the catalog's columns), and elimination
+(:class:`PreparedSolver`, :func:`solve_linear`, :func:`canonical_span`,
+:func:`split_coefficient_map`, :func:`map_to_vec`/:func:`vec_to_map`),
+which writes its dense rows from sparse input where it starts.
+
 Basis names play no part in this: a :class:`FreeModule` holds a label
 function, derived modules compose their factors', and a name is built only
 when read (a witness, the instance writer).  :func:`free_module`, the one
@@ -366,6 +378,13 @@ def bilinear(ring, m: LinearMap, right_rank: int):
     cols, mul = m.sparse_columns(), ring.mul
     return lambda u, v: combine_columns(
         ring, [(cols[x * right_rank + y], mul(a, c)) for x, a in u for y, c in v])
+
+
+def linear(ring, m: LinearMap):
+    """v ↦ m(v) on canonical sparse vectors, the terms read off m's sparse
+    columns."""
+    cols = m.sparse_columns()
+    return lambda v: combine_columns(ring, [(cols[x], c) for x, c in v])
 
 
 def unit_vectors(ring, rank: int) -> list:
@@ -874,19 +893,28 @@ def _inverse_columns(m: LinearMap):
 
 def span_coordinates(ring: Ring, generators, length: int):
     """The map v ↦ coefficients expressing v in span(generators), or None,
-    on vectors of ``length``.  The matrix whose columns are the generators is
-    factored once and every v is one solve against that factorization, so a
-    loop over many v shares it.  Exact over all three rings."""
-    gens = [tuple(ring.of(x) for x in g) for g in generators]
-    if any(len(g) != length for g in gens):
+    on vectors of ``length``.  The generators, each v and the coefficients
+    are canonical sparse vectors; the matrix whose columns are the
+    generators is written out densely and factored once, every v is one
+    solve against that factorization, so a loop over many v shares it.
+    Exact over all three rings."""
+    gens = [tuple(g) for g in generators]
+    if any(g and g[-1][0] >= length for g in gens):
         raise DimensionMismatch("generator/vector length mismatch")
     if not gens:
-        return lambda v: () if all(ring.is_zero(ring.of(x)) for x in v) else None
-    solver = PreparedSolver(ring, [[g[i] for g in gens] for i in range(length)])
+        return lambda v: () if not v else None
+    rows = [[ring.zero] * len(gens) for _ in range(length)]
+    for j, g in enumerate(gens):
+        for i, x in g:
+            rows[i][j] = x
+    solver = PreparedSolver(ring, rows)
 
     def coordinates(v):
-        res = solver.solve(v)
-        return res.particular if res.solvable else None
+        rhs = [ring.zero] * length
+        for i, x in v:
+            rhs[i] = x
+        res = solver.solve(rhs)
+        return sparse_vector(res.particular) if res.solvable else None
     return coordinates
 
 

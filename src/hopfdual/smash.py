@@ -104,9 +104,6 @@ class SubalgebraU:
     def rank(self):
         return len(self.elements)
 
-    def element(self, i: int):
-        return self.elements[i]
-
     def star(self, u, v):
         """u⋆v in H*: (u⋆v)(h_j) = Σ c·u(h_p)v(h_q) over the legs c·h_p⊗h_q
         of Δ(h_j)."""

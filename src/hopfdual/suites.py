@@ -61,7 +61,14 @@ from .hopf import (
     tensor_coalgebra,
     validate_hopf,
 )
-from .linalg import CERTIFICATES, LinearMap, invert_map, kron, span_coordinates
+from .linalg import (
+    CERTIFICATES,
+    LinearMap,
+    invert_map,
+    kron,
+    span_coordinates,
+    unit_vectors,
+)
 from .reporting import Report, ValidationReport
 from .smash import (
     ModuleSide,
@@ -77,11 +84,16 @@ from .smash import (
 SUITE_ORDER = ("hopf", "crossed", "smash", "duality", "cleft", "opposite")
 
 
+def suites_for_kind(kind: str):
+    """The suites that apply to an entry of ``kind``: the crossed, cleft and
+    opposite suites need crossed or cleft data."""
+    if kind == "hopf":
+        return ("hopf", "smash", "duality")
+    return SUITE_ORDER
+
+
 def applicable_suites(entry: CatalogEntry):
-    if entry.kind == "hopf":
-        suites = ("hopf", "smash", "duality")
-    else:
-        suites = SUITE_ORDER
+    suites = suites_for_kind(entry.kind)
     only = entry.expected.get("only_suites")
     if only:
         suites = tuple(s for s in suites if s in only)
@@ -160,7 +172,7 @@ class Derived:
         """The :func:`span_coordinates` factorization of :meth:`lam`'s columns."""
         lam = self.lam(side)
         return self._once(("λ coords", side), lambda: span_coordinates(
-            self.hopf.ring, map(lam.column, range(lam.domain.rank)), lam.codomain.rank))
+            self.hopf.ring, lam.sparse_columns(), lam.codomain.rank))
 
     @property
     def crossed(self) -> Optional[CrossedProductData]:
@@ -172,7 +184,8 @@ class Derived:
 
     @property
     def cleft(self) -> CleftData:
-        """The entry's cleft data, or θ(h) = 1#h on its crossed product."""
+        """The entry's cleft data, or θ(h) = 1#h on its crossed product,
+        which the cleft suite's records validate."""
         payload = self.entry.payload
         if isinstance(payload, CleftData):
             return payload
@@ -255,8 +268,6 @@ def run_hopf_suite(ctx: Derived) -> ValidationReport:
 def run_crossed_suite(ctx: Derived) -> ValidationReport:
     rep = ValidationReport(f"{ctx.entry.name}: crossed suite")
     cp = ctx.crossed
-    if cp is None:
-        raise ValidationError("crossed suite needs crossed or cleft data")
     rep.extend(validate_weak_action(cp.action, "weak action"))
     flags = cp.cocycle.flags
     rep.add("crossed.flags", "σ is normal, a cocycle, and twisted-module "
@@ -351,7 +362,7 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
            lambda: epsilon_maps(h, A, DiagramSide.RIGHT)
            and epsilon_maps(h, A, DiagramSide.OP) and True)
     if full_u:
-        basis = [h.carrier.basis_vector(i) for i in range(h.rank)]
+        basis = unit_vectors(h.ring, h.rank)
         _timed(rep, "duality.rl", "U = H* satisfies the RL-condition on both "
                "sides", lambda: all(rl_check(h, ctx.u(side), ctx.lam_coords(side),
                                              basis).ok for side in DiagramSide))
@@ -398,11 +409,9 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
     def maps_contained():
         h = cp.action.hopf
         phi, psi = cleft_maps(cleft)
-        ring = cp.ring
         # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
-        gens = j_generators(ring, phi.codomain.rank // h.rank,
-                            [h.carrier.basis_vector(i) for i in range(h.rank)], h.rank)
-        inside = span_coordinates(ring, gens, phi.codomain.rank)
+        gens = j_generators(phi.codomain.rank // h.rank, unit_vectors(h.ring, h.rank), h.rank)
+        inside = span_coordinates(h.ring, gens, phi.codomain.rank)
         return (first_outside(inside, phi) is None
                 and first_outside(inside, psi) is None)
 
@@ -428,8 +437,6 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
 def run_opposite_suite(ctx: Derived) -> ValidationReport:
     rep = ValidationReport(f"{ctx.entry.name}: opposite suite")
     cp = ctx.crossed
-    if cp is None:
-        raise ValidationError("opposite suite needs crossed or cleft data")
     U = ctx.u(DiagramSide.RIGHT)
     _timed(rep, "opposite.tau", "τ = σ⁻¹∘(S̄⊗S̄) validates as an invertible "
            "normal cocycle with the twisted-module property",

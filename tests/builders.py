@@ -67,8 +67,7 @@ def diagram(cp, U, side):
 def lambda_coordinates(hopf: HopfData, U):
     """The ``span_coordinates`` factorization of λ (λ̄ for a left U)."""
     lam = lambda_map(hopf, U)
-    return span_coordinates(hopf.ring, map(lam.column, range(lam.domain.rank)),
-                            lam.codomain.rank)
+    return span_coordinates(hopf.ring, lam.sparse_columns(), lam.codomain.rank)
 
 
 def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:

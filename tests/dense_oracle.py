@@ -128,6 +128,20 @@ table) and ``invert`` by one solve of :func:`convolution_system`.
 and θ⁻¹ to agree with it bit for bit, and ``test_hopf.py`` and
 ``test_smash.py`` compare ``convolve``, ``SubalgebraU.star`` and the hat
 smash tables with it.
+
+``coaction_preimage_of_U`` and ``coefficient_space_of_action`` are the two
+V builders with dense generators and one dense h⇀a per entry;
+``test_duality.py`` requires the library's to give the same lists.
+``act``, ``act_basis``, ``expand_sparse``, ``hit`` and ``rho_endo`` are the
+dense element helpers the library had before every builder handed its
+elements on as canonical sparse vectors: h⇀a as the action map applied to
+the dense h⊗a or read off one column block, the dense tuple of a sparse
+vector, and f⇀h_t and ρ(g) on dense functionals.  The oracles here are
+written with them.  Where an oracle reads a sparse library result (the
+coinvariants' vectors and coordinates, in ``_cleft_express`` and
+``coinvariant_inclusion``) it expands it to dense tuples, and ``rl_dense``
+expands the library's RL failures and witnesses for comparison with
+``rl_check``.
 """
 from fractions import Fraction
 from functools import cache
@@ -138,7 +152,6 @@ from hypothesis import strategies as st
 
 from builders import map_from_columns
 from hopfdual import crossed, duality, linalg
-from hopfdual.actions import hit
 from hopfdual.catalog import ground_algebra
 from hopfdual.crossed import CocycleFlags
 from hopfdual.actions import coinvariants
@@ -153,7 +166,6 @@ from hopfdual.errors import (
 from hopfdual.hopf import (
     AlgebraData,
     dual_hopf,
-    expand_sparse,
     tensor_algebra,
 )
 from hopfdual.linalg import (
@@ -290,6 +302,66 @@ def vec_scale(ring, c, u):
     if not c:
         return (ring.zero,) * len(u)
     return tuple(ring.mul(c, a) if a else a for a in u)
+
+
+def expand_sparse(sparse, rank, ring):
+    """The dense tuple of length ``rank`` of a canonical sparse vector."""
+    out = [ring.zero] * rank
+    for i, c in sparse:
+        out[i] = c
+    return tuple(out)
+
+
+def act(action, h_vec, a_vec):
+    """h⇀a on dense vectors: the action map applied to the dense h⊗a."""
+    return action.action.apply(kron_vec(action.ring, h_vec, a_vec))
+
+
+def act_basis(action, i, a_vec):
+    """h_i⇀a for a dense a, read off the action's sparse columns."""
+    ring = action.ring
+    rA = action.algebra.rank
+    cols = action.action.sparse_columns()
+    out = [ring.zero] * rA
+    for j, a in enumerate(a_vec):
+        if a:
+            for t, c in cols[i * rA + j]:
+                out[t] = ring.add(out[t], ring.mul(c, a))
+    return tuple(out)
+
+
+def hit(h, f_vec, t):
+    """f⇀h_t = Σ k₁f(k₂) over Δ(h_t) for a dense functional f, as a dense
+    vector."""
+    ring = h.ring
+    out = [ring.zero] * h.rank
+    for c, (k1, k2) in h.coalgebra.sweedler_basis(t, 2):
+        s = ring.mul(c, f_vec[k2])
+        if s:
+            out[k1] = ring.add(out[k1], s)
+    return tuple(out)
+
+
+def rho_endo(hopf, g_vec):
+    """ρ(g) = [k ↦ Σ g(k₁)k₂] as a dense End_R(H) coordinate vector."""
+    ring, rH = hopf.ring, hopf.rank
+    out = [ring.zero] * (rH * rH)
+    for t in range(rH):
+        for c, (k1, k2) in hopf.coalgebra.sweedler_basis(t, 2):
+            s = ring.mul(c, g_vec[k1])
+            if s:
+                out[k2 * rH + t] = ring.add(out[k2 * rH + t], s)
+    return tuple(out)
+
+
+def rl_dense(rl, ring, rank):
+    """The failures and witnesses of the library's RL report, every sparse
+    vector expanded to the dense tuple that :func:`rl_check` gives."""
+    def vec(v):
+        return expand_sparse(v, rank, ring)
+    return ([vec(g) for g in rl.failures],
+            [duality.RLWitness(vec(w.g), tuple((vec(x), vec(y)) for x, y in w.pairs))
+             for w in rl.witnesses])
 
 
 def scatter_value(out, ring, val, rH, t):
@@ -560,7 +632,7 @@ def gamma_map(cp, U, side):
         a_i = A.carrier.basis_vector(i)
         for j in range(rH):
             for l in range(rU):
-                f = U.element(l)
+                f = U.elements[l]
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
                     if side is DiagramSide.RIGHT:
@@ -578,7 +650,7 @@ def gamma_map(cp, U, side):
                                 h2k1 = b.algebra.product(
                                     b.carrier.basis_vector(h2),
                                     b.carrier.basis_vector(k1))
-                                acted = cp.action.act(Sb.apply(h3k2), a_i)
+                                acted = act(cp.action, Sb.apply(h3k2), a_i)
                                 sig = sigma.apply(kron_vec(
                                     ring, Sb.apply(h2k1),
                                     b.carrier.basis_vector(h1)))
@@ -591,7 +663,7 @@ def gamma_map(cp, U, side):
                                 c = ring.mul(ring.mul(ch, ck), f[k4])
                                 if not (c):
                                     continue
-                                acted = cp.action.act_basis(k1, a_i)
+                                acted = act_basis(cp.action, k1, a_i)
                                 sig = sigma.apply(kron_vec(
                                     ring, b.carrier.basis_vector(k2),
                                     b.carrier.basis_vector(h1)))
@@ -639,7 +711,7 @@ def delta_map(cp, U, side):
         a_i = A.carrier.basis_vector(i)
         for j in range(rH):
             for l in range(rU):
-                f = U.element(l)
+                f = U.elements[l]
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
                     for ck, klegs in b.coalgebra.sweedler_basis(t, 8):
@@ -654,7 +726,7 @@ def delta_map(cp, U, side):
                                 s1 = sigma_inv.apply(kron_vec(
                                     ring, halg.product(basis(h2), basis(k4)),
                                     Sb.apply(halg.product(basis(h1), basis(k3)))))
-                                acted = cp.action.act(
+                                acted = act(cp.action,
                                     halg.product(basis(h3), basis(k5)), a_i)
                                 s2 = sigma.apply(kron_vec(
                                     ring, halg.product(basis(h4), basis(k6)),
@@ -669,7 +741,7 @@ def delta_map(cp, U, side):
                                 c = ring.mul(cf, ch)
                                 s1 = sigma_inv.apply(kron_vec(
                                     ring, S.column(k4), basis(k5)))
-                                acted = cp.action.act(S.column(k3), a_i)
+                                acted = act(cp.action, S.column(k3), a_i)
                                 s2 = sigma.apply(kron_vec(
                                     ring, S.column(k2),
                                     halg.product(basis(k6), basis(h1))))
@@ -711,7 +783,7 @@ def nu_map(cp):
         for j in range(rH):
             out = [ring.zero] * cod.rank
             for c, (h1, h2, h3, h4) in b.coalgebra.sweedler_basis(j, 4):
-                acted = cp.action.act(Sb.column(h3), a_i)
+                acted = act(cp.action, Sb.column(h3), a_i)
                 sig = sigma.apply(kron_vec(ring, Sb.column(h2),
                                            b.carrier.basis_vector(h1)))
                 apart = A.product(acted, sig)
@@ -752,7 +824,7 @@ def pi_map(cp, side, g_left=True):
                             continue
                         s = cp.cocycle.sigma_inv.apply(kron_vec(ring, basis(k2),
                                                                 Sb.column(k1)))
-                        elem = kron_vec(ring, A.product(s, cp.action.act_basis(k3, A.unit)),
+                        elem = kron_vec(ring, A.product(s, act_basis(cp.action, k3, A.unit)),
                                         basis(k4))
                         prod = B.product(g_val, elem) if g_left else B.product(elem, g_val)
                         total = vec_add(ring, total, vec_scale(ring, c, nu.apply(prod)))
@@ -785,7 +857,7 @@ def chi_map(hopf, A, U, side):
             for l in range(rU):
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
-                    moved = hit(b, U.element(l), t)
+                    moved = hit(b, U.elements[l], t)
                     if side is DiagramSide.RIGHT:
                         val = kron_vec(ring, b.algebra.product(h_j, moved), a_i)
                     else:
@@ -1076,13 +1148,13 @@ def validate_weak_action(w, subject="weak action"):
     witness = None
     for j in range(rA):
         e = A.carrier.basis_vector(j)
-        if w.act(b.algebra.unit, e) != e:
+        if act(w, b.algebra.unit, e) != e:
             witness = A.carrier.labels[j]
             break
     rep.add("action.unit_acts", "1_H ⇀ a = a", witness is None, witness)
     eps = b.coalgebra.counit.matrix[0]
     witness = next((b.carrier.labels[i] for i in range(rH)
-                    if w.act(b.carrier.basis_vector(i), A.unit)
+                    if act(w, b.carrier.basis_vector(i), A.unit)
                     != vec_scale(ring, eps[i], A.unit)), None)
     rep.add("action.unit_target", "h ⇀ 1_A = ε(h)1_A", witness is None, witness)
     lhs = w.action @ linalg.kron(LinearMap.identity(b.carrier), A.mult)
@@ -1215,7 +1287,7 @@ def coordinate_smash(B, U, op):
                             bpart = B.algebra.product(
                                 b_i, B.algebra.carrier.basis_vector(b0))
                             moved = U.act_regular(l, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.element(m))
+                            upart = dual.product(moved, U.elements[m])
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     else:
                         # Σ over ϱ(b): b₍₀₎·b̃ ⊗ (b₍₁₎·f̃)⋆f
@@ -1224,7 +1296,7 @@ def coordinate_smash(B, U, op):
                                 B.algebra.carrier.basis_vector(b0),
                                 B.algebra.carrier.basis_vector(k))
                             moved = U.act_regular(m, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.element(l))
+                            upart = dual.product(moved, U.elements[l])
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     cols.append(tuple(out))
     mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
@@ -1281,23 +1353,27 @@ def theta_inverse(cp):
 
 
 def _cleft_express(cl):
-    """(θ, θ⁻¹, B, H, coinvariants, express) of the cleft data ``cl``."""
+    """(B, H, coinvariants, their dense vectors, express) of the cleft data
+    ``cl``: the library's coinvariant span and membership, whose sparse
+    vectors are read and written here as dense tuples."""
     B_com = cl.comodule_algebra
+    B, ring = B_com.algebra, B_com.ring
     coin = coinvariants(B_com)
     coordinates = coin.coordinates()
 
     def express(vec):
-        coords = coordinates(vec)
+        coords = coordinates(linalg.sparse_vector(vec))
         if coords is None:
             raise ValidationError("value escapes the coinvariants")
-        return coords
-    return B_com.algebra, B_com.hopf, coin, express
+        return expand_sparse(coords, coin.rank, ring)
+    vectors = [expand_sparse(v, B.rank, ring) for v in coin.vectors]
+    return B, B_com.hopf, coin, vectors, express
 
 
 def extracted_action_and_sigma(cl):
     """The action ha = Σ θ(h₁)aθ⁻¹(h₂) and σ(h⊗k) = Σ θ(h₁)θ(k₁)θ⁻¹(h₂k₂)
     in coinvariant coordinates, one dense B-product chain per term."""
-    B, hopf, coin, express = _cleft_express(cl)
+    B, hopf, coin, vectors, express = _cleft_express(cl)
     b = hopf.bialgebra
     ring = B.ring
     rH = b.rank
@@ -1306,7 +1382,7 @@ def extracted_action_and_sigma(cl):
         for j in range(coin.rank):
             val = zero_vector(B.carrier)
             for c, (h1, h2) in b.coalgebra.sweedler_basis(i, 2):
-                term = product_many(B, cl.theta.column(h1), coin.vectors[j],
+                term = product_many(B, cl.theta.column(h1), vectors[j],
                                       cl.theta_inv.column(h2))
                 val = vec_add(ring, val, vec_scale(ring, c, term))
             act_cols.append(express(val))
@@ -1331,7 +1407,7 @@ def cleft_maps(cl):
     """φ̃(h⊗a)(h̃) = Σ θ(S̄(h̃₂)) a θ(h₁) θ⁻¹(S̄(h̃₁)h₂) and
     ψ̃(h⊗a)(h̃) = Σ θ⁻¹(S̄(h̃₃)) a θ(S̄(h̃₂)h₁) θ⁻¹(h̃₄S̄(h̃₁)h₂), with every
     θ-value and B-product recomputed for every term."""
-    B, hopf, coin, express = _cleft_express(cl)
+    B, hopf, coin, vectors, express = _cleft_express(cl)
     b = hopf.bialgebra
     ring = B.ring
     rH, rA = b.rank, coin.rank
@@ -1347,7 +1423,7 @@ def cleft_maps(cl):
     phi_cols, psi_cols = [], []
     for i in range(rH):
         for j in range(rA):
-            a_vec = coin.vectors[j]
+            a_vec = vectors[j]
             phi_out = [ring.zero] * (rA * rH)
             psi_out = [ring.zero] * (rA * rH)
             for t in range(rH):
@@ -1420,7 +1496,7 @@ def cocycle_identity(action, sigma):
                         for cl, (l1, l2) in coalg.sweedler_basis(k, 2):
                             c = ring.mul(ring.mul(ch, ck), cl)
                             skl = _sigma_basis(sigma, rH, rA, ring, k1, l1)
-                            t1 = action.act_basis(h1, skl)
+                            t1 = act_basis(action, h1, skl)
                             k2l2 = expand_sparse(b.algebra.basis_product(k2, l2),
                                                  rH, ring)
                             t2 = sig(b.carrier.basis_vector(h2), k2l2)
@@ -1464,13 +1540,13 @@ def twisted_module_identity(action, sigma):
                 for ch, (h1, h2) in coalg.sweedler_basis(i, 2):
                     for ck, (k1, k2) in coalg.sweedler_basis(j, 2):
                         c = ring.mul(ch, ck)
-                        t1 = action.act_basis(h1, action.act_basis(k1, a))
+                        t1 = act_basis(action, h1, act_basis(action, k1, a))
                         s12 = _sigma_basis(sigma, rH, rA, ring, h2, k2)
                         lhs = vec_add(ring, lhs,
                                       vec_scale(ring, c, A.product(t1, s12)))
                         s1 = _sigma_basis(sigma, rH, rA, ring, h1, k1)
                         h2k2 = expand_sparse(b.algebra.basis_product(h2, k2), rH, ring)
-                        t2 = action.act(h2k2, a)
+                        t2 = act(action, h2k2, a)
                         rhs = vec_add(ring, rhs,
                                       vec_scale(ring, c, A.product(s1, t2)))
                 if lhs != rhs:
@@ -1505,7 +1581,7 @@ def crossed_table(action, sigma):
                         for cl, (l1, l2) in coalg.sweedler_basis(l, 2):
                             c = ring.mul(ch, cl)
                             apart = A.product(
-                                A.product(a_i, action.act_basis(h1, a_k)),
+                                A.product(a_i, act_basis(action, h1, a_k)),
                                 _sigma_basis(sigma, rH, rA, ring, h2, l1))
                             for hidx, hc in b.algebra.basis_product(h3, l2):
                                 cc = ring.mul(c, hc)
@@ -1537,7 +1613,7 @@ def left_smash_table(action):
                 for l in range(rH):
                     out = [ring.zero] * carrier.rank
                     for c, (h1, h2) in coalg.sweedler_basis(j, 2):
-                        apart = A.product(a_i, action.act_basis(h1, a_k))
+                        apart = A.product(a_i, act_basis(action, h1, a_k))
                         for hidx, hc in b.algebra.basis_product(h2, l):
                             cc = ring.mul(c, hc)
                             for aidx, av in enumerate(apart):
@@ -1613,7 +1689,7 @@ def coordinate_smash_indexed(B, U, op):
     @cache
     def upart(l, b1, m):
         moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
-        coords = U.express(dual.product(moved, U.element(l if op else m)))
+        coords = U.express(dual.product(moved, U.elements[l if op else m]))
         if coords is None:
             raise ValidationError("smash product left the span of U")
         return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
@@ -1868,7 +1944,7 @@ def rl_check(hopf, U, V):
     witnesses, failures = [], []
     for g in V:
         g = tuple(ring.of(x) for x in g)
-        res = linalg.solve_linear(lam, duality.rho_endo(hopf, g))
+        res = linalg.solve_linear(lam, rho_endo(hopf, g))
         if not res.solvable:
             failures.append(g)
             continue
@@ -1879,7 +1955,7 @@ def rl_check(hopf, U, V):
                 continue
             i, l = divmod(pos, rU)
             pairs.append((vec_scale(ring, c, b.carrier.basis_vector(i)),
-                          U.element(l)))
+                          U.elements[l]))
         witnesses.append(duality.RLWitness(g, tuple(pairs)))
     return duality.RLReport(witnesses, failures)
 
@@ -1909,7 +1985,7 @@ def compat_maps(cp, side):
                     # φ(h⊗a)(h̃) = Σ [S̄(h̃₂)a]σ(S̄(h̃₁)⊗h)
                     val = zero_vector(A.carrier)
                     for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                        acted = cp.action.act(Sb.column(t2), a_j)
+                        acted = act(cp.action, Sb.column(t2), a_j)
                         sig = sigma.apply(kron_vec(ring, Sb.column(t1), basis(i)))
                         val = vec_add(ring, val,
                                       vec_scale(ring, c, A.product(acted, sig)))
@@ -1920,7 +1996,7 @@ def compat_maps(cp, side):
                         t1, t2, t3, t4, t5 = legs
                         s1 = sigma_inv.apply(kron_vec(ring, basis(t3),
                                                       Sb.column(t2)))
-                        acted = cp.action.act_basis(t4, a_j)
+                        acted = act_basis(cp.action, t4, a_j)
                         s2 = sigma.apply(kron_vec(
                             ring, basis(t5),
                             halg.product(Sb.column(t1), basis(i))))
@@ -1931,7 +2007,7 @@ def compat_maps(cp, side):
                     # φ̄(h⊗a)(h̃) = Σ [h̃₁a]σ(h̃₂⊗h)
                     val = zero_vector(A.carrier)
                     for c, (t1, t2) in b.coalgebra.sweedler_basis(t, 2):
-                        acted = cp.action.act_basis(t1, a_j)
+                        acted = act_basis(cp.action, t1, a_j)
                         sig = sigma.apply(kron_vec(ring, basis(t2), basis(i)))
                         val = vec_add(ring, val,
                                       vec_scale(ring, c, A.product(acted, sig)))
@@ -1942,7 +2018,7 @@ def compat_maps(cp, side):
                         t1, t2, t3, t4, t5 = legs
                         s1 = sigma_inv.apply(kron_vec(ring, S.column(t3),
                                                       basis(t4)))
-                        acted = cp.action.act(S.column(t2), a_j)
+                        acted = act(cp.action, S.column(t2), a_j)
                         s2 = sigma.apply(kron_vec(
                             ring, S.column(t1),
                             halg.product(basis(t5), basis(i))))
@@ -1963,8 +2039,10 @@ def compat_records(cp, U, V, side):
     A = cp.action.algebra
     ring = cp.ring
     phi, psi = compat_maps(cp, side)
-    gens = duality.j_generators(ring, A.rank,
-                                [tuple(ring.of(x) for x in v) for v in V], h.rank)
+    rH = h.rank
+    V = [tuple(ring.of(x) for x in v) for v in V]
+    gens = [tuple(v[p % rH] if p // rH == k else ring.zero for p in range(A.rank * rH))
+            for k in range(A.rank) for v in V]
     rl = rl_check(h, U, V)
     return (pair_label(h, A, first_outside(ring, gens, phi)),
             pair_label(h, A, first_outside(ring, gens, psi)),
@@ -2011,6 +2089,35 @@ def coaction_table(h, side):
     cmap = map_from_columns(Hd, tensor_module(b.carrier, Hd), rows)
     rep = coaction_checks(h, side, rows, cmap)
     return duality.CoactionTable(side, cmap, rep)
+
+
+def coaction_preimage_of_U(table, hopf, U):
+    """V = coaction⁻¹(H ⊗ span(U)): the f-part of the kernel of [cmap | -G],
+    G the dense generators h_i⊗u and cmap read off its dense columns."""
+    b = hopf.bialgebra
+    ring = b.ring
+    rH = b.rank
+    gens = [kron_vec(ring, b.carrier.basis_vector(i), u)
+            for i in range(rH) for u in U.elements]
+    cols = [table.map.column(i) for i in range(rH)]
+    rows = [[cols[i][r] for i in range(rH)] + [ring.neg(g[r]) for g in gens]
+            for r in range(rH * rH)]
+    res = linalg.PreparedSolver(ring, rows).solve((ring.zero,) * (rH * rH))
+    return list(canonical_span(ring, [v[:rH] for v in res.kernel_basis], rH))
+
+
+def coefficient_space_of_action(action):
+    """Cf(A): the nonzero functionals h ↦ coeff_k(h⇀a_j), in (j, k) order,
+    from one dense h_i⇀a_j per entry."""
+    b, A, ring = action.bialgebra, action.algebra, action.ring
+    out = []
+    for j in range(A.rank):
+        for k in range(A.rank):
+            vec = tuple(act_basis(action, i, A.carrier.basis_vector(j))[k]
+                        for i in range(b.rank))
+            if any(not ring.is_zero(x) for x in vec):
+                out.append(vec)
+    return out
 
 
 def coaction_checks(h, side, rows, cmap):
@@ -2381,7 +2488,8 @@ def tensor_counit(c, d):
 def coinvariant_inclusion(c):
     """B^{coH} ↪ B from the dense coinvariant vectors."""
     coin = coinvariants(c)
-    return DenseMap.from_columns(coin.module, c.algebra.carrier, list(coin.vectors))
+    cols = [expand_sparse(v, c.algebra.rank, c.ring) for v in coin.vectors]
+    return DenseMap.from_columns(coin.module, c.algebra.carrier, cols)
 
 
 def action_map(hopf, algebra, images):
@@ -2434,8 +2542,7 @@ def extracted_product_and_iso(cl, crossed):
     """The multiplication of the coinvariant algebra A' and the iso
     A'#_σH → B, a#h ↦ ι(a)θ(h), of the extraction from ``cl`` whose crossed
     product is ``crossed``, from dense B-products."""
-    B, hopf, coin, express = _cleft_express(cl)
-    vecs = coin.vectors
+    B, hopf, coin, vecs, express = _cleft_express(cl)
     mult = DenseMap.from_columns(tensor_module(coin.module, coin.module), coin.module,
                                  [express(B.product(u, v)) for u in vecs for v in vecs])
     iso = DenseMap.from_columns(crossed.carrier, B.carrier,

@@ -4,6 +4,7 @@ import pytest
 
 import dense_oracle as dense
 from builders import map_from_columns
+from test_duality import rebased_sweedler_Z3
 from hopfdual.actions import (
     ComoduleAlgebraData,
     action_from_endomorphisms,
@@ -21,21 +22,25 @@ from hopfdual.catalog import (
     sweedler_hopf,
 )
 from hopfdual.duality import rho_endo
-from hopfdual.linalg import LinearMap, kron_vec, tensor_module, vec_to_map
+from hopfdual.linalg import LinearMap, kron_vec, sparse_vector, tensor_module, vec_to_map
 from hopfdual.rings import QQ, ZZ, Zmod
 
 
 def hit_left(h, f, k):
-    """f⇀k = Σ k₁f(k₂), by ``actions.hit`` on each basis term of k."""
+    """f⇀k = Σ k₁f(k₂), by ``actions.hit`` on each basis term of k; f, k and
+    the result are dense here, sparse at ``hit``."""
     out = [h.ring.zero] * h.rank
     for t, c in enumerate(k):
-        out = [h.ring.add(x, h.ring.mul(c, y)) for x, y in zip(out, hit(h, f, t))]
+        hk = dense.expand_sparse(hit(h, sparse_vector(f), t), h.rank, h.ring)
+        out = [h.ring.add(x, h.ring.mul(c, y)) for x, y in zip(out, hk)]
     return tuple(out)
 
 
 def hit_right(h, k, g):
-    """k↼g = Σ g(k₁)k₂, by applying the End(H) coordinates ``rho_endo``."""
-    return vec_to_map(rho_endo(h, g), h.carrier, h.carrier).apply(k)
+    """k↼g = Σ g(k₁)k₂, by applying the End(H) coordinates ``rho_endo``;
+    dense here, sparse at ``rho_endo``."""
+    rho = dense.expand_sparse(rho_endo(h, sparse_vector(g)), h.rank * h.rank, h.ring)
+    return vec_to_map(rho, h.carrier, h.carrier).apply(k)
 
 
 def test_hit_by_unit_is_identity():
@@ -74,6 +79,25 @@ def test_hit_actions_are_bimodule_actions():
                     # compatibility: (f⇀k)↼g = f⇀(k↼g)
                     assert hit_right(h, hit_left(h, f, k), g) == \
                         hit_left(h, f, hit_right(h, k, g))
+
+
+@pytest.mark.parametrize("make", [lambda: sweedler_hopf(QQ), lambda: sweedler_hopf(Zmod(6)),
+                                  lambda: group_algebra(ZZ, 3),
+                                  lambda: rebased_sweedler_Z3().action.hopf],
+                         ids=["sweedler_Q", "sweedler_Z6", "group_Z_C3", "rebased_sweedler_Z3"])
+def test_hit_and_rho_match_the_dense_oracles(make):
+    # sparse in, sparse out, against the dense sums on every basis functional
+    # and two that are not (the rebased Δ has terms sharing a left leg)
+    h = make()
+    ring, r = h.ring, h.rank
+    functionals = [h.carrier.basis_vector(i) for i in range(r)]
+    functionals += [tuple(ring.of(i + 1) for i in range(r)),
+                    tuple(ring.of(1 - 2 * (i % 2)) for i in range(r))]
+    for f in functionals:
+        sf = sparse_vector(f)
+        assert [hit(h, sf, t) for t in range(r)] == \
+            [sparse_vector(dense.hit(h, f, t)) for t in range(r)]
+        assert rho_endo(h, sf) == sparse_vector(dense.rho_endo(h, f))
 
 
 def regular_act_left(h, h_vec, f_vec):
@@ -172,7 +196,7 @@ def test_regular_comodule_and_coinvariants_of_group_algebra():
     c = regular_comodule(h)
     assert c.validate().ok
     coin = coinvariants(c)
-    assert coin.vectors == ((1, 0),)
+    assert coin.vectors == (((0, 1),),)
     assert coinvariants_form_subalgebra(c, coin)
 
 
@@ -192,4 +216,4 @@ def test_coinvariants_over_Zmod6():
     h = group_algebra(Zmod(6), 2)
     c = regular_comodule(h)
     coin = coinvariants(c)
-    assert coin.vectors == ((1, 0),)
+    assert coin.vectors == (((0, 1),),)

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from builders import diagram
+from hopfdual import cli
 from hopfdual.actions import trivial_action
 from hopfdual.catalog import get, ground_algebra, list_entries, quadruple_map
 from hopfdual.crossed import CleftData, CrossedProductData, smash_product_data
@@ -184,3 +185,14 @@ def test_exports_are_pinned():
     for name, digest in EXPORT_SHA256.items():
         text = export_entry_json(get(name))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+# SHA-256 of ``hopfdual report --format json --canonical``: every verdict,
+# witness and statement of the catalog, byte for byte
+CANONICAL_REPORT_SHA256 = "6f5f9bbb09e383b4c67817f42f8ffe9e61077b1ff925dc7e5601ea0d31d8bd9b"
+
+
+def test_canonical_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--format", "json", "--canonical", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CANONICAL_REPORT_SHA256

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from builders import cyclic_document, entries_equal
-from hopfdual import suites
+from hopfdual import instancefile, suites
 from hopfdual.cli import main
 from hopfdual.catalog import get, list_entries
 from hopfdual.instancefile import export_entry_json, parse_instance
@@ -111,6 +111,25 @@ def test_verify_bad_only_suites_is_input_error(tmp_path, capsys, only, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("suite,message", [
+    ("crossed", "suite 'crossed' needs crossed or cleft data"),
+    ("cleft", "suite 'cleft' needs crossed or cleft data"),
+    ("opposite", "suite 'opposite' needs crossed or cleft data"),
+    ("nope", "unknown suite 'nope'"),
+])
+def test_verify_a_suite_the_file_cannot_run_fails_at_parse_time(tmp_path, capsys,
+                                                                monkeypatch, suite, message):
+    # a hopf-kind file naming a suite that needs crossed data, or no suite at
+    # all, is refused before any object of the file is built
+    doc = json.loads(export_entry_json(get("Z_C2")))
+    doc["suite"] = suite
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(instancefile, "_build_payload", None)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_crossed_without_action_is_input_error(tmp_path, capsys):

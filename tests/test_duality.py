@@ -9,7 +9,6 @@ from dense_oracle import product_many, vec_add, vec_scale, zero_vector
 from hopfdual import catalog
 from hopfdual.actions import (
     WeakActionData,
-    hit,
     regular_comodule,
     trivial_action,
     validate_weak_action,
@@ -75,7 +74,9 @@ from hopfdual.linalg import (
     kron,
     kron_vec,
     map_to_vec,
+    sparse_vector,
     tensor_module,
+    unit_vectors,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
@@ -152,31 +153,36 @@ def test_lambda_maps_are_unital_algebra_isos(make):
 def test_rl_witness_for_counit_is_trivial():
     h = group_algebra(ZZ, 2)
     U = SubalgebraU.full_dual(h)
-    rep = rl_check(h, U, lambda_coordinates(h, U), [(1, 1)])  # ε
+    eps = ((0, 1), (1, 1))
+    rep = rl_check(h, U, lambda_coordinates(h, U), [eps])
     assert rep.ok
     # ρ(ε) = id: the witness identity Σ h_j(g_j⇀k) = k↼ε holds
-    assert rho_endo(h, (1, 1)) == map_to_vec(LinearMap.identity(h.carrier))
+    assert rho_endo(h, eps) == sparse_vector(map_to_vec(LinearMap.identity(h.carrier)))
 
 
 def test_rl_witnesses_exist_for_full_dual_everywhere():
     for make in (lambda: group_algebra(ZZ, 2), lambda: sweedler_hopf(QQ)):
         h = make()
         U = SubalgebraU.full_dual(h)
-        V = [h.carrier.basis_vector(i) for i in range(h.rank)]
+        V = unit_vectors(h.ring, h.rank)
         rep = rl_check(h, U, lambda_coordinates(h, U), V)
         assert rep.ok
-        # verify each witness satisfies its defining identity
+        # verify each witness satisfies its defining identity, on the dense
+        # forms of its sparse vectors
         b = h.bialgebra
         for w in rep.witnesses:
+            g = dense_oracle.expand_sparse(w.g, h.rank, h.ring)
             for t in range(h.rank):
                 lhs = zero_vector(b.carrier)
                 for h_vec, g_vec in w.pairs:
-                    term = b.algebra.product(h_vec, hit(b, g_vec, t))
+                    h_vec, g_vec = (dense_oracle.expand_sparse(v, h.rank, h.ring)
+                                    for v in (h_vec, g_vec))
+                    term = b.algebra.product(h_vec, dense_oracle.hit(b, g_vec, t))
                     lhs = vec_add(b.ring, lhs, term)
                 rhs = zero_vector(b.carrier)
                 for c, (k1, k2) in b.coalgebra.sweedler_basis(t, 2):
                     rhs = vec_add(b.ring, rhs, vec_scale(
-                        b.ring, b.ring.mul(c, w.g[k1]),
+                        b.ring, b.ring.mul(c, g[k1]),
                         b.carrier.basis_vector(k2)))
                 assert lhs == rhs
 
@@ -185,7 +191,7 @@ def test_rl_fails_for_too_small_U():
     # U = span{ε} cannot express the nontrivial right-hit operators.
     h = group_algebra(ZZ, 2)
     U = SubalgebraU(h, [(1, 1)], ModuleSide.RIGHT)
-    rep = rl_check(h, U, lambda_coordinates(h, U), [(0, 1)])  # g = δ_g
+    rep = rl_check(h, U, lambda_coordinates(h, U), [((1, 1),)])  # g = δ_g
     assert not rep.ok
 
 
@@ -343,16 +349,18 @@ def test_phi_reduces_to_bm_form_for_trivial_cocycle():
         for j in range(A.rank):
             col = phi.column(i * A.rank + j)
             for t in range(b.rank):
-                acted = cp.action.act(h.twisted_antipode.column(t),
-                                      A.carrier.basis_vector(j))
+                acted = dense_oracle.act(cp.action, h.twisted_antipode.column(t),
+                                         A.carrier.basis_vector(j))
                 expected = tuple(ZZ.mul(eps(b.carrier.basis_vector(i)), x)
                                  for x in acted)
                 got = tuple(col[p * b.rank + t] for p in range(A.rank))
                 assert got == expected
 
 
-def compat_records(rep):
-    return rep.phi_witness, rep.psi_witness, rep.rl.failures, rep.rl.witnesses
+def compat_records(rep, h):
+    """The φ/ψ witnesses, then the RL failures and witnesses read as dense
+    tuples, as ``dense_oracle.compat_records`` gives them."""
+    return (rep.phi_witness, rep.psi_witness, *dense_oracle.rl_dense(rep.rl, h.ring, h.rank))
 
 
 def test_small_V_fails_compatibility_with_witness():
@@ -364,7 +372,7 @@ def test_small_V_fails_compatibility_with_witness():
     assert not rep.phi_contained and not rep.psi_contained
     # the witness names the first basis pair h⊗a whose image leaves J(A⊗V)
     assert rep.phi_witness == rep.psi_witness == "(e,u0)"
-    assert compat_records(rep) == dense_oracle.compat_records(
+    assert compat_records(rep, h) == dense_oracle.compat_records(
         cp, U, [(1, 1)], DiagramSide.RIGHT)
 
 
@@ -388,7 +396,7 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
     rep = compat_check(mutant, U, lam_coords, V, DiagramSide.RIGHT)
     assert not rep.phi_contained
     assert rep.phi_witness == "(g,1)"
-    assert compat_records(rep) == dense_oracle.compat_records(
+    assert compat_records(rep, h) == dense_oracle.compat_records(
         mutant, U, V, DiagramSide.RIGHT)
 
 
@@ -733,8 +741,12 @@ def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
     assert records(table.report) == records(want.report)
     for got, ref in zip(compat_maps(cp, side), dense_oracle.compat_maps(cp, side)):
         dense_oracle.assert_bit_identical(got, ref)
-    V = V if V is not None else coaction_preimage_of_U(table, h, U)
-    assert compat_records(compat_check(cp, U, lambda_coordinates(h, U), V, side)) == \
+    if V is None:
+        V = coaction_preimage_of_U(table, h, U)
+        assert V == dense_oracle.coaction_preimage_of_U(table, h, U)
+    assert duality.coefficient_space_of_action(cp.action) == \
+        dense_oracle.coefficient_space_of_action(cp.action)
+    assert compat_records(compat_check(cp, U, lambda_coordinates(h, U), V, side), h) == \
         dense_oracle.compat_records(cp, U, V, side)
 
 
@@ -888,7 +900,8 @@ def test_every_sum_commutes_with_the_base_change_from_Z_to_Z6():
     Z6 = Zmod(6)
     over_z, coin_z = base_change_maps(catalog.get("gauss").payload)
     over_z6, coin_z6 = base_change_maps(catalog.get("Zmod6_C2").payload)
-    assert [tuple(map(Z6.of, v)) for v in coin_z] == list(coin_z6) == [(1, 0)]
+    assert [tuple((i, Z6.of(x)) for i, x in v) for v in coin_z] == list(coin_z6) == \
+        [((0, 1),)]
     assert over_z.keys() == over_z6.keys()
     for name, m in over_z.items():
         want = over_z6[name]

@@ -514,27 +514,30 @@ def test_determinant_over_Zp_is_integer_bareiss_reduced_mod_p(p, n, kind, data):
 # --- membership / spans -----------------------------------------------------
 
 
+# generators, vectors and coordinates are canonical sparse vectors
+
+
 def test_membership_straightforward():
-    coeffs = span_coordinates(ZZ, [(2, 0), (0, 1)], 2)((4, 3))
-    assert coeffs == (2, 3)
+    coeffs = span_coordinates(ZZ, [((0, 2),), ((1, 1),)], 2)(((0, 4), (1, 3)))
+    assert coeffs == ((0, 2), (1, 3))
 
 
 def test_membership_absent():
-    assert span_coordinates(ZZ, [(2, 0)], 2)((1, 0)) is None
+    assert span_coordinates(ZZ, [((0, 2),)], 2)(((0, 1),)) is None
 
 
 def test_membership_bezout():
     # Oracle: solve 2a + 3b = 1 over Z; a solution exists (1 = 3 - 2).
-    coeffs = span_coordinates(ZZ, [(2,), (3,)], 1)((1,))
+    coeffs = span_coordinates(ZZ, [((0, 2),), ((0, 3),)], 1)(((0, 1),))
     assert coeffs is not None
-    a, b = coeffs
+    a, b = (dict(coeffs).get(i, 0) for i in range(2))
     assert 2 * a + 3 * b == 1
 
 
 def test_membership_mod_n():
-    in_span = span_coordinates(Zmod(6), [(2,)], 1)
-    assert in_span((4,)) is not None
-    assert in_span((3,)) is None
+    in_span = span_coordinates(Zmod(6), [((0, 2),)], 1)
+    assert in_span(((0, 4),)) is not None
+    assert in_span(((0, 3),)) is None
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6), Zmod(7)], ids=repr)
@@ -547,7 +550,7 @@ def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
     length = data.draw(st.integers(1, 4))
     gens = [dense.draw_vector(data, ring, length)
             for _ in range(data.draw(st.integers(0, 4)))]
-    express = span_coordinates(ring, gens, length)
+    express = span_coordinates(ring, map(sparse_vector, gens), length)
     for _ in range(data.draw(st.integers(1, 5))):
         if gens and data.draw(st.booleans()):
             coeffs = dense.draw_vector(data, ring, len(gens))
@@ -555,9 +558,11 @@ def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
                       for i in range(length))
         else:
             v = dense.draw_vector(data, ring, length)
-        got = express(v)
-        assert got == dense.submodule_membership(ring, gens, v)
+        got = express(sparse_vector(v))
+        want = dense.submodule_membership(ring, gens, v)
+        assert got == (None if want is None else sparse_vector(want))
         if got is not None:  # the coefficients do express v
+            got = dense.expand_sparse(got, len(gens), ring)
             assert tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(got, gens))
                          for i in range(length)) == tuple(ring.of(x) for x in v)
 

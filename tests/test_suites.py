@@ -15,7 +15,7 @@ from hopfdual import crossed, duality, linalg, smash, suites
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.instancefile import export_entry_json, parse_instance_dict
-from hopfdual.linalg import LinearMap
+from hopfdual.linalg import LinearMap, unit_vectors
 from hopfdual.rings import RationalRing
 from hopfdual.suites import applicable_suites, run_suite
 
@@ -133,9 +133,8 @@ def test_each_side_reads_its_own_lambda_and_maps(monkeypatch, name):
     assert all(r[1] for r in records(run_suite(get(name), "duality")))
     for hopf, U, lam_coords, _ in seen["rl_check"]:
         lam = duality.lambda_map(hopf, U)
-        n = lam.domain.rank
-        assert [lam_coords(lam.column(j)) for j in range(n)] == \
-            [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        assert [lam_coords(col) for col in lam.sparse_columns()] == \
+            unit_vectors(hopf.ring, lam.domain.rank)
     assert {U.side.value for _, U, *_ in seen["rl_check"]} == {"right", "left"}
     for _, U, _, _, side, *_ in seen["compat_check"]:
         assert (U.side.value == "right") == (side is duality.DiagramSide.RIGHT)
@@ -387,3 +386,66 @@ def test_a_mutant_convolution_fails_cleft_invertible(monkeypatch):
     monkeypatch.setattr(crossed, "convolve",
                         lambda *args: with_one_entry_changed(convolve(*args)))
     assert "cleft.invertible" in failed_ids(run_suite(entry, "cleft"))
+
+
+def test_a_changed_sigma_inverse_fails_its_records_in_a_whole_run():
+    # θ⁻¹ of θ(h) = 1#h is built from the stored σ⁻¹, so it fails
+    # CleftData.validate too: a failed cleft.invertible record, not an error
+    # out of the whole run
+    entry = parse_instance_dict(json.loads(export_entry_json(get("gauss")))).to_entry()
+    cocycle = entry.payload.cocycle
+    cocycle.sigma_inv = with_one_entry_changed(cocycle.sigma_inv)
+    failed = failed_ids(run_suite(entry, "all"))
+    assert {"crossed.sigma_inverse", "cleft.invertible"} <= set(failed)
+
+
+# --- the records that read the sparse membership and Sweedler sums, each made
+# --- to fail by a kernel mutant
+
+
+def test_a_mutant_sweedler_sum_fails_duality_epsilon(monkeypatch):
+    columns = duality._sweedler_columns
+
+    def changed(b, rank, *args):
+        cols = columns(b, rank, *args)
+        return with_one_entry_changed(LinearMap.from_sparse_columns(
+            linalg.FreeModule(b.ring, len(cols), str),
+            linalg.FreeModule(b.ring, rank * b.rank, str), cols)).sparse_columns()
+
+    monkeypatch.setattr(duality, "_sweedler_columns", changed)
+    result = {r[0]: r for r in records(run_suite(get("gauss"), "duality"))}
+    assert result["duality.epsilon"][1:] == (False, "ε and ε⁻¹ are not mutually inverse")
+
+
+def test_a_membership_that_loses_a_generator_fails_duality_rl(monkeypatch):
+    # λ of U = H* is invertible, so ρ(g) is in its span until a column goes:
+    # here λ(e#δ_e) = ρ(δ_e)
+    span = suites.span_coordinates
+    monkeypatch.setattr(suites, "span_coordinates",
+                        lambda ring, gens, length: span(ring, list(gens)[1:], length))
+    result = {r[0]: r for r in records(run_suite(get("Z_C2"), "duality"))}
+    assert result["duality.rl"][1:] == (False, None)
+
+
+def test_an_empty_coefficient_space_fails_bm_phi_and_bm_psi(monkeypatch):
+    # with V = ∅, J(A⊗V) = 0, so the first nonzero column of φ (of ψ) is the
+    # first one outside it
+    monkeypatch.setattr(duality, "coefficient_space_of_action", lambda action: [])
+    entry = get("swap_smash")
+    result = {r[0]: r for r in records(run_suite(entry, "duality"))}
+    cp = entry.payload
+    label = linalg.product_label(cp.action.hopf.carrier, cp.action.algebra.carrier)
+    for check_id, m in zip(("bm.phi", "bm.psi"),
+                           duality.compat_maps(cp, duality.DiagramSide.RIGHT)):
+        first = next(j for j, col in enumerate(m.sparse_columns()) if col)
+        assert result[check_id][1:] == (False, label(first))
+    assert result["bm.rl"][1]
+
+
+def test_a_j_that_loses_a_functional_fails_cleft_maps(monkeypatch):
+    # J(A⊗V) for V = H* is all of Hom(H, A) until V loses δ_g
+    generators = suites.j_generators
+    monkeypatch.setattr(suites, "j_generators",
+                        lambda rA, V, rH: generators(rA, V[:-1], rH))
+    result = {r[0]: r for r in records(run_suite(get("gauss"), "cleft"))}
+    assert result["cleft.maps"][1:] == (False, None)
