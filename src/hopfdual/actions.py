@@ -2,12 +2,16 @@
 coinvariants.
 
 The regular actions of H on H*, (hf)(k) = f(kh) and (fh)(k) = f(hk), are
-:func:`regular_act`, on the dense functionals of a U span.  The hit action
+read with ``linalg.bilinear`` off :func:`regular_action_table`, the
+multiplication table transposed per side; U's closure data and the
+coaction checks read them there.  The hit action
 f⇀k = Σ k₁f(k₂) of H* on H is :func:`hit`, which λ reads
 (``smash.hit_action_of_dual`` writes its table straight from Δ); the other
 hit action k↼f = Σ f(k₁)k₂, which the RL check reads, is
 ``duality.rho_endo``.  Both take and return canonical sparse vectors, as do
-the coinvariants' vectors and coordinates.
+the coinvariants' vectors and coordinates: the coordinates are the
+``linalg.split_coordinates`` function that certified the span a direct
+summand, kept with it, so a membership question factors nothing.
 
 The comodule-algebra axioms are checked per basis element b of B from the
 legs c·b_x⊗h_y of ϱ(b), and measuring per (h, a, b) from the legs of Δ(h)
@@ -16,6 +20,7 @@ and the sparse action table, without composing Kronecker products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DimensionMismatch, RingMismatch, ValidationError
 from .hopf import AlgebraData, HopfData
@@ -26,40 +31,36 @@ from .linalg import (
     certified,
     column_witness,
     combine_columns,
+    dual_module,
     kron,
     kron_column,
     kron_vec,
     legs,
     product_label,
     solve_linear,
-    span_coordinates,
     sparse_column,
     sparse_vector,
-    split_coefficient_map,
+    split_coordinates,
     tensor_module,
     unit_vectors,
 )
 from .reporting import ValidationReport
 
 
-def regular_act(h: HopfData, f_vec, h_vec, left: bool):
-    """The regular action of h on the functional f, on explicit vectors:
-    (hf)(k) = f(kh) when ``left``, else (fh)(k) = f(hk).  Entry l sums
-    h_i·f_j·c over the terms c·e_j of the basis product e_l·e_i (right:
-    e_i·e_l), read off the sparse multiplication table."""
-    ring, r = h.ring, h.rank
-    mul, add = ring.mul, ring.add
-    cols = h.algebra.mult.sparse_columns()
-    out = []
-    for l in range(r):
-        total = ring.zero
-        for i, hc in enumerate(h_vec):
-            if hc:
-                for j, c in cols[l * r + i] if left else cols[i * r + l]:
-                    if f_vec[j]:
-                        total = add(total, mul(mul(hc, f_vec[j]), c))
-        out.append(total)
-    return tuple(out)
+def regular_action_table(h: HopfData, left: bool) -> LinearMap:
+    """The regular action of H on H* as a map H*⊗H → H*, for
+    :func:`linalg.bilinear`: (hf)(k) = f(kh) when ``left``, else
+    (fh)(k) = f(hk).  Column δ_x⊗h_j holds c at l for each term c·e_x of
+    the basis product e_l·e_j (right: e_j·e_l): the multiplication table
+    transposed, per side."""
+    r = h.rank
+    cols = [[] for _ in range(r * r)]
+    for flat, col in enumerate(h.algebra.mult.sparse_columns()):
+        l, j = divmod(flat, r) if left else reversed(divmod(flat, r))
+        for x, c in col:
+            cols[x * r + j].append((l, c))
+    dual = dual_module(h.carrier)
+    return LinearMap.from_sparse_columns(tensor_module(dual, h.carrier), dual, cols)
 
 
 def hit(h: HopfData, f, t: int):
@@ -223,22 +224,17 @@ def regular_comodule(h: HopfData) -> ComoduleAlgebraData:
 
 @dataclass(frozen=True)
 class Coinvariants:
-    """A spanning set for B^{coH} = {b | ϱ(b) = b⊗1}, with its inclusion."""
+    """A basis of B^{coH} = {b | ϱ(b) = b⊗1} that spans a direct summand."""
 
     module: FreeModule
-    inclusion: LinearMap
     vectors: tuple  # canonical sparse vectors of B
+    # v ↦ the coefficients of v in ``vectors``, or None when v is not
+    # coinvariant, both canonical sparse vectors (``split_coordinates``)
+    coordinates: Callable
 
     @property
     def rank(self):
         return len(self.vectors)
-
-    def coordinates(self):
-        """v ↦ the coefficients of v in the computed basis, or None when v is
-        not coinvariant, both canonical sparse vectors; the basis is factored
-        once per call of this method."""
-        return span_coordinates(self.module.ring, self.vectors,
-                                self.inclusion.codomain.rank)
 
 
 def coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
@@ -253,17 +249,16 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     ring = c.ring
     diff = c.coaction - kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
     kernel = solve_linear(diff, (ring.zero,) * diff.codomain.rank).kernel_basis
-    if kernel and split_coefficient_map(ring, kernel, B.rank) is None:
-        raise ValidationError("coinvariants do not span a direct summand")
     vectors = tuple(map(sparse_vector, kernel))
-    module = FreeModule(ring, len(vectors), "c{}".format)
-    return Coinvariants(module, LinearMap.from_sparse_columns(module, B.carrier, vectors),
-                        vectors)
+    coordinates = split_coordinates(ring, vectors, B.rank)
+    if coordinates is None:
+        raise ValidationError("coinvariants do not span a direct summand")
+    return Coinvariants(FreeModule(ring, len(vectors), "c{}".format), vectors, coordinates)
 
 
 def coinvariants_form_subalgebra(c: ComoduleAlgebraData, coin: Coinvariants) -> bool:
     """Closure of the coinvariant span under unit and products."""
-    express = coin.coordinates()
+    express = coin.coordinates
     if express(sparse_vector(c.algebra.unit)) is None:
         return False
     prod = bilinear(c.ring, c.algebra.mult, c.algebra.rank)

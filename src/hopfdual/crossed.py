@@ -361,7 +361,7 @@ def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional
     one_h = sparse_vector(b.algebra.unit)
     expected = [kron_column(a, one_h, b.rank, ring.mul)
                 for a in unit_vectors(ring, cp.action.algebra.rank)]
-    in_coin = coin.coordinates()
+    in_coin = coin.coordinates
     if any(in_coin(v) is None for v in expected):
         return "A⊗1 not contained in the coinvariants"
     in_expected = span_coordinates(ring, expected, cp.carrier.rank)
@@ -450,7 +450,7 @@ def crossed_from_integral(cl: CleftData) -> CleftExtraction:
     ring = B.ring
     rH = b.rank
     coin = coinvariants(B_com)
-    coordinates = coin.coordinates()
+    coordinates = coin.coordinates
 
     def express(vec, what):
         coords = coordinates(vec)
@@ -581,7 +581,7 @@ def cleft_maps(cl: CleftData):
     rH, rB = b.rank, B.rank
     coin = coinvariants(B_com)
     rA = coin.rank
-    coordinates = coin.coordinates()
+    coordinates = coin.coordinates
     bmul = B.mult.sparse_columns()
     bprod = bilinear(ring, B.mult, rB)
     hprod = bilinear(ring, b.algebra.mult, rH)

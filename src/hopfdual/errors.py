@@ -58,14 +58,6 @@ class CommutativityFailure(HopfdualError):
         self.witness = witness
 
 
-class HypothesisFailed(HopfdualError):
-    """A named theorem hypothesis failed on the given instance."""
-
-    def __init__(self, message: str, hypothesis: str = ""):
-        super().__init__(message)
-        self.hypothesis = hypothesis
-
-
 class UnknownEntry(HopfdualError):
     """No catalog entry with the requested name."""
 

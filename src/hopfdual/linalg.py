@@ -28,11 +28,12 @@ the sparse tables with :func:`bilinear` ((u, v) ↦ m(u⊗v)) and
 :func:`linear` (v ↦ m(v)), and :func:`span_coordinates` takes sparse
 generators and a sparse vector and returns sparse coordinates.  Dense tuples
 remain only at the boundary: stored units (``AlgebraData.unit``) and the
-unit checks that read them, parsed and hand-written input (the U and V
-spans, ``FreeModule.vector``, the catalog's columns), and elimination
+unit checks that read them, parsed and hand-written input
+(``FreeModule.vector``, the catalog's columns), and elimination
 (:class:`PreparedSolver`, :func:`solve_linear`, :func:`canonical_span`,
-:func:`split_coefficient_map`, :func:`map_to_vec`/:func:`vec_to_map`),
-which writes its dense rows from sparse input where it starts.
+:func:`map_to_vec`/:func:`vec_to_map`), which writes its dense rows from
+sparse input where it starts.  A split span (U, the coinvariants) answers
+through :func:`split_coordinates`, sparse in and out.
 
 Basis names play no part in this: a :class:`FreeModule` holds a label
 function, derived modules compose their factors', and a name is built only
@@ -918,24 +919,35 @@ def span_coordinates(ring: Ring, generators, length: int):
     return coordinates
 
 
-def split_coefficient_map(ring: Ring, generators, length: int) -> Optional[LinearMap]:
-    """A left inverse of the inclusion span(generators) ↪ R^length, if one exists.
+def split_coordinates(ring: Ring, generators, length: int):
+    """The coordinates on span(generators) ⊆ R^length, or None when the span
+    is not a direct summand with independent generators.
 
-    Returns P with P·G = I (G the generator matrix); existence certifies that
-    the span is a direct summand and that the generators are independent.
-    """
-    g = len(generators)
-    gens = [tuple(ring.of(x) for x in v) for v in generators]
-    # Row p_j of P satisfies p_j · G = e_j, i.e. G^T · p_j = e_j.
-    tsolver = PreparedSolver(ring, [list(gen) for gen in gens])
-    prows = []
-    for j in range(g):
-        rhs = [ring.one if a == j else ring.zero for a in range(g)]
-        res = tsolver.solve(rhs)
-        if not res.solvable:
-            return None
-        prows.append(res.particular)
-    dom = FreeModule(ring, length, "x{}".format)
-    cod = FreeModule(ring, g, "u{}".format)
-    return transpose(LinearMap.from_sparse_columns(cod, dom, map(sparse_vector, prows)),
-                     dom, cod)
+    Solves a left inverse P of the generator matrix G (P·G = I, whose
+    existence is that certificate) and returns v ↦ P·v when G·(P·v) = v,
+    else None.  The generators, each v and the coordinates are canonical
+    sparse vectors; G's transpose is written out densely and factored once."""
+    gens = [tuple(g) for g in generators]
+    if any(g and g[-1][0] >= length for g in gens):
+        raise DimensionMismatch("generator/vector length mismatch")
+    pcols = [[] for _ in range(length)]  # column i of P, rows increasing
+    if gens:
+        rows = [[ring.zero] * length for _ in gens]
+        for row, g in zip(rows, gens):
+            for i, x in g:
+                row[i] = x
+        solver = PreparedSolver(ring, rows)  # row p_j of P solves G^T·p_j = e_j
+        for j in range(len(gens)):
+            res = solver.solve([ring.one if a == j else ring.zero for a in range(len(gens))])
+            if not res.solvable:
+                return None
+            for i, x in enumerate(res.particular):
+                if x:
+                    pcols[i].append((j, x))
+    pcols = [tuple(col) for col in pcols]
+
+    def coordinates(v):
+        coords = combine_columns(ring, [(pcols[i], x) for i, x in v])
+        rebuilt = combine_columns(ring, [(gens[j], c) for j, c in coords])
+        return coords if rebuilt == tuple(v) else None
+    return coordinates

@@ -8,9 +8,10 @@ U of the dual:
 * B#^opU   on B⊗U:       (b#f)(b̃#f̃) = Σ b₍₀₎·b̃ # (b₍₁₎·f̃)⋆f
 
 U carries the regular H-action of its declared side and all closure data is
-witnessed by solved coefficient tables at construction time.  U multiplies
-its functionals itself: u⋆v is summed over the legs of each Δ column
-(``SubalgebraU.star``), with no convolution table built.
+witnessed by solved coefficient tables at construction time, all canonical
+sparse vectors: u⋆v is ``linalg.bilinear`` on the transpose of Δ (the dual's
+multiplication), u·h_j on ``actions.regular_action_table``, each expressed in
+U by ``linalg.split_coordinates``, as the coinvariants are.
 
 #(H,B), #^op(H,B), B#U, B#^opU and A#H are built by index arithmetic on the
 sparse multiplication, action and coaction tables: each factor that depends on
@@ -33,7 +34,7 @@ from itertools import product
 from .actions import (
     ComoduleAlgebraData,
     WeakActionData,
-    regular_act,
+    regular_action_table,
     regular_comodule,
     validate_weak_action,
 )
@@ -43,6 +44,7 @@ from .hopf import AlgebraData, HopfData, dual_hopf
 from .linalg import (
     FreeModule,
     LinearMap,
+    bilinear,
     combine_columns,
     dual_module,
     hom_module,
@@ -50,8 +52,10 @@ from .linalg import (
     legs,
     sparse_column,
     sparse_vector,
-    split_coefficient_map,
+    split_coordinates,
     tensor_module,
+    transpose,
+    unit_vectors,
 )
 
 
@@ -62,70 +66,49 @@ class ModuleSide(Enum):
 
 class SubalgebraU:
     """A spanning list of functionals in H* closed under ⋆ and the regular
-    H-action of the declared side, containing ε, spanning a direct summand."""
+    H-action of the declared side, containing ε, spanning a direct summand;
+    the elements are canonical sparse functionals, and ``express`` is the
+    ``split_coordinates`` function that certifies the split."""
 
     def __init__(self, hopf: HopfData, elements, side: ModuleSide):
-        ring = hopf.ring
+        ring, rH = hopf.ring, hopf.rank
         self.hopf = hopf
         self.side = side
-        self.ambient = dual_module(hopf.carrier)
-        self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
-        for v in self.elements:
-            if len(v) != hopf.rank:
-                raise ValidationError("U element has wrong length")
-        self._split = split_coefficient_map(ring, self.elements, hopf.rank)
-        if self._split is None:
+        self.elements = tuple(elements)
+        self.express = split_coordinates(ring, self.elements, rH)
+        if self.express is None:
             raise ValidationError(
                 "span(U) is not a direct summand of H* with independent generators")
         self.module = FreeModule(ring, len(self.elements), "u{}".format)
-        self.inclusion = LinearMap.from_sparse_columns(self.module, self.ambient,
-                                                       map(sparse_vector, self.elements))
-        self._coproduct = [legs(col, hopf.rank) for col in hopf.coalgebra.comult.sparse_columns()]
-        self.eps_coords = self.express(hopf.coalgebra.counit_values())
+        self.eps_coords = self.express(sparse_vector(hopf.coalgebra.counit_values()))
         if self.eps_coords is None:
             raise ValidationError("ε_H is not in span(U)")
-        self.star_witness = {}
-        for i, u in enumerate(self.elements):
-            for j, v in enumerate(self.elements):
-                coords = self.express(self.star(u, v))
-                if coords is None:
-                    raise ValidationError(f"U is not ⋆-closed at (u{i},u{j})")
-                self.star_witness[i, j] = coords
-        self.action_witness = {}
-        for i in range(self.rank):
-            for j in range(hopf.rank):
-                coords = self.express(self.act_regular(i, hopf.carrier.basis_vector(j)))
-                if coords is None:
-                    raise ValidationError(
-                        f"U is not closed under the {side.value} regular action")
-                self.action_witness[i, j] = coords
+        dual = dual_module(hopf.carrier)
+        star = bilinear(ring, transpose(hopf.coalgebra.comult, tensor_module(dual, dual),
+                                        dual), rH)
+        act = bilinear(ring, regular_action_table(hopf, side is ModuleSide.LEFT), rH)
+        self.star_witness = self._witnesses(star, self.elements,
+                                            "U is not ⋆-closed at (u{},u{})")
+        self.action_witness = self._witnesses(
+            act, unit_vectors(ring, rH), f"U is not closed under the {side.value} regular action")
+
+    def _witnesses(self, prod, right, failure: str) -> dict:
+        """(i, j) ↦ the U-coordinates of prod(u_i, right[j]); ``failure``,
+        formatted with (i, j), is the error when one is outside span(U)."""
+        out = {}
+        for (i, u), (j, v) in product(enumerate(self.elements), enumerate(right)):
+            out[i, j] = self.express(prod(u, v))
+            if out[i, j] is None:
+                raise ValidationError(failure.format(i, j))
+        return out
 
     @property
     def rank(self):
         return len(self.elements)
 
-    def star(self, u, v):
-        """u⋆v in H*: (u⋆v)(h_j) = Σ c·u(h_p)v(h_q) over the legs c·h_p⊗h_q
-        of Δ(h_j)."""
-        ring = self.hopf.ring
-        mul = ring.mul
-        return tuple(ring.sum(mul(c, mul(x, y)) for p, q, c in t if (x := u[p]) and (y := v[q]))
-                     for t in self._coproduct)
-
-    def express(self, vec):
-        """Coordinates of a functional in the U-basis, or None if outside."""
-        coords = self._split.apply(vec)
-        return coords if self.inclusion.apply(coords) == tuple(vec) else None
-
-    def act_regular(self, i: int, h_vec):
-        """u_i moved by the regular action of ``h_vec`` on the declared side."""
-        return regular_act(self.hopf, self.elements[i], h_vec,
-                           self.side is ModuleSide.LEFT)
-
     @classmethod
     def full_dual(cls, hopf: HopfData, side: ModuleSide = ModuleSide.RIGHT) -> "SubalgebraU":
-        basis = [hopf.carrier.basis_vector(i) for i in range(hopf.rank)]
-        return cls(hopf, basis, side)
+        return cls(hopf, unit_vectors(hopf.ring, hopf.rank), side)
 
 
 def _validated(subject: str, alg: AlgebraData) -> AlgebraData:
@@ -217,10 +200,9 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU, op: bool) -> Algeb
     carrier = tensor_module(B.algebra.carrier, U.module)
     bcols = B.algebra.mult.sparse_columns()
     coact = [legs(col, rH) for col in B.coaction.sparse_columns()]
-    stars = {key: sparse_vector(v) for key, v in U.star_witness.items()}
     uparts = {(l, b1, m): combine_columns(ring, (
-        (stars[s, l if op else m], c)
-        for s, c in sparse_vector(U.action_witness[m if op else l, b1])))
+        (U.star_witness[s, l if op else m], c)
+        for s, c in U.action_witness[m if op else l, b1]))
         for l, b1, m in product(range(rU), range(rH), range(rU))}
     cols = []
     for i in range(rB):
@@ -237,7 +219,8 @@ def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU, op: bool) -> Algeb
                                 acc[pos] = add(acc.get(pos, zero), mul(cb, uv))
                     cols.append(sparse_column(acc))
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
+    eps = dict(U.eps_coords)
+    unit = kron_vec(ring, B.algebra.unit, [eps.get(s, zero) for s in range(rU)])
     return _validated("B#opU" if op else "B#U", AlgebraData(carrier, mult, unit))
 
 

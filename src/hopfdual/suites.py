@@ -47,7 +47,7 @@ from .duality import (
     rl_check,
     theorem_suite,
 )
-from .errors import HopfdualError, ValidationError
+from .errors import DimensionMismatch, HopfdualError, ValidationError
 from .hopf import (
     AlgebraData,
     AlgebraIso,
@@ -64,9 +64,11 @@ from .hopf import (
 from .linalg import (
     CERTIFICATES,
     LinearMap,
+    dual_module,
     invert_map,
     kron,
     span_coordinates,
+    sparse_vector,
     unit_vectors,
 )
 from .reporting import Report, ValidationReport
@@ -118,7 +120,8 @@ class Derived:
     """What one ``run_suite`` call derives from its entry.  Each object is
     built on first use and shared by the later checks of the call; a build
     that raises keeps its HopfdualError, and every later ask re-raises it.
-    Every check reads the same U: the entry's span, or H* without one.
+    Every check reads the same U: the entry's span, read once by
+    :meth:`span` into canonical sparse functionals as V is, or H* without one.
     Each side of the duality theorems shares U, H#U, B#U, λ with its one
     factorization and the duality isomorphism (op: H#^opU, B#^opU, λ̄).
     #(H,H) and #^op(H,H) are built per check: a one-suite run reads each
@@ -142,13 +145,25 @@ class Derived:
     def hopf(self) -> HopfData:
         return self._once("hopf", self.entry.hopf_data)
 
+    def span(self, name: str):
+        """The entry's ``U`` or ``V`` span as canonical sparse functionals, or
+        None: where a span enters, read through ``FreeModule.vector``."""
+        span = self.entry.u_span if name == "U" else self.entry.v_span
+
+        def read():
+            dual = dual_module(self.hopf.carrier)
+            try:
+                return [sparse_vector(dual.vector(v)) for v in span]
+            except DimensionMismatch:
+                raise ValidationError(f"{name} element has wrong length") from None
+        return None if span is None else self._once(name, read)
+
     def u(self, side: DiagramSide) -> SubalgebraU:
         """U for ``side`` (op: a left H-module): the entry's span, or H*."""
-        span = self.entry.u_span
         u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
         return self._once(("U", side), lambda: (
-            SubalgebraU.full_dual(self.hopf, u_side) if span is None
-            else SubalgebraU(self.hopf, span, u_side)))
+            SubalgebraU.full_dual(self.hopf, u_side) if self.entry.u_span is None
+            else SubalgebraU(self.hopf, self.span("U"), u_side)))
 
     def _smash(self, B, side: DiagramSide) -> AlgebraData:
         build = right_smash if side is DiagramSide.RIGHT else op_smash
@@ -333,8 +348,9 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
     entry = ctx.entry
     rep = ValidationReport(f"{entry.name}: duality suite")
     h = ctx.hopf
-    for side in DiagramSide:  # an invalid U is an input error, not a failure
+    for side in DiagramSide:  # an invalid U or V is an input error, not a failure
         ctx.u(side)
+    V = ctx.span("V")
     full_u = entry.u_span is None
 
     def lambda_iso():
@@ -368,8 +384,7 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
                                              basis).ok for side in DiagramSide))
 
     def suite_run():
-        inner = theorem_suite(cp, ctx.u, ctx.lam_coords, ctx.duality_iso,
-                              V=entry.v_span)
+        inner = theorem_suite(cp, ctx.u, ctx.lam_coords, ctx.duality_iso, V=V)
         rep.extend(inner)
         return inner.ok
 

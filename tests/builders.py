@@ -34,21 +34,20 @@ from hopfdual.smash import ModuleSide, op_smash, right_smash
 class FunctionalSpan:
     """A bare spanning list of functionals on H, with none of the closure
     guarantees of :class:`SubalgebraU`.  Enough for the raw map builders
-    (α, χ, λ, ρ) and for negative controls that need an invalid U."""
+    (α, χ, λ, ρ) and for negative controls that need an invalid U.  The
+    functionals are given dense and held, as U's are, as canonical sparse
+    vectors."""
 
     def __init__(self, hopf: HopfData, elements, side: ModuleSide = ModuleSide.RIGHT):
         ring = hopf.ring
         self.hopf = hopf
         self.side = side
-        self.elements = tuple(tuple(ring.of(x) for x in v) for v in elements)
+        self.elements = tuple(sparse_vector(map(ring.of, v)) for v in elements)
         self.module = free_module(ring, [f"v{i}" for i in range(len(self.elements))])
 
     @property
     def rank(self):
         return len(self.elements)
-
-    def element(self, i: int):
-        return self.elements[i]
 
 
 def side_objects(cp, U):

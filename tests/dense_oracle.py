@@ -15,8 +15,11 @@ with it on every constructor, ``compose``, ``kron``, the twist and the
 opposite table: matrix, sparse columns, columns, application, equality and
 hashing, entry types included.  ``regular_act_left`` and
 ``regular_act_right`` are the regular actions of H on H* as triple loops
-over the dense multiplication table; ``test_actions.py`` requires
-``actions.regular_act`` to agree with them.
+over the dense multiplication table; ``subalgebra_closure`` is U's
+ε-coordinates, ⋆ witnesses and action witnesses solved with them on dense
+functionals (``u_dense`` expands U's sparse generators), and
+``test_actions.py`` and ``test_smash.py`` require U's sparse closure data to
+agree with it.
 
 ``gamma_map`` and ``delta_map`` are the duality maps γ and δ written as the
 plain Sweedler sums, every factor recomputed for every term, column and
@@ -73,10 +76,12 @@ definitions are written with; the library has none.  ``matrix_algebra`` and ``en
 M_n(R) as n⁴ dense columns, End(M) by re-wrapping that table on the Hom
 carrier; ``test_hopf.py`` requires the sparse builders to agree bit for bit.
 
-``subalgebra_express`` is ``SubalgebraU.express`` rebuilding the functional
-densely, one scale and one add over the ambient vector per U-element;
-``test_smash.py`` requires the library's prebuilt inclusion to give the same
-coordinates or ``None``.
+``subalgebra_express`` is ``SubalgebraU.express`` as it was on dense
+functionals: the dense P of ``split_coefficient_map`` applied, then the
+functional rebuilt densely, one scale and one add per U-element;
+``test_smash.py`` requires the library's sparse ``express`` to give the same
+coordinates or ``None``, and ``test_linalg.py`` requires
+``linalg.split_coordinates`` to answer like P with that check.
 
 ``coaction_table`` (with ``coaction_rows`` and ``coaction_checks``),
 ``compat_maps``, ``rl_check`` and ``first_outside`` are the hypothesis layer
@@ -115,7 +120,8 @@ through ``hom_value_maps``), the unit embeddings and convolution unit, the
 convolution-inversion system, the tensor counit, the coinvariant and U
 inclusions, ``action_from_endomorphisms``, the catalog's hand-written
 endomorphisms and σ, θ, the extracted product and isomorphism, the opposite
-isomorphism G, ``vec_to_map`` and ``split_coefficient_map``.
+isomorphism G, ``vec_to_map`` and ``split_coefficient_map`` (the dense left
+inverse P that ``linalg.split_coordinates`` now keeps as sparse columns).
 ``test_map_builders.py`` and ``test_linalg.py`` require the library's
 sparse-column builders to agree with them bit for bit, entry types included.
 
@@ -310,6 +316,12 @@ def expand_sparse(sparse, rank, ring):
     for i, c in sparse:
         out[i] = c
     return tuple(out)
+
+
+@cache
+def u_dense(U):
+    """U's generators (canonical sparse functionals) as dense tuples."""
+    return tuple(expand_sparse(f, U.hopf.rank, U.hopf.ring) for f in U.elements)
 
 
 def act(action, h_vec, a_vec):
@@ -632,7 +644,7 @@ def gamma_map(cp, U, side):
         a_i = A.carrier.basis_vector(i)
         for j in range(rH):
             for l in range(rU):
-                f = U.elements[l]
+                f = u_dense(U)[l]
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
                     if side is DiagramSide.RIGHT:
@@ -711,7 +723,7 @@ def delta_map(cp, U, side):
         a_i = A.carrier.basis_vector(i)
         for j in range(rH):
             for l in range(rU):
-                f = U.elements[l]
+                f = u_dense(U)[l]
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
                     for ck, klegs in b.coalgebra.sweedler_basis(t, 8):
@@ -857,7 +869,7 @@ def chi_map(hopf, A, U, side):
             for l in range(rU):
                 out = [ring.zero] * cod.rank
                 for t in range(rH):
-                    moved = hit(b, U.elements[l], t)
+                    moved = hit(b, u_dense(U)[l], t)
                     if side is DiagramSide.RIGHT:
                         val = kron_vec(ring, b.algebra.product(h_j, moved), a_i)
                     else:
@@ -1286,8 +1298,9 @@ def coordinate_smash(B, U, op):
                         for b0, b1, c in coact_terms(B, k):
                             bpart = B.algebra.product(
                                 b_i, B.algebra.carrier.basis_vector(b0))
-                            moved = U.act_regular(l, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.elements[m])
+                            moved = regular_act_right(B.hopf, u_dense(U)[l],
+                                                      b.carrier.basis_vector(b1))
+                            upart = dual.product(moved, u_dense(U)[m])
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     else:
                         # Σ over ϱ(b): b₍₀₎·b̃ ⊗ (b₍₁₎·f̃)⋆f
@@ -1295,17 +1308,19 @@ def coordinate_smash(B, U, op):
                             bpart = B.algebra.product(
                                 B.algebra.carrier.basis_vector(b0),
                                 B.algebra.carrier.basis_vector(k))
-                            moved = U.act_regular(m, b.carrier.basis_vector(b1))
-                            upart = dual.product(moved, U.elements[l])
+                            moved = regular_act_left(B.hopf, b.carrier.basis_vector(b1),
+                                                     u_dense(U)[m])
+                            upart = dual.product(moved, u_dense(U)[l])
                             _accumulate_smash(out, ring, c, bpart, upart, U, rU)
                     cols.append(tuple(out))
     mult = map_from_columns(tensor_module(carrier, carrier), carrier, cols)
-    unit = kron_vec(ring, B.algebra.unit, U.eps_coords)
+    unit = kron_vec(ring, B.algebra.unit,
+                    subalgebra_express(U, b.coalgebra.counit_values()))
     return AlgebraData(carrier, mult, unit)
 
 
 def _accumulate_smash(out, ring, c, bpart, upart_ambient, U, rU):
-    coords = U.express(upart_ambient)
+    coords = subalgebra_express(U, upart_ambient)
     if coords is None:
         raise ValidationError("smash product left the span of U")
     for bidx, bv in enumerate(bpart):
@@ -1322,13 +1337,38 @@ def _accumulate_smash(out, ring, c, bpart, upart_ambient, U, rU):
 
 
 def subalgebra_express(U, vec):
-    """Coordinates of ``vec`` in the U-basis, or None if the U-combination of
-    the split coordinates does not rebuild it."""
-    coords = U._split.apply(vec)
-    recon = zero_vector(U.ambient)
-    for c, u in zip(coords, U.elements):
-        recon = vec_add(U.ambient.ring, recon, vec_scale(U.ambient.ring, c, u))
+    """Coordinates of the dense functional ``vec`` in the U-basis, or None if
+    the U-combination of the split coordinates does not rebuild it: the
+    dense P of :func:`split_coefficient_map` applied to ``vec``."""
+    ring, rank = U.hopf.ring, U.hopf.rank
+    coords = _subalgebra_split(U).apply(vec)
+    recon = (ring.zero,) * rank
+    for c, u in zip(coords, u_dense(U)):
+        recon = vec_add(ring, recon, vec_scale(ring, c, u))
     return coords if recon == tuple(vec) else None
+
+
+@cache
+def _subalgebra_split(U):
+    return split_coefficient_map(U.hopf.ring, u_dense(U), U.hopf.rank)
+
+
+def subalgebra_closure(U):
+    """(ε-coordinates, ⋆ witnesses, action witnesses) of U as dense tuples,
+    as ``SubalgebraU`` solved them on dense functionals: u⋆v on the whole
+    convolution table of H*, u·h_j by the triple-loop regular action of U's
+    side, each expressed by :func:`subalgebra_express`."""
+    b = U.hopf.bialgebra
+    dual = dual_algebra(U.hopf)
+    left = U.side is ModuleSide.LEFT
+    us, basis = u_dense(U), b.carrier.basis_vector
+    eps = subalgebra_express(U, b.coalgebra.counit_values())
+    stars = {(i, j): subalgebra_express(U, dual.product(u, v))
+             for i, u in enumerate(us) for j, v in enumerate(us)}
+    actions = {(i, j): subalgebra_express(U, regular_act_left(U.hopf, basis(j), u) if left
+                                          else regular_act_right(U.hopf, u, basis(j)))
+               for i, u in enumerate(us) for j in range(b.rank)}
+    return eps, stars, actions
 
 
 def theta_inverse(cp):
@@ -1359,7 +1399,7 @@ def _cleft_express(cl):
     B_com = cl.comodule_algebra
     B, ring = B_com.algebra, B_com.ring
     coin = coinvariants(B_com)
-    coordinates = coin.coordinates()
+    coordinates = coin.coordinates
 
     def express(vec):
         coords = coordinates(linalg.sparse_vector(vec))
@@ -1688,8 +1728,10 @@ def coordinate_smash_indexed(B, U, op):
 
     @cache
     def upart(l, b1, m):
-        moved = U.act_regular(m if op else l, b.carrier.basis_vector(b1))
-        coords = U.express(dual.product(moved, U.elements[l if op else m]))
+        h1 = b.carrier.basis_vector(b1)
+        moved = (regular_act_left(B.hopf, h1, u_dense(U)[m]) if op
+                 else regular_act_right(B.hopf, u_dense(U)[l], h1))
+        coords = subalgebra_express(U, dual.product(moved, u_dense(U)[l if op else m]))
         if coords is None:
             raise ValidationError("smash product left the span of U")
         return [(uidx, uv) for uidx, uv in enumerate(coords) if uv]
@@ -1955,7 +1997,7 @@ def rl_check(hopf, U, V):
                 continue
             i, l = divmod(pos, rU)
             pairs.append((vec_scale(ring, c, b.carrier.basis_vector(i)),
-                          U.elements[l]))
+                          u_dense(U)[l]))
         witnesses.append(duality.RLWitness(g, tuple(pairs)))
     return duality.RLReport(witnesses, failures)
 
@@ -2098,7 +2140,7 @@ def coaction_preimage_of_U(table, hopf, U):
     ring = b.ring
     rH = b.rank
     gens = [kron_vec(ring, b.carrier.basis_vector(i), u)
-            for i in range(rH) for u in U.elements]
+            for i in range(rH) for u in u_dense(U)]
     cols = [table.map.column(i) for i in range(rH)]
     rows = [[cols[i][r] for i in range(rH)] + [ring.neg(g[r]) for g in gens]
             for r in range(rH * rH)]
@@ -2306,7 +2348,7 @@ def lambda_map(hopf, U):
     hprod = linalg.bilinear(ring, b.algebra.mult, rH)
     e = linalg.unit_vectors(ring, rH)
     hits = [[tuple((p, x) for p, x in enumerate(hit(b, f, t)) if x) for t in range(rH)]
-            for f in U.elements]
+            for f in u_dense(U)]
     cols = []
     for i in range(rH):
         for f_hits in hits:
@@ -2326,7 +2368,7 @@ def alpha_map(hopf, A, U):
     cod = hom_module(b.carrier, ah)
     cols = []
     for p in range(ah.rank):
-        for f in U.elements:
+        for f in u_dense(U):
             out = [ring.zero] * cod.rank
             for t in range(rH):
                 if f[t]:
@@ -2340,7 +2382,7 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
     b = cp.action.hopf.bialgebra
     ring, rH = cp.ring, b.rank
     width = cod.rank // rH
-    live = {k for f in U.elements for k, x in enumerate(f) if x}
+    live = {k for f in u_dense(U) for k, x in enumerate(f) if x}
     cols = []
     for i in range(cp.action.algebra.rank):
         for j in range(rH):
@@ -2350,7 +2392,7 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
                     if kl[-1] in live:
                         add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width),
                                  ck, i, j, kl)
-            for f in U.elements:
+            for f in u_dense(U):
                 out = [ring.zero] * cod.rank
                 for (t, k), vec in acc.items():
                     if f[k]:
@@ -2526,7 +2568,7 @@ def sigma_single(action, i, j, value):
 
 def subalgebra_inclusion(U):
     """span(U) ↪ H* from the dense functionals."""
-    return DenseMap.from_columns(U.module, U.ambient, U.elements)
+    return DenseMap.from_columns(U.module, dual_module(U.hopf.carrier), u_dense(U))
 
 
 def integral(cp):

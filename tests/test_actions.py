@@ -3,6 +3,7 @@
 import pytest
 
 import dense_oracle as dense
+from hopfdual import linalg
 from builders import map_from_columns
 from test_duality import rebased_sweedler_Z3
 from hopfdual.actions import (
@@ -11,7 +12,6 @@ from hopfdual.actions import (
     coinvariants,
     coinvariants_form_subalgebra,
     hit,
-    regular_act,
     regular_comodule,
     trivial_action,
     validate_weak_action,
@@ -22,8 +22,18 @@ from hopfdual.catalog import (
     sweedler_hopf,
 )
 from hopfdual.duality import rho_endo
-from hopfdual.linalg import LinearMap, kron_vec, sparse_vector, tensor_module, vec_to_map
+from hopfdual.linalg import (
+    LinearMap,
+    bilinear,
+    combine_columns,
+    kron_vec,
+    sparse_vector,
+    tensor_module,
+    unit_vectors,
+    vec_to_map,
+)
 from hopfdual.rings import QQ, ZZ, Zmod
+from hopfdual.smash import ModuleSide, SubalgebraU
 
 
 def hit_left(h, f, k):
@@ -100,63 +110,59 @@ def test_hit_and_rho_match_the_dense_oracles(make):
         assert rho_endo(h, sf) == sparse_vector(dense.rho_endo(h, f))
 
 
-def regular_act_left(h, h_vec, f_vec):
-    return regular_act(h, f_vec, h_vec, True)
-
-
-def regular_act_right(h, f_vec, h_vec):
-    return regular_act(h, f_vec, h_vec, False)
+def moved(U, f, h):
+    """The functional f moved by h on U's side, both canonical sparse, read
+    off U's action witnesses: U is H* in the basis δ_i."""
+    mul = U.hopf.ring.mul
+    return combine_columns(U.hopf.ring, [(U.action_witness[k, i], mul(x, c))
+                                         for k, x in f for i, c in h])
 
 
 @pytest.mark.parametrize("h", [sweedler_hopf(QQ), sweedler_hopf(Zmod(6)),
                                group_algebra(ZZ, 3)],
                          ids=["sweedler_Q", "sweedler_Z6", "group_Z_C3"])
 def test_regular_actions_match_the_dense_triple_loop(h):
-    # the sparse-table action against the triple loop over the dense table,
-    # entry types included, on every pair of basis vectors and one sum
+    # U's action witnesses, on either side, for H* in the basis δ_i and in
+    # the basis δ_0, δ_0+δ_1, …, δ_0+δ_{r-1}, against the triple loop over
+    # the dense table expressed in U by the dense split, entry types included
     ring, r = h.ring, h.rank
-    vectors = [h.carrier.basis_vector(i) for i in range(r)]
-    vectors.append(tuple(ring.of(i + 1) for i in range(r)))
-    for x in vectors:
-        for f in vectors:
-            for got, want in ((regular_act_left(h, x, f), dense.regular_act_left(h, x, f)),
-                              (regular_act_right(h, f, x), dense.regular_act_right(h, f, x))):
-                assert got == want
-                assert list(map(type, got)) == list(map(type, want))
+    shifted = [((0, ring.one),)] + [((0, ring.one), (i, ring.one)) for i in range(1, r)]
+    for side in ModuleSide:
+        for elements in (unit_vectors(ring, r), shifted):
+            U = SubalgebraU(h, elements, side)
+            want = {key: sparse_vector(v) for key, v in dense.subalgebra_closure(U)[2].items()}
+            assert U.action_witness == want
+            assert [type(x) for v in U.action_witness.values() for _, x in v] == \
+                [type(x) for v in want.values() for _, x in v]
 
 
 def test_regular_actions_on_group_algebra():
-    # Oracle: (δ_e·g)(k) = δ_e(gk): nonzero iff k = g, so δ_e·g = δ_g.
+    # Oracle: (δ_e·g)(k) = δ_e(gk): nonzero iff k = g, so δ_e·g = δ_g, on
+    # either side; the unit acts trivially
     h = group_algebra(ZZ, 2)
-    delta_e, delta_g = (1, 0), (0, 1)
-    g = h.carrier.basis_vector(1)
-    assert regular_act_right(h, delta_e, g) == delta_g
-    assert regular_act_left(h, g, delta_e) == delta_g
-    # unit acts trivially
-    e = h.carrier.basis_vector(0)
-    assert regular_act_left(h, e, delta_g) == delta_g
-    assert regular_act_right(h, delta_g, e) == delta_g
+    for side in ModuleSide:
+        witness = SubalgebraU.full_dual(h, side).action_witness
+        assert witness[0, 1] == ((1, 1),)
+        assert witness[1, 0] == ((1, 1),)
 
 
 def test_regular_actions_are_module_actions_on_sweedler():
     h = sweedler_hopf(QQ)
-    r = h.rank
-    for i in range(r):
-        hi = h.carrier.basis_vector(i)
-        for j in range(r):
-            hj = h.carrier.basis_vector(j)
-            prod = h.algebra.product(hi, hj)
-            for k in range(r):
-                f = h.carrier.basis_vector(k)  # dual coordinates
+    right = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
+    left = SubalgebraU.full_dual(h, ModuleSide.LEFT)
+    basis = unit_vectors(h.ring, h.rank)
+    prod = bilinear(h.ring, h.algebra.mult, h.rank)
+    for hi in basis:
+        for hj in basis:
+            hij = prod(hi, hj)
+            for f in basis:  # dual coordinates
                 # ((f·h_i)·h_j) = f·(h_i h_j)
-                assert regular_act_right(h, regular_act_right(h, f, hi), hj) == \
-                    regular_act_right(h, f, prod)
+                assert moved(right, moved(right, f, hi), hj) == moved(right, f, hij)
                 # (h_i·(h_j·f)) = (h_i h_j)·f
-                assert regular_act_left(h, hi, regular_act_left(h, hj, f)) == \
-                    regular_act_left(h, prod, f)
+                assert moved(left, moved(left, f, hj), hi) == moved(left, f, hij)
                 # bimodule compatibility
-                assert regular_act_left(h, hi, regular_act_right(h, f, hj)) == \
-                    regular_act_right(h, regular_act_left(h, hi, f), hj)
+                assert moved(left, moved(right, f, hj), hi) == \
+                    moved(right, moved(left, f, hi), hj)
 
 
 def test_trivial_action_validates():
@@ -217,3 +223,23 @@ def test_coinvariants_over_Zmod6():
     c = regular_comodule(h)
     coin = coinvariants(c)
     assert coin.vectors == (((0, 1),),)
+
+
+def test_coinvariant_coordinates_build_no_solver(monkeypatch):
+    # the split that certified the coinvariant span a direct summand answers
+    # membership itself: no span is factored a second time
+    h = group_algebra(Zmod(6), 2)
+    a = product_ring_algebra(Zmod(6), 2)
+    cols = [kron_vec(a.ring, a.carrier.basis_vector(i), h.algebra.unit) for i in range(2)]
+    c = ComoduleAlgebraData(h, a, map_from_columns(
+        a.carrier, tensor_module(a.carrier, h.carrier), cols))
+    coin, regular = coinvariants(c), coinvariants(regular_comodule(h))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PreparedSolver built")
+
+    monkeypatch.setattr(linalg, "PreparedSolver", refuse)
+    assert coin.coordinates(((0, 2), (1, 5))) == ((0, 2), (1, 5))
+    assert regular.coordinates(((0, 3),)) == ((0, 3),)
+    assert regular.coordinates(((1, 1),)) is None
+    assert coinvariants_form_subalgebra(c, coin)

@@ -374,6 +374,27 @@ def test_an_input_without_antipodes_verifies(capsys):
     assert "PASS  hopf.twisted_vs_inverse" in capsys.readouterr().out
 
 
+def test_an_input_with_u_and_v_blocks_verifies_as_pinned(capsys):
+    # R[C4] over Z/5 with U the functions constant on the cosets of C2 and V
+    # its coaction preimage written out: the parser reads both blocks, and
+    # the suites read them once, as sparse functionals.  For this proper U,
+    # χ is not square, so the theorem suite cannot invert it and
+    # duality.theorems fails; every other check passes
+    path = FIXTURES / "cyclic_c4_z5_u_v.json"
+    doc = json.loads(path.read_text())
+    assert doc["U"] == [["1", "0", "1", "0"], ["0", "1", "0", "1"]]
+    assert doc["V"] == doc["U"]
+    assert main(["verify", str(path), "--suite", "all", "--format", "json",
+                 "--canonical"]) == 1
+    verdicts = {r["id"]: (r["passed"], r["witness"])
+                for section in json.loads(capsys.readouterr().out)["sections"]
+                for r in section["checks"]}
+    assert len(verdicts) == 24
+    assert {k: v for k, v in verdicts.items() if v != (True, None)} == {
+        "duality.theorems": (False, "cannot invert a non-square map")}
+    assert {"smash.compare", "duality.lambda", "duality.phi", "duality.epsilon"} <= set(verdicts)
+
+
 @pytest.mark.parametrize("limit", DIGIT_LIMITS)
 def test_verify_caps_bare_integers_at_4300_digits(tmp_path, capsys, limit):
     # Z[C2] with the constant of e·e = e written as a bare 4,301-digit JSON

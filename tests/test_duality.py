@@ -125,7 +125,7 @@ def test_lambda_sends_unit_to_identity():
     h = group_algebra(ZZ, 2)
     U = SubalgebraU.full_dual(h)
     lam = lambda_map(h, U)
-    one_eps = kron_vec(ZZ, h.algebra.unit, U.eps_coords)
+    one_eps = kron_vec(ZZ, h.algebra.unit, dense_oracle.expand_sparse(U.eps_coords, U.rank, ZZ))
     assert lam.apply(one_eps) == map_to_vec(LinearMap.identity(h.carrier))
 
 
@@ -190,7 +190,7 @@ def test_rl_witnesses_exist_for_full_dual_everywhere():
 def test_rl_fails_for_too_small_U():
     # U = span{ε} cannot express the nontrivial right-hit operators.
     h = group_algebra(ZZ, 2)
-    U = SubalgebraU(h, [(1, 1)], ModuleSide.RIGHT)
+    U = SubalgebraU(h, [((0, 1), (1, 1))], ModuleSide.RIGHT)
     rep = rl_check(h, U, lambda_coordinates(h, U), [((1, 1),)])  # g = δ_g
     assert not rep.ok
 
@@ -228,7 +228,8 @@ def test_chi_sends_unit_to_identity_endomorphism():
     U = SubalgebraU.full_dual(h)
     A = ground_algebra(ZZ)
     chi = chi_map(h, A, lambda_map(h, U), DiagramSide.RIGHT)
-    arg = kron_vec(ZZ, A.unit, kron_vec(ZZ, h.algebra.unit, U.eps_coords))
+    eps = dense_oracle.expand_sparse(U.eps_coords, U.rank, ZZ)
+    arg = kron_vec(ZZ, A.unit, kron_vec(ZZ, h.algebra.unit, eps))
     end_unit = [0] * 4
     for i in range(2):
         end_unit[(i * 1 + 0) * 2 + i] = 1
@@ -332,7 +333,7 @@ def test_full_dual_is_always_compatible():
     cp = gauss_crossed()
     h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
-    V = [h.carrier.basis_vector(i) for i in range(h.rank)]
+    V = unit_vectors(h.ring, h.rank)
     rep = compat_check(cp, U, lambda_coordinates(h, U), V, DiagramSide.RIGHT)
     assert rep.ok
 
@@ -367,7 +368,8 @@ def test_small_V_fails_compatibility_with_witness():
     cp = smash_product_data(swap_action_data(ZZ))
     h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
-    rep = compat_check(cp, U, lambda_coordinates(h, U), [(1, 1)], DiagramSide.RIGHT)
+    rep = compat_check(cp, U, lambda_coordinates(h, U), [((0, 1), (1, 1))],
+                       DiagramSide.RIGHT)
     assert not rep.ok
     assert not rep.phi_contained and not rep.psi_contained
     # the witness names the first basis pair h⊗a whose image leaves J(A⊗V)
@@ -383,8 +385,9 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
     h = cp.action.hopf
     U = SubalgebraU.full_dual(h)
     V = [(1, 1), (1, -1)]
+    sparse_V = [sparse_vector(v) for v in V]
     lam_coords = lambda_coordinates(h, U)
-    rep = compat_check(cp, U, lam_coords, V, DiagramSide.RIGHT)
+    rep = compat_check(cp, U, lam_coords, sparse_V, DiagramSide.RIGHT)
     assert rep.phi_contained and rep.psi_contained
     mutant = with_sigma_entry(cp, 3, 2)
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
@@ -393,7 +396,7 @@ def test_wrong_sigma_value_fails_compatibility_with_the_oracle_witness():
         for got, ref in zip(maps, want):
             dense_oracle.assert_bit_identical(got, ref)
         assert maps != compat_maps(cp, side)
-    rep = compat_check(mutant, U, lam_coords, V, DiagramSide.RIGHT)
+    rep = compat_check(mutant, U, lam_coords, sparse_V, DiagramSide.RIGHT)
     assert not rep.phi_contained
     assert rep.phi_witness == "(g,1)"
     assert compat_records(rep, h) == dense_oracle.compat_records(
@@ -733,7 +736,8 @@ def records(report):
 
 def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
     """υ resp. ω, its checks, φ and ψ, and the compatibility verdicts and
-    witnesses of ``side`` agree with the dense oracles bit for bit."""
+    witnesses of ``side`` agree with the dense oracles bit for bit; V, if
+    given, is sparse, and the oracles read it dense."""
     h = cp.action.hopf
     table = coaction_table(h, COACTION_OF[side])
     want = dense_oracle.coaction_table(h, COACTION_OF[side])
@@ -743,11 +747,12 @@ def assert_hypotheses_match_the_oracles(cp, U, side, V=None):
         dense_oracle.assert_bit_identical(got, ref)
     if V is None:
         V = coaction_preimage_of_U(table, h, U)
-        assert V == dense_oracle.coaction_preimage_of_U(table, h, U)
+        assert V == [sparse_vector(v) for v in dense_oracle.coaction_preimage_of_U(table, h, U)]
     assert duality.coefficient_space_of_action(cp.action) == \
-        dense_oracle.coefficient_space_of_action(cp.action)
+        [sparse_vector(v) for v in dense_oracle.coefficient_space_of_action(cp.action)]
     assert compat_records(compat_check(cp, U, lambda_coordinates(h, U), V, side), h) == \
-        dense_oracle.compat_records(cp, U, V, side)
+        dense_oracle.compat_records(
+            cp, U, [dense_oracle.expand_sparse(v, h.rank, h.ring) for v in V], side)
 
 
 @pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
@@ -757,7 +762,7 @@ def test_hypotheses_match_the_oracles_on_every_catalog_entry(name, side):
     entry = catalog.get(name)
     ctx = Derived(entry)
     U = ctx.u(side)
-    assert_hypotheses_match_the_oracles(ctx.diagram_crossed, U, side, entry.v_span)
+    assert_hypotheses_match_the_oracles(ctx.diagram_crossed, U, side, ctx.span("V"))
 
 
 def rebased_coboundary_Q():

@@ -38,7 +38,7 @@ from hopfdual.linalg import (
     span_coordinates,
     sparse_column,
     sparse_vector,
-    split_coefficient_map,
+    split_coordinates,
     tensor_module,
     twist_map,
     unit_module,
@@ -662,27 +662,47 @@ def test_solve_matches_parent(ring, m, k, consistent, data):
         assert all(dense.is_canonical(ring, x) for x in got.particular)
 
 
-def test_split_coefficient_map_detects_direct_summand():
+def test_split_coordinates_detects_direct_summand():
     # span{(1,1),(0,2)} over Z has index 2: not a summand.
-    assert split_coefficient_map(ZZ, [(1, 1), (0, 2)], 2) is None
-    p = split_coefficient_map(ZZ, [(1, 0), (0, 1)], 2)
-    assert p is not None
-    q = split_coefficient_map(ZZ, [(2, 1), (1, 1)], 2)  # det 1: a basis
-    assert q is not None
+    assert split_coordinates(ZZ, [((0, 1), (1, 1)), ((1, 2),)], 2) is None
+    p = split_coordinates(ZZ, [((0, 1),), ((1, 1),)], 2)
+    assert p(((0, 3), (1, -1))) == ((0, 3), (1, -1))
+    q = split_coordinates(ZZ, [((0, 2), (1, 1)), ((0, 1), (1, 1))], 2)  # det 1: a basis
+    assert q(((0, 1),)) == ((0, 1), (1, -1))
+    # a summand of rank 1 answers None off its span, and the empty span only at 0
+    r = split_coordinates(ZZ, [((0, 1), (1, 1))], 2)
+    assert r(((0, 2), (1, 2))) == ((0, 2),) and r(((0, 1),)) is None
+    empty = split_coordinates(ZZ, [], 2)
+    assert empty(()) == () and empty(((1, 1),)) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
 def test_hom_vectors_and_splittings_agree_with_the_dense_row_builders(ring, k, m, data):
+    # the split coordinates are the dense oracle's P·v when its generators
+    # rebuild v from them, and None otherwise, on vectors in the span and off it
     dom, cod = dense.module(ring, k, "d"), dense.module(ring, m, "c")
     vec = dense.draw_vector(data, ring, k * m)
     dense.assert_bit_identical(vec_to_map(vec, dom, cod), dense.vec_to_map(vec, dom, cod))
-    gens = [[data.draw(raw_entries(ring)) for _ in range(k)]
+    gens = [tuple(ring.of(data.draw(raw_entries(ring))) for _ in range(k))
             for _ in range(data.draw(st.integers(0, k)))]
-    got, want = split_coefficient_map(ring, gens, k), dense.split_coefficient_map(ring, gens, k)
+    got = split_coordinates(ring, [sparse_vector(g) for g in gens], k)
+    want = dense.split_coefficient_map(ring, gens, k)
     assert (got is None) == (want is None)
-    if got is not None:
-        dense.assert_bit_identical(got, want)
+    if got is None:
+        return
+    coeffs = dense.draw_vector(data, ring, len(gens))
+    inside = [ring.zero] * k
+    for c, g in zip(coeffs, gens):
+        inside = [ring.add(x, ring.mul(c, y)) for x, y in zip(inside, g)]
+    for v in (tuple(inside), dense.draw_vector(data, ring, k)):
+        coords = want.apply(v)
+        rebuilt = [ring.zero] * k
+        for c, g in zip(coords, gens):
+            rebuilt = [ring.add(x, ring.mul(c, y)) for x, y in zip(rebuilt, g)]
+        expected = sparse_vector(coords) if tuple(rebuilt) == v else None
+        assert got(sparse_vector(v)) == expected
+    assert got(sparse_vector(inside)) is not None
 
 
 def test_sparse_vector_and_hom_scatter():

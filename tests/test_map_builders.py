@@ -54,7 +54,7 @@ from hopfdual.hopf import (
     tensor_coalgebra,
 )
 from hopfdual.instancefile import parse_instance_dict
-from hopfdual.linalg import LinearMap, map_to_vec
+from hopfdual.linalg import LinearMap, dual_module, map_to_vec
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.suites import Derived, applicable_suites, run_suite
 
@@ -98,7 +98,8 @@ def test_duality_maps_match_their_dense_column_builders(name, side):
         (pi_map(cp, side, nu), dense.pi_map(cp, side)),
         (coaction_table(h, COACTION_OF[side]).map,
          dense.coaction_table(h, COACTION_OF[side]).map),
-        (U.inclusion, dense.subalgebra_inclusion(U)),
+        (LinearMap.from_sparse_columns(U.module, dual_module(h.carrier), U.elements),
+         dense.subalgebra_inclusion(U)),
     ])
 
 
@@ -107,6 +108,7 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
     ctx = Derived(instance(name))
     h, cp = ctx.hopf, ctx.diagram_crossed
     B = cp.product_algebra
+    coin = coinvariants(cp.comodule)
     unit = map_to_vec(h.algebra.unit_map() @ h.coalgebra.counit)
     assert unit == dense.convolution_unit(h.coalgebra, h.algebra)
     assert list(map(type, unit)) == \
@@ -116,7 +118,8 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
         (B.unit_map(), dense.unit_map(B)),
         (tensor_coalgebra(h.coalgebra, h.coalgebra).counit,
          dense.tensor_counit(h.coalgebra, h.coalgebra)),
-        (coinvariants(cp.comodule).inclusion, dense.coinvariant_inclusion(cp.comodule)),
+        (LinearMap.from_sparse_columns(coin.module, B.carrier, coin.vectors),
+         dense.coinvariant_inclusion(cp.comodule)),
     ]
     cl = integral_from_crossed(cp)
     pairs += [(cl.theta, dense.integral(cp)), (cl.theta_inv, dense.theta_inverse(cp)),

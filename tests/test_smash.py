@@ -27,7 +27,7 @@ from hopfdual.crossed import (
 from hopfdual.errors import SideMismatch, ValidationError
 from hopfdual.hopf import AlgebraData, tensor_algebra
 from hopfdual.instancefile import parse_instance_dict
-from hopfdual.linalg import free_module, kron_vec, tensor_module
+from hopfdual.linalg import free_module, kron_vec, sparse_vector, tensor_module, unit_vectors
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import (
     ModuleSide,
@@ -63,20 +63,20 @@ def trivial_comodule(h, algebra):
 def test_full_dual_subalgebra():
     u = SubalgebraU.full_dual(group_algebra(ZZ, 2))
     assert u.rank == 2
-    assert u.eps_coords == (1, 1)
+    assert u.eps_coords == ((0, 1), (1, 1))
 
 
 def test_span_of_counit_is_a_valid_U():
     h = group_algebra(ZZ, 2)
-    u = SubalgebraU(h, [(1, 1)], ModuleSide.RIGHT)
+    u = SubalgebraU(h, [((0, 1), (1, 1))], ModuleSide.RIGHT)
     assert u.rank == 1
-    assert u.eps_coords == (1,)
+    assert u.eps_coords == ((0, 1),)
 
 
 def test_non_summand_U_is_rejected():
     h = group_algebra(ZZ, 2)
     with pytest.raises(ValidationError):
-        SubalgebraU(h, [(1, 1), (0, 2)], ModuleSide.RIGHT)
+        SubalgebraU(h, [((0, 1), (1, 1)), ((1, 2),)], ModuleSide.RIGHT)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,17 +85,18 @@ def test_express_matches_the_dense_oracle(ring, data):
     # U = the functions on C4 constant on the cosets of C2; c·u + d lies in
     # span(U) exactly when d does, i.e. when d₀ = d₂ and d₁ = d₃
     elements = [(1, 0, 1, 0), (0, 1, 0, 1)]
-    U = SubalgebraU(group_algebra(ring, 4), elements, ModuleSide.RIGHT)
+    U = SubalgebraU(group_algebra(ring, 4), [sparse_vector(map(ring.of, u)) for u in elements],
+                    ModuleSide.RIGHT)
     c = dense.draw_vector(data, ring, 2)
     d = dense.draw_vector(data, ring, 4)
     if data.draw(st.booleans()):
         d = (d[0], d[1], d[0], d[1])
     vec = tuple(ring.add(ring.add(ring.mul(c[0], ring.of(x)), ring.mul(c[1], ring.of(y))), z)
                 for x, y, z in zip(*elements, d))
-    got = U.express(vec)
-    assert got == dense.subalgebra_express(U, vec)
+    got, want = U.express(sparse_vector(vec)), dense.subalgebra_express(U, vec)
+    assert got == (None if want is None else sparse_vector(want))
     if d[0] == d[2] and d[1] == d[3]:
-        assert got == (ring.add(c[0], d[0]), ring.add(c[1], d[1]))
+        assert got == sparse_vector((ring.add(c[0], d[0]), ring.add(c[1], d[1])))
     else:
         assert got is None
 
@@ -154,19 +155,37 @@ def test_op_hat_smash_trivial_coaction_is_coopposite_convolution():
 @pytest.mark.parametrize("make", [lambda: group_algebra(ZZ, 3), lambda: sweedler_hopf(QQ),
                                   lambda: sweedler_hopf(Zmod(3))])
 def test_u_star_matches_the_convolution_table_of_the_dual(make):
-    # U multiplies functionals over the legs of Δ; the oracle is H* as the
-    # whole flat-vector convolution table Hom(H, R)
+    # U multiplies functionals with bilinear on the transpose of Δ; for
+    # U = H* in the basis δ_i its ⋆ witnesses are the products themselves,
+    # and the oracle is H* as the whole flat-vector convolution table Hom(H, R)
     h = make()
-    ring, r = h.ring, h.rank
     dual = dense.dual_algebra(h)
-    two = ring.of(2)
-    half = ring.inv(two) if ring.is_unit(two) else ring.one
-    vectors = [h.carrier.basis_vector(i) for i in range(r)] + [
-        tuple(ring.of(x - 1) for x in range(r)), tuple(ring.mul(half, ring.of(x)) for x in range(r))]
+    basis = [h.carrier.basis_vector(i) for i in range(h.rank)]
     U = SubalgebraU.full_dual(h)
-    for u, v in itertools.product(vectors, repeat=2):
-        got, want = U.star(u, v), dual.product(u, v)
-        assert got == want and list(map(type, got)) == list(map(type, want))
+    for (i, u), (j, v) in itertools.product(enumerate(basis), repeat=2):
+        want = sparse_vector(dual.product(u, v))
+        got = U.star_witness[i, j]
+        assert got == want and [type(x) for _, x in got] == [type(x) for _, x in want]
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in catalog.list_entries()]
+                         + ["sweedler_Z3_rebased"])
+@pytest.mark.parametrize("side", list(ModuleSide))
+def test_closure_data_matches_the_dense_oracle(name, side):
+    # U's ε-coordinates, ⋆ witnesses and action witnesses, read off the sparse
+    # tables and expressed by the split, against the dense closure oracle, on
+    # every catalog Hopf algebra and the rebased Sweedler algebra: H* in the
+    # basis δ_i and in the basis δ_0, δ_0+δ_1, …, δ_0+δ_{r-1}
+    h = (rebased_sweedler_Z3().action.hopf if name == "sweedler_Z3_rebased"
+         else catalog.get(name).hopf_data())
+    ring, r = h.ring, h.rank
+    shifted = [((0, ring.one),)] + [((0, ring.one), (i, ring.one)) for i in range(1, r)]
+    for elements in (unit_vectors(ring, r), shifted):
+        U = SubalgebraU(h, elements, side)
+        eps, stars, actions = dense.subalgebra_closure(U)
+        assert U.eps_coords == sparse_vector(eps)
+        assert U.star_witness == {key: sparse_vector(v) for key, v in stars.items()}
+        assert U.action_witness == {key: sparse_vector(v) for key, v in actions.items()}
 
 
 # --- B#U and B#^opU -------------------------------------------------------------
@@ -201,7 +220,7 @@ def test_op_smash_trivial_coaction_cocommutative_componentwise():
 
 def test_restricted_U_right_smash():
     h = group_algebra(ZZ, 2)
-    U = SubalgebraU(h, [(1, 1)], ModuleSide.RIGHT)
+    U = SubalgebraU(h, [((0, 1), (1, 1))], ModuleSide.RIGHT)
     rs = right_smash(regular_comodule(h), U)
     assert rs.carrier.rank == 2
 
@@ -346,7 +365,7 @@ def test_coordinate_smash_matches_the_term_by_term_oracle(name, side):
     cp = make()
     h = cp.action.hopf
     U = (SubalgebraU.full_dual(h, side) if span is None
-         else SubalgebraU(h, span, side))
+         else SubalgebraU(h, [sparse_vector(map(h.ring.of, u)) for u in span], side))
     if span is not None:
         assert U.rank < h.rank
     op = side is ModuleSide.LEFT
@@ -427,8 +446,9 @@ def test_left_smash_is_the_trivial_cocycle_crossed_product(name):
 def test_smash_builders_rebuild_no_closure_data(monkeypatch, name):
     # U solved and checked its ⋆- and action-closure coordinates when it was
     # built, and A#H is not compared with a rebuilt crossed table: no U
-    # solve, regular action, algebra product or crossed table runs inside
-    # _coordinate_smash or left_smash
+    # express, ⋆ or regular action (the functions smash's split_coordinates
+    # and bilinear return), action table, algebra product or crossed table
+    # runs inside _coordinate_smash or left_smash
     builders = {smash._coordinate_smash.__code__, smash.left_smash.__code__}
     seen, inside = set(), []
 
@@ -444,15 +464,24 @@ def test_smash_builders_rebuild_no_closure_data(monkeypatch, name):
             return original(*args, **kwargs)
         return call
 
-    for cls, what in ((SubalgebraU, "express"), (SubalgebraU, "act_regular"),
-                      (AlgebraData, "product")):
-        monkeypatch.setattr(cls, what, guarded(what, getattr(cls, what)))
+    def returns_guarded(what, original):
+        def call(*args, **kwargs):
+            fn = original(*args, **kwargs)
+            return fn and guarded(what, fn)
+        return call
+
+    monkeypatch.setattr(smash, "split_coordinates",
+                        returns_guarded("express", smash.split_coordinates))
+    monkeypatch.setattr(smash, "bilinear", returns_guarded("closure product", smash.bilinear))
+    monkeypatch.setattr(smash, "regular_action_table",
+                        guarded("action table", smash.regular_action_table))
+    monkeypatch.setattr(AlgebraData, "product", guarded("product", AlgebraData.product))
     patch_everywhere(monkeypatch, crossed, "crossed_table",
                      guarded("crossed_table", crossed.crossed_table))
     entry = suite_instance(name)
     for suite in ("smash", "duality"):
         run_suite(entry, suite)
-    assert {"express", "act_regular", "product"} <= seen  # while U is built
+    assert {"express", "closure product", "action table", "product"} <= seen  # U is built
     assert inside == []
 
 

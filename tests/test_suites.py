@@ -2,6 +2,7 @@
 failed build is kept as its error and never reused as a success, and every
 check that needs a failed object carries its witness.  Every sparse column
 a run stores is canonical, and the structure builders build no dense rows."""
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 import dense_oracle
 from builders import cyclic_document
-from hopfdual import crossed, duality, linalg, smash, suites
+from hopfdual import actions, crossed, duality, linalg, smash, suites
 from hopfdual.catalog import get, list_entries
 from hopfdual.errors import ValidationError
 from hopfdual.instancefile import export_entry_json, parse_instance_dict
@@ -449,3 +450,78 @@ def test_a_j_that_loses_a_functional_fails_cleft_maps(monkeypatch):
                         lambda rA, V, rH: generators(rA, V[:-1], rH))
     result = {r[0]: r for r in records(run_suite(get("gauss"), "cleft"))}
     assert result["cleft.maps"][1:] == (False, None)
+
+
+# --- the theorem suite's compatibility records, the coinvariant closure and
+# --- the input boundary of U and V
+
+
+def with_v(entry, V):
+    """``entry`` with the explicit V span ``V`` (dense, as input is)."""
+    return dataclasses.replace(entry, v_span=V)
+
+
+def test_a_v_without_its_last_functional_fails_right_compat():
+    # V = H* minus δ_g on swap_smash: φ(e⊗u0) leaves J(A⊗V); the failed
+    # record and the υ coaction records reach the report, and the suite
+    # stops before any isomorphism or the op side
+    entry = get("swap_smash")
+    h = entry.hopf_data()
+    rep = run_suite(with_v(entry, [h.carrier.basis_vector(i) for i in range(h.rank - 1)]),
+                    "duality")
+    result = {r[0]: r for r in records(rep)}
+    assert result["right.compat"][1:] == (False, "(e,u0)")
+    assert result["duality.theorems"][1:] == (False, None)
+    assert {"upsilon.1a", "upsilon.1b", "upsilon.1c", "upsilon.3", "upsilon.4"} <= set(result)
+    assert not any(k.startswith(("right.duality", "op.", "omega.", "bm.")) for k in result)
+    assert len(rep.sections[0].records) == 12
+
+
+def test_an_op_side_preimage_that_loses_a_functional_fails_op_compat(monkeypatch):
+    # V = ω⁻¹(H⊗U) without its last functional on the op side only: the right
+    # side is certified, op.compat fails with its φ̄ witness, and no op
+    # isomorphism is certified
+    preimage = duality.coaction_preimage_of_U
+    monkeypatch.setattr(duality, "coaction_preimage_of_U", lambda table, h, U: (
+        preimage(table, h, U)[:-1] if table.side is duality.CoactionSide.OMEGA
+        else preimage(table, h, U)))
+    result = {r[0]: r for r in records(run_suite(get("swap_smash"), "duality"))}
+    assert result["right.compat"][1:] == (True, None)
+    assert result["right.duality"][1:] == (True, None)
+    assert result["op.compat"][1:] == (False, "(e,u0)")
+    assert "op.duality" not in result
+    assert result["duality.theorems"][1:] == (False, None)
+
+
+def test_products_that_leave_the_coinvariants_fail_crossed_coinvariants(monkeypatch):
+    # the coinvariants of a comodule algebra form a subalgebra, so only a
+    # mutant can break the product half: every product of coinvariants here
+    # gains the last basis vector of B, which is not coinvariant, while the
+    # unit is still expressed
+    bilinear = actions.bilinear
+
+    def leaving(ring, m, rank):
+        prod = bilinear(ring, m, rank)
+        last = ((m.codomain.rank - 1, ring.one),)
+        return lambda u, v: linalg.combine_columns(ring, [(prod(u, v), ring.one),
+                                                          (last, ring.one)])
+
+    monkeypatch.setattr(actions, "bilinear", leaving)
+    for name in ("swap_smash", "gauss"):
+        failed = [r for r in records(run_suite(get(name), "crossed")) if not r[1]]
+        assert failed == [("crossed.coinvariants", False, None)]
+
+
+@pytest.mark.parametrize("key", ["U", "V"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_span_vector_of_the_wrong_length_is_an_input_error(key, extra):
+    # an in-process entry's U or V is read through FreeModule.vector before
+    # the first record: one entry short or long raises the input error the
+    # CLI answers with exit 2, not a check verdict
+    entry = get("swap_smash")
+    h = entry.hopf_data()
+    vectors = [tuple(range(1, h.rank + 1 + extra))] + \
+        [h.carrier.basis_vector(i) for i in range(h.rank)]
+    entry = dataclasses.replace(entry, **{"u_span" if key == "U" else "v_span": vectors})
+    with pytest.raises(ValidationError, match=f"{key} element has wrong length"):
+        run_suite(entry, "duality")
