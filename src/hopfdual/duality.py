@@ -18,24 +18,26 @@ is built into the representation rather than checked.  The duality
 isomorphism is constructed as χ⁻¹∘γ, exactly the map the commuting diagram
 produces, so its multiplicativity is a theorem-test rather than a search.
 
-γ and δ are evaluated by their Sweedler expansions (right δ: 4 legs of k and
-5 of h·m, by Δ(h·m) = Δ(h)Δ(m); op δ: 8 of k and 2 of h) without repeated
-work: each factor (σ⁻¹, σ, the action, the H-part) is tabulated per call by
-the leg indices it reads, and the functional f, which enters only through
-f(k_last), is applied in a final contraction.  The other Sweedler sums take
-the same route: φ₁/φ₂ and ε/ε⁻¹ form each product once per (column, leg); π
-sums its factor that does not read g once per (h_t, last leg) and reads each
-column off the products of basis elements; ν tabulates its A-part by leg
-indices; χ places a beside the columns of λ.  Values in Hom(H, B) are added
-into a {flat index: coefficient} dict with ``linalg.hom_scatter``, and every
-map is written as its canonical sparse columns.  The hypothesis checks (the
-coactions υ/ω, φ and ψ) read the same sparse tables, and each membership
-question factors its span once.  The tables live for one call.
+γ and δ are evaluated by their Sweedler expansions, with the legs that
+multiply merged by Δ(xy) = Δ(x)Δ(y) (right δ: 4 legs of k and 5 of h·m; op
+δ: 7 of k and 2 of m·h; right γ: 2 of h, 2 of k and 3 of h′k′; op γ: 4 of k
+and 2 of h, as written), without repeated work: each factor (σ⁻¹, σ, the
+action, the H-part) is tabulated per call by the leg indices it reads, and
+the functional f, which enters only through f(k_last), is applied in a final
+contraction.  The other Sweedler sums take the same route: φ₁/φ₂ and ε/ε⁻¹
+form each product once per (column, leg); π sums its factor that does not
+read g once per (h_t, last leg) and reads each column off the products of
+basis elements; ν tabulates its A-part by leg indices; χ places a beside the
+columns of λ.  Values in Hom(H, B) are added into a {flat index:
+coefficient} dict with ``linalg.hom_scatter``, and every map is written as
+its canonical sparse columns.  The hypothesis checks (the coactions υ/ω, φ
+and ψ) read the same sparse tables, and each membership question factors its
+span once.  The tables live for one call.
 
 Every factor is a canonical sparse vector read off a sparse table with
 ``linalg.bilinear`` or ``linalg.linear``, and so are λ's hit values, ρ(g),
-the RL witnesses and the generators of J(A⊗V).  Only the sums of γ and δ
-per (t, k_last) and right δ's inner sum accumulate in dense lists, and the
+the RL witnesses and the generators of J(A⊗V).  The sums of γ and δ
+accumulate in {flat index: coefficient} dicts with ``_add_outer``, and the
 left side of check 1c multiplies with ``AlgebraData.product`` so that it
 shares no code with the coaction's builder.  U's elements and a V span
 are canonical sparse functionals too: ``suites.Derived`` reads an entry's
@@ -383,10 +385,12 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
     Right: (k⊗1) ↦ Σ h₄(f⇀k₃) ⊗ [S̄(h₃k₂)a]σ(S̄(h₂k₁)⊗h₁)
     Op:    (1⊗k) ↦ Σ [k₁a]σ(k₂⊗h₁) ⊗ (f⇀k₃)h₂
 
-    The full 4-leg expansion of k and 4-leg (op: 2-leg) expansion of h is
-    summed as written.  The S̄-images of basis products are tabulated once
-    per call, the action and σ factors once per leg-index key they read, and
-    the sum is formed once per (a, h, k, k₄) before it meets each f(k₄).
+    Right, h₂k₁ ⊗ h₃k₂ ⊗ h₄k₃ are the legs y of Δ²(h′·k′), h′ = h₂h₃h₄ and
+    k′ = k₁k₂k₃ merged (as in δ), so right γ sums y₃ ⊗ [S̄(y₂)a]σ(S̄(y₁)⊗h₁)
+    ·f(k₄) over (h₁, h′) ∈ Δ(h), (k′, k₄) ∈ Δ(k), (h′·k′)_p and y ∈ Δ²(h_p),
+    its 3-leg sum tabulated by (p, h₁, a) and the sum over Δ(h) by (h, k′, a).
+    Op sums 4 legs of k and 2 of h as written.  The sum is formed once per
+    (a, h, k, k_last) before it meets each f(k_last).
     """
     h = cp.action.hopf
     b = h.bialgebra
@@ -398,28 +402,40 @@ def gamma_map(cp: CrossedProductData, U: SubalgebraU,
     act = bilinear(ring, cp.action.action, rA)
     sigma = bilinear(ring, cp.cocycle.sigma, rH)
     aprod = bilinear(ring, A.mult, rA)
+    h_terms = [b.coalgebra.sweedler_basis(j, 2) for j in range(rH)]
     if side is DiagramSide.RIGHT:
-        h_legs, width = 4, rA
-        sb = linear(ring, h.twisted_antipode)
-        sprod = cache(lambda x, y: sb(hmul[x * rH + y]))
+        Sb = h.twisted_antipode.sparse_columns()
+        apart = cache(lambda y1, y2, h1, i: aprod(act(Sb[y2], a_e[i]), sigma(Sb[y1], e[h1])))
 
         @cache
-        def apart(h1, h2, h3, k1, k2, i):
-            return aprod(act(sprod(h3, k2), a_e[i]), sigma(sprod(h2, k1), e[h1]))
+        def inner(p, h1, i):
+            vec = {}
+            for c, (y1, y2, y3) in b.coalgebra.sweedler_basis(p, 3):
+                _add_outer(vec, ring, c, e[y3], apart(y1, y2, h1, i), rA)
+            return sparse_column(vec)
 
-        def term(i, hl, kl):
-            h1, h2, h3, h4 = hl
-            k1, k2, k3, _ = kl
-            return hmul[h4 * rH + k3], apart(h1, h2, h3, k1, k2, i)
+        @cache
+        def merged(j, k, i):
+            vec = {}
+            for ch, (h1, h2) in h_terms[j]:
+                for p, x in hmul[h2 * rH + k]:  # vec += ch·x·inner
+                    _add_outer(vec, ring, ch, ((0, x),), inner(p, h1, i), 0)
+            return sparse_column(vec)
+
+        def add_term(vec, ck, i, j, kl):
+            _add_outer(vec, ring, ck, ((0, ring.one),), merged(j, kl[0], i), 0)
+        k_legs = 2
     else:
-        h_legs, width = 2, rH
         apart = cache(lambda k1, k2, h1, i: aprod(act(e[k1], a_e[i]), sigma(e[k2], e[h1])))
 
-        def term(i, hl, kl):
+        def add_term(vec, ck, i, j, kl):
             k1, k2, k3, _ = kl
-            return apart(k1, k2, hl[0], i), hmul[k3 * rH + hl[1]]
+            for ch, (h1, h2) in h_terms[j]:
+                _add_outer(vec, ring, ring.mul(ck, ch), apart(k1, k2, h1, i),
+                           hmul[k3 * rH + h2], rH)
+        k_legs = 4
     return _tabulated(cp, U, tensor_module(cp.carrier, U.module),
-                      end_rep_module(h, A, side), 4, _over_h_legs(b, h_legs, width, term))
+                      end_rep_module(h, A, side), k_legs, add_term)
 
 
 def delta_map(cp: CrossedProductData, U: SubalgebraU,
@@ -429,14 +445,16 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
     Right: k ↦ Σ σ⁻¹(h₂k₄⊗S̄(h₁k₃))[(h₃k₅)a]σ(h₄k₆⊗S̄(k₂)) # h₅(f⇀k₇)S̄(k₁)
     Op:    k ↦ Σ σ⁻¹(S(k₄)⊗k₅)[S(k₃)a]σ(S(k₂)⊗k₆h₁) # S(k₁)(f⇀k₇)h₂
 
-    Right, h₁k₃ … h₅k₇ are the legs y of Δ⁴(h·m), m = k₃…k₇ merged: Δ is
-    coassociative and multiplicative on every path here, as
-    ``build_crossed_product`` certifies the comodule algebra A#_σH (ϱ = id⊗Δ)
-    and σ is invertible.  So right δ sums σ⁻¹(y₂⊗S̄(y₁))[y₃⇀a]σ(y₄⊗S̄(k₂)) #
-    y₅S̄(k₁)·f(k₈) over (k₁,k₂,m,k₈) ∈ Δ³(k), (h·m)_p and y ∈ Δ⁴(h_p), at a
-    cost set by Δ³ × Δ⁴, not Δ⁷ × Δ⁴; the inner 5-leg sum is tabulated by
-    (p, k₁, k₂, a).  Op sums 8 legs of k as written.  Factors are tabulated by
-    the leg indices they read; f(k₈) is applied to the sum per (a, h, k, k₈).
+    Both sides merge the legs that meet h, as Δ is coassociative and
+    multiplicative on every path here (``build_crossed_product`` certifies
+    the comodule algebra A#_σH, ϱ = id⊗Δ, and σ is invertible).  Right,
+    h₁k₃ … h₅k₇ are the legs y of Δ⁴(h·m), m = k₃…k₇ merged: the sum of
+    σ⁻¹(y₂⊗S̄(y₁))[y₃⇀a]σ(y₄⊗S̄(k₂)) # y₅S̄(k₁) runs over (k₁,k₂,m,k₈) ∈ Δ³(k),
+    (h·m)_p and y ∈ Δ⁴(h_p), its 5-leg part tabulated by (p, k₁, k₂, a).  Op,
+    k₆h₁ ⊗ k₇h₂ are the legs y of Δ(m·h), m = k₆k₇ merged: σ(S(k₂)⊗y₁) ⊗
+    S(k₁)y₂ is summed over (m·h)_p and y ∈ Δ(h_p) per (m, h, k₁, k₂), and its
+    A-parts are multiplied on the left by σ⁻¹(S(k₄)⊗k₅)[S(k₃)a] for each
+    (k₁,…,k₅,m,k₈) ∈ Δ⁶(k).  f(k₈) is applied to the sum per (a, h, k, k₈).
     """
     h = cp.action.hopf
     b = h.bialgebra
@@ -461,11 +479,11 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
 
         @cache
         def inner(p, k1, k2, i):
-            vec = [ring.zero] * cp.carrier.rank
+            vec = {}
             for c, (y1, y2, y3, y4, y5) in b.coalgebra.sweedler_basis(p, 5):
                 apart = aprod(aprod(s1(y1, y2), acted(y3, i)), s2(y4, k2))
                 _add_outer(vec, ring, c, apart, hpart(y5, k1), rH)
-            return sparse_vector(vec)
+            return sparse_column(vec)
 
         def add_term(vec, ck, i, j, kl):
             k1, k2, m, _ = kl
@@ -475,41 +493,41 @@ def delta_map(cp: CrossedProductData, U: SubalgebraU,
         return _tabulated(cp, U, dom, cod, 4, add_term)
 
     @cache
-    def s1_acted(k3, k4, k5, i):
-        return aprod(sigma_inv(S[k4], e[k5]), act(S[k3], a_e[i]))
+    def left(k3, k4, k5, i):  # σ⁻¹(S(k₄)⊗k₅)[S(k₃)a_i]·a_r for each r
+        s1_acted = aprod(sigma_inv(S[k4], e[k5]), act(S[k3], a_e[i]))
+        return [aprod(s1_acted, a) for a in a_e]
 
-    s2 = cache(lambda k2, k6, h1: sigma(S[k2], hmul[k6 * rH + h1]))
-    hpart = cache(lambda k1, k7, h2: hprod(hprod(S[k1], e[k7]), e[h2]))
+    s2 = cache(lambda k2, y1: sigma(S[k2], e[y1]))
+    hpart = cache(lambda k1, y2: hprod(S[k1], e[y2]))
 
-    def term(i, hl, kl):
-        k1, k2, k3, k4, k5, k6, k7, _ = kl
-        h1, h2 = hl
-        return aprod(s1_acted(k3, k4, k5, i), s2(k2, k6, h1)), hpart(k1, k7, h2)
-    return _tabulated(cp, U, dom, cod, 8, _over_h_legs(b, 2, rH, term))
+    @cache
+    def inner(m, j, k1, k2):  # (r, H-part of the a_r-coordinate), r increasing
+        vec = {}
+        for p, x in hmul[m * rH + j]:
+            for c, (y1, y2) in b.coalgebra.sweedler_basis(p, 2):
+                _add_outer(vec, ring, ring.mul(x, c), s2(k2, y1), hpart(k1, y2), rH)
+        by_r = {}
+        for pos, x in sparse_column(vec):
+            by_r.setdefault(pos // rH, []).append((pos % rH, x))
+        return list(by_r.items())
 
-
-def _over_h_legs(b, h_legs, width, term):
-    """The summand that adds c·Σ c_h·(u⊗v) over the ``h_legs``-fold expansion
-    of h_j, with (u, v) = term(i, h-legs, k-legs) and rank ``width`` for v."""
-    ring = b.ring
-    h_terms = [b.coalgebra.sweedler_basis(j, h_legs) for j in range(b.rank)]
-
-    def add_term(vec, c, i, j, kl):
-        for ch, hl in h_terms[j]:
-            _add_outer(vec, ring, ring.mul(c, ch), *term(i, hl, kl), width)
-    return add_term
+    def add_term(vec, ck, i, j, kl):
+        k1, k2, k3, k4, k5, m, _ = kl
+        products = left(k3, k4, k5, i)
+        for r, w in inner(m, j, k1, k2):
+            _add_outer(vec, ring, ck, products[r], w, rH)
+    return _tabulated(cp, U, dom, cod, 7, add_term)
 
 
 def _tabulated(cp, U, dom, cod, k_legs, add_term):
     """The map dom → cod = Hom(H, B) whose column (a_i, h_j, f_l) has value
     Σ c_k·f_l(k_last)·s(i, j, k-legs) at h_t, where c_k runs over the
     ``k_legs``-fold expansion of h_t and add_term(vec, c_k, i, j, k-legs)
-    adds c_k·s(i, j, k-legs) ∈ B into the dense list ``vec``.  The sum is
-    formed once per (i, j, t, k_last) and then contracted with each f_l."""
+    adds c_k·s(i, j, k-legs) ∈ B into the dict accumulator ``vec``.  The sum
+    is formed once per (i, j, t, k_last) and then contracted with each f_l."""
     b = cp.action.bialgebra
     ring = cp.ring
     rH = b.rank
-    width = cod.rank // rH
     fs = [dict(f) for f in U.elements]
     live = {k for f in fs for k in f}
     cols = []
@@ -519,8 +537,8 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
             for t in range(rH):
                 for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
                     if kl[-1] in live:
-                        add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width), ck, i, j, kl)
-            sums = [(t, k, sparse_vector(vec)) for (t, k), vec in acc.items()]
+                        add_term(acc.setdefault((t, kl[-1]), {}), ck, i, j, kl)
+            sums = [(t, k, sparse_column(vec)) for (t, k), vec in acc.items()]
             for f in fs:
                 out = {}
                 for t, k, vec in sums:
@@ -532,12 +550,14 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
 
 def _add_outer(acc, ring, c, u, v, width):
     """acc += c·(u⊗v), flattened u-major, for canonical sparse vectors u and
-    v, v of rank ``width``, into the dense list ``acc``."""
+    v, v of rank ``width``, into the {flat index: coefficient} dict ``acc``
+    (``sparse_column`` reads the sum off)."""
     mul, add = ring.mul, ring.add
     for p, x in u:
         cx, base = mul(c, x), p * width
         for q, y in v:
-            acc[base + q] = add(acc[base + q], mul(cx, y))
+            pos, cxy = base + q, mul(cx, y)
+            acc[pos] = add(acc[pos], cxy) if pos in acc else cxy
 
 
 def pi_map(cp: CrossedProductData, side: DiagramSide, nu: LinearMap) -> LinearMap:

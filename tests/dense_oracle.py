@@ -2378,10 +2378,10 @@ def alpha_map(hopf, A, U):
 
 
 def _tabulated(cp, U, dom, cod, k_legs, add_term):
-    """``duality._tabulated`` contracting each f into a dense list."""
+    """``duality._tabulated`` contracting each f into a dense list; add_term
+    sums into the library's {flat index: coefficient} accumulators."""
     b = cp.action.hopf.bialgebra
     ring, rH = cp.ring, b.rank
-    width = cod.rank // rH
     live = {k for f in u_dense(U) for k, x in enumerate(f) if x}
     cols = []
     for i in range(cp.action.algebra.rank):
@@ -2390,13 +2390,12 @@ def _tabulated(cp, U, dom, cod, k_legs, add_term):
             for t in range(rH):
                 for ck, kl in b.coalgebra.sweedler_basis(t, k_legs):
                     if kl[-1] in live:
-                        add_term(acc.setdefault((t, kl[-1]), [ring.zero] * width),
-                                 ck, i, j, kl)
+                        add_term(acc.setdefault((t, kl[-1]), {}), ck, i, j, kl)
             for f in u_dense(U):
                 out = [ring.zero] * cod.rank
                 for (t, k), vec in acc.items():
                     if f[k]:
-                        hom_scatter(out, ring, f[k], enumerate(vec), rH, t)
+                        hom_scatter(out, ring, f[k], vec.items(), rH, t)
                 cols.append(tuple(out))
     return DenseMap.from_columns(dom, cod, cols)
 

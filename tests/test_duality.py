@@ -85,7 +85,7 @@ from hopfdual.smash import (
     op_smash,
     right_smash,
 )
-from hopfdual.suites import Derived
+from hopfdual.suites import Derived, run_suite
 
 
 def gauss_crossed():
@@ -662,6 +662,55 @@ def test_delta_matches_the_oracle_on_every_catalog_entry(name, side):
                                       dense_oracle.delta_map(cp, U, side))
 
 
+@pytest.mark.parametrize("side", [DiagramSide.RIGHT, DiagramSide.OP])
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_gamma_matches_the_oracle_on_every_catalog_entry(name, side):
+    ctx = Derived(catalog.get(name))
+    cp = ctx.diagram_crossed
+    U = ctx.u(side)
+    dense_oracle.assert_bit_identical(gamma_map(cp, U, side),
+                                      dense_oracle.gamma_map(cp, U, side))
+
+
+def rebased_sweedler_entry():
+    """The Hopf algebra of ``rebased_sweedler_Z3`` as an entry of kind hopf."""
+    ring = Zmod(3)
+    return catalog.CatalogEntry(
+        "sweedler4_Z3_rebased", "Sweedler's algebra over Z/3 with f_1 = 1 + x",
+        "hopf", ring, _build=lambda: rebased_sweedler_Z3().action.hopf)
+
+
+LEG_GUARD_CASES = {
+    "sweedler4_Z3_rebased": rebased_sweedler_entry,
+    "sweedler4_smash_Z3": lambda: catalog.get("sweedler4_smash_Z3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEG_GUARD_CASES))
+def test_diagram_maps_expand_only_the_merged_legs(name, monkeypatch):
+    # op δ walks Δ⁶(k) and Δ(m·h), not Δ⁷(k) × Δ(h); right γ walks Δ(h),
+    # Δ(k) and Δ²(h′k′), not Δ³(h) × Δ³(k)
+    requests, building = [], []  # building: the side of the γ being built
+    expand, gamma = CoalgebraData.sweedler_basis, duality.gamma_map
+
+    def spy_expand(self, i, legs):
+        requests.append((legs, building[-1:] == [DiagramSide.RIGHT]))
+        return expand(self, i, legs)
+
+    def spy_gamma(cp, U, side):
+        building.append(side)
+        try:
+            return gamma(cp, U, side)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(CoalgebraData, "sweedler_basis", spy_expand)
+    monkeypatch.setattr(duality, "gamma_map", spy_gamma)
+    assert run_suite(LEG_GUARD_CASES[name](), "all").ok
+    assert max(legs for legs, _ in requests) == 7  # op δ ran
+    assert max(legs for legs, right_gamma in requests if right_gamma) == 3
+
+
 # Change of basis: π∘δ = χ with π invertible fixes δ, so a δ that is wrong in
 # a dense basis fails build_diagram here whatever the δ code does.
 TRANSVECTION_CASES = {
@@ -697,6 +746,8 @@ def test_delta_matches_the_oracle_on_a_proper_functional_span():
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
         dense_oracle.assert_bit_identical(delta_map(cp, span, side),
                                           dense_oracle.delta_map(cp, span, side))
+        dense_oracle.assert_bit_identical(gamma_map(cp, span, side),
+                                          dense_oracle.gamma_map(cp, span, side))
 
 
 def with_sigma_entry(cp, column, value):
