@@ -15,8 +15,8 @@ One-sided-linear endomorphism spaces are materialized as free modules of
 maps out of H: an element of End_{-A}(H⊗A) is determined by its values on
 h⊗1 and is stored as a map H → H⊗A (rank(H)²·rank(A) coordinates); linearity
 is built into the representation rather than checked.  The duality
-isomorphism is constructed as χ⁻¹∘γ, exactly the map the commuting diagram
-produces, so its multiplicativity is a theorem-test rather than a search.
+isomorphism is χ⁻¹∘γ, the map the commuting diagram produces, read in λ's
+coordinates for any U; its multiplicativity is a theorem-test, not a search.
 
 γ and δ are evaluated by their Sweedler expansions, with the legs that
 multiply merged by Δ(xy) = Δ(x)Δ(y) (right δ: 4 legs of k and 5 of h·m; op
@@ -88,7 +88,6 @@ from .linalg import (
     dual_module,
     hom_module,
     hom_scatter,
-    invert_map,
     kron,
     kron_column,
     kron_vec,
@@ -265,10 +264,10 @@ def end_rep_module(hopf: HopfData, A: AlgebraData, side: DiagramSide) -> FreeMod
 # ε-maps: Hom(H, A⊗H) ↔ one-sided endomorphisms
 
 
-def epsilon_maps(h: HopfData, A: AlgebraData,
+def epsilon_maps(h: HopfData, A: AlgebraData, U: SubalgebraU, lam: LinearMap,
                  side: DiagramSide = DiagramSide.RIGHT):
     """(ε, ε⁻¹) with both composites the identity, and χ = ε∘α as matrices
-    for U = H*.
+    for the caller's U and its λ (op: λ̄) ``lam``.
 
     Right: ε(g)(k⊗1) = Σ τ(g(k₂))·(k₁⊗1),  ε⁻¹(F)(k) = Σ τ(F(k₂⊗1))·(1⊗S̄(k₁)).
     Op:    ε̄(g)(1⊗k) = Σ (1⊗k₁)·g(k₂),    ε̄⁻¹(F)(k) = Σ (1⊗S(k₁))·F(1⊗k₂).
@@ -301,9 +300,7 @@ def epsilon_maps(h: HopfData, A: AlgebraData,
     if eps @ eps_inv != LinearMap.identity(end_mod) or \
             eps_inv @ eps != LinearMap.identity(hom_src):
         raise ValidationError("ε and ε⁻¹ are not mutually inverse")
-    U = SubalgebraU.full_dual(h, ModuleSide.RIGHT if side is DiagramSide.RIGHT
-                              else ModuleSide.LEFT)
-    if (eps @ alpha_map(h, A, U)) != chi_map(h, A, lambda_map(h, U), side):
+    if (eps @ alpha_map(h, A, U)) != chi_map(h, A, lam, side):
         raise ValidationError("χ ≠ ε∘α")
     return eps, eps_inv
 
@@ -322,17 +319,20 @@ def chi_map(hopf: HopfData, A: AlgebraData, lam: LinearMap,
             side: DiagramSide = DiagramSide.RIGHT) -> LinearMap:
     """χ(a⊗(h#f)) = [k⊗ã ↦ h(f⇀k)⊗aã] (right) or [ã⊗k ↦ ãa⊗(f⇀k)h] (op),
     on the one-sided representation: the column (h, f) of ``lam`` = λ (resp.
-    λ̄) with a placed beside its value, the entry at p·rH+t moving to
-    (p·rA+i)·rH+t (resp. (i·rH+p)·rH+t) for a = a_i."""
-    rH, rA = hopf.rank, A.rank
-    cols = lam.sparse_columns()
-    if side is DiagramSide.RIGHT:
-        cols = [[((pos // rH * rA + i) * rH + pos % rH, x) for pos, x in col]
-                for i in range(rA) for col in cols]
-    else:
-        cols = [[(i * rH * rH + pos, x) for pos, x in col] for i in range(rA) for col in cols]
+    λ̄) with a = a_i placed beside its value as :func:`_chi_slot` lays out."""
+    slot = _chi_slot(side, hopf.rank, A.rank)
+    cols = [[(slot(i, pos), x) for pos, x in col]
+            for i in range(A.rank) for col in lam.sparse_columns()]
     return LinearMap.from_sparse_columns(tensor_module(A.carrier, lam.domain),
                                          end_rep_module(hopf, A, side), cols)
+
+
+def _chi_slot(side: DiagramSide, rH: int, rA: int):
+    """χ's layout: beside a_i, the entry at pos = p·rH+t of a column of λ (op:
+    λ̄) moves to (p·rA+i)·rH+t (op: (i·rH+p)·rH+t), increasing in pos."""
+    if side is DiagramSide.RIGHT:
+        return lambda i, pos: (pos // rH * rA + i) * rH + pos % rH
+    return lambda i, pos: i * rH * rH + pos
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +342,7 @@ def chi_map(hopf: HopfData, A: AlgebraData, lam: LinearMap,
 @dataclass
 class DualityDiagram:
     side: DiagramSide
+    crossed: CrossedProductData
     smash_source: AlgebraData           # (A#_σH)#U  or  (A#_σH)#^opU
     tensor_target: AlgebraData          # A⊗(H#U)    or  A⊗(H#^opU)
     alpha: LinearMap
@@ -655,14 +656,34 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
     det = determinant(pi)
     if not cp.ring.is_unit(det):
         raise NotInvertible("π is not invertible", determinant=det)
-    return DualityDiagram(side, b_smash, p4, alpha, gamma, delta, pi, nu, chi)
+    return DualityDiagram(side, cp, b_smash, p4, alpha, gamma, delta, pi, nu, chi)
 
 
-def duality_iso(diagram: DualityDiagram) -> AlgebraIso:
+def duality_iso(diagram: DualityDiagram, lam_coords) -> AlgebraIso:
     """The certified isomorphism χ⁻¹∘γ: (A#_σH)#U → A⊗(H#U) (resp. op) of a
-    diagram that ``build_diagram`` has checked."""
-    chi_inv = invert_map(diagram.chi)
-    iso_map = chi_inv @ diagram.gamma
+    diagram that ``build_diagram`` has checked, for any U.  ``lam_coords``
+    is the :func:`span_coordinates` factorization of the diagram's λ (op:
+    λ̄).  χ places a_i beside λ's columns, so a column of γ, split into its
+    A-slots, has its χ-coordinates slot by slot in λ's; no matrix is
+    inverted, and a column of γ outside χ's image raises naming it."""
+    cp = diagram.crossed
+    rH, rA = cp.action.hopf.rank, cp.action.algebra.rank
+    slot = _chi_slot(diagram.side, rH, rA)
+    where = {slot(i, pos): (i, pos) for i in range(rA) for pos in range(rH * rH)}
+    r_lam = diagram.chi.domain.rank // rA
+    cols = []
+    for j, col in enumerate(diagram.gamma.sparse_columns()):
+        parts = [[] for _ in range(rA)]
+        for flat, x in col:
+            i, pos = where[flat]
+            parts[i].append((pos, x))
+        coords = [lam_coords(part) if part else () for part in parts]
+        if None in coords:
+            label = diagram.smash_source.carrier.label(j)
+            raise CommutativityFailure(f"γ({label}) is not in the image of χ",
+                                       witness=label)
+        cols.append([(i * r_lam + c, x) for i, xi in enumerate(coords) for c, x in xi])
+    iso_map = LinearMap.from_sparse_columns(diagram.gamma.domain, diagram.chi.domain, cols)
     name = ("(A#σH)#U ≅ A⊗(H#U)" if diagram.side is DiagramSide.RIGHT
             else "(A#σH)#opU ≅ A⊗(H#opU)")
     return certify_algebra_iso(diagram.smash_source,
@@ -686,15 +707,13 @@ def matrix_iso(cp: CrossedProductData, lam: LinearMap,
     """(A#_σH)#H* ≅ A⊗(H#H*) ≅ A⊗End(H) ≅ A⊗M_n(R) ≅ M_n(A), each leg
     certified; M_n(A) is materialized as M_n(R)⊗A.  ``leg1`` is the certified
     right-side duality isomorphism of ``cp`` for a right U and ``lam`` is
-    λ of that U, which must be all of H* for λ to be invertible."""
+    λ of that U: certifying id⊗λ raises ``NotInvertible`` unless λ is
+    invertible, which needs U = H*."""
     h = cp.action.hopf
     A = cp.action.algebra
     ring = cp.ring
     n = h.rank
     # A⊗(H#U) → A⊗End(H) via id⊗λ
-    det = determinant(lam)
-    if not ring.is_unit(det):
-        raise NotInvertible("λ is not invertible for this U", determinant=det)
     end_alg = endomorphism_algebra(h.carrier)
     a_end = tensor_algebra(A, end_alg)
     leg2 = certify_algebra_iso(leg1.target, a_end, kron(LinearMap.identity(A.carrier), lam),
@@ -1129,9 +1148,11 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
     # step 2: the op-side duality isomorphism of the opposite crossed product
     b_op_smash = op_smash(opp.crossed.comodule, u_cop)
     h_op_smash = op_smash(regular_comodule(hop), u_cop)
+    lam = lambda_map(hop, u_cop)
     diag_op = build_diagram(opp.crossed, u_cop, DiagramSide.OP, b_op_smash,
-                            h_op_smash, lambda_map(hop, u_cop))
-    step2 = duality_iso(diag_op)
+                            h_op_smash, lam)
+    step2 = duality_iso(diag_op, span_coordinates(hop.ring, lam.sparse_columns(),
+                                                  lam.codomain.rank))
 
     # step 3: (A^op ⊗ W)^op = A ⊗ W^op bit-identically
     w_alg = diag_op.tensor_target  # A^op⊗(H^op#^opU^cop)

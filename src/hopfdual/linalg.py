@@ -682,10 +682,11 @@ class PreparedSolver:
     # -- integer / composite-modulus path (Smith normal form) --
 
     def _solve_snf(self, rhs):
+        """x with A·x = rhs, given as its nonzero (index, int) pairs, or None."""
         U, D = self._U, self._D
         m = len(U)
         cols = len(D[0]) if m else 0
-        c = [sum(U[i][j] * rhs[j] for j in range(m)) for i in range(m)]
+        c = [sum(row[j] * x for j, x in rhs) for row in U]
         r = min(m, cols)
         y = [0] * cols
         for i in range(m):
@@ -696,8 +697,8 @@ class PreparedSolver:
                 y[i] = c[i] // d
             elif c[i]:
                 return None
-        V = self._V
-        return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+        nonzero = [(j, x) for j, x in enumerate(y) if x]
+        return [sum(row[j] * x for j, x in nonzero) for row in self._V]
 
     def _snf_kernel_columns(self):
         D, V = self._D, self._V
@@ -738,7 +739,8 @@ class PreparedSolver:
             r += 1
             if r == self.m:
                 break
-        self._R, self._T, self._pivots = R, T, pivots
+        self._R, self._pivots = R, pivots
+        self._T_cols = [sparse_vector(col) for col in zip(*T)]
 
     # -- public API --
 
@@ -768,20 +770,20 @@ class PreparedSolver:
         return self._kernel
 
     def solve(self, rhs) -> SolveResult:
-        rhs = [self.ring.of(x) for x in rhs]
         if len(rhs) != self.m:
             raise DimensionMismatch("right-hand side length mismatch")
         ring = self.ring
+        nonzero = [(j, ring.of(x)) for j, x in enumerate(rhs) if x]
         particular = None
-        if ring.is_field:
-            c = [ring.dot(self._T[i], rhs) for i in range(self.m)]
-            if not any(c[len(self._pivots):]):
+        if ring.is_field:  # T·rhs, summed over T's columns at the nonzeros of rhs
+            c = combine_columns(ring, [(self._T_cols[j], x) for j, x in nonzero])
+            if all(r < len(self._pivots) for r, _ in c):
                 x = [ring.zero] * self.k
-                for r, pc in enumerate(self._pivots):
-                    x[pc] = c[r]
+                for r, v in c:
+                    x[self._pivots[r]] = v
                 particular = tuple(x)
         else:
-            sol = self._solve_snf([int(x) for x in rhs])
+            sol = self._solve_snf(nonzero)
             if sol is not None:
                 if isinstance(ring, ModularRing):
                     particular = tuple(x % ring.n for x in sol[: self.k])
@@ -871,17 +873,18 @@ def _inverse_columns(m: LinearMap):
     ring = m.ring
     solver = PreparedSolver(ring, m.matrix)
     ident = LinearMap.identity(m.domain)
-    if ring.is_field:
-        cols = list(zip(*solver._T))
+    if ring.is_field:  # T's columns
+        cols = solver._T_cols
     elif isinstance(ring, ModularRing):
         cols = [solver.solve(m.domain.basis_vector(j)).particular
                 for j in range(m.domain.rank)]
-        cols = None if None in cols else cols
+        cols = None if None in cols else list(map(sparse_vector, cols))
     else:  # column j of V·U
         U, V = solver._U, solver._V
-        cols = [[sum(a * b for a, b in zip(v, col)) for v in V] for col in zip(*U)]
+        cols = [sparse_vector([sum(a * b for a, b in zip(v, col)) for v in V])
+                for col in zip(*U)]
     if cols is not None:
-        inv = LinearMap.from_sparse_columns(m.codomain, m.domain, map(sparse_vector, cols))
+        inv = LinearMap.from_sparse_columns(m.codomain, m.domain, cols)
         if inv @ m == ident and m @ inv == ident:
             return inv.sparse_columns()
     det = determinant(m)

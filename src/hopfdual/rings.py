@@ -78,15 +78,6 @@ class Ring:
             total = self.add(total, v)
         return total
 
-    def dot(self, u, v) -> Elem:
-        if len(u) != len(v):
-            raise ValueError("dot: length mismatch")
-        total = self.zero
-        for a, b in zip(u, v):
-            if a and b:
-                total = self.add(total, self.mul(a, b))
-        return total
-
     def describe(self) -> dict:
         """JSON-ready descriptor, inverse of :func:`ring_from_descriptor`."""
         return {"kind": self.kind}

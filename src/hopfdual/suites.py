@@ -243,7 +243,7 @@ class Derived:
         """The certified duality isomorphism on ``side`` for ``self.u``."""
         return self._once(("iso", side), lambda: duality_iso(build_diagram(
             self.diagram_crossed, self.u(side), side, self.b_smash(side),
-            self.h_smash(side), self.lam(side))))
+            self.h_smash(side), self.lam(side)), self.lam_coords(side)))
 
 
 def run_hopf_suite(ctx: Derived) -> ValidationReport:
@@ -375,8 +375,8 @@ def run_duality_suite(ctx: Derived) -> ValidationReport:
     A = cp.action.algebra
     _timed(rep, "duality.epsilon", "ε/ε⁻¹ and the barred pair round-trip and "
            "factor χ = ε∘α",
-           lambda: epsilon_maps(h, A, DiagramSide.RIGHT)
-           and epsilon_maps(h, A, DiagramSide.OP) and True)
+           lambda: all(epsilon_maps(h, A, ctx.u(side), ctx.lam(side), side)
+                       for side in DiagramSide))
     if full_u:
         basis = unit_vectors(h.ring, h.rank)
         _timed(rep, "duality.rl", "U = H* satisfies the RL-condition on both "
@@ -436,13 +436,13 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
     def route_equality():
         direct = ctx.duality_iso(DiagramSide.RIGHT)
         transport = kron(ctx.extraction.iso.inverse, LinearMap.identity(U.module))
-        b_smash = right_smash(cleft.comodule_algebra, U)
+        # on a crossed-product payload B is the diagram's, the transport the identity
+        crossed_payload = isinstance(ctx.entry.payload, CrossedProductData)
+        b_smash = (ctx.b_smash(DiagramSide.RIGHT) if crossed_payload
+                   else right_smash(cleft.comodule_algebra, U))
         routed = direct.map @ transport
         certify_algebra_iso(b_smash, direct.target, routed, "cleft-route duality")
-        # on a crossed-product payload the transport is the identity
-        if isinstance(ctx.entry.payload, CrossedProductData):
-            return routed == direct.map
-        return True
+        return routed == direct.map if crossed_payload else True
 
     _timed(rep, "cleft.route", "the cleft-route duality isomorphism is "
            "certified and matches the direct route", route_equality)

@@ -3,12 +3,13 @@
 ``FunctionalSpan`` is a bare spanning list of functionals on H, for the raw
 map builders and for an invalid U; ``side_objects`` builds the corners of a
 duality diagram that read only U, as ``suites.Derived`` does, ``diagram``
-hands them to ``build_diagram`` and ``lambda_coordinates`` factors λ for the
-RL-condition; ``idempotent_monoid_bialgebra`` is a bialgebra with no
-antipode; ``entries_equal`` compares two entries through their canonical
-instance documents; ``map_from_columns`` is the tests' one normalising
-constructor from dense columns; ``unvalidated_hopf`` builds Hopf data from
-``hopf_from_parts`` arguments without certifying it.
+hands them to ``build_diagram``, ``lambda_coordinates`` factors λ for the
+RL-condition and the duality isomorphism, and ``full_dual_lambda`` is U = H*
+with its λ, as ``epsilon_maps`` takes them; ``idempotent_monoid_bialgebra``
+is a bialgebra with no antipode; ``entries_equal`` compares two entries
+through their canonical instance documents; ``map_from_columns`` is the
+tests' one normalising constructor from dense columns; ``unvalidated_hopf``
+builds Hopf data from ``hopf_from_parts`` arguments without certifying it.
 ``cyclic_document`` is the instance document of R[C_n] over Z/p.
 """
 from hopfdual.catalog import (
@@ -17,7 +18,7 @@ from hopfdual.catalog import (
     coalgebra_from_quadruples,
 )
 from hopfdual.actions import regular_comodule
-from hopfdual.duality import build_diagram, lambda_map
+from hopfdual.duality import DiagramSide, build_diagram, lambda_map
 from hopfdual.hopf import BialgebraData, HopfData
 from hopfdual.instancefile import export_entry
 from hopfdual.linalg import (
@@ -28,7 +29,7 @@ from hopfdual.linalg import (
     sparse_vector,
 )
 from hopfdual.rings import Ring
-from hopfdual.smash import ModuleSide, op_smash, right_smash
+from hopfdual.smash import ModuleSide, SubalgebraU, op_smash, right_smash
 
 
 class FunctionalSpan:
@@ -67,6 +68,13 @@ def lambda_coordinates(hopf: HopfData, U):
     """The ``span_coordinates`` factorization of λ (λ̄ for a left U)."""
     lam = lambda_map(hopf, U)
     return span_coordinates(hopf.ring, lam.sparse_columns(), lam.codomain.rank)
+
+
+def full_dual_lambda(hopf: HopfData, side):
+    """U = H* on ``side`` (op: a left H-module) and its λ (op: λ̄)."""
+    U = SubalgebraU.full_dual(hopf, ModuleSide.RIGHT if side is DiagramSide.RIGHT
+                              else ModuleSide.LEFT)
+    return U, lambda_map(hopf, U)
 
 
 def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:

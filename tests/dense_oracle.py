@@ -100,7 +100,10 @@ determinant, then one solve per column, then the two-sided check.  They reuse
 the library's unchanged ``smith_normal_form``, ``canonical_span`` and
 ``determinant``.  ``test_linalg.py`` requires the library's inverses to agree
 with them bit for bit, its failures message for message, and its solves on
-status and kernel.
+status and kernel.  ``duality_iso_map`` is the duality isomorphism's matrix
+as the library formed it while it inverted χ, χ⁻¹∘γ through that
+``invert_map``, so for U = H* only; ``test_duality.py`` requires the
+library's, read in λ's coordinates, to equal it bit for bit.
 
 ``FractionRing`` is the rationals with every element a ``Fraction``,
 integral or not (integral ``add``/``sub``/``mul`` on the numerators, the
@@ -1904,7 +1907,8 @@ class PreparedSolver:
         ring = self.ring
         particular = None
         if isinstance(ring, RationalRing):
-            c = [ring.dot(self._T[i], rhs) for i in range(self.m)]
+            c = [ring.sum(ring.mul(a, b) for a, b in zip(self._T[i], rhs) if a and b)
+                 for i in range(self.m)]
             npiv = len(self._pivots)
             if not any(c[i] != 0 for i in range(npiv, self.m)):
                 x = [ring.zero] * self.k
@@ -1950,6 +1954,11 @@ def invert_map(m):
     if inv @ m != ident or m @ inv != LinearMap.identity(m.codomain):
         raise NotInvertible("inverse verification failed", determinant=det)
     return inv
+
+
+def duality_iso_map(diagram):
+    """χ⁻¹∘γ of a checked duality diagram, χ inverted as a matrix."""
+    return invert_map(diagram.chi) @ diagram.gamma
 
 
 # --- the hypothesis layer, term by term ----------------------------------------

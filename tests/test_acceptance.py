@@ -9,7 +9,14 @@ import random
 
 import pytest
 
-from builders import FunctionalSpan, diagram, map_from_columns, unvalidated_hopf
+from builders import (
+    FunctionalSpan,
+    diagram,
+    full_dual_lambda,
+    lambda_coordinates,
+    map_from_columns,
+    unvalidated_hopf,
+)
 from hopfdual.actions import regular_comodule, trivial_action
 from hopfdual.catalog import (
     get,
@@ -91,7 +98,7 @@ def diagrams(crossed_products):
                             (DiagramSide.OP, ModuleSide.LEFT)):
             U = SubalgebraU.full_dual(h, mside)
             diag = diagram(cp, U, side)
-            iso = duality_iso(diag)
+            iso = duality_iso(diag, lambda_coordinates(h, U))
             out[name, side] = (U, diag, iso)
     return out
 
@@ -201,8 +208,8 @@ def test_06_epsilon_conjugation(crossed_products):
             continue
         seen.add(key)
         # round trips and χ = ε∘α / χ̄ = ε̄∘ᾱ are asserted inside
-        epsilon_maps(h, cp.action.algebra, DiagramSide.RIGHT)
-        epsilon_maps(h, cp.action.algebra, DiagramSide.OP)
+        for side in DiagramSide:
+            epsilon_maps(h, cp.action.algebra, *full_dual_lambda(h, side), side)
     verdict(6, "ε/ε⁻¹ and the barred pair round-trip to the identity and "
                "factor χ = ε∘α exactly for every catalog (A,H)")
 

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from builders import diagram
+from builders import diagram, lambda_coordinates
 from hopfdual import cli
 from hopfdual.actions import trivial_action
 from hopfdual.catalog import get, ground_algebra, list_entries, quadruple_map
@@ -143,7 +143,7 @@ def _right_isos(name):
     h = get(name).hopf_data()
     cp = smash_product_data(trivial_action(h, ground_algebra(h.ring)))
     U = SubalgebraU.full_dual(h, ModuleSide.RIGHT)
-    iso = duality_iso(diagram(cp, U, DiagramSide.RIGHT))
+    iso = duality_iso(diagram(cp, U, DiagramSide.RIGHT), lambda_coordinates(h, U))
     matrix_form = matrix_iso(cp, lambda_map(h, U), iso).iso
     return iso.map, iso.inverse, matrix_form.map, matrix_form.inverse
 

@@ -290,27 +290,22 @@ def test_untimed_records_show_no_timing(tmp_path, capsys):
     assert isinstance(checks["hopf.dual"]["millis"], float)
 
 
-def test_restricted_U_instance_reports_proper_failure(tmp_path, capsys):
-    # U = span{ε}: λ stays a morphism; the χ leg is reported NotInvertible.
+def test_restricted_U_instance_certifies_every_route(tmp_path, capsys):
+    # U = span{ε}: χ is not square, and the duality isomorphism reads γ in
+    # λ's coordinates, so both sides certify through every route
     doc = json.loads(export_entry_json(get("triv_C2")))
     doc["name"] = "triv_C2_smallU"
     doc["U"] = [["1", "1"]]
     path = tmp_path / "small_u.json"
     path.write_text(json.dumps(doc))
-    assert main(["verify", str(path), "--suite", "duality"]) == 1
-    out = capsys.readouterr().out
-    assert "duality.lambda" in out
-    assert "non-square" in out or "NotInvertible" in out or "invert" in out
-    # every suite reads this U: each route through the duality isomorphism
-    # fails alike, and B#U, B#ᵒᵖU still build
-    assert main(["verify", str(path), "--suite", "all", "--format", "json"]) == 1
+    assert main(["verify", str(path), "--suite", "duality"]) == 0
+    assert "PASS  right.duality" in capsys.readouterr().out
+    assert main(["verify", str(path), "--suite", "all", "--format", "json"]) == 0
     checks = [c for s in json.loads(capsys.readouterr().out)["sections"]
               for c in s["checks"]]
-    passed = {c["id"] for c in checks if c["passed"]}
-    assert {"smash.right", "smash.op"} <= passed
-    assert [(c["id"], c["witness"]) for c in checks if not c["passed"]] == [
-        (check_id, "cannot invert a non-square map")
-        for check_id in ("duality.theorems", "cleft.route", "opposite.chain")]
+    assert len(checks) == 70 and all(c["passed"] for c in checks)
+    assert {"smash.right", "smash.op", "right.duality", "op.duality", "bm.rl",
+            "cleft.route", "opposite.chain"} <= {c["id"] for c in checks}
     # ε ∉ span(U): not a subalgebra of H*, an input error in every suite
     doc["U"] = [["1", "0"]]
     path.write_text(json.dumps(doc))
@@ -377,22 +372,22 @@ def test_an_input_without_antipodes_verifies(capsys):
 def test_an_input_with_u_and_v_blocks_verifies_as_pinned(capsys):
     # R[C4] over Z/5 with U the functions constant on the cosets of C2 and V
     # its coaction preimage written out: the parser reads both blocks, and
-    # the suites read them once, as sparse functionals.  For this proper U,
-    # χ is not square, so the theorem suite cannot invert it and
-    # duality.theorems fails; every other check passes
+    # the suites read them once, as sparse functionals.  χ is not square for
+    # this proper U, and both duality isomorphisms still certify: every
+    # check passes, the Blattner-Montgomery route included
     path = FIXTURES / "cyclic_c4_z5_u_v.json"
     doc = json.loads(path.read_text())
     assert doc["U"] == [["1", "0", "1", "0"], ["0", "1", "0", "1"]]
     assert doc["V"] == doc["U"]
     assert main(["verify", str(path), "--suite", "all", "--format", "json",
-                 "--canonical"]) == 1
+                 "--canonical"]) == 0
     verdicts = {r["id"]: (r["passed"], r["witness"])
                 for section in json.loads(capsys.readouterr().out)["sections"]
                 for r in section["checks"]}
-    assert len(verdicts) == 24
-    assert {k: v for k, v in verdicts.items() if v != (True, None)} == {
-        "duality.theorems": (False, "cannot invert a non-square map")}
-    assert {"smash.compare", "duality.lambda", "duality.phi", "duality.epsilon"} <= set(verdicts)
+    assert len(verdicts) == 41
+    assert set(verdicts.values()) == {(True, None)}
+    assert {"smash.compare", "duality.lambda", "duality.phi", "duality.epsilon",
+            "right.duality", "op.duality", "bm.rl"} <= set(verdicts)
 
 
 @pytest.mark.parametrize("limit", DIGIT_LIMITS)

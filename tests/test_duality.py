@@ -1,10 +1,19 @@
 """Duality maps, diagrams, certified isomorphisms, coactions, theorem routes."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from builders import FunctionalSpan, diagram, lambda_coordinates, map_from_columns
+from builders import (
+    FunctionalSpan,
+    cyclic_document,
+    diagram,
+    full_dual_lambda,
+    lambda_coordinates,
+    map_from_columns,
+)
 from dense_oracle import product_many, vec_add, vec_scale, zero_vector
 from hopfdual import catalog
 from hopfdual.actions import (
@@ -36,6 +45,7 @@ from hopfdual.crossed import (
 from hopfdual.duality import (
     CoactionSide,
     DiagramSide,
+    build_diagram,
     chi_map,
     coaction_preimage_of_U,
     coaction_table,
@@ -67,6 +77,7 @@ from hopfdual.hopf import (
     endomorphism_algebra,
     matrix_algebra,
 )
+from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import (
     LinearMap,
     determinant,
@@ -109,7 +120,7 @@ def certified_iso(cp, side):
     h = cp.action.hopf
     U = SubalgebraU.full_dual(
         h, ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT)
-    return U, duality_iso(diagram(cp, U, side))
+    return U, duality_iso(diagram(cp, U, side), lambda_coordinates(h, U))
 
 
 # --- λ and the RL-condition ---------------------------------------------------
@@ -209,16 +220,18 @@ def test_epsilon_round_trip_and_chi_factorization():
     h = group_algebra(ZZ, 2)
     from hopfdual.catalog import product_ring_algebra
 
-    epsilon_maps(h, product_ring_algebra(ZZ, 2), DiagramSide.RIGHT)
-    epsilon_maps(h, product_ring_algebra(ZZ, 2), DiagramSide.OP)
-    epsilon_maps(sweedler_hopf(QQ), ground_algebra(QQ), DiagramSide.RIGHT)
+    for side in DiagramSide:
+        epsilon_maps(h, product_ring_algebra(ZZ, 2), *full_dual_lambda(h, side), side)
+    sweedler = sweedler_hopf(QQ)
+    epsilon_maps(sweedler, ground_algebra(QQ),
+                 *full_dual_lambda(sweedler, DiagramSide.RIGHT), DiagramSide.RIGHT)
 
 
 def test_epsilon_with_ground_coefficients_is_phi():
     # With A = R the ε conjugation reduces to φ₁ on Hom(H,H).
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
         h = group_algebra(ZZ, 2)
-        eps, _ = epsilon_maps(h, ground_algebra(ZZ), side)
+        eps, _ = epsilon_maps(h, ground_algebra(ZZ), *full_dual_lambda(h, side), side)
         phi1, _ = phi_maps(h, side)
         assert eps.matrix == phi1.matrix
 
@@ -324,6 +337,75 @@ def test_matrix_iso_families():
         assert res.iso.map.codomain.rank == expect_rank
     res = matrix_form(smash_product_data(swap_action_data(ZZ)))
     assert res.iso.map.codomain.rank == 8  # M₂ of a rank-2 coefficient algebra
+
+
+def shared_diagram(ctx, side):
+    """``build_diagram`` on ``side`` from the objects ``ctx`` shares."""
+    return build_diagram(ctx.diagram_crossed, ctx.u(side), side, ctx.b_smash(side),
+                         ctx.h_smash(side), ctx.lam(side))
+
+
+def failed_checks(report):
+    return {r.check_id: r.witness for section in report.sections
+            for r in section.records if not r.passed}
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in catalog.list_entries()])
+def test_duality_iso_equals_the_inverse_of_chi_after_gamma(name):
+    # for U = H*, χ is square and invertible: γ read in λ's coordinates is
+    # χ⁻¹∘γ bit for bit, on both sides of every catalog entry
+    ctx = Derived(catalog.get(name))
+    for side in DiagramSide:
+        diag = shared_diagram(ctx, side)
+        dense_oracle.assert_bit_identical(duality_iso(diag, ctx.lam_coords(side)).map,
+                                          dense_oracle.duality_iso_map(diag))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_coset_functions_of_a_subgroup_certify_both_sides(order):
+    # R[C6] over Z/7 with U the functions constant on the cosets of the
+    # order-2 or order-3 subgroup: χ is injective but not square, each
+    # side's isomorphism is certified and χ after it is γ; the matrix form
+    # needs λ invertible, so certifying id⊗λ raises
+    doc = cyclic_document(6, 7)
+    doc["U"] = [["1" if i % (6 // order) == c else "0" for i in range(6)]
+                for c in range(6 // order)]
+    entry = parse_instance_dict(doc).to_entry()
+    report = run_suite(entry, "all")
+    assert len([r for section in report.sections for r in section.records]) == 41
+    assert failed_checks(report) == {}
+    ctx = Derived(entry)
+    for side in DiagramSide:
+        diag = shared_diagram(ctx, side)
+        assert diag.chi.domain.rank < diag.chi.codomain.rank
+        assert diag.chi @ duality_iso(diag, ctx.lam_coords(side)).map == diag.gamma
+    with pytest.raises(NotInvertible):
+        matrix_iso(ctx.diagram_crossed, ctx.lam(DiagramSide.RIGHT),
+                   ctx.duality_iso(DiagramSide.RIGHT))
+
+
+@pytest.mark.parametrize("name,U,compat,column", [
+    ("sweedler4_smash_Q", [(1, 1, 0, 0), (1, -1, 0, 0)], "(1,y)", "y⊗1⊗u0"),
+    ("swap_smash", [(1, 1)], "(e,u0)", "u0⊗e⊗u0"),
+    ("m2_conj_smash", [(1, 1)], "(e,e[0,0])", "e[0,0]⊗e⊗u0"),
+    ("gauss_cleft", [(1, 1)], "(g,c0)", "c0⊗g⊗u0"),
+])
+def test_a_gamma_outside_chi_fails_each_route_naming_its_column(name, U, compat,
+                                                               column):
+    # U = span{ε, α} (Sweedler's two characters) resp. span{ε}: the right
+    # (V, U) compatibility fails, so the theorem suite stops there, and the
+    # cleft and opposite routes, which ask for the right isomorphism anyway,
+    # fail on the first column of γ outside χ's image
+    entry = dataclasses.replace(catalog.get(name), u_span=U)
+    outside = f"γ({column}) is not in the image of χ"
+    assert failed_checks(run_suite(entry, "all")) == {
+        "right.compat": compat, "duality.theorems": None,
+        "cleft.route": outside, "opposite.chain": outside}
+    ctx = Derived(entry)
+    with pytest.raises(CommutativityFailure, match=r"^γ\(") as exc:
+        duality_iso(shared_diagram(ctx, DiagramSide.RIGHT),
+                    ctx.lam_coords(DiagramSide.RIGHT))
+    assert exc.value.witness == column
 
 
 # --- compatibility ----------------------------------------------------------------
@@ -541,7 +623,7 @@ def sweedler_coboundary_Q():
             for c2, (q1, q2) in co.sweedler_basis(q, 2):
                 pq = h.algebra.product(h.carrier.basis_vector(p2),
                                        h.carrier.basis_vector(q2))
-                total += c1 * c2 * u[p1] * u[q1] * QQ.dot(pq, u_inv)
+                total += c1 * c2 * u[p1] * u[q1] * sum(a * b for a, b in zip(pq, u_inv))
         return (total,)
 
     action = trivial_action(h, A)
@@ -860,7 +942,8 @@ def assert_sums_match_the_oracles(cp, U, side):
     h = cp.action.hopf
     A = cp.action.algebra
     pairs = [*zip(phi_maps(h, side), dense_oracle.phi_maps(h, side)),
-             *zip(epsilon_maps(h, A, side), dense_oracle.epsilon_maps(h, A, side)),
+             *zip(epsilon_maps(h, A, *full_dual_lambda(h, side), side),
+                  dense_oracle.epsilon_maps(h, A, side)),
              (chi_map(h, A, lambda_map(h, U), side), dense_oracle.chi_map(h, A, U, side))]
     if side is DiagramSide.RIGHT:
         nu = nu_map(cp)
@@ -937,7 +1020,8 @@ def base_change_maps(cp):
     for side in (DiagramSide.RIGHT, DiagramSide.OP):
         tag = side.value
         maps.update(zip((f"phi1.{tag}", f"phi2.{tag}"), phi_maps(h, side)))
-        maps.update(zip((f"eps.{tag}", f"eps_inv.{tag}"), epsilon_maps(h, A, side)))
+        maps.update(zip((f"eps.{tag}", f"eps_inv.{tag}"),
+                        epsilon_maps(h, A, *full_dual_lambda(h, side), side)))
         diag = diagram(cp, full_dual(cp, side), side)
         for name in ("alpha", "gamma", "delta", "pi", "nu", "chi"):
             maps[f"{name}.{tag}"] = getattr(diag, name)

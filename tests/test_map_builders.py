@@ -94,7 +94,7 @@ def test_duality_maps_match_their_dense_column_builders(name, side):
              dense.tabulated_maps(cp, U, side)),
         *zip(compat_maps(cp, side), dense.hom_value_maps(cp, side)),
         *zip(phi_maps(h, side), dense.phi_maps(h, side)),
-        *zip(epsilon_maps(h, A, side), dense.epsilon_maps(h, A, side)),
+        *zip(epsilon_maps(h, A, U, lambda_map(h, U), side), dense.epsilon_maps(h, A, side)),
         (pi_map(cp, side, nu), dense.pi_map(cp, side)),
         (coaction_table(h, COACTION_OF[side]).map,
          dense.coaction_table(h, COACTION_OF[side]).map),

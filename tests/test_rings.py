@@ -169,15 +169,14 @@ def test_rational_ops_equal_the_fraction_operators(ops, a, b):
     assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
-@given(rationals, rationals, st.lists(st.tuples(rationals, rationals), max_size=5))
-def test_rational_ops_equal_the_fraction_oracle(a, b, pairs):
+@given(rationals, rationals, st.lists(rationals, max_size=5))
+def test_rational_ops_equal_the_fraction_oracle(a, b, u):
     # every op agrees with the all-Fraction ring in value and hash, and returns
     # the canonical form: an int exactly when the denominator is 1
     oracle = dense.FractionRing()
-    u, v = [x for x, _ in pairs], [y for _, y in pairs]
     calls = [("of", (a,)), ("of", (Fraction(a),)), ("of", (str(a),)),
              ("add", (a, b)), ("sub", (a, b)), ("mul", (a, b)), ("neg", (a,)),
-             ("dot", (u, v)), ("sum", (u,))]
+             ("sum", (u,))]
     if b:
         calls.append(("inv", (b,)))
     for name, args in calls:

@@ -80,22 +80,29 @@ def test_each_object_is_built_once_per_run(calls, name, suite, expected):
 
 
 def triv_c2_small_u():
-    """triv_C2 with U = span{ε}: λ is a morphism, χ is not invertible."""
+    """triv_C2 with U = span{ε}: λ is a morphism, χ is not square."""
     doc = json.loads(export_entry_json(get("triv_C2")))
     doc["U"] = [["1", "1"]]
     return parse_instance_dict(doc).to_entry()
 
 
+def with_u(name, U):
+    """The catalog entry ``name`` with the U span ``U`` (dense, as input is)."""
+    return dataclasses.replace(get(name), u_span=U)
+
+
 # B#U and H#U per (comodule algebra, U, kind) and λ per U, keyed by object
 # identity.  The regular comodule is made afresh for each build, so its
-# algebra, H's own, stands for it.  smash_compare and ε build on a fresh H*
-# and #(H,H) is no coordinate smash, so those never repeat a key; the
-# cleft.route B#U is not reached here (no cleft suite, or χ fails first).
+# algebra, H's own, stands for it.  smash_compare builds on a fresh H* and
+# #(H,H) is no coordinate smash, so those never repeat a key; ε reads each
+# side's U and λ, and the cleft route the right B#U of a crossed-product
+# payload.  triv_c2_small_u runs every suite: B#U, H#U and λ on each side,
+# smash_compare's, and the opposite chain's three smashes with its own λ̄.
 @pytest.mark.parametrize("entry,suite,smashes,lambdas", [
-    (lambda: get("sweedler4_Z3"), "all", 5, 4),
-    (lambda: get("gauss"), "duality", 4, 4),
+    (lambda: get("sweedler4_Z3"), "all", 5, 2),
+    (lambda: get("gauss"), "duality", 4, 2),
     (lambda: get("gauss"), "opposite", 5, 2),
-    (triv_c2_small_u, "all", 5, 4),
+    (triv_c2_small_u, "all", 8, 3),
 ])
 def test_run_suite_builds_each_side_object_once(monkeypatch, entry, suite,
                                                 smashes, lambdas):
@@ -182,14 +189,16 @@ def test_theta_is_built_at_most_once_per_run(monkeypatch, name):
 
 
 def test_a_failed_duality_iso_is_built_once_per_run(calls):
-    # χ is not invertible for U = span{ε}: the theorem suite, the cleft route
-    # and the opposite chain all read the one failed right isomorphism
-    failed = {r[0]: r[2] for r in records(run_suite(triv_c2_small_u(), "all"))
-              if not r[1]}
+    # U = span{ε, α}, Sweedler's two characters, on sweedler4_smash_Q: the
+    # right compatibility fails, so the theorem suite asks for no
+    # isomorphism; the cleft route and the opposite chain both read the one
+    # failed right isomorphism, whose γ leaves χ's image
+    failed = {r[0]: r[2] for r in records(run_suite(
+        with_u("sweedler4_smash_Q", [(1, 1, 0, 0), (1, -1, 0, 0)]), "all")) if not r[1]}
     assert calls["build_diagram"] == 1
-    assert failed == dict.fromkeys(
-        ("duality.theorems", "cleft.route", "opposite.chain"),
-        "cannot invert a non-square map")
+    assert failed == {"right.compat": "(1,y)", "duality.theorems": None,
+                      **dict.fromkeys(("cleft.route", "opposite.chain"),
+                                      "γ(y⊗1⊗u0) is not in the image of χ")}
 
 
 def test_a_failed_diagram_fails_every_check_that_needs_it(monkeypatch):
@@ -273,7 +282,7 @@ def test_no_integral_fraction_is_made_in_a_q_run(monkeypatch, name):
             return out
         return checked
 
-    for op in ("of", "add", "sub", "mul", "neg", "inv", "dot", "sum"):
+    for op in ("of", "add", "sub", "mul", "neg", "inv", "sum"):
         monkeypatch.setattr(RationalRing, op, checked_op(getattr(RationalRing, op)))
     monkeypatch.setattr(LinearMap, "_store", checked_store)
     patch_everywhere(monkeypatch, linalg, "canonical_span", checked_span)
