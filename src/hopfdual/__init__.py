@@ -8,13 +8,10 @@ from .rings import ZZ, QQ, Zmod, Ring
 from .linalg import (
     FreeModule,
     LinearMap,
-    SolveResult,
-    SolveStatus,
+    PreparedSolver,
     free_module,
     invert_map,
     kron,
-    solve_linear,
-    span_coordinates,
     twist_map,
 )
 from .hopf import (

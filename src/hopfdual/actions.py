@@ -27,6 +27,7 @@ from .hopf import AlgebraData, HopfData
 from .linalg import (
     FreeModule,
     LinearMap,
+    PreparedSolver,
     bilinear,
     certified,
     column_witness,
@@ -37,7 +38,6 @@ from .linalg import (
     kron_vec,
     legs,
     product_label,
-    solve_linear,
     sparse_column,
     sparse_vector,
     split_coordinates,
@@ -248,8 +248,7 @@ def _coinvariants(c: ComoduleAlgebraData) -> Coinvariants:
     B = c.algebra
     ring = c.ring
     diff = c.coaction - kron(LinearMap.identity(B.carrier), b.algebra.unit_map())
-    kernel = solve_linear(diff, (ring.zero,) * diff.codomain.rank).kernel_basis
-    vectors = tuple(map(sparse_vector, kernel))
+    vectors = PreparedSolver(ring, diff.sparse_columns(), diff.codomain.rank).kernel()
     coordinates = split_coordinates(ring, vectors, B.rank)
     if coordinates is None:
         raise ValidationError("coinvariants do not span a direct summand")

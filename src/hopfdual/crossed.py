@@ -50,6 +50,7 @@ from .hopf import (
 )
 from .linalg import (
     LinearMap,
+    PreparedSolver,
     bilinear,
     combine_columns,
     hom_module,
@@ -58,7 +59,6 @@ from .linalg import (
     kron_column,
     kron_vec,
     linear,
-    span_coordinates,
     sparse_column,
     sparse_vector,
     tensor_module,
@@ -364,7 +364,7 @@ def coefficient_mismatch(cp: CrossedProductData, coin: Coinvariants) -> Optional
     in_coin = coin.coordinates
     if any(in_coin(v) is None for v in expected):
         return "A⊗1 not contained in the coinvariants"
-    in_expected = span_coordinates(ring, expected, cp.carrier.rank)
+    in_expected = PreparedSolver(ring, expected, cp.carrier.rank).solve
     if any(in_expected(v) is None for v in coin.vectors):
         return "coinvariants leak outside A⊗1"
     return None

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import product
 from typing import Callable, Optional
 
 from .actions import (
@@ -81,7 +80,6 @@ from .linalg import (
     LinearMap,
     PreparedSolver,
     bilinear,
-    canonical_span,
     column_witness,
     combine_columns,
     determinant,
@@ -93,7 +91,6 @@ from .linalg import (
     kron_vec,
     linear,
     product_label,
-    span_coordinates,
     sparse_column,
     sparse_vector,
     tensor_module,
@@ -173,7 +170,7 @@ class RLReport:
 
 def rl_check(hopf: HopfData, U: SubalgebraU, lam_coords, V) -> RLReport:
     """Solve λ(ξ) = ρ(g) (λ̄ for a left U) for each g in V, canonical sparse
-    vectors, on ``lam_coords``, the :func:`span_coordinates` factorization
+    vectors, with ``lam_coords``, the ``solve`` of one :class:`PreparedSolver`
     of λ's columns."""
     rU, us = U.rank, U.elements
     witnesses, failures = [], []
@@ -662,7 +659,7 @@ def build_diagram(cp: CrossedProductData, U: SubalgebraU, side: DiagramSide,
 def duality_iso(diagram: DualityDiagram, lam_coords) -> AlgebraIso:
     """The certified isomorphism χ⁻¹∘γ: (A#_σH)#U → A⊗(H#U) (resp. op) of a
     diagram that ``build_diagram`` has checked, for any U.  ``lam_coords``
-    is the :func:`span_coordinates` factorization of the diagram's λ (op:
+    is the ``solve`` of one :class:`PreparedSolver` of the diagram's λ (op:
     λ̄).  χ places a_i beside λ's columns, so a column of γ, split into its
     A-slots, has its χ-coordinates slot by slot in λ's; no matrix is
     inverted, and a column of γ outside χ's image raises naming it."""
@@ -838,7 +835,7 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
     A = cp.action.algebra
     ring = cp.ring
     phi, psi = maps or compat_maps(cp, side)
-    inside = span_coordinates(ring, j_generators(A.rank, V, b.rank), A.rank * b.rank)
+    inside = PreparedSolver(ring, j_generators(A.rank, V, b.rank), A.rank * b.rank).solve
     phi_col = first_outside(inside, phi)
     psi_col = first_outside(inside, psi)
     rl = rl_check(h, U, lam_coords, V)
@@ -849,8 +846,9 @@ def compat_check(cp: CrossedProductData, U: SubalgebraU, lam_coords, V,
 
 
 def first_outside(express, m: LinearMap) -> Optional[int]:
-    """The first column of ``m`` that ``express`` (a :func:`span_coordinates`
-    of the span) cannot express, or None."""
+    """The first column of ``m`` that ``express`` (the ``solve`` of a
+    :class:`PreparedSolver` of the span's generators) cannot express, or
+    None."""
     return next((j for j, col in enumerate(m.sparse_columns())
                  if express(col) is None), None)
 
@@ -1049,25 +1047,20 @@ def _coaction_checks(h: HopfData, side: CoactionSide, cmap) -> ValidationReport:
 
 def coaction_preimage_of_U(table: CoactionTable, hopf: HopfData,
                            U: SubalgebraU):
-    """V := coaction⁻¹(H ⊗ span(U)) as canonical sparse functionals, read
-    off the canonical span of the f-part of the kernel of [cmap | -G], G the
-    generators h_i⊗u, whose rows are written from the sparse columns of the
-    coaction and of U."""
+    """V := coaction⁻¹(H ⊗ span(U)) as canonical sparse functionals: the
+    f-parts of the kernel of [cmap | -G], G the generators h_i⊗u, whose
+    columns are those of the coaction and the negated h_i⊗u.  The kernel is
+    a canonical span (reduced echelon or Hermite rows, mod n over Z/n) with
+    the f-coordinates first, so its rows that do not vanish there, cut to
+    them, are the canonical span of the f-parts."""
     b = hopf.bialgebra
     ring = b.ring
     rH = b.rank
-    us = U.elements
-    m = rH * rH
-    rows = [[ring.zero] * (rH + rH * len(us)) for _ in range(m)]
-    for i, col in enumerate(table.map.sparse_columns()):
-        for r, x in col:
-            rows[r][i] = x
-    for g, (i, u) in enumerate(product(range(rH), us), rH):
-        for p, x in u:
-            rows[i * rH + p][g] = ring.neg(x)
-    res = PreparedSolver(ring, rows).solve((ring.zero,) * m)
-    vs = [v[:rH] for v in res.kernel_basis]
-    return [sparse_vector(v) for v in canonical_span(ring, vs, rH)]
+    cols = list(table.map.sparse_columns())
+    cols += [tuple((i * rH + p, ring.neg(x)) for p, x in u)
+             for i in range(rH) for u in U.elements]
+    kernel = PreparedSolver(ring, cols, rH * rH).kernel()
+    return [f for f in (tuple((i, x) for i, x in v if i < rH) for v in kernel) if f]
 
 
 # ---------------------------------------------------------------------------
@@ -1151,8 +1144,8 @@ def final_chain(cp: CrossedProductData, U: SubalgebraU, opp: OppositeCrossed,
     lam = lambda_map(hop, u_cop)
     diag_op = build_diagram(opp.crossed, u_cop, DiagramSide.OP, b_op_smash,
                             h_op_smash, lam)
-    step2 = duality_iso(diag_op, span_coordinates(hop.ring, lam.sparse_columns(),
-                                                  lam.codomain.rank))
+    step2 = duality_iso(diag_op, PreparedSolver(hop.ring, lam.sparse_columns(),
+                                                lam.codomain.rank).solve)
 
     # step 3: (A^op ⊗ W)^op = A ⊗ W^op bit-identically
     w_alg = diag_op.tensor_target  # A^op⊗(H^op#^opU^cop)
@@ -1183,7 +1176,7 @@ def theorem_suite(cp: CrossedProductData, u: Callable[[DiagramSide], SubalgebraU
     when σ is trivial, on a crossed product.
 
     Per side, ``u(side)`` is U as a right (op: left) H-module subalgebra,
-    ``lam_coords(side)`` the :func:`span_coordinates` factorization of λ
+    ``lam_coords(side)`` the ``solve`` of one :class:`PreparedSolver` of λ
     (op: λ̄) for it, which the RL-condition reads, and ``certified_iso(side)``
     the certified duality isomorphism of ``cp`` for it, asked for only once
     that side's hypotheses hold.  Hypothesis checks use V = coaction⁻¹(H⊗U)

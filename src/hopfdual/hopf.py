@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import (
     FreeModule,
     LinearMap,
+    PreparedSolver,
     bilinear,
     certified,
     column_witness,
@@ -45,16 +46,13 @@ from .linalg import (
     kron_column,
     kron_vec,
     legs,
-    map_to_vec,
     product_label,
-    solve_linear,
     sparse_column,
     sparse_vector,
     tensor_module,
     transpose,
     unit_module,
     unit_vectors,
-    vec_to_map,
 )
 from .reporting import ValidationReport
 
@@ -505,10 +503,15 @@ def convolution_invert(source: CoalgebraData, target: AlgebraData,
                 hom_scatter(out, ring, ring.mul(d, x), M[i * rA + k], rC, j)
         cols.append(sparse_column(out))
     unit = target.unit_map() @ source.counit
-    res = solve_linear(LinearMap.from_sparse_columns(hom, hom, cols), map_to_vec(unit))
-    if not res.solvable:
+    flat = sparse_column({i * rC + j: c for j, col in enumerate(unit.sparse_columns())
+                          for i, c in col})
+    sol = PreparedSolver(ring, cols, hom.rank).solve(flat)
+    if sol is None:
         raise NotConvInvertible("f⋆x = η∘ε has no solution", reason="no_right_inverse")
-    x = vec_to_map(res.particular, source.carrier, target.carrier)
+    xcols = [[] for _ in range(rC)]  # [c_j ↦ a_i] sits at i·rC + j, i increasing
+    for i, j, c in legs(sol, rC):
+        xcols[j].append((i, c))
+    x = LinearMap.from_sparse_columns(source.carrier, target.carrier, xcols)
     if convolve(source, target, x, f) != unit:
         raise NotConvInvertible("right inverse exists but x⋆f ≠ η∘ε", reason="one_sided")
     return x

@@ -11,10 +11,10 @@ Conventions, fixed once for the whole library:
 A :class:`LinearMap` stores one form, its canonical sparse columns: per
 column the (row, coefficient) pairs with nonzero coefficient, rows
 increasing, so that equality and hashing compare columns.  Its dense rows
-are built the first time ``matrix`` is read, which only elimination,
-determinants and dense readers do.  Every computed map is written as its
-sparse columns; the normalising constructor, which runs each entry through
-the ring, is for parsed and catalog input.  The kernels (``apply``,
+are built the first time ``matrix`` is read, which in the library only the
+instance writer does.  Every computed map is written as its sparse columns;
+the normalising constructor, which runs each entry through the ring, is for
+parsed and catalog input.  The kernels (``apply``,
 ``compose``, :func:`kron`, :func:`twist_map`) work on the sparse columns, so
 their cost follows the nonzero entries, and the builders sum each column,
 Hom(C, B) values included (:func:`hom_scatter`), in a dict
@@ -25,15 +25,17 @@ by composing Kronecker products with twist matrices.
 An element is handed from one function to another in the same form, as a
 canonical sparse vector: a map's column.  Builders read their factors off
 the sparse tables with :func:`bilinear` ((u, v) ↦ m(u⊗v)) and
-:func:`linear` (v ↦ m(v)), and :func:`span_coordinates` takes sparse
-generators and a sparse vector and returns sparse coordinates.  Dense tuples
-remain only at the boundary: stored units (``AlgebraData.unit``) and the
-unit checks that read them, parsed and hand-written input
-(``FreeModule.vector``, the catalog's columns), and elimination
-(:class:`PreparedSolver`, :func:`solve_linear`, :func:`canonical_span`,
-:func:`map_to_vec`/:func:`vec_to_map`), which writes its dense rows from
-sparse input where it starts.  A split span (U, the coinvariants) answers
-through :func:`split_coordinates`, sparse in and out.
+:func:`linear` (v ↦ m(v)).  Dense tuples remain only at the boundary:
+stored units (``AlgebraData.unit``) and the unit checks that read them,
+parsed and hand-written input (``FreeModule.vector``, the catalog's
+columns), and elimination.  Elimination is entered through
+:class:`PreparedSolver`, which factors the matrix whose columns are
+canonical sparse vectors, solves sparse right-hand sides for sparse
+solutions and returns its kernel as sparse vectors; inside, it works on
+dense rows, which one helper writes from the sparse columns (the
+determinant and ``LinearMap.matrix`` use it too).  Coordinates in a span
+are a :class:`PreparedSolver` of its generators, and a split span (U, the
+coinvariants) answers through :func:`split_coordinates`, sparse in and out.
 
 Basis names play no part in this: a :class:`FreeModule` holds a label
 function, derived modules compose their factors', and a name is built only
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotInvertible, RingMismatch
@@ -230,11 +231,7 @@ class LinearMap:
     def matrix(self) -> tuple:
         """The dense rows, built from the sparse columns on first read."""
         if self._rows is None:
-            zero = self.ring.zero
-            rows = [[zero] * self.domain.rank for _ in range(self.codomain.rank)]
-            for j, col in enumerate(self._cols):
-                for i, c in col:
-                    rows[i][j] = c
+            rows = _dense_rows(self.ring, self._cols, self.codomain.rank)
             object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
         return self._rows
 
@@ -435,25 +432,6 @@ def product_label(*modules):
     return label
 
 
-def map_to_vec(f: LinearMap) -> Vector:
-    """Flatten a map into the Hom(dom, cod) coordinate vector, read off its
-    sparse columns: entry (i, j) sits at i·rank(dom) + j."""
-    r = f.domain.rank
-    out = [f.ring.zero] * (r * f.codomain.rank)
-    for j, col in enumerate(f.sparse_columns()):
-        for i, c in col:
-            out[i * r + j] = c
-    return tuple(out)
-
-
-def vec_to_map(vec: Vector, dom: FreeModule, cod: FreeModule) -> LinearMap:
-    """Inverse of :func:`map_to_vec`."""
-    if len(vec) != dom.rank * cod.rank:
-        raise DimensionMismatch("hom vector length mismatch")
-    rows = [sparse_vector(vec[i * dom.rank:(i + 1) * dom.rank]) for i in range(cod.rank)]
-    return transpose(LinearMap.from_sparse_columns(cod, dom, rows), dom, cod)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over Z
 
@@ -644,40 +622,38 @@ def _rref_rows(ring, vectors):
 # solving
 
 
-class SolveStatus(Enum):
-    UNIQUE = "unique"
-    PARAMETRIC = "parametric"
-    NO_SOLUTION = "no_solution"
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: SolveStatus
-    particular: Optional[Vector]
-    kernel_basis: tuple
-
-    @property
-    def solvable(self) -> bool:
-        return self.status is not SolveStatus.NO_SOLUTION
+def _dense_rows(ring: Ring, cols, m: int) -> list:
+    """The m dense rows, as lists, of the matrix whose columns are the
+    canonical sparse vectors ``cols``: the one place where sparse columns
+    are written out densely, for elimination and the dense readers.  A row
+    index ≥ m is a DimensionMismatch."""
+    zero = ring.zero
+    rows = [[zero] * len(cols) for _ in range(m)]
+    for j, col in enumerate(cols):
+        if col and col[-1][0] >= m:
+            raise DimensionMismatch(f"column {j} has a row index ≥ {m}")
+        for i, x in col:
+            rows[i][j] = x
+    return rows
 
 
 class PreparedSolver:
-    """One factorization of a matrix, reusable for many right-hand sides."""
+    """One factorization of the m-row matrix whose columns are the canonical
+    sparse vectors ``cols``, reusable for many right-hand sides; solutions
+    and kernel vectors are canonical sparse vectors too."""
 
-    def __init__(self, ring: Ring, rows):
-        self.ring = ring
-        self.rows = [tuple(ring.of(x) for x in r) for r in rows]
-        self.m = len(self.rows)
-        self.k = len(self.rows[0]) if self.m else 0
+    def __init__(self, ring: Ring, cols, m: int):
+        cols = tuple(cols)
+        self.ring, self.m, self.k = ring, m, len(cols)
         self._kernel = None
+        rows = _dense_rows(ring, cols, m)
         if ring.is_field:
-            self._prepare_field()
+            self._prepare_field(rows)
             return
-        lifted = self.rows
         if isinstance(ring, ModularRing):  # Smith form of [A | n*I] over Z
-            lifted = [list(r) + [ring.n if i == j else 0 for j in range(self.m)]
-                      for i, r in enumerate(self.rows)]
-        self._U, self._D, self._V = smith_normal_form(lifted)
+            rows = [r + [ring.n if i == j else 0 for j in range(m)]
+                    for i, r in enumerate(rows)]
+        self._U, self._D, self._V = smith_normal_form(rows)
 
     # -- integer / composite-modulus path (Smith normal form) --
 
@@ -702,8 +678,9 @@ class PreparedSolver:
 
     def _snf_kernel_columns(self):
         D, V = self._D, self._V
-        m = len(D)
-        cols = len(D[0]) if m else len(V)
+        if not D:  # no rows: every column is free, and D and V have no columns
+            return [[int(i == j) for i in range(self.k)] for j in range(self.k)]
+        m, cols = len(D), len(D[0])
         r = min(m, cols)
         out = []
         for j in range(cols):
@@ -713,9 +690,8 @@ class PreparedSolver:
 
     # -- field path (Gauss–Jordan elimination over Q and Z/p) --
 
-    def _prepare_field(self):
+    def _prepare_field(self, R):
         ring = self.ring
-        R = [list(row) for row in self.rows]
         T = [[ring.one if i == j else ring.zero for j in range(self.m)]
              for i in range(self.m)]
         pivots = []
@@ -744,7 +720,9 @@ class PreparedSolver:
 
     # -- public API --
 
-    def kernel(self):
+    def kernel(self) -> tuple:
+        """The canonical generating tuple of the null space
+        (:func:`canonical_span`), as canonical sparse vectors."""
         if self._kernel is not None:
             return self._kernel
         ring = self.ring
@@ -766,41 +744,27 @@ class PreparedSolver:
                 basis = [v for v in basis if any(v)]
             else:
                 basis = [tuple(v) for v in raw]
-        self._kernel = canonical_span(self.ring, basis, self.k)
+        self._kernel = tuple(map(sparse_vector, canonical_span(ring, basis, self.k)))
         return self._kernel
 
-    def solve(self, rhs) -> SolveResult:
-        if len(rhs) != self.m:
+    def solve(self, v) -> Optional[tuple]:
+        """A particular x with A·x = v, or None when there is none; v and x
+        are canonical sparse vectors, and an index of v ≥ m is a
+        DimensionMismatch."""
+        if v and v[-1][0] >= self.m:
             raise DimensionMismatch("right-hand side length mismatch")
         ring = self.ring
-        nonzero = [(j, ring.of(x)) for j, x in enumerate(rhs) if x]
-        particular = None
-        if ring.is_field:  # T·rhs, summed over T's columns at the nonzeros of rhs
-            c = combine_columns(ring, [(self._T_cols[j], x) for j, x in nonzero])
-            if all(r < len(self._pivots) for r, _ in c):
-                x = [ring.zero] * self.k
-                for r, v in c:
-                    x[self._pivots[r]] = v
-                particular = tuple(x)
-        else:
-            sol = self._solve_snf(nonzero)
-            if sol is not None:
-                if isinstance(ring, ModularRing):
-                    particular = tuple(x % ring.n for x in sol[: self.k])
-                else:
-                    particular = tuple(sol)
-        if particular is None:
-            return SolveResult(SolveStatus.NO_SOLUTION, None, ())
-        kernel = self.kernel()
-        status = SolveStatus.UNIQUE if not kernel else SolveStatus.PARAMETRIC
-        return SolveResult(status, particular, kernel)
-
-
-def solve_linear(m: LinearMap, rhs) -> SolveResult:
-    """Exact solution set of m·x = rhs over the map's ring."""
-    if len(rhs) != m.codomain.rank:
-        raise DimensionMismatch("right-hand side length must equal codomain rank")
-    return PreparedSolver(m.ring, m.matrix).solve(rhs)
+        if ring.is_field:  # T·v, summed over T's columns at the nonzeros of v
+            c = combine_columns(ring, [(self._T_cols[j], x) for j, x in v])
+            if c and c[-1][0] >= len(self._pivots):
+                return None
+            return tuple([(self._pivots[r], x) for r, x in c])
+        sol = self._solve_snf(v)
+        if sol is None:
+            return None
+        if isinstance(ring, ModularRing):
+            return sparse_vector([x % ring.n for x in sol[: self.k]])
+        return sparse_vector(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +799,8 @@ def determinant(m: LinearMap) -> Elem:
     if m.domain.rank != m.codomain.rank:
         raise DimensionMismatch("determinant of a non-square map")
     ring = m.ring
+    A = _dense_rows(ring, m.sparse_columns(), m.codomain.rank)
     if ring.is_field:
-        A = [list(row) for row in m.matrix]
         n = len(A)
         det = ring.one
         for t in range(n):
@@ -853,7 +817,7 @@ def determinant(m: LinearMap) -> Elem:
                     c = ring.mul(inv, A[i][t])
                     A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(A[i], A[t])]
         return det
-    return ring.of(_det_int(m.matrix))
+    return ring.of(_det_int(A))
 
 
 def invert_map(m: LinearMap) -> LinearMap:
@@ -871,14 +835,14 @@ def invert_map(m: LinearMap) -> LinearMap:
 
 def _inverse_columns(m: LinearMap):
     ring = m.ring
-    solver = PreparedSolver(ring, m.matrix)
+    solver = PreparedSolver(ring, m.sparse_columns(), m.codomain.rank)
     ident = LinearMap.identity(m.domain)
     if ring.is_field:  # T's columns
         cols = solver._T_cols
     elif isinstance(ring, ModularRing):
-        cols = [solver.solve(m.domain.basis_vector(j)).particular
-                for j in range(m.domain.rank)]
-        cols = None if None in cols else list(map(sparse_vector, cols))
+        cols = [solver.solve(e) for e in unit_vectors(ring, m.domain.rank)]
+        if None in cols:
+            cols = None
     else:  # column j of V·U
         U, V = solver._U, solver._V
         cols = [sparse_vector([sum(a * b for a, b in zip(v, col)) for v in V])
@@ -895,33 +859,6 @@ def _inverse_columns(m: LinearMap):
     raise NotInvertible("inverse verification failed", determinant=det)  # pragma: no cover
 
 
-def span_coordinates(ring: Ring, generators, length: int):
-    """The map v ↦ coefficients expressing v in span(generators), or None,
-    on vectors of ``length``.  The generators, each v and the coefficients
-    are canonical sparse vectors; the matrix whose columns are the
-    generators is written out densely and factored once, every v is one
-    solve against that factorization, so a loop over many v shares it.
-    Exact over all three rings."""
-    gens = [tuple(g) for g in generators]
-    if any(g and g[-1][0] >= length for g in gens):
-        raise DimensionMismatch("generator/vector length mismatch")
-    if not gens:
-        return lambda v: () if not v else None
-    rows = [[ring.zero] * len(gens) for _ in range(length)]
-    for j, g in enumerate(gens):
-        for i, x in g:
-            rows[i][j] = x
-    solver = PreparedSolver(ring, rows)
-
-    def coordinates(v):
-        rhs = [ring.zero] * length
-        for i, x in v:
-            rhs[i] = x
-        res = solver.solve(rhs)
-        return sparse_vector(res.particular) if res.solvable else None
-    return coordinates
-
-
 def split_coordinates(ring: Ring, generators, length: int):
     """The coordinates on span(generators) ⊆ R^length, or None when the span
     is not a direct summand with independent generators.
@@ -929,24 +866,18 @@ def split_coordinates(ring: Ring, generators, length: int):
     Solves a left inverse P of the generator matrix G (P·G = I, whose
     existence is that certificate) and returns v ↦ P·v when G·(P·v) = v,
     else None.  The generators, each v and the coordinates are canonical
-    sparse vectors; G's transpose is written out densely and factored once."""
+    sparse vectors; Gᵀ, whose columns are G's rows, is factored once."""
     gens = [tuple(g) for g in generators]
-    if any(g and g[-1][0] >= length for g in gens):
-        raise DimensionMismatch("generator/vector length mismatch")
     pcols = [[] for _ in range(length)]  # column i of P, rows increasing
     if gens:
-        rows = [[ring.zero] * length for _ in gens]
-        for row, g in zip(rows, gens):
-            for i, x in g:
-                row[i] = x
-        solver = PreparedSolver(ring, rows)  # row p_j of P solves G^T·p_j = e_j
-        for j in range(len(gens)):
-            res = solver.solve([ring.one if a == j else ring.zero for a in range(len(gens))])
-            if not res.solvable:
+        grows = map(sparse_vector, _dense_rows(ring, gens, length))
+        solver = PreparedSolver(ring, grows, len(gens))  # row p_j of P solves Gᵀ·p_j = e_j
+        for j, e in enumerate(unit_vectors(ring, len(gens))):
+            p = solver.solve(e)
+            if p is None:
                 return None
-            for i, x in enumerate(res.particular):
-                if x:
-                    pcols[i].append((j, x))
+            for i, x in p:
+                pcols[i].append((j, x))
     pcols = [tuple(col) for col in pcols]
 
     def coordinates(v):

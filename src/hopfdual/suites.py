@@ -64,10 +64,10 @@ from .hopf import (
 from .linalg import (
     CERTIFICATES,
     LinearMap,
+    PreparedSolver,
     dual_module,
     invert_map,
     kron,
-    span_coordinates,
     sparse_vector,
     unit_vectors,
 )
@@ -184,10 +184,11 @@ class Derived:
         return self._once(("λ", side), lambda: lambda_map(self.hopf, self.u(side)))
 
     def lam_coords(self, side: DiagramSide):
-        """The :func:`span_coordinates` factorization of :meth:`lam`'s columns."""
+        """The ``solve`` of one :class:`PreparedSolver` of :meth:`lam`'s
+        columns: v ↦ v's coordinates in them, or None."""
         lam = self.lam(side)
-        return self._once(("λ coords", side), lambda: span_coordinates(
-            self.hopf.ring, lam.sparse_columns(), lam.codomain.rank))
+        return self._once(("λ coords", side), lambda: PreparedSolver(
+            self.hopf.ring, lam.sparse_columns(), lam.codomain.rank).solve)
 
     @property
     def crossed(self) -> Optional[CrossedProductData]:
@@ -426,7 +427,7 @@ def run_cleft_suite(ctx: Derived) -> ValidationReport:
         phi, psi = cleft_maps(cleft)
         # J(A⊗V) inside Hom(H, A) with A the coinvariant coordinates
         gens = j_generators(phi.codomain.rank // h.rank, unit_vectors(h.ring, h.rank), h.rank)
-        inside = span_coordinates(h.ring, gens, phi.codomain.rank)
+        inside = PreparedSolver(h.ring, gens, phi.codomain.rank).solve
         return (first_outside(inside, phi) is None
                 and first_outside(inside, psi) is None)
 

@@ -8,8 +8,10 @@ RL-condition and the duality isomorphism, and ``full_dual_lambda`` is U = H*
 with its λ, as ``epsilon_maps`` takes them; ``idempotent_monoid_bialgebra``
 is a bialgebra with no antipode; ``entries_equal`` compares two entries
 through their canonical instance documents; ``map_from_columns`` is the
-tests' one normalising constructor from dense columns; ``unvalidated_hopf``
-builds Hopf data from ``hopf_from_parts`` arguments without certifying it.
+tests' one normalising constructor from dense columns, and ``map_to_vec``
+and ``vec_to_map`` flatten a map to its dense row-major Hom coordinate
+vector and back; ``unvalidated_hopf`` builds Hopf data from
+``hopf_from_parts`` arguments without certifying it.
 ``cyclic_document`` is the instance document of R[C_n] over Z/p.
 """
 from hopfdual.catalog import (
@@ -24,8 +26,8 @@ from hopfdual.instancefile import export_entry
 from hopfdual.linalg import (
     FreeModule,
     LinearMap,
+    PreparedSolver,
     free_module,
-    span_coordinates,
     sparse_vector,
 )
 from hopfdual.rings import Ring
@@ -65,9 +67,10 @@ def diagram(cp, U, side):
 
 
 def lambda_coordinates(hopf: HopfData, U):
-    """The ``span_coordinates`` factorization of λ (λ̄ for a left U)."""
+    """v ↦ v's coordinates in λ's columns (λ̄ for a left U), or None: the
+    ``solve`` of one ``PreparedSolver`` of λ."""
     lam = lambda_map(hopf, U)
-    return span_coordinates(hopf.ring, lam.sparse_columns(), lam.codomain.rank)
+    return PreparedSolver(hopf.ring, lam.sparse_columns(), lam.codomain.rank).solve
 
 
 def full_dual_lambda(hopf: HopfData, side):
@@ -97,6 +100,19 @@ def map_from_columns(domain: FreeModule, codomain: FreeModule, cols) -> LinearMa
     oracles write their maps."""
     return LinearMap.from_sparse_columns(
         domain, codomain, [sparse_vector(codomain.vector(c)) for c in cols])
+
+
+def map_to_vec(f: LinearMap) -> tuple:
+    """The dense Hom(dom, cod) coordinate vector of ``f``, flattened
+    row-major: entry (i, j) sits at i·rank(dom) + j."""
+    return tuple(x for row in f.matrix for x in row)
+
+
+def vec_to_map(vec, dom: FreeModule, cod: FreeModule) -> LinearMap:
+    """The map whose row-major Hom(dom, cod) coordinate vector is the dense
+    ``vec``, the inverse of :func:`map_to_vec`."""
+    r = dom.rank
+    return LinearMap(dom, cod, [vec[i * r:(i + 1) * r] for i in range(cod.rank)])
 
 
 def entries_equal(a: CatalogEntry, b: CatalogEntry) -> bool:

@@ -87,20 +87,26 @@ coordinates or ``None``, and ``test_linalg.py`` requires
 ``compat_maps``, ``rl_check`` and ``first_outside`` are the hypothesis layer
 as sums of whole products: dense ⋆-products, regular actions, H- and
 A-products and σ-evaluations per term, and a fresh factorization of the
-span (``submodule_membership``, the library's solver) for every vector;
+span (``submodule_membership``, this module's solver) for every vector;
 ``compat_records`` assembles the compatibility verdicts and witnesses from
 them.  ``test_duality.py`` requires the index-arithmetic layer to agree with
 them (maps bit for bit, records and witnesses), and ``test_linalg.py``
-requires ``span_coordinates`` to answer like ``submodule_membership``.
+requires the library's ``PreparedSolver.solve`` on the generators to answer
+like ``submodule_membership``.
 
 ``PreparedSolver`` and ``invert_map`` are the solver and inversion before the
 field path: Gaussian elimination over Q only, every Z/n system (prime n
 included) lifted to ``[A | n*I]`` and Smith-reduced, and an inverse made of a
-determinant, then one solve per column, then the two-sided check.  They reuse
-the library's unchanged ``smith_normal_form``, ``canonical_span`` and
-``determinant``.  ``test_linalg.py`` requires the library's inverses to agree
-with them bit for bit, its failures message for message, and its solves on
-status and kernel.  ``duality_iso_map`` is the duality isomorphism's matrix
+determinant, then one solve per column, then the two-sided check.  The solver
+keeps the dense interface the library had: dense rows in, a dense
+right-hand side in and a ``SolveResult`` (status, particular solution,
+kernel) out.  Every oracle here that solves uses it, so no oracle shares a
+solver with the code it checks.  They reuse the library's unchanged
+``smith_normal_form``, ``canonical_span`` and ``determinant``.
+``test_linalg.py`` requires the library's inverses to agree with them bit
+for bit, its failures message for message, and its sparse solves on
+solvability, on the kernel, and on the particular solution where it is
+unique.  ``duality_iso_map`` is the duality isomorphism's matrix
 as the library formed it while it inverted χ, χ⁻¹∘γ through that
 ``invert_map``, so for U = H* only; ``test_duality.py`` requires the
 library's, read in λ's coordinates, to equal it bit for bit.
@@ -123,8 +129,8 @@ through ``hom_value_maps``), the unit embeddings and convolution unit, the
 convolution-inversion system, the tensor counit, the coinvariant and U
 inclusions, ``action_from_endomorphisms``, the catalog's hand-written
 endomorphisms and σ, θ, the extracted product and isomorphism, the opposite
-isomorphism G, ``vec_to_map`` and ``split_coefficient_map`` (the dense left
-inverse P that ``linalg.split_coordinates`` now keeps as sparse columns).
+isomorphism G and ``split_coefficient_map`` (the dense left inverse P that
+``linalg.split_coordinates`` now keeps as sparse columns).
 ``test_map_builders.py`` and ``test_linalg.py`` require the library's
 sparse-column builders to agree with them bit for bit, entry types included.
 
@@ -152,9 +158,12 @@ coinvariants' vectors and coordinates, in ``_cleft_express`` and
 expands the library's RL failures and witnesses for comparison with
 ``rl_check``.
 """
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from typing import Optional
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -179,8 +188,6 @@ from hopfdual.hopf import (
 )
 from hopfdual.linalg import (
     LinearMap,
-    SolveResult,
-    SolveStatus,
     canonical_span,
     determinant,
     dual_module,
@@ -1804,9 +1811,32 @@ def endomorphism_algebra(module):
 # --- solving and inversion before the field path ---------------------------
 
 
+class SolveStatus(Enum):
+    UNIQUE = "unique"
+    PARAMETRIC = "parametric"
+    NO_SOLUTION = "no_solution"
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """A dense solve's answer: its status, a particular solution (None when
+    there is none) and the kernel's canonical dense generators."""
+
+    status: SolveStatus
+    particular: Optional[tuple]
+    kernel_basis: tuple
+
+    @property
+    def solvable(self) -> bool:
+        return self.status is not SolveStatus.NO_SOLUTION
+
+
 class PreparedSolver:
     """The Smith-form solver that lifts every Z/n system, prime n included, to
-    ``[A | n*I]`` over Z; Gaussian elimination over Q only."""
+    ``[A | n*I]`` over Z; Gaussian elimination over Q only.  Dense at both
+    ends: it factors the dense rows, solves a dense right-hand side and
+    returns a :class:`SolveResult` whose kernel it computes with every
+    solvable answer."""
 
     def __init__(self, ring, rows):
         self.ring = ring
@@ -1966,7 +1996,7 @@ def duality_iso_map(diagram):
 
 def submodule_membership(ring, generators, v):
     """Coefficients expressing ``v`` in the span of ``generators``, or None:
-    the library's solver built afresh on the generator matrix for this v."""
+    the solver above built afresh on the generator matrix for this v."""
     v = tuple(ring.of(x) for x in v)
     gens = [tuple(ring.of(x) for x in g) for g in generators]
     for g in gens:
@@ -1975,7 +2005,7 @@ def submodule_membership(ring, generators, v):
     if not gens:
         return () if all(ring.is_zero(x) for x in v) else None
     rows = [[g[i] for g in gens] for i in range(len(v))]
-    res = linalg.PreparedSolver(ring, rows).solve(v)
+    res = PreparedSolver(ring, rows).solve(v)
     return res.particular if res.solvable else None
 
 
@@ -1987,15 +2017,15 @@ def first_outside(ring, gens, m):
 
 
 def rl_check(hopf, U, V):
-    """λ(ξ) = ρ(g) solved for each g in V (λ̄ for a left U), λ factored
-    afresh for each g."""
+    """λ(ξ) = ρ(g) solved for each g in V (λ̄ for a left U), λ's dense rows
+    factored afresh for each g by the solver above."""
     b = hopf.bialgebra
     ring = b.ring
     lam = duality.lambda_map(hopf, U)
     witnesses, failures = [], []
     for g in V:
         g = tuple(ring.of(x) for x in g)
-        res = linalg.solve_linear(lam, rho_endo(hopf, g))
+        res = PreparedSolver(ring, lam.matrix).solve(rho_endo(hopf, g))
         if not res.solvable:
             failures.append(g)
             continue
@@ -2153,8 +2183,8 @@ def coaction_preimage_of_U(table, hopf, U):
     cols = [table.map.column(i) for i in range(rH)]
     rows = [[cols[i][r] for i in range(rH)] + [ring.neg(g[r]) for g in gens]
             for r in range(rH * rH)]
-    res = linalg.PreparedSolver(ring, rows).solve((ring.zero,) * (rH * rH))
-    return list(canonical_span(ring, [v[:rH] for v in res.kernel_basis], rH))
+    kernel = PreparedSolver(ring, rows).kernel()
+    return list(canonical_span(ring, [v[:rH] for v in kernel], rH))
 
 
 def coefficient_space_of_action(action):
@@ -2505,7 +2535,8 @@ class ConvolutionAlgebra:
     def invert(self, f_vec):
         """The two-sided convolution inverse of ``f_vec`` as a DenseMap."""
         f_vec = tuple(self.ring.of(x) for x in f_vec)
-        res = linalg.solve_linear(convolution_system(self, f_vec), self.unit_vec)
+        system = convolution_system(self, f_vec)
+        res = PreparedSolver(self.ring, system.matrix).solve(self.unit_vec)
         if not res.solvable:
             raise NotConvInvertible("f⋆x = η∘ε has no solution", reason="no_right_inverse")
         if self.convolve(res.particular, f_vec) != self.unit_vec:
@@ -2615,16 +2646,10 @@ def opposite_iso(cp, cleft):
     return DenseMap.from_columns(cp.carrier, cp.carrier, cols)
 
 
-def vec_to_map(vec, dom, cod):
-    """``linalg.vec_to_map`` through the dense rows."""
-    r = dom.rank
-    return DenseMap(dom, cod, [vec[i * r:(i + 1) * r] for i in range(cod.rank)])
-
-
 def split_coefficient_map(ring, generators, length):
     """``linalg.split_coefficient_map`` with P built from its dense rows."""
     gens = [tuple(ring.of(x) for x in v) for v in generators]
-    tsolver = linalg.PreparedSolver(ring, [list(gen) for gen in gens])
+    tsolver = PreparedSolver(ring, [list(gen) for gen in gens])
     prows = []
     for j in range(len(gens)):
         res = tsolver.solve([ring.one if a == j else ring.zero for a in range(len(gens))])

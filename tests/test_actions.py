@@ -4,7 +4,7 @@ import pytest
 
 import dense_oracle as dense
 from hopfdual import linalg
-from builders import map_from_columns
+from builders import map_from_columns, vec_to_map
 from test_duality import rebased_sweedler_Z3
 from hopfdual.actions import (
     ComoduleAlgebraData,
@@ -30,7 +30,6 @@ from hopfdual.linalg import (
     sparse_vector,
     tensor_module,
     unit_vectors,
-    vec_to_map,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.smash import ModuleSide, SubalgebraU

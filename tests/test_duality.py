@@ -13,6 +13,7 @@ from builders import (
     full_dual_lambda,
     lambda_coordinates,
     map_from_columns,
+    map_to_vec,
 )
 from dense_oracle import product_many, vec_add, vec_scale, zero_vector
 from hopfdual import catalog
@@ -84,7 +85,6 @@ from hopfdual.linalg import (
     invert_map,
     kron,
     kron_vec,
-    map_to_vec,
     sparse_vector,
     tensor_module,
     unit_vectors,
@@ -607,23 +607,26 @@ def rebase_crossed(cp, P):
     return build_crossed_product(action, validate_cocycle(action, cp.cocycle.sigma @ kron(P, P)))
 
 
-def sweedler_coboundary_Q():
-    """Sweedler's algebra over Q acting trivially on Q with the coboundary
-    cocycle σ(x⊗y) = Σ u(x₁)u(y₁)u⁻¹(x₂y₂), u = (1, 1, 1, 0) on (1, g, x, gx):
-    a nontrivial σ on a non-cocommutative H."""
-    h = sweedler_hopf(QQ)
-    A = ground_algebra(QQ)
+def sweedler_coboundary_Q(ring=QQ):
+    """Sweedler's algebra over ``ring`` (Q unless given) acting trivially on
+    the ring with the coboundary cocycle σ(x⊗y) = Σ u(x₁)u(y₁)u⁻¹(x₂y₂),
+    u = (1, 1, 1, 0) on (1, g, x, gx): a nontrivial σ on a non-cocommutative
+    H, over a zero-divisor ring for Z/6."""
+    h = sweedler_hopf(ring)
+    A = ground_algebra(ring)
     co = h.coalgebra
-    u = tuple(QQ.of(x) for x in (1, 1, 1, 0))
+    u = tuple(ring.of(x) for x in (1, 1, 1, 0))
     u_inv = map_to_vec(convolution_invert(co, A, LinearMap(h.carrier, A.carrier, [u])))
+    mul = ring.mul
 
     def sigma_col(p, q):
-        total = QQ.zero
+        total = ring.zero
         for c1, (p1, p2) in co.sweedler_basis(p, 2):
             for c2, (q1, q2) in co.sweedler_basis(q, 2):
                 pq = h.algebra.product(h.carrier.basis_vector(p2),
                                        h.carrier.basis_vector(q2))
-                total += c1 * c2 * u[p1] * u[q1] * sum(a * b for a, b in zip(pq, u_inv))
+                value = ring.sum(mul(a, b) for a, b in zip(pq, u_inv))
+                total = ring.add(total, mul(mul(mul(c1, c2), mul(u[p1], u[q1])), value))
         return (total,)
 
     action = trivial_action(h, A)
@@ -712,6 +715,8 @@ ORACLE_CASES = {
     "gauss": lambda: catalog.get("gauss").payload,
     "m2_gauge_twisted_Q": m2_gauge_twisted_Q,
     "sweedler_coboundary_Q": sweedler_coboundary_Q,
+    "sweedler_coboundary_Z3": lambda: sweedler_coboundary_Q(Zmod(3)),
+    "sweedler_coboundary_Z6": lambda: sweedler_coboundary_Q(Zmod(6)),
     "sweedler_Z3_rebased": rebased_sweedler_Z3,
 }
 

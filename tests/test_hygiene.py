@@ -6,12 +6,19 @@ Both scans use the standard ``ast`` module and skip ``__init__.py``, whose
 imports are the package's re-exports.  The import scan reads
 ``src/hopfdual/*.py`` and ``tests/*.py``; the reachability scan reads
 ``src/hopfdual/*.py`` from ``cli.main`` and from the names that
-``perfbench/tracer.py`` wraps.
+``perfbench/tracer.py`` wraps.  That scan matches names, so a dead method
+whose name reached code reads for another object passes it; the runtime
+trace closes that gap: under ``sys.setprofile`` it runs the command line on
+the whole catalog and on every fixture, and the functions and methods of
+``src/`` that never run must be exactly :data:`NEVER_CALLED`.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+from hopfdual import catalog, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "hopfdual").glob("*.py")
@@ -168,3 +175,77 @@ def test_every_tracer_target_is_defined():
     # or deleted one would fail only the traced benchmark run
     defs, _ = definitions(sources())
     assert sorted(tracer_roots() - set(defs)) == []
+
+
+# The functions and methods of src/ that no command-line run in
+# test_every_function_runs_from_the_command_line calls, each with its reason.
+NEVER_CALLED = {
+    **{f"rings.Ring.{name}": "abstract: every ring overrides it"
+       for name in ("zero", "one", "of", "add", "sub", "mul", "neg", "is_unit", "inv")},
+    "rings.Ring.sum": "a default no library path calls; the tests' oracles sum with it",
+    "rings.IntegerRing.sub": "ring interface, wrapped by perfbench/tracer.py; over Z "
+                             "elimination works on plain ints",
+    "rings.IntegerRing.inv": "ring interface, wrapped by perfbench/tracer.py; nothing "
+                             "divides over Z",
+    "rings.Ring.__repr__": "cosmetic",
+    "rings.ModularRing.__repr__": "cosmetic",
+    "linalg.LinearMap.__repr__": "cosmetic",
+    "linalg.LinearMap.__hash__": "maps are compared, never hashed, on these paths",
+    "hopf.AlgebraData.__hash__": "tables are compared, never hashed, on these paths",
+    "linalg.LinearMap.__setattr__": "the immutability guard: nothing assigns to a map",
+    "errors.NotInvertible.__init__": "error constructor: no traced input raises it",
+    "errors.NotConvInvertible.__init__": "error constructor: no traced input raises it",
+    "errors.CommutativityFailure.__init__": "error constructor: no traced input raises it",
+    "instancefile._fail": "input error of a malformed block: the exit-2 fixtures fail "
+                          "at validation or at the digit cap",
+    "hopf.CoalgebraData.sweedler": "wrapped by name in perfbench/tracer.py",
+}
+
+
+def _functions(package: Path) -> dict:
+    """The module-level functions and methods of ``package``'s modules by
+    (module, first line), the first decorator's line when decorated, as
+    ``code.co_firstlineno`` numbers them, to their qualified names."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        def visit(body, prefix):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    out[path.stem, line] = f"{path.stem}.{prefix}{node.name}"
+                elif isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+        visit(ast.parse(path.read_text(encoding="utf-8")).body, "")
+    return out
+
+
+def test_every_function_runs_from_the_command_line(monkeypatch, tmp_path, capsys):
+    # the report, the export of every catalog entry and the verification of
+    # every fixture (the exit-2 ones included), with the catalog rebuilt
+    # inside the trace
+    package = Path(cli.__file__).parent
+    fixtures = sorted((ROOT / "tests" / "fixtures").glob("*.json"))
+    runs = [["report", "--format", "json", "--canonical"]]
+    runs += [["catalog", "export", name, str(tmp_path / f"{name}.json")]
+             for name, _, _ in catalog.list_entries()]
+    runs += [["verify", str(path), "--suite", "all"] for path in fixtures]
+    monkeypatch.setattr(catalog, "_CATALOG", None)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes[:-len(fixtures)] == [0] * (len(runs) - len(fixtures))
+    assert set(codes[-len(fixtures):]) <= {0, 2}
+    ran = {(Path(code.co_filename).stem, code.co_firstlineno) for code in called
+           if Path(code.co_filename).parent == package}
+    never = sorted(name for key, name in _functions(package).items() if key not in ran)
+    assert never == sorted(NEVER_CALLED)

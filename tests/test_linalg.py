@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from builders import map_from_columns
+from builders import map_from_columns, map_to_vec, vec_to_map
 from hopfdual.hopf import AlgebraData, matrix_algebra
 from hopfdual.errors import DimensionMismatch, NotInvertible, RingMismatch
 from hopfdual.linalg import (
     FreeModule,
     LinearMap,
     PreparedSolver,
-    SolveStatus,
     _det_int,
     _rref_rows,
     canonical_span,
@@ -34,16 +33,12 @@ from hopfdual.linalg import (
     kron,
     kron_vec,
     smith_normal_form,
-    solve_linear,
-    span_coordinates,
     sparse_column,
     sparse_vector,
     split_coordinates,
     tensor_module,
     twist_map,
     unit_module,
-    vec_to_map,
-    map_to_vec,
     product_label,
 )
 from hopfdual.rings import QQ, ZZ, Zmod
@@ -73,68 +68,87 @@ def enumerate_solutions_mod_n(rows, rhs, n):
     return set(sols)
 
 
-def solution_set_from_result(res, n, k):
-    """Expand particular + kernel span into the full solution set over Z/n."""
-    if not res.solvable:
+def solver_of(m):
+    """The :class:`PreparedSolver` of ``m``'s sparse columns."""
+    return PreparedSolver(m.ring, m.sparse_columns(), m.codomain.rank)
+
+
+def solution_set(solver, rhs, n, k):
+    """The particular solution of the dense ``rhs`` plus the kernel span,
+    expanded into the full solution set over Z/n."""
+    x = solver.solve(sparse_vector(rhs))
+    if x is None:
         return set()
     span = {(0,) * k}
-    for gen in res.kernel_basis:
+    for gen in solver.kernel():
+        gen = dense.expand_sparse(gen, k, Zmod(n))
         new = set()
         for c in range(n):
             for v in span:
                 new.add(tuple((a + c * b) % n for a, b in zip(v, gen)))
         span = new
-    return {tuple((p + s) % n for p, s in zip(res.particular, v)) for v in span}
+    x = dense.expand_sparse(x, k, Zmod(n))
+    return {tuple((p + s) % n for p, s in zip(x, v)) for v in span}
 
 
-# --- solve_linear -----------------------------------------------------------
+# --- PreparedSolver: sparse right-hand sides, sparse solutions and kernel ----
+# A unique solution has an empty kernel, a parametric one a nonempty kernel,
+# and an inconsistent system answers None.
 
 
 def test_solve_diagonal_over_Z_unique():
-    m = lmap(ZZ, [[2, 0], [0, 3]])
-    res = solve_linear(m, (4, 3))
-    assert res.status is SolveStatus.UNIQUE
-    assert res.particular == (2, 1)
-    assert res.kernel_basis == ()
+    solver = solver_of(lmap(ZZ, [[2, 0], [0, 3]]))
+    assert solver.solve(((0, 4), (1, 3))) == ((0, 2), (1, 1))
+    assert solver.kernel() == ()
 
 
 def test_solve_two_divides_one_over_Z():
-    m = lmap(ZZ, [[2]])
-    res = solve_linear(m, (1,))
-    assert res.status is SolveStatus.NO_SOLUTION
-    assert res.particular is None
+    assert solver_of(lmap(ZZ, [[2]])).solve(((0, 1),)) is None
 
 
 def test_solve_parametric_over_Z6_matches_enumeration():
     # Oracle: all six residues, frozen expectation {2, 5} with kernel {0, 3}.
     oracle = enumerate_solutions_mod_n([[2]], [4], 6)
     assert oracle == {(2,), (5,)}
-    res = solve_linear(lmap(Zmod(6), [[2]]), (4,))
-    assert res.status is SolveStatus.PARAMETRIC
-    assert res.kernel_basis == ((3,),)
-    assert solution_set_from_result(res, 6, 1) == oracle
+    solver = solver_of(lmap(Zmod(6), [[2]]))
+    assert solver.solve(((0, 4),)) is not None
+    assert solver.kernel() == (((0, 3),),)
+    assert solution_set(solver, (4,), 6, 1) == oracle
 
 
 def test_solve_rhs_length_checked():
+    # an index past the last row, of a right-hand side or of a column
     with pytest.raises(DimensionMismatch):
-        solve_linear(lmap(ZZ, [[1, 2]]), (1, 2))
+        solver_of(lmap(ZZ, [[1, 2]])).solve(((0, 1), (1, 2)))
+    with pytest.raises(DimensionMismatch):
+        PreparedSolver(ZZ, [((0, 1),), ((1, 2),)], 1)
 
 
 def test_solve_over_Q_parametric():
     m = lmap(QQ, [[1, 2, 3], [2, 4, 6]])
-    res = solve_linear(m, ("1", "2"))
-    assert res.status is SolveStatus.PARAMETRIC
-    # particular solves exactly
-    assert m.apply(res.particular) == (QQ.one, QQ.of(2))
-    for v in res.kernel_basis:
-        assert m.apply(v) == (QQ.zero, QQ.zero)
-    assert len(res.kernel_basis) == 2
+    solver = solver_of(m)
+    x = solver.solve(((0, QQ.one), (1, QQ.of(2))))
+    # the particular solution solves exactly
+    assert m.apply(dense.expand_sparse(x, 3, QQ)) == (QQ.one, QQ.of(2))
+    for v in solver.kernel():
+        assert m.apply(dense.expand_sparse(v, 3, QQ)) == (QQ.zero, QQ.zero)
+    assert len(solver.kernel()) == 2
 
 
 def test_solve_over_Q_inconsistent():
-    m = lmap(QQ, [[1, 2], [1, 2]])
-    res = solve_linear(m, ("1", "2"))
-    assert res.status is SolveStatus.NO_SOLUTION
+    assert solver_of(lmap(QQ, [[1, 2], [1, 2]])).solve(((0, 1), (1, 2))) is None
+
+
+def test_empty_spans_answer_only_zero():
+    # no columns: only 0 is solved (by the empty solution); no rows: every
+    # column is free; over every ring
+    for ring in (ZZ, QQ, Zmod(6), Zmod(7)):
+        solver = PreparedSolver(ring, [], 2)
+        assert solver.solve(()) == () and solver.solve(((1, ring.one),)) is None
+        assert solver.kernel() == ()
+        solver = PreparedSolver(ring, [(), ()], 0)
+        assert solver.solve(()) == ()
+        assert solver.kernel() == (((0, 1),), ((1, 1),))
 
 
 @settings(max_examples=120, deadline=None)
@@ -151,8 +165,7 @@ def test_solve_mod_n_agrees_with_enumeration(n, m, k, data):
     ]
     rhs = [data.draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(m)]
     oracle = enumerate_solutions_mod_n(rows, rhs, n)
-    res = solve_linear(lmap(Zmod(n), rows), rhs)
-    assert solution_set_from_result(res, n, k) == oracle
+    assert solution_set(solver_of(lmap(Zmod(n), rows)), rhs, n, k) == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,10 +229,10 @@ def test_kernel_vectors_annihilate(n, k, data):
         for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
     ]
     m = lmap(ring, rows)
-    res = solve_linear(m, [0] * len(rows))
-    assert res.solvable
-    for v in res.kernel_basis:
-        assert all(x == 0 for x in m.apply(v))
+    solver = solver_of(m)
+    assert solver.solve(()) == ()
+    for v in solver.kernel():
+        assert all(x == 0 for x in m.apply(dense.expand_sparse(v, k, ring)))
 
 
 # --- kron / twist -----------------------------------------------------------
@@ -518,24 +531,24 @@ def test_determinant_over_Zp_is_integer_bareiss_reduced_mod_p(p, n, kind, data):
 
 
 def test_membership_straightforward():
-    coeffs = span_coordinates(ZZ, [((0, 2),), ((1, 1),)], 2)(((0, 4), (1, 3)))
+    coeffs = PreparedSolver(ZZ, [((0, 2),), ((1, 1),)], 2).solve(((0, 4), (1, 3)))
     assert coeffs == ((0, 2), (1, 3))
 
 
 def test_membership_absent():
-    assert span_coordinates(ZZ, [((0, 2),)], 2)(((0, 1),)) is None
+    assert PreparedSolver(ZZ, [((0, 2),)], 2).solve(((0, 1),)) is None
 
 
 def test_membership_bezout():
     # Oracle: solve 2a + 3b = 1 over Z; a solution exists (1 = 3 - 2).
-    coeffs = span_coordinates(ZZ, [((0, 2),), ((0, 3),)], 1)(((0, 1),))
+    coeffs = PreparedSolver(ZZ, [((0, 2),), ((0, 3),)], 1).solve(((0, 1),))
     assert coeffs is not None
     a, b = (dict(coeffs).get(i, 0) for i in range(2))
     assert 2 * a + 3 * b == 1
 
 
 def test_membership_mod_n():
-    in_span = span_coordinates(Zmod(6), [((0, 2),)], 1)
+    in_span = PreparedSolver(Zmod(6), [((0, 2),)], 1).solve
     assert in_span(((0, 4),)) is not None
     assert in_span(((0, 3),)) is None
 
@@ -546,11 +559,13 @@ def test_membership_mod_n():
 def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
     # one factorization of the generators, asked about several vectors in a
     # row (combinations of the generators and random vectors), answers each
-    # exactly as the library's solver built afresh for that vector
+    # None exactly when the dense oracle's solver, built afresh for that
+    # vector, answers None, and the same coefficients where they are unique
     length = data.draw(st.integers(1, 4))
     gens = [dense.draw_vector(data, ring, length)
             for _ in range(data.draw(st.integers(0, 4)))]
-    express = span_coordinates(ring, map(sparse_vector, gens), length)
+    solver = PreparedSolver(ring, map(sparse_vector, gens), length)
+    express, unique = solver.solve, solver.kernel() == ()
     for _ in range(data.draw(st.integers(1, 5))):
         if gens and data.draw(st.booleans()):
             coeffs = dense.draw_vector(data, ring, len(gens))
@@ -560,7 +575,9 @@ def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
             v = dense.draw_vector(data, ring, length)
         got = express(sparse_vector(v))
         want = dense.submodule_membership(ring, gens, v)
-        assert got == (None if want is None else sparse_vector(want))
+        assert (got is None) == (want is None)
+        if unique and want is not None:
+            assert got == sparse_vector(want)
         if got is not None:  # the coefficients do express v
             got = dense.expand_sparse(got, len(gens), ring)
             assert tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(got, gens))
@@ -649,17 +666,19 @@ def test_solve_matches_parent(ring, m, k, consistent, data):
         rhs = a.apply(dense.draw_vector(data, ring, k))
     else:
         rhs = dense.draw_vector(data, ring, m)
-    solver, oracle = PreparedSolver(ring, a.matrix), dense.PreparedSolver(ring, a.matrix)
-    got, want = solver.solve(rhs), oracle.solve(rhs)
-    assert got.status is want.status
-    assert got.kernel_basis == want.kernel_basis
-    assert solver.kernel() == oracle.kernel()
-    assert all(dense.is_canonical(ring, x) for v in solver.kernel() for x in v)
+    solver, oracle = PreparedSolver(ring, a.sparse_columns(), m), dense.PreparedSolver(ring, a.matrix)
+    got, want = solver.solve(sparse_vector(rhs)), oracle.solve(rhs)
+    assert (got is not None) == want.solvable
+    assert solver.kernel() == tuple(map(sparse_vector, oracle.kernel()))
+    assert all(dense.is_canonical(ring, x) for v in solver.kernel() for _, x in v)
     if consistent:
-        assert got.solvable
-    if got.solvable:
-        assert a.apply(got.particular) == tuple(rhs)
-        assert all(dense.is_canonical(ring, x) for x in got.particular)
+        assert got is not None
+    if got is not None:
+        assert a.apply(dense.expand_sparse(got, k, ring)) == tuple(rhs)
+        assert all(x and dense.is_canonical(ring, x) for _, x in got)
+        if not want.kernel_basis:  # a unique solution is the oracle's, bit for bit
+            assert got == sparse_vector(want.particular)
+            assert [type(x) for _, x in got] == [type(x) for x in want.particular if x]
 
 
 def test_split_coordinates_detects_direct_summand():
@@ -677,13 +696,10 @@ def test_split_coordinates_detects_direct_summand():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
-def test_hom_vectors_and_splittings_agree_with_the_dense_row_builders(ring, k, m, data):
+@given(st.sampled_from(dense.RINGS), ranks, st.data())
+def test_splittings_agree_with_the_dense_row_builder(ring, k, data):
     # the split coordinates are the dense oracle's P·v when its generators
     # rebuild v from them, and None otherwise, on vectors in the span and off it
-    dom, cod = dense.module(ring, k, "d"), dense.module(ring, m, "c")
-    vec = dense.draw_vector(data, ring, k * m)
-    dense.assert_bit_identical(vec_to_map(vec, dom, cod), dense.vec_to_map(vec, dom, cod))
     gens = [tuple(ring.of(data.draw(raw_entries(ring))) for _ in range(k))
             for _ in range(data.draw(st.integers(0, k)))]
     got = split_coordinates(ring, [sparse_vector(g) for g in gens], k)
@@ -724,6 +740,7 @@ def test_from_sparse_columns_checks_the_column_count():
 
 
 def test_map_vec_round_trip():
+    # the tests' dense Hom flattening and its inverse
     dom, cod = module(ZZ, 3, "d"), module(ZZ, 2, "c")
     f = LinearMap(dom, cod, [[1, 2, 3], [4, 5, 6]])
     assert vec_to_map(map_to_vec(f), dom, cod) == f

@@ -1,9 +1,11 @@
 """Cross-checks of the exact linear algebra against sympy.
 
 sympy shares no code with hopfdual, so it is an independent oracle for
-determinants, inverses, Smith invariant factors, kernel ranks and canonical
-spans on random matrices over Z, Q, Z/p and Z/6.  Skipped where sympy is not
-installed.
+determinants, inverses, Smith invariant factors, kernel ranks, solvability
+and canonical spans on random matrices over Z, Q, Z/p and Z/6; each
+solution the sparse solver returns is checked against its system in plain
+``int``/``Fraction`` arithmetic, reduced mod n over Z/n.  Skipped where sympy
+is not installed.
 """
 from fractions import Fraction
 
@@ -16,14 +18,14 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith  # noqa:
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import dense_oracle as dense  # noqa: E402
-from hopfdual.errors import NotInvertible  # noqa: E402
+from hopfdual.errors import DimensionMismatch, NotInvertible  # noqa: E402
 from hopfdual.linalg import (  # noqa: E402
     LinearMap,
+    PreparedSolver,
     canonical_span,
     determinant,
     invert_map,
     smith_normal_form,
-    solve_linear,
 )
 from hopfdual.rings import QQ, ZZ, Zmod  # noqa: E402
 
@@ -107,12 +109,53 @@ def test_smith_invariant_factors_match_sympy(m, k, data):
 @given(st.sampled_from(PRIMES), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_kernel_rank_mod_p_matches_sympy(ring, m, k, data):
     a = dense.draw_map(data, ring, dense.module(ring, k, "x"), dense.module(ring, m, "y"))
-    res = solve_linear(a, (ring.zero,) * m)
+    kernel = PreparedSolver(ring, a.sparse_columns(), m).kernel()
     rank = DomainMatrix.from_Matrix(to_sympy(a.matrix)).convert_to(
         sympy.GF(ring.n)).rank()
-    assert len(res.kernel_basis) == k - rank
-    for v in res.kernel_basis:
-        assert not any(a.apply(v))
+    assert len(kernel) == k - rank
+    for v in kernel:
+        assert not any(a.apply(dense.expand_sparse(v, k, ring)))
+
+
+def sympy_rank(ring, rows):
+    """The rank of ``rows`` over Q or Z/p, by sympy."""
+    if ring == QQ:
+        return to_sympy(rows).rank()
+    return DomainMatrix.from_Matrix(to_sympy(rows)).convert_to(sympy.GF(ring.n)).rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.data())
+def test_sparse_solve_satisfies_its_system_and_sympy_ranks(ring, m, k, consistent, data):
+    # A as plain ints, v as plain ints or fractions (A·x for a drawn x when
+    # consistent); the solver sees their canonical sparse columns
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [[data.draw(entry) for _ in range(k)] for _ in range(m)]
+    value = (st.fractions(-9, 9, max_denominator=4) if ring == QQ
+             else st.integers(-9, 9)).map(Fraction)
+    if consistent:
+        x = [data.draw(value) for _ in range(k)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [data.draw(value) for _ in range(m)]
+    cols = [tuple((i, ring.of(rows[i][j])) for i in range(m) if ring.of(rows[i][j]))
+            for j in range(k)]
+    v = tuple((i, ring.of(b)) for i, b in enumerate(rhs) if ring.of(b))
+    solver = PreparedSolver(ring, cols, m)
+    got = solver.solve(v)
+    if consistent:
+        assert got is not None
+    if got is not None:
+        x = dict(got)
+        for row, b in zip(rows, rhs):
+            diff = sum(a * Fraction(x.get(j, 0)) for j, a in enumerate(row)) - b
+            assert diff % ring.n == 0 if ring not in (ZZ, QQ) else diff == 0
+    if ring != ZZ and ring != Zmod(6):  # a field: solvable iff the ranks agree
+        augmented = [row + [ring.of(b)] for row, b in zip(rows, rhs)]
+        assert (got is None) == (sympy_rank(ring, augmented) > sympy_rank(ring, rows))
+    with pytest.raises(DimensionMismatch):
+        solver.solve(v + ((m, ring.one),))
 
 
 @settings(max_examples=150, deadline=None)

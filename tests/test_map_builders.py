@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import dense_oracle as dense
-from builders import cyclic_document
+from builders import cyclic_document, map_to_vec
 from test_duality import rebased_sweedler_Z3
 from hopfdual import catalog, hopf, linalg
 from hopfdual.actions import action_from_endomorphisms, coinvariants
@@ -54,7 +54,7 @@ from hopfdual.hopf import (
     tensor_coalgebra,
 )
 from hopfdual.instancefile import parse_instance_dict
-from hopfdual.linalg import LinearMap, dual_module, map_to_vec
+from hopfdual.linalg import LinearMap, dual_module
 from hopfdual.rings import QQ, ZZ, Zmod
 from hopfdual.suites import Derived, applicable_suites, run_suite
 
@@ -127,9 +127,9 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
     # S, S̄, σ⁻¹ and θ⁻¹, and the system x ↦ f⋆x each inversion solves,
     # against the flat-vector convolution
     systems = []
-    solve = hopf.solve_linear
-    monkeypatch.setattr(hopf, "solve_linear",
-                        lambda m, rhs: systems.append(m) or solve(m, rhs))
+    solver = hopf.PreparedSolver
+    monkeypatch.setattr(hopf, "PreparedSolver",
+                        lambda ring, cols, m: systems.append(cols) or solver(ring, cols, m))
     ident = LinearMap.identity(h.carrier)
     hh = tensor_coalgebra(h.coalgebra, h.coalgebra)
     for got, source, target, f in [
@@ -140,7 +140,8 @@ def test_hopf_and_crossed_maps_match_their_dense_column_builders(name, monkeypat
             (convolution_invert(h.coalgebra, B, cl.theta), h.coalgebra, B, cl.theta)]:
         conv = dense.ConvolutionAlgebra(source, target)
         flat = tuple(x for row in f.matrix for x in row)
-        pairs += [(systems.pop(0), dense.convolution_system(conv, flat)),
+        pairs += [(LinearMap.from_sparse_columns(conv.carrier, conv.carrier, systems.pop(0)),
+                   dense.convolution_system(conv, flat)),
                   (got, conv.invert(flat))]
     assert not systems
     assert convolution_invert(hh, cp.action.algebra, cp.cocycle.sigma) == cp.cocycle.sigma_inv

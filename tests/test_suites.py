@@ -1,7 +1,8 @@
 """Suite runs: each derived object is built once per ``run_suite`` call, a
 failed build is kept as its error and never reused as a success, and every
 check that needs a failed object carries its witness.  Every sparse column
-a run stores is canonical, and the structure builders build no dense rows."""
+a run stores is canonical, the checks build no dense rows, and only the two
+builders that read a null space compute a solver's kernel."""
 import dataclasses
 import json
 import sys
@@ -290,16 +291,28 @@ def test_no_integral_fraction_is_made_in_a_q_run(monkeypatch, name):
     assert seen[0] and seen[1] and bad == []
 
 
-SPARSE_BUILDERS = {("smash", "_coordinate_smash"), ("smash", "_hom_smash"),
-                   ("smash", "left_smash"), ("crossed", "crossed_table"),
-                   ("linalg", "compose"), ("linalg", "kron"),
-                   ("hopf", "tensor_algebra")}
+def test_only_the_null_space_readers_compute_a_kernel(monkeypatch):
+    # a kernel is a canonical span (a Hermite or echelon form); a solve
+    # computes none, so over a run of every catalog entry only the two
+    # builders that read a null space compute one
+    kernel, callers = linalg.PreparedSolver.kernel, set()
+
+    def counted(self):
+        if self._kernel is None:
+            callers.add(sys._getframe(1).f_code.co_name)
+        return kernel(self)
+
+    monkeypatch.setattr(linalg.PreparedSolver, "kernel", counted)
+    for name, _, _ in list_entries():
+        run_suite(get(name), "all")
+    assert callers == {"_coinvariants", "coaction_preimage_of_U"}
 
 
 @pytest.mark.parametrize("suite", ["smash", "duality"])
 def test_structure_builders_build_no_dense_rows(monkeypatch, suite):
-    # the dense rows of a map are built only when something reads `matrix`;
-    # no frame of a structure builder or sparse kernel may be on the stack then
+    # the dense rows of a map are built only when something reads `matrix`,
+    # and in the library only the instance writer does: no check of a suite
+    # builds them, not even through the solvers, which read sparse columns
     package = Path(smash.__file__).parent
     original = LinearMap.matrix
     builders = set()
@@ -317,7 +330,9 @@ def test_structure_builders_build_no_dense_rows(monkeypatch, suite):
     monkeypatch.setattr(LinearMap, "matrix", property(matrix))
     entry = parse_instance_dict(cyclic_document(5, 11)).to_entry()
     assert all(r[1] for r in records(run_suite(entry, suite)))
-    assert builders and not builders & SPARSE_BUILDERS
+    assert not builders
+    export_entry_json(entry)  # the writer does, and the patched property sees it
+    assert ("instancefile", "_show_matrix") in builders
 
 
 def _label_free_entries():
@@ -430,9 +445,9 @@ def test_a_mutant_sweedler_sum_fails_duality_epsilon(monkeypatch):
 def test_a_membership_that_loses_a_generator_fails_duality_rl(monkeypatch):
     # λ of U = H* is invertible, so ρ(g) is in its span until a column goes:
     # here λ(e#δ_e) = ρ(δ_e)
-    span = suites.span_coordinates
-    monkeypatch.setattr(suites, "span_coordinates",
-                        lambda ring, gens, length: span(ring, list(gens)[1:], length))
+    solver = suites.PreparedSolver
+    monkeypatch.setattr(suites, "PreparedSolver",
+                        lambda ring, cols, m: solver(ring, list(cols)[1:], m))
     result = {r[0]: r for r in records(run_suite(get("Z_C2"), "duality"))}
     assert result["duality.rl"][1:] == (False, None)
 
