@@ -12,6 +12,14 @@ of a Δ column (``linalg.legs``) from the sparse m, Δ, ε and S columns, and
 compared column by column up to the first failure.  No Kronecker product,
 composition or tensor algebra is built to check an axiom.
 
+Inside ``suites.run_suite`` the algebra and Hopf verdicts are certificates
+(``linalg.certified``) held without basis names, each caller naming the
+witnesses in a report of its own.  A table T^op whose opposite T already
+passed in the run is answered from T's certificate: T^op fails
+associativity at (i, j, k) exactly when T fails at (k, j, i), and the two
+sides of the unit law swap.  A T that failed answers for nothing, so T^op
+is scanned for its own first failing triple.
+
 Convolution in Hom(C, A) takes and returns ``LinearMap``s: ``convolve`` sums
 f(c_p)g(c_q) over the legs of each Δ column on A's sparse table, and
 ``convolution_invert`` writes the system x ↦ f⋆x as sparse columns by index
@@ -21,7 +29,8 @@ inversion of the identity.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -46,9 +55,9 @@ from .linalg import (
     kron_column,
     kron_vec,
     legs,
-    product_label,
     sparse_column,
     sparse_vector,
+    stored,
     tensor_module,
     transpose,
     unit_module,
@@ -119,22 +128,28 @@ class AlgebraData:
     def opposite(self) -> "AlgebraData":
         """The same carrier and unit with x·y := yx: column (i, j) of the
         multiplication becomes column (j, i)."""
-        r = self.rank
-        cols = self.mult.sparse_columns()
         mult = LinearMap.from_sparse_columns(
             tensor_module(self.carrier, self.carrier), self.mult.codomain,
-            [cols[j * r + i] for i in range(r) for j in range(r)])
+            _transposed(self.mult.sparse_columns(), self.rank))
         return AlgebraData(self.carrier, mult, self.unit)
 
     def validate(self, subject: str = "algebra") -> ValidationReport:
-        rep = ValidationReport(subject)
+        return _report(subject, self.carrier.label, self._records())
+
+    def _records(self) -> list:
         assoc, unit = certified("algebra", (self.ring, self.mult.sparse_columns(),
-                                            self.unit), self._axiom_failures)
-        assoc = assoc and f"({','.join(map(self.carrier.label, assoc))})"
-        rep.add("algebra.assoc", "multiplication is associative", assoc is None, assoc)
-        unit = None if unit is None else self.carrier.label(unit)
-        rep.add("algebra.unit", "two-sided unit law", unit is None, unit)
-        return rep
+                                            self.unit), self._certificate)
+        return [("algebra.assoc", "multiplication is associative", assoc is None, assoc),
+                ("algebra.unit", "two-sided unit law", unit is None, unit)]
+
+    def _certificate(self):
+        """The scan's result, or the opposite table's when the store holds a
+        passing one (see the module docstring)."""
+        held = stored("algebra", lambda: (
+            self.ring, _transposed(self.mult.sparse_columns(), self.rank), self.unit))
+        if held is not None and held[0] is None:
+            return held
+        return self._axiom_failures()
 
     def _axiom_failures(self):
         """The first (i, j, k) failing associativity, the first i failing the unit law."""
@@ -143,9 +158,9 @@ class AlgebraData:
         # row: each distinct column x of the sparse table gets its row over k
         # of x·e_k, and each i the products e_i·y over the distinct columns y;
         # then (e_ie_j)e_k = e_i(e_je_k) for every k is one comparison of the
-        # row of e_ie_j with e_i·(row j).  A column that is one basis element
-        # e_t needs no arithmetic: its row is row t of the table, and e_i·e_t
-        # is column (i, t).
+        # row of e_ie_j with e_i·(row j), whose entries ``pick[j]`` reads.  A
+        # column that is one basis element e_t needs no arithmetic: its row
+        # is row t of the table, and e_i·e_t is column (i, t).
         assoc = None
         ring, cols = self.ring, self.mult.sparse_columns()
         rows = [cols[t * r:(t + 1) * r] for t in range(r)]
@@ -155,14 +170,16 @@ class AlgebraData:
         right = [rows[b] if b is not None else
                  tuple(combine_columns(ring, [(rows[t][k], c) for t, c in x])
                        for k in range(r)) for x, b in zip(ids, basis)]
+        # itemgetter of one index returns the item, not a 1-tuple
+        pick = ([itemgetter(*col_id[j * r:(j + 1) * r]) for j in range(r)] if r > 1
+                else [lambda left: (left[col_id[0]],)] * r)
         for i in range(r):
             row_i = rows[i]
             left = [row_i[b] if b is not None else
                     combine_columns(ring, [(row_i[s], a) for s, a in y])
                     for y, b in zip(ids, basis)]
             for j in range(r):
-                lhs = right[col_id[i * r + j]]
-                rhs = tuple(map(left.__getitem__, col_id[j * r:(j + 1) * r]))
+                lhs, rhs = right[col_id[i * r + j]], pick[j](left)
                 if lhs != rhs:
                     assoc = (i, j, next(k for k in range(r) if lhs[k] != rhs[k]))
                     break
@@ -188,6 +205,26 @@ class AlgebraData:
 
     def __hash__(self):
         return hash((self.rank, self.mult, self.unit))
+
+
+def _transposed(cols, r: int) -> tuple:
+    """The columns of a table on r basis elements with column (i, j) moved to
+    (j, i): the table of the opposite product."""
+    return tuple(chain.from_iterable([cols[j::r] for j in range(r)]))
+
+
+def _report(subject: str, label, records) -> ValidationReport:
+    """A fresh report of label-free (id, statement, passed, witness) records:
+    a witness index is named ``label(i)``, a tuple of indices the names in
+    parentheses, and a string stays as it is."""
+    rep = ValidationReport(subject)
+    for check_id, statement, passed, w in records:
+        if isinstance(w, int):
+            w = label(w)
+        elif isinstance(w, tuple):
+            w = f"({','.join(map(label, w))})"
+        rep.add(check_id, statement, passed, w)
+    return rep
 
 
 class CoalgebraData:
@@ -274,7 +311,9 @@ class CoalgebraData:
         return CoalgebraData(self.carrier, comult, self.counit)
 
     def validate(self, subject: str = "coalgebra") -> ValidationReport:
-        rep = ValidationReport(subject)
+        return _report(subject, self.carrier.label, self._records())
+
+    def _records(self) -> list:
         ring, r, mul = self.ring, self.rank, self.ring.mul
         D, E = self.comult.sparse_columns(), self.counit.sparse_columns()
         e = unit_vectors(ring, r)
@@ -284,16 +323,18 @@ class CoalgebraData:
             (combine_columns(ring, [(kron_column(D[p], e[q], r, mul), c) for p, q, c in t])
              for t in terms),
             (combine_columns(ring, [(kron_column(e[p], D[q], r * r, mul), c) for p, q, c in t])
-             for t in terms), self.carrier.label)
-        rep.add("coalgebra.coassoc", "comultiplication is coassociative",
-                witness is None, witness)
-        witness = (column_witness(
+             for t in terms), int)
+        records = [("coalgebra.coassoc", "comultiplication is coassociative",
+                    witness is None, witness)]
+        counit = column_witness(
             (combine_columns(ring, [(kron_column(E[p], e[q], r, mul), c) for p, q, c in t])
-             for t in terms), e, self.carrier.label) or column_witness(
-            (combine_columns(ring, [(kron_column(e[p], E[q], 1, mul), c) for p, q, c in t])
-             for t in terms), e, self.carrier.label))
-        rep.add("coalgebra.counit", "counit laws hold", witness is None, witness)
-        return rep
+             for t in terms), e, int)
+        if counit is None:
+            counit = column_witness(
+                (combine_columns(ring, [(kron_column(e[p], E[q], 1, mul), c)
+                                        for p, q, c in t]) for t in terms), e, int)
+        records.append(("coalgebra.counit", "counit laws hold", counit is None, counit))
+        return records
 
 
 class BialgebraData:
@@ -318,15 +359,16 @@ class BialgebraData:
         return self.algebra.rank
 
     def validate(self, subject: str = "bialgebra") -> ValidationReport:
-        rep = ValidationReport(subject)
-        rep.extend(self.algebra.validate(subject))
-        rep.extend(self.coalgebra.validate(subject))
+        return _report(subject, self.carrier.label, self._records())
+
+    def _records(self) -> list:
+        records = self.algebra._records() + self.coalgebra._records()
         ring, r, mul = self.ring, self.rank, self.ring.mul
         M = self.algebra.mult.sparse_columns()
         D, E = self.coalgebra.comult.sparse_columns(), self.coalgebra.counit.sparse_columns()
         terms = [legs(col, r) for col in D]
         basis_pairs = [(x, y) for x in range(r) for y in range(r)]
-        pairs = product_label(self.carrier, self.carrier)
+        pairs = basis_pairs.__getitem__  # a witness (x, y) is named "(x,y)"
         # Δ is an algebra morphism into H⊗H: Δ(xy) against Σ ab·pp'⊗qq' over
         # the legs a·p⊗q of Δ(x) and b·p'⊗q' of Δ(y) where pp' and qq' ≠ 0
         w = column_witness(
@@ -335,18 +377,19 @@ class BialgebraData:
                                     for p, q, a in terms[x] for p2, q2, b in terms[y]
                                     if (u := M[p * r + p2]) and (v := M[q * r + q2])])
              for x, y in basis_pairs), pairs)
-        rep.add("bialgebra.comult_mult", "comultiplication is multiplicative", w is None, w)
+        records.append(("bialgebra.comult_mult", "comultiplication is multiplicative",
+                        w is None, w))
         # ε is an algebra morphism
         w = column_witness((combine_columns(ring, [(E[t], c) for t, c in col]) for col in M),
                            (kron_column(E[x], E[y], 1, mul) for x, y in basis_pairs), pairs)
-        rep.add("bialgebra.counit_mult", "counit is multiplicative", w is None, w)
+        records.append(("bialgebra.counit_mult", "counit is multiplicative", w is None, w))
         # the unit is grouplike
         one = self.algebra.unit
         ok = self.coalgebra.comult.apply(one) == kron_vec(self.ring, one, one)
         ok = ok and self.ring.is_one(self.coalgebra.counit_scalar(one))
-        rep.add("bialgebra.unit_grouplike", "Δ(1)=1⊗1 and ε(1)=1", ok,
-                None if ok else "1")
-        return rep
+        records.append(("bialgebra.unit_grouplike", "Δ(1)=1⊗1 and ε(1)=1", ok,
+                        None if ok else "1"))
+        return records
 
 
 class HopfData:
@@ -388,7 +431,17 @@ class HopfData:
         return self.bialgebra.rank
 
     def validate(self, subject: str = "hopf") -> ValidationReport:
-        rep = self.bialgebra.validate(subject)
+        """Every axiom of the bialgebra and both antipodes, once per equal
+        tables in a run (``linalg.certified``): the shared records hold
+        indices, and each caller names them in a report of its own."""
+        key = (self.ring, self.algebra.mult.sparse_columns(), self.algebra.unit,
+               self.coalgebra.comult.sparse_columns(),
+               self.coalgebra.counit.sparse_columns(), self.antipode.sparse_columns(),
+               self.twisted_antipode.sparse_columns())
+        return _report(subject, self.carrier.label, certified("hopf", key, self._records))
+
+    def _records(self) -> tuple:
+        records = self.bialgebra._records()
         ring, r, mul = self.ring, self.rank, self.ring.mul
         M = self.algebra.mult.sparse_columns()
         one = sparse_vector(self.algebra.unit)
@@ -396,30 +449,30 @@ class HopfData:
                    for col in self.coalgebra.counit.sparse_columns()]
         terms = [legs(col, r) for col in self.coalgebra.comult.sparse_columns()]
         cop = [[(q, p, c) for p, q, c in t] for t in terms]
-        label = self.carrier.label
 
         def witness(S, legs_of):
             # Σ c·S(h_p)h_q, then Σ c·h_pS(h_q), over the legs c·h_p⊗h_q of
             # each element of ``legs_of``, against ε(h)1
             S = S.sparse_columns()
-            return column_witness(
+            w = column_witness(
                 (combine_columns(ring, [(M[s * r + q], mul(c, x))
                                         for p, q, c in t for s, x in S[p]])
-                 for t in legs_of), eta_eps, label) or column_witness(
+                 for t in legs_of), eta_eps, int)
+            return w if w is not None else column_witness(
                 (combine_columns(ring, [(M[p * r + s], mul(c, x))
                                         for p, q, c in t for s, x in S[q]])
-                 for t in legs_of), eta_eps, label)
+                 for t in legs_of), eta_eps, int)
 
         w = witness(self.antipode, terms)
-        rep.add("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w)
-        rep.extend(_anti_morphism_checks(self, self.antipode, cop,
-                                         "hopf.antipode_anti", "antipode"))
+        records.append(("hopf.antipode", "Σ S(h₁)h₂ = ε(h)1 = Σ h₁S(h₂)", w is None, w))
+        records += _anti_morphism_checks(self, self.antipode, cop,
+                                         "hopf.antipode_anti", "antipode")
         w = witness(self.twisted_antipode, cop)
-        rep.add("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
-                w is None, w)
-        rep.extend(_anti_morphism_checks(self, self.twisted_antipode, cop,
-                                         "hopf.twisted_anti", "twisted antipode"))
-        return rep
+        records.append(("hopf.twisted_antipode", "Σ S̄(h₂)h₁ = ε(h)1 = Σ h₂S̄(h₁)",
+                        w is None, w))
+        records += _anti_morphism_checks(self, self.twisted_antipode, cop,
+                                         "hopf.twisted_anti", "twisted antipode")
+        return tuple(records)
 
     def __eq__(self, other):
         if not isinstance(other, HopfData):
@@ -433,11 +486,10 @@ class HopfData:
         )
 
 
-def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str,
-                          name: str) -> ValidationReport:
+def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str, name: str) -> list:
     """S(xy) = S(y)S(x) on every basis pair and Δ(S(h)) = Σ c·S(h_p)⊗S(h_q)
-    over the legs c·h_p⊗h_q of Δ^cop(h) in ``cop``, plus the unit and counit."""
-    rep = ValidationReport()
+    over the legs c·h_p⊗h_q of Δ^cop(h) in ``cop``, plus the unit and counit:
+    two witness-free records."""
     ring, r, mul = h.ring, h.rank, h.ring.mul
     M = h.algebra.mult.sparse_columns()
     D, E = h.coalgebra.comult.sparse_columns(), h.coalgebra.counit.sparse_columns()
@@ -448,8 +500,8 @@ def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str,
                                   for s, a in S_cols[x] for t, b in S_cols[y]])
         for x in range(r) for y in range(r))
     unit_ok = S.apply(h.algebra.unit) == h.algebra.unit
-    rep.add(f"{prefix}.algebra", f"{name} is an algebra anti-morphism",
-            alg_anti and unit_ok)
+    algebra = (f"{prefix}.algebra", f"{name} is an algebra anti-morphism",
+               alg_anti and unit_ok, None)
     coalg_anti = all(
         combine_columns(ring, [(D[t], c) for t, c in S_cols[j]])
         == combine_columns(ring, [(kron_column(S_cols[p], S_cols[q], r, mul), c)
@@ -457,9 +509,8 @@ def _anti_morphism_checks(h: HopfData, S: LinearMap, cop, prefix: str,
         for j in range(r))
     counit_ok = all(combine_columns(ring, [(E[t], c) for t, c in S_cols[j]]) == E[j]
                     for j in range(r))
-    rep.add(f"{prefix}.coalgebra", f"{name} is a coalgebra anti-morphism",
-            coalg_anti and counit_ok)
-    return rep
+    return [algebra, (f"{prefix}.coalgebra", f"{name} is a coalgebra anti-morphism",
+                      coalg_anti and counit_ok, None)]
 
 
 # ---------------------------------------------------------------------------

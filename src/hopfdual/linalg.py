@@ -66,13 +66,24 @@ def certified(kind: str, key, compute):
     """``compute()``, computed once per equal ``(kind, key)`` while
     ``suites.run_suite`` holds a store in :data:`CERTIFICATES`, else on every
     call.  ``key`` is the whole input but its basis names: a shared result
-    may carry another caller's modules, and no caller reads names off it."""
+    may carry another caller's modules, and no caller reads names off it.
+    ``compute`` may answer from a certificate of an equivalent input that
+    the store already holds (:func:`stored`), as the associativity scan
+    answers a table from its opposite."""
     store, key = CERTIFICATES.get(), (kind, key)
     if store is None:
         return compute()
     if key not in store:
         store[key] = compute()
     return store[key]
+
+
+def stored(kind: str, key):
+    """The result :func:`certified` holds for ``(kind, key())``, or None
+    when no store is held or it holds none; ``key`` is called only when a
+    store is held."""
+    store = CERTIFICATES.get()
+    return None if store is None else store.get((kind, key()))
 
 
 @dataclass(frozen=True)
@@ -343,10 +354,17 @@ def legs(col, rank: int) -> list:
 def combine_columns(ring, terms):
     """Σ c·col over (col, c) in ``terms``, each col a canonical sparse column
     (rows increasing, zeros dropped): the canonical sparse column of the sum,
-    a tuple.  A lone term with c = 1 is returned as it is."""
+    a tuple.  A lone term with c = 1 is returned as it is, another lone term
+    scaled entry by entry, dropping the products that are zero."""
     terms = list(terms)
-    if len(terms) == 1 and terms[0][1] == ring.one:
-        return terms[0][0]
+    if len(terms) < 2:
+        if not terms:
+            return ()
+        col, c = terms[0]
+        if c == ring.one:
+            return col
+        mul = ring.mul
+        return tuple([(t, v) for t, x in col if (v := mul(c, x))])
     mul, add = ring.mul, ring.add
     acc = {}
     for col, c in terms:
@@ -360,7 +378,10 @@ def combine_columns(ring, terms):
 def sparse_column(acc: dict) -> tuple:
     """The canonical sparse column of a {row: coefficient} accumulator: the
     nonzero pairs, rows increasing."""
-    return tuple(sorted([(t, x) for t, x in acc.items() if x]))
+    pairs = [(t, x) for t, x in acc.items() if x]
+    if len(pairs) > 1:
+        pairs.sort()
+    return tuple(pairs)
 
 
 def sparse_vector(v) -> tuple:

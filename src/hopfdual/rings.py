@@ -72,12 +72,6 @@ class Ring:
     def show(self, a: Elem) -> str:
         return str(a)
 
-    def sum(self, values) -> Elem:
-        total = self.zero
-        for v in values:
-            total = self.add(total, v)
-        return total
-
     def describe(self) -> dict:
         """JSON-ready descriptor, inverse of :func:`ring_from_descriptor`."""
         return {"kind": self.kind}

@@ -259,6 +259,14 @@ class FractionRing(Ring):
         return f"{a.numerator}/{a.denominator}"
 
 
+def ring_sum(ring, values):
+    """Σ values in ``ring``, added left to right from zero."""
+    total = ring.zero
+    for v in values:
+        total = ring.add(total, v)
+    return total
+
+
 def is_canonical(ring, x):
     """``x`` is in the ring's canonical form: over Q an ``int`` when integral and
     a ``Fraction`` with denominator > 1 otherwise; an ``int`` fixed by ``ring.of``
@@ -971,6 +979,63 @@ def product_items(alg, items_u, items_v) -> dict:
                 prev = acc.get(t)
                 acc[t] = mul(c, ab) if prev is None else add(prev, mul(c, ab))
     return {t: v for t, v in acc.items() if v}
+
+
+def combine_columns(ring, terms):
+    """``linalg.combine_columns`` before its lone-term and empty shortcuts:
+    every other sum through a dict accumulator and :func:`sparse_column`."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][1] == ring.one:
+        return terms[0][0]
+    mul, add = ring.mul, ring.add
+    acc = {}
+    for col, c in terms:
+        for t, x in col:
+            v = mul(c, x)
+            prev = acc.get(t)
+            acc[t] = v if prev is None else add(prev, v)
+    return sparse_column(acc)
+
+
+def sparse_column(acc: dict) -> tuple:
+    """``linalg.sparse_column`` sorting every accumulator."""
+    return tuple(sorted([(t, x) for t, x in acc.items() if x]))
+
+
+def axiom_failures(alg):
+    """``AlgebraData._axiom_failures`` comparing rows by slicing the column
+    ids for each (i, j), on the two helpers above: the first (i, j, k)
+    failing associativity, the first i failing the unit law."""
+    r = alg.rank
+    assoc = None
+    ring, cols = alg.ring, alg.mult.sparse_columns()
+    rows = [cols[t * r:(t + 1) * r] for t in range(r)]
+    ids = {}
+    col_id = [ids.setdefault(col, len(ids)) for col in cols]
+    basis = [x[0][0] if len(x) == 1 and x[0][1] == ring.one else None for x in ids]
+    right = [rows[b] if b is not None else
+             tuple(combine_columns(ring, [(rows[t][k], c) for t, c in x])
+                   for k in range(r)) for x, b in zip(ids, basis)]
+    for i in range(r):
+        row_i = rows[i]
+        left = [row_i[b] if b is not None else
+                combine_columns(ring, [(row_i[s], a) for s, a in y])
+                for y, b in zip(ids, basis)]
+        for j in range(r):
+            lhs = right[col_id[i * r + j]]
+            rhs = tuple(map(left.__getitem__, col_id[j * r:(j + 1) * r]))
+            if lhs != rhs:
+                assoc = (i, j, next(k for k in range(r) if lhs[k] != rhs[k]))
+                break
+        if assoc:
+            break
+    unit = linalg.sparse_vector(alg.unit)
+    for i in range(r):
+        e = ((i, ring.one),)
+        if (combine_columns(ring, [(cols[t * r + i], c) for t, c in unit]) != e
+                or combine_columns(ring, [(cols[i * r + t], c) for t, c in unit]) != e):
+            return assoc, i
+    return assoc, None
 
 
 def validate_algebra(alg, subject="algebra"):
@@ -1937,7 +2002,7 @@ class PreparedSolver:
         ring = self.ring
         particular = None
         if isinstance(ring, RationalRing):
-            c = [ring.sum(ring.mul(a, b) for a, b in zip(self._T[i], rhs) if a and b)
+            c = [ring_sum(ring, (ring.mul(a, b) for a, b in zip(self._T[i], rhs) if a and b))
                  for i in range(self.m)]
             npiv = len(self._pivots)
             if not any(c[i] != 0 for i in range(npiv, self.m)):

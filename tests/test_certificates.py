@@ -1,19 +1,26 @@
 """The run-scoped certificate store: ``run_suite`` shares the results of
-algebra validation, morphism witnesses, inverses and coinvariants among
-equal inputs of one call, and nowhere else.  Every shared result must be
-the one a fresh computation on the caller's own input would give."""
+algebra and Hopf validation, morphism witnesses, inverses and coinvariants
+among equal inputs of one call, and nowhere else, and answers a table's
+associativity from its opposite's when that one passed.  Every shared
+result must be the one a fresh computation on the caller's own input would
+give."""
 import collections
 import contextlib
 from contextvars import ContextVar
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle as dense
+from builders import cyclic_document
 from hopfdual import actions, hopf, linalg, suites
 from hopfdual.actions import ComoduleAlgebraData, coinvariants, regular_comodule
 from hopfdual.catalog import CatalogEntry, get, group_algebra, sweedler_hopf
 from hopfdual.errors import NotInvertible
-from hopfdual.hopf import AlgebraData, algebra_morphism_witness
+from hopfdual.hopf import AlgebraData, algebra_morphism_witness, matrix_algebra
+from hopfdual.instancefile import parse_instance_dict
 from hopfdual.linalg import (
     CERTIFICATES,
     LinearMap,
@@ -176,7 +183,147 @@ def test_a_morphism_is_recomputed_when_any_input_differs(computed):
     assert computed["morphism"] == 5
 
 
+# --- opposites ---------------------------------------------------------------
+
+# Z[C3] with e0·e2 = 2e2: the first failing triple of the table is
+# (e0,e0,e2), that of its opposite (e1,e1,e0), not the reversal (e2,e0,e0)
+C3_PLANTED = [[(2, 2)] if (i, j) == (0, 2) else [((i + j) % 3, 1)]
+              for i in range(3) for j in range(3)]
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The associativity scans that run, as a one-item list."""
+    count, scan = [0], AlgebraData._axiom_failures
+
+    def counted(self):
+        count[0] += 1
+        return scan(self)
+
+    monkeypatch.setattr(AlgebraData, "_axiom_failures", counted)
+    return count
+
+
+def test_a_passing_table_answers_for_its_opposite(computed, scans):
+    # M2(Z) on e_ij at 2i + j is associative and not commutative; with e00
+    # for its unit the unit law fails at e01 on both sides, and the answer
+    # carries that verdict too
+    m2 = matrix_algebra(ZZ, 2).mult.sparse_columns()
+    for unit, unit_witness in (((1, 0, 0, 1), None), ((1, 0, 0, 0), "e1")):
+        alg = algebra(ZZ, m2, unit)
+        assert alg.opposite().mult != alg.mult
+        fresh = [verdicts(x.validate()) for x in (alg, alg.opposite())]
+        computed.clear()
+        scans[0] = 0
+        with certificate_store():
+            stored = [verdicts(x.validate()) for x in (alg, alg.opposite())]
+        assert stored == fresh
+        assert stored[1][1] == ("algebra.unit", unit_witness is None, unit_witness)
+        assert computed["algebra"] == 2 and scans[0] == 1
+
+
+def test_a_failing_table_and_its_opposite_report_their_own_witnesses(computed, scans):
+    broken = algebra(ZZ, C3_PLANTED, (1, 0, 0))
+    tables = [("(e0,e0,e2)", broken), ("(e1,e1,e0)", broken.opposite())]
+    for order in (tables, tables[::-1]):
+        want = [[("algebra.assoc", False, w), ("algebra.unit", False, "e2")] for w, _ in order]
+        assert [verdicts(alg.validate()) for _, alg in order] == want
+        computed.clear()
+        scans[0] = 0
+        with certificate_store():
+            assert [verdicts(alg.validate()) for _, alg in order] == want
+        assert computed["algebra"] == 2 and scans[0] == 2
+
+
+def draw_table(data, ring):
+    """A multiplication table over ``ring`` with its unit: a rank-1 table, a
+    cyclic group algebra, M2 or a random rank-2 table, maybe its opposite,
+    maybe with one constant changed (a planted failing triple, mostly)."""
+    kind = data.draw(st.sampled_from(("rank1", "C2", "C3", "M2", "random2")))
+    if kind == "rank1":
+        cols, unit = [[(0, data.draw(dense.elements(ring)))]], (data.draw(dense.elements(ring)),)
+    elif kind in ("C2", "C3"):
+        n = int(kind[1])
+        cols = [[((i + j) % n, ring.one)] for i in range(n) for j in range(n)]
+        unit = (ring.one,) + (ring.zero,) * (n - 1)
+    elif kind == "M2":
+        m2 = matrix_algebra(ring, 2)
+        cols, unit = [list(col) for col in m2.mult.sparse_columns()], m2.unit
+    else:
+        cols = [list(sparse_vector(dense.draw_vector(data, ring, 2))) for _ in range(4)]
+        unit = dense.draw_vector(data, ring, 2)
+    r = len(unit)
+    if data.draw(st.booleans()):
+        at, row = data.draw(st.integers(0, r * r - 1)), data.draw(st.integers(0, r - 1))
+        value = data.draw(dense.elements(ring))
+        cols[at] = [(t, c) for t, c in cols[at] if t != row] + ([(row, value)] if value else [])
+        cols[at].sort()
+    alg = algebra(ring, cols, unit)
+    return alg.opposite() if data.draw(st.booleans()) else alg
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_scan_and_the_opposite_answer_equal_the_parent_scan(data):
+    ring = data.draw(st.sampled_from((ZZ, QQ, Zmod(4), Zmod(6))))
+    alg = draw_table(data, ring)
+    assert alg._axiom_failures() == dense.axiom_failures(alg)
+    # the opposite answers from the store exactly what its own scan finds
+    op = alg.opposite()
+    with certificate_store():
+        stored = [verdicts(x.validate()) for x in (alg, op)]
+    assert stored == [verdicts(x.validate()) for x in (alg, op)]
+    assert op._axiom_failures() == dense.axiom_failures(op)
+
+
+def test_work_per_run_is_pinned(monkeypatch, computed, scans):
+    # per run_suite call: the associativity scans that run, the tables the
+    # store answers from their opposites, and the Hopf validations that run
+    # (a repeat of equal tables in the same run reads the store)
+    c6 = parse_instance_dict(cyclic_document(6, 11)).to_entry()
+    smash_q = get("sweedler4_smash_Q")
+    calls = collections.Counter()
+    validate = hopf.HopfData.validate
+
+    def counted(self, *args):
+        calls["hopf"] += 1
+        return validate(self, *args)
+
+    monkeypatch.setattr(hopf.HopfData, "validate", counted)
+    work = {}
+    for name, entry, suite in (("C6", c6, "smash"), ("C6", c6, "duality"),
+                               ("C6", c6, "all"), ("sweedler4_smash_Q", smash_q, "opposite")):
+        entry.hopf_data()
+        computed.clear()
+        calls.clear()
+        scans[0] = 0
+        run_suite(entry, suite)
+        work[name, suite] = (scans[0], computed["algebra"] - scans[0], computed["hopf"],
+                             calls["hopf"])
+    # (scans, opposite answers, Hopf validations run, Hopf validations asked)
+    assert work == {("C6", "smash"): (2, 1, 1, 1), ("C6", "duality"): (2, 1, 0, 0),
+                    ("C6", "all"): (3, 1, 2, 4),
+                    ("sweedler4_smash_Q", "opposite"): (4, 2, 0, 0)}
+
+
 # --- labels -----------------------------------------------------------------
+
+
+def test_a_hopf_certificate_is_named_by_each_caller_in_its_own_report():
+    # H and H** have equal tables under other names: the store keeps
+    # indices, and each caller gets a report of its own
+    h = get("sweedler4_Q").hopf_data()
+    broken = hopf.HopfData(h.bialgebra, h.twisted_antipode, h.twisted_antipode)
+    renamed = hopf.HopfData(hopf.BialgebraData(
+        AlgebraData(free_module(QQ, ["p", "q", "s", "t"]), h.algebra.mult, h.algebra.unit),
+        h.coalgebra), h.twisted_antipode, h.twisted_antipode)
+    fresh = [verdicts(x.validate("x")) for x in (broken, renamed)]
+    with certificate_store():
+        reports = [x.validate("x") for x in (broken, renamed, broken)]
+        assert [verdicts(rep) for rep in reports] == fresh + fresh[:1]
+        reports[0].add("extra", "added to one report", True)
+        assert [verdicts(rep) for rep in reports[1:]] == fresh[::-1]
+        assert verdicts(broken.validate("x")) == fresh[0]
 
 
 def test_equal_inputs_under_other_labels_report_their_own_witnesses():

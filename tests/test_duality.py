@@ -625,7 +625,7 @@ def sweedler_coboundary_Q(ring=QQ):
             for c2, (q1, q2) in co.sweedler_basis(q, 2):
                 pq = h.algebra.product(h.carrier.basis_vector(p2),
                                        h.carrier.basis_vector(q2))
-                value = ring.sum(mul(a, b) for a, b in zip(pq, u_inv))
+                value = dense_oracle.ring_sum(ring, (mul(a, b) for a, b in zip(pq, u_inv)))
                 total = ring.add(total, mul(mul(mul(c1, c2), mul(u[p1], u[q1])), value))
         return (total,)
 

@@ -182,7 +182,6 @@ def test_every_tracer_target_is_defined():
 NEVER_CALLED = {
     **{f"rings.Ring.{name}": "abstract: every ring overrides it"
        for name in ("zero", "one", "of", "add", "sub", "mul", "neg", "is_unit", "inv")},
-    "rings.Ring.sum": "a default no library path calls; the tests' oracles sum with it",
     "rings.IntegerRing.sub": "ring interface, wrapped by perfbench/tracer.py; over Z "
                              "elimination works on plain ints",
     "rings.IntegerRing.inv": "ring interface, wrapped by perfbench/tracer.py; nothing "
@@ -198,7 +197,8 @@ NEVER_CALLED = {
     "errors.CommutativityFailure.__init__": "error constructor: no traced input raises it",
     "instancefile._fail": "input error of a malformed block: the exit-2 fixtures fail "
                           "at validation or at the digit cap",
-    "hopf.CoalgebraData.sweedler": "wrapped by name in perfbench/tracer.py",
+    **{f"hopf.{name}": "wrapped by name in perfbench/tracer.py" for name in (
+        "CoalgebraData.sweedler", "CoalgebraData.validate", "BialgebraData.validate")},
 }
 
 

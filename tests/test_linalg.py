@@ -23,6 +23,7 @@ from hopfdual.linalg import (
     _rref_rows,
     canonical_span,
     column_witness,
+    combine_columns,
     determinant,
     dual_module,
     free_module,
@@ -569,7 +570,7 @@ def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
     for _ in range(data.draw(st.integers(1, 5))):
         if gens and data.draw(st.booleans()):
             coeffs = dense.draw_vector(data, ring, len(gens))
-            v = tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(coeffs, gens))
+            v = tuple(dense.ring_sum(ring, (ring.mul(c, g[i]) for c, g in zip(coeffs, gens)))
                       for i in range(length))
         else:
             v = dense.draw_vector(data, ring, length)
@@ -580,7 +581,7 @@ def test_one_factorization_answers_like_a_fresh_one_per_vector(ring, data):
             assert got == sparse_vector(want)
         if got is not None:  # the coefficients do express v
             got = dense.expand_sparse(got, len(gens), ring)
-            assert tuple(ring.sum(ring.mul(c, g[i]) for c, g in zip(got, gens))
+            assert tuple(dense.ring_sum(ring, (ring.mul(c, g[i]) for c, g in zip(got, gens)))
                          for i in range(length)) == tuple(ring.of(x) for x in v)
 
 
@@ -728,6 +729,42 @@ def test_sparse_vector_and_hom_scatter():
     hom_scatter(out, ZZ, 2, ((0, 1), (1, 3)), 2, 1)
     hom_scatter(out, ZZ, 1, ((1, -6), (2, 1)), 2, 1)
     assert sparse_column(out) == ((1, 2), (5, 1))
+
+
+SPARSE_RINGS = (ZZ, QQ, Zmod(4), Zmod(6))
+
+
+def draw_terms(data, ring):
+    """Up to three (column, coefficient) terms on canonical sparse columns of
+    length 5, coefficients often 1 or a zero divisor."""
+    coeff = st.one_of(st.just(ring.one), st.sampled_from((2, 3)).map(ring.of),
+                      dense.elements(ring))
+    return [(sparse_vector(dense.draw_vector(data, ring, 5)), data.draw(coeff))
+            for _ in range(data.draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_combine_columns_and_sparse_column_equal_their_parent_bodies(data):
+    ring = data.draw(st.sampled_from(SPARSE_RINGS))
+    terms = draw_terms(data, ring)
+    assert typed(combine_columns(ring, terms)) == typed(dense.combine_columns(ring, terms))
+    acc = data.draw(st.dictionaries(st.integers(0, 6), dense.elements(ring), max_size=5))
+    assert typed(sparse_column(acc)) == typed(dense.sparse_column(acc))
+
+
+@pytest.mark.parametrize("ring,terms,want", [
+    (ZZ, [], ()),
+    (QQ, [(((0, 1), (2, Fraction(1, 2))), 1)], ((0, 1), (2, Fraction(1, 2)))),
+    # a lone term whose products are zero divisors: 2·2 in Z/4, 2·3 in Z/6
+    (Zmod(4), [(((0, 2), (1, 1)), 2)], ((1, 2),)),
+    (Zmod(6), [(((0, 3), (3, 2), (4, 5)), 2)], ((3, 4), (4, 4))),
+    (Zmod(6), [(((1, 3),), 2)], ()),
+    (QQ, [(((0, 2),), Fraction(1, 2))], ((0, 1),)),
+])
+def test_combine_columns_corner_cases(ring, terms, want):
+    got = combine_columns(ring, terms)
+    assert typed(got) == typed(want) == typed(dense.combine_columns(ring, terms))
 
 
 def test_from_sparse_columns_checks_the_column_count():

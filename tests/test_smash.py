@@ -280,10 +280,14 @@ def test_smash_compare(make):
 
 def failing_tables(monkeypatch, fails):
     """A kernel mutant: the associativity scan reports (0, 0, 0) for every
-    table ``fails(table)`` picks and scans the others as before."""
+    table ``fails(table)`` picks and for its opposite, and scans the others
+    as before.  A mutant must fail both: the scan of T^op fails at (k, j, i)
+    exactly when the scan of T fails at (i, j, k), and the certificate
+    store answers T^op from a passing T."""
     scan = AlgebraData._axiom_failures
     monkeypatch.setattr(AlgebraData, "_axiom_failures",
-                        lambda self: ((0, 0, 0), None) if fails(self) else scan(self))
+                        lambda self: ((0, 0, 0), None)
+                        if fails(self) or fails(self.opposite()) else scan(self))
 
 
 def smash_records(entry):
@@ -319,6 +323,14 @@ def smash_table(check_id, h, cp):
             "smash.left": lambda: left_smash(cp.action)}[check_id]()
 
 
+# #(H,H) has the structure constants of the left smash on H⊗H*, which
+# smash.compare builds first, so that record fails with the same table; on
+# swap_smash H is commutative, and #op(H,H) is the opposite of #(H,H)
+ALSO_FAILED = {("sweedler4_Z3", "smash.hat"): {"smash.compare"},
+               ("swap_smash", "smash.hat"): {"smash.compare", "smash.op_hat"},
+               ("swap_smash", "smash.op_hat"): {"smash.compare", "smash.hat"}}
+
+
 @pytest.mark.parametrize("name,check_id", [
     ("sweedler4_Z3", "smash.hat"), ("sweedler4_Z3", "smash.op_hat"),
     *(("swap_smash", check_id) for check_id in SUBJECTS)])
@@ -328,12 +340,10 @@ def test_each_smash_record_names_its_own_failed_table(monkeypatch, name, check_i
     table = smash_table(check_id, entry.hopf_data(), cp).mult
     failing_tables(monkeypatch, lambda alg: alg.mult == table)
     failed = {i: r.witness for i, r in smash_records(entry).items() if not r.passed}
-    assert failed[check_id].startswith(f"{SUBJECTS[check_id]}: algebra.assoc failed")
-    # #(H,H) has the structure constants of the left smash on H⊗H*, which
-    # smash.compare builds first, so that record fails with the same table
-    also = {"smash.compare": "A#H:"} if check_id == "smash.hat" else {}
-    assert set(failed) == {check_id, *also}
-    assert all(failed[i].startswith(subject) for i, subject in also.items())
+    assert set(failed) == {check_id, *ALSO_FAILED.get((name, check_id), ())}
+    subjects = {**SUBJECTS, "smash.compare": "A#H"}
+    assert all(witness.startswith(f"{subjects[i]}: algebra.assoc failed")
+               for i, witness in failed.items())
 
 
 # --- the index-arithmetic builders against the term-by-term oracles ----------
