@@ -610,16 +610,25 @@ def opposite_hopf(h: HopfData) -> HopfData:
 
 
 def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
-    """A ⊗ B with componentwise product (a⊗b)(a'⊗b') = aa'⊗bb'."""
+    """A ⊗ B with componentwise product (a⊗b)(a'⊗b') = aa'⊗bb'.
+
+    A factor of rank 1 whose table is 1·1 = 1 (R itself) leaves the other
+    factor's columns as they are, in the same order, so R⊗X and X⊗R reuse
+    X's column tuples; any other table is built column by column."""
     if a.ring != b.ring:
         raise RingMismatch("tensor algebra over different rings")
     rA, rB = a.rank, b.rank
     mul = a.ring.mul
     acols, bcols = a.mult.sparse_columns(), b.mult.sparse_columns()
-    # column (a1⊗b1)⊗(a2⊗b2) is column (a1⊗a2)⊗(b1⊗b2) of kron(a.mult, b.mult)
-    cols = [kron_column(acols[a1 * rA + a2], bcols[b1 * rB + b2], rB, mul)
-            for a1 in range(rA) for b1 in range(rB)
-            for a2 in range(rA) for b2 in range(rB)]
+    ground = (((0, a.ring.one),),)  # the table of R: e·e = e
+    if acols == ground:
+        cols = bcols
+    elif bcols == ground:
+        cols = acols
+    else:  # column (a1⊗b1)⊗(a2⊗b2) is column (a1⊗a2)⊗(b1⊗b2) of kron(a.mult, b.mult)
+        cols = [kron_column(acols[a1 * rA + a2], bcols[b1 * rB + b2], rB, mul)
+                for a1 in range(rA) for b1 in range(rB)
+                for a2 in range(rA) for b2 in range(rB)]
     carrier = tensor_module(a.carrier, b.carrier)
     mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
     return AlgebraData(carrier, mult, kron_vec(a.ring, a.unit, b.unit))
@@ -697,9 +706,11 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
                              map_: LinearMap) -> Optional[str]:
     """First basis pair where map(xy) ≠ map(x)map(y), or a unit failure,
     or None when the map is a unital algebra morphism."""
+    if not source.ring == target.ring == map_.ring:
+        raise RingMismatch("map and algebras over different rings")
     if map_.domain.rank != source.rank or map_.codomain.rank != target.rank:
         raise DimensionMismatch("map shape does not match the algebras")
-    failure = certified("morphism", (source.ring, map_.ring, source.mult.sparse_columns(),
+    failure = certified("morphism", (source.ring, source.mult.sparse_columns(),
                                      source.unit, target.mult.sparse_columns(),
                                      target.unit, map_.sparse_columns()),
                         lambda: _morphism_failure(source, target, map_))
@@ -709,23 +720,38 @@ def algebra_morphism_witness(source: AlgebraData, target: AlgebraData,
 
 
 def _morphism_failure(source: AlgebraData, target: AlgebraData, map_: LinearMap):
-    """The string "1", the first basis pair (i, j) that fails, or None."""
+    """The string "1", the first basis pair (i, j) that fails, or None:
+    map(e_ie_j), once per distinct source column, against Σ a·b·t_pt_q over
+    the terms a·t_p of map(e_i) and b·t_q of map(e_j), t_pt_q the target's
+    column p·rt + q.  Two lone terms read that one column, scaled inline
+    unless a·b = 1, its zero products (2·3 in Z/6) dropped."""
     if map_.apply(source.unit) != target.unit:
         return "1"
     r, rt = source.rank, target.rank
     ring = source.ring
-    mul = ring.mul
+    mul, one = ring.mul, ring.one
     images = map_.sparse_columns()
-    tcols = target.mult.sparse_columns()
+    scols, tcols = source.mult.sparse_columns(), target.mult.sparse_columns()
+    offsets = [[(p * rt, a) for p, a in image] for image in images]
+    lones = [image[0] if len(image) == 1 else None for image in images]
     mapped = {}  # map(e_ie_j), once per distinct column e_ie_j
     for i in range(r):
+        image_i = offsets[i]
+        lone_i = image_i[0] if len(image_i) == 1 else None
         for j in range(r):
-            col = source.basis_product(i, j)
+            col = scols[i * r + j]
             lhs = mapped.get(col)
             if lhs is None:
                 lhs = mapped[col] = combine_columns(ring, [(images[t], c) for t, c in col])
-            rhs = combine_columns(ring, [(tcols[p * rt + q], mul(a, b))
-                                         for p, a in images[i] for q, b in images[j]])
+            lone_j = lones[j]
+            if lone_i is not None and lone_j is not None:
+                (pt, a), (q, b) = lone_i, lone_j
+                rhs, ab = tcols[pt + q], mul(a, b)
+                if ab != one:
+                    rhs = tuple([(t, v) for t, x in rhs if (v := mul(ab, x))])
+            else:
+                rhs = combine_columns(ring, [(tcols[pt + q], mul(a, b))
+                                             for pt, a in image_i for q, b in images[j]])
             if lhs != rhs:
                 return i, j
     return None

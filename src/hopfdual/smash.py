@@ -35,7 +35,6 @@ from .actions import (
     ComoduleAlgebraData,
     WeakActionData,
     regular_action_table,
-    regular_comodule,
     validate_weak_action,
 )
 from .crossed import trivial_sigma, twisted_module_identity
@@ -187,6 +186,18 @@ def op_smash(B: ComoduleAlgebraData, U: SubalgebraU) -> AlgebraData:
     return _coordinate_smash(B, U, True)
 
 
+def relabelled_smash(B: ComoduleAlgebraData, U: SubalgebraU, table: AlgebraData) -> AlgebraData:
+    """B#U (U a left module: B#^opU) as the columns and unit of ``table``,
+    the smash of U with a comodule algebra whose product, unit and coaction
+    are B's, on B⊗U's carrier: validated there, so that its witnesses are
+    named on B's basis."""
+    carrier = tensor_module(B.algebra.carrier, U.module)
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier,
+                                         table.mult.sparse_columns())
+    return _validated("B#opU" if U.side is ModuleSide.LEFT else "B#U",
+                      AlgebraData(carrier, mult, table.unit))
+
+
 def _coordinate_smash(B: ComoduleAlgebraData, U: SubalgebraU, op: bool) -> AlgebraData:
     """B#U or B#^opU by index arithmetic.  Column (b_i#u_l)(b_k#u_m) sums,
     over the coaction terms c·b₀⊗h_{b₁} of b_k (op: of b_i), c times the
@@ -289,11 +300,13 @@ def hit_action_of_dual(h: HopfData) -> WeakActionData:
     return w
 
 
-def smash_compare(h: HopfData) -> bool:
+def smash_compare(h: HopfData, build_right) -> bool:
     """The two algebra structures on H⊗H*: the left smash for the hit action
-    of H* and the right smash for Δ and the right regular action.  At finite
-    free rank their structure constants must be equal outright; a table that
-    fails its own validation raises."""
+    of H* and the right smash for Δ and the right regular action, which
+    ``build_right()`` returns (the smash suite's is the run's H#U for
+    U = H*).  At finite free rank their structure constants must be equal
+    outright; a table that fails its own validation raises, the left one
+    first."""
     left = left_smash(hit_action_of_dual(h))
-    right = right_smash(regular_comodule(h), SubalgebraU.full_dual(h, ModuleSide.RIGHT))
+    right = build_right()
     return left.mult == right.mult and left.unit == right.unit

@@ -79,6 +79,7 @@ from .smash import (
     left_smash,
     op_hat_smash,
     op_smash,
+    relabelled_smash,
     right_smash,
     smash_compare,
 )
@@ -116,14 +117,21 @@ def _timed(rep: ValidationReport, check_id: str, statement: str, fn):
             (time.perf_counter() - start) * 1000.0)
 
 
+def _module_side(side: DiagramSide) -> ModuleSide:
+    """The side of U's regular H-action on a diagram side: left for op."""
+    return ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
+
+
 class Derived:
     """What one ``run_suite`` call derives from its entry.  Each object is
     built on first use and shared by the later checks of the call; a build
     that raises keeps its HopfdualError, and every later ask re-raises it.
     Every check reads the same U: the entry's span, read once by
     :meth:`span` into canonical sparse functionals as V is, or H* without one.
-    Each side of the duality theorems shares U, H#U, B#U, λ with its one
-    factorization and the duality isomorphism (op: H#^opU, B#^opU, λ̄).
+    H* is held per side, for ``smash.compare`` too, whose right smash is H#U
+    over it.  Each side of the duality theorems shares U, H#U, B#U, λ with
+    its one factorization and the duality isomorphism (op: H#^opU, B#^opU,
+    λ̄); B#U is H#U's table where B's product, unit and coaction are H's.
     #(H,H) and #^op(H,H) are built per check: a one-suite run reads each
     once, so keeping them would only raise the peak memory."""
 
@@ -158,26 +166,45 @@ class Derived:
                 raise ValidationError(f"{name} element has wrong length") from None
         return None if span is None else self._once(name, read)
 
+    def full_dual(self, side: DiagramSide) -> SubalgebraU:
+        """H* for ``side`` (op: a left H-module): :meth:`u` without a span,
+        and the U of ``smash.compare`` on every entry."""
+        return self._once(("H*", side),
+                          lambda: SubalgebraU.full_dual(self.hopf, _module_side(side)))
+
     def u(self, side: DiagramSide) -> SubalgebraU:
         """U for ``side`` (op: a left H-module): the entry's span, or H*."""
-        u_side = ModuleSide.RIGHT if side is DiagramSide.RIGHT else ModuleSide.LEFT
-        return self._once(("U", side), lambda: (
-            SubalgebraU.full_dual(self.hopf, u_side) if self.entry.u_span is None
-            else SubalgebraU(self.hopf, self.span("U"), u_side)))
+        if self.entry.u_span is None:
+            return self.full_dual(side)
+        return self._once(("U", side), lambda: SubalgebraU(self.hopf, self.span("U"),
+                                                           _module_side(side)))
 
-    def _smash(self, B, side: DiagramSide) -> AlgebraData:
-        build = right_smash if side is DiagramSide.RIGHT else op_smash
-        return build(B, self.u(side))
+    @staticmethod
+    def _smash(B, U: SubalgebraU) -> AlgebraData:
+        return (right_smash if U.side is ModuleSide.RIGHT else op_smash)(B, U)
 
-    def h_smash(self, side: DiagramSide) -> AlgebraData:
-        """H#U (op: H#^opU) of the regular comodule."""
-        return self._once(("H#U", side),
-                          lambda: self._smash(regular_comodule(self.hopf), side))
+    def h_smash(self, side: DiagramSide, U: Optional[SubalgebraU] = None) -> AlgebraData:
+        """H#U (op: H#^opU) of the regular comodule, for U = :meth:`u` unless
+        another U of ``side`` is given."""
+        U = self.u(side) if U is None else U
+        return self._once(("H#U", U), lambda: self._smash(regular_comodule(self.hopf), U))
 
     def b_smash(self, side: DiagramSide) -> AlgebraData:
-        """B#U (op: B#^opU) of B = :attr:`diagram_crossed`'s comodule."""
-        return self._once(("B#U", side),
-                          lambda: self._smash(self.diagram_crossed.comodule, side))
+        """B#U (op: B#^opU) of B = :attr:`diagram_crossed`'s comodule.  When
+        B's product, unit and coaction are H's own (B = R#H on a bare Hopf
+        entry), H#U's table is B#U's, named on B#U's carrier and validated
+        there, which the run's store answers; a failing H#U leaves B#U to
+        be built, so that its witness is named on its own carrier."""
+        def build():
+            B, h, U = self.diagram_crossed.comodule, self.hopf, self.u(side)
+            if (B.algebra.unit == h.algebra.unit and B.algebra.mult == h.algebra.mult
+                    and B.coaction == h.coalgebra.comult):
+                try:
+                    return relabelled_smash(B, U, self.h_smash(side))
+                except HopfdualError:
+                    pass
+            return self._smash(B, U)
+        return self._once(("B#U", side), build)
 
     def lam(self, side: DiagramSide) -> LinearMap:
         """λ: H#U → End(H) (op: λ̄: H#^opU → End(H))."""
@@ -324,7 +351,8 @@ def run_smash_suite(ctx: Derived) -> ValidationReport:
         for side in DiagramSide:  # an invalid U is an input error, not a failure
             ctx.u(side)
     _timed(rep, "smash.compare", "left and right smash structure constants on "
-           "H⊗H* are identical", lambda: smash_compare(h))
+           "H⊗H* are identical", lambda: smash_compare(h, lambda: ctx.h_smash(
+               DiagramSide.RIGHT, ctx.full_dual(DiagramSide.RIGHT))))
     _timed(rep, "smash.hat", "#(H,H) constructs and validates",
            lambda: hat_smash(h, regular_comodule(h)) is not None)
     _timed(rep, "smash.op_hat", "#op(H,H) constructs and validates",

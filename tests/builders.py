@@ -5,12 +5,13 @@ map builders and for an invalid U; ``side_objects`` builds the corners of a
 duality diagram that read only U, as ``suites.Derived`` does, ``diagram``
 hands them to ``build_diagram``, ``lambda_coordinates`` factors λ for the
 RL-condition and the duality isomorphism, and ``full_dual_lambda`` is U = H*
-with its λ, as ``epsilon_maps`` takes them; ``idempotent_monoid_bialgebra``
-is a bialgebra with no antipode; ``entries_equal`` compares two entries
-through their canonical instance documents; ``map_from_columns`` is the
-tests' one normalising constructor from dense columns, and ``map_to_vec``
-and ``vec_to_map`` flatten a map to its dense row-major Hom coordinate
-vector and back; ``unvalidated_hopf`` builds Hopf data from
+with its λ, as ``epsilon_maps`` takes them; ``compare_smashes`` runs
+``smash_compare`` with a right smash H#H* of its own;
+``idempotent_monoid_bialgebra`` is a bialgebra with no antipode;
+``entries_equal`` compares two entries through their canonical instance
+documents; ``map_from_columns`` is the tests' one normalising constructor
+from dense columns, and ``map_to_vec`` and ``vec_to_map`` flatten a map to
+its dense row-major Hom coordinate vector and back; ``unvalidated_hopf`` builds Hopf data from
 ``hopf_from_parts`` arguments without certifying it.
 ``cyclic_document`` is the instance document of R[C_n] over Z/p.
 """
@@ -31,7 +32,7 @@ from hopfdual.linalg import (
     sparse_vector,
 )
 from hopfdual.rings import Ring
-from hopfdual.smash import ModuleSide, SubalgebraU, op_smash, right_smash
+from hopfdual.smash import ModuleSide, SubalgebraU, op_smash, right_smash, smash_compare
 
 
 class FunctionalSpan:
@@ -78,6 +79,12 @@ def full_dual_lambda(hopf: HopfData, side):
     U = SubalgebraU.full_dual(hopf, ModuleSide.RIGHT if side is DiagramSide.RIGHT
                               else ModuleSide.LEFT)
     return U, lambda_map(hopf, U)
+
+
+def compare_smashes(hopf: HopfData) -> bool:
+    """``smash_compare`` with the right smash H#H* built for it."""
+    return smash_compare(hopf, lambda: right_smash(
+        regular_comodule(hopf), SubalgebraU.full_dual(hopf, ModuleSide.RIGHT)))
 
 
 def idempotent_monoid_bialgebra(ring: Ring) -> BialgebraData:

@@ -35,6 +35,11 @@ kernels to agree with them (records and witnesses; entries and entry types).
 ``algebra_morphism_witness`` applies the map to the dense expansion of every
 basis product and multiplies the images as sparse dicts, pair by pair;
 ``test_hopf.py`` requires the library's witness strings to equal its own.
+``morphism_failure`` and ``tensor_algebra_columns`` are
+``hopf._morphism_failure`` before it read each lone product inline and
+``hopf.tensor_algebra`` before a rank-1 R left the other factor's columns
+as they are; ``test_hopf.py`` requires the library to give the same
+failures and bit-identical tables.
 
 ``validate_hopf`` (with ``validate_bialgebra``, ``validate_coalgebra`` and
 ``anti_morphism_checks``), ``validate_comodule_algebra`` and
@@ -1089,6 +1094,46 @@ def algebra_morphism_witness(source, target, map_):
             if lhs_items != rhs:
                 return f"({source.carrier.labels[i]},{source.carrier.labels[j]})"
     return None
+
+
+def morphism_failure(source, target, map_):
+    """``hopf._morphism_failure`` as it was before it read the source table
+    directly and the lone products inline: ``basis_product`` per pair, and
+    every map(e_i)map(e_j) summed by :func:`combine_columns` over the
+    target's columns p·rt + q.  "1", the first failing (i, j), or None."""
+    if map_.apply(source.unit) != target.unit:
+        return "1"
+    r, rt = source.rank, target.rank
+    ring = source.ring
+    mul = ring.mul
+    images = map_.sparse_columns()
+    tcols = target.mult.sparse_columns()
+    mapped = {}
+    for i in range(r):
+        for j in range(r):
+            col = source.basis_product(i, j)
+            lhs = mapped.get(col)
+            if lhs is None:
+                lhs = mapped[col] = combine_columns(ring, [(images[t], c) for t, c in col])
+            rhs = combine_columns(ring, [(tcols[p * rt + q], mul(a, b))
+                                         for p, a in images[i] for q, b in images[j]])
+            if lhs != rhs:
+                return i, j
+    return None
+
+
+def tensor_algebra_columns(a, b):
+    """``hopf.tensor_algebra`` as it was before a rank-1 factor R left the
+    other factor's columns as they are: every column a Kronecker column."""
+    rA, rB = a.rank, b.rank
+    mul = a.ring.mul
+    acols, bcols = a.mult.sparse_columns(), b.mult.sparse_columns()
+    cols = [linalg.kron_column(acols[a1 * rA + a2], bcols[b1 * rB + b2], rB, mul)
+            for a1 in range(rA) for b1 in range(rB)
+            for a2 in range(rA) for b2 in range(rB)]
+    carrier = tensor_module(a.carrier, b.carrier)
+    mult = LinearMap.from_sparse_columns(tensor_module(carrier, carrier), carrier, cols)
+    return AlgebraData(carrier, mult, kron_vec(a.ring, a.unit, b.unit))
 
 
 # --- the axiom validators as Kronecker composites ----------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from builders import (
     FunctionalSpan,
+    compare_smashes,
     diagram,
     full_dual_lambda,
     lambda_coordinates,
@@ -71,7 +72,6 @@ from hopfdual.smash import (
     SubalgebraU,
     op_smash,
     right_smash,
-    smash_compare,
 )
 from hopfdual.suites import run_suite
 
@@ -195,7 +195,7 @@ def test_04_phi_and_lambda_isomorphisms():
 def test_05_left_right_smash_agree():
     for maker in (lambda: group_algebra(ZZ, 2), lambda: group_algebra(QQ, 3),
                   lambda: sweedler_hopf(QQ)):
-        assert smash_compare(maker())
+        assert compare_smashes(maker())
     verdict(5, "left- and right-smash structure constants coincide on H⊗H* "
                "for Z[C2], Q[C3] and the rank-4 algebra over Q")
 

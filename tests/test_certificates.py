@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense
 from builders import cyclic_document
-from hopfdual import actions, hopf, linalg, suites
+from hopfdual import actions, hopf, linalg, smash, suites
 from hopfdual.actions import ComoduleAlgebraData, coinvariants, regular_comodule
 from hopfdual.catalog import CatalogEntry, get, group_algebra, sweedler_hopf
 from hopfdual.errors import NotInvertible
@@ -278,18 +278,25 @@ def test_the_scan_and_the_opposite_answer_equal_the_parent_scan(data):
 
 def test_work_per_run_is_pinned(monkeypatch, computed, scans):
     # per run_suite call: the associativity scans that run, the tables the
-    # store answers from their opposites, and the Hopf validations that run
-    # (a repeat of equal tables in the same run reads the store)
+    # store answers from their opposites, the Hopf validations that run (a
+    # repeat of equal tables in the same run reads the store), and the U
+    # builds: H* once per side, smash.compare's included, and the opposite
+    # chain's U on H^op
     c6 = parse_instance_dict(cyclic_document(6, 11)).to_entry()
     smash_q = get("sweedler4_smash_Q")
     calls = collections.Counter()
-    validate = hopf.HopfData.validate
+    validate, subalgebra = hopf.HopfData.validate, smash.SubalgebraU.__init__
 
     def counted(self, *args):
         calls["hopf"] += 1
         return validate(self, *args)
 
+    def counted_u(self, *args):
+        calls["U"] += 1
+        subalgebra(self, *args)
+
     monkeypatch.setattr(hopf.HopfData, "validate", counted)
+    monkeypatch.setattr(smash.SubalgebraU, "__init__", counted_u)
     work = {}
     for name, entry, suite in (("C6", c6, "smash"), ("C6", c6, "duality"),
                                ("C6", c6, "all"), ("sweedler4_smash_Q", smash_q, "opposite")):
@@ -299,11 +306,12 @@ def test_work_per_run_is_pinned(monkeypatch, computed, scans):
         scans[0] = 0
         run_suite(entry, suite)
         work[name, suite] = (scans[0], computed["algebra"] - scans[0], computed["hopf"],
-                             calls["hopf"])
-    # (scans, opposite answers, Hopf validations run, Hopf validations asked)
-    assert work == {("C6", "smash"): (2, 1, 1, 1), ("C6", "duality"): (2, 1, 0, 0),
-                    ("C6", "all"): (3, 1, 2, 4),
-                    ("sweedler4_smash_Q", "opposite"): (4, 2, 0, 0)}
+                             calls["hopf"], calls["U"])
+    # (scans, opposite answers, Hopf validations run, Hopf validations asked,
+    # U builds)
+    assert work == {("C6", "smash"): (2, 1, 1, 1, 1), ("C6", "duality"): (2, 1, 0, 0, 2),
+                    ("C6", "all"): (3, 1, 2, 4, 2),
+                    ("sweedler4_smash_Q", "opposite"): (4, 2, 0, 0, 2)}
 
 
 # --- labels -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, deterministic reports, round trips."""
+import hashlib
 import json
 import re
 import time
@@ -436,3 +437,28 @@ def test_inverses_are_computed_or_checked_at_parse_time(tmp_path, capsys, name, 
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--suite", "all"]) == 2
     assert message in capsys.readouterr().err
+
+
+# the exit code and the sha256 of stdout, then a NUL, then stderr with the
+# fixture's path written as its file name, of ``verify <fixture> --suite all
+# --format json --canonical``: the bare-Hopf fixtures run R⊗X and B#U for
+# B = R#H, and the crossed one builds its own B#U
+FIXTURE_OUTPUTS = {
+    "cyclic_c4_z5": (0, "9bc1335a9e50ed7709a881651e5a75ae08a996184b72a2881e652009ae828db2"),
+    "cyclic_c4_z5_u_v": (0, "0e972e98d08b569582c574cedaeb7b3820fa5bd767730d5e278e15e7cd10c52f"),
+    "gauss_cleft_without_theta_inv": (0, "2e243116e4f4965a3d63c6a58a5bafa8662040f004242ff532fd0c6abbe56a82"),
+    "nonmultiplicative_crossed": (2, "096a6065aee52dbeecdcfc3128dd936e55bf5fd8272325c9add057525994417d"),
+    "nonmultiplicative_hopf": (2, "096a6065aee52dbeecdcfc3128dd936e55bf5fd8272325c9add057525994417d"),
+    "oversized_integer": (2, "03ea7dfd2b5206c86dd1843fcf3f72688d03dc0b39ceed30aff6023af81301fc"),
+    "tensor_sign_labels": (0, "cf82f7f2d264e35bfe0f5639e89218f908c2b0f3fb504f22695c85e606669e15"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_OUTPUTS))
+def test_fixture_outputs_are_pinned(capsys, fixture):
+    path = FIXTURES / f"{fixture}.json"
+    code = main(["verify", str(path), "--suite", "all", "--format", "json", "--canonical"])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(
+        f"{out}\0{err.replace(str(path), path.name)}".encode()).hexdigest()
+    assert (code, digest) == FIXTURE_OUTPUTS[fixture]

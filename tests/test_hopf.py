@@ -4,6 +4,7 @@ Closed-form group inverses and the hand-derived rank-4 antipode serve as the
 independent oracles for the convolution-system solver.
 """
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from hopfdual.catalog import (
     sweedler_hopf,
     sweedler_parts,
 )
-from hopfdual.errors import NotConvInvertible
+from hopfdual.errors import NotConvInvertible, RingMismatch
 from hopfdual.hopf import (
     AlgebraData,
     CoalgebraData,
@@ -340,13 +341,15 @@ def random_coalgebra(data, ring, rank, prefix):
     return CoalgebraData(carrier, comult, counit)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(dense.RINGS), ranks, ranks, st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(dense.RINGS + (Zmod(4),)), ranks, ranks, st.data())
 def test_tensor_algebra_matches_kron_and_twist(ring, m, n, data):
-    a = random_algebra(data, ring, m, "a")
-    b = random_algebra(data, ring, n, "b")
+    # a rank-1 factor is sometimes R itself, whose columns the other keeps
+    a, b = (ground_algebra(ring) if r == 1 and data.draw(st.booleans())
+            else random_algebra(data, ring, r, prefix) for r, prefix in ((m, "a"), (n, "b")))
     t = tensor_algebra(a, b)
     dense.assert_bit_identical(t.mult, dense.tensor_mult(a, b))
+    dense.assert_bit_identical(t.mult, dense.tensor_algebra_columns(a, b).mult)
     assert t.unit == kron_vec(ring, a.unit, b.unit)
 
 
@@ -565,3 +568,123 @@ def test_morphism_witness_matches_the_dense_images(ring, kind, data):
     assert got == dense.algebra_morphism_witness(source, target, map_)
     if kind == "iso":
         assert got is None
+
+
+# --- the morphism certificate and R⊗X against their parent bodies -------------
+# Maps with images of 0, 1 and 2 or more terms: monomial maps e_i ↦ c·e_π(i)
+# (c = 0 gives an empty image), basis changes, the counit onto R (Sweedler's
+# x ↦ 0), and x ↦ c·y from the dual numbers into y·y = 3y, whose lone
+# products 2·2 (Z/4) and 4·3 (Z/6) are zero.  Planted failures change one
+# entry of one image, or the image of a unit term.
+
+PARENT_RINGS = (ZZ, QQ, Zmod(4), Zmod(6))
+
+
+def dual_numbers_into_3y(ring, c):
+    """x ↦ c·y from R[x]/(x²) into R[y]/(y² - 3y), 1 ↦ 1: a morphism exactly
+    when 3c² = 0."""
+    square = free_module(ring, ["1", "x"]), free_module(ring, ["1", "y"])
+    units = [(0, k, k, 1) for k in range(2)] + [(1, 0, 1, 1)]
+    source = algebra_from_quadruples(square[0], units, (1, 0))
+    target = algebra_from_quadruples(square[1], units + [(1, 1, 1, 3)], (1, 0))
+    return source, target, map_from_columns(source.carrier, target.carrier,
+                                            [(1, 0), (0, ring.of(c))])
+
+
+def morphism_case(data, ring, kind):
+    if kind == "zero divisor":
+        return dual_numbers_into_3y(ring, data.draw(dense.elements(ring)))
+    if kind == "counit":
+        h = data.draw(st.sampled_from((sweedler_parts, lambda r: group_algebra_parts(r, 3))))
+        h = unvalidated_hopf(*h(ring))
+        return h.algebra, ground_algebra(ring), h.coalgebra.counit
+    base = known_algebra(data, ring)
+    if kind == "basis change":
+        source, P = rebased(data, base)
+        return source, base, P
+    r = base.rank
+    perm = data.draw(st.sampled_from((list(range(r)), list(range(r))[::-1])))
+    scale = [data.draw(st.one_of(st.just(ring.one), dense.elements(ring))) for _ in range(r)]
+    cols = [[scale[i] if t == perm[i] else ring.zero for t in range(r)] for i in range(r)]
+    return base, base, map_from_columns(base.carrier, base.carrier, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PARENT_RINGS),
+       st.sampled_from(("monomial", "basis change", "counit", "zero divisor")),
+       st.sampled_from((None, "entry", "unit")), st.data())
+def test_morphism_failure_equals_its_parent_body(ring, kind, plant, data):
+    source, target, map_ = morphism_case(data, ring, kind)
+    unital = map_.apply(source.unit) == target.unit
+    cols = [list(col) for col in zip(*map_.matrix)]
+    if plant == "entry":
+        j = data.draw(st.integers(0, source.rank - 1))
+        t = data.draw(st.integers(0, target.rank - 1))
+        cols[j][t] = data.draw(dense.elements(ring))
+    elif plant == "unit":
+        j = data.draw(st.sampled_from([j for j, u in enumerate(source.unit) if u]))
+        cols[j][0] = ring.add(cols[j][0], ring.one)
+    map_ = map_from_columns(map_.domain, map_.codomain, cols)
+    got = hopf._morphism_failure(source, target, map_)
+    assert got == dense.morphism_failure(source, target, map_)
+    if plant == "unit" and unital:  # map(1) moved by u_j ≠ 0
+        assert got == "1"
+    if plant is None and kind in ("basis change", "counit"):
+        assert got is None
+
+
+@pytest.mark.parametrize("ring", PARENT_RINGS)
+def test_morphism_failure_corner_cases(ring):
+    # lone products that are zero divisors, an empty image, images of two
+    # or more terms: each passes or fails as the parent body does
+    for c in (1, 2):
+        case = dual_numbers_into_3y(ring, c)
+        zero = ring.is_zero(ring.mul(ring.of(3), ring.mul(ring.of(c), ring.of(c))))
+        assert hopf._morphism_failure(*case) == dense.morphism_failure(*case) \
+            == (None if zero else (1, 1))
+    h = unvalidated_hopf(*sweedler_parts(ring))
+    assert () in h.coalgebra.counit.sparse_columns()
+    assert hopf._morphism_failure(h.algebra, ground_algebra(ring), h.coalgebra.counit) is None
+    m2 = matrix_algebra(ring, 2)
+    conj = map_from_columns(m2.carrier, m2.carrier,  # X ↦ PXP⁻¹, P = [[1, 1], [0, 1]]
+                            [(1, -1, 0, 0), (0, 1, 0, 0), (1, -1, 1, -1), (0, 1, 0, 1)])
+    assert max(len(col) for col in conj.sparse_columns()) >= 2
+    assert hopf._morphism_failure(m2, m2, conj) is dense.morphism_failure(m2, m2, conj) is None
+
+
+def test_a_morphism_certificate_needs_one_ring():
+    # the ranks agree, the rings do not: no verdict is given across rings
+    m2z, m2z3 = matrix_algebra(ZZ, 2), matrix_algebra(Zmod(3), 2)
+    for map_ in (LinearMap.identity(m2z.carrier), LinearMap.identity(m2z3.carrier)):
+        with pytest.raises(RingMismatch):
+            certify_algebra_iso(m2z, m2z3, map_)
+        with pytest.raises(RingMismatch):
+            algebra_morphism_witness(m2z, m2z3, map_)
+    with pytest.raises(RingMismatch):
+        algebra_morphism_witness(m2z, m2z, LinearMap.identity(m2z3.carrier))
+
+
+@pytest.mark.parametrize("ring", PARENT_RINGS)
+def test_tensor_algebra_with_a_rank_one_factor(ring):
+    # R on either side leaves the other factor's columns as they are; a
+    # rank-1 table 1·1 = 2 (over Z/6 too) or a zero column is a Kronecker
+    # product like any other table
+    one = free_module(ring, ["1"])
+    ground = ground_algebra(ring)
+    doubled = AlgebraData(one, map_from_columns(tensor_module(one, one), one, [(ring.of(2),)]),
+                          (ring.of(4),))
+    empty = AlgebraData(one, map_from_columns(tensor_module(one, one), one, [(ring.zero,)]),
+                        (ring.one,))
+    m2 = matrix_algebra(ring, 2)
+    sw = unvalidated_hopf(*sweedler_parts(ring)).algebra
+    for a, b in ((ground, m2), (m2, ground), (ground, sw), (sw, ground), (ground, ground),
+                 (doubled, m2), (m2, doubled), (empty, sw), (sw, empty), (doubled, empty),
+                 (doubled, ground), (ground, empty)):
+        got, want = tensor_algebra(a, b), dense.tensor_algebra_columns(a, b)
+        dense.assert_bit_identical(got.mult, want.mult)
+        dense.assert_bit_identical(got.mult, dense.tensor_mult(a, b))
+        assert got.unit == want.unit
+        assert got.carrier.labels == want.carrier.labels
+    for a, b, x in ((ground, m2, m2), (sw, ground, sw)):
+        assert all(map(operator.is_, tensor_algebra(a, b).mult.sparse_columns(),
+                       x.mult.sparse_columns()))

@@ -1,14 +1,16 @@
 """Smash-type algebras and the left/right smash comparison."""
 import itertools
+import operator
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
-from builders import cyclic_document, map_from_columns
-from hopfdual import catalog, crossed, smash
+from builders import compare_smashes, cyclic_document, map_from_columns
+from hopfdual import catalog, crossed, smash, suites
 from hopfdual.actions import ComoduleAlgebraData, regular_comodule, trivial_action
 from hopfdual.catalog import (
     ground_algebra,
@@ -24,6 +26,7 @@ from hopfdual.crossed import (
     trivial_sigma,
     twisted_module_identity,
 )
+from hopfdual.duality import DiagramSide
 from hopfdual.errors import SideMismatch, ValidationError
 from hopfdual.hopf import AlgebraData, tensor_algebra
 from hopfdual.instancefile import parse_instance_dict
@@ -38,7 +41,6 @@ from hopfdual.smash import (
     op_hat_smash,
     op_smash,
     right_smash,
-    smash_compare,
 )
 from hopfdual.suites import applicable_suites, run_suite
 from test_crossed import CROSSED_CASES, crossed_case
@@ -275,7 +277,7 @@ def test_hit_action_of_dual_matches_the_term_by_term_oracle(make):
     lambda: group_algebra(Zmod(6), 2),
 ])
 def test_smash_compare(make):
-    assert smash_compare(make())
+    assert compare_smashes(make())
 
 
 def failing_tables(monkeypatch, fails):
@@ -344,6 +346,57 @@ def test_each_smash_record_names_its_own_failed_table(monkeypatch, name, check_i
     subjects = {**SUBJECTS, "smash.compare": "A#H"}
     assert all(witness.startswith(f"{subjects[i]}: algebra.assoc failed")
                for i, witness in failed.items())
+
+
+# --- B#U beside H#U in one run ----------------------------------------------
+# B#U is H#U's table on B's carrier exactly when B's product, unit and
+# coaction are H's: R#H of a bare entry.  A crossed entry (gauss, A = C) and
+# H with the trivial coaction b ↦ b⊗1, which has H's product and unit but
+# not its coaction, build their own.
+
+
+@pytest.mark.parametrize("side", list(DiagramSide))
+@pytest.mark.parametrize("name,comodule,shared", [
+    ("sweedler4_Q", None, True),
+    ("sweedler4_Q", lambda h: trivial_comodule(h, h.algebra), False),
+    ("gauss", None, False),
+])
+def test_b_smash_is_h_smash_only_on_h_own_tables(monkeypatch, name, comodule, shared, side):
+    ctx = suites.Derived(catalog.get(name))
+    if comodule is not None:
+        replaced = comodule(ctx.hopf)
+        monkeypatch.setattr(suites.Derived, "diagram_crossed",
+                            property(lambda self: types.SimpleNamespace(comodule=replaced)))
+    B, U = ctx.diagram_crossed.comodule, ctx.u(side)
+    fresh = (right_smash if side is DiagramSide.RIGHT else op_smash)(B, U)
+    built, coordinate_smash = [], smash._coordinate_smash
+    monkeypatch.setattr(smash, "_coordinate_smash",
+                        lambda b, *rest: built.append(b) or coordinate_smash(b, *rest))
+    got = ctx.b_smash(side)
+    assert (got.mult, got.unit, got.carrier) == (fresh.mult, fresh.unit, fresh.carrier)
+    assert got.carrier.labels == fresh.carrier.labels
+    assert [b is B for b in built] == [not shared]
+    h_cols = ctx.h_smash(side).mult.sparse_columns()
+    if shared:
+        assert all(map(operator.is_, got.mult.sparse_columns(), h_cols))
+    else:
+        assert got.mult.sparse_columns() != h_cols
+
+
+def test_a_failing_h_smash_leaves_b_smash_to_name_its_own_witness(monkeypatch):
+    # the rank-16 tables fail: H#U's witness is named on H⊗H*, and B#U,
+    # whose table is H#U's, is built and names its witness on (R⊗H)⊗H*
+    ctx = suites.Derived(catalog.get("sweedler4_Q"))
+    B, U = ctx.diagram_crossed.comodule, ctx.u(DiagramSide.RIGHT)
+    failing_tables(monkeypatch, lambda alg: alg.rank == 16)
+    errors = []
+    for build in (lambda: ctx.h_smash(DiagramSide.RIGHT), lambda: ctx.b_smash(DiagramSide.RIGHT),
+                  lambda: right_smash(B, U)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        errors.append(str(info.value))
+    assert errors[1] == errors[2] != errors[0]
+    assert errors[1].startswith("B#U: algebra.assoc failed")
 
 
 # --- the index-arithmetic builders against the term-by-term oracles ----------
@@ -529,4 +582,4 @@ def test_z_s3_hit_action_smash_matches_the_oracles():
     assert twisted_module_identity(hit, sigma)
     assert dense.twisted_module_identity(hit, sigma)
     dense.assert_bit_identical(left_smash(hit).mult, dense.left_smash_table(hit))
-    assert smash_compare(h)
+    assert compare_smashes(h)

@@ -94,16 +94,21 @@ def with_u(name, U):
 
 # B#U and H#U per (comodule algebra, U, kind) and λ per U, keyed by object
 # identity.  The regular comodule is made afresh for each build, so its
-# algebra, H's own, stands for it.  smash_compare builds on a fresh H* and
-# #(H,H) is no coordinate smash, so those never repeat a key; ε reads each
-# side's U and λ, and the cleft route the right B#U of a crossed-product
-# payload.  triv_c2_small_u runs every suite: B#U, H#U and λ on each side,
-# smash_compare's, and the opposite chain's three smashes with its own λ̄.
+# algebra, H's own, stands for it.  #(H,H) is no coordinate smash.  B#U is
+# H#U's table on B's carrier when B's product, unit and coaction are H's:
+# R#H of a bare entry, and triv_C2, whose A is R.  smash_compare's right
+# smash is the run's H#U over H*, so on an entry without a span it is the
+# right H#U.  ε reads each side's U and λ, and the cleft route the right B#U
+# of a crossed-product payload.  sweedler4_Z3 builds H#U on each side;
+# gauss (A = C) its B#U and H#U on each side, and the opposite chain one
+# more; triv_c2_small_u runs every suite: H#U on each side, smash_compare's
+# over H* beside the span, and the opposite chain's three smashes with its
+# own λ̄.
 @pytest.mark.parametrize("entry,suite,smashes,lambdas", [
-    (lambda: get("sweedler4_Z3"), "all", 5, 2),
+    (lambda: get("sweedler4_Z3"), "all", 2, 2),
     (lambda: get("gauss"), "duality", 4, 2),
     (lambda: get("gauss"), "opposite", 5, 2),
-    (triv_c2_small_u, "all", 8, 3),
+    (triv_c2_small_u, "all", 6, 3),
 ])
 def test_run_suite_builds_each_side_object_once(monkeypatch, entry, suite,
                                                 smashes, lambdas):
